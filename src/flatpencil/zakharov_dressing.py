@@ -44,6 +44,7 @@ import numpy as np
 
 from .errors import (
     IllConditioned,
+    NonFiniteSample,
     SignChangeOnRange,
     TruncationInsufficient,
 )
@@ -56,6 +57,8 @@ COND_CAP = 1e12
 DEFAULT_PANELS = 16
 DEFAULT_NODES_PER_PANEL = 6
 SKEW_PROBE_TOL = 1e-9
+#: collocation-matrix bytes per window batch; more raises peak memory, not speed
+BATCH_BYTES = 3 * 2**19
 
 
 # ---------------------------------------------------------------------------
@@ -228,70 +231,82 @@ class RawKernel:
 
 
 class PotentialKernel:
-    """Kernel matrix from a potential set at a fixed evaluation point ``u``.
+    """Kernel matrix from a potential set at evaluation points ``u``.
 
-    With ``ratio_profile`` set, evaluates the profile-scaled variant; the
-    profile must keep one sign per component over the whole ``t``-range the
-    solver touches (:class:`SignChangeOnRange` otherwise).
+    ``u`` is one point (length ``n``) or a batch of points (shape ``(B, n)``);
+    for a batch, :meth:`eval` puts the batch axis first.  With
+    ``ratio_profile`` set, evaluates the profile-scaled variant; the profile
+    must keep one sign per component over the whole ``t``-range the solver
+    touches, at every point (:class:`SignChangeOnRange` otherwise).
     """
 
     def __init__(
         self,
         potentials: PotentialSet,
-        u: Sequence[float],
+        u: Sequence[float] | np.ndarray,
         ratio_profile: ReductionProfile | None = None,
         t_range: tuple[float, float] | None = None,
     ):
         self.potentials = potentials
-        self.u = tuple(float(v) for v in u)
+        self._u = np.asarray(u, dtype=float)
+        self.u = tuple(float(v) for v in self._u) if self._u.ndim == 1 else self._u
         self.n = potentials.n
-        if len(self.u) != self.n:
+        if self._u.shape[-1:] != (self.n,):
             raise ValueError("evaluation point length must match component count")
-        self._ratio = None
+        self._profile = ratio_profile
         if ratio_profile is not None:
             if t_range is None:
                 raise ValueError("profile-scaled kernels need the t-range")
-            self._ratio = _profile_roots(ratio_profile, self.u, t_range)
+            _check_profile_signs(ratio_profile, self._u, t_range)
 
     def eval(self, i: int, j: int, s, sp) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        sp = np.asarray(sp, dtype=float)
-        shape = np.broadcast(s, sp).shape
-        u = self.u
+        s, sp = np.asarray(s, dtype=float), np.asarray(sp, dtype=float)
+        # each point's coordinates, broadcast against s and s'; an open mesh
+        # of (s, s') keeps the one-variable factors of a potential small
+        ndim = max(s.ndim, sp.ndim)
+        ui, uj = (np.reshape(c, c.shape + (1,) * ndim) for c in (self._u[..., i], self._u[..., j]))
+        shape = self._u.shape[:-1] + np.broadcast_shapes(s.shape, sp.shape)
         if i < j:
             pot = self.potentials.off_diagonal.get((i, j))
-            base = pot.dx(s - u[i], sp - u[j]) if pot else None
+            base = pot.dx(s - ui, sp - uj) if pot else None
         elif i > j:
             pot = self.potentials.off_diagonal.get((j, i))
-            base = -pot.dy(sp - u[j], s - u[i]) if pot else None
+            base = -pot.dy(sp - uj, s - ui) if pot else None
         else:
             pot = self.potentials.diagonal.get(i)
-            base = pot.dx(s - u[i], sp - u[i]) if pot else None
+            base = pot.dx(s - ui, sp - ui) if pot else None
         if base is None:
             return np.zeros(shape)
-        base = np.broadcast_to(np.asarray(base, dtype=float), shape).copy()
-        if self._ratio is not None:
-            base *= self._ratio[j](sp) / self._ratio[i](s)
+        base = np.asarray(base, dtype=float)
+        if base.shape != shape:
+            base = np.broadcast_to(base, shape).copy()
+        if self._profile is not None:
+            funcs = self._profile.funcs
+            base *= _profile_root(funcs[j], uj - sp) / _profile_root(funcs[i], ui - s)
         return base
 
 
-def _profile_roots(
-    profile: ReductionProfile, u: tuple[float, ...], t_range: tuple[float, float]
-) -> list[Callable]:
-    """Per-component ``t -> sqrt|f^l(u^l - t)|`` with a constant-sign gate
-    over the range."""
+def _profile_root(fn: Callable, t) -> np.ndarray:
+    """``sqrt|f(t)|``, the profile factor of the scaled kernel."""
+    return np.sqrt(np.abs(np.asarray(fn(t), dtype=float)))
+
+
+def _check_profile_signs(
+    profile: ReductionProfile, u: np.ndarray, t_range: tuple[float, float]
+) -> None:
+    """Constant-sign gate of every ``t -> f^l(u^l - t)`` over the range, at
+    every point of ``u`` (shape ``(n,)`` or ``(B, n)``)."""
     lo, hi = t_range
     sample = np.linspace(lo, hi, 201)
-    roots = []
     for l, fn in enumerate(profile.funcs):
-        vals = np.asarray(fn(u[l] - sample), dtype=float)
-        if vals.shape != sample.shape:
-            vals = np.vectorize(fn)(u[l] - sample).astype(float)
-        floor = 1e-10 * max(1.0, float(np.max(np.abs(vals))))
-        if np.min(np.abs(vals)) < floor or (np.min(vals) < 0 < np.max(vals)):
+        t = np.reshape(u[..., l], u.shape[:-1] + (1,)) - sample
+        vals = np.asarray(fn(t), dtype=float)
+        if vals.shape != t.shape:
+            vals = np.vectorize(fn)(t).astype(float)
+        floor = 1e-10 * np.maximum(1.0, np.max(np.abs(vals), axis=-1))
+        lows, highs = np.min(vals, axis=-1), np.max(vals, axis=-1)
+        if np.any(np.min(np.abs(vals), axis=-1) < floor) or np.any((lows < 0) & (0 < highs)):
             raise SignChangeOnRange(l, lo, hi)
-        roots.append(lambda t, f=fn, ul=u[l]: np.sqrt(np.abs(np.asarray(f(ul - t), dtype=float))))
-    return roots
 
 
 def reduction_identity_residual(
@@ -300,31 +315,23 @@ def reduction_identity_residual(
     """Max probe residual of ``d F_ij(s,s')/ds' + d F_ji(s',s)/ds``.
 
     Derivatives by 4th-order central differences of the kernel evaluator;
-    holds to rounding for every kernel built from a potential set.
+    holds to rounding for every kernel built from a potential set.  A NaN in
+    any block propagates to the result.
     """
     if probes is None:
         rng = np.random.default_rng(seed)
         probes = rng.uniform(-1.5, 1.5, size=(12, 2))
     probes = np.asarray(probes, dtype=float)
     s, sp = probes[:, 0], probes[:, 1]
-    d = step
-    worst = 0.0
-    for i in range(kernel.n):
-        for j in range(kernel.n):
-            dsp = (
-                kernel.eval(i, j, s, sp - 2 * d)
-                - 8 * kernel.eval(i, j, s, sp - d)
-                + 8 * kernel.eval(i, j, s, sp + d)
-                - kernel.eval(i, j, s, sp + 2 * d)
-            ) / (12 * d)
-            ds = (
-                kernel.eval(j, i, sp, s - 2 * d)
-                - 8 * kernel.eval(j, i, sp, s - d)
-                + 8 * kernel.eval(j, i, sp, s + d)
-                - kernel.eval(j, i, sp, s + 2 * d)
-            ) / (12 * d)
-            worst = max(worst, float(np.max(np.abs(dsp + ds))))
-    return worst
+    residuals = [
+        np.max(np.abs(
+            _single_var_derivative(lambda t: kernel.eval(i, j, s, t), sp, step)
+            + _single_var_derivative(lambda t: kernel.eval(j, i, sp, t), s, step)
+        ))
+        for i in range(kernel.n)
+        for j in range(kernel.n)
+    ]
+    return float(np.max(residuals))
 
 
 # ---------------------------------------------------------------------------
@@ -524,22 +531,95 @@ class DressingSolution:
         of ``d Psi_k / d u^i = beta_{ik} Psi_i`` — i.e. ready-made Lamé
         coefficients for the metric generated by ``beta``.
         """
-        n, q = self.n, len(self.nodes)
-        if seeds is None:
-            head = np.ones(n)
-            tail = np.ones((n, q))
-        else:
+        if seeds is not None and u is None:
+            u = getattr(self.kernel, "u", None)
             if u is None:
-                u = getattr(self.kernel, "u", None)
-                if u is None:
-                    raise ValueError("seed evaluation needs the point u")
-            head = np.array(
-                [float(seeds[i](self.s - u[i])) for i in range(n)]
-            )
-            tail = np.stack(
-                [np.asarray(seeds[l](self.nodes - u[l]), dtype=float) for l in range(n)]
-            )
-        return head + np.einsum("ilm,m,lm->i", self.k_nodes, self.weights, tail)
+                raise ValueError("seed evaluation needs the point u")
+        points = None if u is None else np.array([u], dtype=float)
+        psi = _dressed_seeds(self.k_nodes[None], self.weights, self.s, self.nodes, points, seeds)
+        return psi[0]
+
+
+def _dressed_seeds(k_nodes, weights, s, nodes, points, seeds) -> np.ndarray:
+    """``Psi_i = h_i(s - u^i) + sum_l int K_il h_l`` at a batch of points
+    (unit seeds ``h`` when ``seeds`` is None)."""
+    batch, n = k_nodes.shape[:2]
+    if seeds is None:
+        head, tail = np.ones((batch, n)), np.ones((batch, n, len(nodes)))
+    else:
+        head = np.stack([seeds[i](s - points[:, i]) for i in range(n)], axis=-1)
+        tail = np.stack([seeds[l](nodes - points[:, l, None]) for l in range(n)], axis=1)
+    return head + np.einsum("bilm,m,blm->bi", k_nodes, weights, tail)
+
+
+def _solve_batch(
+    kernel, points: np.ndarray, s: float, length: float, nodes: np.ndarray,
+    weights: np.ndarray, probe_cond: np.ndarray,
+    tail_tol: float = TAIL_REL_TOL, cond_cap: float = COND_CAP,
+):
+    """Nyström solves at a batch of points that share one quadrature rule.
+
+    ``kernel.eval`` puts the batch axis first; a kernel without one is a
+    batch of one.  Each point's collocation matrix over unknowns
+    ``K_{il}(s, q_m)`` is shared by all row indices ``i``, so one
+    factorization serves N right-hand sides.  Every point is checked:
+    non-finite kernel values raise :class:`NonFiniteSample` at that point of
+    ``points``, kernel mass beyond the truncation length raises
+    :class:`TruncationInsufficient`, and where ``probe_cond`` is set a
+    condition number above ``cond_cap`` raises :class:`IllConditioned`.
+
+    Returns ``k_nodes[b, i, l, m] = K_{il}(s, q_m)``, ``k_ss[b, i, j] =
+    K_{ij}(s, s)`` by the Nyström identity, and the per-point collocation
+    residual and condition number (NaN where not probed).
+    """
+    n, q, batch = kernel.n, len(nodes), len(points)
+    tail = s + length * np.array([1.05, 1.15, 1.3, 1.6, 2.0])
+    mid = np.full_like(tail, s + 0.5 * length)
+
+    def blocks(a, b):  # [batch, l, j, ...] = F_{lj}(a, b)
+        out = np.empty((batch, n, n) + np.broadcast_shapes(a.shape, b.shape))
+        for l in range(n):
+            for j in range(n):
+                out[:, l, j] = kernel.eval(l, j, a, b)
+        return out
+
+    # the mesh of (s, q_1, ..., q_Q) holds the kernel on the nodes, the
+    # right-hand sides F(s, q) and the read-off values F(q, s), F(s, s)
+    t = np.concatenate(([s], nodes))
+    f = blocks(t[:, None], t[None, :])
+    probe = blocks(np.concatenate([tail, tail, mid]), np.concatenate([tail, mid, tail]))
+    finite = np.isfinite(f).all(axis=(1, 2, 3, 4)) & np.isfinite(probe).all(axis=(1, 2, 3))
+    if not finite.all():
+        raise NonFiniteSample(
+            tuple(float(v) for v in points[np.argmin(finite)]), "in the dressing kernel"
+        )
+    f_q = f[..., 1:, 1:]
+    mass = np.abs(probe).max(axis=(1, 2, 3))
+    box = np.maximum(f_q.max(axis=(1, 2, 3, 4)), -f_q.min(axis=(1, 2, 3, 4)))
+    tol_abs = tail_tol * (1.0 + box)
+    if np.any(mass > tol_abs):
+        b = int(np.argmax(mass > tol_abs))
+        raise TruncationInsufficient(float(mass[b]), float(tol_abs[b]), length)
+
+    # block rows (j, nn), columns (l, m): delta - w_m F_{lj}(q_m, q_nn)
+    nq = n * q
+    m_mat = np.empty((batch, nq, nq))
+    np.multiply(f_q.transpose(0, 2, 4, 1, 3), -weights, out=m_mat.reshape(batch, n, q, n, q))
+    m_mat.reshape(batch, -1)[:, :: nq + 1] += 1.0
+    rhs = f[:, :, :, 0, 1:].transpose(0, 2, 3, 1).reshape(batch, nq, n)
+
+    cond = np.full(batch, np.nan)
+    if np.any(probe_cond):
+        cond[probe_cond] = np.linalg.cond(m_mat[probe_cond])
+        worst = float(np.max(cond[probe_cond]))
+        if not worst <= cond_cap:
+            raise IllConditioned(worst, cond_cap)
+
+    x = np.linalg.solve(m_mat, rhs)
+    residual = np.abs(m_mat @ x - rhs).max(axis=(1, 2))
+    k_nodes = x.reshape(batch, n, q, n).transpose(0, 3, 1, 2)
+    k_ss = f[:, :, :, 0, 0] + np.einsum("bilm,m,bljm->bij", k_nodes, weights, f[:, :, :, 1:, 0])
+    return k_nodes, k_ss, residual, cond
 
 
 def solve_marchenko(
@@ -551,67 +631,24 @@ def solve_marchenko(
 ) -> DressingSolution:
     """Nyström solve of the dressing integral equation at one point ``u``.
 
-    The collocation matrix over unknowns ``K_{il}(s, q_m)`` is shared by all
-    row indices ``i``, so one factorization serves N right-hand sides.  The
-    declared truncation length is validated by probing the kernel beyond it
-    (:class:`TruncationInsufficient`); conditioning above ``cond_cap``
-    raises :class:`IllConditioned`.
+    The batch-of-one case of the window solver: the declared truncation
+    length is validated by probing the kernel beyond it
+    (:class:`TruncationInsufficient`), non-finite kernel values raise
+    :class:`NonFiniteSample`, and conditioning above ``cond_cap`` raises
+    :class:`IllConditioned`.
     """
     if kernel is None:
         kernel = problem.base_kernel()
-    n = kernel.n
-    s = problem.s
-    length = problem.truncation_length()
+    s, length = problem.s, problem.truncation_length()
     nodes, weights = _panel_quadrature(s, length, problem.panels, problem.nodes_per_panel)
-    q = len(nodes)
-
-    f_q = np.empty((n, n, q, q))  # [l, j, m, nn] = F_{lj}(q_m, q_nn)
-    qm, qn = np.meshgrid(nodes, nodes, indexing="ij")
-    for l in range(n):
-        for j in range(n):
-            f_q[l, j] = kernel.eval(l, j, qm, qn)
-
-    box_scale = float(np.max(np.abs(f_q)))
-    tail_pts = s + length * np.array([1.05, 1.15, 1.3, 1.6, 2.0])
-    tail = 0.0
-    for a in range(n):
-        for b in range(n):
-            tail = max(tail, float(np.max(np.abs(kernel.eval(a, b, tail_pts, tail_pts)))))
-            mid = s + 0.5 * length
-            tail = max(
-                tail,
-                float(np.max(np.abs(kernel.eval(a, b, tail_pts, np.full_like(tail_pts, mid))))),
-                float(np.max(np.abs(kernel.eval(a, b, np.full_like(tail_pts, mid), tail_pts)))),
-            )
-    tol_abs = tail_tol * (1.0 + box_scale)
-    if tail > tol_abs:
-        raise TruncationInsufficient(tail, tol_abs, length)
-
-    nq = n * q
-    m_mat = np.eye(nq)
-    for j in range(n):
-        for l in range(n):
-            # block rows (j, nn), columns (l, m): subtract w_m F_{lj}(q_m, q_nn)
-            m_mat[j * q:(j + 1) * q, l * q:(l + 1) * q] -= (
-                weights[:, None] * f_q[l, j]
-            ).T
-
-    rhs = np.empty((nq, n))
-    for i in range(n):
-        for j in range(n):
-            rhs[j * q:(j + 1) * q, i] = kernel.eval(i, j, np.full(q, s), nodes)
-
-    cond = float(np.linalg.cond(m_mat)) if estimate_cond else None
-    if cond is not None and cond > cond_cap:
-        raise IllConditioned(cond, cond_cap)
-
-    x = np.linalg.solve(m_mat, rhs)
-    residual = float(np.max(np.abs(m_mat @ x - rhs)))
-    k_nodes = np.empty((n, n, q))
-    for i in range(n):
-        for l in range(n):
-            k_nodes[i, l] = x[l * q:(l + 1) * q, i]
-    return DressingSolution(kernel, s, nodes, weights, k_nodes, residual, cond)
+    k_nodes, _, residual, cond = _solve_batch(
+        kernel, np.array([problem.u]), s, length, nodes, weights,
+        np.array([estimate_cond]), tail_tol, cond_cap,
+    )
+    return DressingSolution(
+        kernel, s, nodes, weights, k_nodes[0], float(residual[0]),
+        float(cond[0]) if estimate_cond else None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -651,8 +688,11 @@ def extract_beta(
     """Solve the dressing problem at every node of a coordinate chart.
 
     The truncation length is fixed once from the chart bounds so every node
-    shares one quadrature rule; conditioning is probed at the first node
-    only (each node's system has the same structure and nearby entries).
+    shares one quadrature rule and tail probe; nodes are solved in batches
+    of about :data:`BATCH_BYTES` of collocation matrices.  Every node passes
+    the non-finite, truncation and sign gates and reports its collocation
+    residual; conditioning is probed at the chart's corners and centre, and
+    ``cond_probe`` is the worst of them.
     """
     n = potentials.n
     if chart.dim != n:
@@ -660,27 +700,37 @@ def extract_beta(
     if length is None:
         reach = max(max(abs(lo), abs(hi)) for lo, hi in zip(chart.lower, chart.upper))
         length = potentials.envelope + reach + abs(s) + 1.0
+    points = np.stack(chart.meshgrid(), axis=-1).reshape(-1, n)
+    window = DressingProblem(
+        potentials, points[0], profile=profile, s=s, length=length,
+        panels=panels, nodes_per_panel=nodes_per_panel,
+    )
+    if use_tilde and profile is None:
+        raise ValueError("no reduction profile on this problem")
+    nodes, weights = _panel_quadrature(s, length, panels, nodes_per_panel)
+    probe = np.zeros(chart.shape, dtype=bool)
+    probe[np.ix_(*[[0, m - 1] for m in chart.shape])] = True
+    probe[tuple(m // 2 for m in chart.shape)] = True
+    probe = probe.ravel()
 
-    beta_values = np.empty(chart.shape + (n, n))
-    psi_values = np.empty(chart.shape + (n,))
-    cond_probe = None
-    worst_residual = 0.0
-    first = True
-    for idx in np.ndindex(chart.shape):
-        u = chart.node(idx)
-        problem = DressingProblem(
-            potentials, u, profile=profile, s=s, length=length,
-            panels=panels, nodes_per_panel=nodes_per_panel,
+    size = max(1, BATCH_BYTES // (8 * (n * len(nodes)) ** 2))
+    parts = []
+    for start in range(0, len(points), size):
+        u = points[start:start + size]
+        kernel = PotentialKernel(
+            potentials, u, profile if use_tilde else None, window.t_range()
         )
-        kernel = problem.tilde_kernel() if use_tilde else problem.base_kernel()
-        sol = solve_marchenko(problem, kernel=kernel, estimate_cond=first)
-        if first:
-            cond_probe = sol.cond
-            first = False
-        worst_residual = max(worst_residual, sol.residual)
-        beta_values[idx] = sol.beta()
-        psi_values[idx] = sol.psi(seeds=seeds, u=u)
-    return DressedField(chart, s, beta_values, psi_values, profile, cond_probe, worst_residual)
+        k_nodes, k_ss, residual, cond = _solve_batch(
+            kernel, u, s, length, nodes, weights, probe[start:start + size]
+        )
+        psi = _dressed_seeds(k_nodes, weights, s, nodes, u, seeds)
+        # beta_{ij} = K_{ji}(s, s)
+        parts.append((k_ss.swapaxes(1, 2), psi, residual, cond))
+    beta, psi, residual, cond = (np.concatenate(p) for p in zip(*parts))
+    return DressedField(
+        chart, s, beta.reshape(chart.shape + (n, n)), psi.reshape(chart.shape + (n,)),
+        profile, float(np.max(cond[probe])), float(np.max(residual)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -722,17 +772,20 @@ def verify_tilde_consistency(
     tilde_kernel = problem.tilde_kernel()
     tilde = solve_marchenko(problem, kernel=tilde_kernel, estimate_cond=False)
 
-    roots = _profile_roots(problem.profile, problem.u, problem.t_range())
-    n, q = base.n, len(base.nodes)
+    def root(l, t):
+        return _profile_root(problem.profile.funcs[l], problem.u[l] - t)
+
+    n = base.n
+    s = np.array(problem.s)
     scaled = np.empty_like(base.k_nodes)
     for i in range(n):
         for l in range(n):
-            scaled[i, l] = (roots[l](base.nodes) / roots[i](np.array(problem.s))) * base.k_nodes[i, l]
+            scaled[i, l] = (root(l, base.nodes) / root(i, s)) * base.k_nodes[i, l]
     kernel_dev = float(np.max(np.abs(tilde.k_nodes - scaled)))
 
     beta_base = base.beta()
     beta_tilde = tilde.beta()
-    r_s = np.array([float(r(np.array(problem.s))) for r in roots])
+    r_s = np.array([float(root(l, s)) for l in range(n)])
     expected = (r_s[:, None] / r_s[None, :]) * beta_base
     beta_dev = float(np.max(np.abs(beta_tilde - expected)))
     return TildeReport(kernel_dev, beta_dev, tol)

@@ -1,10 +1,13 @@
 """Integral-equation solver: closed forms, convergence, and reduction gates."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from flatpencil.errors import IllConditioned, SignChangeOnRange, TruncationInsufficient
+from flatpencil.errors import (IllConditioned, NonFiniteSample, SignChangeOnRange,
+                               TruncationInsufficient)
 from flatpencil.grid_calculus import GridChart
 from flatpencil import lame_system as ls
 from flatpencil import zakharov_dressing as zd
@@ -189,3 +192,127 @@ def test_dressed_seeds_are_positive():
     psi = sol.psi()
     assert psi.shape == (2,)
     assert np.all(psi > 0)
+
+
+# ---------------------------------------------------------------------------
+# the batched window against pointwise solves
+
+
+def _pointwise(pots, chart, profile=None, use_tilde=False, seeds=None):
+    """Per-node ``solve_marchenko`` with the window's truncation length."""
+    reach = max(max(abs(lo), abs(hi)) for lo, hi in zip(chart.lower, chart.upper))
+    length = pots.envelope + reach + 1.0
+    beta = np.empty(chart.shape + (pots.n, pots.n))
+    psi = np.empty(chart.shape + (pots.n,))
+    residuals = []
+    for idx in np.ndindex(chart.shape):
+        u = chart.node(idx)
+        prob = zd.DressingProblem(pots, u, profile=profile, length=length)
+        kernel = prob.tilde_kernel() if use_tilde else prob.base_kernel()
+        sol = zd.solve_marchenko(prob, kernel=kernel, estimate_cond=False)
+        beta[idx], psi[idx] = sol.beta(), sol.psi(seeds=seeds, u=u)
+        residuals.append(sol.residual)
+    return beta, psi, max(residuals)
+
+
+def _gaussian2():
+    return zd.gaussian_set(2, amplitude=0.4, include_diagonal=True)
+
+
+WINDOWS = {
+    # 28 nodes: not a multiple of the 2-component batch size
+    "2c-7x4": (_gaussian2, GridChart((-0.3, -0.2), (0.3, 0.2), (7, 4)), {}),
+    "2c-2x7": (_gaussian2, GridChart((-0.1, -0.3), (0.1, 0.3), (2, 7)), {}),
+    "3c-3x3x3": (lambda: zd.gaussian_set(3, amplitude=0.4, include_diagonal=True),
+                 GridChart((-0.2,) * 3, (0.2,) * 3, (3, 3, 3)), {}),
+    "1c-5": (lambda: zd.gaussian_set(1, amplitude=0.4, include_diagonal=True),
+             GridChart((-0.2,), (0.2,), (5,)), {}),
+    "2c-tilde": (_gaussian2, GridChart((-0.3, -0.2), (0.3, 0.2), (5, 3)),
+                 {"profile": ls.constant_profile((2.0, 2.5)), "use_tilde": True}),
+    "2c-seeds": (_gaussian2, GridChart((-0.3, -0.2), (0.3, 0.2), (3, 4)),
+                 {"seeds": (lambda t: np.exp(0.3 * t), lambda t: 1.0 + 0.2 * np.sin(t))}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WINDOWS))
+def test_window_matches_pointwise_solves(name):
+    make, chart, options = WINDOWS[name]
+    pots = make()
+    field = zd.extract_beta(pots, chart, **options)
+    beta, psi, residual = _pointwise(pots, chart, **options)
+    assert np.max(np.abs(field.beta_values - beta)) <= 1e-14
+    assert np.max(np.abs(field.psi_values - psi)) <= 1e-14
+    assert abs(field.max_residual - residual) <= 1e-14
+    assert field.max_residual <= 1e-10
+
+
+def test_window_size_is_not_a_batch_multiple():
+    _, chart, _ = WINDOWS["2c-7x4"]
+    batch = zd.BATCH_BYTES // (8 * (2 * zd.DEFAULT_PANELS * zd.DEFAULT_NODES_PER_PANEL) ** 2)
+    assert batch > 1 and np.prod(chart.shape) % batch != 0
+
+
+def test_window_conditioning_is_worst_of_corners_and_centre():
+    pots, chart = _gaussian2(), GridChart((-0.3, -0.3), (0.3, 0.3), (5, 5))
+    field = zd.extract_beta(pots, chart)
+    length = pots.envelope + 0.3 + 1.0
+    conds = {
+        idx: zd.solve_marchenko(zd.DressingProblem(pots, chart.node(idx), length=length)).cond
+        for idx in [(0, 0), (0, 4), (4, 0), (4, 4), (2, 2)]
+    }
+    assert field.cond_probe == max(conds.values())
+    assert len(set(conds.values())) > 1
+
+
+def test_raw_kernel_solve_matches_closed_forms():
+    """A kernel without a batch axis is solved as a batch of one."""
+    from flatpencil.catalog import rank1_case
+    kernel, exact = rank1_case()
+    prob = zd.DressingProblem(zd.PotentialSet(1, {}, {}, envelope=6.0), u=(0.0,),
+                              length=10.0)
+    sol = zd.solve_marchenko(prob, kernel=kernel, estimate_cond=False)
+    assert sol.cond is None and sol.k_nodes.shape == (1, 1, len(sol.nodes))
+    assert sol.residual <= 1e-15
+    assert abs(sol.beta()[0, 0] - exact(0.0, 0.0)) <= 1e-12
+    # psi = 1 + a(0) / (1 - overlap) * int_0^inf b
+    b_mass = 0.5 * np.sqrt(np.pi / 2) * (1.0 + math.erf(0.3 / np.sqrt(2)))
+    expected = 1.0 + exact(0.0, 0.0) / kernel.eval(0, 0, 0.0, 0.0) * 0.6 * b_mass
+    assert abs(sol.psi()[0] - expected) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# non-finite kernels
+
+
+def _with_nan_dx(where):
+    """The 2-component Gaussian set with ``dx`` of its pair NaN where
+    ``where(x)`` holds."""
+    pots = zd.gaussian_set(2)
+    pair = pots.off_diagonal[(0, 1)]
+    bad = zd.PairPotential(
+        pair.value, lambda x, y: np.where(where(x), np.nan, pair.dx(x, y)),
+        pair.dy, pair.dxy,
+    )
+    return zd.PotentialSet(2, {(0, 1): bad}, pots.diagonal, pots.envelope)
+
+
+def test_partly_nan_kernel_is_not_a_pass():
+    pots = _with_nan_dx(lambda x: x < -0.09)
+    chart = GridChart((-0.1, -0.1), (0.1, 0.1), (5, 5))
+    with pytest.raises(NonFiniteSample) as err:
+        zd.extract_beta(pots, chart)
+    assert err.value.node == (0.1, -0.1)
+    assert "(0.1, -0.1)" in str(err.value)
+
+
+def test_nan_kernel_raises_before_the_conditioning_probe():
+    pots = _with_nan_dx(lambda x: np.ones(np.shape(x), dtype=bool))
+    with pytest.raises(NonFiniteSample):
+        zd.extract_beta(pots, GridChart((-0.1, -0.1), (0.1, 0.1), (3, 3)))
+    with pytest.raises(NonFiniteSample):
+        zd.solve_marchenko(zd.DressingProblem(pots, u=U2))
+
+
+def test_translation_identity_propagates_nan():
+    kernel = zd.RawKernel(2, lambda i, j, s, sp: (np.nan if (i, j) == (1, 1) else 0.0) * s)
+    assert np.isnan(zd.reduction_identity_residual(kernel))
