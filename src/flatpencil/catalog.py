@@ -102,15 +102,15 @@ def metric_field(name: str, order: int = DEFAULT_ORDER) -> geo.MetricField:
         return geo.build_metric(lambda u: np.eye(2), chart)
     if name == "polar":
         chart = GridChart((1.0, 0.5), (2.0, 1.5), (101, 101))
-        return geo.build_metric(lambda u: np.diag([1.0, 1.0 / u[0] ** 2]), chart)
+        return geo.build_metric(lambda u: [[1.0, 0.0], [0.0, 1.0 / u[0] ** 2]], chart)
     if name == "sphere":
         chart = GridChart((0.6, 0.4), (1.2, 1.2), (65, 65))
         return geo.build_metric(
-            lambda u: np.diag([1.0, 1.0 / np.sin(u[0]) ** 2]), chart
+            lambda u: [[1.0, 0.0], [0.0, 1.0 / np.sin(u[0]) ** 2]], chart
         )
     if name == "diag-u":
         chart = GridChart((0.5, 0.5), (1.5, 1.5), (65, 65))
-        return geo.build_metric(lambda u: np.diag([u[0], u[1]]), chart)
+        return geo.build_metric(lambda u: [[u[0], 0.0], [0.0, u[1]]], chart)
     raise SchemaError(f"no plain metric named {name!r}")
 
 
@@ -284,8 +284,8 @@ def _tc_runner(name: str):
 # constructions from potentials
 
 
-def _quadratic_covector(u: np.ndarray) -> np.ndarray:
-    return np.array([0.5 * u[0] ** 2, 0.5 * u[1] ** 2])
+def _quadratic_covector(u: list[np.ndarray]) -> list[np.ndarray]:
+    return [0.5 * u[0] ** 2, 0.5 * u[1] ** 2]
 
 
 def _run_dubrovin_quadratic(order: int):

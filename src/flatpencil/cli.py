@@ -35,7 +35,7 @@ from . import zakharov_dressing as zd
 from .catalog import CheckRow
 from .errors import FlatpencilError, SchemaError
 from .expressions import compile_expression
-from .grid_calculus import DEFAULT_ORDER, GridChart
+from .grid_calculus import DEFAULT_ORDER, GridChart, as_grid
 
 KINDS = (
     "check-flat",
@@ -158,11 +158,8 @@ def _metric_from_spec(spec, chart: GridChart | None, kind: str):
         raise SchemaError(f"metric must be a {n}x{n} matrix of entries")
     names = _coordinate_names(n)
     fns = [[_compile_cell(cell, names) for cell in row] for row in rows]
-
-    def closure(u: np.ndarray) -> np.ndarray:
-        return np.array([[float(fns[i][j](*u)) for j in range(n)] for i in range(n)])
-
-    return geo.build_metric(closure, chart), chart
+    metric = geo.build_metric(lambda u: [[fn(*u) for fn in row] for row in fns], chart)
+    return metric, chart
 
 
 def _profile_from_spec(spec, n: int) -> ls.ReductionProfile:
@@ -215,8 +212,7 @@ def _potential_from_spec(spec) -> tc.Potential:
 
 def _field_from_expr(expr, chart: GridChart) -> np.ndarray:
     fn = _compile_cell(expr, _coordinate_names(chart.dim))
-    grids = chart.meshgrid()
-    return np.asarray(fn(*grids), dtype=float) + np.zeros(chart.shape)
+    return as_grid(fn(*chart.meshgrid()), chart.shape)
 
 
 def _potential_set_from_spec(spec) -> zd.PotentialSet:
@@ -336,11 +332,10 @@ def _run_dubrovin(scenario, settings):
         raise SchemaError(f"covector needs {chart.dim} components")
     names = _coordinate_names(chart.dim)
     fns = [_compile_cell(e, names) for e in exprs]
-    f_closure = lambda u: np.array([float(fn(*u)) for fn in fns])
     lams = _lambda_samples(scenario, pc.DEFAULT_LAMBDA_SAMPLES)
     rep = pc.dubrovin_construct(
         g2,
-        f_closure,
+        lambda u: [fn(*u) for fn in fns],
         c=float(scenario.get("c", 0.0)),
         order=settings["order"],
         tol=settings["tolerance"],
@@ -363,8 +358,7 @@ def _run_potentials(scenario, settings):
     if len(exprs) != chart.dim:
         raise SchemaError(f"potentials needs {chart.dim} components")
     names = _coordinate_names(chart.dim)
-    fns = [_compile_cell(e, names) for e in exprs]
-    h = tuple((lambda u, fn=fn: float(fn(*u))) for fn in fns)
+    h = tuple((lambda u, fn=_compile_cell(e, names): fn(*u)) for e in exprs)
     lams = _lambda_samples(scenario, pc.DEFAULT_LAMBDA_SAMPLES)
     rep = pc.generate_from_potentials(
         pc.PotentialPairSpec(eta, h, chart),
@@ -484,11 +478,8 @@ def _run_two_component(scenario, settings):
     if "integrate" in scenario:
         integ = scenario["integrate"]
         b1_edge = _compile_cell(_need(integ, "b1_edge", "two-component"), ("u1",))
-        b2_edge_fn = _compile_cell(_need(integ, "b2_edge", "two-component"), ("u2",))
-        result = tc.integrate_b(
-            spec, lambda x: np.asarray(b1_edge(x), dtype=float) + 0.0 * x,
-            lambda y: float(b2_edge_fn(y)), settings["order"]
-        )
+        b2_edge = _compile_cell(_need(integ, "b2_edge", "two-component"), ("u2",))
+        result = tc.integrate_b(spec, b1_edge, b2_edge, settings["order"])
         spec = spec.with_b(result.b1, result.b2)
         rows.append(CheckRow("integration_consistency", result.max_consistency, tol))
         meta["b_source"] = "integrated"
@@ -577,13 +568,12 @@ def _write_csv_fields(fields: dict, directory: str):
     os.makedirs(directory, exist_ok=True)
     for name, (chart, values) in fields.items():
         path = os.path.join(directory, f"{name}.csv")
-        n = chart.dim
+        columns = [u.ravel().tolist() for u in chart.meshgrid()]
+        columns.append(np.ravel(values).tolist())
         with open(path, "w") as handle:
-            handle.write(",".join(_coordinate_names(n)) + ",residual\n")
-            for idx in np.ndindex(chart.shape):
-                u = chart.node(idx)
-                coords = ",".join(_format_float(float(v)) for v in u)
-                handle.write(f"{coords},{_format_float(float(values[idx]))}\n")
+            handle.write(",".join(_coordinate_names(chart.dim)) + ",residual\n")
+            for row in zip(*columns):
+                handle.write(",".join(map(_format_float, row)) + "\n")
 
 
 def _resolve_settings(args, scenario: dict) -> dict:

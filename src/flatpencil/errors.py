@@ -2,22 +2,36 @@
 
 Every error that can escape a public operation is defined here so the CLI can
 map any failure onto a single exit path.  Errors that point at a concrete grid
-location carry the multi-index of the offending node.
+location carry the multi-index of the offending node as plain ints and,
+where the chart is known, its physical coordinates.
 """
 
 from __future__ import annotations
 
 
+def _plain(values) -> tuple:
+    """Python ints and floats, so a node prints as ``(4, 0)``."""
+    return tuple(int(v) if hasattr(v, "__index__") else float(v) for v in values)
+
+
 class FlatpencilError(Exception):
     """Base class for all package-specific failures."""
+
+    def _at(self, node, coords=None) -> str:
+        """Store ``node`` and ``coords`` as plain numbers; return them as text."""
+        self.node = _plain(node)
+        self.coords = None if coords is None else _plain(coords)
+        if self.coords is None:
+            return f"{self.node}"
+        return f"{self.node} (u = ({', '.join(format(c, '.12g') for c in self.coords)}))"
 
 
 class NonFiniteSample(FlatpencilError):
     """A closure produced NaN/Inf at a grid node."""
 
-    def __init__(self, node, detail=""):
-        self.node = tuple(node)
-        super().__init__(f"non-finite sample at grid node {self.node} {detail}".rstrip())
+    def __init__(self, node, detail="", coords=None):
+        where = self._at(node, coords)
+        super().__init__(f"non-finite sample at grid node {where} {detail}".rstrip())
 
 
 class ChartTooCoarse(FlatpencilError):
@@ -35,12 +49,11 @@ class ChartTooCoarse(FlatpencilError):
 class DegenerateMetric(FlatpencilError):
     """Metric determinant fell below the nondegeneracy floor."""
 
-    def __init__(self, node, det, floor):
-        self.node = tuple(node)
+    def __init__(self, node, det, floor, coords=None):
         self.det = det
         self.floor = floor
         super().__init__(
-            f"|det g| = {abs(det):.3e} < floor {floor:.3e} at node {self.node}"
+            f"|det g| = {abs(det):.3e} < floor {floor:.3e} at node {self._at(node, coords)}"
         )
 
 
@@ -80,11 +93,10 @@ class NotFlatCoordinates(FlatpencilError):
 class SignMismatch(FlatpencilError):
     """A metric entry disagrees with its declared sign somewhere on the box."""
 
-    def __init__(self, node, axis, value):
-        self.node = tuple(node)
-        self.axis = axis
+    def __init__(self, node, axis, value, coords=None):
+        self.axis = axis = int(axis)
         super().__init__(
-            f"sign * g^{{{axis}{axis}}} = {value:.3e} <= 0 at node {self.node}"
+            f"sign * g^{{{axis}{axis}}} = {value:.3e} <= 0 at node {self._at(node, coords)}"
         )
 
 
@@ -94,6 +106,15 @@ class SignChange(FlatpencilError):
     def __init__(self, axis, detail=""):
         self.axis = axis
         super().__init__(f"profile component {axis} changes sign or vanishes {detail}".rstrip())
+
+
+class NonFiniteProfile(FlatpencilError):
+    """A profile function is NaN or infinite somewhere on its range."""
+
+    def __init__(self, component, t):
+        self.component = int(component)
+        self.t = float(t)
+        super().__init__(f"profile component {self.component} is not finite at t = {self.t:g}")
 
 
 class SignChangeOnRange(FlatpencilError):
@@ -119,10 +140,7 @@ class VanishingB(FlatpencilError):
     """An integrated diagonal entry b^i collapsed below the floor."""
 
     def __init__(self, node, value, floor):
-        self.node = tuple(node)
-        super().__init__(
-            f"|b| = {abs(value):.3e} < floor {floor:.3e} at node {self.node}"
-        )
+        super().__init__(f"|b| = {abs(value):.3e} < floor {floor:.3e} at node {self._at(node)}")
 
 
 class IllConditioned(FlatpencilError):

@@ -85,30 +85,37 @@ class CurvatureField:
 
 
 def build_metric(
-    source: Callable[[np.ndarray], np.ndarray] | np.ndarray,
+    source: Callable[[list[np.ndarray]], object] | np.ndarray,
     chart: GridChart,
     floor_scale: float = DET_FLOOR_SCALE,
 ) -> MetricField:
     """Build a metric from a contravariant closure or a dense sample array.
 
+    A closure is evaluated once on the chart's coordinate arrays by
+    :func:`grid_calculus.sample` (``lambda u: [[1.0, 0.0], [0.0, u[0]]]``);
+    an array has shape ``chart.shape + (dim, dim)``.  Either way the values
+    pass the same gates: non-finite entries raise :class:`NonFiniteSample`,
+    a relative asymmetry above ``1e-8`` raises ``ValueError``, and the
+    symmetric part is kept.
+
     The determinant is checked pointwise against ``floor_scale * max|g|``;
-    the first offending node raises :class:`DegenerateMetric`.  The covariant
+    below it, :class:`DegenerateMetric` names the node of smallest ``|det|``.  The covariant
     metric is the dense pointwise inverse (LAPACK LU) and is verified to
     invert the contravariant one to within ``1e-10``.
     """
+    sym = ((0, 1),)
     if callable(source):
-        contra = gc.sample(source, chart, "uu", symmetries=((0, 1),))
+        contra = gc.sample(source, chart, "uu", symmetries=sym)
     else:
-        vals = np.asarray(source, dtype=float)
-        sym = 0.5 * (vals + np.swapaxes(vals, -1, -2))
-        contra = TensorField(chart, "uu", sym, ((0, 1),))
+        vals = gc.symmetrized(np.asarray(source, dtype=float), chart, sym)
+        contra = TensorField(chart, "uu", vals, sym)
 
     mats = contra.values
     det = np.linalg.det(mats)
     floor = floor_scale * float(np.max(np.abs(mats)))
     if not np.all(np.abs(det) >= floor):
         bad = np.unravel_index(int(np.argmin(np.abs(det))), chart.shape)
-        raise DegenerateMetric(bad, float(det[bad]), floor)
+        raise DegenerateMetric(bad, float(det[bad]), floor, chart.node(bad))
 
     inv = np.linalg.inv(mats)
     inv = 0.5 * (inv + np.swapaxes(inv, -1, -2))
@@ -118,7 +125,7 @@ def build_metric(
         bad = np.unravel_index(
             int(np.argmax(np.max(np.abs(resid), axis=(-1, -2)))), chart.shape
         )
-        raise DegenerateMetric(bad, float(det[bad]), floor)
+        raise DegenerateMetric(bad, float(det[bad]), floor, chart.node(bad))
 
     cov = TensorField(chart, "dd", inv, ((0, 1),))
     return MetricField(contra, cov, float(np.min(np.abs(det))))

@@ -137,9 +137,7 @@ class TensorField:
         expected = self.chart.shape + (self.chart.dim,) * len(self.variance)
         if vals.shape != expected:
             raise ValueError(f"values shape {vals.shape} != expected {expected}")
-        if not np.all(np.isfinite(vals)):
-            bad = np.argwhere(~np.isfinite(vals))[0][: self.chart.dim]
-            raise NonFiniteSample(tuple(int(i) for i in bad))
+        _check_finite(vals, self.chart)
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -203,46 +201,87 @@ def differentiate_array(
 # public operations
 
 
+def _check_finite(vals: np.ndarray, chart: GridChart) -> None:
+    """The first node in C order with a non-finite component raises
+    :class:`NonFiniteSample` with its coordinates."""
+    finite = np.isfinite(vals)
+    if not finite.all():
+        node = tuple(np.argwhere(~finite)[0][: len(chart.shape)])
+        raise NonFiniteSample(node, coords=chart.node(node))
+
+
+def as_grid(value, shape: tuple[int, ...]) -> np.ndarray:
+    """``value`` as a float array of ``shape``, a scalar broadcast over it.
+
+    Any other shape raises ``ValueError`` instead of broadcasting along the
+    wrong axis.
+    """
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim and arr.shape != tuple(shape):
+        raise ValueError(f"got shape {arr.shape}, expected a scalar or {tuple(shape)}")
+    return np.broadcast_to(arr, shape)
+
+
+def symmetrized(
+    vals: np.ndarray,
+    chart: GridChart,
+    symmetries: Sequence[tuple[int, int]],
+    symmetry_tol: float = 1e-8,
+) -> np.ndarray:
+    """Average grid tensor values over each declared slot exchange.
+
+    Non-finite values raise :class:`NonFiniteSample` first; then the
+    pre-average asymmetry must not exceed ``symmetry_tol`` relative to the
+    largest entry, else ``ValueError``.
+    """
+    _check_finite(vals, chart)
+    grid_ndim = len(chart.shape)
+    for a, b in symmetries:
+        swapped = np.swapaxes(vals, grid_ndim + a, grid_ndim + b)
+        scale = float(np.max(np.abs(vals))) or 1.0
+        asym = float(np.max(np.abs(vals - swapped))) / scale
+        if asym > symmetry_tol:
+            raise ValueError(
+                f"values violate declared symmetry in slots ({a}, {b}): "
+                f"relative asymmetry {asym:.3e} > {symmetry_tol:.3e}"
+            )
+        vals = 0.5 * (vals + swapped)
+    return vals
+
+
 def sample(
-    closure: Callable[[np.ndarray], object],
+    fn: Callable[[list[np.ndarray]], object],
     chart: GridChart,
     variance: str = "",
     symmetries: Sequence[tuple[int, int]] = (),
     symmetry_tol: float = 1e-8,
 ) -> TensorField:
-    """Evaluate a pointwise closure on every grid node.
+    """Evaluate ``fn`` once on the chart's coordinate arrays.
 
-    The closure receives the node coordinates as a 1-D array of length
-    ``chart.dim`` and must return a scalar (``variance == ""``) or an array of
-    shape ``(dim,) * rank``.  Declared symmetries are enforced exactly in
-    storage: values are averaged over the index exchange, and the pre-average
-    asymmetry must not exceed ``symmetry_tol`` relative to the field scale.
+    ``fn(u)`` receives ``u = chart.meshgrid()``, so ``u[a]`` is coordinate
+    ``a`` on every node, and returns anything indexable to shape
+    ``(dim,) * rank`` -- an array, or nested lists such as
+    ``[[1.0, 0.0], [0.0, 1.0 / u[0] ** 2]]``.  Each leaf is a scalar, which
+    is broadcast over the grid, or an array of shape ``chart.shape``; any
+    other leaf raises ``ValueError``.  The first node in C order with a
+    non-finite component raises :class:`NonFiniteSample`, and declared
+    symmetries are gated and enforced by :func:`symmetrized`.
     """
     dim = chart.dim
-    rank = len(variance)
-    tshape = (dim,) * rank
-    axes = [chart.axis_coordinates(d) for d in range(dim)]
-    vals = np.empty(chart.shape + tshape, dtype=float)
-    for idx in np.ndindex(chart.shape):
-        u = np.array([axes[d][idx[d]] for d in range(dim)])
-        v = np.asarray(closure(u), dtype=float)
-        if v.shape != tshape:
-            raise ValueError(
-                f"closure returned shape {v.shape}, expected {tshape} at node {idx}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteSample(idx)
-        vals[idx] = v
-
-    grid_ndim = len(chart.shape)
-    for a, b in symmetries:
-        swapped = np.swapaxes(vals, grid_ndim + a, grid_ndim + b)
-        scale = float(np.max(np.abs(vals))) or 1.0
-        if float(np.max(np.abs(vals - swapped))) > symmetry_tol * scale:
-            raise ValueError(
-                f"closure violates declared symmetry in slots ({a}, {b})"
-            )
-        vals = 0.5 * (vals + swapped)
+    tshape = (dim,) * len(variance)
+    out = fn(chart.meshgrid())
+    vals = np.empty(chart.shape + tshape)
+    for index in np.ndindex(tshape):
+        leaf = out
+        try:
+            for i in index:
+                if len(leaf) != dim:
+                    raise ValueError(f"a tensor slot has {len(leaf)} entries, expected {dim}")
+                leaf = leaf[i]
+            vals[(Ellipsis,) + index] = as_grid(leaf, chart.shape)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"component {index} of a {variance!r} field: {exc}") from None
+    vals = symmetrized(vals, chart, symmetries, symmetry_tol)
     return TensorField(chart, variance, vals, tuple(tuple(p) for p in symmetries))
 
 
@@ -257,19 +296,22 @@ def partial(field: TensorField, axis: int, order: int = DEFAULT_ORDER) -> Tensor
     return TensorField(field.chart, field.variance, out, field.symmetries)
 
 
-def stacked_partials(field: TensorField, order: int = DEFAULT_ORDER) -> np.ndarray:
+def stacked_partials(
+    field: TensorField | np.ndarray,
+    order: int = DEFAULT_ORDER,
+    chart: GridChart | None = None,
+) -> np.ndarray:
     """All axis derivatives, stacked on a new leading tensor axis.
 
+    ``field`` is a :class:`TensorField` or raw grid values on ``chart``.
     Returns an array of shape ``chart.shape + (dim,) + tensor_shape`` whose
     entry ``[..., a, I]`` is the derivative of component ``I`` along axis
     ``a``.
     """
-    grid_ndim = len(field.chart.shape)
-    stack = [
-        differentiate_array(field.values, field.chart, a, order)
-        for a in range(field.chart.dim)
-    ]
-    return np.stack(stack, axis=grid_ndim)
+    if isinstance(field, TensorField):
+        field, chart = field.values, field.chart
+    stack = [differentiate_array(field, chart, a, order) for a in range(chart.dim)]
+    return np.stack(stack, axis=len(chart.shape))
 
 
 def interior_max(
@@ -291,6 +333,13 @@ def interior_max(
         sl = chart.interior(order if margin is None else margin)
     region = values[sl]
     return float(np.max(np.abs(region)))
+
+
+def worst(values) -> float:
+    """Largest of ``values`` (0.0 when empty); a NaN anywhere propagates,
+    where Python's ``max`` keeps it only in first place."""
+    values = list(values)
+    return float(np.max(values)) if values else 0.0
 
 
 def cumulative_integral(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray:

@@ -31,6 +31,7 @@ import numpy as np
 
 from . import grid_calculus as gc
 from .errors import (
+    NonFiniteProfile,
     NotDiagonal,
     ResidualsTooLarge,
     SignChange,
@@ -90,20 +91,22 @@ class ReductionProfile:
         object.__setattr__(self, "funcs", tuple(self.funcs))
 
     def axis_values(self, chart: GridChart, axis: int) -> np.ndarray:
+        """``f^i`` on the axis coordinates; a scalar result is broadcast."""
         coords = chart.axis_coordinates(axis)
-        out = np.asarray(self.funcs[axis](coords), dtype=float)
-        if out.shape != coords.shape:
-            out = np.asarray(np.vectorize(self.funcs[axis])(coords), dtype=float)
-        return out
+        return gc.as_grid(self.funcs[axis](coords), coords.shape)
 
     def signs_on(self, chart: GridChart) -> tuple[int, ...]:
-        """Constant sign of each ``f^i`` over its axis; :class:`SignChange`
-        if any component vanishes or flips on its axis range."""
+        """Constant sign of each ``f^i`` over its axis; :class:`NonFiniteProfile`
+        if a component is not finite there, :class:`SignChange` if it
+        vanishes or flips."""
         if len(self.funcs) != chart.dim:
             raise ValueError("profile length must match chart dimension")
         signs = []
         for i in range(chart.dim):
             vals = self.axis_values(chart, i)
+            finite = np.isfinite(vals)
+            if not finite.all():
+                raise NonFiniteProfile(i, chart.axis_coordinates(i)[np.argmin(finite)])
             floor = PROFILE_FLOOR * max(1.0, float(np.max(np.abs(vals))))
             if np.min(np.abs(vals)) < floor:
                 raise SignChange(i, "profile function vanishes on axis range")
@@ -114,14 +117,8 @@ class ReductionProfile:
 
     def values_on(self, chart: GridChart) -> np.ndarray:
         """Grid array ``[..., i] = f^i(u^i)`` (broadcast along other axes)."""
-        n = chart.dim
-        out = np.empty(chart.shape + (n,))
-        for i in range(n):
-            vals = self.axis_values(chart, i)
-            shape = [1] * n
-            shape[i] = chart.shape[i]
-            out[..., i] = vals.reshape(shape)
-        return out
+        axes = (self.axis_values(chart, i) for i in range(chart.dim))
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
 def constant_profile(values: Sequence[float]) -> ReductionProfile:
@@ -167,13 +164,10 @@ def frame_from_metric(
     if np.min(signed) <= 0:
         flat_idx = int(np.argmin(signed))
         node = np.unravel_index(flat_idx, signed.shape)
-        raise SignMismatch(node[:-1], node[-1], float(diag[node]))
+        raise SignMismatch(node[:-1], node[-1], float(diag[node]), chart.node(node[:-1]))
 
     h = signed ** -0.5
-    dh = np.stack(
-        [gc.differentiate_array(h, chart, a, order) for a in range(n)],
-        axis=len(chart.shape),
-    )  # [..., i, k] = d_i H_k
+    dh = gc.stacked_partials(h, order, chart)  # [..., i, k] = d_i H_k
     beta = dh / h[..., None, :].swapaxes(-1, -2)  # divide by H_i along axis i
     beta[..., idx, idx] = 0.0
     return LameFrame(chart, h, beta, eps)
@@ -187,15 +181,15 @@ class LameResidualReport:
 
     @property
     def r_offdiag(self) -> float:
-        return max(self.off_diagonal.values()) if self.off_diagonal else 0.0
+        return gc.worst(self.off_diagonal.values())
 
     @property
     def r_diag(self) -> float:
-        return max(self.diagonal.values()) if self.diagonal else 0.0
+        return gc.worst(self.diagonal.values())
 
     @property
     def max_residual(self) -> float:
-        return max(self.r_offdiag, self.r_diag)
+        return gc.worst((self.r_offdiag, self.r_diag))
 
     @property
     def verdict(self) -> bool:
@@ -213,17 +207,6 @@ class LameResidualReport:
         }
 
 
-def _beta_partials(frame: LameFrame, order: int) -> np.ndarray:
-    chart = frame.chart
-    return np.stack(
-        [
-            gc.differentiate_array(frame.beta, chart, a, order)
-            for a in range(chart.dim)
-        ],
-        axis=len(chart.shape),
-    )  # [..., a, i, j] = d_a beta_{ij}
-
-
 def lame_residuals(
     frame: LameFrame,
     order: int = DEFAULT_ORDER,
@@ -237,7 +220,7 @@ def lame_residuals(
     if n < 2:
         raise ValueError("need at least two coordinates")
     beta = frame.beta
-    dbeta = _beta_partials(frame, order)
+    dbeta = gc.stacked_partials(beta, order, chart)  # [..., a, i, j] = d_a beta_{ij}
     eps = np.asarray(frame.eps, dtype=float)
 
     off_diagonal: dict[tuple[int, int, int], float] = {}
@@ -273,7 +256,7 @@ class ReductionReport:
 
     @property
     def residual(self) -> float:
-        return max(self.pairs.values()) if self.pairs else 0.0
+        return gc.worst(self.pairs.values())
 
     @property
     def verdict(self) -> bool:
@@ -318,13 +301,7 @@ def reduction_residual(
     beta = frame.beta
 
     weighted = gamma[..., :, None] * beta  # [..., i, j] = sqrt|f^i| beta_{ij}
-    dweighted = np.stack(
-        [
-            gc.differentiate_array(weighted, chart, a, order)
-            for a in range(n)
-        ],
-        axis=len(chart.shape),
-    )  # [..., a, i, j]
+    dweighted = gc.stacked_partials(weighted, order, chart)  # [..., a, i, j]
 
     pairs: dict[tuple[int, int], float] = {}
     for i in range(n):
@@ -386,8 +363,8 @@ def metric_pair_from_frame(
 
     lame = lame_residuals(frame, order, tol)
     red = reduction_residual(frame, profile, order, tol)
-    worst = max(lame.max_residual, red.residual)
-    if worst > tol:
+    worst = gc.worst((lame.max_residual, red.residual))
+    if not worst <= tol:
         raise ResidualsTooLarge(worst, tol)
 
     g2 = frame_metric(frame)

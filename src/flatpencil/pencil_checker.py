@@ -107,7 +107,7 @@ class AlmostCompatibilityReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.connection_by_sample.values())
+        return gc.worst(self.connection_by_sample.values())
 
     @property
     def verdict(self) -> bool:
@@ -135,18 +135,17 @@ class CompatibilityReport:
 
     @property
     def max_connection(self) -> float:
-        return max(self.connection_by_sample.values())
+        return gc.worst(self.connection_by_sample.values())
 
     @property
     def max_curvature(self) -> float:
-        vals = list(self.curvature_by_sample.values()) + list(
-            self.endpoint_residuals.values()
+        return gc.worst(
+            [*self.curvature_by_sample.values(), *self.endpoint_residuals.values()]
         )
-        return max(vals) if vals else 0.0
 
     @property
     def max_residual(self) -> float:
-        return max(self.max_connection, self.max_curvature)
+        return gc.worst((self.max_connection, self.max_curvature))
 
     @property
     def verdict(self) -> bool:
@@ -400,13 +399,11 @@ def check_diagonal_form(
         pencil.g1.contra.values[..., idx, idx]
         / pencil.g2.contra.values[..., idx, idx]
     )
-    residual = 0.0
-    for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            d = gc.differentiate_array(f[..., i], chart, j, order)
-            residual = max(residual, gc.interior_max(d, chart, margin, box, order))
+    residual = gc.worst(
+        gc.interior_max(gc.differentiate_array(f[..., i], chart, j, order),
+                        chart, margin, box, order)
+        for i in range(n) for j in range(n) if j != i
+    )
     return DiagonalFormReport(f, residual, off, tol)
 
 
@@ -447,7 +444,7 @@ class DubrovinReport:
     @property
     def verdict(self) -> bool:
         return (
-            max(self.quadratic_residual, self.bracket_residual) <= self.tolerance
+            gc.worst((self.quadratic_residual, self.bracket_residual)) <= self.tolerance
             and self.compatibility.verdict
         )
 
@@ -465,7 +462,7 @@ class DubrovinReport:
 
 def dubrovin_construct(
     g2: MetricField,
-    f: Callable[[np.ndarray], np.ndarray] | np.ndarray,
+    f: Callable[[list[np.ndarray]], object] | np.ndarray,
     c: float = 0.0,
     order: int = DEFAULT_ORDER,
     tol: float = DEFAULT_TOL,
@@ -494,7 +491,6 @@ def dubrovin_construct(
     and cross-checks the pair with :func:`check_compatible` in flat mode.
     """
     chart = g2.chart
-    n = chart.dim
 
     gamma2 = connection(g2, order)
     conn_res = float(np.max(np.abs(gamma2.contra.values)))
@@ -506,10 +502,7 @@ def dubrovin_construct(
     else:
         f_field = TensorField(chart, "u", np.asarray(f, dtype=float))
     df = gc.stacked_partials(f_field, order)  # [..., s, k] = d_s f^k
-    ddf = np.stack(
-        [gc.differentiate_array(df, chart, a, order) for a in range(n)],
-        axis=len(chart.shape),
-    )  # [..., a, s, k] = d_a d_s f^k
+    ddf = gc.stacked_partials(df, order, chart)  # [..., a, s, k] = d_a d_s f^k
     ddf = 0.5 * (ddf + np.swapaxes(ddf, -3, -2))
 
     g2c = g2.contra.values
@@ -518,10 +511,7 @@ def dubrovin_construct(
     g1 = build_metric(g1_vals, chart)
 
     delta_up = np.einsum("...is,...jp,...spk->...ijk", g2c, g2c, ddf)
-    dgrad = np.stack(
-        [gc.differentiate_array(grad, chart, a, order) for a in range(n)],
-        axis=len(chart.shape),
-    )  # [..., k, i, j] = d_k grad^i f^j
+    dgrad = gc.stacked_partials(grad, order, chart)  # [..., k, i, j] = d_k grad^i f^j
     delta_mixed = np.einsum("...kij->...ijk", dgrad)
     data = DubrovinData(delta_up, delta_mixed, float(c))
 
@@ -572,11 +562,13 @@ class PotentialPairSpec:
 
     The candidate partner metric is
     ``g2^{ij} = eta^{is} d_s h^j + eta^{js} d_s h^i`` with the associated
-    coefficients ``b^{ij}_k = eta^{is} d_s d_k h^j``.
+    coefficients ``b^{ij}_k = eta^{is} d_s d_k h^j``.  Each ``h[j]`` takes
+    the coordinate arrays ``u`` and returns a grid array or a scalar (see
+    :func:`grid_calculus.sample`).
     """
 
     eta: np.ndarray
-    h: tuple[Callable[[np.ndarray], float], ...]
+    h: tuple[Callable[[list[np.ndarray]], np.ndarray], ...]
     chart: GridChart
 
     def __post_init__(self):
@@ -640,15 +632,9 @@ def generate_from_potentials(
     right algebraic form but need not yield a flat metric.
     """
     chart = spec.chart
-    n = chart.dim
-    h_field = gc.sample(
-        lambda u: np.array([float(spec.h[j](u)) for j in range(n)]), chart, "u"
-    )
+    h_field = gc.sample(lambda u: [h(u) for h in spec.h], chart, "u")
     dh = gc.stacked_partials(h_field, order)  # [..., s, j]
-    ddh = np.stack(
-        [gc.differentiate_array(dh, chart, a, order) for a in range(n)],
-        axis=len(chart.shape),
-    )  # [..., a, s, j]
+    ddh = gc.stacked_partials(dh, order, chart)  # [..., a, s, j]
     g2_vals = np.einsum("is,...sj->...ij", spec.eta, dh)
     g2_vals = g2_vals + np.swapaxes(g2_vals, -1, -2)
     b_coeff = np.einsum("is,...ksj->...ijk", spec.eta, ddh)
@@ -659,9 +645,7 @@ def generate_from_potentials(
         return PotentialsReport(None, b_coeff, True, None, None, tol)
 
     flatness = geo.flatness_residual(g2, order, margin, box)
-    eta_metric = build_metric(
-        np.broadcast_to(spec.eta, chart.shape + (n, n)).copy(), chart
-    )
+    eta_metric = build_metric(lambda u: spec.eta, chart)
     compat = None
     if flatness <= tol:
         pencil = PencilSpec(g2, eta_metric, tuple(lambda_samples))

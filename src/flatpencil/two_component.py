@@ -148,15 +148,12 @@ class TwoComponentSpec:
         return replace(self, b1=b1, b2=b2)
 
     def f_values(self) -> tuple[np.ndarray, np.ndarray]:
-        """``f1(u1)`` and ``f2(u2)`` broadcast over the grid."""
+        """``f1(u1)`` and ``f2(u2)`` broadcast over the grid (each ``f`` gets
+        its axis coordinates; a scalar result is broadcast)."""
         x = self.chart.axis_coordinates(0)
         y = self.chart.axis_coordinates(1)
-        f1 = np.asarray(self.f[0](x), dtype=float)
-        f2 = np.asarray(self.f[1](y), dtype=float)
-        if f1.shape != x.shape:
-            f1 = np.vectorize(self.f[0])(x).astype(float)
-        if f2.shape != y.shape:
-            f2 = np.vectorize(self.f[1])(y).astype(float)
+        f1 = gc.as_grid(self.f[0](x), x.shape)
+        f2 = gc.as_grid(self.f[1](y), y.shape)
         return (
             np.broadcast_to(f1[:, None], self.chart.shape),
             np.broadcast_to(f2[None, :], self.chart.shape),
@@ -167,7 +164,7 @@ def _check_nonvanishing(b: np.ndarray, name: str):
     floor = B_FLOOR_SCALE * max(1.0, float(np.max(np.abs(b))))
     worst = int(np.argmin(np.abs(b)))
     value = float(b.flat[worst])
-    if abs(value) < floor:
+    if not abs(value) >= floor:  # a NaN (argmin's first pick) fails too
         node = np.unravel_index(worst, b.shape)
         raise VanishingB(node, value, floor)
 
@@ -184,9 +181,7 @@ def lequa_residual(
     ``f'`` come from axis finite differences of the sampled profile.
     """
     chart = spec.chart
-    u1, u2 = np.meshgrid(
-        chart.axis_coordinates(0), chart.axis_coordinates(1), indexing="ij"
-    )
+    u1, u2 = chart.meshgrid()
     f1, f2 = spec.f_values()
     fp1 = gc.differentiate_array(f1, chart, 0, order)
     fp2 = gc.differentiate_array(f2, chart, 1, order)
@@ -205,7 +200,7 @@ class IntegrationResult:
 
     @property
     def max_consistency(self) -> float:
-        return max(self.consistency.values())
+        return gc.worst(self.consistency.values())
 
 
 def integrate_b(
@@ -216,11 +211,11 @@ def integrate_b(
 ) -> IntegrationResult:
     """Integrate the linear system (*) from two-edge data.
 
-    ``b1_edge`` supplies ``b1`` on the bottom edge (``u2 = lower``) as a
-    function of ``u1``; ``b2_edge`` supplies ``b2`` on the left edge
-    (``u1 = lower``) as a function of ``u2`` and must accept *arbitrary*
-    ``u2`` values inside the range (the row marcher evaluates it at
-    half-steps).
+    ``b1_edge`` supplies ``b1`` on the bottom edge (``u2 = lower``): it gets
+    the ``u1`` axis coordinates and may return a scalar.  ``b2_edge``
+    supplies ``b2`` on the left edge (``u1 = lower``) as a function of
+    ``u2`` and must accept *arbitrary* ``u2`` values inside the range (the
+    row marcher evaluates it at half-steps).
 
     Marching scheme, 4th order in both directions: at a fixed row ``u2``,
     ``b2`` over the row is the left-edge value plus the cumulative quadrature
@@ -247,9 +242,7 @@ def integrate_b(
 
     b1_grid = np.empty(chart.shape)
     b2_grid = np.empty(chart.shape)
-    row = np.asarray(b1_edge(x), dtype=float)
-    if row.shape != x.shape:
-        row = np.vectorize(b1_edge)(x).astype(float)
+    row = gc.as_grid(b1_edge(x), x.shape)
     b1_grid[:, 0] = row
     b2_grid[:, 0] = row_b2(row, y[0])
     for r in range(len(y) - 1):
@@ -289,17 +282,15 @@ def system_residual(
     if spec.b1 is None or spec.b2 is None:
         raise ValueError("system_residual needs b fields set on the TwoComponentSpec")
     chart = spec.chart
-    u1, u2 = np.meshgrid(
-        chart.axis_coordinates(0), chart.axis_coordinates(1), indexing="ij"
-    )
+    u1, u2 = chart.meshgrid()
     eps1, eps2 = spec.eps
     f_u1 = np.asarray(spec.potential.partial_u1()(u1, u2), dtype=float)
     f_u2 = np.asarray(spec.potential.partial_u2()(u1, u2), dtype=float)
     r_b2 = gc.differentiate_array(spec.b2, chart, 0, order) - eps1 * f_u2 * spec.b1
     r_b1 = gc.differentiate_array(spec.b1, chart, 1, order) + eps2 * f_u1 * spec.b2
-    return max(
-        gc.interior_max(r_b2, chart, margin, box, order),
-        gc.interior_max(r_b1, chart, margin, box, order),
+    return gc.worst(
+        (gc.interior_max(r_b2, chart, margin, box, order),
+         gc.interior_max(r_b1, chart, margin, box, order))
     )
 
 
@@ -317,23 +308,9 @@ def build_pair(
     chart = spec.chart
     eps1, eps2 = spec.eps
     f1, f2 = spec.f_values()
-    zeros = np.zeros(chart.shape)
-    g2_vals = np.stack(
-        [
-            np.stack([eps1 / spec.b1**2, zeros], axis=-1),
-            np.stack([zeros, eps2 / spec.b2**2], axis=-1),
-        ],
-        axis=-2,
-    )
-    g1_vals = np.stack(
-        [
-            np.stack([eps1 * f1 / spec.b1**2, zeros], axis=-1),
-            np.stack([zeros, eps2 * f2 / spec.b2**2], axis=-1),
-        ],
-        axis=-2,
-    )
-    g1 = build_metric(g1_vals, chart)
-    g2 = build_metric(g2_vals, chart)
+    b1, b2 = spec.b1, spec.b2
+    g1 = build_metric(lambda u: [[eps1 * f1 / b1**2, 0.0], [0.0, eps2 * f2 / b2**2]], chart)
+    g2 = build_metric(lambda u: [[eps1 / b1**2, 0.0], [0.0, eps2 / b2**2]], chart)
     if lambda_samples is None:
         lambda_samples = DEFAULT_LAMBDA_SAMPLES
     return PencilSpec(g1, g2, tuple(lambda_samples))
@@ -345,20 +322,11 @@ def g_family(spec: TwoComponentSpec, n: int) -> MetricField:
         raise ValueError("family index must be 0..3")
     if spec.b1 is None or spec.b2 is None:
         raise ValueError("g_family needs b fields set on the TwoComponentSpec")
-    chart = spec.chart
-    u1, u2 = np.meshgrid(
-        chart.axis_coordinates(0), chart.axis_coordinates(1), indexing="ij"
-    )
     eps1, eps2 = spec.eps
-    zeros = np.zeros(chart.shape)
-    vals = np.stack(
-        [
-            np.stack([eps1 * u1**n / spec.b1**2, zeros], axis=-1),
-            np.stack([zeros, eps2 * u2**n / spec.b2**2], axis=-1),
-        ],
-        axis=-2,
+    b1, b2 = spec.b1, spec.b2
+    return build_metric(
+        lambda u: [[eps1 * u[0]**n / b1**2, 0.0], [0.0, eps2 * u[1]**n / b2**2]], spec.chart
     )
-    return build_metric(vals, chart)
 
 
 def log_family_spec(
@@ -367,9 +335,7 @@ def log_family_spec(
     """The closed-form spec behind the ladder: ``eps = (-1, 1)``,
     ``f = (u1, u2)``, log potential, and ``b1^2 = b2^2 = (1/4K)(u1-u2)``
     (``K = 1/4`` gives ``b = sqrt(u1-u2)``, matching ``c = 1/2``)."""
-    u1, u2 = np.meshgrid(
-        chart.axis_coordinates(0), chart.axis_coordinates(1), indexing="ij"
-    )
+    u1, u2 = chart.meshgrid()
     w = u1 - u2
     if np.min(w) <= 0:
         raise ValueError("chart must satisfy u1 > u2 for the log family")

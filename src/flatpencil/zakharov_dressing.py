@@ -42,8 +42,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import grid_calculus as gc
 from .errors import (
     IllConditioned,
+    NonFiniteProfile,
     NonFiniteSample,
     SignChangeOnRange,
     TruncationInsufficient,
@@ -295,14 +297,16 @@ def _check_profile_signs(
     profile: ReductionProfile, u: np.ndarray, t_range: tuple[float, float]
 ) -> None:
     """Constant-sign gate of every ``t -> f^l(u^l - t)`` over the range, at
-    every point of ``u`` (shape ``(n,)`` or ``(B, n)``)."""
+    every point of ``u`` (shape ``(n,)`` or ``(B, n)``); a non-finite value
+    raises :class:`NonFiniteProfile`."""
     lo, hi = t_range
     sample = np.linspace(lo, hi, 201)
     for l, fn in enumerate(profile.funcs):
         t = np.reshape(u[..., l], u.shape[:-1] + (1,)) - sample
-        vals = np.asarray(fn(t), dtype=float)
-        if vals.shape != t.shape:
-            vals = np.vectorize(fn)(t).astype(float)
+        vals = gc.as_grid(fn(t), t.shape)
+        finite = np.isfinite(vals)
+        if not finite.all():
+            raise NonFiniteProfile(l, t.flat[np.argmin(finite)])
         floor = 1e-10 * np.maximum(1.0, np.max(np.abs(vals), axis=-1))
         lows, highs = np.min(vals, axis=-1), np.max(vals, axis=-1)
         if np.any(np.min(np.abs(vals), axis=-1) < floor) or np.any((lows < 0) & (0 < highs)):
@@ -340,11 +344,7 @@ def reduction_identity_residual(
 
 def _single_var_derivative(fn: Callable, t: np.ndarray, step: float = 1e-3) -> np.ndarray:
     t = np.asarray(t, dtype=float)
-    vals = []
-    for off in (-2, -1, 1, 2):
-        v = np.asarray(fn(t + off * step), dtype=float)
-        vals.append(np.broadcast_to(v, t.shape))
-    m2, m1, p1, p2 = vals
+    m2, m1, p1, p2 = (gc.as_grid(fn(t + off * step), t.shape) for off in (-2, -1, 1, 2))
     return (m2 - 8 * m1 + 8 * p1 - p2) / (12 * step)
 
 
@@ -357,8 +357,8 @@ def pair_pde_residual(
     """
     probes = np.asarray(probes, dtype=float)
     x, y = probes[:, 0], probes[:, 1]
-    fi_v = np.broadcast_to(np.asarray(fi(-x), dtype=float), x.shape)
-    fj_v = np.broadcast_to(np.asarray(fj(-y), dtype=float), y.shape)
+    fi_v = gc.as_grid(fi(-x), x.shape)
+    fj_v = gc.as_grid(fj(-y), y.shape)
     fip = _single_var_derivative(fi, -x)
     fjp = _single_var_derivative(fj, -y)
     res = (
@@ -376,8 +376,8 @@ def diagonal_pde_residual(pot: PairPotential, fi: Callable, probes: np.ndarray) 
     """
     probes = np.asarray(probes, dtype=float)
     x, y = probes[:, 0], probes[:, 1]
-    fi_x = np.broadcast_to(np.asarray(fi(-x), dtype=float), x.shape)
-    fi_y = np.broadcast_to(np.asarray(fi(-y), dtype=float), y.shape)
+    fi_x = gc.as_grid(fi(-x), x.shape)
+    fi_y = gc.as_grid(fi(-y), y.shape)
     fpx = _single_var_derivative(fi, -x)
     fpy = _single_var_derivative(fi, -y)
     res = (
@@ -396,8 +396,7 @@ class ReductionPdeReport:
 
     @property
     def max_residual(self) -> float:
-        vals = list(self.off_diagonal.values()) + list(self.diagonal.values())
-        return max(vals) if vals else 0.0
+        return gc.worst([*self.off_diagonal.values(), *self.diagonal.values()])
 
     @property
     def verdict(self) -> bool:

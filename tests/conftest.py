@@ -14,7 +14,7 @@ SAFE_LAMS = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 2.0), (3.0, 1.0))
 def polar_metric():
     """Flat plane in polar coordinates on r in [1,2], theta in [0.5,1.5]."""
     chart = GridChart((1.0, 0.5), (2.0, 1.5), (101, 101))
-    return geo.build_metric(lambda u: np.diag([1.0, 1.0 / u[0] ** 2]), chart)
+    return geo.build_metric(lambda u: [[1.0, 0.0], [0.0, 1.0 / u[0] ** 2]], chart)
 
 
 @pytest.fixture(scope="session")

@@ -70,7 +70,7 @@ def test_criterion_01_metric_calculus():
     res = {}
     for pts in (101, 201):
         chart = GridChart((1.0, 0.5), (2.0, 1.5), (pts, pts))
-        m = geo.build_metric(lambda u: np.diag([1.0, 1.0 / u[0] ** 2]), chart)
+        m = geo.build_metric(lambda u: [[1.0, 0.0], [0.0, 1.0 / u[0] ** 2]], chart)
         res[pts] = geo.flatness_residual(m)
     order = float(np.log2(res[101] / res[201]))
     _emit(1, "gridded calculus reproduces closed-form geometry", [
@@ -164,7 +164,7 @@ def test_criterion_05_torsion_test():
         rows.append((f"{name}_torsion", pc.nijenhuis(pc.affinor(pen)),
                      "<=", 1e-5))
     counter_chart = GridChart((0.5, 0.5), (1.5, 1.5), (65, 65))
-    g1c = geo.build_metric(lambda u: np.diag([1.0 + u[1] ** 2, 1.0]),
+    g1c = geo.build_metric(lambda u: [[1.0 + u[1] ** 2, 0.0], [0.0, 1.0]],
                            counter_chart)
     idc = geo.build_metric(lambda u: np.eye(2), counter_chart)
     counter = pc.PencilSpec(g1c, idc,

@@ -1,11 +1,14 @@
 """End-to-end coverage of the scenario runner and its report contract."""
 
 import filecmp
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from flatpencil import cli
+from flatpencil.grid_calculus import GridChart
 
 
 FLAT_EUCLID = {"kind": "check-flat", "metric": {"catalog": "euclidean"},
@@ -224,6 +227,23 @@ def test_csv_dump(tmp_path, capsys):
     lines = csv_file.read_text().splitlines()
     assert lines[0] == "u1,u2,residual"
     assert len(lines) == 1 + 33 * 33
+
+
+def test_csv_rows_match_the_node_by_node_writer(tmp_path):
+    chart = GridChart((-0.3, 1.0, 0.1), (0.7, 1.1, 2.0), (4, 3, 5))
+    values = (np.arange(60.0).reshape(chart.shape) - 29.5) / 7.0e5
+    values[0, 1, 2], values[1, 1, 1], values[2, 0, 0] = np.nan, np.inf, -0.0
+    cli._write_csv_fields({"field": (chart, values)}, str(tmp_path))
+    written = (tmp_path / "field.csv").read_bytes()
+    expected = "u1,u2,u3,residual\n" + "".join(
+        ",".join(cli._format_float(float(v)) for v in (*chart.node(idx), values[idx])) + "\n"
+        for idx in np.ndindex(chart.shape)
+    )
+    assert written == expected.encode()
+    # the bytes the node-by-node writer produced before it was replaced
+    assert hashlib.sha256(written).hexdigest() == (
+        "24dc113598a28ae38830507d0cd642201cb168b601d67b8a2171200b8d0125d3"
+    )
 
 
 def test_catalog_listing(capsys):

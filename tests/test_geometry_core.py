@@ -12,7 +12,7 @@ from flatpencil import geometry_core as geo
 def _sphere_metric(points=65):
     chart = GridChart((0.6, 0.4), (1.2, 1.2), (points, points))
     return geo.build_metric(
-        lambda u: np.diag([1.0, 1.0 / np.sin(u[0]) ** 2]), chart)
+        lambda u: [[1.0, 0.0], [0.0, 1.0 / np.sin(u[0]) ** 2]], chart)
 
 
 def test_euclidean_connection_and_flatness_vanish(euclidean_metric):
@@ -59,7 +59,7 @@ def test_flatness_residual_is_scale_invariant(polar_metric):
 
 def test_array_source_matches_callable_source():
     chart = GridChart((1.0, 0.5), (2.0, 1.5), (33, 33))
-    from_call = geo.build_metric(lambda u: np.diag([1.0, 1.0 / u[0] ** 2]), chart)
+    from_call = geo.build_metric(lambda u: [[1.0, 0.0], [0.0, 1.0 / u[0] ** 2]], chart)
     from_array = geo.build_metric(from_call.contra.values.copy(), chart)
     npt.assert_array_equal(from_call.contra.values, from_array.contra.values)
     npt.assert_array_equal(from_call.cov.values, from_array.cov.values)
@@ -75,7 +75,32 @@ def test_cov_is_pointwise_inverse(polar_metric):
 def test_degenerate_metric_is_rejected():
     chart = GridChart((0.5, 0.5), (1.5, 1.5), (17, 17))
     with pytest.raises(DegenerateMetric):
-        geo.build_metric(lambda u: np.diag([u[0] - 1.0, 1.0]), chart)
+        geo.build_metric(lambda u: [[u[0] - 1.0, 0.0], [0.0, 1.0]], chart)
+
+
+def test_degenerate_metric_names_node_and_coordinates():
+    chart = GridChart((0.5, 0.5), (1.5, 1.5), (9, 5))
+    with pytest.raises(DegenerateMetric) as err:
+        geo.build_metric(lambda u: [[u[0] - 1.0, 0.0], [0.0, 1.0]], chart)
+    assert err.value.node == (4, 0)
+    assert all(type(i) is int for i in err.value.node)
+    message = str(err.value)
+    assert "np.int64" not in message
+    assert "node (4, 0) (u = (1, 0.5))" in message
+
+
+def test_array_source_passes_the_symmetry_gate():
+    chart = GridChart((1.0, 0.5), (2.0, 1.5), (9, 9))
+    U1, _ = chart.meshgrid()
+    vals = np.zeros(chart.shape + (2, 2))
+    vals[..., 0, 0] = vals[..., 1, 1] = 2.0
+    vals[..., 0, 1] = 0.1 * U1
+    vals[..., 1, 0] = 0.1 * U1 * (1.0 + 1e-12)  # rounding-level asymmetry
+    m = geo.build_metric(vals, chart)
+    npt.assert_array_equal(m.contra.values, np.swapaxes(m.contra.values, -1, -2))
+    vals[..., 1, 0] = 0.0  # a real asymmetry is not repaired silently
+    with pytest.raises(ValueError, match="symmetry"):
+        geo.build_metric(vals, chart)
 
 
 def test_curvature_antisymmetric_in_last_index_pair(polar_metric):
@@ -98,7 +123,7 @@ def test_raised_curvature_antisymmetry_is_truncation_limited():
     defects = {}
     for n in (41, 81):
         chart = GridChart((1.0, 0.5), (2.0, 1.5), (n, n))
-        m = geo.build_metric(lambda u: np.diag([1.0, 1.0 / u[0] ** 2]), chart)
+        m = geo.build_metric(lambda u: [[1.0, 0.0], [0.0, 1.0 / u[0] ** 2]], chart)
         Rc = geo.curvature(m).contra.values
         defects[n] = np.max(np.abs(Rc + np.swapaxes(Rc, -4, -3)))
     assert defects[41] <= 1e-4

@@ -1,8 +1,10 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flatpencil.errors import ChartTooCoarse, NonFiniteSample
+from flatpencil.expressions import compile_expression
 from flatpencil.grid_calculus import (
     GridChart,
     TensorField,
@@ -124,9 +126,9 @@ def test_tensorfield_rejects_nonfinite():
 def test_sample_enforces_declared_symmetry():
     chart = GridChart((0.0, 0.0), (1.0, 1.0), (9, 9))
     with pytest.raises(ValueError, match="symmetry"):
-        sample(lambda u: np.array([[1.0, u[0]], [0.0, 1.0]]), chart, "uu",
+        sample(lambda u: [[1.0, u[0]], [0.0, 1.0]], chart, "uu",
                symmetries=((0, 1),))
-    fld = sample(lambda u: np.array([[1.0, u[0]], [u[0], 1.0]]), chart, "uu",
+    fld = sample(lambda u: [[1.0, u[0]], [u[0], 1.0]], chart, "uu",
                  symmetries=((0, 1),))
     assert fld.values.shape == (9, 9, 2, 2)
 
@@ -164,3 +166,116 @@ def test_interior_max_box_restriction():
     chart = GridChart((0.0,), (1.0,), (21,))
     x = chart.axis_coordinates(0)
     assert interior_max(x.copy(), chart, box=[(0.2, 0.4)]) == pytest.approx(0.4)
+
+
+# ---------------------------------------------------------------------------
+# the array contract of sample
+
+
+def test_sample_calls_the_closure_once():
+    chart = GridChart((0.0, 1.0), (1.0, 2.0), (17, 9))
+    calls = []
+
+    def fn(u):
+        calls.append([a.shape for a in u])
+        return [[1.0, u[0]], [u[0], u[1] ** 2]]
+
+    fld = sample(fn, chart, "uu", symmetries=((0, 1),))
+    assert calls == [[(17, 9), (17, 9)]]
+    U1, U2 = chart.meshgrid()
+    npt.assert_array_equal(fld.values[..., 0, 1], U1)
+    npt.assert_array_equal(fld.values[..., 1, 1], U2 ** 2)
+
+
+def test_sample_broadcasts_scalar_leaves():
+    chart = GridChart((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (3, 4, 5))
+    fld = sample(lambda u: [2.0, u[1], 0], chart, "u")
+    npt.assert_array_equal(fld.values[..., 0], np.full((3, 4, 5), 2.0))
+    npt.assert_array_equal(fld.values[..., 2], 0.0)
+    scalar = sample(lambda u: np.float64(-1.5), chart)
+    npt.assert_array_equal(scalar.values, np.full((3, 4, 5), -1.5))
+
+
+@pytest.mark.parametrize("fn, variance", [
+    (lambda u: [u[0][:, 0], u[1]], "u"),  # a leaf along one axis only
+    (lambda u: [u[0], u[1], u[0]], "u"),  # three entries for two slots
+    (lambda u: u[0], "u"),  # a grid array where a slot is expected
+    (lambda u: [[1.0, 0.0]], "uu"),  # one row for two
+    (lambda u: [1.0, 2.0], ""),  # a vector for a scalar field
+])
+def test_sample_rejects_wrong_shaped_leaves(fn, variance):
+    chart = GridChart((0.0, 0.0), (1.0, 1.0), (4, 4))
+    with pytest.raises(ValueError):
+        sample(fn, chart, variance)
+
+
+def _first_bad_node(chart, fn):
+    """The node a node-by-node sampler stops at: first in C order with a
+    non-finite component."""
+    for idx in np.ndindex(chart.shape):
+        u = [np.float64(x) for x in chart.node(idx)]
+        if not np.all(np.isfinite(np.asarray(fn(u), dtype=float))):
+            return idx
+    return None
+
+
+def test_nonfinite_sample_names_the_first_node_and_its_coordinates():
+    chart = GridChart((0.0, 0.0), (1.0, 2.0), (11, 9))
+
+    def fn(u):
+        with np.errstate(all="ignore"):
+            return [[1.0, 0.0], [0.0, np.log(u[0] - 0.55) + np.sqrt(1.2 - u[1])]]
+
+    expected = _first_bad_node(chart, fn)
+    assert expected == (0, 0)
+    with pytest.raises(NonFiniteSample) as err:
+        sample(fn, chart, "uu")
+    assert err.value.node == expected
+    assert err.value.coords == (0.0, 0.0)
+
+    def late(u):
+        return [u[1], np.where((u[0] > 0.25) & (u[1] > 0.4), np.inf, 1.0)]
+
+    expected = _first_bad_node(chart, late)
+    assert expected == (3, 2)
+    with pytest.raises(NonFiniteSample) as err:
+        sample(late, chart, "u")
+    assert err.value.node == expected
+    message = str(err.value)
+    assert "np.int64" not in message
+    assert "(3, 2) (u = (0.3, 0.5))" in message
+
+
+TEMPLATES = (
+    "exp({a}) * sin(3*{b}) + 1/{a}",
+    "sqrt({a} + {b}) / ({a}*{a} + 0.25)",
+    "ln({a}) - cos({b} * {a})",
+    "pow({a}, 2.5) + pi",
+    "{a}",
+    "7",
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sampled_expressions_match_node_by_node_evaluation(data):
+    dim = data.draw(st.integers(1, 3), label="dim")
+    lower = [data.draw(st.floats(0.1, 3.0)) for _ in range(dim)]
+    width = [data.draw(st.floats(0.01, 2.0)) for _ in range(dim)]
+    points = [data.draw(st.integers(2, 6)) for _ in range(dim)]
+    chart = GridChart(lower, [lo + w for lo, w in zip(lower, width)], points)
+    names = tuple(f"u{d + 1}" for d in range(dim))
+    pick = st.sampled_from(names)
+    cells = [
+        compile_expression(
+            data.draw(st.sampled_from(TEMPLATES)).format(a=data.draw(pick), b=data.draw(pick)),
+            names,
+        )
+        for _ in range(dim)
+    ]
+    fld = sample(lambda u: [fn(*u) for fn in cells], chart, "u")
+    reference = np.empty(chart.shape + (dim,))
+    for idx in np.ndindex(chart.shape):
+        u = chart.node(idx)
+        reference[idx] = [float(fn(*u)) for fn in cells]
+    npt.assert_array_max_ulp(fld.values, reference, maxulp=1)

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from flatpencil.errors import (
+    NonFiniteProfile,
     NotDiagonal,
     ResidualsTooLarge,
     SignChange,
@@ -21,12 +22,12 @@ from conftest import SAFE_LAMS
 def _sphere():
     chart = GridChart((0.6, 0.4), (1.2, 1.2), (65, 65))
     return geo.build_metric(
-        lambda u: np.diag([1.0, 1.0 / np.sin(u[0]) ** 2]), chart)
+        lambda u: [[1.0, 0.0], [0.0, 1.0 / np.sin(u[0]) ** 2]], chart)
 
 
 def _diag_u():
     chart = GridChart((0.5, 0.5), (1.5, 1.5), (65, 65))
-    return geo.build_metric(lambda u: np.diag([u[0], u[1]]), chart)
+    return geo.build_metric(lambda u: [[u[0], 0.0], [0.0, u[1]]], chart)
 
 
 def test_polar_frame_coefficients(polar_metric):
@@ -57,8 +58,11 @@ def test_indefinite_signature_is_detected():
 
 
 def test_wrong_eps_declaration_raises(polar_metric):
-    with pytest.raises(SignMismatch):
+    with pytest.raises(SignMismatch) as err:
         ls.frame_from_metric(polar_metric, eps=(1, -1))
+    assert err.value.node == (0, 0) and err.value.axis == 1
+    assert "np.int64" not in str(err.value)
+    assert "(0, 0) (u = (1, 0.5))" in str(err.value)
 
 
 def test_frame_requires_diagonal_metric():
@@ -139,3 +143,33 @@ def test_profile_vanishing_on_chart_is_rejected(polar_metric):
     with pytest.raises(SignChange):
         ls.metric_pair_from_frame(fr, crossing, tol=1e-4,
                                   lambda_samples=SAFE_LAMS)
+
+
+def test_partly_nan_profile_is_rejected_with_its_coordinate():
+    chart = GridChart((0.5, 0.5), (1.5, 1.5), (11, 11))
+    with np.errstate(invalid="ignore"):
+        half = ls.ReductionProfile((lambda t: 2.0, lambda t: np.sqrt(t - 1.2)))
+        with pytest.raises(NonFiniteProfile) as err:
+            half.signs_on(chart)
+    assert err.value.component == 1 and err.value.t == 0.5
+    assert str(err.value) == "profile component 1 is not finite at t = 0.5"
+
+
+def test_profile_functions_may_return_scalars():
+    chart = GridChart((0.5, 0.5), (1.5, 1.5), (5, 7))
+    prof = ls.ReductionProfile((lambda t: -2.0, lambda t: t))
+    assert prof.signs_on(chart) == (-1, 1)
+    vals = prof.values_on(chart)
+    npt.assert_array_equal(vals[..., 0], -2.0)
+    npt.assert_array_equal(vals[..., 1], chart.meshgrid()[1])
+
+
+def test_report_maxima_keep_a_nan_in_any_position():
+    nan = float("nan")
+    lame = ls.LameResidualReport({(0, 1, 2): 1e-12, (1, 0, 2): nan},
+                                 {(0, 1): 1e-12, (1, 0): 1e-13}, 1e-6)
+    assert np.isnan(lame.max_residual) and not lame.verdict
+    lame = ls.LameResidualReport({}, {(0, 1): 1e-12, (1, 0): nan}, 1e-6)
+    assert np.isnan(lame.max_residual) and not lame.verdict
+    red = ls.ReductionReport({(0, 1): 1e-12, (1, 0): nan}, 1e-6)
+    assert np.isnan(red.residual) and not red.verdict

@@ -19,14 +19,14 @@ def _identity(chart):
 def _diag_pencil(points=65):
     """g1 = diag(u), g2 = id on a chart where the eigenvalue gap stays 0.5."""
     chart = GridChart((0.5, 2.0), (1.5, 3.0), (points, points))
-    g1 = geo.build_metric(lambda u: np.diag([u[0], u[1]]), chart)
+    g1 = geo.build_metric(lambda u: [[u[0], 0.0], [0.0, u[1]]], chart)
     return pc.PencilSpec(g1, _identity(chart), lambda_samples=SAFE_LAMS)
 
 
 def _counter_pencil():
     """Not almost compatible: g1 depends on the coordinate it does not carry."""
     chart = GridChart((0.5, 0.5), (1.5, 1.5), (65, 65))
-    g1 = geo.build_metric(lambda u: np.diag([1.0 + u[1] ** 2, 1.0]), chart)
+    g1 = geo.build_metric(lambda u: [[1.0 + u[1] ** 2, 0.0], [0.0, 1.0]], chart)
     return pc.PencilSpec(g1, _identity(chart), lambda_samples=SAFE_LAMS)
 
 
@@ -39,7 +39,7 @@ def test_combine_is_exactly_bilinear():
 
 def test_degenerate_combination_is_rejected_at_construction():
     chart = GridChart((0.5, 0.5), (1.5, 1.5), (17, 17))
-    g1 = geo.build_metric(lambda u: np.diag([u[0], u[1]]), chart)
+    g1 = geo.build_metric(lambda u: [[u[0], 0.0], [0.0, u[1]]], chart)
     # default samples include (1, -1); u - 1 crosses zero on this chart
     with pytest.raises(DegenerateCombination):
         pc.PencilSpec(g1, _identity(chart))
@@ -181,3 +181,26 @@ def test_potentials_route_skips_compat_for_nonflat_candidate():
     assert not rep.degenerate
     assert rep.g2_flatness > 1.0
     assert rep.compatibility is None
+
+
+def test_report_maxima_keep_a_nan_in_any_position():
+    nan = float("nan")
+    almost = pc.AlmostCompatibilityReport(1e-6, {(1.0, 0.0): 1e-12, (0.0, 1.0): nan})
+    assert np.isnan(almost.max_residual) and not almost.verdict
+    flat = pc.CompatibilityReport(
+        "flat", 1e-6, {(1.0, 0.0): 1e-12, (0.0, 1.0): 1e-13},
+        {(1.0, 0.0): 1e-12, (0.0, 1.0): nan}, {"g1": 1e-12},
+    )
+    assert np.isnan(flat.max_curvature) and np.isnan(flat.max_residual)
+    assert not flat.verdict
+    flat = pc.CompatibilityReport(
+        "flat", 1e-6, {(1.0, 0.0): 1e-12, (0.0, 1.0): nan}, {}, {},
+    )
+    assert np.isnan(flat.max_residual) and not flat.verdict
+
+
+def test_potentials_may_return_scalars():
+    chart = GridChart((1.0, 1.0), (2.0, 2.0), (33, 33))
+    spec = pc.PotentialPairSpec(np.eye(2), (lambda u: 0.5 * u[0] ** 2, lambda u: 3.0), chart)
+    rep = pc.generate_from_potentials(spec, lambda_samples=SAFE_LAMS)
+    assert rep.degenerate  # h^2 is constant: g2 = diag(2 u1, 0)

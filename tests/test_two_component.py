@@ -132,3 +132,22 @@ def test_constant_curvature_member():
     pen = pc.PencilSpec(g3, g2, lambda_samples=LAMS)
     rep = pc.check_compatible(pen, "constant_curvature", k1=k, k2=0.0)
     assert rep.max_residual <= 1e-5
+
+
+def test_integrate_b_accepts_scalar_edge_data():
+    spec = tc.TwoComponentSpec(CHART, tc.linear_potential(0.0, 0.0))
+    out = tc.integrate_b(spec, b1_edge=lambda u1: 2.0, b2_edge=lambda u2: 3.0)
+    npt.assert_array_equal(out.b1, 2.0)
+    npt.assert_array_equal(out.b2, 3.0)
+
+
+def test_vanishing_b_names_plain_nodes_and_rejects_nan():
+    b = np.ones(CHART.shape)
+    b[3, 4] = 0.0
+    with pytest.raises(VanishingB) as err:
+        tc.TwoComponentSpec(CHART, tc.log_potential(0.5), b1=b, b2=np.ones(CHART.shape))
+    assert err.value.node == (3, 4)
+    assert "np.int64" not in str(err.value)
+    b[3, 4] = np.nan
+    with pytest.raises(VanishingB):
+        tc.TwoComponentSpec(CHART, tc.log_potential(0.5), b1=b, b2=np.ones(CHART.shape))

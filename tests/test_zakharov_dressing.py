@@ -6,8 +6,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from flatpencil.errors import (IllConditioned, NonFiniteSample, SignChangeOnRange,
-                               TruncationInsufficient)
+from flatpencil.errors import (IllConditioned, NonFiniteProfile, NonFiniteSample,
+                               SignChangeOnRange, TruncationInsufficient)
 from flatpencil.grid_calculus import GridChart
 from flatpencil import lame_system as ls
 from flatpencil import zakharov_dressing as zd
@@ -174,6 +174,17 @@ def test_scaled_kernel_requires_signed_profile():
                               profile=crossing)
     with pytest.raises(SignChangeOnRange):
         zd.verify_tilde_consistency(prob)
+
+
+def test_partly_nan_profile_is_rejected_with_its_coordinate():
+    half = zd.ReductionProfile((lambda t: 2.0, lambda t: np.sqrt(t + 2.0)))
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteProfile) as err:
+        zd.PotentialKernel(zd.gaussian_set(2, amplitude=0.3), (0.1, -0.1),
+                           ratio_profile=half, t_range=(0.0, 2.0))
+    # t = u^2 - s runs from -0.1 down to -2.1; the first NaN is past -2
+    assert err.value.component == 1
+    assert err.value.t == pytest.approx(-2.01, abs=1e-12)
+    assert "profile component 1 is not finite at t = -2.01" in str(err.value)
 
 
 def test_extracted_frame_satisfies_lame_system():
