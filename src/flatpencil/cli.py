@@ -35,7 +35,7 @@ from . import zakharov_dressing as zd
 from .catalog import CheckRow
 from .errors import FlatpencilError, SchemaError
 from .expressions import compile_expression
-from .grid_calculus import DEFAULT_ORDER, GridChart, as_grid
+from .grid_calculus import DEFAULT_ORDER, GridChart, as_grid, interior_max
 
 KINDS = (
     "check-flat",
@@ -234,24 +234,16 @@ def _potential_set_from_spec(spec) -> zd.PotentialSet:
 # per-kind pipelines; each returns (rows, metadata, csv fields)
 
 
-def _csv_curvature(name: str, metric: geo.MetricField, order: int, fields: dict):
-    curv = geo.curvature(metric, order=order)
-    n = metric.dim
-    point = np.max(np.abs(curv.mixed.values.reshape(metric.chart.shape + (n ** 4,))), axis=-1)
-    fields[name] = (metric.chart, point)
-
-
 def _run_check_flat(scenario, settings):
     chart = scenario.get("chart")
     chart = _chart_from_spec(chart) if chart is not None else None
     metric, chart = _metric_from_spec(_need(scenario, "metric", "check-flat"), chart, "check-flat")
-    residual = geo.flatness_residual(metric, settings["order"])
-    fields = {}
-    _csv_curvature("flatness", metric, settings["order"], fields)
+    curv = geo.curvature(metric, order=settings["order"])
+    residual = interior_max(curv.mixed.values, chart, order=settings["order"])
     return (
         [CheckRow("flatness", residual, settings["tolerance"])],
         {"chart": _chart_meta(chart)},
-        fields,
+        {"flatness": (chart, curv.pointwise_max())},
     )
 
 
@@ -283,9 +275,8 @@ def _run_check_pencil(scenario, settings):
     ]
     for name, value in rep.endpoint_residuals.items():
         rows.append(CheckRow(name, value, tol))
-    fields = {}
-    _csv_curvature("g1-curvature", pencil.g1, settings["order"], fields)
-    _csv_curvature("g2-curvature", pencil.g2, settings["order"], fields)
+    fields = {f"{name}-curvature": (chart, values)
+              for name, values in rep.endpoint_curvature.items()}
     meta = {"chart": _chart_meta(chart), "mode": mode,
             "lambda_samples": [list(p) for p in pencil.lambda_samples]}
     return rows, meta, fields

@@ -1,6 +1,6 @@
 """Metrics, Levi-Civita connections and curvature on gridded charts.
 
-Conventions (all index arithmetic is plain einsum over dense arrays):
+Conventions (every index contraction is a batched matmul over the grid):
 
 * the contravariant metric ``g^{ij}`` is the primary object; the covariant
   ``g_{ij}`` is its pointwise dense inverse,
@@ -14,7 +14,9 @@ Conventions (all index arithmetic is plain einsum over dense arrays):
       R^i_{jkl} = -d_k Gamma^i_{jl} + d_l Gamma^i_{jk}
                   - Gamma^i_{pk} Gamma^p_{jl} + Gamma^i_{pl} Gamma^p_{jk}
 
-  with the raised form ``R^{ij}_{kl} = g^{is} R^j_{skl}``.
+  with the raised form ``R^{ij}_{kl} = g^{is} R^j_{skl}``.  It is computed as
+  the antisymmetrisation ``R^i_{jkl} = S^i_{jlk} - S^i_{jkl}`` of the single
+  tensor ``S^i_{jkl} = d_k Gamma^i_{jl} + Gamma^i_{pk} Gamma^p_{jl}``.
 
 A metric has constant curvature K when ``R^{ij}_{kl} = K (delta^i_k delta^j_l
 - delta^i_l delta^j_k)``; flat means K = 0.  Residual reducers quote maxima
@@ -33,7 +35,8 @@ from . import grid_calculus as gc
 from .errors import DegenerateMetric
 from .grid_calculus import DEFAULT_ORDER, GridChart, TensorField
 
-#: nondegeneracy floor is this multiple of the largest metric entry
+#: nondegeneracy floor: pointwise, |det g| is at least this multiple of
+#: max_ij |g^{ij}|^n, so the gate does not change under g -> c g
 DET_FLOOR_SCALE = 1e-8
 
 #: |g^{is} g_{sj} - delta^i_j| allowed after pointwise inversion
@@ -83,6 +86,16 @@ class CurvatureField:
     def chart(self) -> GridChart:
         return self.mixed.chart
 
+    def deviation(self, k_value: float) -> np.ndarray:
+        """``R^{ij}_{kl} - K (d^i_k d^j_l - d^i_l d^j_k)`` at every node."""
+        eye = np.eye(self.chart.dim)
+        unit = np.einsum("ik,jl->ijkl", eye, eye)
+        return self.contra.values - k_value * (unit - np.swapaxes(unit, -1, -2))
+
+    def pointwise_max(self) -> np.ndarray:
+        """``max_{ijkl} |R^i_{jkl}|`` at every node."""
+        return np.max(np.abs(self.mixed.values), axis=(-4, -3, -2, -1))
+
 
 def build_metric(
     source: Callable[[list[np.ndarray]], object] | np.ndarray,
@@ -98,10 +111,12 @@ def build_metric(
     a relative asymmetry above ``1e-8`` raises ``ValueError``, and the
     symmetric part is kept.
 
-    The determinant is checked pointwise against ``floor_scale * max|g|``;
-    below it, :class:`DegenerateMetric` names the node of smallest ``|det|``.  The covariant
-    metric is the dense pointwise inverse (LAPACK LU) and is verified to
-    invert the contravariant one to within ``1e-10``.
+    The determinant is checked pointwise against ``floor_scale * max_ij
+    |g^{ij}|^n``, a floor of its own degree, so rescaling ``g`` by a constant
+    does not change the verdict; below it, :class:`DegenerateMetric` names the first node in
+    C order, as does a node where ``g`` vanishes.  The covariant metric is
+    the dense pointwise inverse (LAPACK LU) and is verified to invert the
+    contravariant one to within ``1e-10``.
     """
     sym = ((0, 1),)
     if callable(source):
@@ -111,41 +126,38 @@ def build_metric(
         contra = TensorField(chart, "uu", vals, sym)
 
     mats = contra.values
-    det = np.linalg.det(mats)
-    floor = floor_scale * float(np.max(np.abs(mats)))
-    if not np.all(np.abs(det) >= floor):
-        bad = np.unravel_index(int(np.argmin(np.abs(det))), chart.shape)
-        raise DegenerateMetric(bad, float(det[bad]), floor, chart.node(bad))
+    det = np.abs(np.linalg.det(mats))
+    floor = floor_scale * np.max(np.abs(mats), axis=(-1, -2)) ** chart.dim
+    ok = (det >= floor) & (det > 0.0)  # a node where g vanishes has det = floor = 0
+    if not ok.all():
+        bad = np.unravel_index(int(np.argmin(ok)), chart.shape)
+        raise DegenerateMetric(bad, float(det[bad]), float(floor[bad]), chart.node(bad))
 
     inv = np.linalg.inv(mats)
     inv = 0.5 * (inv + np.swapaxes(inv, -1, -2))
-    resid = np.einsum("...is,...sj->...ij", mats, inv) - np.eye(chart.dim)
+    resid = mats @ inv - np.eye(chart.dim)
     worst = float(np.max(np.abs(resid)))
     if worst > INVERSE_TOL * max(1.0, float(np.max(np.abs(mats)))):
         bad = np.unravel_index(
             int(np.argmax(np.max(np.abs(resid), axis=(-1, -2)))), chart.shape
         )
-        raise DegenerateMetric(bad, float(det[bad]), floor, chart.node(bad))
+        raise DegenerateMetric(bad, float(det[bad]), float(floor[bad]), chart.node(bad))
 
     cov = TensorField(chart, "dd", inv, ((0, 1),))
-    return MetricField(contra, cov, float(np.min(np.abs(det))))
+    return MetricField(contra, cov, float(np.min(det)))
 
 
 def connection(metric: MetricField, order: int = DEFAULT_ORDER) -> ConnectionField:
     """Levi-Civita connection of a metric via finite differences."""
+    g, chart, n = metric.contra.values, metric.chart, metric.dim
     dg = gc.stacked_partials(metric.cov, order)  # [..., a, j, k] = d_a g_{jk}
-    # d_j g_{sk} + d_k g_{js} - d_s g_{jk}, exactly symmetric in (j, k)
-    t = (
-        np.einsum("...jsk->...sjk", dg)
-        + np.einsum("...kjs->...sjk", dg)
-        - dg
-    )
-    mixed = 0.5 * np.einsum("...is,...sjk->...ijk", metric.contra.values, t)
-    contra = np.einsum("...is,...jsk->...ijk", metric.contra.values, mixed)
-    chart = metric.chart
+    # t[s, j, k] = d_j g_{sk} + d_k g_{js} - d_s g_{jk}, exactly symmetric in (j, k)
+    t = np.swapaxes(dg, -3, -2) + np.swapaxes(dg, -3, -1) - dg
+    mixed = 0.5 * (g @ t.reshape(chart.shape + (n, n * n))).reshape(t.shape)
+    contra = g[..., None, :, :] @ mixed  # [..., j, i, k] = g^{is} Gamma^j_{sk}
     return ConnectionField(
         TensorField(chart, "udd", mixed, ((1, 2),)),
-        TensorField(chart, "uud", contra),
+        TensorField(chart, "uud", np.swapaxes(contra, -3, -2)),
     )
 
 
@@ -157,19 +169,20 @@ def curvature(
     """Riemann curvature of a metric (connection recomputed unless given)."""
     if conn is None:
         conn = connection(metric, order)
-    gamma = conn.mixed.values
-    dgamma = gc.stacked_partials(conn.mixed, order)  # [..., a, i, j, k]
-    r = (
-        -np.einsum("...kijl->...ijkl", dgamma)
-        + np.einsum("...lijk->...ijkl", dgamma)
-        - np.einsum("...ipk,...pjl->...ijkl", gamma, gamma)
-        + np.einsum("...ipl,...pjk->...ijkl", gamma, gamma)
-    )
-    contra = np.einsum("...is,...jskl->...ijkl", metric.contra.values, r)
-    chart = metric.chart
-    return CurvatureField(
-        TensorField(chart, "uddd", r), TensorField(chart, "uudd", contra)
-    )
+    gamma, chart, n = conn.mixed.values, metric.chart, metric.dim
+    # [..., i, k, j, l] = Gamma^i_{kp} Gamma^p_{jl}, and Gamma^i_{kp} = Gamma^i_{pk}
+    s = gamma.reshape(chart.shape + (n * n, n)) @ gamma.reshape(chart.shape + (n, n * n))
+    s = np.swapaxes(s.reshape(chart.shape + (n,) * 4), -3, -2)
+    # [..., a, i, j, l] = d_a Gamma^i_{jl}, added as [..., i, j, a, l]
+    s += np.moveaxis(gc.stacked_partials(conn.mixed, order), -4, -2)
+    r = np.swapaxes(s, -1, -2) - s
+    del s
+    # [..., j, i, kl] = g^{is} R^j_{s kl}, raised without copying a transposed view
+    contra = metric.contra.values[..., None, :, :] @ r.reshape(chart.shape + (n, n, n * n))
+    mixed = TensorField(chart, "uddd", r)
+    del r
+    contra = np.swapaxes(contra.reshape(mixed.values.shape), -4, -3)
+    return CurvatureField(mixed, TensorField(chart, "uudd", contra))
 
 
 def flatness_residual(
@@ -191,11 +204,5 @@ def constant_curvature_residual(
     box: Sequence[tuple[float, float]] | None = None,
 ) -> float:
     """Max deviation of R^{ij}_{kl} from K (d^i_k d^j_l - d^i_l d^j_k)."""
-    curv = curvature(metric, order=order)
-    dim = metric.dim
-    eye = np.eye(dim)
-    target = k_value * (
-        np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye)
-    )
-    dev = curv.contra.values - target
+    dev = curvature(metric, order=order).deviation(k_value)
     return gc.interior_max(dev, metric.chart, margin, box, order)

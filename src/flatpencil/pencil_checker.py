@@ -67,6 +67,8 @@ class PencilSpec:
     lambda_samples: tuple[tuple[float, float], ...] = field(
         default=DEFAULT_LAMBDA_SAMPLES
     )
+    #: the combination of each sample, built once here and checked later
+    members: tuple[MetricField, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.g1.chart != self.g2.chart:
@@ -76,11 +78,11 @@ class PencilSpec:
             "lambda_samples",
             tuple((float(l1), float(l2)) for l1, l2 in self.lambda_samples),
         )
-        for l1, l2 in self.lambda_samples:
-            try:
-                combine(self, l1, l2)
-            except DegenerateCombination:
-                raise
+        object.__setattr__(
+            self,
+            "members",
+            tuple(combine(self, l1, l2) for l1, l2 in self.lambda_samples),
+        )
 
     @property
     def chart(self) -> GridChart:
@@ -132,6 +134,8 @@ class CompatibilityReport:
     connection_by_sample: dict[tuple[float, float], float]
     curvature_by_sample: dict[tuple[float, float], float]
     endpoint_residuals: dict[str, float]
+    #: pointwise max |R^i_{jkl}| of g1 and g2, kept for per-node dumps
+    endpoint_curvature: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     @property
     def max_connection(self) -> float:
@@ -214,6 +218,49 @@ class DiagonalFormReport:
 # operations
 
 
+def _one_pass(pencil, mode, k1, k2, order, margin, box):
+    """Residuals of g1, g2 and the members, each visited once.
+
+    Each metric gets one connection and, unless ``mode`` is ``None``, one
+    curvature, reduced at once and dropped: only the raised connections of
+    g1 and g2, and in general mode their raised curvatures, outlive their
+    turn.  Returns connection and curvature residuals by sample, endpoint
+    residuals and the pointwise curvature maxima of g1 and g2.
+    """
+
+    def reduce(values):
+        return gc.interior_max(values, pencil.chart, margin, box, order)
+
+    def curvature_residual(curv, l1, l2):
+        if mode == "flat":
+            return reduce(curv.mixed.values)
+        if mode == "constant_curvature":
+            return reduce(curv.deviation(l1 * k1 + l2 * k2))
+        return reduce(curv.contra.values - l1 * r[0] - l2 * r[1])
+
+    c, r, endpoint, fields, conn_by, curv_by = [], [], {}, {}, {}, {}
+    for name, metric, lam in (("g1", pencil.g1, (1.0, 0.0)), ("g2", pencil.g2, (0.0, 1.0))):
+        conn = connection(metric, order)
+        c.append(conn.contra.values)
+        if mode is not None:
+            curv = curvature(metric, conn, order)
+            fields[name] = curv.pointwise_max()
+            if mode == "general":
+                r.append(curv.contra.values)
+            else:
+                key = f"{name}_{'flatness' if mode == 'flat' else mode}"
+                endpoint[key] = curvature_residual(curv, *lam)
+            del curv
+        del conn
+    for (l1, l2), member in zip(pencil.lambda_samples, pencil.members):
+        conn = connection(member, order)
+        conn_by[(l1, l2)] = reduce(conn.contra.values - l1 * c[0] - l2 * c[1])
+        if mode is not None:
+            curv_by[(l1, l2)] = curvature_residual(curvature(member, conn, order), l1, l2)
+        del conn
+    return conn_by, curv_by, endpoint, fields
+
+
 def check_almost_compatible(
     pencil: PencilSpec,
     order: int = DEFAULT_ORDER,
@@ -222,16 +269,8 @@ def check_almost_compatible(
     box: Sequence[tuple[float, float]] | None = None,
 ) -> AlmostCompatibilityReport:
     """Connection-linearity residual for every sampled combination."""
-    chart = pencil.chart
-    c1 = connection(pencil.g1, order).contra.values
-    c2 = connection(pencil.g2, order).contra.values
-    out = {}
-    for l1, l2 in pencil.lambda_samples:
-        comb = combine(pencil, l1, l2)
-        cc = connection(comb, order).contra.values
-        dev = cc - l1 * c1 - l2 * c2
-        out[(l1, l2)] = gc.interior_max(dev, chart, margin, box, order)
-    return AlmostCompatibilityReport(tol, out)
+    conn_by, _, _, _ = _one_pass(pencil, None, 0.0, 0.0, order, margin, box)
+    return AlmostCompatibilityReport(tol, conn_by)
 
 
 def check_compatible(
@@ -255,50 +294,12 @@ def check_compatible(
         curvature-linearity residual
         ``R(comb) - l1 R(g1) - l2 R(g2)`` in the raised placement.
 
-    Connection linearity is always included.
+    Connection linearity is always included.  Every metric of the pencil
+    gets one connection and one curvature, whatever the mode.
     """
     if mode not in ("flat", "constant_curvature", "general"):
         raise ValueError(f"unknown mode {mode!r}")
-    chart = pencil.chart
-    almost = check_almost_compatible(pencil, order, tol, margin, box)
-
-    endpoint = {}
-    curv_by_sample = {}
-    if mode == "flat":
-        endpoint["g1_flatness"] = geo.flatness_residual(
-            pencil.g1, order, margin, box
-        )
-        endpoint["g2_flatness"] = geo.flatness_residual(
-            pencil.g2, order, margin, box
-        )
-        for l1, l2 in pencil.lambda_samples:
-            comb = combine(pencil, l1, l2)
-            curv_by_sample[(l1, l2)] = geo.flatness_residual(comb, order, margin, box)
-    elif mode == "constant_curvature":
-        endpoint["g1_constant_curvature"] = geo.constant_curvature_residual(
-            pencil.g1, k1, order, margin, box
-        )
-        endpoint["g2_constant_curvature"] = geo.constant_curvature_residual(
-            pencil.g2, k2, order, margin, box
-        )
-        for l1, l2 in pencil.lambda_samples:
-            comb = combine(pencil, l1, l2)
-            curv_by_sample[(l1, l2)] = geo.constant_curvature_residual(
-                comb, l1 * k1 + l2 * k2, order, margin, box
-            )
-    else:  # general: curvature linearity only
-        r1 = curvature(pencil.g1, order=order).contra.values
-        r2 = curvature(pencil.g2, order=order).contra.values
-        for l1, l2 in pencil.lambda_samples:
-            comb = combine(pencil, l1, l2)
-            rc = curvature(comb, order=order).contra.values
-            curv_by_sample[(l1, l2)] = gc.interior_max(
-                rc - l1 * r1 - l2 * r2, chart, margin, box, order
-            )
-
-    return CompatibilityReport(
-        mode, tol, almost.connection_by_sample, curv_by_sample, endpoint
-    )
+    return CompatibilityReport(mode, tol, *_one_pass(pencil, mode, k1, k2, order, margin, box))
 
 
 @dataclass(frozen=True)
@@ -314,9 +315,7 @@ class AffinorField:
 
 
 def affinor(pencil: PencilSpec) -> AffinorField:
-    vals = np.einsum(
-        "...is,...sj->...ij", pencil.g1.contra.values, pencil.g2.cov.values
-    )
+    vals = pencil.g1.contra.values @ pencil.g2.cov.values
     try:
         eig = np.linalg.eigvals(vals)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure

@@ -178,11 +178,12 @@ class PotentialSet:
         rng = np.random.default_rng(1234)
         pts = rng.uniform(-self.envelope / 2, self.envelope / 2, size=(16, 2))
         for i, pot in self.diagonal.items():
-            dev = np.max(
-                np.abs(pot.value(pts[:, 0], pts[:, 1]) + pot.value(pts[:, 1], pts[:, 0]))
-            )
-            scale = 1.0 + np.max(np.abs(pot.value(pts[:, 0], pts[:, 1])))
-            if dev > SKEW_PROBE_TOL * scale:
+            xy, yx = pot.value(pts[:, 0], pts[:, 1]), pot.value(pts[:, 1], pts[:, 0])
+            finite = np.isfinite(xy + yx)
+            if not finite.all():
+                at = tuple(pts[np.argmin(finite)])
+                raise NonFiniteSample(at, f"in the skew probe of diagonal potential {i}")
+            if np.max(np.abs(xy + yx)) > SKEW_PROBE_TOL * (1.0 + np.max(np.abs(xy))):
                 raise ValueError(f"diagonal potential {i} is not skew-symmetric")
         object.__setattr__(self, "off_diagonal", dict(self.off_diagonal))
         object.__setattr__(self, "diagonal", dict(self.diagonal))

@@ -10,6 +10,20 @@ from flatpencil import geometry_core as geo
 SAFE_LAMS = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 2.0), (3.0, 1.0))
 
 
+def count_calls(monkeypatch, calls, names, *modules):
+    """Count into ``calls`` every call of the functions ``names`` that goes
+    through the module-level bindings of ``modules``."""
+    for module in modules:
+        for name in names:
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+
 @pytest.fixture(scope="session")
 def polar_metric():
     """Flat plane in polar coordinates on r in [1,2], theta in [0.5,1.5]."""

@@ -3,12 +3,17 @@
 import filecmp
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from flatpencil import cli
+from flatpencil import geometry_core as geo
+from flatpencil import pencil_checker as pc
 from flatpencil.grid_calculus import GridChart
+
+from conftest import count_calls
 
 
 FLAT_EUCLID = {"kind": "check-flat", "metric": {"catalog": "euclidean"},
@@ -244,6 +249,27 @@ def test_csv_rows_match_the_node_by_node_writer(tmp_path):
     assert hashlib.sha256(written).hexdigest() == (
         "24dc113598a28ae38830507d0cd642201cb168b601d67b8a2171200b8d0125d3"
     )
+
+
+def test_check_flat_computes_one_curvature(tmp_path, capsys, monkeypatch):
+    calls = Counter()
+    count_calls(monkeypatch, calls, ("curvature",), geo, pc)
+    code, report, _ = run(tmp_path, FLAT_POLAR, "--dump-csv", str(tmp_path / "csv"),
+                          capsys=capsys)
+    assert code == 0 and report["verdict"] == "pass"
+    assert calls["curvature"] == 1
+    assert (tmp_path / "csv" / "flatness.csv").is_file()
+
+
+def test_check_pencil_takes_csv_fields_from_the_check(tmp_path, capsys, monkeypatch):
+    calls = Counter()
+    count_calls(monkeypatch, calls, ("curvature",), geo, pc)
+    code, _, _ = run(tmp_path, PENCIL, "--dump-csv", str(tmp_path / "csv"), capsys=capsys)
+    assert code == 0
+    assert calls["curvature"] == len(PENCIL["lambda_samples"]) + 2
+    lines = (tmp_path / "csv" / "g1-curvature.csv").read_text().splitlines()
+    assert lines[0] == "u1,u2,residual" and len(lines) == 1 + 65 * 65
+    assert (tmp_path / "csv" / "g2-curvature.csv").is_file()
 
 
 def test_catalog_listing(capsys):

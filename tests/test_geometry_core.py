@@ -1,12 +1,16 @@
 """Connection / curvature residuals against closed-form geometry."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from flatpencil.errors import DegenerateMetric
 from flatpencil.grid_calculus import GridChart
 from flatpencil import geometry_core as geo
+from flatpencil import grid_calculus as gc
 
 
 def _sphere_metric(points=65):
@@ -137,3 +141,127 @@ def test_connection_shapes(polar_metric):
     # mixed symmetric in the last two (lower) slots
     g = conn.mixed.values
     npt.assert_allclose(g, np.swapaxes(g, -2, -1), atol=1e-20)
+
+
+# ---------------------------------------------------------------------------
+# batched-matmul contractions against the einsum formulas they replaced
+
+
+def _einsum_connection(metric, order):
+    g = metric.contra.values
+    dg = gc.stacked_partials(metric.cov, order)
+    t = np.einsum("...jsk->...sjk", dg) + np.einsum("...kjs->...sjk", dg) - dg
+    mixed = 0.5 * np.einsum("...is,...sjk->...ijk", g, t)
+    return mixed, np.einsum("...is,...jsk->...ijk", g, mixed)
+
+
+def _einsum_curvature(metric, gamma, order):
+    dgamma = gc.stacked_partials(gamma, order, metric.chart)
+    r = (
+        -np.einsum("...kijl->...ijkl", dgamma)
+        + np.einsum("...lijk->...ijkl", dgamma)
+        - np.einsum("...ipk,...pjl->...ijkl", gamma, gamma)
+        + np.einsum("...ipl,...pjk->...ijkl", gamma, gamma)
+    )
+    return r, np.einsum("...is,...jskl->...ijkl", metric.contra.values, r)
+
+
+def _smooth_metric(data, dim, points):
+    """A random positive-definite metric: constant diagonal plus smooth
+    symmetric wiggles of at most 0.3 per entry."""
+    chart = GridChart((0.5,) * dim, (1.5,) * dim, (points,) * dim)
+    coef = st.floats(-1.0, 1.0)
+    diag = [data.draw(st.floats(1.0, 3.0)) for _ in range(dim)]
+    waves = {
+        (i, j): [data.draw(coef) for _ in range(dim + 1)]
+        for i in range(dim) for j in range(i, dim)
+    }
+
+    def cell(u, i, j):
+        a = waves[min(i, j), max(i, j)]
+        phase = sum(a[d] * u[d] for d in range(dim))
+        return (diag[i] if i == j else 0.0) + 0.3 * a[-1] * np.sin(2.0 * phase + i + j)
+
+    return geo.build_metric(
+        lambda u: [[cell(u, i, j) for j in range(dim)] for i in range(dim)], chart)
+
+
+def _close(new, ref):
+    assert np.max(np.abs(new - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_contractions_match_the_einsum_formulas(data):
+    dim = data.draw(st.sampled_from((2, 3)), label="dim")
+    points = data.draw(st.integers(5, 9 if dim == 3 else 17), label="points")
+    order = data.draw(st.sampled_from((2, 4)), label="order")
+    metric = _smooth_metric(data, dim, points)
+    conn = geo.connection(metric, order)
+    ref_mixed, ref_contra = _einsum_connection(metric, order)
+    _close(conn.mixed.values, ref_mixed)
+    _close(conn.contra.values, ref_contra)
+    curv = geo.curvature(metric, conn, order)
+    ref_r, ref_rc = _einsum_curvature(metric, ref_mixed, order)
+    _close(curv.mixed.values, ref_r)
+    _close(curv.contra.values, ref_rc)
+
+
+# ---------------------------------------------------------------------------
+# the degeneracy floor has the degree of the determinant
+
+
+def test_small_but_well_conditioned_metric_is_accepted():
+    chart = GridChart((0.0,) * 3, (1.0,) * 3, (5, 5, 5))
+    m = geo.build_metric(lambda u: 1e-5 * np.eye(3), chart)
+    assert geo.flatness_residual(m) <= 1e-12
+
+
+def test_large_but_ill_conditioned_metric_is_rejected():
+    chart = GridChart((0.0, 0.0), (1.0, 1.0), (5, 5))
+    with pytest.raises(DegenerateMetric):
+        geo.build_metric(lambda u: [[1e6, 0.0], [0.0, 1e-3]], chart)
+
+
+def test_vanishing_metric_is_degenerate_without_warnings():
+    chart = GridChart((-1.0, -1.0), (1.0, 1.0), (5, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateMetric) as err:
+            geo.build_metric(lambda u: [[u[0] ** 2, 0.0], [0.0, u[0] ** 2]], chart)
+    assert err.value.node == (2, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_acceptance_and_flatness_do_not_change_under_rescaling(data):
+    dim = data.draw(st.sampled_from((2, 3)), label="dim")
+    chart = GridChart((0.5,) * dim, (1.5,) * dim, (7,) * dim)
+    u = chart.meshgrid()
+    # g^{ii} = 10^e_i (1 + a_i u_{i+1}): curved, and the magnitudes straddle
+    # the floor, |det g| / max|g|^n being about 10^(sum e - n max e)
+    exps = [data.draw(st.floats(-6.0, 6.0)) for _ in range(dim)]
+    slopes = [data.draw(st.floats(-0.4, 0.4)) for _ in range(dim)]
+    c = 10.0 ** data.draw(st.floats(-6.0, 6.0), label="log10 c")
+    vals = np.zeros(chart.shape + (dim, dim))
+    for i, (e, a) in enumerate(zip(exps, slopes)):
+        vals[..., i, i] = 10.0**e * (1.0 + a * u[(i + 1) % dim])
+    ratio = np.abs(np.linalg.det(vals)) / np.max(np.abs(vals), axis=(-1, -2)) ** dim
+    assume(not 0.5 * geo.DET_FLOOR_SCALE < ratio.min() < 2.0 * geo.DET_FLOOR_SCALE)
+
+    def built(values):
+        try:
+            return geo.build_metric(values, chart)
+        except DegenerateMetric:
+            return None
+
+    plain, scaled = built(vals), built(c * vals)
+    assert (plain is None) == (scaled is None)
+    assert (plain is None) == (ratio.min() < geo.DET_FLOOR_SCALE)
+    if plain is not None:
+        # rounding in g_{jj} reaches Gamma^i_{jj} through g^{ii}: the noise
+        # floor is about eps times the anisotropy max g^{ii} / min g^{jj}
+        diag = np.abs(vals[..., range(dim), range(dim)])
+        noise = 1e-13 * float(np.max(diag) / np.min(diag))
+        assert geo.flatness_residual(scaled) == pytest.approx(
+            geo.flatness_residual(plain), rel=1e-9, abs=noise)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,7 +9,7 @@ from flatpencil.grid_calculus import GridChart
 from flatpencil import geometry_core as geo
 from flatpencil import pencil_checker as pc
 
-from conftest import SAFE_LAMS
+from conftest import SAFE_LAMS, count_calls
 
 LAMS_UNIT = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (3.0, -1.0), (1.0, 2.0))
 
@@ -55,6 +57,33 @@ def test_diagonal_pencil_is_flat_compatible():
     assert rep.connection_by_sample[(1.0, 0.0)] == 0.0
     assert rep.connection_by_sample[(0.0, 1.0)] == 0.0
     assert rep.max_curvature <= 1e-10
+
+
+@pytest.mark.parametrize("mode", ["flat", "constant_curvature", "general", None])
+def test_check_visits_each_member_once(monkeypatch, mode):
+    chart = GridChart((0.5, 2.0), (1.5, 3.0), (17, 17))
+    g1 = geo.build_metric(lambda u: [[u[0], 0.0], [0.0, u[1]]], chart)
+    g2 = _identity(chart)
+    calls = Counter()
+    count_calls(monkeypatch, calls, ("build_metric", "connection", "curvature"), pc)
+    pen = pc.PencilSpec(g1, g2, lambda_samples=SAFE_LAMS)
+    if mode is None:
+        pc.check_almost_compatible(pen)
+    else:
+        pc.check_compatible(pen, mode)
+    s = len(SAFE_LAMS)
+    assert calls == {"build_metric": s, "connection": s + 2,
+                     **({"curvature": s + 2} if mode else {})}
+
+
+def test_endpoint_curvature_is_the_pointwise_maximum():
+    pen = _counter_pencil()
+    rep = pc.check_compatible(pen, "general")
+    assert set(rep.endpoint_curvature) == {"g1", "g2"}
+    for name, metric in (("g1", pen.g1), ("g2", pen.g2)):
+        mixed = geo.curvature(metric).mixed.values
+        npt.assert_array_equal(
+            rep.endpoint_curvature[name], np.max(np.abs(mixed), axis=(-4, -3, -2, -1)))
 
 
 def test_almost_compatible_pass_and_fail():

@@ -1,5 +1,6 @@
 """Integral-equation solver: closed forms, convergence, and reduction gates."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -95,6 +96,17 @@ def test_nonskew_diagonal_entry_is_rejected():
         zd.PotentialSet(2, {}, {0: zd.gaussian_pair(0.3, 1.0)}, envelope=8.0)
     # and the built-in skew profile is accepted
     zd.PotentialSet(2, {}, {0: zd.skew_gaussian_pair(0.3, 1.0)}, envelope=8.0)
+
+
+def test_nan_diagonal_entry_fails_the_skew_probe():
+    pots = zd.gaussian_set(2, include_diagonal=True)
+    skew = pots.diagonal[0]
+    bad = dataclasses.replace(
+        skew, value=lambda x, y: np.where(x > 0, np.nan, skew.value(x, y)))
+    with pytest.raises(NonFiniteSample, match="skew probe of diagonal potential 0") as err:
+        zd.PotentialSet(2, pots.off_diagonal, {**pots.diagonal, 0: bad}, pots.envelope)
+    x, y = err.value.node  # the probe point: value(x, y) or value(y, x) is NaN there
+    assert x > 0 or y > 0
 
 
 def test_declared_truncation_is_probed():
