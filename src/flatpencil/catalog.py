@@ -382,7 +382,7 @@ def _run_dressing_separable(order: int):
     profile = ls.constant_profile((4.0, 1.0))
     good = zd.reduction_pde_residual(separable_reduction_set(), profile)
     bad = zd.reduction_pde_residual(
-        zd.PotentialSet(2, {(0, 1): zd.product_pair()}, {}, envelope=8.0), profile
+        zd.PotentialSet(2, {(0, 1): tc.product_potential()}, {}, envelope=8.0), profile
     )
     return [
         CheckRow("rank1_resolvent", err, 1e-9),

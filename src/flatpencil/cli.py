@@ -266,7 +266,6 @@ def _run_check_pencil(scenario, settings):
         k1=float(scenario.get("k1", 0.0)),
         k2=float(scenario.get("k2", 0.0)),
         order=settings["order"],
-        tol=settings["tolerance"],
     )
     tol = settings["tolerance"]
     rows = [
@@ -305,9 +304,7 @@ def _run_nijenhuis(scenario, settings):
 def _run_diagonal_form(scenario, settings):
     safe = ((1.0, 0.0), (0.0, 1.0))
     pencil, chart = _pencil_from_scenario(scenario, "diagonal-form", settings, safe)
-    rep = pc.check_diagonal_form(
-        pencil, settings["order"], tol=settings["tolerance"]
-    )
+    rep = pc.check_diagonal_form(pencil, settings["order"])
     rows = [
         CheckRow("ratio_cross_derivative", rep.residual, settings["tolerance"]),
     ]
@@ -329,7 +326,6 @@ def _run_dubrovin(scenario, settings):
         lambda u: [fn(*u) for fn in fns],
         c=float(scenario.get("c", 0.0)),
         order=settings["order"],
-        tol=settings["tolerance"],
         lambda_samples=lams,
     )
     tol = settings["tolerance"]
@@ -383,7 +379,7 @@ def _frame_from_scenario(scenario, kind, settings):
 
 def _run_lame(scenario, settings):
     metric, frame, chart = _frame_from_scenario(scenario, "lame", settings)
-    rep = ls.lame_residuals(frame, settings["order"], settings["tolerance"])
+    rep = ls.lame_residuals(frame, settings["order"])
     rows = [
         CheckRow("off_diagonal_system", rep.r_offdiag, settings["tolerance"]),
         CheckRow("diagonal_system", rep.r_diag, settings["tolerance"]),
@@ -395,10 +391,10 @@ def _run_lame(scenario, settings):
 def _run_reduce(scenario, settings):
     metric, frame, chart = _frame_from_scenario(scenario, "reduce", settings)
     profile = _profile_from_spec(_need(scenario, "profile", "reduce"), chart.dim)
-    lame = ls.lame_residuals(frame, settings["order"], settings["tolerance"])
-    red = ls.reduction_residual(frame, profile, settings["order"], settings["tolerance"])
+    lame = ls.lame_residuals(frame, settings["order"])
+    red = ls.reduction_residual(frame, profile, settings["order"])
     tilde = ls.tilde_frame(frame, profile)
-    tilde_lame = ls.lame_residuals(tilde, settings["order"], settings["tolerance"])
+    tilde_lame = ls.lame_residuals(tilde, settings["order"])
     tol = settings["tolerance"]
     rows = [
         CheckRow("lame", lame.max_residual, tol),
@@ -489,7 +485,7 @@ def _run_two_component(scenario, settings):
 
     lams = _lambda_samples(scenario, pc.DEFAULT_LAMBDA_SAMPLES)
     pen = tc.build_pair(spec, lams)
-    rep = pc.check_compatible(pen, "flat", order=settings["order"], tol=tol)
+    rep = pc.check_compatible(pen, "flat", order=settings["order"])
     rows.append(CheckRow("pair_flat", rep.max_residual, tol))
     return rows, meta, {}
 
@@ -585,8 +581,8 @@ def _resolve_settings(args, scenario: dict) -> dict:
     dump = pick(args.dump_csv, "FLATPENCIL_DUMP_CSV", "dump_csv", None, str)
     if order not in (2, 4):
         raise SchemaError(f"order must be 2 or 4, got {order}")
-    if tol <= 0:
-        raise SchemaError("tolerance must be positive")
+    if not 0 < tol < float("inf"):  # NaN fails too
+        raise SchemaError(f"tolerance must be positive and finite, got {tol}")
     return {"tolerance": tol, "order": order, "seed": seed, "out": out,
             "dump_csv": dump}
 

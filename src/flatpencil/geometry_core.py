@@ -100,7 +100,6 @@ class CurvatureField:
 def build_metric(
     source: Callable[[list[np.ndarray]], object] | np.ndarray,
     chart: GridChart,
-    floor_scale: float = DET_FLOOR_SCALE,
 ) -> MetricField:
     """Build a metric from a contravariant closure or a dense sample array.
 
@@ -111,7 +110,7 @@ def build_metric(
     a relative asymmetry above ``1e-8`` raises ``ValueError``, and the
     symmetric part is kept.
 
-    The determinant is checked pointwise against ``floor_scale * max_ij
+    The determinant is checked pointwise against ``DET_FLOOR_SCALE * max_ij
     |g^{ij}|^n``, a floor of its own degree, so rescaling ``g`` by a constant
     does not change the verdict; below it, :class:`DegenerateMetric` names the first node in
     C order, as does a node where ``g`` vanishes.  The covariant metric is
@@ -127,7 +126,7 @@ def build_metric(
 
     mats = contra.values
     det = np.abs(np.linalg.det(mats))
-    floor = floor_scale * np.max(np.abs(mats), axis=(-1, -2)) ** chart.dim
+    floor = DET_FLOOR_SCALE * np.max(np.abs(mats), axis=(-1, -2)) ** chart.dim
     ok = (det >= floor) & (det > 0.0)  # a node where g vanishes has det = floor = 0
     if not ok.all():
         bad = np.unravel_index(int(np.argmin(ok)), chart.shape)

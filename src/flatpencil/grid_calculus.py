@@ -37,6 +37,9 @@ DEFAULT_ORDER = 4
 #: (including the five-point one-sided rows) is defined
 MIN_AXIS_POINTS = 5
 
+#: largest relative asymmetry :func:`symmetrized` averages away
+_SYMMETRY_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class GridChart:
@@ -223,16 +226,13 @@ def as_grid(value, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def symmetrized(
-    vals: np.ndarray,
-    chart: GridChart,
-    symmetries: Sequence[tuple[int, int]],
-    symmetry_tol: float = 1e-8,
+    vals: np.ndarray, chart: GridChart, symmetries: Sequence[tuple[int, int]]
 ) -> np.ndarray:
     """Average grid tensor values over each declared slot exchange.
 
     Non-finite values raise :class:`NonFiniteSample` first; then the
-    pre-average asymmetry must not exceed ``symmetry_tol`` relative to the
-    largest entry, else ``ValueError``.
+    pre-average asymmetry must not exceed 1e-8 relative to the largest
+    entry, else ``ValueError``.
     """
     _check_finite(vals, chart)
     grid_ndim = len(chart.shape)
@@ -240,10 +240,10 @@ def symmetrized(
         swapped = np.swapaxes(vals, grid_ndim + a, grid_ndim + b)
         scale = float(np.max(np.abs(vals))) or 1.0
         asym = float(np.max(np.abs(vals - swapped))) / scale
-        if asym > symmetry_tol:
+        if asym > _SYMMETRY_TOL:
             raise ValueError(
                 f"values violate declared symmetry in slots ({a}, {b}): "
-                f"relative asymmetry {asym:.3e} > {symmetry_tol:.3e}"
+                f"relative asymmetry {asym:.3e} > {_SYMMETRY_TOL:.3e}"
             )
         vals = 0.5 * (vals + swapped)
     return vals
@@ -254,7 +254,6 @@ def sample(
     chart: GridChart,
     variance: str = "",
     symmetries: Sequence[tuple[int, int]] = (),
-    symmetry_tol: float = 1e-8,
 ) -> TensorField:
     """Evaluate ``fn`` once on the chart's coordinate arrays.
 
@@ -281,7 +280,7 @@ def sample(
             vals[(Ellipsis,) + index] = as_grid(leaf, chart.shape)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"component {index} of a {variance!r} field: {exc}") from None
-    vals = symmetrized(vals, chart, symmetries, symmetry_tol)
+    vals = symmetrized(vals, chart, symmetries)
     return TensorField(chart, variance, vals, tuple(tuple(p) for p in symmetries))
 
 
@@ -312,6 +311,30 @@ def stacked_partials(
         field, chart = field.values, field.chart
     stack = [differentiate_array(field, chart, a, order) for a in range(chart.dim)]
     return np.stack(stack, axis=len(chart.shape))
+
+
+def central_difference(
+    fn: Callable, points: Sequence, axis: int = 0, step: float = 1e-3
+) -> np.ndarray:
+    """Derivative of ``fn(*points)`` in argument ``axis`` at arbitrary points.
+
+    The 4th-order central difference
+    ``(f(t - 2h) - 8 f(t - h) + 8 f(t + h) - f(t + 2h)) / (12 h)`` with
+    ``t = points[axis]`` and ``h = step``; the result is broadcast against
+    the other arguments.  Unlike :func:`differentiate_array` it needs a
+    callable, not grid values.
+    """
+    points = [np.asarray(p, dtype=float) for p in points]
+
+    def shifted(k):
+        args = list(points)
+        args[axis] = points[axis] + k * step
+        return np.asarray(fn(*args), dtype=float)
+
+    m2, m1, p1, p2 = (shifted(k) for k in (-2, -1, 1, 2))
+    out = (m2 - 8 * m1 + 8 * p1 - p2) / (12 * step)
+    shape = np.broadcast_shapes(out.shape, *(p.shape for p in points))
+    return out if out.shape == shape else np.broadcast_to(out, shape).copy()
 
 
 def interior_max(

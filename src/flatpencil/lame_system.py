@@ -41,6 +41,8 @@ from .geometry_core import MetricField, build_metric
 from .grid_calculus import DEFAULT_ORDER, GridChart
 
 PROFILE_FLOOR = 1e-10
+#: off-diagonal content a diagonal metric may carry, relative to its scale
+_DIAG_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -139,7 +141,6 @@ def frame_from_metric(
     metric: MetricField,
     eps: Sequence[int] | None = None,
     order: int = DEFAULT_ORDER,
-    diag_tol: float = 1e-8,
 ) -> LameFrame:
     """Extract the frame of a diagonal metric.
 
@@ -152,8 +153,8 @@ def frame_from_metric(
     vals = metric.contra.values
     mask = ~np.eye(n, dtype=bool)
     off = float(np.max(np.abs(vals[..., mask]))) if n > 1 else 0.0
-    if off > diag_tol * metric.scale():
-        raise NotDiagonal(off, diag_tol * metric.scale())
+    if off > _DIAG_TOL * metric.scale():
+        raise NotDiagonal(off, _DIAG_TOL * metric.scale())
 
     idx = np.arange(n)
     diag = vals[..., idx, idx]
@@ -177,7 +178,6 @@ def frame_from_metric(
 class LameResidualReport:
     off_diagonal: dict[tuple[int, int, int], float]
     diagonal: dict[tuple[int, int], float]
-    tolerance: float
 
     @property
     def r_offdiag(self) -> float:
@@ -191,26 +191,10 @@ class LameResidualReport:
     def max_residual(self) -> float:
         return gc.worst((self.r_offdiag, self.r_diag))
 
-    @property
-    def verdict(self) -> bool:
-        return self.max_residual <= self.tolerance
-
-    def as_dict(self) -> dict:
-        return {
-            "off_diagonal": {f"({i},{j},{k})": v
-                             for (i, j, k), v in self.off_diagonal.items()},
-            "diagonal": {f"({i},{j})": v for (i, j), v in self.diagonal.items()},
-            "r_offdiag": self.r_offdiag,
-            "r_diag": self.r_diag,
-            "tolerance": self.tolerance,
-            "verdict": "pass" if self.verdict else "fail",
-        }
-
 
 def lame_residuals(
     frame: LameFrame,
     order: int = DEFAULT_ORDER,
-    tol: float = 1e-6,
     margin: int | None = None,
     box: Sequence[tuple[float, float]] | None = None,
 ) -> LameResidualReport:
@@ -246,36 +230,22 @@ def lame_residuals(
                 dev = dev + eps[s] * beta[..., s, i] * beta[..., s, j]
             diagonal[(i, j)] = gc.interior_max(dev, chart, margin, box, order)
 
-    return LameResidualReport(off_diagonal, diagonal, tol)
+    return LameResidualReport(off_diagonal, diagonal)
 
 
 @dataclass
 class ReductionReport:
     pairs: dict[tuple[int, int], float]
-    tolerance: float
 
     @property
     def residual(self) -> float:
         return gc.worst(self.pairs.values())
-
-    @property
-    def verdict(self) -> bool:
-        return self.residual <= self.tolerance
-
-    def as_dict(self) -> dict:
-        return {
-            "pairs": {f"({i},{j})": v for (i, j), v in self.pairs.items()},
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "verdict": "pass" if self.verdict else "fail",
-        }
 
 
 def reduction_residual(
     frame: LameFrame,
     profile: ReductionProfile,
     order: int = DEFAULT_ORDER,
-    tol: float = 1e-6,
     margin: int | None = None,
     box: Sequence[tuple[float, float]] | None = None,
 ) -> ReductionReport:
@@ -317,7 +287,7 @@ def reduction_residual(
                     continue
                 dev = dev + eps[s] * fvals[..., s] * beta[..., s, i] * beta[..., s, j]
             pairs[(i, j)] = gc.interior_max(dev, chart, margin, box, order)
-    return ReductionReport(pairs, tol)
+    return ReductionReport(pairs)
 
 
 def tilde_frame(frame: LameFrame, profile: ReductionProfile) -> LameFrame:
@@ -361,8 +331,8 @@ def metric_pair_from_frame(
     """
     from .pencil_checker import DEFAULT_LAMBDA_SAMPLES, PencilSpec
 
-    lame = lame_residuals(frame, order, tol)
-    red = reduction_residual(frame, profile, order, tol)
+    lame = lame_residuals(frame, order)
+    red = reduction_residual(frame, profile, order)
     worst = gc.worst((lame.max_residual, red.residual))
     if not worst <= tol:
         raise ResidualsTooLarge(worst, tol)

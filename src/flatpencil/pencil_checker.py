@@ -51,6 +51,12 @@ DEFAULT_LAMBDA_SAMPLES: tuple[tuple[float, float], ...] = (
 
 DEFAULT_TOL = 1e-6
 
+#: relative gates: eigenvalue gap (to the spectrum scale), off-diagonal
+#: content (to the metric scale), flat coordinates (to max(1, scale))
+_GAP_REL_TOL = 1e-6
+_DIAG_TOL = 1e-8
+_FLAT_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class PencilSpec:
@@ -103,34 +109,11 @@ def combine(pencil: PencilSpec, lam1: float, lam2: float) -> MetricField:
 
 
 @dataclass
-class AlmostCompatibilityReport:
-    tolerance: float
-    connection_by_sample: dict[tuple[float, float], float]
-
-    @property
-    def max_residual(self) -> float:
-        return gc.worst(self.connection_by_sample.values())
-
-    @property
-    def verdict(self) -> bool:
-        return self.max_residual <= self.tolerance
-
-    def as_dict(self) -> dict:
-        return {
-            "tolerance": self.tolerance,
-            "connection_by_sample": {
-                f"({l1:g},{l2:g})": r
-                for (l1, l2), r in self.connection_by_sample.items()
-            },
-            "max_residual": self.max_residual,
-            "verdict": "pass" if self.verdict else "fail",
-        }
-
-
-@dataclass
 class CompatibilityReport:
-    mode: str
-    tolerance: float
+    """Residuals of one pass over a pencil; ``mode`` is ``None`` for the
+    almost-compatibility check, which measures connections only."""
+
+    mode: str | None
     connection_by_sample: dict[tuple[float, float], float]
     curvature_by_sample: dict[tuple[float, float], float]
     endpoint_residuals: dict[str, float]
@@ -151,27 +134,6 @@ class CompatibilityReport:
     def max_residual(self) -> float:
         return gc.worst((self.max_connection, self.max_curvature))
 
-    @property
-    def verdict(self) -> bool:
-        return self.max_residual <= self.tolerance
-
-    def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "tolerance": self.tolerance,
-            "connection_by_sample": {
-                f"({l1:g},{l2:g})": r
-                for (l1, l2), r in self.connection_by_sample.items()
-            },
-            "curvature_by_sample": {
-                f"({l1:g},{l2:g})": r
-                for (l1, l2), r in self.curvature_by_sample.items()
-            },
-            "endpoint_residuals": dict(self.endpoint_residuals),
-            "max_residual": self.max_residual,
-            "verdict": "pass" if self.verdict else "fail",
-        }
-
 
 @dataclass
 class SpectrumReport:
@@ -180,38 +142,12 @@ class SpectrumReport:
     has_complex_pairs: bool
     eigen_scale: float
 
-    @property
-    def verdict(self) -> bool:
-        return self.min_gap > self.threshold
-
-    def as_dict(self) -> dict:
-        return {
-            "min_gap": self.min_gap,
-            "threshold": self.threshold,
-            "has_complex_pairs": self.has_complex_pairs,
-            "eigen_scale": self.eigen_scale,
-            "verdict": "pass" if self.verdict else "fail",
-        }
-
 
 @dataclass
 class DiagonalFormReport:
     f_values: np.ndarray  # [..., i] pointwise ratio g1^{ii}/g2^{ii}
     residual: float  # max |d f^i / d u^j|, j != i
     off_diagonal_max: float
-    tolerance: float
-
-    @property
-    def verdict(self) -> bool:
-        return self.residual <= self.tolerance
-
-    def as_dict(self) -> dict:
-        return {
-            "residual": self.residual,
-            "off_diagonal_max": self.off_diagonal_max,
-            "tolerance": self.tolerance,
-            "verdict": "pass" if self.verdict else "fail",
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +200,11 @@ def _one_pass(pencil, mode, k1, k2, order, margin, box):
 def check_almost_compatible(
     pencil: PencilSpec,
     order: int = DEFAULT_ORDER,
-    tol: float = DEFAULT_TOL,
     margin: int | None = None,
     box: Sequence[tuple[float, float]] | None = None,
-) -> AlmostCompatibilityReport:
+) -> CompatibilityReport:
     """Connection-linearity residual for every sampled combination."""
-    conn_by, _, _, _ = _one_pass(pencil, None, 0.0, 0.0, order, margin, box)
-    return AlmostCompatibilityReport(tol, conn_by)
+    return CompatibilityReport(None, *_one_pass(pencil, None, 0.0, 0.0, order, margin, box))
 
 
 def check_compatible(
@@ -279,7 +213,6 @@ def check_compatible(
     k1: float = 0.0,
     k2: float = 0.0,
     order: int = DEFAULT_ORDER,
-    tol: float = DEFAULT_TOL,
     margin: int | None = None,
     box: Sequence[tuple[float, float]] | None = None,
 ) -> CompatibilityReport:
@@ -299,7 +232,7 @@ def check_compatible(
     """
     if mode not in ("flat", "constant_curvature", "general"):
         raise ValueError(f"unknown mode {mode!r}")
-    return CompatibilityReport(mode, tol, *_one_pass(pencil, mode, k1, k2, order, margin, box))
+    return CompatibilityReport(mode, *_one_pass(pencil, mode, k1, k2, order, margin, box))
 
 
 @dataclass(frozen=True)
@@ -325,17 +258,13 @@ def affinor(pencil: PencilSpec) -> AffinorField:
     return AffinorField(TensorField(pencil.chart, "ud", vals), eig)
 
 
-def nonsingularity(
-    pencil: PencilSpec,
-    threshold: float | None = None,
-) -> SpectrumReport:
-    """Minimum pairwise eigenvalue gap of the pencil over the box."""
+def nonsingularity(pencil: PencilSpec) -> SpectrumReport:
+    """Minimum pairwise eigenvalue gap of the pencil over the box, with the
+    threshold ``1e-6`` times the spectrum scale it must exceed."""
     aff = affinor(pencil)
     eig = aff.eigenvalues
     n = eig.shape[-1]
     scale = float(np.max(np.abs(eig))) or 1.0
-    if threshold is None:
-        threshold = 1e-6 * scale
     gap = np.inf
     for a in range(n):
         for b in range(a + 1, n):
@@ -343,7 +272,7 @@ def nonsingularity(
     if n == 1:
         gap = np.inf
     has_complex = bool(np.max(np.abs(eig.imag)) > 1e-9 * scale)
-    return SpectrumReport(gap, float(threshold), has_complex, scale)
+    return SpectrumReport(gap, _GAP_REL_TOL * scale, has_complex, scale)
 
 
 def nijenhuis(
@@ -370,15 +299,13 @@ def nijenhuis(
 def check_diagonal_form(
     pencil: PencilSpec,
     order: int = DEFAULT_ORDER,
-    tol: float = DEFAULT_TOL,
-    diag_tol: float = 1e-8,
     margin: int | None = None,
     box: Sequence[tuple[float, float]] | None = None,
 ) -> DiagonalFormReport:
     """Verify the diagonal normal form ``g1^{ii} = f^i(u^i) g2^{ii}``.
 
     Both metrics must be diagonal (:class:`NotDiagonal` otherwise, measured
-    against ``diag_tol`` times the metric scale).  The ratio of diagonal
+    against 1e-8 times the metric scale).  The ratio of diagonal
     entries is formed pointwise and the residual is the largest cross
     derivative ``|d f^i / d u^j|`` for ``j != i`` over the interior.
     """
@@ -390,8 +317,8 @@ def check_diagonal_form(
         mask = ~np.eye(n, dtype=bool)
         off = max(off, float(np.max(np.abs(vals[..., mask]))))
     scale = max(pencil.g1.scale(), pencil.g2.scale())
-    if off > diag_tol * scale:
-        raise NotDiagonal(off, diag_tol * scale)
+    if off > _DIAG_TOL * scale:
+        raise NotDiagonal(off, _DIAG_TOL * scale)
 
     idx = np.arange(n)
     f = (
@@ -403,7 +330,7 @@ def check_diagonal_form(
                         chart, margin, box, order)
         for i in range(n) for j in range(n) if j != i
     )
-    return DiagonalFormReport(f, residual, off, tol)
+    return DiagonalFormReport(f, residual, off)
 
 
 # ---------------------------------------------------------------------------
@@ -438,25 +365,6 @@ class DubrovinReport:
     delta_consistency: float
     lowering_defect: float
     compatibility: CompatibilityReport
-    tolerance: float
-
-    @property
-    def verdict(self) -> bool:
-        return (
-            gc.worst((self.quadratic_residual, self.bracket_residual)) <= self.tolerance
-            and self.compatibility.verdict
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "quadratic_residual": self.quadratic_residual,
-            "bracket_residual": self.bracket_residual,
-            "delta_consistency": self.delta_consistency,
-            "lowering_defect": self.lowering_defect,
-            "tolerance": self.tolerance,
-            "compatibility": self.compatibility.as_dict(),
-            "verdict": "pass" if self.verdict else "fail",
-        }
 
 
 def dubrovin_construct(
@@ -464,8 +372,6 @@ def dubrovin_construct(
     f: Callable[[list[np.ndarray]], object] | np.ndarray,
     c: float = 0.0,
     order: int = DEFAULT_ORDER,
-    tol: float = DEFAULT_TOL,
-    flat_tol: float = 1e-8,
     lambda_samples: Sequence[tuple[float, float]] = DEFAULT_LAMBDA_SAMPLES,
     margin: int | None = None,
     box: Sequence[tuple[float, float]] | None = None,
@@ -473,7 +379,7 @@ def dubrovin_construct(
     """Build the partner metric of a flat pencil from a covector potential.
 
     In flat coordinates of the reference metric ``g2`` (its connection must
-    vanish to ``flat_tol`` times the metric scale, else
+    vanish to 1e-8 times ``max(1, scale)`` of the metric, else
     :class:`NotFlatCoordinates`) the candidate partner is::
 
         g1^{ij} = grad^i f^j + grad^j f^i + c g2^{ij}
@@ -493,8 +399,8 @@ def dubrovin_construct(
 
     gamma2 = connection(g2, order)
     conn_res = float(np.max(np.abs(gamma2.contra.values)))
-    if conn_res > flat_tol * max(1.0, g2.scale()):
-        raise NotFlatCoordinates(conn_res, flat_tol * max(1.0, g2.scale()))
+    if conn_res > _FLAT_TOL * max(1.0, g2.scale()):
+        raise NotFlatCoordinates(conn_res, _FLAT_TOL * max(1.0, g2.scale()))
 
     if callable(f):
         f_field = gc.sample(f, chart, "u")
@@ -536,18 +442,9 @@ def dubrovin_construct(
     )
 
     pencil = PencilSpec(g1, g2, tuple(lambda_samples))
-    compat = check_compatible(
-        pencil, "flat", order=order, tol=tol, margin=margin, box=box
-    )
+    compat = check_compatible(pencil, "flat", order=order, margin=margin, box=box)
     return DubrovinReport(
-        g1,
-        data,
-        quad,
-        bracket_res,
-        delta_consistency,
-        data.lowering_defect(g2),
-        compat,
-        tol,
+        g1, data, quad, bracket_res, delta_consistency, data.lowering_defect(g2), compat
     )
 
 
@@ -590,28 +487,6 @@ class PotentialsReport:
     degenerate: bool
     g2_flatness: float | None
     compatibility: CompatibilityReport | None
-    tolerance: float
-
-    @property
-    def verdict(self) -> bool:
-        if self.degenerate or self.compatibility is None:
-            return False
-        return (
-            self.g2_flatness is not None
-            and self.g2_flatness <= self.tolerance
-            and self.compatibility.verdict
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "degenerate": self.degenerate,
-            "g2_flatness": self.g2_flatness,
-            "tolerance": self.tolerance,
-            "compatibility": None
-            if self.compatibility is None
-            else self.compatibility.as_dict(),
-            "verdict": "pass" if self.verdict else "fail",
-        }
 
 
 def generate_from_potentials(
@@ -641,14 +516,12 @@ def generate_from_potentials(
     try:
         g2 = build_metric(g2_vals, chart)
     except DegenerateMetric:
-        return PotentialsReport(None, b_coeff, True, None, None, tol)
+        return PotentialsReport(None, b_coeff, True, None, None)
 
     flatness = geo.flatness_residual(g2, order, margin, box)
     eta_metric = build_metric(lambda u: spec.eta, chart)
     compat = None
     if flatness <= tol:
         pencil = PencilSpec(g2, eta_metric, tuple(lambda_samples))
-        compat = check_compatible(
-            pencil, "flat", order=order, tol=tol, margin=margin, box=box
-        )
-    return PotentialsReport(g2, b_coeff, False, flatness, compat, tol)
+        compat = check_compatible(pencil, "flat", order=order, margin=margin, box=box)
+    return PotentialsReport(g2, b_coeff, False, flatness, compat)

@@ -43,53 +43,39 @@ B_FLOOR_SCALE = 1e-8
 
 @dataclass(frozen=True)
 class Potential:
-    """Scalar potential ``F(u1, u2)`` with optional analytic partials.
+    """Two-variable potential ``F(x, y)`` with its partials ``F_x``, ``F_y``
+    and ``F_xy``.
 
-    Missing partials fall back to 4th-order central differences of ``value``
-    with a step of ``fd_step`` (absolute); analytic partials are preferred
-    wherever residuals at the 1e-10 level matter.
+    A partial left out is filled at construction by
+    :func:`grid_calculus.central_difference` of ``value`` (``F_xy`` of
+    ``dx``) at the step 1e-3; analytic partials are preferred wherever
+    residuals at the 1e-10 level matter.
     """
 
     value: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    du1: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    du2: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    du1du2: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    fd_step: float = 1e-3
+    dx: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    dy: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    dxy: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
-    def _fd(self, fn, axis):
-        d = self.fd_step
+    def __post_init__(self):
+        def fd(fn, axis):
+            return lambda x, y: gc.central_difference(fn, (x, y), axis)
 
-        def deriv(u1, u2):
-            if axis == 0:
-                stencil = (fn(u1 - 2 * d, u2), fn(u1 - d, u2),
-                           fn(u1 + d, u2), fn(u1 + 2 * d, u2))
-            else:
-                stencil = (fn(u1, u2 - 2 * d), fn(u1, u2 - d),
-                           fn(u1, u2 + d), fn(u1, u2 + 2 * d))
-            m2, m1, p1, p2 = stencil
-            return (m2 - 8 * m1 + 8 * p1 - p2) / (12 * d)
-
-        return deriv
-
-    def partial_u1(self) -> Callable:
-        return self.du1 if self.du1 is not None else self._fd(self.value, 0)
-
-    def partial_u2(self) -> Callable:
-        return self.du2 if self.du2 is not None else self._fd(self.value, 1)
-
-    def mixed(self) -> Callable:
-        if self.du1du2 is not None:
-            return self.du1du2
-        return self._fd(self.partial_u1(), 1)
+        if self.dx is None:
+            object.__setattr__(self, "dx", fd(self.value, 0))
+        if self.dy is None:
+            object.__setattr__(self, "dy", fd(self.value, 1))
+        if self.dxy is None:
+            object.__setattr__(self, "dxy", fd(self.dx, 1))
 
 
 def log_potential(c: float) -> Potential:
     """``F = c ln(u1 - u2)`` — defined for ``u1 > u2``."""
     return Potential(
         value=lambda u1, u2: c * np.log(u1 - u2),
-        du1=lambda u1, u2: c / (u1 - u2),
-        du2=lambda u1, u2: -c / (u1 - u2),
-        du1du2=lambda u1, u2: c / (u1 - u2) ** 2,
+        dx=lambda u1, u2: c / (u1 - u2),
+        dy=lambda u1, u2: -c / (u1 - u2),
+        dxy=lambda u1, u2: c / (u1 - u2) ** 2,
     )
 
 
@@ -98,20 +84,21 @@ def linear_potential(a: float, b: float) -> Potential:
     zero = lambda u1, u2: np.zeros(np.broadcast(u1, u2).shape)
     return Potential(
         value=lambda u1, u2: a * u1 + b * u2 + zero(u1, u2),
-        du1=lambda u1, u2: a + zero(u1, u2),
-        du2=lambda u1, u2: b + zero(u1, u2),
-        du1du2=zero,
+        dx=lambda u1, u2: a + zero(u1, u2),
+        dy=lambda u1, u2: b + zero(u1, u2),
+        dxy=zero,
     )
 
 
 def product_potential() -> Potential:
-    """``F = u1 u2``."""
+    """``F = u1 u2``; it violates the reduction PDE for the identity profile,
+    which makes it the negative control of the dressing checks."""
     one = lambda u1, u2: np.ones(np.broadcast(u1, u2).shape)
     return Potential(
         value=lambda u1, u2: u1 * u2,
-        du1=lambda u1, u2: u2 * one(u1, u2),
-        du2=lambda u1, u2: u1 * one(u1, u2),
-        du1du2=one,
+        dx=lambda u1, u2: u2 * one(u1, u2),
+        dy=lambda u1, u2: u1 * one(u1, u2),
+        dxy=one,
     )
 
 
@@ -185,9 +172,9 @@ def lequa_residual(
     f1, f2 = spec.f_values()
     fp1 = gc.differentiate_array(f1, chart, 0, order)
     fp2 = gc.differentiate_array(f2, chart, 1, order)
-    f_u1 = np.asarray(spec.potential.partial_u1()(u1, u2), dtype=float)
-    f_u2 = np.asarray(spec.potential.partial_u2()(u1, u2), dtype=float)
-    f_mixed = np.asarray(spec.potential.mixed()(u1, u2), dtype=float)
+    f_u1 = np.asarray(spec.potential.dx(u1, u2), dtype=float)
+    f_u2 = np.asarray(spec.potential.dy(u1, u2), dtype=float)
+    f_mixed = np.asarray(spec.potential.dxy(u1, u2), dtype=float)
     res = 2.0 * f_mixed * (f1 - f2) + f_u2 * fp1 - f_u1 * fp2
     return gc.interior_max(res, chart, margin, box, order)
 
@@ -230,8 +217,7 @@ def integrate_b(
     y = chart.axis_coordinates(1)
     hx, hy = chart.spacing
     eps1, eps2 = spec.eps
-    f_u1 = spec.potential.partial_u1()
-    f_u2 = spec.potential.partial_u2()
+    f_u1, f_u2 = spec.potential.dx, spec.potential.dy
 
     def row_b2(row_b1: np.ndarray, yv: float) -> np.ndarray:
         integrand = eps1 * np.asarray(f_u2(x, yv), dtype=float) * row_b1
@@ -284,8 +270,8 @@ def system_residual(
     chart = spec.chart
     u1, u2 = chart.meshgrid()
     eps1, eps2 = spec.eps
-    f_u1 = np.asarray(spec.potential.partial_u1()(u1, u2), dtype=float)
-    f_u2 = np.asarray(spec.potential.partial_u2()(u1, u2), dtype=float)
+    f_u1 = np.asarray(spec.potential.dx(u1, u2), dtype=float)
+    f_u2 = np.asarray(spec.potential.dy(u1, u2), dtype=float)
     r_b2 = gc.differentiate_array(spec.b2, chart, 0, order) - eps1 * f_u2 * spec.b1
     r_b1 = gc.differentiate_array(spec.b1, chart, 1, order) + eps2 * f_u1 * spec.b2
     return gc.worst(

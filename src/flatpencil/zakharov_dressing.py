@@ -52,6 +52,7 @@ from .errors import (
 )
 from .grid_calculus import DEFAULT_ORDER, GridChart
 from .lame_system import LameFrame, ReductionProfile
+from .two_component import Potential
 
 DECAY_THRESHOLD = 1e-12
 TAIL_REL_TOL = 1e-10
@@ -67,26 +68,16 @@ BATCH_BYTES = 3 * 2**19
 # potentials
 
 
-@dataclass(frozen=True)
-class PairPotential:
-    """A two-variable potential with analytic first and mixed partials."""
-
-    value: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    dx: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    dy: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    dxy: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
 def gaussian_pair(
     amplitude: float, width: float, x0: float = 0.0, y0: float = 0.0
-) -> PairPotential:
+) -> Potential:
     """``Phi = a exp(-((x-x0)^2 + (y-y0)^2) / (2 w^2))``."""
     a, w2 = float(amplitude), float(width) ** 2
 
     def e(x, y):
         return a * np.exp(-((x - x0) ** 2 + (y - y0) ** 2) / (2 * w2))
 
-    return PairPotential(
+    return Potential(
         value=e,
         dx=lambda x, y: -(x - x0) / w2 * e(x, y),
         dy=lambda x, y: -(y - y0) / w2 * e(x, y),
@@ -96,7 +87,7 @@ def gaussian_pair(
 
 def separable_sum_pair(
     a1: float, a2: float, width: float, x0: float = 0.0, y0: float = 0.0
-) -> PairPotential:
+) -> Potential:
     """``Phi = a1 exp(-(x-x0)^2/2w^2) + a2 exp(-(y-y0)^2/2w^2)`` — zero
     mixed partial, the closed-form solution of the reduction PDE for a
     constant (componentwise) profile."""
@@ -104,7 +95,7 @@ def separable_sum_pair(
     ex = lambda x: a1 * np.exp(-((x - x0) ** 2) / (2 * w2))
     ey = lambda y: a2 * np.exp(-((y - y0) ** 2) / (2 * w2))
     zero = lambda x, y: np.zeros(np.broadcast(x, y).shape)
-    return PairPotential(
+    return Potential(
         value=lambda x, y: ex(x) + ey(y) + zero(x, y),
         dx=lambda x, y: -(x - x0) / w2 * ex(x) + zero(x, y),
         dy=lambda x, y: -(y - y0) / w2 * ey(y) + zero(x, y),
@@ -112,14 +103,14 @@ def separable_sum_pair(
     )
 
 
-def skew_gaussian_pair(amplitude: float, width: float) -> PairPotential:
+def skew_gaussian_pair(amplitude: float, width: float) -> Potential:
     """``Phi = a (y - x) exp(-(x^2 + y^2)/(2 w^2))`` — skew-symmetric."""
     a, w2 = float(amplitude), float(width) ** 2
 
     def e(x, y):
         return np.exp(-(x**2 + y**2) / (2 * w2))
 
-    return PairPotential(
+    return Potential(
         value=lambda x, y: a * (y - x) * e(x, y),
         dx=lambda x, y: a * e(x, y) * (-1.0 - x * (y - x) / w2),
         dy=lambda x, y: a * e(x, y) * (1.0 - y * (y - x) / w2),
@@ -127,29 +118,17 @@ def skew_gaussian_pair(amplitude: float, width: float) -> PairPotential:
     )
 
 
-def log_pair(c: float) -> PairPotential:
+def log_pair(c: float) -> Potential:
     """``Phi = c ln(y - x)`` for ``y > x`` — the closed-form solution of the
     reduction PDE for the identity profile.  It does not decay, so it is
     only admissible in pointwise PDE checks, never in the integral solver
     (the truncation gate rejects it)."""
     c = float(c)
-    return PairPotential(
+    return Potential(
         value=lambda x, y: c * np.log(y - x),
         dx=lambda x, y: -c / (y - x),
         dy=lambda x, y: c / (y - x),
         dxy=lambda x, y: c / (y - x) ** 2,
-    )
-
-
-def product_pair() -> PairPotential:
-    """``Phi = x y`` — deliberately violates the reduction PDE for the
-    identity profile (used as the negative control)."""
-    one = lambda x, y: np.ones(np.broadcast(x, y).shape)
-    return PairPotential(
-        value=lambda x, y: x * y,
-        dx=lambda x, y: y * one(x, y),
-        dy=lambda x, y: x * one(x, y),
-        dxy=one,
     )
 
 
@@ -160,8 +139,8 @@ class PotentialSet:
     which every potential and its partials fall under 1e-12."""
 
     n: int
-    off_diagonal: dict[tuple[int, int], PairPotential]
-    diagonal: dict[int, PairPotential]
+    off_diagonal: dict[tuple[int, int], Potential]
+    diagonal: dict[int, Potential]
     envelope: float
 
     def __post_init__(self):
@@ -330,8 +309,8 @@ def reduction_identity_residual(
     s, sp = probes[:, 0], probes[:, 1]
     residuals = [
         np.max(np.abs(
-            _single_var_derivative(lambda t: kernel.eval(i, j, s, t), sp, step)
-            + _single_var_derivative(lambda t: kernel.eval(j, i, sp, t), s, step)
+            gc.central_difference(lambda a, b: kernel.eval(i, j, a, b), (s, sp), 1, step)
+            + gc.central_difference(lambda a, b: kernel.eval(j, i, a, b), (sp, s), 1, step)
         ))
         for i in range(kernel.n)
         for j in range(kernel.n)
@@ -343,14 +322,8 @@ def reduction_identity_residual(
 # reduction PDE checks
 
 
-def _single_var_derivative(fn: Callable, t: np.ndarray, step: float = 1e-3) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    m2, m1, p1, p2 = (gc.as_grid(fn(t + off * step), t.shape) for off in (-2, -1, 1, 2))
-    return (m2 - 8 * m1 + 8 * p1 - p2) / (12 * step)
-
-
 def pair_pde_residual(
-    pot: PairPotential, fi: Callable, fj: Callable, probes: np.ndarray
+    pot: Potential, fi: Callable, fj: Callable, probes: np.ndarray
 ) -> float:
     """Residual of the off-diagonal reduction PDE at probe points ``(x, y)``:
 
@@ -360,8 +333,8 @@ def pair_pde_residual(
     x, y = probes[:, 0], probes[:, 1]
     fi_v = gc.as_grid(fi(-x), x.shape)
     fj_v = gc.as_grid(fj(-y), y.shape)
-    fip = _single_var_derivative(fi, -x)
-    fjp = _single_var_derivative(fj, -y)
+    fip = gc.as_grid(gc.central_difference(fi, (-x,)), x.shape)
+    fjp = gc.as_grid(gc.central_difference(fj, (-y,)), y.shape)
     res = (
         2.0 * pot.dxy(x, y) * (fi_v - fj_v)
         - pot.dy(x, y) * fip
@@ -370,7 +343,7 @@ def pair_pde_residual(
     return float(np.max(np.abs(res)))
 
 
-def diagonal_pde_residual(pot: PairPotential, fi: Callable, probes: np.ndarray) -> float:
+def diagonal_pde_residual(pot: Potential, fi: Callable, probes: np.ndarray) -> float:
     """Residual of the diagonal reduction PDE at probe points ``(x, y)``:
 
     ``2 Phi_xy (fi(-x) - fi(-y)) + Phi_x fi'(-y) - Phi_y fi'(-x)``.
@@ -379,8 +352,8 @@ def diagonal_pde_residual(pot: PairPotential, fi: Callable, probes: np.ndarray) 
     x, y = probes[:, 0], probes[:, 1]
     fi_x = gc.as_grid(fi(-x), x.shape)
     fi_y = gc.as_grid(fi(-y), y.shape)
-    fpx = _single_var_derivative(fi, -x)
-    fpy = _single_var_derivative(fi, -y)
+    fpx = gc.as_grid(gc.central_difference(fi, (-x,)), x.shape)
+    fpy = gc.as_grid(gc.central_difference(fi, (-y,)), y.shape)
     res = (
         2.0 * pot.dxy(x, y) * (fi_x - fi_y)
         + pot.dx(x, y) * fpy
@@ -393,31 +366,16 @@ def diagonal_pde_residual(pot: PairPotential, fi: Callable, probes: np.ndarray) 
 class ReductionPdeReport:
     off_diagonal: dict[tuple[int, int], float]
     diagonal: dict[int, float]
-    tolerance: float
 
     @property
     def max_residual(self) -> float:
         return gc.worst([*self.off_diagonal.values(), *self.diagonal.values()])
-
-    @property
-    def verdict(self) -> bool:
-        return self.max_residual <= self.tolerance
-
-    def as_dict(self) -> dict:
-        return {
-            "off_diagonal": {f"({i},{j})": v for (i, j), v in self.off_diagonal.items()},
-            "diagonal": {str(i): v for i, v in self.diagonal.items()},
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "verdict": "pass" if self.verdict else "fail",
-        }
 
 
 def reduction_pde_residual(
     potentials: PotentialSet,
     profile: ReductionProfile,
     probes: np.ndarray | None = None,
-    tol: float = 1e-10,
     seed: int = 0,
 ) -> ReductionPdeReport:
     """Evaluate both reduction PDE families at probe points.
@@ -441,7 +399,7 @@ def reduction_pde_residual(
         i: diagonal_pde_residual(pot, profile.funcs[i], probes)
         for i, pot in potentials.diagonal.items()
     }
-    return ReductionPdeReport(off, diag, tol)
+    return ReductionPdeReport(off, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +512,7 @@ def _dressed_seeds(k_nodes, weights, s, nodes, points, seeds) -> np.ndarray:
 
 def _solve_batch(
     kernel, points: np.ndarray, s: float, length: float, nodes: np.ndarray,
-    weights: np.ndarray, probe_cond: np.ndarray,
-    tail_tol: float = TAIL_REL_TOL, cond_cap: float = COND_CAP,
+    weights: np.ndarray, probe_cond: np.ndarray, cond_cap: float = COND_CAP,
 ):
     """Nyström solves at a batch of points that share one quadrature rule.
 
@@ -596,7 +553,7 @@ def _solve_batch(
     f_q = f[..., 1:, 1:]
     mass = np.abs(probe).max(axis=(1, 2, 3))
     box = np.maximum(f_q.max(axis=(1, 2, 3, 4)), -f_q.min(axis=(1, 2, 3, 4)))
-    tol_abs = tail_tol * (1.0 + box)
+    tol_abs = TAIL_REL_TOL * (1.0 + box)
     if np.any(mass > tol_abs):
         b = int(np.argmax(mass > tol_abs))
         raise TruncationInsufficient(float(mass[b]), float(tol_abs[b]), length)
@@ -626,7 +583,6 @@ def solve_marchenko(
     problem: DressingProblem,
     kernel: object | None = None,
     estimate_cond: bool = True,
-    tail_tol: float = TAIL_REL_TOL,
     cond_cap: float = COND_CAP,
 ) -> DressingSolution:
     """Nyström solve of the dressing integral equation at one point ``u``.
@@ -643,7 +599,7 @@ def solve_marchenko(
     nodes, weights = _panel_quadrature(s, length, problem.panels, problem.nodes_per_panel)
     k_nodes, _, residual, cond = _solve_batch(
         kernel, np.array([problem.u]), s, length, nodes, weights,
-        np.array([estimate_cond]), tail_tol, cond_cap,
+        np.array([estimate_cond]), cond_cap,
     )
     return DressingSolution(
         kernel, s, nodes, weights, k_nodes[0], float(residual[0]),
@@ -741,24 +697,9 @@ def extract_beta(
 class TildeReport:
     kernel_deviation: float
     beta_deviation: float
-    tolerance: float
-
-    @property
-    def verdict(self) -> bool:
-        return max(self.kernel_deviation, self.beta_deviation) <= self.tolerance
-
-    def as_dict(self) -> dict:
-        return {
-            "kernel_deviation": self.kernel_deviation,
-            "beta_deviation": self.beta_deviation,
-            "tolerance": self.tolerance,
-            "verdict": "pass" if self.verdict else "fail",
-        }
 
 
-def verify_tilde_consistency(
-    problem: DressingProblem, tol: float = 1e-8
-) -> TildeReport:
+def verify_tilde_consistency(problem: DressingProblem) -> TildeReport:
     """Solve the base and profile-scaled problems independently and confirm
 
     * ``K~_{ij}(s, q) = (r_j(q)/r_i(s)) K_{ij}(s, q)`` at the nodes, and
@@ -788,4 +729,4 @@ def verify_tilde_consistency(
     r_s = np.array([float(root(l, s)) for l in range(n)])
     expected = (r_s[:, None] / r_s[None, :]) * beta_base
     beta_dev = float(np.max(np.abs(beta_tilde - expected)))
-    return TildeReport(kernel_dev, beta_dev, tol)
+    return TildeReport(kernel_dev, beta_dev)

@@ -255,7 +255,7 @@ def test_criterion_08_reduction_pdes():
     c1 = lambda t: np.full_like(np.asarray(t, dtype=float), 1.0)
     sep = zd.separable_sum_pair(0.3, 0.2, 1.0)
     log = zd.log_pair(0.7)
-    prod = zd.product_pair()
+    prod = tc.product_potential()
     _emit(8, "kernel families solve or violate the reduction equations", [
         ("offdiag_separable_constants",
          zd.pair_pde_residual(sep, c4, c1, probes), "<=", 1e-10),
@@ -290,8 +290,13 @@ def test_criterion_09_quadratic_construction():
                                 lambda_samples=LAMS_UNIT)
     rows.append(("noncommuting_quadratic_defect", bad.quadratic_residual,
                  ">=", 1e-2))
-    rows.append(("noncommuting_verdict_fail",
-                 bad.as_dict()["verdict"] == "fail", "agree", None))
+    verdict = all(
+        catalog.CheckRow(name, residual, 1e-6).passed
+        for name, residual in (("quadratic", bad.quadratic_residual),
+                               ("bracket", bad.bracket_residual),
+                               ("compatibility", bad.compatibility.max_residual))
+    )
+    rows.append(("noncommuting_verdict_fail", not verdict, "agree", None))
     _emit(9, "quadratic pencil construction certifies and rejects potentials",
           rows)
 

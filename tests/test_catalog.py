@@ -39,6 +39,14 @@ def test_entry_passes_its_checks(name):
         assert row.passed, f"{name}/{row.name}: {row.residual!r} vs {row.bound!r}"
 
 
+@pytest.mark.parametrize("comparison", ["le", "ge"])
+def test_nan_residual_fails_the_row(comparison):
+    """CheckRow is the only verdict, so a NaN must fail it either way."""
+    row = catalog.CheckRow("probe", float("nan"), 1e-6, comparison)
+    assert not row.passed
+    assert row.as_dict()["verdict"] == "fail"
+
+
 def test_two_component_case_partition():
     for name in catalog.TWO_COMPONENT_POSITIVE:
         _, _, positive = catalog.two_component_case(name)

@@ -159,6 +159,50 @@ def test_two_component_integration_scenario(tmp_path, capsys):
     assert names[-1] == "pair_flat"
 
 
+@pytest.mark.parametrize("b_source", [
+    {"b1": "sqrt(u1 - u2)", "b2": "sqrt(u1 - u2)"},
+    {"integrate": TWO_COMPONENT_INTEGRATE["integrate"]},
+], ids=["expressions", "integrate"])
+def test_expression_potential_matches_the_analytic_one(tmp_path, capsys, b_source):
+    """An expression potential gets its partials by finite differences."""
+    base = {k: v for k, v in TWO_COMPONENT_INTEGRATE.items() if k != "integrate"}
+    rows = {}
+    for name, potential in (("log", {"kind": "log", "c": 0.5}),
+                            ("fd", {"kind": "expression", "value": "0.5*log(u1-u2)"})):
+        code, report, _ = run(tmp_path, {**base, **b_source, "potential": potential},
+                              capsys=capsys)
+        assert code == 0
+        rows[name] = {c["check"]: c for c in report["checks"]}
+    assert list(rows["fd"]) == list(rows["log"])
+    assert rows["fd"]["lequa"]["residual"] <= 1e-9
+    for check, row in rows["fd"].items():
+        assert row["verdict"] == rows["log"][check]["verdict"] == "pass"
+        if check != "lequa":
+            assert abs(row["residual"] - rows["log"][check]["residual"]) <= 1e-11
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "scenario"])
+@pytest.mark.parametrize("value, literal", [("nan", "NaN"), ("inf", "1e400"),
+                                            ("-inf", "-1e400")])
+def test_non_finite_tolerance_is_rejected(tmp_path, capsys, monkeypatch,
+                                          source, value, literal):
+    """On the sphere (flatness residual about 1) an infinite bound would pass
+    every row and a NaN bound fail every one."""
+    text, args = json.dumps(FLAT_SPHERE), []
+    if source == "flag":
+        args = [f"--tol={value}"]
+    elif source == "env":
+        monkeypatch.setenv("FLATPENCIL_TOL", value)
+    else:  # JSON reads 1e400 as inf
+        text = text[:-1] + f', "tolerance": {literal}}}'
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    code = cli.main(["run", str(path), *args])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert "positive and finite" in err
+
+
 def test_catalog_scenario_and_metadata(tmp_path, capsys):
     code, report, _ = run(tmp_path, {"kind": "catalog", "name": "polar"},
                           capsys=capsys)
