@@ -27,7 +27,7 @@ error constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -49,7 +49,6 @@ class MetricField:
 
     contra: TensorField
     cov: TensorField
-    min_abs_det: float
 
     @property
     def chart(self) -> GridChart:
@@ -143,7 +142,7 @@ def build_metric(
         raise DegenerateMetric(bad, float(det[bad]), float(floor[bad]), chart.node(bad))
 
     cov = TensorField(chart, "dd", inv, ((0, 1),))
-    return MetricField(contra, cov, float(np.min(det)))
+    return MetricField(contra, cov)
 
 
 def connection(metric: MetricField, order: int = DEFAULT_ORDER) -> ConnectionField:
@@ -184,24 +183,15 @@ def curvature(
     return CurvatureField(mixed, TensorField(chart, "uudd", contra))
 
 
-def flatness_residual(
-    metric: MetricField,
-    order: int = DEFAULT_ORDER,
-    margin: int | None = None,
-    box: Sequence[tuple[float, float]] | None = None,
-) -> float:
+def flatness_residual(metric: MetricField, order: int = DEFAULT_ORDER) -> float:
     """Max |R^i_{jkl}| over the interior sub-box; zero for a flat metric."""
     curv = curvature(metric, order=order)
-    return gc.interior_max(curv.mixed.values, metric.chart, margin, box, order)
+    return gc.interior_max(curv.mixed.values, metric.chart, order)
 
 
 def constant_curvature_residual(
-    metric: MetricField,
-    k_value: float,
-    order: int = DEFAULT_ORDER,
-    margin: int | None = None,
-    box: Sequence[tuple[float, float]] | None = None,
+    metric: MetricField, k_value: float, order: int = DEFAULT_ORDER
 ) -> float:
     """Max deviation of R^{ij}_{kl} from K (d^i_k d^j_l - d^i_l d^j_k)."""
     dev = curvature(metric, order=order).deviation(k_value)
-    return gc.interior_max(dev, metric.chart, margin, box, order)
+    return gc.interior_max(dev, metric.chart, order)

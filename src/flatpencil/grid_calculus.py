@@ -1,11 +1,12 @@
 """Uniform tensor-product grids and finite-difference calculus on them.
 
-All derivatives taken anywhere in the package go through :func:`partial`,
-which applies centred stencils of the requested order in the interior and
+All grid derivatives taken anywhere in the package go through
+:func:`differentiate_array` (one axis) or :func:`stacked_partials` (every
+axis), which apply centred stencils of the requested order in the interior and
 one-sided stencils of the *same* order at the boundary, so the formal accuracy
 is uniform across the box.  Boundary stencils have larger error constants,
-which is why residual reducers quote maxima over an interior sub-box by
-default (one differentiation chain's worth of margin).
+which is why every residual is reduced by :func:`interior_max`, over the
+interior sub-box left after ``order`` nodes per side.
 
 First-derivative stencils (spacing h):
 
@@ -104,20 +105,6 @@ class GridChart:
             out.append(slice(m, n - m))
         return tuple(out)
 
-    def box_slices(self, box: Sequence[tuple[float, float]]) -> tuple[slice, ...]:
-        """Index slices for the nodes inside a physical sub-box."""
-        if len(box) != self.dim:
-            raise ValueError("sub-box must give (lo, hi) per axis")
-        out = []
-        for d, (lo, hi) in enumerate(box):
-            x = self.axis_coordinates(d)
-            eps = 1e-12 * max(1.0, abs(lo), abs(hi))
-            keep = np.nonzero((x >= lo - eps) & (x <= hi + eps))[0]
-            if keep.size == 0:
-                raise ValueError(f"sub-box on axis {d} contains no grid nodes")
-            out.append(slice(int(keep[0]), int(keep[-1]) + 1))
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class TensorField:
@@ -145,13 +132,6 @@ class TensorField:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "symmetries", tuple(tuple(p) for p in self.symmetries))
-
-    @property
-    def rank(self) -> int:
-        return len(self.variance)
-
-    def component(self, *tensor_index: int) -> np.ndarray:
-        return self.values[(Ellipsis,) + tensor_index]
 
 
 # ---------------------------------------------------------------------------
@@ -284,17 +264,6 @@ def sample(
     return TensorField(chart, variance, vals, tuple(tuple(p) for p in symmetries))
 
 
-def partial(field: TensorField, axis: int, order: int = DEFAULT_ORDER) -> TensorField:
-    """Differentiate a tensor field along one chart axis.
-
-    The result has the same stored variance; the new covariant derivative slot
-    is tracked by the caller (callers that need all axes stack them with
-    :func:`stacked_partials`).
-    """
-    out = differentiate_array(field.values, field.chart, axis, order)
-    return TensorField(field.chart, field.variance, out, field.symmetries)
-
-
 def stacked_partials(
     field: TensorField | np.ndarray,
     order: int = DEFAULT_ORDER,
@@ -337,25 +306,15 @@ def central_difference(
     return out if out.shape == shape else np.broadcast_to(out, shape).copy()
 
 
-def interior_max(
-    values: np.ndarray,
-    chart: GridChart,
-    margin: int | None = None,
-    box: Sequence[tuple[float, float]] | None = None,
-    order: int = DEFAULT_ORDER,
-) -> float:
+def interior_max(values: np.ndarray, chart: GridChart, order: int = DEFAULT_ORDER) -> float:
     """Max absolute value over the interior sub-box.
 
-    Default margin is ``order`` nodes per side: one-sided boundary rows pollute
+    The margin is ``order`` nodes per side, where ``order`` is the stencil
+    order the residual was computed with: one-sided boundary rows pollute
     ``order // 2`` nodes per differentiation, and curvature-type residuals
     chain two derivatives.
     """
-    if box is not None:
-        sl = chart.box_slices(box)
-    else:
-        sl = chart.interior(order if margin is None else margin)
-    region = values[sl]
-    return float(np.max(np.abs(region)))
+    return float(np.max(np.abs(values[chart.interior(order)])))
 
 
 def worst(values) -> float:

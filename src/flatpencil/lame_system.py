@@ -192,12 +192,7 @@ class LameResidualReport:
         return gc.worst((self.r_offdiag, self.r_diag))
 
 
-def lame_residuals(
-    frame: LameFrame,
-    order: int = DEFAULT_ORDER,
-    margin: int | None = None,
-    box: Sequence[tuple[float, float]] | None = None,
-) -> LameResidualReport:
+def lame_residuals(frame: LameFrame, order: int = DEFAULT_ORDER) -> LameResidualReport:
     """Residuals of both equation families, per index tuple and overall."""
     chart = frame.chart
     n = frame.dim
@@ -214,9 +209,7 @@ def lame_residuals(
                 if len({i, j, k}) < 3:
                     continue
                 dev = dbeta[..., k, i, j] - beta[..., i, k] * beta[..., k, j]
-                off_diagonal[(i, j, k)] = gc.interior_max(
-                    dev, chart, margin, box, order
-                )
+                off_diagonal[(i, j, k)] = gc.interior_max(dev, chart, order)
 
     diagonal: dict[tuple[int, int], float] = {}
     for i in range(n):
@@ -228,7 +221,7 @@ def lame_residuals(
                 if s in (i, j):
                     continue
                 dev = dev + eps[s] * beta[..., s, i] * beta[..., s, j]
-            diagonal[(i, j)] = gc.interior_max(dev, chart, margin, box, order)
+            diagonal[(i, j)] = gc.interior_max(dev, chart, order)
 
     return LameResidualReport(off_diagonal, diagonal)
 
@@ -246,8 +239,6 @@ def reduction_residual(
     frame: LameFrame,
     profile: ReductionProfile,
     order: int = DEFAULT_ORDER,
-    margin: int | None = None,
-    box: Sequence[tuple[float, float]] | None = None,
 ) -> ReductionReport:
     """Residual of the profile-weighted diagonal family.
 
@@ -286,7 +277,7 @@ def reduction_residual(
                 if s in (i, j):
                     continue
                 dev = dev + eps[s] * fvals[..., s] * beta[..., s, i] * beta[..., s, j]
-            pairs[(i, j)] = gc.interior_max(dev, chart, margin, box, order)
+            pairs[(i, j)] = gc.interior_max(dev, chart, order)
     return ReductionReport(pairs)
 
 

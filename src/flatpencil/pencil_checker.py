@@ -154,7 +154,7 @@ class DiagonalFormReport:
 # operations
 
 
-def _one_pass(pencil, mode, k1, k2, order, margin, box):
+def _one_pass(pencil, mode, k1, k2, order):
     """Residuals of g1, g2 and the members, each visited once.
 
     Each metric gets one connection and, unless ``mode`` is ``None``, one
@@ -165,7 +165,7 @@ def _one_pass(pencil, mode, k1, k2, order, margin, box):
     """
 
     def reduce(values):
-        return gc.interior_max(values, pencil.chart, margin, box, order)
+        return gc.interior_max(values, pencil.chart, order)
 
     def curvature_residual(curv, l1, l2):
         if mode == "flat":
@@ -198,13 +198,10 @@ def _one_pass(pencil, mode, k1, k2, order, margin, box):
 
 
 def check_almost_compatible(
-    pencil: PencilSpec,
-    order: int = DEFAULT_ORDER,
-    margin: int | None = None,
-    box: Sequence[tuple[float, float]] | None = None,
+    pencil: PencilSpec, order: int = DEFAULT_ORDER
 ) -> CompatibilityReport:
     """Connection-linearity residual for every sampled combination."""
-    return CompatibilityReport(None, *_one_pass(pencil, None, 0.0, 0.0, order, margin, box))
+    return CompatibilityReport(None, *_one_pass(pencil, None, 0.0, 0.0, order))
 
 
 def check_compatible(
@@ -213,8 +210,6 @@ def check_compatible(
     k1: float = 0.0,
     k2: float = 0.0,
     order: int = DEFAULT_ORDER,
-    margin: int | None = None,
-    box: Sequence[tuple[float, float]] | None = None,
 ) -> CompatibilityReport:
     """Full compatibility check in one of three modes.
 
@@ -232,7 +227,7 @@ def check_compatible(
     """
     if mode not in ("flat", "constant_curvature", "general"):
         raise ValueError(f"unknown mode {mode!r}")
-    return CompatibilityReport(mode, *_one_pass(pencil, mode, k1, k2, order, margin, box))
+    return CompatibilityReport(mode, *_one_pass(pencil, mode, k1, k2, order))
 
 
 @dataclass(frozen=True)
@@ -275,12 +270,7 @@ def nonsingularity(pencil: PencilSpec) -> SpectrumReport:
     return SpectrumReport(gap, _GAP_REL_TOL * scale, has_complex, scale)
 
 
-def nijenhuis(
-    aff: AffinorField,
-    order: int = DEFAULT_ORDER,
-    margin: int | None = None,
-    box: Sequence[tuple[float, float]] | None = None,
-) -> float:
+def nijenhuis(aff: AffinorField, order: int = DEFAULT_ORDER) -> float:
     """Max interior component of the Nijenhuis tensor of the affinor.
 
     ``N^k_{ij} = v^s_i d_s v^k_j - v^s_j d_s v^k_i
@@ -293,14 +283,11 @@ def nijenhuis(
     t3 = np.einsum("...ks,...jsi->...kij", v, dv)
     t4 = np.einsum("...ks,...isj->...kij", v, dv)
     nt = t1 - t2 + t3 - t4
-    return gc.interior_max(nt, aff.chart, margin, box, order)
+    return gc.interior_max(nt, aff.chart, order)
 
 
 def check_diagonal_form(
-    pencil: PencilSpec,
-    order: int = DEFAULT_ORDER,
-    margin: int | None = None,
-    box: Sequence[tuple[float, float]] | None = None,
+    pencil: PencilSpec, order: int = DEFAULT_ORDER
 ) -> DiagonalFormReport:
     """Verify the diagonal normal form ``g1^{ii} = f^i(u^i) g2^{ii}``.
 
@@ -326,8 +313,7 @@ def check_diagonal_form(
         / pencil.g2.contra.values[..., idx, idx]
     )
     residual = gc.worst(
-        gc.interior_max(gc.differentiate_array(f[..., i], chart, j, order),
-                        chart, margin, box, order)
+        gc.interior_max(gc.differentiate_array(f[..., i], chart, j, order), chart, order)
         for i in range(n) for j in range(n) if j != i
     )
     return DiagonalFormReport(f, residual, off)
@@ -338,28 +324,8 @@ def check_diagonal_form(
 
 
 @dataclass
-class DubrovinData:
-    """Second-derivative data of the generating covector in flat coordinates.
-
-    ``delta_up[..., i, j, k]`` holds ``D^{ijk} = grad^i grad^j f^k`` (indices
-    raised with the reference metric) and ``delta_mixed[..., i, j, k]`` holds
-    ``D^{ij}_k = d_k grad^i f^j``; the two are related by lowering the first
-    index with the reference metric, which is checked at construction.
-    """
-
-    delta_up: np.ndarray
-    delta_mixed: np.ndarray
-    c: float
-
-    def lowering_defect(self, g2: MetricField) -> float:
-        lowered = np.einsum("...ks,...sij->...ijk", g2.cov.values, self.delta_up)
-        return float(np.max(np.abs(lowered - self.delta_mixed)))
-
-
-@dataclass
 class DubrovinReport:
     g1: MetricField
-    data: DubrovinData
     quadratic_residual: float
     bracket_residual: float
     delta_consistency: float
@@ -373,8 +339,6 @@ def dubrovin_construct(
     c: float = 0.0,
     order: int = DEFAULT_ORDER,
     lambda_samples: Sequence[tuple[float, float]] = DEFAULT_LAMBDA_SAMPLES,
-    margin: int | None = None,
-    box: Sequence[tuple[float, float]] | None = None,
 ) -> DubrovinReport:
     """Build the partner metric of a flat pencil from a covector potential.
 
@@ -415,20 +379,23 @@ def dubrovin_construct(
     g1_vals = grad + np.swapaxes(grad, -1, -2) + c * g2c
     g1 = build_metric(g1_vals, chart)
 
+    # D^{ijk} = grad^i grad^j f^k (indices raised with g2) and D^{ij}_k =
+    # d_k grad^i f^j agree once the first index of D^{ijk} is lowered with g2
     delta_up = np.einsum("...is,...jp,...spk->...ijk", g2c, g2c, ddf)
     dgrad = gc.stacked_partials(grad, order, chart)  # [..., k, i, j] = d_k grad^i f^j
     delta_mixed = np.einsum("...kij->...ijk", dgrad)
-    data = DubrovinData(delta_up, delta_mixed, float(c))
+    lowered = np.einsum("...ks,...sij->...ijk", g2.cov.values, delta_up)
+    lowering_defect = float(np.max(np.abs(lowered - delta_mixed)))
 
     term1 = np.einsum("...ijs,...skl->...ijkl", delta_mixed, delta_mixed)
     term2 = np.einsum("...iks,...sjl->...ijkl", delta_mixed, delta_mixed)
-    quad = gc.interior_max(term1 - term2, chart, margin, box, order)
+    quad = gc.interior_max(term1 - term2, chart, order)
 
     g1c = g1.contra.values
     bracket = np.einsum("...is,...jp,...spk->...ijk", g1c, g2c, ddf) - np.einsum(
         "...is,...jp,...spk->...ijk", g2c, g1c, ddf
     )
-    bracket_res = gc.interior_max(bracket, chart, margin, box, order)
+    bracket_res = gc.interior_max(bracket, chart, order)
 
     gamma1 = connection(g1, order)
     delta_conn = np.einsum(
@@ -437,15 +404,11 @@ def dubrovin_construct(
         g2c,
         gamma2.mixed.values - gamma1.mixed.values,
     )
-    delta_consistency = gc.interior_max(
-        delta_conn - delta_up, chart, margin, box, order
-    )
+    delta_consistency = gc.interior_max(delta_conn - delta_up, chart, order)
 
     pencil = PencilSpec(g1, g2, tuple(lambda_samples))
-    compat = check_compatible(pencil, "flat", order=order, margin=margin, box=box)
-    return DubrovinReport(
-        g1, data, quad, bracket_res, delta_consistency, data.lowering_defect(g2), compat
-    )
+    compat = check_compatible(pencil, "flat", order=order)
+    return DubrovinReport(g1, quad, bracket_res, delta_consistency, lowering_defect, compat)
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +420,7 @@ class PotentialPairSpec:
     """Constant reference metric plus one potential function per coordinate.
 
     The candidate partner metric is
-    ``g2^{ij} = eta^{is} d_s h^j + eta^{js} d_s h^i`` with the associated
-    coefficients ``b^{ij}_k = eta^{is} d_s d_k h^j``.  Each ``h[j]`` takes
+    ``g2^{ij} = eta^{is} d_s h^j + eta^{js} d_s h^i``.  Each ``h[j]`` takes
     the coordinate arrays ``u`` and returns a grid array or a scalar (see
     :func:`grid_calculus.sample`).
     """
@@ -483,7 +445,6 @@ class PotentialPairSpec:
 @dataclass
 class PotentialsReport:
     g2: MetricField | None
-    b_coefficients: np.ndarray
     degenerate: bool
     g2_flatness: float | None
     compatibility: CompatibilityReport | None
@@ -494,8 +455,6 @@ def generate_from_potentials(
     order: int = DEFAULT_ORDER,
     tol: float = DEFAULT_TOL,
     lambda_samples: Sequence[tuple[float, float]] = DEFAULT_LAMBDA_SAMPLES,
-    margin: int | None = None,
-    box: Sequence[tuple[float, float]] | None = None,
 ) -> PotentialsReport:
     """Candidate flat pencil from one potential function per coordinate.
 
@@ -508,20 +467,18 @@ def generate_from_potentials(
     chart = spec.chart
     h_field = gc.sample(lambda u: [h(u) for h in spec.h], chart, "u")
     dh = gc.stacked_partials(h_field, order)  # [..., s, j]
-    ddh = gc.stacked_partials(dh, order, chart)  # [..., a, s, j]
     g2_vals = np.einsum("is,...sj->...ij", spec.eta, dh)
     g2_vals = g2_vals + np.swapaxes(g2_vals, -1, -2)
-    b_coeff = np.einsum("is,...ksj->...ijk", spec.eta, ddh)
 
     try:
         g2 = build_metric(g2_vals, chart)
     except DegenerateMetric:
-        return PotentialsReport(None, b_coeff, True, None, None)
+        return PotentialsReport(None, True, None, None)
 
-    flatness = geo.flatness_residual(g2, order, margin, box)
+    flatness = geo.flatness_residual(g2, order)
     eta_metric = build_metric(lambda u: spec.eta, chart)
     compat = None
     if flatness <= tol:
         pencil = PencilSpec(g2, eta_metric, tuple(lambda_samples))
-        compat = check_compatible(pencil, "flat", order=order, margin=margin, box=box)
-    return PotentialsReport(g2, b_coeff, False, flatness, compat)
+        compat = check_compatible(pencil, "flat", order=order)
+    return PotentialsReport(g2, False, flatness, compat)

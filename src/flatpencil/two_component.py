@@ -156,12 +156,7 @@ def _check_nonvanishing(b: np.ndarray, name: str):
         raise VanishingB(node, value, floor)
 
 
-def lequa_residual(
-    spec: TwoComponentSpec,
-    order: int = DEFAULT_ORDER,
-    margin: int | None = None,
-    box: Sequence[tuple[float, float]] | None = None,
-) -> float:
+def lequa_residual(spec: TwoComponentSpec, order: int = DEFAULT_ORDER) -> float:
     """Max interior residual of the compatibility equation (**) for ``F``.
 
     Potential partials are analytic when supplied; the profile derivatives
@@ -176,7 +171,7 @@ def lequa_residual(
     f_u2 = np.asarray(spec.potential.dy(u1, u2), dtype=float)
     f_mixed = np.asarray(spec.potential.dxy(u1, u2), dtype=float)
     res = 2.0 * f_mixed * (f1 - f2) + f_u2 * fp1 - f_u1 * fp2
-    return gc.interior_max(res, chart, margin, box, order)
+    return gc.interior_max(res, chart, order)
 
 
 @dataclass
@@ -252,18 +247,13 @@ def integrate_b(
         f_u1(u1, u2), dtype=float
     ) * b2_grid
     consistency = {
-        "b2_equation": gc.interior_max(r_b2, chart, None, None, order),
-        "b1_equation": gc.interior_max(r_b1, chart, None, None, order),
+        "b2_equation": gc.interior_max(r_b2, chart, order),
+        "b1_equation": gc.interior_max(r_b1, chart, order),
     }
     return IntegrationResult(b1_grid, b2_grid, consistency)
 
 
-def system_residual(
-    spec: TwoComponentSpec,
-    order: int = DEFAULT_ORDER,
-    margin: int | None = None,
-    box: Sequence[tuple[float, float]] | None = None,
-) -> float:
+def system_residual(spec: TwoComponentSpec, order: int = DEFAULT_ORDER) -> float:
     """Max interior residual of (*) for *given* ``b`` fields."""
     if spec.b1 is None or spec.b2 is None:
         raise ValueError("system_residual needs b fields set on the TwoComponentSpec")
@@ -275,8 +265,7 @@ def system_residual(
     r_b2 = gc.differentiate_array(spec.b2, chart, 0, order) - eps1 * f_u2 * spec.b1
     r_b1 = gc.differentiate_array(spec.b1, chart, 1, order) + eps2 * f_u1 * spec.b2
     return gc.worst(
-        (gc.interior_max(r_b2, chart, margin, box, order),
-         gc.interior_max(r_b1, chart, margin, box, order))
+        (gc.interior_max(r_b2, chart, order), gc.interior_max(r_b1, chart, order))
     )
 
 
@@ -315,12 +304,11 @@ def g_family(spec: TwoComponentSpec, n: int) -> MetricField:
     )
 
 
-def log_family_spec(
-    chart: GridChart, c: float = 0.5, k: float | None = 0.25
-) -> TwoComponentSpec:
+def log_family_spec(chart: GridChart, k: float | None = 0.25) -> TwoComponentSpec:
     """The closed-form spec behind the ladder: ``eps = (-1, 1)``,
-    ``f = (u1, u2)``, log potential, and ``b1^2 = b2^2 = (1/4K)(u1-u2)``
-    (``K = 1/4`` gives ``b = sqrt(u1-u2)``, matching ``c = 1/2``)."""
+    ``f = (u1, u2)``, potential ``(1/2) ln(u1 - u2)``, and
+    ``b1^2 = b2^2 = (1/4K)(u1-u2)`` (``K = 1/4`` gives ``b = sqrt(u1-u2)``).
+    These ``b`` solve (*) only for the coefficient 1/2 of the logarithm."""
     u1, u2 = chart.meshgrid()
     w = u1 - u2
     if np.min(w) <= 0:
@@ -329,7 +317,7 @@ def log_family_spec(
     b = np.sqrt(scale * w)
     return TwoComponentSpec(
         chart=chart,
-        potential=log_potential(c),
+        potential=log_potential(0.5),
         eps=(-1, 1),
         b1=b,
         b2=b,

@@ -50,7 +50,7 @@ from .errors import (
     SignChangeOnRange,
     TruncationInsufficient,
 )
-from .grid_calculus import DEFAULT_ORDER, GridChart
+from .grid_calculus import GridChart
 from .lame_system import LameFrame, ReductionProfile
 from .two_component import Potential
 
@@ -60,6 +60,10 @@ COND_CAP = 1e12
 DEFAULT_PANELS = 16
 DEFAULT_NODES_PER_PANEL = 6
 SKEW_PROBE_TOL = 1e-9
+#: seeded (s, s') probes drawn from [-1.5, 1.5]^2, and the central-difference
+#: step, of :func:`reduction_identity_residual`
+IDENTITY_PROBES = 12
+IDENTITY_STEP = 1e-4
 #: collocation-matrix bytes per window batch; more raises peak memory, not speed
 BATCH_BYTES = 3 * 2**19
 
@@ -293,20 +297,17 @@ def _check_profile_signs(
             raise SignChangeOnRange(l, lo, hi)
 
 
-def reduction_identity_residual(
-    kernel, probes: np.ndarray | None = None, step: float = 1e-4, seed: int = 0
-) -> float:
+def reduction_identity_residual(kernel, seed: int = 0) -> float:
     """Max probe residual of ``d F_ij(s,s')/ds' + d F_ji(s',s)/ds``.
 
-    Derivatives by 4th-order central differences of the kernel evaluator;
-    holds to rounding for every kernel built from a potential set.  A NaN in
-    any block propagates to the result.
+    Derivatives by 4th-order central differences of the kernel evaluator at
+    :data:`IDENTITY_PROBES` points drawn with ``seed``; holds to rounding for
+    every kernel built from a potential set.  A NaN in any block propagates
+    to the result.
     """
-    if probes is None:
-        rng = np.random.default_rng(seed)
-        probes = rng.uniform(-1.5, 1.5, size=(12, 2))
-    probes = np.asarray(probes, dtype=float)
+    probes = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(IDENTITY_PROBES, 2))
     s, sp = probes[:, 0], probes[:, 1]
+    step = IDENTITY_STEP
     residuals = [
         np.max(np.abs(
             gc.central_difference(lambda a, b: kernel.eval(i, j, a, b), (s, sp), 1, step)

@@ -1,9 +1,15 @@
 """Every catalog entry must hold up under its own checks."""
 
+from collections import Counter
+
 import pytest
 
 from flatpencil import catalog
+from flatpencil import geometry_core as geo
+from flatpencil import pencil_checker as pc
 from flatpencil.errors import SchemaError
+
+from conftest import count_calls
 
 REQUIRED = {
     "euclidean", "polar", "sphere", "diag-u",
@@ -59,3 +65,14 @@ def test_two_component_case_partition():
 def test_metric_names_cover_diagonal_catalog():
     assert set(catalog.metric_names()) == {"euclidean", "polar", "sphere",
                                            "diag-u"}
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("sphere", 1),  # one metric, reduced against K = 1 and against 0
+    ("s4-constant-curvature", 7),  # g1, g2 and 5 sampled members
+])
+def test_entry_computes_each_curvature_once(name, expected, monkeypatch):
+    calls = Counter()
+    count_calls(monkeypatch, calls, ("curvature",), geo, pc)
+    assert all(row.passed for row in catalog.run_entry(name))
+    assert calls["curvature"] == expected

@@ -11,7 +11,6 @@ from flatpencil.grid_calculus import (
     cumulative_integral,
     differentiate_array,
     interior_max,
-    partial,
     sample,
     stacked_partials,
 )
@@ -54,17 +53,6 @@ def test_interior_margin_clamps_to_nonempty():
     sl = chart.interior(50)
     picked = np.arange(7)[sl[0]]
     assert picked.size >= 1  # never empties the axis
-
-
-def test_box_slices():
-    chart = GridChart((0.0,), (1.0,), (11,))
-    sl = chart.box_slices([(0.25, 0.75)])
-    picked = chart.axis_coordinates(0)[sl[0]]
-    npt.assert_allclose(picked, np.linspace(0.3, 0.7, 5))
-    with pytest.raises(ValueError):
-        chart.box_slices([(2.0, 3.0)])
-    with pytest.raises(ValueError):
-        chart.box_slices([(0.0, 1.0), (0.0, 1.0)])
 
 
 def test_fourth_order_stencil_exact_on_quartic():
@@ -133,15 +121,6 @@ def test_sample_enforces_declared_symmetry():
     assert fld.values.shape == (9, 9, 2, 2)
 
 
-def test_partial_matches_differentiate_array():
-    chart = GridChart((0.0, 0.0), (1.0, 1.0), (17, 17))
-    fld = sample(lambda u: np.array([u[0] ** 2, u[0] * u[1]]), chart, "u")
-    p = partial(fld, axis=0)
-    direct = differentiate_array(fld.values, chart, axis=0, order=4)
-    npt.assert_allclose(p.values, direct)
-    assert p.chart is chart
-
-
 def test_stacked_partials_layout():
     """stacked_partials appends the derivative axis after the grid axes and
     before the original tensor slots."""
@@ -162,10 +141,17 @@ def test_interior_max_excludes_boundary():
     assert interior_max(vals, chart, order=4) == 3.0
 
 
-def test_interior_max_box_restriction():
-    chart = GridChart((0.0,), (1.0,), (21,))
-    x = chart.axis_coordinates(0)
-    assert interior_max(x.copy(), chart, box=[(0.2, 0.4)]) == pytest.approx(0.4)
+@pytest.mark.parametrize("order", [2, 4])
+def test_interior_max_margin_is_order(order):
+    """The margin is ``order`` nodes per side, on every axis."""
+    chart = GridChart((0.0, 0.0), (1.0, 1.0), (21, 21))
+    vals = np.zeros(chart.shape)
+    for edge in (order - 1, 20 - (order - 1)):
+        vals[edge, 10] = vals[10, edge] = 100.0
+    assert interior_max(vals, chart, order) == 0.0
+    vals[order, 10] = 3.0
+    vals[10, 20 - order] = 2.0
+    assert interior_max(vals, chart, order) == 3.0
 
 
 # ---------------------------------------------------------------------------

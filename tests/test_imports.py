@@ -1,0 +1,50 @@
+"""Every name a package module imports is used in that module.
+
+A stdlib-only lint: a module's imported names must appear as a name in its
+code or in its ``__all__`` (which is how ``__init__`` re-exports).
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "flatpencil"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Bound name -> line of every import except ``from __future__``."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _used(tree: ast.Module) -> set[str]:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {elt.value for elt in node.value.elts}
+    return used
+
+
+def test_the_package_has_modules():
+    assert {"grid_calculus.py", "catalog.py", "zakharov_dressing.py"} <= {
+        path.name for path in MODULES
+    }
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used(tree)
+    unused = {name: line for name, line in _imported(tree).items() if name not in used}
+    assert not unused, f"{path.name}: imported but never used: {unused}"

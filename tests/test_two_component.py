@@ -19,7 +19,7 @@ def _w():
 
 
 def test_log_potential_solves_the_linearized_equation():
-    spec = tc.log_family_spec(CHART, c=0.5)
+    spec = tc.log_family_spec(CHART)
     assert tc.lequa_residual(spec) <= 1e-12
 
 
@@ -39,7 +39,7 @@ def test_product_potential_fails_linearized_equation():
 
 
 def test_log_family_b_field_and_coupled_system():
-    spec = tc.log_family_spec(CHART, c=0.5)
+    spec = tc.log_family_spec(CHART)
     npt.assert_array_equal(spec.b1, np.sqrt(_w()))
     npt.assert_array_equal(spec.b2, np.sqrt(_w()))
     assert tc.system_residual(spec) <= 1e-8
@@ -62,7 +62,7 @@ def test_wrong_b_fails_the_system():
 
 
 def test_family_metrics_have_closed_form():
-    spec = tc.log_family_spec(CHART, c=0.5)
+    spec = tc.log_family_spec(CHART)
     w = _w()
     for n in (0, 1, 2):
         g = tc.g_family(spec, n)
@@ -84,13 +84,13 @@ def test_log_family_requires_ordered_chart():
 
 
 def test_build_pair_default_samples_can_degenerate():
-    spec = tc.log_family_spec(CHART, c=0.5)
+    spec = tc.log_family_spec(CHART)
     with pytest.raises(DegenerateCombination):
         tc.build_pair(spec)  # default samples include (1, -1); f - 1 = 0 here
 
 
 def test_build_pair_is_flat_compatible():
-    spec = tc.log_family_spec(CHART, c=0.5)
+    spec = tc.log_family_spec(CHART)
     pen = tc.build_pair(spec, lambda_samples=LAMS)
     assert isinstance(pen, pc.PencilSpec)
     rep = pc.check_compatible(pen, "flat")
@@ -99,7 +99,7 @@ def test_build_pair_is_flat_compatible():
 
 def test_integrate_b_reproduces_closed_form():
     """Two-edge integration of the coupled system recovers sqrt(u1 - u2)."""
-    spec = tc.log_family_spec(CHART, c=0.5)
+    spec = tc.log_family_spec(CHART)
     out = tc.integrate_b(spec,
                          b1_edge=lambda u1: np.sqrt(u1 - 0.5),
                          b2_edge=lambda u2: np.sqrt(2.0 - u2))
@@ -110,7 +110,7 @@ def test_integrate_b_reproduces_closed_form():
 
 
 def test_integrated_b_passes_downstream_checks():
-    spec = tc.log_family_spec(CHART, c=0.5)
+    spec = tc.log_family_spec(CHART)
     out = tc.integrate_b(spec,
                          b1_edge=lambda u1: np.sqrt(u1 - 0.5),
                          b2_edge=lambda u2: np.sqrt(2.0 - u2))
@@ -124,7 +124,7 @@ def test_constant_curvature_member():
     """With b^2 = (u1 - u2)/(4K) the n=3 metric has constant curvature K and
     pairs with the flat n=2 metric into a constant-curvature pencil."""
     k = 0.25
-    spec = tc.log_family_spec(CHART, c=0.5, k=k)
+    spec = tc.log_family_spec(CHART, k=k)
     g3 = tc.g_family(spec, 3)
     assert geo.constant_curvature_residual(g3, k) <= 1e-5
     assert geo.flatness_residual(g3) >= 1e-2
