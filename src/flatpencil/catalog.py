@@ -394,15 +394,14 @@ def _run_dressing_separable(order: int):
 def reduced_pipeline():
     """Windowed two-component data pushed through the whole chain."""
     pots = zd.gaussian_set(2, amplitude=0.4, include_diagonal=True)
-    chart = GridChart((-0.3, -0.3), (0.3, 0.3), (9, 9))
+    chart = GridChart((-0.3, -0.3), (0.3, 0.3), (13, 13))
     profile = ls.constant_profile((2.0, 2.0))
-    field = zd.extract_beta(pots, chart, profile=profile)
-    frame = field.frame()
-    return pots, chart, profile, frame
+    return pots, profile, zd.extract_beta(pots, chart, profile=profile)
 
 
 def _run_dressing_reduced(order: int):
-    pots, chart, profile, frame = reduced_pipeline()
+    pots, profile, field = reduced_pipeline()
+    frame = field.frame()
     lame = ls.lame_residuals(frame, order)
     red = ls.reduction_residual(frame, profile, order)
     pen = ls.metric_pair_from_frame(frame, profile, order, tol=1e-4)
@@ -411,6 +410,7 @@ def _run_dressing_reduced(order: int):
         zd.DressingProblem(pots, (0.1, -0.1), profile=profile)
     )
     return [
+        CheckRow("quadrature_error", field.quadrature_error, zd.QUADRATURE_TOL),
         CheckRow("lame", lame.max_residual, 1e-5),
         CheckRow("reduction", red.residual, 1e-5),
         CheckRow("pair_flat", flat.max_residual, 1e-4),

@@ -439,6 +439,7 @@ def _run_dress(scenario, settings):
         "panels": problem.panels,
         "nodes_per_panel": problem.nodes_per_panel,
         "conditioning": sol.cond,
+        "quadrature_error": zd.quadrature_change(problem, sol),
     }
     return rows, meta, {}
 

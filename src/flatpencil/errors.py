@@ -164,6 +164,18 @@ class TruncationInsufficient(FlatpencilError):
         )
 
 
+class QuadratureUnresolved(FlatpencilError):
+    """No rung of the panel ladder converges to the quadrature bound."""
+
+    def __init__(self, estimate, tol, panels):
+        self.estimate = estimate
+        self.tol = tol
+        self.panels = panels
+        super().__init__(
+            f"quadrature change {estimate:.3e} exceeds {tol:.3e} up to {panels} panels"
+        )
+
+
 class SchemaError(FlatpencilError):
     """A scenario file does not match the documented schema."""
 

@@ -32,12 +32,21 @@ Gauss–Legendre panels on ``[s, s + L]`` (the semi-infinite integral is
 truncated at the decay length ``L``), dense collocation solve, and the same
 quadrature identity evaluates ``K`` off the nodes — in particular on the
 diagonal ``s' = s`` where ``beta`` lives.
+
+A single solve uses :data:`DEFAULT_PANELS` panels unless told otherwise.  A
+window over a chart sizes its own rule: at its corners and centre it solves
+on each rung of :data:`PANEL_LADDER` and stops at the first pair of
+neighbouring rungs whose ``beta`` and seed functions agree to
+:data:`QUADRATURE_TOL`, since Gauss–Legendre Nyström converges exponentially
+for analytic kernels (Bornemann, Math. Comp. 79, 2010).  The coarser rung
+of that pair serves the whole window, and the field reports it with the
+change it showed; no converged pair raises :class:`QuadratureUnresolved`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,6 +56,7 @@ from .errors import (
     IllConditioned,
     NonFiniteProfile,
     NonFiniteSample,
+    QuadratureUnresolved,
     SignChangeOnRange,
     TruncationInsufficient,
 )
@@ -59,6 +69,11 @@ TAIL_REL_TOL = 1e-10
 COND_CAP = 1e12
 DEFAULT_PANELS = 16
 DEFAULT_NODES_PER_PANEL = 6
+#: panel counts the window's quadrature search climbs, coarsest first
+PANEL_LADDER = (4, 5, 6, 8, 10, 12, 16, 20, 24, 32)
+#: published bound on the change of ``beta`` and ``psi`` from a ladder rung
+#: to the next finer one
+QUADRATURE_TOL = 1e-10
 SKEW_PROBE_TOL = 1e-9
 #: seeded (s, s') probes drawn from [-1.5, 1.5]^2, and the central-difference
 #: step, of :func:`reduction_identity_residual`
@@ -614,7 +629,13 @@ def solve_marchenko(
 
 @dataclass
 class DressedField:
-    """``beta`` (and seed coefficients) solved at every chart node."""
+    """``beta`` (and seed coefficients) solved at every chart node.
+
+    ``panels`` is the rung the quadrature search chose and
+    ``quadrature_error`` its estimate, the largest change of ``beta`` and
+    ``psi`` at the probe nodes against the next finer rung; both are None
+    when the caller fixed the panel count.
+    """
 
     chart: GridChart
     s: float
@@ -623,6 +644,8 @@ class DressedField:
     profile: ReductionProfile | None
     cond_probe: float | None
     max_residual: float
+    panels: int | None
+    quadrature_error: float | None
 
     def frame(self, eps: Sequence[int] | None = None) -> LameFrame:
         n = self.chart.dim
@@ -636,7 +659,7 @@ def extract_beta(
     chart: GridChart,
     profile: ReductionProfile | None = None,
     s: float = 0.0,
-    panels: int = DEFAULT_PANELS,
+    panels: int | None = None,
     nodes_per_panel: int = DEFAULT_NODES_PER_PANEL,
     length: float | None = None,
     use_tilde: bool = False,
@@ -650,44 +673,88 @@ def extract_beta(
     the non-finite, truncation and sign gates and reports its collocation
     residual; conditioning is probed at the chart's corners and centre, and
     ``cond_probe`` is the worst of them.
+
+    Without ``panels``, the panel count comes from the window's own
+    convergence: ``beta`` and ``psi`` are solved at the corners and centre
+    on each rung of :data:`PANEL_LADDER` and compared with the next finer
+    rung; the window takes the coarser rung of the first pair whose largest
+    change is within :data:`QUADRATURE_TOL`, and reports that rung and that
+    change as ``panels`` and ``quadrature_error``.  No converged pair up to
+    the finest rung raises :class:`QuadratureUnresolved`.  An explicit
+    ``panels`` is used as given, without a search.
     """
     n = potentials.n
     if chart.dim != n:
         raise ValueError("chart dimension must equal the component count")
+    if (panels is not None and panels < 1) or nodes_per_panel < 2:
+        raise ValueError("need at least one panel of at least two nodes")
+    if use_tilde and profile is None:
+        raise ValueError("no reduction profile on this problem")
     if length is None:
         reach = max(max(abs(lo), abs(hi)) for lo, hi in zip(chart.lower, chart.upper))
         length = potentials.envelope + reach + abs(s) + 1.0
     points = np.stack(chart.meshgrid(), axis=-1).reshape(-1, n)
-    window = DressingProblem(
-        potentials, points[0], profile=profile, s=s, length=length,
-        panels=panels, nodes_per_panel=nodes_per_panel,
-    )
-    if use_tilde and profile is None:
-        raise ValueError("no reduction profile on this problem")
-    nodes, weights = _panel_quadrature(s, length, panels, nodes_per_panel)
     probe = np.zeros(chart.shape, dtype=bool)
     probe[np.ix_(*[[0, m - 1] for m in chart.shape])] = True
     probe[tuple(m // 2 for m in chart.shape)] = True
     probe = probe.ravel()
 
-    size = max(1, BATCH_BYTES // (8 * (n * len(nodes)) ** 2))
-    parts = []
-    for start in range(0, len(points), size):
-        u = points[start:start + size]
-        kernel = PotentialKernel(
-            potentials, u, profile if use_tilde else None, window.t_range()
-        )
-        k_nodes, k_ss, residual, cond = _solve_batch(
-            kernel, u, s, length, nodes, weights, probe[start:start + size]
-        )
-        psi = _dressed_seeds(k_nodes, weights, s, nodes, u, seeds)
-        # beta_{ij} = K_{ji}(s, s)
-        parts.append((k_ss.swapaxes(1, 2), psi, residual, cond))
-    beta, psi, residual, cond = (np.concatenate(p) for p in zip(*parts))
+    def solve(u: np.ndarray, rung: int, cond: np.ndarray):
+        """beta, psi, residual and condition number (NaN where ``cond`` is
+        unset) at the points ``u``, batch by batch."""
+        nodes, weights = _panel_quadrature(s, length, rung, nodes_per_panel)
+        size = max(1, BATCH_BYTES // (8 * (n * len(nodes)) ** 2))
+        parts = []
+        for start in range(0, len(u), size):
+            batch = u[start:start + size]
+            kernel = PotentialKernel(
+                potentials, batch, profile if use_tilde else None, (s, s + length)
+            )
+            k_nodes, k_ss, residual, c = _solve_batch(
+                kernel, batch, s, length, nodes, weights, cond[start:start + size]
+            )
+            psi = _dressed_seeds(k_nodes, weights, s, nodes, batch, seeds)
+            # beta_{ij} = K_{ji}(s, s)
+            parts.append((k_ss.swapaxes(1, 2), psi, residual, c))
+        return [np.concatenate(p) for p in zip(*parts)]
+
+    estimate = None
+    if panels is None:
+        panels, estimate = _converged_rung(solve, points[probe])
+    beta, psi, residual, cond = solve(points, panels, probe)
     return DressedField(
         chart, s, beta.reshape(chart.shape + (n, n)), psi.reshape(chart.shape + (n,)),
         profile, float(np.max(cond[probe])), float(np.max(residual)),
+        None if estimate is None else panels, estimate,
     )
+
+
+def _converged_rung(solve: Callable, probes: np.ndarray) -> tuple[int, float]:
+    """The coarser rung of the first pair of neighbouring ladder rungs whose
+    ``beta`` and ``psi`` at ``probes`` differ by at most
+    :data:`QUADRATURE_TOL`, and that difference."""
+    no_cond = np.zeros(len(probes), dtype=bool)
+    coarse = None
+    for rung in PANEL_LADDER:
+        beta, psi, _, _ = solve(probes, rung, no_cond)
+        if coarse is not None:
+            coarse_rung, coarse_beta, coarse_psi = coarse
+            change = gc.worst((np.max(np.abs(beta - coarse_beta)), np.max(np.abs(psi - coarse_psi))))
+            if change <= QUADRATURE_TOL:
+                return coarse_rung, change
+        coarse = (rung, beta, psi)
+    raise QuadratureUnresolved(change, QUADRATURE_TOL, PANEL_LADDER[-1])
+
+
+def quadrature_change(problem: DressingProblem, solution: DressingSolution) -> float:
+    """``max |beta_p - beta_p'|`` at the problem's point: ``p`` is
+    ``problem.panels`` and ``p'`` the next rung of :data:`PANEL_LADDER`
+    (``2p`` beyond the ladder) — the quadrature estimate of one solve."""
+    finer = next((rung for rung in PANEL_LADDER if rung > problem.panels), 2 * problem.panels)
+    reference = solve_marchenko(
+        replace(problem, panels=finer), kernel=solution.kernel, estimate_cond=False
+    )
+    return float(np.max(np.abs(reference.beta() - solution.beta())))
 
 
 # ---------------------------------------------------------------------------

@@ -233,9 +233,13 @@ def test_criterion_06_dressing_solver():
           rows)
 
 
+# 11 points per axis leave 3 interior nodes per axis after the order-4 margin
+CRITERION_07_CHART = GridChart((-0.25, -0.25, -0.25), (0.25, 0.25, 0.25), (11, 11, 11))
+
+
 def test_criterion_07_three_component_window():
     pots = catalog.dressing_gaussian_set()
-    chart = GridChart((-0.25, -0.25, -0.25), (0.25, 0.25, 0.25), (9, 9, 9))
+    chart = CRITERION_07_CHART
     profile = ls.constant_profile((2.0, 2.0, 2.0))
     field = zd.extract_beta(pots, chart, profile=profile)
     frame = field.frame()
@@ -244,11 +248,19 @@ def test_criterion_07_three_component_window():
     pen = ls.metric_pair_from_frame(frame, profile, tol=1e-4)
     flat = pc.check_compatible(pen, "flat")
     _emit(7, "dressed three-component window yields a compatible flat pair", [
+        ("quadrature_error", field.quadrature_error, "<=", zd.QUADRATURE_TOL),
         ("rotation_system", max(lam.off_diagonal.values()), "<=", 1e-5),
         ("diagonal_system", max(lam.diagonal.values()), "<=", 1e-5),
         ("reduction_system", red.residual, "<=", 1e-5),
         ("pair_flatness", flat.max_residual, "<=", 1e-4),
     ])
+
+
+def test_dressed_windows_reduce_over_more_than_one_node():
+    """A defect off the centre node of a dressed window must reach its rows."""
+    _, _, field = catalog.reduced_pipeline()
+    for chart in (CRITERION_07_CHART, field.chart):
+        assert all(s.stop - s.start > 1 for s in chart.interior(catalog.DEFAULT_ORDER))
 
 
 def test_criterion_08_reduction_pdes():

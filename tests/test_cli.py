@@ -11,6 +11,7 @@ import pytest
 from flatpencil import cli
 from flatpencil import geometry_core as geo
 from flatpencil import pencil_checker as pc
+from flatpencil import zakharov_dressing as zd
 from flatpencil.grid_calculus import GridChart
 
 from conftest import count_calls
@@ -254,6 +255,21 @@ def test_reports_are_byte_identical(tmp_path, capsys):
         assert code == 0
     assert filecmp.cmp(f1, f2, shallow=False)
     assert f1.read_bytes()  # non-empty
+
+
+def test_dress_reports_its_quadrature_error(tmp_path, capsys):
+    """The change of beta from 16 panels, the default, to the next rung, 20."""
+    _, report, _ = run(tmp_path, DRESS, capsys=capsys)
+    pots = zd.gaussian_set(2, amplitude=0.4, include_diagonal=True)
+    beta = {
+        panels: zd.solve_marchenko(zd.DressingProblem(pots, (0.1, -0.1), panels=panels)).beta()
+        for panels in (16, 20)
+    }
+    error = report["metadata"]["quadrature_error"]
+    assert error == float(np.max(np.abs(beta[20] - beta[16])))
+    assert error <= zd.QUADRATURE_TOL
+    _, coarse, _ = run(tmp_path, dict(DRESS, panels=4), capsys=capsys)
+    assert coarse["metadata"]["quadrature_error"] > zd.QUADRATURE_TOL
 
 
 def test_seventeen_digit_floats(tmp_path, capsys):

@@ -8,7 +8,8 @@ import numpy.testing as npt
 import pytest
 
 from flatpencil.errors import (IllConditioned, NonFiniteProfile, NonFiniteSample,
-                               SignChangeOnRange, TruncationInsufficient)
+                               QuadratureUnresolved, SignChangeOnRange,
+                               TruncationInsufficient)
 from flatpencil.grid_calculus import GridChart
 from flatpencil import lame_system as ls
 from flatpencil import two_component as tc
@@ -219,8 +220,9 @@ def test_dressed_seeds_are_positive():
 # the batched window against pointwise solves
 
 
-def _pointwise(pots, chart, profile=None, use_tilde=False, seeds=None):
-    """Per-node ``solve_marchenko`` with the window's truncation length."""
+def _pointwise(pots, chart, panels, profile=None, use_tilde=False, seeds=None):
+    """Per-node ``solve_marchenko`` with the window's truncation length and
+    panel count."""
     reach = max(max(abs(lo), abs(hi)) for lo, hi in zip(chart.lower, chart.upper))
     length = pots.envelope + reach + 1.0
     beta = np.empty(chart.shape + (pots.n, pots.n))
@@ -228,7 +230,7 @@ def _pointwise(pots, chart, profile=None, use_tilde=False, seeds=None):
     residuals = []
     for idx in np.ndindex(chart.shape):
         u = chart.node(idx)
-        prob = zd.DressingProblem(pots, u, profile=profile, length=length)
+        prob = zd.DressingProblem(pots, u, profile=profile, length=length, panels=panels)
         kernel = prob.tilde_kernel() if use_tilde else prob.base_kernel()
         sol = zd.solve_marchenko(prob, kernel=kernel, estimate_cond=False)
         beta[idx], psi[idx] = sol.beta(), sol.psi(seeds=seeds, u=u)
@@ -260,7 +262,7 @@ def test_window_matches_pointwise_solves(name):
     make, chart, options = WINDOWS[name]
     pots = make()
     field = zd.extract_beta(pots, chart, **options)
-    beta, psi, residual = _pointwise(pots, chart, **options)
+    beta, psi, residual = _pointwise(pots, chart, field.panels, **options)
     assert np.max(np.abs(field.beta_values - beta)) <= 1e-14
     assert np.max(np.abs(field.psi_values - psi)) <= 1e-14
     assert abs(field.max_residual - residual) <= 1e-14
@@ -268,8 +270,9 @@ def test_window_matches_pointwise_solves(name):
 
 
 def test_window_size_is_not_a_batch_multiple():
-    _, chart, _ = WINDOWS["2c-7x4"]
-    batch = zd.BATCH_BYTES // (8 * (2 * zd.DEFAULT_PANELS * zd.DEFAULT_NODES_PER_PANEL) ** 2)
+    make, chart, _ = WINDOWS["2c-7x4"]
+    field = zd.extract_beta(make(), chart)
+    batch = zd.BATCH_BYTES // (8 * (2 * field.panels * zd.DEFAULT_NODES_PER_PANEL) ** 2)
     assert batch > 1 and np.prod(chart.shape) % batch != 0
 
 
@@ -278,11 +281,65 @@ def test_window_conditioning_is_worst_of_corners_and_centre():
     field = zd.extract_beta(pots, chart)
     length = pots.envelope + 0.3 + 1.0
     conds = {
-        idx: zd.solve_marchenko(zd.DressingProblem(pots, chart.node(idx), length=length)).cond
+        idx: zd.solve_marchenko(
+            zd.DressingProblem(pots, chart.node(idx), length=length, panels=field.panels)
+        ).cond
         for idx in [(0, 0), (0, 4), (4, 0), (4, 4), (2, 2)]
     }
     assert field.cond_probe == max(conds.values())
     assert len(set(conds.values())) > 1
+
+
+# beta and psi of the 2x2 window below with the fixed 16 x 6 rule, as the
+# extractor gave them before the panel count became adaptive
+FIXED_RULE_BETA = [
+    [[[-0.1894343160767852, 0.015192528822021368], [-0.11722388689714416, -0.0950718323827838]],
+     [[-0.1875922871243668, -0.09221242682414016], [-0.11078170015205022, -0.07859626643956774]]],
+    [[[-0.15519446307834905, 0.016205890705626513], [0.05400871282779056, -0.09538135052021876]],
+     [[-0.1561000414767055, -0.0983946181608631], [0.05105694104204979, -0.0768202930643491]]],
+]
+FIXED_RULE_PSI = [
+    [[0.6559419754166824, 0.898812024328409], [0.6161281289395699, 0.8383219751954856]],
+    [[0.8987976140663928, 0.9061397393030876], [0.9167375036470404, 0.7944697710488563]],
+]
+
+
+def test_explicit_panels_are_used_without_a_search():
+    chart = GridChart((-0.3, -0.2), (0.3, 0.2), (2, 2))
+    field = zd.extract_beta(_gaussian2(), chart, panels=16)
+    assert field.beta_values.tolist() == FIXED_RULE_BETA
+    assert field.psi_values.tolist() == FIXED_RULE_PSI
+    assert field.panels is None and field.quadrature_error is None
+
+
+@pytest.mark.parametrize("make, chart", [
+    (_gaussian2, GridChart((-0.3, -0.3), (0.3, 0.3), (7, 7))),
+    (lambda: zd.gaussian_set(3, amplitude=0.4, include_diagonal=True),
+     GridChart((-0.25,) * 3, (0.25,) * 3, (3, 3, 3))),
+], ids=["2c", "3c"])
+def test_chosen_rung_holds_at_every_node(make, chart):
+    """The estimate is taken at the corners and centre; the rung it picks
+    must agree with a 32-panel rule at every node of the window."""
+    pots = make()
+    field = zd.extract_beta(pots, chart)
+    fine = zd.extract_beta(pots, chart, panels=32)
+    assert field.panels in zd.PANEL_LADDER and field.panels < 32
+    assert field.quadrature_error <= zd.QUADRATURE_TOL
+    assert np.max(np.abs(field.beta_values - fine.beta_values)) <= zd.QUADRATURE_TOL
+    assert np.max(np.abs(field.psi_values - fine.psi_values)) <= zd.QUADRATURE_TOL
+
+
+def test_unresolvable_quadrature_raises():
+    """A pair of width 0.01 under panels 0.0625 wide at the finest rung."""
+    pair = zd.gaussian_pair(0.05, 0.01, x0=0.01, y0=0.01)
+    pots = zd.PotentialSet(2, {(0, 1): pair}, {}, envelope=1.0)
+    chart = GridChart((-0.001, -0.001), (0.001, 0.001), (3, 3))
+    with pytest.raises(QuadratureUnresolved) as err:
+        zd.extract_beta(pots, chart)
+    assert err.value.panels == zd.PANEL_LADDER[-1] == 32
+    assert err.value.tol == zd.QUADRATURE_TOL
+    assert err.value.estimate > 1e-3
+    assert "up to 32 panels" in str(err.value)
 
 
 def test_raw_kernel_solve_matches_closed_forms():
