@@ -15,6 +15,7 @@ conditioned on its own chart.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -326,7 +327,7 @@ def dressing_gaussian_set() -> zd.PotentialSet:
     return zd.gaussian_set(3, amplitude=0.4, include_diagonal=True)
 
 
-def _run_dressing_gaussian(order: int):
+def _run_dressing_gaussian(_order: int):
     pots = dressing_gaussian_set()
     prob = zd.DressingProblem(pots, (0.1, -0.2, 0.25))
     sol = zd.solve_marchenko(prob)
@@ -344,30 +345,15 @@ def rank1_case():
     b = lambda t: 0.5 * np.exp(-0.5 * (np.asarray(t, dtype=float) - 0.3) ** 2)
     raw = zd.RawKernel(1, lambda i, j, s, sp: a(s) * b(sp))
 
-    def overlap(s: float, length: float = 40.0, panels: int = 60, m: int = 12):
-        x, w = np.polynomial.legendre.leggauss(m)
-        edges = np.linspace(s, s + length, panels + 1)
-        total = 0.0
-        for k in range(panels):
-            mid = 0.5 * (edges[k] + edges[k + 1])
-            half = 0.5 * (edges[k + 1] - edges[k])
-            t = mid + half * x
-            total += half * float(np.sum(w * a(t) * b(t)))
-        return total
-
     def exact(s: float, sp) -> np.ndarray:
-        return a(s) * b(sp) / (1.0 - overlap(s))
+        # int_s^inf a b = 0.3 e^{-0.0225} int_s^inf e^{-(t - 0.15)^2} dt
+        overlap = 0.3 * math.exp(-0.0225) * 0.5 * math.sqrt(math.pi) * math.erfc(s - 0.15)
+        return a(s) * b(sp) / (1.0 - overlap)
 
     return raw, exact
 
 
-def separable_reduction_set() -> zd.PotentialSet:
-    return zd.PotentialSet(
-        2, {(0, 1): zd.separable_sum_pair(0.3, 0.2, 1.0)}, {}, envelope=8.0
-    )
-
-
-def _run_dressing_separable(order: int):
+def _run_dressing_separable(_order: int):
     raw, exact = rank1_case()
     dummy = zd.PotentialSet(1, {}, {}, envelope=6.0)
     prob = zd.DressingProblem(
@@ -380,9 +366,9 @@ def _run_dressing_separable(order: int):
     )
 
     profile = ls.constant_profile((4.0, 1.0))
-    good = zd.reduction_pde_residual(separable_reduction_set(), profile)
-    bad = zd.reduction_pde_residual(
-        zd.PotentialSet(2, {(0, 1): tc.product_potential()}, {}, envelope=8.0), profile
+    good, bad = (
+        zd.reduction_pde_residual(zd.PotentialSet(2, {(0, 1): pot}, {}, envelope=8.0), profile)
+        for pot in (zd.separable_sum_pair(0.3, 0.2, 1.0), tc.product_potential())
     )
     return [
         CheckRow("rank1_resolvent", err, 1e-9),
@@ -406,9 +392,10 @@ def _run_dressing_reduced(order: int):
     red = ls.reduction_residual(frame, profile, order)
     pen = ls.metric_pair_from_frame(frame, profile, order, tol=1e-4)
     flat = pc.check_compatible(pen, "flat", order=order)
-    tilde = zd.verify_tilde_consistency(
-        zd.DressingProblem(pots, (0.1, -0.1), profile=profile)
-    )
+    # an unequal, t-dependent profile: under equal constants the scaled
+    # kernel is the base kernel and these rows compare a solve with itself
+    linear = ls.ReductionProfile((lambda t: 2.0 + 0.2 * t, lambda t: 3.0 - 0.1 * t))
+    tilde = zd.verify_tilde_consistency(zd.DressingProblem(pots, (0.1, -0.1), profile=linear))
     return [
         CheckRow("quadrature_error", field.quadrature_error, zd.QUADRATURE_TOL),
         CheckRow("lame", lame.max_residual, 1e-5),

@@ -247,7 +247,7 @@ def _run_check_flat(scenario, settings):
     )
 
 
-def _pencil_from_scenario(scenario, kind, settings, fallback_lams=pc.DEFAULT_LAMBDA_SAMPLES):
+def _pencil_from_scenario(scenario, kind, fallback_lams=pc.DEFAULT_LAMBDA_SAMPLES):
     chart = _chart_from_spec(_need(scenario, "chart", kind))
     g1, _ = _metric_from_spec(_need(scenario, "metric", kind), chart, kind)
     g2, _ = _metric_from_spec(_need(scenario, "metric2", kind), chart, kind)
@@ -259,7 +259,7 @@ def _run_check_pencil(scenario, settings):
     mode = scenario.get("mode", "flat")
     if mode not in ("flat", "constant_curvature", "general"):
         raise SchemaError(f"unknown pencil mode {mode!r}")
-    pencil, chart = _pencil_from_scenario(scenario, "check-pencil", settings)
+    pencil, chart = _pencil_from_scenario(scenario, "check-pencil")
     rep = pc.check_compatible(
         pencil,
         mode,
@@ -283,7 +283,7 @@ def _run_check_pencil(scenario, settings):
 
 def _run_nijenhuis(scenario, settings):
     safe = ((1.0, 0.0), (0.0, 1.0))
-    pencil, chart = _pencil_from_scenario(scenario, "nijenhuis", settings, safe)
+    pencil, chart = _pencil_from_scenario(scenario, "nijenhuis", safe)
     aff = pc.affinor(pencil)
     spectrum = pc.nonsingularity(pencil)
     residual = pc.nijenhuis(aff, settings["order"])
@@ -303,7 +303,7 @@ def _run_nijenhuis(scenario, settings):
 
 def _run_diagonal_form(scenario, settings):
     safe = ((1.0, 0.0), (0.0, 1.0))
-    pencil, chart = _pencil_from_scenario(scenario, "diagonal-form", settings, safe)
+    pencil, chart = _pencil_from_scenario(scenario, "diagonal-form", safe)
     rep = pc.check_diagonal_form(pencil, settings["order"])
     rows = [
         CheckRow("ratio_cross_derivative", rep.residual, settings["tolerance"]),
@@ -435,7 +435,7 @@ def _run_dress(scenario, settings):
     meta = {
         "components": pots.n,
         "point": list(point),
-        "truncation_length": problem.truncation_length(),
+        "truncation_length": problem.length,
         "panels": problem.panels,
         "nodes_per_panel": problem.nodes_per_panel,
         "conditioning": sol.cond,

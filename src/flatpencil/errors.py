@@ -137,10 +137,13 @@ class ResidualsTooLarge(FlatpencilError):
 
 
 class VanishingB(FlatpencilError):
-    """An integrated diagonal entry b^i collapsed below the floor."""
+    """A diagonal entry ``b1`` or ``b2`` collapsed below the floor."""
 
-    def __init__(self, node, value, floor):
-        super().__init__(f"|b| = {abs(value):.3e} < floor {floor:.3e} at node {self._at(node)}")
+    def __init__(self, name, node, value, floor, coords):
+        self.name = name
+        super().__init__(
+            f"|{name}| = {abs(value):.3e} < floor {floor:.3e} at node {self._at(node, coords)}"
+        )
 
 
 class IllConditioned(FlatpencilError):

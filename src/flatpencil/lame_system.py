@@ -200,7 +200,6 @@ def lame_residuals(frame: LameFrame, order: int = DEFAULT_ORDER) -> LameResidual
         raise ValueError("need at least two coordinates")
     beta = frame.beta
     dbeta = gc.stacked_partials(beta, order, chart)  # [..., a, i, j] = d_a beta_{ij}
-    eps = np.asarray(frame.eps, dtype=float)
 
     off_diagonal: dict[tuple[int, int, int], float] = {}
     for i in range(n):
@@ -211,18 +210,8 @@ def lame_residuals(frame: LameFrame, order: int = DEFAULT_ORDER) -> LameResidual
                 dev = dbeta[..., k, i, j] - beta[..., i, k] * beta[..., k, j]
                 off_diagonal[(i, j, k)] = gc.interior_max(dev, chart, order)
 
-    diagonal: dict[tuple[int, int], float] = {}
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            dev = eps[i] * dbeta[..., i, i, j] + eps[j] * dbeta[..., j, j, i]
-            for s in range(n):
-                if s in (i, j):
-                    continue
-                dev = dev + eps[s] * beta[..., s, i] * beta[..., s, j]
-            diagonal[(i, j)] = gc.interior_max(dev, chart, order)
-
+    unit = np.ones(n)
+    diagonal = _diagonal_family(frame, dbeta, (1,) * n, unit, unit, order)
     return LameResidualReport(off_diagonal, diagonal)
 
 
@@ -254,16 +243,21 @@ def reduction_residual(
     frames.
     """
     chart = frame.chart
-    n = frame.dim
     signs = profile.signs_on(chart)
     fvals = profile.values_on(chart)  # [..., s]
     gamma = np.sqrt(np.abs(fvals))  # [..., i]
-    eps = np.asarray(frame.eps, dtype=float)
-    beta = frame.beta
-
-    weighted = gamma[..., :, None] * beta  # [..., i, j] = sqrt|f^i| beta_{ij}
+    weighted = gamma[..., :, None] * frame.beta  # [..., i, j] = sqrt|f^i| beta_{ij}
     dweighted = gc.stacked_partials(weighted, order, chart)  # [..., a, i, j]
+    return ReductionReport(_diagonal_family(frame, dweighted, signs, gamma, fvals, order))
 
+
+def _diagonal_family(frame, dweighted, signs, gamma, fvals, order) -> dict:
+    """Interior maxima of the weighted diagonal family per ordered pair, from
+    ``dweighted[..., a, i, j] = d_a (gamma_i beta_{ij})``; ``gamma[..., i]``
+    and ``fvals[..., s]`` broadcast against the grid (unit weights give the
+    plain family)."""
+    chart, n, beta = frame.chart, frame.dim, frame.beta
+    eps = np.asarray(frame.eps, dtype=float)
     pairs: dict[tuple[int, int], float] = {}
     for i in range(n):
         for j in range(n):
@@ -278,7 +272,7 @@ def reduction_residual(
                     continue
                 dev = dev + eps[s] * fvals[..., s] * beta[..., s, i] * beta[..., s, j]
             pairs[(i, j)] = gc.interior_max(dev, chart, order)
-    return ReductionReport(pairs)
+    return pairs
 
 
 def tilde_frame(frame: LameFrame, profile: ReductionProfile) -> LameFrame:

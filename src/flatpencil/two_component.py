@@ -128,7 +128,7 @@ class TwoComponentSpec:
                 b = np.asarray(b, dtype=float)
                 if b.shape != self.chart.shape:
                     raise ValueError(f"{name} must be a grid scalar field")
-                _check_nonvanishing(b, name)
+                _check_nonvanishing(b, name, self.chart)
                 object.__setattr__(self, name, b)
 
     def with_b(self, b1: np.ndarray, b2: np.ndarray) -> "TwoComponentSpec":
@@ -147,13 +147,15 @@ class TwoComponentSpec:
         )
 
 
-def _check_nonvanishing(b: np.ndarray, name: str):
+def _check_nonvanishing(b: np.ndarray, name: str, chart: GridChart):
+    """:class:`VanishingB` naming the field ``name`` and the node, with its
+    coordinates, where ``|b|`` falls under the floor."""
     floor = B_FLOOR_SCALE * max(1.0, float(np.max(np.abs(b))))
     worst = int(np.argmin(np.abs(b)))
     value = float(b.flat[worst])
     if not abs(value) >= floor:  # a NaN (argmin's first pick) fails too
         node = np.unravel_index(worst, b.shape)
-        raise VanishingB(node, value, floor)
+        raise VanishingB(name, node, value, floor, chart.node(node))
 
 
 def lequa_residual(spec: TwoComponentSpec, order: int = DEFAULT_ORDER) -> float:
@@ -236,37 +238,31 @@ def integrate_b(
         b1_grid[:, r + 1] = row
         b2_grid[:, r + 1] = row_b2(row, y[r + 1])
 
-    _check_nonvanishing(b1_grid, "b1")
-    _check_nonvanishing(b2_grid, "b2")
+    _check_nonvanishing(b1_grid, "b1", chart)
+    _check_nonvanishing(b2_grid, "b2", chart)
+    return IntegrationResult(b1_grid, b2_grid, _system_rows(spec, b1_grid, b2_grid, order))
 
-    u1, u2 = np.meshgrid(x, y, indexing="ij")
-    r_b2 = gc.differentiate_array(b2_grid, chart, 0, order) - eps1 * np.asarray(
-        f_u2(u1, u2), dtype=float
-    ) * b1_grid
-    r_b1 = gc.differentiate_array(b1_grid, chart, 1, order) + eps2 * np.asarray(
-        f_u1(u1, u2), dtype=float
-    ) * b2_grid
-    consistency = {
+
+def _system_rows(spec: TwoComponentSpec, b1, b2, order: int) -> dict[str, float]:
+    """Max interior residual of each equation of (*) for the fields ``b1, b2``."""
+    chart = spec.chart
+    u1, u2 = chart.meshgrid()
+    eps1, eps2 = spec.eps
+    f_u1 = np.asarray(spec.potential.dx(u1, u2), dtype=float)
+    f_u2 = np.asarray(spec.potential.dy(u1, u2), dtype=float)
+    r_b2 = gc.differentiate_array(b2, chart, 0, order) - eps1 * f_u2 * b1
+    r_b1 = gc.differentiate_array(b1, chart, 1, order) + eps2 * f_u1 * b2
+    return {
         "b2_equation": gc.interior_max(r_b2, chart, order),
         "b1_equation": gc.interior_max(r_b1, chart, order),
     }
-    return IntegrationResult(b1_grid, b2_grid, consistency)
 
 
 def system_residual(spec: TwoComponentSpec, order: int = DEFAULT_ORDER) -> float:
     """Max interior residual of (*) for *given* ``b`` fields."""
     if spec.b1 is None or spec.b2 is None:
         raise ValueError("system_residual needs b fields set on the TwoComponentSpec")
-    chart = spec.chart
-    u1, u2 = chart.meshgrid()
-    eps1, eps2 = spec.eps
-    f_u1 = np.asarray(spec.potential.dx(u1, u2), dtype=float)
-    f_u2 = np.asarray(spec.potential.dy(u1, u2), dtype=float)
-    r_b2 = gc.differentiate_array(spec.b2, chart, 0, order) - eps1 * f_u2 * spec.b1
-    r_b1 = gc.differentiate_array(spec.b1, chart, 1, order) + eps2 * f_u1 * spec.b2
-    return gc.worst(
-        (gc.interior_max(r_b2, chart, order), gc.interior_max(r_b1, chart, order))
-    )
+    return gc.worst(_system_rows(spec, spec.b1, spec.b2, order).values())
 
 
 def build_pair(
@@ -278,8 +274,8 @@ def build_pair(
 
     if spec.b1 is None or spec.b2 is None:
         raise ValueError("build_pair needs b fields set on the TwoComponentSpec")
-    _check_nonvanishing(spec.b1, "b1")
-    _check_nonvanishing(spec.b2, "b2")
+    _check_nonvanishing(spec.b1, "b1", spec.chart)
+    _check_nonvanishing(spec.b2, "b2", spec.chart)
     chart = spec.chart
     eps1, eps2 = spec.eps
     f1, f2 = spec.f_values()

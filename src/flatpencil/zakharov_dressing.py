@@ -250,7 +250,6 @@ class PotentialKernel:
     ):
         self.potentials = potentials
         self._u = np.asarray(u, dtype=float)
-        self.u = tuple(float(v) for v in self._u) if self._u.ndim == 1 else self._u
         self.n = potentials.n
         if self._u.shape[-1:] != (self.n,):
             raise ValueError("evaluation point length must match component count")
@@ -341,9 +340,10 @@ def reduction_identity_residual(kernel, seed: int = 0) -> float:
 def pair_pde_residual(
     pot: Potential, fi: Callable, fj: Callable, probes: np.ndarray
 ) -> float:
-    """Residual of the off-diagonal reduction PDE at probe points ``(x, y)``:
+    """Residual of the reduction PDE at probe points ``(x, y)``:
 
-    ``2 Phi_xy (fi(-x) - fj(-y)) - Phi_y fi'(-x) + Phi_x fj'(-y)``.
+    ``2 Phi_xy (fi(-x) - fj(-y)) - Phi_y fi'(-x) + Phi_x fj'(-y)``;
+    with ``fj = fi`` it is the equation of a diagonal potential.
     """
     probes = np.asarray(probes, dtype=float)
     x, y = probes[:, 0], probes[:, 1]
@@ -355,25 +355,6 @@ def pair_pde_residual(
         2.0 * pot.dxy(x, y) * (fi_v - fj_v)
         - pot.dy(x, y) * fip
         + pot.dx(x, y) * fjp
-    )
-    return float(np.max(np.abs(res)))
-
-
-def diagonal_pde_residual(pot: Potential, fi: Callable, probes: np.ndarray) -> float:
-    """Residual of the diagonal reduction PDE at probe points ``(x, y)``:
-
-    ``2 Phi_xy (fi(-x) - fi(-y)) + Phi_x fi'(-y) - Phi_y fi'(-x)``.
-    """
-    probes = np.asarray(probes, dtype=float)
-    x, y = probes[:, 0], probes[:, 1]
-    fi_x = gc.as_grid(fi(-x), x.shape)
-    fi_y = gc.as_grid(fi(-y), y.shape)
-    fpx = gc.as_grid(gc.central_difference(fi, (-x,)), x.shape)
-    fpy = gc.as_grid(gc.central_difference(fi, (-y,)), y.shape)
-    res = (
-        2.0 * pot.dxy(x, y) * (fi_x - fi_y)
-        + pot.dx(x, y) * fpy
-        - pot.dy(x, y) * fpx
     )
     return float(np.max(np.abs(res)))
 
@@ -391,28 +372,20 @@ class ReductionPdeReport:
 def reduction_pde_residual(
     potentials: PotentialSet,
     profile: ReductionProfile,
-    probes: np.ndarray | None = None,
-    seed: int = 0,
 ) -> ReductionPdeReport:
-    """Evaluate both reduction PDE families at probe points.
-
-    Probes default to a seeded uniform sample in the envelope; pass explicit
-    ``(x, y)`` rows for potentials with a constrained domain (e.g. the log
-    potential needs ``y > x``).
+    """Evaluate both reduction PDE families at 25 seeded probe points in the
+    envelope; the diagonal family is the pair equation with ``f^j = f^i``.
     """
     if len(profile.funcs) != potentials.n:
         raise ValueError("profile length must match component count")
-    if probes is None:
-        rng = np.random.default_rng(seed)
-        r = min(potentials.envelope / 2, 2.0)
-        probes = rng.uniform(-r, r, size=(25, 2))
-    probes = np.asarray(probes, dtype=float)
+    r = min(potentials.envelope / 2, 2.0)
+    probes = np.random.default_rng(0).uniform(-r, r, size=(25, 2))
     off = {
         (i, j): pair_pde_residual(pot, profile.funcs[i], profile.funcs[j], probes)
         for (i, j), pot in potentials.off_diagonal.items()
     }
     diag = {
-        i: diagonal_pde_residual(pot, profile.funcs[i], probes)
+        i: pair_pde_residual(pot, profile.funcs[i], profile.funcs[i], probes)
         for i, pot in potentials.diagonal.items()
     }
     return ReductionPdeReport(off, diag)
@@ -422,8 +395,23 @@ def reduction_pde_residual(
 # the integral-equation solve
 
 
+def _truncation_length(
+    potentials: PotentialSet, coords, s: float, panels: int | None, nodes_per_panel: int
+) -> float:
+    """The length ``L`` of the quadrature range ``[s, s + L]`` for points with
+    coordinates among ``coords``: the decay envelope past the farthest
+    coordinate and ``|s|``, plus one.  Checks the panel rule on the way."""
+    if (panels is not None and panels < 1) or nodes_per_panel < 2:
+        raise ValueError("need at least one panel of at least two nodes")
+    reach = max((abs(v) for v in coords), default=0.0)
+    return potentials.envelope + reach + abs(s) + 1.0
+
+
 @dataclass(frozen=True)
 class DressingProblem:
+    """One point ``u`` of the dressing problem; ``length`` is the truncation
+    length, :func:`_truncation_length` of ``u`` when not given."""
+
     potentials: PotentialSet
     u: tuple[float, ...]
     profile: ReductionProfile | None = None
@@ -436,17 +424,10 @@ class DressingProblem:
         object.__setattr__(self, "u", tuple(float(v) for v in self.u))
         if len(self.u) != self.potentials.n:
             raise ValueError("evaluation point length must match component count")
-        if self.panels < 1 or self.nodes_per_panel < 2:
-            raise ValueError("need at least one panel of at least two nodes")
-
-    def truncation_length(self) -> float:
-        if self.length is not None:
-            return float(self.length)
-        reach = max((abs(v) for v in self.u), default=0.0)
-        return self.potentials.envelope + reach + abs(self.s) + 1.0
-
-    def t_range(self) -> tuple[float, float]:
-        return (self.s, self.s + self.truncation_length())
+        length = _truncation_length(
+            self.potentials, self.u, self.s, self.panels, self.nodes_per_panel
+        )
+        object.__setattr__(self, "length", length if self.length is None else float(self.length))
 
     def base_kernel(self) -> PotentialKernel:
         return PotentialKernel(self.potentials, self.u)
@@ -455,7 +436,7 @@ class DressingProblem:
         if self.profile is None:
             raise ValueError("no reduction profile on this problem")
         return PotentialKernel(
-            self.potentials, self.u, ratio_profile=self.profile, t_range=self.t_range()
+            self.potentials, self.u, self.profile, (self.s, self.s + self.length)
         )
 
 
@@ -476,6 +457,7 @@ class DressingSolution:
     nodes: np.ndarray
     weights: np.ndarray
     k_nodes: np.ndarray  # [i, l, m] = K_{il}(s, q_m)
+    k_ss: np.ndarray  # [i, j] = K_{ij}(s, s)
     residual: float
     cond: float | None
 
@@ -496,34 +478,21 @@ class DressingSolution:
 
     def beta(self) -> np.ndarray:
         """``beta_{ij} = K_{ji}(s, s)``."""
-        return self.k_at(self.s).T.copy()
+        return self.k_ss.T.copy()
 
-    def psi(self, seeds: Sequence[Callable] | None = None, u: Sequence[float] | None = None) -> np.ndarray:
-        """Dressed seed functions ``Psi_i = h_i(s - u^i) + sum_l int K_il h_l``.
-
-        With the default unit seeds this is the canonical positive solution
-        of ``d Psi_k / d u^i = beta_{ik} Psi_i`` — i.e. ready-made Lamé
-        coefficients for the metric generated by ``beta``.
-        """
-        if seeds is not None and u is None:
-            u = getattr(self.kernel, "u", None)
-            if u is None:
-                raise ValueError("seed evaluation needs the point u")
-        points = None if u is None else np.array([u], dtype=float)
-        psi = _dressed_seeds(self.k_nodes[None], self.weights, self.s, self.nodes, points, seeds)
-        return psi[0]
+    def psi(self) -> np.ndarray:
+        """Dressed unit seeds ``Psi_i = 1 + sum_l int K_il``: the canonical
+        positive solution of ``d Psi_k / d u^i = beta_{ik} Psi_i`` — i.e.
+        ready-made Lamé coefficients for the metric generated by ``beta``."""
+        return _dressed_seeds(self.k_nodes[None], self.weights)[0]
 
 
-def _dressed_seeds(k_nodes, weights, s, nodes, points, seeds) -> np.ndarray:
-    """``Psi_i = h_i(s - u^i) + sum_l int K_il h_l`` at a batch of points
-    (unit seeds ``h`` when ``seeds`` is None)."""
-    batch, n = k_nodes.shape[:2]
-    if seeds is None:
-        head, tail = np.ones((batch, n)), np.ones((batch, n, len(nodes)))
-    else:
-        head = np.stack([seeds[i](s - points[:, i]) for i in range(n)], axis=-1)
-        tail = np.stack([seeds[l](nodes - points[:, l, None]) for l in range(n)], axis=1)
-    return head + np.einsum("bilm,m,blm->bi", k_nodes, weights, tail)
+def _dressed_seeds(k_nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``Psi_i = 1 + sum_l int K_il`` at a batch of points."""
+    batch, n, _, q = k_nodes.shape
+    # the unit factor keeps einsum's summation order, so psi stays bit for bit
+    ones = np.ones((batch, n, q))
+    return np.ones((batch, n)) + np.einsum("bilm,m,blm->bi", k_nodes, weights, ones)
 
 
 def _solve_batch(
@@ -611,14 +580,14 @@ def solve_marchenko(
     """
     if kernel is None:
         kernel = problem.base_kernel()
-    s, length = problem.s, problem.truncation_length()
+    s, length = problem.s, problem.length
     nodes, weights = _panel_quadrature(s, length, problem.panels, problem.nodes_per_panel)
-    k_nodes, _, residual, cond = _solve_batch(
+    k_nodes, k_ss, residual, cond = _solve_batch(
         kernel, np.array([problem.u]), s, length, nodes, weights,
         np.array([estimate_cond]), cond_cap,
     )
     return DressingSolution(
-        kernel, s, nodes, weights, k_nodes[0], float(residual[0]),
+        kernel, s, nodes, weights, k_nodes[0], k_ss[0], float(residual[0]),
         float(cond[0]) if estimate_cond else None,
     )
 
@@ -638,37 +607,31 @@ class DressedField:
     """
 
     chart: GridChart
-    s: float
     beta_values: np.ndarray  # grid + (N, N)
     psi_values: np.ndarray  # grid + (N,)
-    profile: ReductionProfile | None
     cond_probe: float | None
     max_residual: float
     panels: int | None
     quadrature_error: float | None
 
-    def frame(self, eps: Sequence[int] | None = None) -> LameFrame:
-        n = self.chart.dim
-        if eps is None:
-            eps = (1,) * n
-        return LameFrame(self.chart, self.psi_values, self.beta_values, tuple(eps))
+    def frame(self) -> LameFrame:
+        """The Riemannian frame ``H = psi`` of ``beta``."""
+        return LameFrame(self.chart, self.psi_values, self.beta_values, (1,) * self.chart.dim)
 
 
 def extract_beta(
     potentials: PotentialSet,
     chart: GridChart,
     profile: ReductionProfile | None = None,
-    s: float = 0.0,
     panels: int | None = None,
-    nodes_per_panel: int = DEFAULT_NODES_PER_PANEL,
-    length: float | None = None,
     use_tilde: bool = False,
-    seeds: Sequence[Callable] | None = None,
 ) -> DressedField:
-    """Solve the dressing problem at every node of a coordinate chart.
+    """Solve the dressing problem at ``s = 0`` at every node of a coordinate
+    chart, with panels of :data:`DEFAULT_NODES_PER_PANEL` nodes.
 
-    The truncation length is fixed once from the chart bounds so every node
-    shares one quadrature rule and tail probe; nodes are solved in batches
+    ``profile`` scales the kernel only with ``use_tilde``.  The truncation
+    length is fixed once from the chart bounds so every node shares one
+    quadrature rule and tail probe; nodes are solved in batches
     of about :data:`BATCH_BYTES` of collocation matrices.  Every node passes
     the non-finite, truncation and sign gates and reports its collocation
     residual; conditioning is probed at the chart's corners and centre, and
@@ -686,13 +649,12 @@ def extract_beta(
     n = potentials.n
     if chart.dim != n:
         raise ValueError("chart dimension must equal the component count")
-    if (panels is not None and panels < 1) or nodes_per_panel < 2:
-        raise ValueError("need at least one panel of at least two nodes")
     if use_tilde and profile is None:
         raise ValueError("no reduction profile on this problem")
-    if length is None:
-        reach = max(max(abs(lo), abs(hi)) for lo, hi in zip(chart.lower, chart.upper))
-        length = potentials.envelope + reach + abs(s) + 1.0
+    s = 0.0
+    length = _truncation_length(
+        potentials, (*chart.lower, *chart.upper), s, panels, DEFAULT_NODES_PER_PANEL
+    )
     points = np.stack(chart.meshgrid(), axis=-1).reshape(-1, n)
     probe = np.zeros(chart.shape, dtype=bool)
     probe[np.ix_(*[[0, m - 1] for m in chart.shape])] = True
@@ -702,7 +664,7 @@ def extract_beta(
     def solve(u: np.ndarray, rung: int, cond: np.ndarray):
         """beta, psi, residual and condition number (NaN where ``cond`` is
         unset) at the points ``u``, batch by batch."""
-        nodes, weights = _panel_quadrature(s, length, rung, nodes_per_panel)
+        nodes, weights = _panel_quadrature(s, length, rung, DEFAULT_NODES_PER_PANEL)
         size = max(1, BATCH_BYTES // (8 * (n * len(nodes)) ** 2))
         parts = []
         for start in range(0, len(u), size):
@@ -713,9 +675,8 @@ def extract_beta(
             k_nodes, k_ss, residual, c = _solve_batch(
                 kernel, batch, s, length, nodes, weights, cond[start:start + size]
             )
-            psi = _dressed_seeds(k_nodes, weights, s, nodes, batch, seeds)
             # beta_{ij} = K_{ji}(s, s)
-            parts.append((k_ss.swapaxes(1, 2), psi, residual, c))
+            parts.append((k_ss.swapaxes(1, 2), _dressed_seeds(k_nodes, weights), residual, c))
         return [np.concatenate(p) for p in zip(*parts)]
 
     estimate = None
@@ -723,8 +684,8 @@ def extract_beta(
         panels, estimate = _converged_rung(solve, points[probe])
     beta, psi, residual, cond = solve(points, panels, probe)
     return DressedField(
-        chart, s, beta.reshape(chart.shape + (n, n)), psi.reshape(chart.shape + (n,)),
-        profile, float(np.max(cond[probe])), float(np.max(residual)),
+        chart, beta.reshape(chart.shape + (n, n)), psi.reshape(chart.shape + (n,)),
+        float(np.max(cond[probe])), float(np.max(residual)),
         None if estimate is None else panels, estimate,
     )
 
@@ -778,23 +739,18 @@ def verify_tilde_consistency(problem: DressingProblem) -> TildeReport:
     if problem.profile is None:
         raise ValueError("tilde consistency needs a reduction profile")
     base = solve_marchenko(problem, estimate_cond=False)
-    tilde_kernel = problem.tilde_kernel()
-    tilde = solve_marchenko(problem, kernel=tilde_kernel, estimate_cond=False)
+    tilde = solve_marchenko(problem, kernel=problem.tilde_kernel(), estimate_cond=False)
 
-    def root(l, t):
-        return _profile_root(problem.profile.funcs[l], problem.u[l] - t)
+    def roots(t):
+        """``[l, ...] = r_l(t)``; a profile may return a scalar."""
+        return np.stack([
+            np.broadcast_to(_profile_root(fn, u - t), t.shape)
+            for fn, u in zip(problem.profile.funcs, problem.u)
+        ])
 
-    n = base.n
-    s = np.array(problem.s)
-    scaled = np.empty_like(base.k_nodes)
-    for i in range(n):
-        for l in range(n):
-            scaled[i, l] = (root(l, base.nodes) / root(i, s)) * base.k_nodes[i, l]
+    r_q, r_s = roots(base.nodes), roots(np.array(problem.s))
+    scaled = r_q[None, :, :] / r_s[:, None, None] * base.k_nodes
     kernel_dev = float(np.max(np.abs(tilde.k_nodes - scaled)))
-
-    beta_base = base.beta()
-    beta_tilde = tilde.beta()
-    r_s = np.array([float(root(l, s)) for l in range(n)])
-    expected = (r_s[:, None] / r_s[None, :]) * beta_base
-    beta_dev = float(np.max(np.abs(beta_tilde - expected)))
+    expected = (r_s[:, None] / r_s[None, :]) * base.beta()
+    beta_dev = float(np.max(np.abs(tilde.beta() - expected)))
     return TildeReport(kernel_dev, beta_dev)

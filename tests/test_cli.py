@@ -44,7 +44,9 @@ DRESS = {
     "potentials": {"preset": "gaussian", "components": 2, "amplitude": 0.4,
                    "include_diagonal": True},
     "point": [0.1, -0.1],
-    "profile": {"constant": [2.0, 2.0]},
+    # unequal and t-dependent: under equal constants the tilde rows compare
+    # a solve with itself
+    "profile": {"expressions": ["2 + 0.2*t", "3 - 0.1*t"]},
 }
 
 TWO_COMPONENT_INTEGRATE = {

@@ -48,3 +48,34 @@ def test_no_unused_imports(path):
     used = _used(tree)
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{path.name}: imported but never used: {unused}"
+
+
+def _unread_parameters(tree: ast.Module) -> list[str]:
+    """``function(parameter)`` for every parameter a ``def`` never reads.
+
+    Names starting with ``_`` are exempt: they keep a dispatch signature
+    whose callers pass the argument to every implementation.
+    """
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        read = {
+            sub.id for stmt in node.body for sub in ast.walk(stmt)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        }
+        unread += [
+            f"{node.name}({param.arg})" for param in params
+            if param is not None and not param.arg.startswith("_")
+            and param.arg not in ("self", "cls") and param.arg not in read
+        ]
+    return unread
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_parameter_is_read(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unread = _unread_parameters(tree)
+    assert not unread, f"{path.name}: parameters never read: {unread}"

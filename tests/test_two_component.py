@@ -148,6 +148,11 @@ def test_vanishing_b_names_plain_nodes_and_rejects_nan():
         tc.TwoComponentSpec(CHART, tc.log_potential(0.5), b1=b, b2=np.ones(CHART.shape))
     assert err.value.node == (3, 4)
     assert "np.int64" not in str(err.value)
+    assert err.value.name == "b1" and str(err.value).startswith("|b1| = ")
+    assert err.value.coords == (2.03125, 0.53125)  # CHART.node((3, 4))
+    assert "(3, 4) (u = (2.03125, 0.53125))" in str(err.value)
     b[3, 4] = np.nan
-    with pytest.raises(VanishingB):
-        tc.TwoComponentSpec(CHART, tc.log_potential(0.5), b1=b, b2=np.ones(CHART.shape))
+    with pytest.raises(VanishingB) as err:
+        tc.TwoComponentSpec(CHART, tc.log_potential(0.5), b1=np.ones(CHART.shape), b2=b)
+    assert err.value.name == "b2" and str(err.value).startswith("|b2| = nan")
+    assert err.value.node == (3, 4) and err.value.coords == (2.03125, 0.53125)

@@ -164,19 +164,54 @@ def test_offdiagonal_pde_closed_forms():
 
 
 def test_diagonal_pde_closed_forms():
+    """The diagonal equation is the pair equation with one profile twice."""
     log = zd.log_pair(0.7)
-    assert zd.diagonal_pde_residual(log, _identity_f, PROBES) <= 1e-10
+    assert zd.pair_pde_residual(log, _identity_f, _identity_f, PROBES) <= 1e-10
     # product kernel with the identity profile: residual is 3 (y - x)
-    val = zd.diagonal_pde_residual(tc.product_potential(), _identity_f, PROBES)
+    val = zd.pair_pde_residual(tc.product_potential(), _identity_f, _identity_f, PROBES)
     assert val == pytest.approx(4.5, rel=1e-10)
 
 
-def test_scaled_kernel_consistency_for_constant_profile():
+#: unequal and t-dependent, so the scaled kernel differs from the base one
+LINEAR_PROFILE = ls.ReductionProfile((lambda t: 2.0 + 0.2 * t, lambda t: 3.0 - 0.1 * t))
+
+
+def test_scaled_kernel_consistency_for_linear_profile():
     prob = zd.DressingProblem(zd.gaussian_set(2, amplitude=0.4), u=U2,
-                              profile=ls.constant_profile((2.0, 2.0)))
+                              profile=LINEAR_PROFILE)
     rep = zd.verify_tilde_consistency(prob)
     assert rep.kernel_deviation <= 1e-12
     assert rep.beta_deviation <= 1e-12
+
+
+class _SwappedRatioKernel:
+    """The scaled kernel with its ratio the wrong way round,
+    ``r_i(s') / r_j(s)`` for ``r_l(t) = sqrt|f^l(u^l - t)|``."""
+
+    def __init__(self, problem):
+        self.base, self.n = problem.base_kernel(), problem.potentials.n
+        self.u, self.funcs = problem.u, problem.profile.funcs
+
+    def _root(self, l, t):
+        return np.sqrt(np.abs(self.funcs[l](self.u[l] - np.asarray(t, dtype=float))))
+
+    def eval(self, i, j, s, sp):
+        return self.base.eval(i, j, s, sp) * self._root(i, sp) / self._root(j, s)
+
+
+def test_tilde_rows_catch_a_swapped_ratio(monkeypatch):
+    """Equal constants make every ratio 1, so a wrongly scaled kernel shows
+    only under an unequal profile, such as the catalog row's."""
+    from flatpencil import catalog
+    monkeypatch.setattr(zd.DressingProblem, "tilde_kernel",
+                        lambda self: _SwappedRatioKernel(self))
+    prob = zd.DressingProblem(zd.gaussian_set(2, amplitude=0.4), u=(0.1, -0.1),
+                              profile=ls.constant_profile((2.0, 2.0)))
+    rep = zd.verify_tilde_consistency(prob)
+    assert max(rep.kernel_deviation, rep.beta_deviation) <= 1e-8
+    rows = {row.name: row for row in catalog.run_entry("dressing-reduced")}
+    assert rows["tilde_kernel"].residual > 1e-3 and not rows["tilde_kernel"].passed
+    assert rows["tilde_beta"].residual > 1e-3 and not rows["tilde_beta"].passed
 
 
 def test_scaled_kernel_requires_signed_profile():
@@ -220,7 +255,7 @@ def test_dressed_seeds_are_positive():
 # the batched window against pointwise solves
 
 
-def _pointwise(pots, chart, panels, profile=None, use_tilde=False, seeds=None):
+def _pointwise(pots, chart, panels, profile=None, use_tilde=False):
     """Per-node ``solve_marchenko`` with the window's truncation length and
     panel count."""
     reach = max(max(abs(lo), abs(hi)) for lo, hi in zip(chart.lower, chart.upper))
@@ -233,7 +268,7 @@ def _pointwise(pots, chart, panels, profile=None, use_tilde=False, seeds=None):
         prob = zd.DressingProblem(pots, u, profile=profile, length=length, panels=panels)
         kernel = prob.tilde_kernel() if use_tilde else prob.base_kernel()
         sol = zd.solve_marchenko(prob, kernel=kernel, estimate_cond=False)
-        beta[idx], psi[idx] = sol.beta(), sol.psi(seeds=seeds, u=u)
+        beta[idx], psi[idx] = sol.beta(), sol.psi()
         residuals.append(sol.residual)
     return beta, psi, max(residuals)
 
@@ -252,8 +287,6 @@ WINDOWS = {
              GridChart((-0.2,), (0.2,), (5,)), {}),
     "2c-tilde": (_gaussian2, GridChart((-0.3, -0.2), (0.3, 0.2), (5, 3)),
                  {"profile": ls.constant_profile((2.0, 2.5)), "use_tilde": True}),
-    "2c-seeds": (_gaussian2, GridChart((-0.3, -0.2), (0.3, 0.2), (3, 4)),
-                 {"seeds": (lambda t: np.exp(0.3 * t), lambda t: 1.0 + 0.2 * np.sin(t))}),
 }
 
 
