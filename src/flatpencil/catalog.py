@@ -218,7 +218,7 @@ def two_component_case(name: str):
         u1, u2 = chart.meshgrid()
         spec = tc.TwoComponentSpec(
             chart=chart, potential=tc.linear_potential(0.0, 0.0), eps=(1, 1),
-            f=(lambda t: 2.0 + t ** 2, lambda t: 3.0 + t),
+            f=ls.ReductionProfile((lambda t: 2.0 + t ** 2, lambda t: 3.0 + t)),
             b1=np.exp(u1), b2=1.0 + 0.5 * u2 ** 2,
         )
         return spec, LAMS_S4, True
@@ -395,7 +395,8 @@ def _run_dressing_reduced(order: int):
     # an unequal, t-dependent profile: under equal constants the scaled
     # kernel is the base kernel and these rows compare a solve with itself
     linear = ls.ReductionProfile((lambda t: 2.0 + 0.2 * t, lambda t: 3.0 - 0.1 * t))
-    tilde = zd.verify_tilde_consistency(zd.DressingProblem(pots, (0.1, -0.1), profile=linear))
+    prob = zd.DressingProblem(pots, (0.1, -0.1), profile=linear)
+    tilde = zd.verify_tilde_consistency(prob, zd.solve_marchenko(prob, estimate_cond=False))
     return [
         CheckRow("quadrature_error", field.quadrature_error, zd.QUADRATURE_TOL),
         CheckRow("lame", lame.max_residual, 1e-5),

@@ -108,18 +108,29 @@ def _need(scenario: dict, field: str, kind: str):
     return scenario[field]
 
 
+def _numbers(value, field: str, convert=float, length: int | None = None) -> tuple:
+    """``value`` as a tuple of ``convert``-ed numbers; :class:`SchemaError`
+    naming ``field`` if it is not a list of numbers or not ``length`` long."""
+    try:
+        out = tuple(convert(v) for v in value) if isinstance(value, (list, tuple)) else None
+    except (TypeError, ValueError):
+        out = None
+    if out is None:
+        raise SchemaError(f"{field} must be a list of numbers, got {value!r}")
+    if length is not None and len(out) != length:
+        raise SchemaError(f"{field} needs {length} numbers, got {len(out)}")
+    return out
+
+
 def _chart_from_spec(spec) -> GridChart:
     if not isinstance(spec, dict):
         raise SchemaError("chart must be an object with lower/upper/points")
     for key in ("lower", "upper", "points"):
         if key not in spec:
             raise SchemaError(f"chart is missing {key!r}")
-    lower = tuple(float(v) for v in spec["lower"])
-    upper = tuple(float(v) for v in spec["upper"])
-    points = tuple(int(v) for v in spec["points"])
-    if not len(lower) == len(upper) == len(points):
-        raise SchemaError("chart lower/upper/points must have equal length")
-    return GridChart(lower, upper, points)
+    lower = _numbers(spec["lower"], "chart lower")
+    upper = _numbers(spec["upper"], "chart upper", length=len(lower))
+    return GridChart(lower, upper, _numbers(spec["points"], "chart points", int, len(lower)))
 
 
 def _coordinate_names(n: int) -> tuple[str, ...]:
@@ -166,16 +177,12 @@ def _profile_from_spec(spec, n: int) -> ls.ReductionProfile:
     if not isinstance(spec, dict):
         raise SchemaError("profile must be an object")
     if "constant" in spec:
-        values = [float(v) for v in spec["constant"]]
-        if len(values) != n:
-            raise SchemaError(f"profile needs {n} constants")
-        return ls.constant_profile(values)
+        return ls.constant_profile(_numbers(spec["constant"], "profile constant", length=n))
     if "expressions" in spec:
         exprs = spec["expressions"]
-        if len(exprs) != n:
-            raise SchemaError(f"profile needs {n} expressions in t")
-        fns = tuple(_compile_cell(e, ("t",)) for e in exprs)
-        return ls.ReductionProfile(fns)
+        if not isinstance(exprs, list) or len(exprs) != n:
+            raise SchemaError(f"profile needs a list of {n} expressions in t")
+        return ls.ReductionProfile(_compile_cell(e, ("t",)) for e in exprs)
     raise SchemaError("profile needs 'constant' values or 'expressions' in t")
 
 
@@ -183,14 +190,9 @@ def _lambda_samples(scenario: dict, fallback) -> tuple:
     raw = scenario.get("lambda_samples")
     if raw is None:
         return tuple(fallback)
-    out = []
-    for pair in raw:
-        if len(pair) != 2:
-            raise SchemaError("each lambda sample must be a [l1, l2] pair")
-        out.append((float(pair[0]), float(pair[1])))
-    if not out:
-        raise SchemaError("lambda_samples must not be empty")
-    return tuple(out)
+    if not isinstance(raw, (list, tuple)) or not raw:
+        raise SchemaError("lambda_samples must be a non-empty list of [l1, l2] pairs")
+    return tuple(_numbers(pair, "each lambda sample", length=2) for pair in raw)
 
 
 def _potential_from_spec(spec) -> tc.Potential:
@@ -372,7 +374,7 @@ def _frame_from_scenario(scenario, kind, settings):
     metric, chart = _metric_from_spec(_need(scenario, "metric", kind), chart, kind)
     eps = scenario.get("eps")
     if eps is not None:
-        eps = tuple(int(v) for v in eps)
+        eps = _numbers(eps, "eps", int)
     frame = ls.frame_from_metric(metric, eps=eps, order=settings["order"])
     return metric, frame, chart
 
@@ -408,7 +410,7 @@ def _run_reduce(scenario, settings):
 
 def _run_dress(scenario, settings):
     pots = _potential_set_from_spec(_need(scenario, "potentials", "dress"))
-    point = tuple(float(v) for v in _need(scenario, "point", "dress"))
+    point = _numbers(_need(scenario, "point", "dress"), "point")
     profile_spec = scenario.get("profile")
     profile = (
         _profile_from_spec(profile_spec, pots.n) if profile_spec is not None else None
@@ -429,7 +431,7 @@ def _run_dress(scenario, settings):
         CheckRow("translation_identity", ident, _IDENTITY_BOUND),
     ]
     if profile is not None:
-        tilde = zd.verify_tilde_consistency(problem)
+        tilde = zd.verify_tilde_consistency(problem, sol)
         rows.append(CheckRow("tilde_kernel", tilde.kernel_deviation, _IDENTITY_BOUND))
         rows.append(CheckRow("tilde_beta", tilde.beta_deviation, _IDENTITY_BOUND))
     meta = {
@@ -449,15 +451,10 @@ def _run_two_component(scenario, settings):
     if chart.dim != 2:
         raise SchemaError("two-component scenarios need a 2-D chart")
     potential = _potential_from_spec(_need(scenario, "potential", "two-component"))
-    eps_raw = scenario.get("eps", (-1, 1))
-    eps = (int(eps_raw[0]), int(eps_raw[1]))
-    kwargs = {}
-    if "f" in scenario:
-        exprs = scenario["f"]
-        if len(exprs) != 2:
-            raise SchemaError("f needs two expressions in t")
-        kwargs["f"] = tuple(_compile_cell(e, ("t",)) for e in exprs)
-    spec = tc.TwoComponentSpec(chart=chart, potential=potential, eps=eps, **kwargs)
+    eps = _numbers(scenario.get("eps", (-1, 1)), "eps", int, length=2)
+    f = scenario.get("f")
+    profile = ls.identity_profile(2) if f is None else _profile_from_spec({"expressions": f}, 2)
+    spec = tc.TwoComponentSpec(chart=chart, potential=potential, eps=eps, f=profile)
 
     tol = settings["tolerance"]
     rows = [CheckRow("lequa", tc.lequa_residual(spec, settings["order"]), tol)]

@@ -101,11 +101,14 @@ class SignMismatch(FlatpencilError):
 
 
 class SignChange(FlatpencilError):
-    """A reduction weight changes sign (or vanishes) on its axis range."""
+    """A profile component changes sign or vanishes on a range of ``t``."""
 
-    def __init__(self, axis, detail=""):
-        self.axis = axis
-        super().__init__(f"profile component {axis} changes sign or vanishes {detail}".rstrip())
+    def __init__(self, component, lo, hi):
+        self.component = int(component)
+        super().__init__(
+            f"profile component {self.component} changes sign or vanishes "
+            f"for t in [{lo:g}, {hi:g}]"
+        )
 
 
 class NonFiniteProfile(FlatpencilError):
@@ -115,16 +118,6 @@ class NonFiniteProfile(FlatpencilError):
         self.component = int(component)
         self.t = float(t)
         super().__init__(f"profile component {self.component} is not finite at t = {self.t:g}")
-
-
-class SignChangeOnRange(FlatpencilError):
-    """A profile component changes sign on the dressing integration range."""
-
-    def __init__(self, component, lo, hi):
-        self.component = component
-        super().__init__(
-            f"profile component {component} changes sign or vanishes on [{lo:g}, {hi:g}]"
-        )
 
 
 class ResidualsTooLarge(FlatpencilError):

@@ -85,49 +85,60 @@ class LameFrame:
 
 @dataclass(frozen=True)
 class ReductionProfile:
-    """Single-variable functions ``f^i(u^i)``, nonvanishing per axis range."""
+    """Single-variable functions ``f^i``, of one sign on every range they are
+    evaluated on: the axis ranges of a chart, or the ``t``-ranges a dressing
+    kernel reaches."""
 
     funcs: tuple[Callable, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "funcs", tuple(self.funcs))
 
-    def axis_values(self, chart: GridChart, axis: int) -> np.ndarray:
-        """``f^i`` on the axis coordinates; a scalar result is broadcast."""
-        coords = chart.axis_coordinates(axis)
-        return gc.as_grid(self.funcs[axis](coords), coords.shape)
+    def at(self, i: int, t) -> np.ndarray:
+        """``f^i(t)`` at the shape of ``t``; a scalar result is broadcast."""
+        t = np.asarray(t, dtype=float)
+        return gc.as_grid(self.funcs[i](t), t.shape)
 
-    def signs_on(self, chart: GridChart) -> tuple[int, ...]:
-        """Constant sign of each ``f^i`` over its axis; :class:`NonFiniteProfile`
-        if a component is not finite there, :class:`SignChange` if it
-        vanishes or flips."""
-        if len(self.funcs) != chart.dim:
-            raise ValueError("profile length must match chart dimension")
+    def root(self, i: int, t) -> np.ndarray:
+        """``sqrt|f^i(t)|``, the scale factor of the reduction."""
+        return np.sqrt(np.abs(self.at(i, t)))
+
+    def signs(self, ts: Sequence) -> tuple[np.ndarray, ...]:
+        """The sign of ``f^i`` on each range along the last axis of ``ts[i]``
+        (leading axes index the ranges).  :class:`NonFiniteProfile` if a value
+        is not finite; :class:`SignChange` if ``f^i`` flips on a range or falls
+        there under :data:`PROFILE_FLOOR` times ``max(1, max |f^i|)``."""
+        if len(ts) != len(self.funcs):
+            raise ValueError("profile length must match the number of ranges")
         signs = []
-        for i in range(chart.dim):
-            vals = self.axis_values(chart, i)
+        for i, t in enumerate(ts):
+            t = np.asarray(t, dtype=float)
+            vals = self.at(i, t)
             finite = np.isfinite(vals)
             if not finite.all():
-                raise NonFiniteProfile(i, chart.axis_coordinates(i)[np.argmin(finite)])
-            floor = PROFILE_FLOOR * max(1.0, float(np.max(np.abs(vals))))
-            if np.min(np.abs(vals)) < floor:
-                raise SignChange(i, "profile function vanishes on axis range")
-            if np.min(vals) < 0 < np.max(vals):
-                raise SignChange(i, "profile function changes sign on axis range")
-            signs.append(1 if vals.flat[0] > 0 else -1)
+                raise NonFiniteProfile(i, t.flat[np.argmin(finite)])
+            floor = PROFILE_FLOOR * np.maximum(1.0, np.max(np.abs(vals), axis=-1))
+            lows, highs = np.min(vals, axis=-1), np.max(vals, axis=-1)
+            bad = (np.min(np.abs(vals), axis=-1) < floor) | ((lows < 0) & (0 < highs))
+            if bad.any():
+                k = np.argmax(bad)
+                raise SignChange(i, t.min(axis=-1).flat[k], t.max(axis=-1).flat[k])
+            signs.append(np.where(vals[..., 0] > 0, 1, -1))
         return tuple(signs)
+
+    def signs_on(self, chart: GridChart) -> tuple[int, ...]:
+        """The constant sign of each ``f^i`` over its axis (see :meth:`signs`)."""
+        axes = [chart.axis_coordinates(i) for i in range(chart.dim)]
+        return tuple(int(s) for s in self.signs(axes))
 
     def values_on(self, chart: GridChart) -> np.ndarray:
         """Grid array ``[..., i] = f^i(u^i)`` (broadcast along other axes)."""
-        axes = (self.axis_values(chart, i) for i in range(chart.dim))
+        axes = (self.at(i, chart.axis_coordinates(i)) for i in range(chart.dim))
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
 def constant_profile(values: Sequence[float]) -> ReductionProfile:
-    return ReductionProfile(
-        tuple((lambda t, a=float(a): np.full_like(np.asarray(t, float), a))
-              for a in values)
-    )
+    return ReductionProfile(tuple((lambda t, a=float(a): a) for a in values))
 
 
 def identity_profile(n: int) -> ReductionProfile:

@@ -73,7 +73,8 @@ class PencilSpec:
     lambda_samples: tuple[tuple[float, float], ...] = field(
         default=DEFAULT_LAMBDA_SAMPLES
     )
-    #: the combination of each sample, built once here and checked later
+    #: the combination of each sample, built once here and checked later;
+    #: the samples (1, 0) and (0, 1) are g1 and g2 themselves
     members: tuple[MetricField, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -84,10 +85,12 @@ class PencilSpec:
             "lambda_samples",
             tuple((float(l1), float(l2)) for l1, l2 in self.lambda_samples),
         )
+        ends = {(1.0, 0.0): self.g1, (0.0, 1.0): self.g2}
         object.__setattr__(
             self,
             "members",
-            tuple(combine(self, l1, l2) for l1, l2 in self.lambda_samples),
+            tuple(ends[lam] if lam in ends else combine(self, *lam)
+                  for lam in self.lambda_samples),
         )
 
     @property
@@ -175,9 +178,13 @@ def _one_pass(pencil, mode, k1, k2, order):
         return reduce(curv.contra.values - l1 * r[0] - l2 * r[1])
 
     c, r, endpoint, fields, conn_by, curv_by = [], [], {}, {}, {}, {}
+    # an endpoint sample's residuals, known from the endpoint pass: its
+    # connection and general-mode curvature differ from themselves by 0
+    own = {}
     for name, metric, lam in (("g1", pencil.g1, (1.0, 0.0)), ("g2", pencil.g2, (0.0, 1.0))):
         conn = connection(metric, order)
         c.append(conn.contra.values)
+        own[lam] = 0.0
         if mode is not None:
             curv = curvature(metric, conn, order)
             fields[name] = curv.pointwise_max()
@@ -185,10 +192,15 @@ def _one_pass(pencil, mode, k1, k2, order):
                 r.append(curv.contra.values)
             else:
                 key = f"{name}_{'flatness' if mode == 'flat' else mode}"
-                endpoint[key] = curvature_residual(curv, *lam)
+                endpoint[key] = own[lam] = curvature_residual(curv, *lam)
             del curv
         del conn
     for (l1, l2), member in zip(pencil.lambda_samples, pencil.members):
+        if (l1, l2) in own:
+            conn_by[(l1, l2)] = 0.0
+            if mode is not None:
+                curv_by[(l1, l2)] = own[(l1, l2)]
+            continue
         conn = connection(member, order)
         conn_by[(l1, l2)] = reduce(conn.contra.values - l1 * c[0] - l2 * c[1])
         if mode is not None:

@@ -37,6 +37,7 @@ from . import grid_calculus as gc
 from .errors import VanishingB
 from .geometry_core import MetricField, build_metric
 from .grid_calculus import DEFAULT_ORDER, GridChart
+from .lame_system import ReductionProfile, identity_profile
 
 B_FLOOR_SCALE = 1e-8
 
@@ -102,18 +103,14 @@ def product_potential() -> Potential:
     )
 
 
-def _identity(t):
-    return t
-
-
 @dataclass(frozen=True)
 class TwoComponentSpec:
-    """Chart, signs, profile functions, potential, and (optional) b fields."""
+    """Chart, signs, reduction profile ``f``, potential, and (optional) b fields."""
 
     chart: GridChart
     potential: Potential
     eps: tuple[int, int] = (-1, 1)
-    f: tuple[Callable, Callable] = (_identity, _identity)
+    f: ReductionProfile = identity_profile(2)
     b1: np.ndarray | None = None
     b2: np.ndarray | None = None
 
@@ -133,18 +130,6 @@ class TwoComponentSpec:
 
     def with_b(self, b1: np.ndarray, b2: np.ndarray) -> "TwoComponentSpec":
         return replace(self, b1=b1, b2=b2)
-
-    def f_values(self) -> tuple[np.ndarray, np.ndarray]:
-        """``f1(u1)`` and ``f2(u2)`` broadcast over the grid (each ``f`` gets
-        its axis coordinates; a scalar result is broadcast)."""
-        x = self.chart.axis_coordinates(0)
-        y = self.chart.axis_coordinates(1)
-        f1 = gc.as_grid(self.f[0](x), x.shape)
-        f2 = gc.as_grid(self.f[1](y), y.shape)
-        return (
-            np.broadcast_to(f1[:, None], self.chart.shape),
-            np.broadcast_to(f2[None, :], self.chart.shape),
-        )
 
 
 def _check_nonvanishing(b: np.ndarray, name: str, chart: GridChart):
@@ -166,7 +151,7 @@ def lequa_residual(spec: TwoComponentSpec, order: int = DEFAULT_ORDER) -> float:
     """
     chart = spec.chart
     u1, u2 = chart.meshgrid()
-    f1, f2 = spec.f_values()
+    f1, f2 = np.moveaxis(spec.f.values_on(chart), -1, 0)
     fp1 = gc.differentiate_array(f1, chart, 0, order)
     fp2 = gc.differentiate_array(f2, chart, 1, order)
     f_u1 = np.asarray(spec.potential.dx(u1, u2), dtype=float)
@@ -278,7 +263,7 @@ def build_pair(
     _check_nonvanishing(spec.b2, "b2", spec.chart)
     chart = spec.chart
     eps1, eps2 = spec.eps
-    f1, f2 = spec.f_values()
+    f1, f2 = np.moveaxis(spec.f.values_on(chart), -1, 0)
     b1, b2 = spec.b1, spec.b2
     g1 = build_metric(lambda u: [[eps1 * f1 / b1**2, 0.0], [0.0, eps2 * f2 / b2**2]], chart)
     g2 = build_metric(lambda u: [[eps1 / b1**2, 0.0], [0.0, eps2 / b2**2]], chart)

@@ -54,10 +54,8 @@ import numpy as np
 from . import grid_calculus as gc
 from .errors import (
     IllConditioned,
-    NonFiniteProfile,
     NonFiniteSample,
     QuadratureUnresolved,
-    SignChangeOnRange,
     TruncationInsufficient,
 )
 from .grid_calculus import GridChart
@@ -236,9 +234,10 @@ class PotentialKernel:
 
     ``u`` is one point (length ``n``) or a batch of points (shape ``(B, n)``);
     for a batch, :meth:`eval` puts the batch axis first.  With
-    ``ratio_profile`` set, evaluates the profile-scaled variant; the profile
-    must keep one sign per component over the whole ``t``-range the solver
-    touches, at every point (:class:`SignChangeOnRange` otherwise).
+    ``ratio_profile`` set, evaluates the profile-scaled variant; each
+    ``f^l`` must keep one sign over ``u^l - t`` for ``t`` in ``t_range``, at
+    each point on its own (:meth:`ReductionProfile.signs`, one range per
+    point).
     """
 
     def __init__(
@@ -257,7 +256,8 @@ class PotentialKernel:
         if ratio_profile is not None:
             if t_range is None:
                 raise ValueError("profile-scaled kernels need the t-range")
-            _check_profile_signs(ratio_profile, self._u, t_range)
+            t = np.linspace(*t_range, 201)
+            ratio_profile.signs([self._u[..., l, None] - t for l in range(self.n)])
 
     def eval(self, i: int, j: int, s, sp) -> np.ndarray:
         s, sp = np.asarray(s, dtype=float), np.asarray(sp, dtype=float)
@@ -281,34 +281,8 @@ class PotentialKernel:
         if base.shape != shape:
             base = np.broadcast_to(base, shape).copy()
         if self._profile is not None:
-            funcs = self._profile.funcs
-            base *= _profile_root(funcs[j], uj - sp) / _profile_root(funcs[i], ui - s)
+            base *= self._profile.root(j, uj - sp) / self._profile.root(i, ui - s)
         return base
-
-
-def _profile_root(fn: Callable, t) -> np.ndarray:
-    """``sqrt|f(t)|``, the profile factor of the scaled kernel."""
-    return np.sqrt(np.abs(np.asarray(fn(t), dtype=float)))
-
-
-def _check_profile_signs(
-    profile: ReductionProfile, u: np.ndarray, t_range: tuple[float, float]
-) -> None:
-    """Constant-sign gate of every ``t -> f^l(u^l - t)`` over the range, at
-    every point of ``u`` (shape ``(n,)`` or ``(B, n)``); a non-finite value
-    raises :class:`NonFiniteProfile`."""
-    lo, hi = t_range
-    sample = np.linspace(lo, hi, 201)
-    for l, fn in enumerate(profile.funcs):
-        t = np.reshape(u[..., l], u.shape[:-1] + (1,)) - sample
-        vals = gc.as_grid(fn(t), t.shape)
-        finite = np.isfinite(vals)
-        if not finite.all():
-            raise NonFiniteProfile(l, t.flat[np.argmin(finite)])
-        floor = 1e-10 * np.maximum(1.0, np.max(np.abs(vals), axis=-1))
-        lows, highs = np.min(vals, axis=-1), np.max(vals, axis=-1)
-        if np.any(np.min(np.abs(vals), axis=-1) < floor) or np.any((lows < 0) & (0 < highs)):
-            raise SignChangeOnRange(l, lo, hi)
 
 
 def reduction_identity_residual(kernel, seed: int = 0) -> float:
@@ -728,25 +702,20 @@ class TildeReport:
     beta_deviation: float
 
 
-def verify_tilde_consistency(problem: DressingProblem) -> TildeReport:
-    """Solve the base and profile-scaled problems independently and confirm
+def verify_tilde_consistency(problem: DressingProblem, base: DressingSolution) -> TildeReport:
+    """Solve the profile-scaled problem and confirm, against the solution
+    ``base`` of the base problem,
 
     * ``K~_{ij}(s, q) = (r_j(q)/r_i(s)) K_{ij}(s, q)`` at the nodes, and
     * ``beta~_{ij} = (r_i(s)/r_j(s)) beta_{ij}`` on the diagonal,
 
     where ``r_l(t) = sqrt|f^l(u^l - t)|``.
     """
-    if problem.profile is None:
-        raise ValueError("tilde consistency needs a reduction profile")
-    base = solve_marchenko(problem, estimate_cond=False)
     tilde = solve_marchenko(problem, kernel=problem.tilde_kernel(), estimate_cond=False)
 
     def roots(t):
-        """``[l, ...] = r_l(t)``; a profile may return a scalar."""
-        return np.stack([
-            np.broadcast_to(_profile_root(fn, u - t), t.shape)
-            for fn, u in zip(problem.profile.funcs, problem.u)
-        ])
+        """``[l, ...] = r_l(t)``."""
+        return np.stack([problem.profile.root(l, u - t) for l, u in enumerate(problem.u)])
 
     r_q, r_s = roots(base.nodes), roots(np.array(problem.s))
     scaled = r_q[None, :, :] / r_s[:, None, None] * base.k_nodes

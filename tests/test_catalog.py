@@ -69,7 +69,7 @@ def test_metric_names_cover_diagonal_catalog():
 
 @pytest.mark.parametrize("name, expected", [
     ("sphere", 1),  # one metric, reduced against K = 1 and against 0
-    ("s4-constant-curvature", 7),  # g1, g2 and 5 sampled members
+    ("s4-constant-curvature", 5),  # g1, g2 and the 3 samples besides (1, 0), (0, 1)
 ])
 def test_entry_computes_each_curvature_once(name, expected, monkeypatch):
     calls = Counter()

@@ -235,6 +235,19 @@ def test_malformed_json(tmp_path, capsys):
     assert err
 
 
+@pytest.mark.parametrize("scenario, message", [
+    (dict(PENCIL, lambda_samples=[1, 2]),
+     "each lambda sample must be a list of numbers, got 1"),
+    (dict(PENCIL, chart={"lower": 0.5, "upper": [2.0, 2.0], "points": [9, 9]}),
+     "chart lower must be a list of numbers, got 0.5"),
+    (dict(TWO_COMPONENT_INTEGRATE, eps=5), "eps must be a list of numbers, got 5"),
+], ids=["lambda_samples", "chart", "eps"])
+def test_wrong_typed_fields_are_schema_errors(tmp_path, capsys, scenario, message):
+    code, report, err = run(tmp_path, scenario, capsys=capsys)
+    assert code == 1 and report is None
+    assert err.splitlines() == [f"error: {message}"]
+
+
 def test_missing_file(tmp_path, capsys):
     code = cli.main(["run", str(tmp_path / "absent.json")])
     _, err = capsys.readouterr()
@@ -328,7 +341,8 @@ def test_check_pencil_takes_csv_fields_from_the_check(tmp_path, capsys, monkeypa
     count_calls(monkeypatch, calls, ("curvature",), geo, pc)
     code, _, _ = run(tmp_path, PENCIL, "--dump-csv", str(tmp_path / "csv"), capsys=capsys)
     assert code == 0
-    assert calls["curvature"] == len(PENCIL["lambda_samples"]) + 2
+    # the samples [1, 0] and [0, 1] are g1 and g2, curved once each
+    assert calls["curvature"] == len(PENCIL["lambda_samples"])
     lines = (tmp_path / "csv" / "g1-curvature.csv").read_text().splitlines()
     assert lines[0] == "u1,u2,residual" and len(lines) == 1 + 65 * 65
     assert (tmp_path / "csv" / "g2-curvature.csv").is_file()
@@ -347,6 +361,16 @@ def test_version(capsys):
     assert exc.value.code == 0
     out, _ = capsys.readouterr()
     assert "0.1.0" in out
+
+
+def test_dress_solves_its_base_problem_once(monkeypatch):
+    """The base problem, its finer rung for quadrature_error, and the scaled
+    problem: the tilde check reuses the base solution."""
+    calls = Counter()
+    count_calls(monkeypatch, calls, ("solve_marchenko",), zd)
+    report, _ = cli.run_scenario(DRESS, {"tolerance": 1e-6, "order": 4, "seed": 0})
+    assert report["verdict"] == "pass"
+    assert calls["solve_marchenko"] == 3
 
 
 def test_seed_is_echoed(tmp_path, capsys):

@@ -79,3 +79,24 @@ def test_every_parameter_is_read(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unread = _unread_parameters(tree)
     assert not unread, f"{path.name}: parameters never read: {unread}"
+
+
+def _raised_names(tree: ast.Module) -> set[str]:
+    """Names of the classes a module raises, as ``raise X(...)`` or ``raise X``."""
+    raised = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, (ast.Name, ast.Attribute)):
+                raised.add(exc.id if isinstance(exc, ast.Name) else exc.attr)
+    return raised
+
+
+def test_every_error_class_is_raised():
+    """An error class nothing raises is a gate that is gone; the base class,
+    caught by the command line, is exempt."""
+    errors = ast.parse((PACKAGE / "errors.py").read_text())
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = set().union(*(_raised_names(ast.parse(path.read_text())) for path in MODULES))
+    unraised = defined - raised - {"FlatpencilError"}
+    assert not unraised, f"error classes never raised: {sorted(unraised)}"

@@ -71,9 +71,10 @@ def test_check_visits_each_member_once(monkeypatch, mode):
         pc.check_almost_compatible(pen)
     else:
         pc.check_compatible(pen, mode)
+    # the samples (1, 0) and (0, 1) are g1 and g2: never built, measured once
     s = len(SAFE_LAMS)
-    assert calls == {"build_metric": s, "connection": s + 2,
-                     **({"curvature": s + 2} if mode else {})}
+    assert calls == {"build_metric": s - 2, "connection": s,
+                     **({"curvature": s} if mode else {})}
 
 
 def test_endpoint_curvature_is_the_pointwise_maximum():

@@ -8,7 +8,7 @@ import numpy.testing as npt
 import pytest
 
 from flatpencil.errors import (IllConditioned, NonFiniteProfile, NonFiniteSample,
-                               QuadratureUnresolved, SignChangeOnRange,
+                               QuadratureUnresolved, SignChange,
                                TruncationInsufficient)
 from flatpencil.grid_calculus import GridChart
 from flatpencil import lame_system as ls
@@ -179,7 +179,7 @@ LINEAR_PROFILE = ls.ReductionProfile((lambda t: 2.0 + 0.2 * t, lambda t: 3.0 - 0
 def test_scaled_kernel_consistency_for_linear_profile():
     prob = zd.DressingProblem(zd.gaussian_set(2, amplitude=0.4), u=U2,
                               profile=LINEAR_PROFILE)
-    rep = zd.verify_tilde_consistency(prob)
+    rep = zd.verify_tilde_consistency(prob, zd.solve_marchenko(prob))
     assert rep.kernel_deviation <= 1e-12
     assert rep.beta_deviation <= 1e-12
 
@@ -207,7 +207,7 @@ def test_tilde_rows_catch_a_swapped_ratio(monkeypatch):
                         lambda self: _SwappedRatioKernel(self))
     prob = zd.DressingProblem(zd.gaussian_set(2, amplitude=0.4), u=(0.1, -0.1),
                               profile=ls.constant_profile((2.0, 2.0)))
-    rep = zd.verify_tilde_consistency(prob)
+    rep = zd.verify_tilde_consistency(prob, zd.solve_marchenko(prob))
     assert max(rep.kernel_deviation, rep.beta_deviation) <= 1e-8
     rows = {row.name: row for row in catalog.run_entry("dressing-reduced")}
     assert rows["tilde_kernel"].residual > 1e-3 and not rows["tilde_kernel"].passed
@@ -218,8 +218,38 @@ def test_scaled_kernel_requires_signed_profile():
     crossing = zd.ReductionProfile((lambda t: t, lambda t: t))
     prob = zd.DressingProblem(zd.gaussian_set(2, amplitude=0.3), u=U2,
                               profile=crossing)
-    with pytest.raises(SignChangeOnRange):
-        zd.verify_tilde_consistency(prob)
+    with pytest.raises(SignChange):
+        zd.verify_tilde_consistency(prob, zd.solve_marchenko(prob))
+
+
+def test_dressing_gate_holds_each_point_to_its_own_range():
+    """Each point's ``f^l(u^l - t)`` keeps one sign; points may differ."""
+    pots = zd.gaussian_set(2, amplitude=0.3)
+    linear = ls.ReductionProfile((lambda t: t, lambda t: 2.0))
+    # t = u^0 - s' for s' in [0, 1]: [4, 5] and [-1.5, -0.5]
+    points = np.array([[5.0, 0.1], [-0.5, 0.1]])
+    signs = linear.signs([points[:, l, None] - np.linspace(0.0, 1.0, 201) for l in range(2)])
+    npt.assert_array_equal(signs[0], [1, -1])
+    kernel = zd.PotentialKernel(pots, points, ratio_profile=linear, t_range=(0.0, 1.0))
+    assert np.all(np.isfinite(kernel.eval(0, 1, 0.2, 0.3)))
+    # the second point's range [-0.5, 0.5] crosses zero
+    with pytest.raises(SignChange) as err:
+        zd.PotentialKernel(pots, [[5.0, 0.1], [0.5, 0.1]], ratio_profile=linear,
+                           t_range=(0.0, 1.0))
+    assert err.value.component == 0
+    assert "component 0 changes sign or vanishes for t in [-0.5, 0.5]" in str(err.value)
+
+
+@pytest.mark.parametrize("path", ["chart", "dressing"])
+def test_chart_and_dressing_gates_raise_the_same_class(path):
+    crossing = ls.ReductionProfile((lambda t: t - 0.05, lambda t: t - 0.05))
+    chart = GridChart((-0.2, -0.2), (0.2, 0.2), (5, 5))
+    with pytest.raises(SignChange):
+        if path == "chart":
+            crossing.signs_on(chart)
+        else:
+            zd.extract_beta(zd.gaussian_set(2, amplitude=0.3), chart, profile=crossing,
+                            panels=4, use_tilde=True)
 
 
 def test_partly_nan_profile_is_rejected_with_its_coordinate():
