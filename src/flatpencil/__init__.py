@@ -31,9 +31,9 @@ from .pencil_checker import (
     check_diagonal_form,
     combine,
     dubrovin_construct,
-    generate_from_potentials,
     nijenhuis,
     nonsingularity,
+    partner_metric,
 )
 from .lame_system import (
     LameFrame,
@@ -64,7 +64,7 @@ __all__ = [
     "nijenhuis",
     "nonsingularity",
     "dubrovin_construct",
-    "generate_from_potentials",
+    "partner_metric",
     "LameFrame",
     "frame_from_metric",
     "lame_residuals",

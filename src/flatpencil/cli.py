@@ -33,7 +33,7 @@ from . import pencil_checker as pc
 from . import two_component as tc
 from . import zakharov_dressing as zd
 from .catalog import CheckRow
-from .errors import FlatpencilError, SchemaError
+from .errors import DegenerateMetric, FlatpencilError, SchemaError
 from .expressions import compile_expression
 from .grid_calculus import DEFAULT_ORDER, GridChart, as_grid, interior_max
 
@@ -108,15 +108,34 @@ def _need(scenario: dict, field: str, kind: str):
     return scenario[field]
 
 
-def _numbers(value, field: str, convert=float, length: int | None = None) -> tuple:
-    """``value`` as a tuple of ``convert``-ed numbers; :class:`SchemaError`
-    naming ``field`` if it is not a list of numbers or not ``length`` long."""
+def _number(value, field: str, convert=float):
+    """``value`` as one ``convert``-ed number; :class:`SchemaError` naming
+    ``field`` if it is not a JSON number (a boolean is not), or not integral
+    where ``convert`` is ``int``."""
     try:
-        out = tuple(convert(v) for v in value) if isinstance(value, (list, tuple)) else None
-    except (TypeError, ValueError):
-        out = None
-    if out is None:
-        raise SchemaError(f"{field} must be a list of numbers, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError
+        out = convert(value)
+        if convert is int and out != value:  # int() truncates 9.9 to 9
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        noun = "an integer" if convert is int else "a number"
+        raise SchemaError(f"{field} must be {noun}, got {value!r}") from None
+    return out
+
+
+def _numbers(value, field: str, convert=float, length: int | None = None) -> tuple:
+    """``value`` as a tuple of numbers read by :func:`_number`;
+    :class:`SchemaError` naming ``field`` if it is not such a list or not
+    ``length`` long."""
+    noun = "integers" if convert is int else "numbers"
+    bad = SchemaError(f"{field} must be a list of {noun}, got {value!r}")
+    if not isinstance(value, (list, tuple)):
+        raise bad
+    try:
+        out = tuple(_number(v, field, convert) for v in value)
+    except SchemaError:
+        raise bad from None
     if length is not None and len(out) != length:
         raise SchemaError(f"{field} needs {length} numbers, got {len(out)}")
     return out
@@ -200,9 +219,10 @@ def _potential_from_spec(spec) -> tc.Potential:
         raise SchemaError("potential must be an object with a 'kind'")
     pkind = spec["kind"]
     if pkind == "log":
-        return tc.log_potential(float(spec.get("c", 1.0)))
+        return tc.log_potential(_number(spec.get("c", 1.0), "c"))
     if pkind == "linear":
-        return tc.linear_potential(float(spec.get("a", 0.0)), float(spec.get("b", 0.0)))
+        return tc.linear_potential(_number(spec.get("a", 0.0), "a"),
+                                   _number(spec.get("b", 0.0), "b"))
     if pkind == "product":
         return tc.product_potential()
     if pkind == "expression":
@@ -223,12 +243,14 @@ def _potential_set_from_spec(spec) -> zd.PotentialSet:
     preset = spec.get("preset", "gaussian")
     if preset != "gaussian":
         raise SchemaError(f"unknown potential preset {preset!r}")
-    n = int(spec.get("components", 2))
+    diagonal = spec.get("include_diagonal", False)
+    if not isinstance(diagonal, bool):
+        raise SchemaError(f"include_diagonal must be true or false, got {diagonal!r}")
     return zd.gaussian_set(
-        n,
-        amplitude=float(spec.get("amplitude", 0.2)),
-        width=float(spec.get("width", 1.0)),
-        include_diagonal=bool(spec.get("include_diagonal", False)),
+        _number(spec.get("components", 2), "components", int),
+        amplitude=_number(spec.get("amplitude", 0.2), "amplitude"),
+        width=_number(spec.get("width", 1.0), "width"),
+        include_diagonal=diagonal,
     )
 
 
@@ -265,8 +287,8 @@ def _run_check_pencil(scenario, settings):
     rep = pc.check_compatible(
         pencil,
         mode,
-        k1=float(scenario.get("k1", 0.0)),
-        k2=float(scenario.get("k2", 0.0)),
+        k1=_number(scenario.get("k1", 0.0), "k1"),
+        k2=_number(scenario.get("k2", 0.0), "k2"),
         order=settings["order"],
     )
     tol = settings["tolerance"]
@@ -314,22 +336,21 @@ def _run_diagonal_form(scenario, settings):
     return rows, meta, {}
 
 
+def _covector_from_spec(exprs, field: str, chart: GridChart) -> Callable:
+    """``N`` expressions in the coordinates as one covector closure."""
+    if not isinstance(exprs, list) or len(exprs) != chart.dim:
+        raise SchemaError(f"{field} needs {chart.dim} components")
+    fns = [_compile_cell(e, _coordinate_names(chart.dim)) for e in exprs]
+    return lambda u: [fn(*u) for fn in fns]
+
+
 def _run_dubrovin(scenario, settings):
     chart = _chart_from_spec(_need(scenario, "chart", "dubrovin"))
     g2, _ = _metric_from_spec(_need(scenario, "metric", "dubrovin"), chart, "dubrovin")
-    exprs = _need(scenario, "covector", "dubrovin")
-    if len(exprs) != chart.dim:
-        raise SchemaError(f"covector needs {chart.dim} components")
-    names = _coordinate_names(chart.dim)
-    fns = [_compile_cell(e, names) for e in exprs]
+    f = _covector_from_spec(_need(scenario, "covector", "dubrovin"), "covector", chart)
     lams = _lambda_samples(scenario, pc.DEFAULT_LAMBDA_SAMPLES)
-    rep = pc.dubrovin_construct(
-        g2,
-        lambda u: [fn(*u) for fn in fns],
-        c=float(scenario.get("c", 0.0)),
-        order=settings["order"],
-        lambda_samples=lams,
-    )
+    c = _number(scenario.get("c", 0.0), "c")
+    rep = pc.dubrovin_construct(g2, f, c, settings["order"], lams)
     tol = settings["tolerance"]
     rows = [
         CheckRow("quadratic_relation", rep.quadratic_residual, tol),
@@ -341,31 +362,28 @@ def _run_dubrovin(scenario, settings):
 
 
 def _run_potentials(scenario, settings):
+    """Dubrovin's candidate at ``c = 0`` over the constant metric ``eta``; a
+    degenerate candidate is reported, not raised (the route is a search
+    device), and the pair is checked only for a candidate flat to ``tol``."""
     chart = _chart_from_spec(_need(scenario, "chart", "potentials"))
-    eta = np.array(_need(scenario, "eta", "potentials"), dtype=float)
-    exprs = _need(scenario, "potentials", "potentials")
-    if len(exprs) != chart.dim:
-        raise SchemaError(f"potentials needs {chart.dim} components")
-    names = _coordinate_names(chart.dim)
-    h = tuple((lambda u, fn=_compile_cell(e, names): fn(*u)) for e in exprs)
+    raw = _need(scenario, "eta", "potentials")
+    if not isinstance(raw, list) or len(raw) != chart.dim:
+        raise SchemaError(f"eta needs {chart.dim} rows of {chart.dim} numbers")
+    eta_rows = [_numbers(row, "each eta row", length=chart.dim) for row in raw]
+    eta = geo.build_metric(lambda u: eta_rows, chart)
+    h = _covector_from_spec(_need(scenario, "potentials", "potentials"), "potentials", chart)
     lams = _lambda_samples(scenario, pc.DEFAULT_LAMBDA_SAMPLES)
-    rep = pc.generate_from_potentials(
-        pc.PotentialPairSpec(eta, h, chart),
-        order=settings["order"],
-        tol=settings["tolerance"],
-        lambda_samples=lams,
-    )
-    tol = settings["tolerance"]
-    if rep.degenerate or rep.compatibility is None:
-        flat = float("inf") if rep.g2_flatness is None else rep.g2_flatness
-        rows = [CheckRow("candidate_flat", flat, tol)]
-    else:
-        rows = [
-            CheckRow("candidate_flat", rep.g2_flatness, tol),
-            CheckRow("compatibility", rep.compatibility.max_residual, tol),
-        ]
-    meta = {"chart": _chart_meta(chart), "degenerate": rep.degenerate}
-    return rows, meta, {}
+    order, tol = settings["order"], settings["tolerance"]
+    try:
+        g1 = pc.partner_metric(eta, h, order=order)[0]
+    except DegenerateMetric:
+        g1 = None
+    flat = float("inf") if g1 is None else geo.flatness_residual(g1, order)
+    rows = [CheckRow("candidate_flat", flat, tol)]
+    if rows[0].passed:
+        rep = pc.check_compatible(pc.PencilSpec(g1, eta, lams), "flat", order=order)
+        rows.append(CheckRow("compatibility", rep.max_residual, tol))
+    return rows, {"chart": _chart_meta(chart), "degenerate": g1 is None}, {}
 
 
 def _frame_from_scenario(scenario, kind, settings):
@@ -415,14 +433,16 @@ def _run_dress(scenario, settings):
     profile = (
         _profile_from_spec(profile_spec, pots.n) if profile_spec is not None else None
     )
+    length = scenario.get("length")
     problem = zd.DressingProblem(
         pots,
         point,
         profile=profile,
-        s=float(scenario.get("s", 0.0)),
-        length=scenario.get("length"),
-        panels=int(scenario.get("panels", zd.DEFAULT_PANELS)),
-        nodes_per_panel=int(scenario.get("nodes_per_panel", zd.DEFAULT_NODES_PER_PANEL)),
+        s=_number(scenario.get("s", 0.0), "s"),
+        length=None if length is None else _number(length, "length"),
+        panels=_number(scenario.get("panels", zd.DEFAULT_PANELS), "panels", int),
+        nodes_per_panel=_number(scenario.get("nodes_per_panel", zd.DEFAULT_NODES_PER_PANEL),
+                                "nodes_per_panel", int),
     )
     sol = zd.solve_marchenko(problem)
     ident = zd.reduction_identity_residual(problem.base_kernel(), seed=settings["seed"])

@@ -29,7 +29,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import geometry_core as geo
 from . import grid_calculus as gc
 from .errors import (
     DegenerateCombination,
@@ -49,10 +48,9 @@ DEFAULT_LAMBDA_SAMPLES: tuple[tuple[float, float], ...] = (
     (2.0, 3.0),
 )
 
-DEFAULT_TOL = 1e-6
-
 #: relative gates: eigenvalue gap (to the spectrum scale), off-diagonal
-#: content (to the metric scale), flat coordinates (to max(1, scale))
+#: content and flat coordinates (to the metric scale, which the raised
+#: connection scales with)
 _GAP_REL_TOL = 1e-6
 _DIAG_TOL = 1e-8
 _FLAT_TOL = 1e-8
@@ -345,22 +343,41 @@ class DubrovinReport:
     compatibility: CompatibilityReport
 
 
+def partner_metric(
+    g2: MetricField,
+    f: Callable[[list[np.ndarray]], object],
+    c: float = 0.0,
+    order: int = DEFAULT_ORDER,
+) -> tuple[MetricField, np.ndarray, np.ndarray]:
+    """Dubrovin's candidate partner of ``g2`` from a covector potential ``f``::
+
+        g1^{ij} = grad^i f^j + grad^j f^i + c g2^{ij},    grad^i = g2^{is} d_s
+
+    Over a constant ``g2`` at ``c = 0`` this is the pencil of one potential
+    per coordinate.  ``f`` is sampled by :func:`grid_calculus.sample` and
+    ``g1`` built by :func:`geometry_core.build_metric` (a degenerate
+    candidate raises :class:`DegenerateMetric`).  Returns ``g1`` with the
+    ``d_s f^k`` (``[..., s, k]``) and ``grad^i f^j`` it was built from.
+    """
+    df = gc.stacked_partials(gc.sample(f, g2.chart, "u"), order)  # [..., s, k] = d_s f^k
+    g2c = g2.contra.values
+    grad = np.einsum("...is,...sj->...ij", g2c, df)  # grad^i f^j
+    return build_metric(grad + np.swapaxes(grad, -1, -2) + c * g2c, g2.chart), df, grad
+
+
 def dubrovin_construct(
     g2: MetricField,
-    f: Callable[[list[np.ndarray]], object] | np.ndarray,
+    f: Callable[[list[np.ndarray]], object],
     c: float = 0.0,
     order: int = DEFAULT_ORDER,
     lambda_samples: Sequence[tuple[float, float]] = DEFAULT_LAMBDA_SAMPLES,
 ) -> DubrovinReport:
     """Build the partner metric of a flat pencil from a covector potential.
 
-    In flat coordinates of the reference metric ``g2`` (its connection must
-    vanish to 1e-8 times ``max(1, scale)`` of the metric, else
-    :class:`NotFlatCoordinates`) the candidate partner is::
-
-        g1^{ij} = grad^i f^j + grad^j f^i + c g2^{ij}
-
-    with ``grad^i = g2^{is} d_s``.  The construction reports
+    In flat coordinates of the reference metric ``g2`` (its raised connection
+    must vanish to 1e-8 times the metric's scale, else
+    :class:`NotFlatCoordinates`) the candidate partner is
+    :func:`partner_metric`.  The construction reports
 
     * the quadratic residual ``D^{ij}_s D^{sk}_l - D^{ik}_s D^{sj}_l``,
     * the bracket residual
@@ -374,22 +391,14 @@ def dubrovin_construct(
     chart = g2.chart
 
     gamma2 = connection(g2, order)
-    conn_res = float(np.max(np.abs(gamma2.contra.values)))
-    if conn_res > _FLAT_TOL * max(1.0, g2.scale()):
-        raise NotFlatCoordinates(conn_res, _FLAT_TOL * max(1.0, g2.scale()))
+    conn_res, flat_tol = float(np.max(np.abs(gamma2.contra.values))), _FLAT_TOL * g2.scale()
+    if not conn_res <= flat_tol:  # NaN fails too
+        raise NotFlatCoordinates(conn_res, flat_tol)
 
-    if callable(f):
-        f_field = gc.sample(f, chart, "u")
-    else:
-        f_field = TensorField(chart, "u", np.asarray(f, dtype=float))
-    df = gc.stacked_partials(f_field, order)  # [..., s, k] = d_s f^k
+    g1, df, grad = partner_metric(g2, f, c, order)
     ddf = gc.stacked_partials(df, order, chart)  # [..., a, s, k] = d_a d_s f^k
     ddf = 0.5 * (ddf + np.swapaxes(ddf, -3, -2))
-
     g2c = g2.contra.values
-    grad = np.einsum("...is,...sj->...ij", g2c, df)  # grad^i f^j
-    g1_vals = grad + np.swapaxes(grad, -1, -2) + c * g2c
-    g1 = build_metric(g1_vals, chart)
 
     # D^{ijk} = grad^i grad^j f^k (indices raised with g2) and D^{ij}_k =
     # d_k grad^i f^j agree once the first index of D^{ijk} is lowered with g2
@@ -421,76 +430,3 @@ def dubrovin_construct(
     pencil = PencilSpec(g1, g2, tuple(lambda_samples))
     compat = check_compatible(pencil, "flat", order=order)
     return DubrovinReport(g1, quad, bracket_res, delta_consistency, lowering_defect, compat)
-
-
-# ---------------------------------------------------------------------------
-# pencils generated by a pair of potential functions
-
-
-@dataclass(frozen=True)
-class PotentialPairSpec:
-    """Constant reference metric plus one potential function per coordinate.
-
-    The candidate partner metric is
-    ``g2^{ij} = eta^{is} d_s h^j + eta^{js} d_s h^i``.  Each ``h[j]`` takes
-    the coordinate arrays ``u`` and returns a grid array or a scalar (see
-    :func:`grid_calculus.sample`).
-    """
-
-    eta: np.ndarray
-    h: tuple[Callable[[list[np.ndarray]], np.ndarray], ...]
-    chart: GridChart
-
-    def __post_init__(self):
-        eta = np.asarray(self.eta, dtype=float)
-        if eta.shape != (self.chart.dim, self.chart.dim):
-            raise ValueError("eta must be a dim x dim constant matrix")
-        if np.max(np.abs(eta - eta.T)) > 0:
-            raise ValueError("eta must be symmetric")
-        if abs(np.linalg.det(eta)) < 1e-12 * max(1.0, np.max(np.abs(eta))):
-            raise ValueError("eta must be nondegenerate")
-        if len(self.h) != self.chart.dim:
-            raise ValueError("need one potential per coordinate")
-        object.__setattr__(self, "eta", eta)
-
-
-@dataclass
-class PotentialsReport:
-    g2: MetricField | None
-    degenerate: bool
-    g2_flatness: float | None
-    compatibility: CompatibilityReport | None
-
-
-def generate_from_potentials(
-    spec: PotentialPairSpec,
-    order: int = DEFAULT_ORDER,
-    tol: float = DEFAULT_TOL,
-    lambda_samples: Sequence[tuple[float, float]] = DEFAULT_LAMBDA_SAMPLES,
-) -> PotentialsReport:
-    """Candidate flat pencil from one potential function per coordinate.
-
-    A degenerate candidate is reported (``degenerate=True``), not raised: the
-    construction is a *search* device and a degenerate outcome is informative.
-    When the candidate is nondegenerate its flatness residual decides whether
-    the full compatibility check runs; an arbitrary potential tuple yields the
-    right algebraic form but need not yield a flat metric.
-    """
-    chart = spec.chart
-    h_field = gc.sample(lambda u: [h(u) for h in spec.h], chart, "u")
-    dh = gc.stacked_partials(h_field, order)  # [..., s, j]
-    g2_vals = np.einsum("is,...sj->...ij", spec.eta, dh)
-    g2_vals = g2_vals + np.swapaxes(g2_vals, -1, -2)
-
-    try:
-        g2 = build_metric(g2_vals, chart)
-    except DegenerateMetric:
-        return PotentialsReport(None, True, None, None)
-
-    flatness = geo.flatness_residual(g2, order)
-    eta_metric = build_metric(lambda u: spec.eta, chart)
-    compat = None
-    if flatness <= tol:
-        pencil = PencilSpec(g2, eta_metric, tuple(lambda_samples))
-        compat = check_compatible(pencil, "flat", order=order)
-    return PotentialsReport(g2, False, flatness, compat)

@@ -471,7 +471,7 @@ def _dressed_seeds(k_nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def _solve_batch(
     kernel, points: np.ndarray, s: float, length: float, nodes: np.ndarray,
-    weights: np.ndarray, probe_cond: np.ndarray, cond_cap: float = COND_CAP,
+    weights: np.ndarray, probe_cond: np.ndarray,
 ):
     """Nyström solves at a batch of points that share one quadrature rule.
 
@@ -482,7 +482,7 @@ def _solve_batch(
     non-finite kernel values raise :class:`NonFiniteSample` at that point of
     ``points``, kernel mass beyond the truncation length raises
     :class:`TruncationInsufficient`, and where ``probe_cond`` is set a
-    condition number above ``cond_cap`` raises :class:`IllConditioned`.
+    condition number above ``COND_CAP`` raises :class:`IllConditioned`.
 
     Returns ``k_nodes[b, i, l, m] = K_{il}(s, q_m)``, ``k_ss[b, i, j] =
     K_{ij}(s, s)`` by the Nyström identity, and the per-point collocation
@@ -528,8 +528,8 @@ def _solve_batch(
     if np.any(probe_cond):
         cond[probe_cond] = np.linalg.cond(m_mat[probe_cond])
         worst = float(np.max(cond[probe_cond]))
-        if not worst <= cond_cap:
-            raise IllConditioned(worst, cond_cap)
+        if not worst <= COND_CAP:
+            raise IllConditioned(worst, COND_CAP)
 
     x = np.linalg.solve(m_mat, rhs)
     residual = np.abs(m_mat @ x - rhs).max(axis=(1, 2))
@@ -542,14 +542,13 @@ def solve_marchenko(
     problem: DressingProblem,
     kernel: object | None = None,
     estimate_cond: bool = True,
-    cond_cap: float = COND_CAP,
 ) -> DressingSolution:
     """Nyström solve of the dressing integral equation at one point ``u``.
 
     The batch-of-one case of the window solver: the declared truncation
     length is validated by probing the kernel beyond it
     (:class:`TruncationInsufficient`), non-finite kernel values raise
-    :class:`NonFiniteSample`, and conditioning above ``cond_cap`` raises
+    :class:`NonFiniteSample`, and conditioning above ``COND_CAP`` raises
     :class:`IllConditioned`.
     """
     if kernel is None:
@@ -557,8 +556,7 @@ def solve_marchenko(
     s, length = problem.s, problem.length
     nodes, weights = _panel_quadrature(s, length, problem.panels, problem.nodes_per_panel)
     k_nodes, k_ss, residual, cond = _solve_batch(
-        kernel, np.array([problem.u]), s, length, nodes, weights,
-        np.array([estimate_cond]), cond_cap,
+        kernel, np.array([problem.u]), s, length, nodes, weights, np.array([estimate_cond])
     )
     return DressingSolution(
         kernel, s, nodes, weights, k_nodes[0], k_ss[0], float(residual[0]),

@@ -156,12 +156,9 @@ def test_criterion_05_torsion_test():
     dub = pc.dubrovin_construct(eta, fA, c=0.0, lambda_samples=LAMS_UNIT)
     pencils["dubrovin_pair"] = pc.PencilSpec(dub.g1, eta,
                                              lambda_samples=LAMS_UNIT)
-    pot = pc.generate_from_potentials(
-        pc.PotentialPairSpec(np.eye(2),
-                             (lambda u: 0.5 * u[0] ** 2,
-                              lambda u: 0.5 * u[1] ** 2), eta_chart),
-        lambda_samples=LAMS_UNIT)
-    pencils["potentials_pair"] = pc.PencilSpec(pot.g2, eta,
+    # the potentials route: one scalar potential per coordinate, c = 0
+    pot = pc.partner_metric(eta, lambda u: [0.5 * u[0] ** 2, 0.5 * u[1] ** 2])[0]
+    pencils["potentials_pair"] = pc.PencilSpec(pot, eta,
                                                lambda_samples=LAMS_UNIT)
     for name, pen in pencils.items():
         rows.append((f"{name}_torsion", pc.nijenhuis(pc.affinor(pen)),

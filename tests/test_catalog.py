@@ -70,9 +70,12 @@ def test_metric_names_cover_diagonal_catalog():
 @pytest.mark.parametrize("name, expected", [
     ("sphere", 1),  # one metric, reduced against K = 1 and against 0
     ("s4-constant-curvature", 5),  # g1, g2 and the 3 samples besides (1, 0), (0, 1)
+    # the pencil check measures the candidate's flatness: 5 metrics as above
+    ("potentials-quadratic", 5),
 ])
 def test_entry_computes_each_curvature_once(name, expected, monkeypatch):
     calls = Counter()
-    count_calls(monkeypatch, calls, ("curvature",), geo, pc)
+    count_calls(monkeypatch, calls, ("curvature", "connection"), geo, pc)
     assert all(row.passed for row in catalog.run_entry(name))
     assert calls["curvature"] == expected
+    assert calls["connection"] == expected

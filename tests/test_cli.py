@@ -49,6 +49,20 @@ DRESS = {
     "profile": {"expressions": ["2 + 0.2*t", "3 - 0.1*t"]},
 }
 
+DUBROVIN = {
+    "kind": "dubrovin",
+    "chart": {"lower": [1.0, 1.0], "upper": [2.0, 2.0], "points": [17, 17]},
+    "metric": {"contravariant": [["1", "0"], ["0", "1"]]},
+    "covector": ["0.5*u1*u1", "0.5*u2*u2"],
+}
+
+POTENTIALS = {
+    "kind": "potentials",
+    "chart": {"lower": [1.0, 1.0], "upper": [2.0, 2.0], "points": [17, 17]},
+    "eta": [[1, 0], [0, 1]],
+    "potentials": ["0.5*u1*u1", "0.5*u2*u2"],
+}
+
 TWO_COMPONENT_INTEGRATE = {
     "kind": "two-component",
     "chart": {"lower": [2.0, 0.5], "upper": [3.0, 1.0], "points": [65, 65]},
@@ -240,12 +254,69 @@ def test_malformed_json(tmp_path, capsys):
      "each lambda sample must be a list of numbers, got 1"),
     (dict(PENCIL, chart={"lower": 0.5, "upper": [2.0, 2.0], "points": [9, 9]}),
      "chart lower must be a list of numbers, got 0.5"),
-    (dict(TWO_COMPONENT_INTEGRATE, eps=5), "eps must be a list of numbers, got 5"),
-], ids=["lambda_samples", "chart", "eps"])
+    (dict(TWO_COMPONENT_INTEGRATE, eps=5), "eps must be a list of integers, got 5"),
+    (dict(PENCIL, k1=[1]), "k1 must be a number, got [1]"),
+    (dict(PENCIL, k2="0"), "k2 must be a number, got '0'"),
+    (dict(DUBROVIN, c=[0]), "c must be a number, got [0]"),
+    (dict(TWO_COMPONENT_INTEGRATE, potential={"kind": "log", "c": [0.5]}),
+     "c must be a number, got [0.5]"),
+    (dict(TWO_COMPONENT_INTEGRATE, potential={"kind": "linear", "a": [0.3]}),
+     "a must be a number, got [0.3]"),
+    (dict(TWO_COMPONENT_INTEGRATE, potential={"kind": "linear", "b": True}),
+     "b must be a number, got True"),
+    (dict(DRESS, s=[0]), "s must be a number, got [0]"),
+    (dict(DRESS, length=[3]), "length must be a number, got [3]"),
+    (dict(DRESS, panels=[16]), "panels must be an integer, got [16]"),
+    (dict(DRESS, nodes_per_panel="6"), "nodes_per_panel must be an integer, got '6'"),
+    (dict(DRESS, potentials={**DRESS["potentials"], "amplitude": [0.4]}),
+     "amplitude must be a number, got [0.4]"),
+    (dict(DRESS, potentials={**DRESS["potentials"], "width": [1]}),
+     "width must be a number, got [1]"),
+    (dict(DRESS, potentials={**DRESS["potentials"], "components": [2]}),
+     "components must be an integer, got [2]"),
+], ids=["lambda_samples", "chart", "eps", "k1", "k2", "c", "log_c", "a", "b", "s",
+        "length", "panels", "nodes_per_panel", "amplitude", "width", "components"])
 def test_wrong_typed_fields_are_schema_errors(tmp_path, capsys, scenario, message):
     code, report, err = run(tmp_path, scenario, capsys=capsys)
     assert code == 1 and report is None
     assert err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("scenario, message", [
+    (dict(FLAT_EUCLID, chart={"lower": [0.5, 0.5], "upper": [1.5, 1.5], "points": [9.9, 9]},
+          metric={"contravariant": [["1", "0"], ["0", "1"]]}),
+     "chart points must be a list of integers, got [9.9, 9]"),
+    ({"kind": "lame", "metric": {"catalog": "polar"}, "eps": [1.7, 1]},
+     "eps must be a list of integers, got [1.7, 1]"),
+    (dict(DRESS, potentials={**DRESS["potentials"], "components": 2.7}),
+     "components must be an integer, got 2.7"),
+    (dict(DRESS, panels=16.5), "panels must be an integer, got 16.5"),
+    (dict(DRESS, nodes_per_panel=6.5), "nodes_per_panel must be an integer, got 6.5"),
+    (dict(DRESS, potentials={**DRESS["potentials"], "include_diagonal": "false"}),
+     "include_diagonal must be true or false, got 'false'"),
+], ids=["points", "eps", "components", "panels", "nodes_per_panel", "include_diagonal"])
+def test_integer_and_boolean_fields_are_not_repaired(tmp_path, capsys, scenario, message):
+    """int() would truncate 9.9 to 9 and bool("false") is True: both exit 1."""
+    code, report, err = run(tmp_path, scenario, capsys=capsys)
+    assert code == 1 and report is None
+    assert err.splitlines() == [f"error: {message}"]
+
+
+def test_integral_floats_are_integers(tmp_path, capsys):
+    scenario = dict(FLAT_EUCLID, metric={"contravariant": [["1", "0"], ["0", "1"]]},
+                    chart={"lower": [0.5, 0.5], "upper": [1.5, 1.5], "points": [9.0, 9]})
+    code, report, _ = run(tmp_path, scenario, capsys=capsys)
+    assert code == 0 and report["metadata"]["chart"]["points"] == [9, 9]
+
+
+def test_potentials_eta_passes_the_metric_gates(tmp_path, capsys):
+    """eta is built by build_metric: a degenerate one exits 1 rather than
+    reading as a degenerate candidate."""
+    code, report, err = run(tmp_path, dict(POTENTIALS, eta=[[1, 0], [0, 0]]), capsys=capsys)
+    assert code == 1 and report is None
+    assert len(err.splitlines()) == 1 and err.startswith("error: |det g| = 0")
+    code, report, err = run(tmp_path, dict(POTENTIALS, eta=[[1, 0]]), capsys=capsys)
+    assert code == 1 and err.splitlines() == ["error: eta needs 2 rows of 2 numbers"]
 
 
 def test_missing_file(tmp_path, capsys):

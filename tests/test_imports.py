@@ -1,7 +1,9 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+name it exports is defined there.
 
 A stdlib-only lint: a module's imported names must appear as a name in its
-code or in its ``__all__`` (which is how ``__init__`` re-exports).
+code or in its ``__all__`` (which is how ``__init__`` re-exports), and each
+``__all__`` entry must be bound at module level.
 """
 
 import ast
@@ -26,14 +28,17 @@ def _imported(tree: ast.Module) -> dict[str, int]:
     return names
 
 
+def _exported(tree: ast.Module) -> list[str]:
+    return [
+        elt.value for node in tree.body if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    ]
+
+
 def _used(tree: ast.Module) -> set[str]:
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used |= {elt.value for elt in node.value.elts}
-    return used
+    return used | set(_exported(tree))
 
 
 def test_the_package_has_modules():
@@ -100,3 +105,31 @@ def test_every_error_class_is_raised():
     raised = set().union(*(_raised_names(ast.parse(path.read_text())) for path in MODULES))
     unraised = defined - raised - {"FlatpencilError"}
     assert not unraised, f"error classes never raised: {sorted(unraised)}"
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """Names bound at module level: definitions, assignments and imports."""
+    names = set(_imported(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+EXPORTING = [path for path in MODULES if _exported(ast.parse(path.read_text()))]
+
+
+def test_the_exporting_modules_are_linted():
+    assert {"__init__.py", "catalog.py", "expressions.py"} <= {path.name for path in EXPORTING}
+
+
+@pytest.mark.parametrize("path", EXPORTING, ids=lambda path: path.name)
+def test_every_exported_name_is_defined(path):
+    """A stale ``__all__`` entry passes the unused-import lint, since that
+    lint counts ``__all__`` as a use; this one fails it."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    missing = [name for name in _exported(tree) if name not in _defined(tree)]
+    assert not missing, f"{path.name}: exported but not defined: {missing}"

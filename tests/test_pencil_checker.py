@@ -4,8 +4,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from flatpencil.errors import DegenerateCombination, NotDiagonal
+from flatpencil.errors import (
+    DegenerateCombination,
+    DegenerateMetric,
+    NotDiagonal,
+    NotFlatCoordinates,
+)
 from flatpencil.grid_calculus import GridChart
+from flatpencil import cli
 from flatpencil import geometry_core as geo
 from flatpencil import pencil_checker as pc
 
@@ -177,39 +183,76 @@ def test_quadratic_construction_rejects_noncommuting_potential():
     assert rep.bracket_residual >= 1e-2
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-9])
+def test_curvilinear_reference_is_not_flat_coordinates(scale):
+    """Polar coordinates are flat but not flat coordinates at every scale:
+    the gate is relative to the metric, whose raised connection scales with it."""
+    chart = GridChart((1.0, 0.5), (2.0, 1.5), (33, 33))
+    polar = geo.build_metric(lambda u: [[scale, 0.0], [0.0, scale / u[0] ** 2]], chart)
+    f = lambda u: np.array([0.5 * u[0] ** 2, 0.5 * u[1] ** 2])
+    with pytest.raises(NotFlatCoordinates):
+        pc.dubrovin_construct(polar, f, lambda_samples=LAMS_UNIT)
+
+
+def test_scaled_constant_reference_is_flat_coordinates():
+    chart = GridChart((1.0, 1.0), (2.0, 2.0), (33, 33))
+    eta = geo.build_metric(lambda u: 1e-9 * np.eye(2), chart)
+    f = lambda u: np.array([0.5 * u[0] ** 2, 0.5 * u[1] ** 2])
+    rep = pc.dubrovin_construct(eta, f, lambda_samples=LAMS_UNIT)
+    assert rep.quadratic_residual <= 1e-10 and rep.compatibility.max_residual <= 1e-6
+
+
+# --- the potentials route: the same candidate at c = 0 over a constant eta ---
+
+def _potentials(h, lower=1.0, upper=2.0, points=65, eta=((1, 0), (0, 1))):
+    """Checks by name, and the degenerate flag, of a ``potentials`` scenario."""
+    scenario = {
+        "kind": "potentials",
+        "chart": {"lower": [lower] * 2, "upper": [upper] * 2, "points": [points] * 2},
+        "eta": [list(row) for row in eta],
+        "potentials": list(h),
+        "lambda_samples": [list(lam) for lam in SAFE_LAMS],
+    }
+    report, _ = cli.run_scenario(scenario, {"tolerance": 1e-6, "order": 4, "seed": 0})
+    checks = {row["check"]: row["residual"] for row in report["checks"]}
+    return checks, report["metadata"]["degenerate"]
+
+
 def test_potentials_route_builds_flat_pair():
-    chart, _ = _unit_eta()
-    spec = pc.PotentialPairSpec(
-        np.eye(2),
-        (lambda u: 0.5 * u[0] ** 2, lambda u: 0.5 * u[1] ** 2),
-        chart)
-    rep = pc.generate_from_potentials(spec, lambda_samples=SAFE_LAMS)
-    assert not rep.degenerate
-    assert rep.g2_flatness <= 1e-10
-    assert rep.compatibility is not None
-    assert rep.compatibility.max_residual <= 1e-6
+    checks, degenerate = _potentials(("0.5*u1*u1", "0.5*u2*u2"))
+    assert not degenerate
+    assert checks["candidate_flat"] <= 1e-10
+    assert checks["compatibility"] <= 1e-6
+
+
+def test_potentials_route_is_dubrovins_candidate_at_zero_offset():
+    chart, eta = _unit_eta()
+    g1 = pc.partner_metric(eta, lambda u: [0.5 * u[0] ** 2, 0.5 * u[1] ** 2])[0]
+    U1, U2 = chart.meshgrid()
+    npt.assert_allclose(g1.contra.values[..., 0, 0], 2 * U1, atol=1e-10)
+    npt.assert_allclose(g1.contra.values[..., 1, 1], 2 * U2, atol=1e-10)
+
+
+def test_potentials_route_gates_eta_relative_to_its_scale():
+    """A small eta is a metric like any other; only the relative floor gates it."""
+    checks, degenerate = _potentials(("0.5*u1*u1", "0.5*u2*u2"),
+                                     eta=((1e-7, 0), (0, 1e-7)))
+    assert not degenerate
+    assert checks["candidate_flat"] <= 1e-10
+    assert checks["compatibility"] <= 1e-6
 
 
 def test_potentials_route_reports_degenerate_candidate():
-    spec = pc.PotentialPairSpec(
-        np.eye(2),
-        (lambda u: u[0] + 2.0 * u[1], lambda u: u[1]),
-        GridChart((1.0, 1.0), (2.0, 2.0), (17, 17)))
-    rep = pc.generate_from_potentials(spec, lambda_samples=SAFE_LAMS)
-    assert rep.degenerate
-    assert rep.g2 is None
-    assert rep.compatibility is None
+    checks, degenerate = _potentials(("u1 + 2*u2", "u2"), points=17)
+    assert degenerate
+    assert checks == {"candidate_flat": float("inf")}
 
 
 def test_potentials_route_skips_compat_for_nonflat_candidate():
-    spec = pc.PotentialPairSpec(
-        np.eye(2),
-        (lambda u: u[0] ** 2 * u[1], lambda u: u[1]),
-        GridChart((1.0, 1.0), (1.8, 1.8), (33, 33)))
-    rep = pc.generate_from_potentials(spec, lambda_samples=SAFE_LAMS)
-    assert not rep.degenerate
-    assert rep.g2_flatness > 1.0
-    assert rep.compatibility is None
+    checks, degenerate = _potentials(("u1*u1*u2", "u2"), upper=1.8, points=33)
+    assert not degenerate
+    assert checks["candidate_flat"] > 1.0
+    assert "compatibility" not in checks
 
 
 def test_report_maxima_keep_a_nan_in_any_position():
@@ -228,7 +271,9 @@ def test_report_maxima_keep_a_nan_in_any_position():
 
 
 def test_potentials_may_return_scalars():
+    """h^2 is constant: the candidate diag(2 u1, 0) is degenerate."""
     chart = GridChart((1.0, 1.0), (2.0, 2.0), (33, 33))
-    spec = pc.PotentialPairSpec(np.eye(2), (lambda u: 0.5 * u[0] ** 2, lambda u: 3.0), chart)
-    rep = pc.generate_from_potentials(spec, lambda_samples=SAFE_LAMS)
-    assert rep.degenerate  # h^2 is constant: g2 = diag(2 u1, 0)
+    with pytest.raises(DegenerateMetric):
+        pc.partner_metric(_identity(chart), lambda u: [0.5 * u[0] ** 2, 3.0])
+    checks, degenerate = _potentials(("0.5*u1*u1", 3.0), points=33)
+    assert degenerate and checks == {"candidate_flat": float("inf")}

@@ -118,10 +118,12 @@ def test_declared_truncation_is_probed():
         zd.solve_marchenko(prob)
 
 
-def test_conditioning_cap_is_enforced():
+def test_conditioning_cap_is_enforced(monkeypatch):
+    """The cap is read at call time, so lowering it makes any solve fail."""
+    monkeypatch.setattr(zd, "COND_CAP", 1.0)
     prob = zd.DressingProblem(zd.gaussian_set(2, amplitude=0.4), u=U2)
     with pytest.raises(IllConditioned):
-        zd.solve_marchenko(prob, cond_cap=1.0)
+        zd.solve_marchenko(prob)
 
 
 def test_translation_identity_of_displaced_kernels():
