@@ -582,14 +582,18 @@ def _write_csv_fields(fields: dict, directory: str):
 
 
 def _resolve_settings(args, scenario: dict) -> dict:
-    def pick(flag, env, scenario_key, default, convert):
+    def pick(flag, env, key, default, convert):
         if flag is not None:
             return convert(flag)
         env_val = os.environ.get(env)
         if env_val is not None:
-            return convert(env_val)
-        if scenario_key in scenario:
-            return convert(scenario[scenario_key])
+            try:
+                return convert(env_val)
+            except ValueError:
+                noun = "an integer" if convert is int else "a number"
+                raise SchemaError(f"{env} must be {noun}, got {env_val!r}") from None
+        if key in scenario:
+            return str(scenario[key]) if convert is str else _number(scenario[key], key, convert)
         return default
 
     tol = pick(args.tol, "FLATPENCIL_TOL", "tolerance", 1e-6, float)

@@ -148,6 +148,14 @@ class IllConditioned(FlatpencilError):
         super().__init__(f"collocation matrix condition {cond:.3e} exceeds cap {cap:.3e}")
 
 
+class FactorMismatch(FlatpencilError):
+    """The dressing solve through the kernel's factors disagrees with the dense one."""
+
+    def __init__(self, deviation, tol):
+        self.deviation, self.tol = deviation, tol
+        super().__init__(f"factored and dense solves differ by {deviation:.3e} > {tol:.3e}")
+
+
 class TruncationInsufficient(FlatpencilError):
     """Kernel mass beyond the truncation length is not negligible."""
 

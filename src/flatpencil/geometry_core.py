@@ -114,7 +114,7 @@ def build_metric(
     does not change the verdict; below it, :class:`DegenerateMetric` names the first node in
     C order, as does a node where ``g`` vanishes.  The covariant metric is
     the dense pointwise inverse (LAPACK LU) and is verified to invert the
-    contravariant one to within ``1e-10``.
+    contravariant one to within ``INVERSE_TOL`` at every scale.
     """
     sym = ((0, 1),)
     if callable(source):
@@ -135,7 +135,7 @@ def build_metric(
     inv = 0.5 * (inv + np.swapaxes(inv, -1, -2))
     resid = mats @ inv - np.eye(chart.dim)
     worst = float(np.max(np.abs(resid)))
-    if worst > INVERSE_TOL * max(1.0, float(np.max(np.abs(mats)))):
+    if worst > INVERSE_TOL:  # g g^-1 - I is dimensionless
         bad = np.unravel_index(
             int(np.argmax(np.max(np.abs(resid), axis=(-1, -2)))), chart.shape
         )

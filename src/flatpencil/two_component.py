@@ -47,21 +47,34 @@ class Potential:
     """Two-variable potential ``F(x, y)`` with its partials ``F_x``, ``F_y``
     and ``F_xy``.
 
-    A partial left out is filled at construction by
-    :func:`grid_calculus.central_difference` of ``value`` (``F_xy`` of
-    ``dx``) at the step 1e-3; analytic partials are preferred wherever
-    residuals at the 1e-10 level matter.
+    With ``terms``, ``F = sum_k A_k(x) B_k(y)`` for terms ``(A, A', B, B')``
+    of functions mapping an array to one of its shape; ``value`` and the
+    partials not given are sums over them, and the dressing solver reads the
+    terms themselves.  Otherwise a partial left out is filled by
+    :func:`grid_calculus.central_difference` of ``value`` (``F_xy`` of ``dx``)
+    at the step 1e-3; analytic partials are preferred wherever residuals at
+    the 1e-10 level matter.
     """
 
-    value: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    value: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     dx: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     dy: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     dxy: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    terms: tuple[tuple[Callable, Callable, Callable, Callable], ...] | None = None
 
     def __post_init__(self):
         def fd(fn, axis):
             return lambda x, y: gc.central_difference(fn, (x, y), axis)
 
+        def total(fx, fy):  # sum_k of term entry fx at x times entry fy at y
+            return lambda x, y: sum(t[fx](x) * t[fy](y) for t in self.terms)
+
+        if self.terms is not None:
+            for name, fx, fy in (("value", 0, 2), ("dx", 1, 2), ("dy", 0, 3), ("dxy", 1, 3)):
+                if getattr(self, name) is None:
+                    object.__setattr__(self, name, total(fx, fy))
+        if self.value is None:
+            raise ValueError("a potential needs a value or terms")
         if self.dx is None:
             object.__setattr__(self, "dx", fd(self.value, 0))
         if self.dy is None:

@@ -29,9 +29,12 @@ compatible flat pair.
 
 The integral equation is discretized by a Nyström scheme: composite
 Gauss–Legendre panels on ``[s, s + L]`` (the semi-infinite integral is
-truncated at the decay length ``L``), dense collocation solve, and the same
-quadrature identity evaluates ``K`` off the nodes — in particular on the
-diagonal ``s' = s`` where ``beta`` lives.
+truncated at the decay length ``L``), and the same quadrature identity
+evaluates ``K`` off the nodes — in particular on the diagonal ``s' = s``
+where ``beta`` lives.  Potentials given as separable terms (every built-in
+decaying one) make the kernel degenerate, so it is solved through an r×r
+Woodbury core (Kress, *Linear Integral Equations*, ch. 11); a dense LU serves
+other kernels and, checking the factored solution, every ``cond`` estimate.
 
 A single solve uses :data:`DEFAULT_PANELS` panels unless told otherwise.  A
 window over a chart sizes its own rule: at its corners and centre it solves
@@ -53,6 +56,7 @@ import numpy as np
 
 from . import grid_calculus as gc
 from .errors import (
+    FactorMismatch,
     IllConditioned,
     NonFiniteSample,
     QuadratureUnresolved,
@@ -77,29 +81,29 @@ SKEW_PROBE_TOL = 1e-9
 #: step, of :func:`reduction_identity_residual`
 IDENTITY_PROBES = 12
 IDENTITY_STEP = 1e-4
-#: collocation-matrix bytes per window batch; more raises peak memory, not speed
+#: collocation-matrix (or factor) bytes per window batch; more raises peak memory, not speed
 BATCH_BYTES = 3 * 2**19
+#: the (t, t') pairs, as ``s + length * TAIL_PAIRS``, where the kernel must have decayed
+_TAIL = (1.05, 1.15, 1.3, 1.6, 2.0)
+TAIL_PAIRS = np.array([_TAIL + _TAIL + (0.5,) * 5, _TAIL + (0.5,) * 5 + _TAIL])
 
 
 # ---------------------------------------------------------------------------
 # potentials
 
 
+def _gaussian(scale: float, centre: float, w2: float):
+    """``g(t) = scale exp(-(t - centre)^2 / (2 w^2))`` and ``g'``."""
+    g = lambda t: scale * np.exp(-((t - centre) ** 2) / (2 * w2))
+    return g, lambda t: -(t - centre) / w2 * g(t)
+
+
 def gaussian_pair(
     amplitude: float, width: float, x0: float = 0.0, y0: float = 0.0
 ) -> Potential:
-    """``Phi = a exp(-((x-x0)^2 + (y-y0)^2) / (2 w^2))``."""
-    a, w2 = float(amplitude), float(width) ** 2
-
-    def e(x, y):
-        return a * np.exp(-((x - x0) ** 2 + (y - y0) ** 2) / (2 * w2))
-
-    return Potential(
-        value=e,
-        dx=lambda x, y: -(x - x0) / w2 * e(x, y),
-        dy=lambda x, y: -(y - y0) / w2 * e(x, y),
-        dxy=lambda x, y: (x - x0) * (y - y0) / w2**2 * e(x, y),
-    )
+    """``Phi = a exp(-((x-x0)^2 + (y-y0)^2) / (2 w^2))``, one term."""
+    w2 = float(width) ** 2
+    return Potential(terms=((*_gaussian(float(amplitude), x0, w2), *_gaussian(1.0, y0, w2)),))
 
 
 def separable_sum_pair(
@@ -109,30 +113,22 @@ def separable_sum_pair(
     mixed partial, the closed-form solution of the reduction PDE for a
     constant (componentwise) profile."""
     w2 = float(width) ** 2
-    ex = lambda x: a1 * np.exp(-((x - x0) ** 2) / (2 * w2))
-    ey = lambda y: a2 * np.exp(-((y - y0) ** 2) / (2 * w2))
-    zero = lambda x, y: np.zeros(np.broadcast(x, y).shape)
-    return Potential(
-        value=lambda x, y: ex(x) + ey(y) + zero(x, y),
-        dx=lambda x, y: -(x - x0) / w2 * ex(x) + zero(x, y),
-        dy=lambda x, y: -(y - y0) / w2 * ey(y) + zero(x, y),
-        dxy=zero,
-    )
+    one = lambda t: np.ones(np.shape(t))
+    zero = lambda t: np.zeros(np.shape(t))
+    return Potential(terms=(
+        (*_gaussian(float(a1), x0, w2), one, zero),
+        (one, zero, *_gaussian(float(a2), y0, w2)),
+    ))
 
 
 def skew_gaussian_pair(amplitude: float, width: float) -> Potential:
-    """``Phi = a (y - x) exp(-(x^2 + y^2)/(2 w^2))`` — skew-symmetric."""
+    """``Phi = a (y - x) exp(-(x^2 + y^2)/(2 w^2))`` — skew-symmetric; the
+    terms are ``e(x) (a y e(y))`` and ``(-a x e(x)) e(y)``."""
     a, w2 = float(amplitude), float(width) ** 2
-
-    def e(x, y):
-        return np.exp(-(x**2 + y**2) / (2 * w2))
-
-    return Potential(
-        value=lambda x, y: a * (y - x) * e(x, y),
-        dx=lambda x, y: a * e(x, y) * (-1.0 - x * (y - x) / w2),
-        dy=lambda x, y: a * e(x, y) * (1.0 - y * (y - x) / w2),
-        dxy=lambda x, y: a * e(x, y) * (y - x) * (1.0 + x * y / w2) / w2,
-    )
+    e, de = _gaussian(1.0, 0.0, w2)
+    h = lambda t: a * t * e(t)
+    dh = lambda t: a * (1.0 - t**2 / w2) * e(t)
+    return Potential(terms=((e, de, h, dh), (lambda t: -h(t), lambda t: -dh(t), e, de)))
 
 
 def log_pair(c: float) -> Potential:
@@ -229,6 +225,13 @@ class RawKernel:
         return np.broadcast_to(out, np.broadcast(s, sp).shape).copy()
 
 
+def kernel_rank(potentials: PotentialSet) -> int | None:
+    """The number of separable terms of the kernel, which bounds its rank (an
+    off-diagonal potential serves two blocks); None if a potential has none."""
+    pots = [*potentials.off_diagonal.values()] * 2 + [*potentials.diagonal.values()]
+    return None if any(p.terms is None for p in pots) else sum(len(p.terms) for p in pots)
+
+
 class PotentialKernel:
     """Kernel matrix from a potential set at evaluation points ``u``.
 
@@ -237,7 +240,8 @@ class PotentialKernel:
     ``ratio_profile`` set, evaluates the profile-scaled variant; each
     ``f^l`` must keep one sign over ``u^l - t`` for ``t`` in ``t_range``, at
     each point on its own (:meth:`ReductionProfile.signs`, one range per
-    point).
+    point).  ``rank`` is :func:`kernel_rank` of the set; when it is not None,
+    :meth:`factors` gives the kernel's separable terms.
     """
 
     def __init__(
@@ -250,6 +254,7 @@ class PotentialKernel:
         self.potentials = potentials
         self._u = np.asarray(u, dtype=float)
         self.n = potentials.n
+        self.rank = kernel_rank(potentials)
         if self._u.shape[-1:] != (self.n,):
             raise ValueError("evaluation point length must match component count")
         self._profile = ratio_profile
@@ -283,6 +288,31 @@ class PotentialKernel:
         if self._profile is not None:
             base *= self._profile.root(j, uj - sp) / self._profile.root(i, ui - s)
         return base
+
+    def factors(self, t) -> tuple[np.ndarray, ...]:
+        """``rows, cols, left, right``: term ``k`` adds ``left[b, k, a] *
+        right[b, k, c]`` to ``F_{rows[k] cols[k]}(t_a, t_c)`` at point ``b``
+        (a batch axis even for one point), the profile ratio folded in."""
+        x = np.asarray(t, dtype=float) - self._u.reshape(-1, self.n, 1)  # [b, l, a] = t_a - u^l
+        pots = self.potentials
+        pairs = [*pots.off_diagonal.items(), *(((i, i), pot) for i, pot in pots.diagonal.items())]
+        terms = []  # (row block, column block, left factor, right factor)
+        for (i, j), pot in pairs:
+            for a, da, b, db in pot.terms:
+                # F_ij(t, t') = Phi_x(t - u^i, t' - u^j) for i <= j ...
+                terms.append((i, j, da, b))
+                if i != j:  # ... and F_ji(t, t') = -Phi_y(t' - u^i, t - u^j)
+                    terms.append((j, i, lambda t, db=db: -db(t), a))
+        left = np.empty((len(x), len(terms), x.shape[-1]))
+        right = np.empty_like(left)
+        for k, (i, j, left_k, right_k) in enumerate(terms):
+            left[:, k], right[:, k] = left_k(x[:, i]), right_k(x[:, j])
+        rows, cols = np.array([term[:2] for term in terms], dtype=int).reshape(-1, 2).T
+        if self._profile is not None:
+            roots = np.stack([self._profile.root(l, -x[:, l]) for l in range(self.n)], axis=1)
+            left /= roots[:, rows]
+            right *= roots[:, cols]
+        return rows, cols, left, right
 
 
 def reduction_identity_residual(kernel, seed: int = 0) -> float:
@@ -441,13 +471,9 @@ class DressingSolution:
 
     def k_at(self, sp: float) -> np.ndarray:
         """Nyström interpolation: the matrix ``K_{ij}(s, sp)``."""
-        n, q = self.n, len(self.nodes)
-        f_s = np.empty((n, n))
-        f_q = np.empty((n, n, q))
-        for a in range(n):
-            for b in range(n):
-                f_s[a, b] = float(self.kernel.eval(a, b, self.s, sp))
-                f_q[a, b] = self.kernel.eval(a, b, self.nodes, np.full(q, sp))
+        n, pairs = self.n, [(a, b) for a in range(self.n) for b in range(self.n)]
+        f_s = np.reshape([self.kernel.eval(a, b, self.s, sp) for a, b in pairs], (n, n))
+        f_q = np.reshape([self.kernel.eval(a, b, self.nodes, sp) for a, b in pairs], (n, n, -1))
         return f_s + np.einsum("ilm,m,ljm->ij", self.k_nodes, self.weights, f_q)
 
     def beta(self) -> np.ndarray:
@@ -463,34 +489,28 @@ class DressingSolution:
 
 def _dressed_seeds(k_nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """``Psi_i = 1 + sum_l int K_il`` at a batch of points."""
-    batch, n, _, q = k_nodes.shape
-    # the unit factor keeps einsum's summation order, so psi stays bit for bit
-    ones = np.ones((batch, n, q))
-    return np.ones((batch, n)) + np.einsum("bilm,m,blm->bi", k_nodes, weights, ones)
+    return 1.0 + np.einsum("bilm,m->bi", k_nodes, weights)
 
 
-def _solve_batch(
-    kernel, points: np.ndarray, s: float, length: float, nodes: np.ndarray,
-    weights: np.ndarray, probe_cond: np.ndarray,
-):
-    """Nyström solves at a batch of points that share one quadrature rule.
+def _gate(points: np.ndarray, finite: np.ndarray, mass: np.ndarray, box: np.ndarray, length):
+    """:class:`NonFiniteSample` at the first point not ``finite``;
+    :class:`TruncationInsufficient` where the kernel's ``mass`` at the tail
+    pairs exceeds ``TAIL_REL_TOL (1 + box)``, ``box`` its max on the nodes."""
+    if not finite.all():
+        at = tuple(float(v) for v in points[np.argmin(finite)])
+        raise NonFiniteSample(at, "in the dressing kernel")
+    tol_abs = TAIL_REL_TOL * (1.0 + box)
+    if np.any(mass > tol_abs):
+        b = int(np.argmax(mass > tol_abs))
+        raise TruncationInsufficient(float(mass[b]), float(tol_abs[b]), length)
 
-    ``kernel.eval`` puts the batch axis first; a kernel without one is a
-    batch of one.  Each point's collocation matrix over unknowns
-    ``K_{il}(s, q_m)`` is shared by all row indices ``i``, so one
-    factorization serves N right-hand sides.  Every point is checked:
-    non-finite kernel values raise :class:`NonFiniteSample` at that point of
-    ``points``, kernel mass beyond the truncation length raises
-    :class:`TruncationInsufficient`, and where ``probe_cond`` is set a
-    condition number above ``COND_CAP`` raises :class:`IllConditioned`.
 
-    Returns ``k_nodes[b, i, l, m] = K_{il}(s, q_m)``, ``k_ss[b, i, j] =
-    K_{ij}(s, s)`` by the Nyström identity, and the per-point collocation
-    residual and condition number (NaN where not probed).
-    """
+def _dense_batch(kernel, points, s, length, nodes, weights, estimate_cond: bool):
+    """The collocation system from ``kernel.eval`` by LU; each point's matrix
+    over unknowns ``K_{il}(s, q_m)`` serves all row indices ``i``.  With
+    ``estimate_cond``, a condition number above ``COND_CAP`` raises
+    :class:`IllConditioned`."""
     n, q, batch = kernel.n, len(nodes), len(points)
-    tail = s + length * np.array([1.05, 1.15, 1.3, 1.6, 2.0])
-    mid = np.full_like(tail, s + 0.5 * length)
 
     def blocks(a, b):  # [batch, l, j, ...] = F_{lj}(a, b)
         out = np.empty((batch, n, n) + np.broadcast_shapes(a.shape, b.shape))
@@ -503,19 +523,11 @@ def _solve_batch(
     # right-hand sides F(s, q) and the read-off values F(q, s), F(s, s)
     t = np.concatenate(([s], nodes))
     f = blocks(t[:, None], t[None, :])
-    probe = blocks(np.concatenate([tail, tail, mid]), np.concatenate([tail, mid, tail]))
-    finite = np.isfinite(f).all(axis=(1, 2, 3, 4)) & np.isfinite(probe).all(axis=(1, 2, 3))
-    if not finite.all():
-        raise NonFiniteSample(
-            tuple(float(v) for v in points[np.argmin(finite)]), "in the dressing kernel"
-        )
+    probe = blocks(*(s + length * TAIL_PAIRS))
     f_q = f[..., 1:, 1:]
-    mass = np.abs(probe).max(axis=(1, 2, 3))
+    finite = np.isfinite(f).all(axis=(1, 2, 3, 4)) & np.isfinite(probe).all(axis=(1, 2, 3))
     box = np.maximum(f_q.max(axis=(1, 2, 3, 4)), -f_q.min(axis=(1, 2, 3, 4)))
-    tol_abs = TAIL_REL_TOL * (1.0 + box)
-    if np.any(mass > tol_abs):
-        b = int(np.argmax(mass > tol_abs))
-        raise TruncationInsufficient(float(mass[b]), float(tol_abs[b]), length)
+    _gate(points, finite, np.abs(probe).max(axis=(1, 2, 3)), box, length)
 
     # block rows (j, nn), columns (l, m): delta - w_m F_{lj}(q_m, q_nn)
     nq = n * q
@@ -525,17 +537,77 @@ def _solve_batch(
     rhs = f[:, :, :, 0, 1:].transpose(0, 2, 3, 1).reshape(batch, nq, n)
 
     cond = np.full(batch, np.nan)
-    if np.any(probe_cond):
-        cond[probe_cond] = np.linalg.cond(m_mat[probe_cond])
-        worst = float(np.max(cond[probe_cond]))
-        if not worst <= COND_CAP:
-            raise IllConditioned(worst, COND_CAP)
+    if estimate_cond:
+        cond = np.linalg.cond(m_mat)
+        if not np.max(cond) <= COND_CAP:
+            raise IllConditioned(float(np.max(cond)), COND_CAP)
 
     x = np.linalg.solve(m_mat, rhs)
     residual = np.abs(m_mat @ x - rhs).max(axis=(1, 2))
     k_nodes = x.reshape(batch, n, q, n).transpose(0, 3, 1, 2)
     k_ss = f[:, :, :, 0, 0] + np.einsum("bilm,m,bljm->bij", k_nodes, weights, f[:, :, :, 1:, 0])
     return k_nodes, k_ss, residual, cond
+
+
+def _solve_batch(kernel, points, s, length, nodes, weights, estimate_cond: bool):
+    """Nyström solves at a batch of points that share one quadrature rule (a
+    kernel without a batch axis is a batch of one, one without a ``rank``
+    goes to :func:`_dense_batch`), by Woodbury for ``x = b + U V^T x``:
+    ``U[(l, m), k] = R_k(q_m)`` for terms ``k`` in column block ``l`` and
+    ``V[(l, m), k] = w_m L_k(q_m)`` for those in row block ``l``; as ``b = U
+    P``, ``P[k, i] = L_k(s)`` in row block ``i``, ``x = U y`` with ``(I_r -
+    V^T U) y = P`` and ``K_{ij}(s, s) = sum_k R_k(s) y[k, i]`` over column
+    block ``j``.  Every point passes :func:`_gate`.  With ``estimate_cond``
+    the dense system, gated by ``COND_CAP``, is solved too, and a factored
+    ``K`` more than :data:`QUADRATURE_TOL` off it raises :class:`FactorMismatch`.
+
+    Returns ``k_nodes[b, i, l, m] = K_{il}(s, q_m)``, ``k_ss[b, i, j] =
+    K_{ij}(s, s)``, and per point the residual, the condition number and
+    that difference (NaN without ``estimate_cond``, or factors)."""
+    unset = np.full(len(points), np.nan)
+    if getattr(kernel, "rank", None) is None:
+        return (*_dense_batch(kernel, points, s, length, nodes, weights, estimate_cond), unset)
+    dense = _dense_batch(kernel, points, s, length, nodes, weights, True) if estimate_cond else None
+    n, q, batch = kernel.n, len(nodes), len(points)
+    tail_a, tail_b = s + length * TAIL_PAIRS
+    rows, cols, left, right = kernel.factors(np.concatenate(([s], nodes, tail_a, tail_b)))
+    rank, blocks = len(rows), rows * n + cols
+    l_q, r_q = left[..., 1:q + 1], right[..., 1:q + 1]
+    # the kernel at the tail pairs, term by term, then summed into its blocks
+    tail = left[..., q + 1:q + 1 + len(tail_a)] * right[..., q + 1 + len(tail_a):]
+    members = (blocks[:, None] == np.arange(n * n)).astype(float)
+    box = np.zeros(batch)
+    for block in np.unique(blocks):
+        k = np.flatnonzero(blocks == block)
+        if len(k) == 1:  # a rank-one block's largest entry is the product of its factors'
+            top = np.abs(l_q[:, k[0]]).max(axis=-1) * np.abs(r_q[:, k[0]]).max(axis=-1)
+        else:
+            top = np.swapaxes(l_q[:, k], 1, 2) @ r_q[:, k]
+            top = np.abs(top, out=top).max(axis=(1, 2))
+        box = np.maximum(box, top)
+    finite = np.isfinite(left).all(axis=(1, 2)) & np.isfinite(right).all(axis=(1, 2))
+    _gate(points, finite, np.abs(np.swapaxes(tail, 1, 2) @ members).max(axis=(1, 2)), box, length)
+
+    def spread(factor, term_blocks):  # [b, (l, m), k] = factor[b, k, m] for k in block l
+        in_block = term_blocks == np.arange(n)[:, None]
+        return (np.swapaxes(factor, 1, 2)[:, None] * in_block[:, None]).reshape(batch, n * q, rank)
+
+    u_mat = spread(r_q, cols)
+    v_t = np.swapaxes(spread(l_q * weights, rows), 1, 2)
+    p = left[..., 0, None] * (rows[:, None] == np.arange(n))
+    y = np.linalg.solve(np.eye(rank) - v_t @ u_mat, p)
+    x = u_mat @ y
+    residual = np.abs(x - u_mat @ (v_t @ x) - u_mat @ p).max(axis=(1, 2))
+    k_nodes = x.reshape(batch, n, q, n).transpose(0, 3, 1, 2)
+    k_ss = np.swapaxes(y, 1, 2) @ (right[..., 0, None] * (cols[:, None] == np.arange(n)))
+    if dense is None:
+        return k_nodes, k_ss, residual, unset, unset
+    dense_nodes, dense_ss, _, cond = dense
+    deviation = np.maximum(np.abs(dense_nodes - k_nodes).max(axis=(1, 2, 3)),
+                           np.abs(dense_ss - k_ss).max(axis=(1, 2)))
+    if not np.max(deviation) <= QUADRATURE_TOL:
+        raise FactorMismatch(float(np.max(deviation)), QUADRATURE_TOL)
+    return k_nodes, k_ss, residual, cond, deviation
 
 
 def solve_marchenko(
@@ -545,18 +617,18 @@ def solve_marchenko(
 ) -> DressingSolution:
     """Nyström solve of the dressing integral equation at one point ``u``.
 
-    The batch-of-one case of the window solver: the declared truncation
-    length is validated by probing the kernel beyond it
+    The batch-of-one case of the window solver (:func:`_solve_batch`): the
+    declared truncation length is validated by probing the kernel beyond it
     (:class:`TruncationInsufficient`), non-finite kernel values raise
-    :class:`NonFiniteSample`, and conditioning above ``COND_CAP`` raises
-    :class:`IllConditioned`.
+    :class:`NonFiniteSample`, and ``estimate_cond`` gates the dense
+    ``cond`` (:class:`IllConditioned`) and the factors (:class:`FactorMismatch`).
     """
     if kernel is None:
         kernel = problem.base_kernel()
     s, length = problem.s, problem.length
     nodes, weights = _panel_quadrature(s, length, problem.panels, problem.nodes_per_panel)
-    k_nodes, k_ss, residual, cond = _solve_batch(
-        kernel, np.array([problem.u]), s, length, nodes, weights, np.array([estimate_cond])
+    k_nodes, k_ss, residual, cond, _ = _solve_batch(
+        kernel, np.array([problem.u]), s, length, nodes, weights, estimate_cond
     )
     return DressingSolution(
         kernel, s, nodes, weights, k_nodes[0], k_ss[0], float(residual[0]),
@@ -575,13 +647,14 @@ class DressedField:
     ``panels`` is the rung the quadrature search chose and
     ``quadrature_error`` its estimate, the largest change of ``beta`` and
     ``psi`` at the probe nodes against the next finer rung; both are None
-    when the caller fixed the panel count.
-    """
+    when the caller fixed the panel count.  ``dense_deviation`` is the largest
+    factored-against-dense difference at the probes (None without factors)."""
 
     chart: GridChart
     beta_values: np.ndarray  # grid + (N, N)
     psi_values: np.ndarray  # grid + (N,)
     cond_probe: float | None
+    dense_deviation: float | None
     max_residual: float
     panels: int | None
     quadrature_error: float | None
@@ -604,10 +677,11 @@ def extract_beta(
     ``profile`` scales the kernel only with ``use_tilde``.  The truncation
     length is fixed once from the chart bounds so every node shares one
     quadrature rule and tail probe; nodes are solved in batches
-    of about :data:`BATCH_BYTES` of collocation matrices.  Every node passes
-    the non-finite, truncation and sign gates and reports its collocation
-    residual; conditioning is probed at the chart's corners and centre, and
-    ``cond_probe`` is the worst of them.
+    of about :data:`BATCH_BYTES` of collocation matrices or factors.  Every
+    node passes the non-finite, truncation and sign gates and reports its
+    collocation residual; conditioning and the factored solve are checked
+    against the dense one at the chart's corners and centre, and
+    ``cond_probe`` and ``dense_deviation`` are the worst of them.
 
     Without ``panels``, the panel count comes from the window's own
     convergence: ``beta`` and ``psi`` are solved at the corners and centre
@@ -633,32 +707,34 @@ def extract_beta(
     probe[tuple(m // 2 for m in chart.shape)] = True
     probe = probe.ravel()
 
-    def solve(u: np.ndarray, rung: int, cond: np.ndarray):
-        """beta, psi, residual and condition number (NaN where ``cond`` is
-        unset) at the points ``u``, batch by batch."""
+    rank, ratio = kernel_rank(potentials), profile if use_tilde else None
+
+    def solve(u: np.ndarray, rung: int, cond: bool = False):
+        """beta, psi and the per-point figures of :func:`_solve_batch` at the
+        points ``u``, in batches of :data:`BATCH_BYTES`."""
         nodes, weights = _panel_quadrature(s, length, rung, DEFAULT_NODES_PER_PANEL)
-        size = max(1, BATCH_BYTES // (8 * (n * len(nodes)) ** 2))
+        q = len(nodes)
+        # the dense matrix (twice for cond's SVD copy), or U, V and one q x q block
+        per_node = (n * q) ** 2 * (1 + cond) if rank is None or cond else 2 * n * q * rank + q * q
+        size = max(1, BATCH_BYTES // (8 * per_node))
         parts = []
         for start in range(0, len(u), size):
             batch = u[start:start + size]
-            kernel = PotentialKernel(
-                potentials, batch, profile if use_tilde else None, (s, s + length)
-            )
-            k_nodes, k_ss, residual, c = _solve_batch(
-                kernel, batch, s, length, nodes, weights, cond[start:start + size]
-            )
+            kernel = PotentialKernel(potentials, batch, ratio, (s, s + length))
+            k_nodes, k_ss, *figures = _solve_batch(kernel, batch, s, length, nodes, weights, cond)
             # beta_{ij} = K_{ji}(s, s)
-            parts.append((k_ss.swapaxes(1, 2), _dressed_seeds(k_nodes, weights), residual, c))
+            parts.append((k_ss.swapaxes(1, 2), _dressed_seeds(k_nodes, weights), *figures))
         return [np.concatenate(p) for p in zip(*parts)]
 
     estimate = None
     if panels is None:
         panels, estimate = _converged_rung(solve, points[probe])
-    beta, psi, residual, cond = solve(points, panels, probe)
+    beta, psi, residual, _, _ = solve(points, panels)
+    _, _, _, cond, deviation = solve(points[probe], panels, cond=True)
     return DressedField(
         chart, beta.reshape(chart.shape + (n, n)), psi.reshape(chart.shape + (n,)),
-        float(np.max(cond[probe])), float(np.max(residual)),
-        None if estimate is None else panels, estimate,
+        float(np.max(cond)), None if rank is None else float(np.max(deviation)),
+        float(np.max(residual)), None if estimate is None else panels, estimate,
     )
 
 
@@ -666,10 +742,9 @@ def _converged_rung(solve: Callable, probes: np.ndarray) -> tuple[int, float]:
     """The coarser rung of the first pair of neighbouring ladder rungs whose
     ``beta`` and ``psi`` at ``probes`` differ by at most
     :data:`QUADRATURE_TOL`, and that difference."""
-    no_cond = np.zeros(len(probes), dtype=bool)
     coarse = None
     for rung in PANEL_LADDER:
-        beta, psi, _, _ = solve(probes, rung, no_cond)
+        beta, psi, *_ = solve(probes, rung)
         if coarse is not None:
             coarse_rung, coarse_beta, coarse_psi = coarse
             change = gc.worst((np.max(np.abs(beta - coarse_beta)), np.max(np.abs(psi - coarse_psi))))

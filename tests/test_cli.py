@@ -150,6 +150,30 @@ def test_invalid_order_env_rejected(tmp_path, capsys, monkeypatch):
     assert "order" in err.lower()
 
 
+@pytest.mark.parametrize("field, value", [("order", 4.7), ("seed", 7.9), ("seed", "7"),
+                                          ("tolerance", "1e-6"), ("order", True)])
+def test_scenario_settings_are_not_truncated(tmp_path, capsys, field, value):
+    """``order`` 4.7 must not run at order 4, nor ``seed`` 7.9 at seed 7."""
+    code, report, err = run(tmp_path, dict(FLAT_EUCLID, **{field: value}), capsys=capsys)
+    assert code == 1 and report is None
+    assert err.count("error:") == 1 and field in err
+
+
+@pytest.mark.parametrize("var, value", [("FLATPENCIL_ORDER", "four"), ("FLATPENCIL_ORDER", "4.0"),
+                                        ("FLATPENCIL_SEED", "7.9"), ("FLATPENCIL_TOL", "tight")])
+def test_non_numeric_environment_settings_are_schema_errors(tmp_path, capsys, monkeypatch,
+                                                            var, value):
+    monkeypatch.setenv(var, value)
+    code, report, err = run(tmp_path, FLAT_EUCLID, capsys=capsys)
+    assert code == 1 and report is None
+    assert err == f"error: {var} must be {'a number' if var == 'FLATPENCIL_TOL' else 'an integer'}, got {value!r}\n"
+
+
+def test_integral_float_settings_are_read_as_integers(tmp_path, capsys):
+    code, report, _ = run(tmp_path, dict(FLAT_EUCLID, order=2.0, seed=7.0), capsys=capsys)
+    assert code == 0 and report["settings"]["order"] == 2 and report["settings"]["seed"] == 7
+
+
 def test_pencil_scenario(tmp_path, capsys):
     code, report, _ = run(tmp_path, PENCIL, capsys=capsys)
     assert code == 0

@@ -232,6 +232,17 @@ def test_vanishing_metric_is_degenerate_without_warnings():
     assert err.value.node == (2, 0)
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_inverse_gate_does_not_depend_on_scale(scale):
+    """``|g g^-1 - I|`` is dimensionless: a near-singular matrix above the
+    determinant floor is rejected by the inverse gate at every scale."""
+    chart = GridChart((0.0, 0.0), (1.0, 1.0), (3, 3))
+    near = np.array([[1.0, 1.0 - 1e-7], [1.0 - 1e-7, 1.0]])
+    with pytest.raises(DegenerateMetric):
+        geo.build_metric(lambda u: scale * near, chart)
+    geo.build_metric(lambda u: scale * np.array([[2.0, 1.0], [1.0, 2.0]]), chart)
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_acceptance_and_flatness_do_not_change_under_rescaling(data):

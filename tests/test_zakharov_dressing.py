@@ -7,8 +7,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from flatpencil.errors import (IllConditioned, NonFiniteProfile, NonFiniteSample,
-                               QuadratureUnresolved, SignChange,
+from flatpencil.errors import (FactorMismatch, IllConditioned, NonFiniteProfile,
+                               NonFiniteSample, QuadratureUnresolved, SignChange,
                                TruncationInsufficient)
 from flatpencil.grid_calculus import GridChart
 from flatpencil import lame_system as ls
@@ -310,8 +310,9 @@ def _gaussian2():
 
 
 WINDOWS = {
-    # 28 nodes: not a multiple of the 2-component batch size
     "2c-7x4": (_gaussian2, GridChart((-0.3, -0.2), (0.3, 0.2), (7, 4)), {}),
+    # 45 nodes: more than one 2-component batch, and not a multiple of it
+    "2c-9x5": (_gaussian2, GridChart((-0.3, -0.2), (0.3, 0.2), (9, 5)), {}),
     "2c-2x7": (_gaussian2, GridChart((-0.1, -0.3), (0.1, 0.3), (2, 7)), {}),
     "3c-3x3x3": (lambda: zd.gaussian_set(3, amplitude=0.4, include_diagonal=True),
                  GridChart((-0.2,) * 3, (0.2,) * 3, (3, 3, 3)), {}),
@@ -335,10 +336,14 @@ def test_window_matches_pointwise_solves(name):
 
 
 def test_window_size_is_not_a_batch_multiple():
-    make, chart, _ = WINDOWS["2c-7x4"]
-    field = zd.extract_beta(make(), chart)
-    batch = zd.BATCH_BYTES // (8 * (2 * field.panels * zd.DEFAULT_NODES_PER_PANEL) ** 2)
-    assert batch > 1 and np.prod(chart.shape) % batch != 0
+    make, chart, _ = WINDOWS["2c-9x5"]
+    pots = make()
+    field = zd.extract_beta(pots, chart)
+    # the factors U and V and one q x q block per node
+    q = field.panels * zd.DEFAULT_NODES_PER_PANEL
+    rank = zd.kernel_rank(pots)
+    batch = zd.BATCH_BYTES // (8 * (2 * 2 * q * rank + q * q))
+    assert 1 < batch < np.prod(chart.shape) and np.prod(chart.shape) % batch != 0
 
 
 def test_window_conditioning_is_worst_of_corners_and_centre():
@@ -356,16 +361,16 @@ def test_window_conditioning_is_worst_of_corners_and_centre():
 
 
 # beta and psi of the 2x2 window below with the fixed 16 x 6 rule, as the
-# extractor gave them before the panel count became adaptive
+# factored solve gives them (the dense LU agrees to 1.2e-16)
 FIXED_RULE_BETA = [
-    [[[-0.1894343160767852, 0.015192528822021368], [-0.11722388689714416, -0.0950718323827838]],
-     [[-0.1875922871243668, -0.09221242682414016], [-0.11078170015205022, -0.07859626643956774]]],
-    [[[-0.15519446307834905, 0.016205890705626513], [0.05400871282779056, -0.09538135052021876]],
-     [[-0.1561000414767055, -0.0983946181608631], [0.05105694104204979, -0.0768202930643491]]],
+    [[[-0.18943431607678515, 0.015192528822021371], [-0.11722388689714412, -0.09507183238278381]],
+     [[-0.18759228712436676, -0.09221242682414012], [-0.11078170015205019, -0.07859626643956774]]],
+    [[[-0.15519446307834903, 0.016205890705626527], [0.05400871282779058, -0.09538135052021875]],
+     [[-0.15610004147670545, -0.0983946181608631], [0.051056941042049796, -0.07682029306434908]]],
 ]
 FIXED_RULE_PSI = [
-    [[0.6559419754166824, 0.898812024328409], [0.6161281289395699, 0.8383219751954856]],
-    [[0.8987976140663928, 0.9061397393030876], [0.9167375036470404, 0.7944697710488563]],
+    [[0.6559419754166825, 0.898812024328409], [0.6161281289395699, 0.8383219751954856]],
+    [[0.8987976140663927, 0.9061397393030876], [0.9167375036470404, 0.7944697710488563]],
 ]
 
 
@@ -459,3 +464,189 @@ def test_nan_kernel_raises_before_the_conditioning_probe():
 def test_translation_identity_propagates_nan():
     kernel = zd.RawKernel(2, lambda i, j, s, sp: (np.nan if (i, j) == (1, 1) else 0.0) * s)
     assert np.isnan(zd.reduction_identity_residual(kernel))
+
+
+# ---------------------------------------------------------------------------
+# the factored solve
+
+
+def _with_nan_term(where):
+    """The 2-component Gaussian set with ``A'`` of its pair's one term NaN
+    where ``where(x)`` holds; unlike :func:`_with_nan_dx` it keeps its terms,
+    so it is solved through its factors."""
+    pots = zd.gaussian_set(2)
+    (a, da, b, db), = pots.off_diagonal[(0, 1)].terms
+    bad = tc.Potential(terms=((a, lambda x: np.where(where(x), np.nan, da(x)), b, db),))
+    return zd.PotentialSet(2, {(0, 1): bad}, pots.diagonal, pots.envelope)
+
+
+def test_nan_term_is_caught_by_the_factored_gate(monkeypatch):
+    pots = _with_nan_term(lambda x: x < -0.09)
+    assert zd.kernel_rank(pots) == 2
+    monkeypatch.setattr(zd, "_dense_batch", None)  # the dense path must not be reached
+    with pytest.raises(NonFiniteSample) as err:
+        zd.extract_beta(pots, GridChart((-0.1, -0.1), (0.1, 0.1), (5, 5)), panels=4)
+    assert err.value.node == (0.1, -0.1)
+    assert "(0.1, -0.1)" in str(err.value)
+
+
+def test_factored_truncation_gate_matches_the_dense_one():
+    prob = zd.DressingProblem(zd.gaussian_set(2, amplitude=0.4), u=U2, length=2.0)
+    kernel = prob.base_kernel()
+
+    class Dense:  # the same kernel without its factors
+        n, eval = kernel.n, kernel.eval
+
+    errors = []
+    for k in (kernel, Dense()):
+        with pytest.raises(TruncationInsufficient) as err:
+            zd.solve_marchenko(prob, kernel=k, estimate_cond=False)
+        errors.append(err.value)
+    factored, dense = errors
+    assert factored.mass == pytest.approx(dense.mass, rel=1e-12)
+    assert factored.tol == pytest.approx(dense.tol, rel=1e-12)
+
+
+def test_corrupted_factor_trips_the_dense_comparison(monkeypatch):
+    factors = zd.PotentialKernel.factors
+
+    def corrupted(self, t):
+        rows, cols, left, right = factors(self, t)
+        return rows, cols, left * (1.0 + 1e-6), right
+
+    monkeypatch.setattr(zd.PotentialKernel, "factors", corrupted)
+    prob = zd.DressingProblem(_gaussian2(), u=U2)
+    # without the dense comparison nothing notices
+    assert zd.solve_marchenko(prob, estimate_cond=False).residual <= 1e-10
+    with pytest.raises(FactorMismatch) as err:
+        zd.solve_marchenko(prob)
+    assert err.value.deviation > 1e-8 and err.value.tol == zd.QUADRATURE_TOL
+    with pytest.raises(FactorMismatch):
+        zd.extract_beta(_gaussian2(), GridChart((-0.1, -0.1), (0.1, 0.1), (3, 3)))
+
+
+def test_kernels_without_factors_are_solved_dense(monkeypatch):
+    """``RawKernel`` and a set holding a closure-only potential take the
+    dense LU; a set of separable potentials takes the factors."""
+    chart = GridChart((-0.2, -0.2), (0.2, 0.2), (4, 4))
+    pots = _gaussian2()
+    factored = zd.extract_beta(pots, chart, panels=8)
+    assert factored.dense_deviation <= 1e-14
+    mixed = zd.PotentialSet(
+        2, pots.off_diagonal,
+        {**pots.diagonal, 0: dataclasses.replace(pots.diagonal[0], terms=None)},
+        pots.envelope,
+    )
+    assert zd.kernel_rank(mixed) is None
+    monkeypatch.setattr(zd.PotentialKernel, "factors", None)
+    dense = zd.extract_beta(mixed, chart, panels=8)
+    assert dense.dense_deviation is None and dense.cond_probe == factored.cond_probe
+    assert np.max(np.abs(dense.beta_values - factored.beta_values)) <= 1e-14
+    from flatpencil.catalog import rank1_case
+    kernel, exact = rank1_case()
+    prob = zd.DressingProblem(zd.PotentialSet(1, {}, {}, envelope=6.0), u=(0.0,), length=10.0)
+    sol = zd.solve_marchenko(prob, kernel=kernel)
+    assert abs(sol.beta()[0, 0] - exact(0.0, 0.0)) <= 1e-12
+
+
+def test_potential_terms_give_its_partials():
+    """A separable potential's value and partials are sums over its terms;
+    given ones are kept."""
+    pair = zd.gaussian_pair(0.3, 1.2, x0=0.1, y0=-0.2)
+    x, y = PROBES[:, 0], PROBES[:, 1]
+    e = 0.3 * np.exp(-((x - 0.1) ** 2 + (y + 0.2) ** 2) / (2 * 1.44))
+    npt.assert_allclose(pair.value(x, y), e, rtol=1e-14)
+    npt.assert_allclose(pair.dx(x, y), -(x - 0.1) / 1.44 * e, rtol=1e-14)
+    npt.assert_allclose(pair.dy(x, y), -(y + 0.2) / 1.44 * e, rtol=1e-14)
+    npt.assert_allclose(pair.dxy(x, y), (x - 0.1) * (y + 0.2) / 1.44**2 * e, rtol=1e-14)
+    skew = zd.skew_gaussian_pair(0.3, 0.8)
+    npt.assert_allclose(skew.value(x, y) + skew.value(y, x), 0.0, atol=1e-16)
+    kept = tc.Potential(value=lambda x, y: x * 0.0, terms=pair.terms)
+    assert np.all(kept.value(x, y) == 0.0) and kept.dx is not None
+    with pytest.raises(ValueError, match="value or terms"):
+        tc.Potential()
+
+
+# ---------------------------------------------------------------------------
+# the closed-form oracle: Gaussian terms integrate in erf
+
+
+def _moments(z: float, degree: int) -> list:
+    """``M_k(z) = int_z^inf t^k exp(-t^2) dt`` for ``k <= degree``."""
+    if z == math.inf:
+        return [0.0] * (degree + 1)
+    m = [0.5 * math.sqrt(math.pi) * math.erfc(z), 0.5 * math.exp(-z * z)]
+    for k in range(2, degree + 1):
+        m.append(0.5 * z ** (k - 1) * math.exp(-z * z) + 0.5 * (k - 1) * m[k - 2])
+    return m
+
+
+def _overlap(left, right, lo: float, hi: float) -> float:
+    """``int_lo^hi L(q) R(q) dq`` for factors ``(poly, c)``, meaning
+    ``poly(q) exp(-(q - c)^2 / 2)``: the product is ``exp(-(cL - cR)^2 / 4)
+    exp(-(q - mu)^2)`` times a polynomial, so the integral is a sum of
+    Gaussian moments."""
+    (p_l, c_l), (p_r, c_r) = left, right
+    mu = 0.5 * (c_l + c_r)
+    poly = (p_l * p_r)(np.polynomial.Polynomial([mu, 1.0]))  # in z = q - mu
+    m_lo, m_hi = _moments(lo - mu, poly.degree()), _moments(hi - mu, poly.degree())
+    total = sum(c * (a - b) for c, a, b in zip(poly.coef, m_lo, m_hi))
+    return math.exp(-((c_l - c_r) ** 2) / 4) * total
+
+
+def _closed_form_beta(u, amplitude: float, s: float, hi: float) -> np.ndarray:
+    """``beta`` of ``gaussian_set(len(u), amplitude, 1.0, True)`` at ``u``
+    for the kernel integral over ``[s, hi]``, with no quadrature."""
+    P = np.polynomial.Polynomial
+    n, terms = len(u), []  # (row block, column block, left, right)
+    for i in range(n):
+        for j in range(i + 1, n):
+            a = amplitude * (1.0 + 0.15 * i - 0.1 * j)
+            ci, cj = u[i] + 0.2 * (i - j), u[j] + 0.1 * (i + j)
+            # Phi = a g(x - x0) g(y - y0): F_ij = Phi_x, F_ji = -Phi_y swapped
+            terms.append((i, j, (P([a * ci, -a]), ci), (P([1.0]), cj)))
+            terms.append((j, i, (P([-cj, 1.0]), cj), (P([a]), ci)))
+        b, c = 0.5 * amplitude / (1.0 + i), u[i]
+        # Phi = b (y - x) e(x) e(y) = e(x) (b y e(y)) + (-b x e(x)) e(y)
+        terms.append((i, i, (P([c, -1.0]), c), (P([-b * c, b]), c)))
+        terms.append((i, i, (-b * (1.0 - P([-c, 1.0]) ** 2), c), (P([1.0]), c)))
+    r = len(terms)
+    core = np.zeros((r, r))
+    p = np.zeros((r, n))
+    for k, (row, _, left, _) in enumerate(terms):
+        p[k, row] = left[0](s) * math.exp(-((s - left[1]) ** 2) / 2)
+        for m, (_, col, _, right) in enumerate(terms):
+            if row == col:
+                core[k, m] = _overlap(left, right, s, hi)
+    y = np.linalg.solve(np.eye(r) - core, p)
+    k_ss = np.zeros((n, n))  # K_ij(s, s) = sum over column block j of R(s) y[., i]
+    for k, (_, col, _, (poly, c)) in enumerate(terms):
+        k_ss[:, col] += poly(s) * math.exp(-((s - c) ** 2) / 2) * y[k]
+    return k_ss.T
+
+
+#: criterion 07's window: its corner, its centre and a node off both
+ORACLE_NODES = [(0, 0, 0), (5, 5, 5), (2, 7, 9)]
+
+
+@pytest.mark.parametrize("points", [11, 17], ids=["11^3", "17^3"])
+def test_window_agrees_with_the_closed_form(points):
+    """Criterion 07's set on its window and on a 17^3 (4,913-node) one,
+    against ``beta`` from closed-form Gaussian moments: the Nyström error
+    stays within the quadrature bound plus what truncation drops."""
+    from flatpencil.catalog import dressing_gaussian_set
+    pots = dressing_gaussian_set()
+    chart = GridChart((-0.25,) * 3, (0.25,) * 3, (points,) * 3)
+    field = zd.extract_beta(pots, chart, profile=ls.constant_profile((2.0,) * 3))
+    assert field.quadrature_error <= zd.QUADRATURE_TOL
+    assert field.max_residual <= 1e-10
+    assert field.dense_deviation <= 1e-14
+    length = pots.envelope + 0.25 + 1.0
+    scale = (points - 1) // 10
+    for node in ORACLE_NODES:
+        idx = tuple(scale * k for k in node)
+        u = chart.node(idx)
+        exact = _closed_form_beta(u, 0.4, 0.0, math.inf)
+        truncated = _closed_form_beta(u, 0.4, 0.0, length)
+        tail = np.max(np.abs(exact - truncated))
+        assert np.max(np.abs(field.beta_values[idx] - exact)) <= zd.QUADRATURE_TOL + tail
