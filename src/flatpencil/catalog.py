@@ -4,6 +4,8 @@ Every entry freezes one fully specified configuration -- chart, coefficients,
 combination samples, tolerances -- so that scenario runs and the test suite
 exercise identical numbers.  Entries are listed in a stable order and each
 one knows how to run its own battery of checks and report residual rows.
+Every chart keeps the default stencil order 4, at which the bounds were
+calibrated.
 
 A note on the per-entry combination samples: a pencil check evaluates
 ``l1 g1 + l2 g2`` for several weight pairs, and a weight pair whose ratio
@@ -28,7 +30,7 @@ from . import pencil_checker as pc
 from . import two_component as tc
 from . import zakharov_dressing as zd
 from .errors import SchemaError
-from .grid_calculus import DEFAULT_ORDER, GridChart
+from .grid_calculus import GridChart
 
 __all__ = [
     "CheckRow",
@@ -87,10 +89,10 @@ class CatalogEntry:
     name: str
     kind: str
     summary: str
-    runner: Callable[[int], list]
+    runner: Callable[[], list]
 
-    def run(self, order: int = DEFAULT_ORDER) -> list:
-        return self.runner(order)
+    def run(self) -> list:
+        return self.runner()
 
 
 # ---------------------------------------------------------------------------
@@ -120,37 +122,37 @@ def metric_names() -> tuple[str, ...]:
     return ("euclidean", "polar", "sphere", "diag-u")
 
 
-def _run_euclidean(order: int):
+def _run_euclidean():
     m = metric_field("euclidean")
-    return [CheckRow("flatness", geo.flatness_residual(m, order), 1e-12)]
+    return [CheckRow("flatness", geo.flatness_residual(m), 1e-12)]
 
 
-def _run_polar(order: int):
+def _run_polar():
     m = metric_field("polar")
-    frame = ls.frame_from_metric(m, order=order)
+    frame = ls.frame_from_metric(m)
     return [
-        CheckRow("flatness", geo.flatness_residual(m, order), 1e-6),
-        CheckRow("lame", ls.lame_residuals(frame, order).max_residual, 1e-6),
+        CheckRow("flatness", geo.flatness_residual(m), 1e-6),
+        CheckRow("lame", ls.lame_residuals(frame).max_residual, 1e-6),
     ]
 
 
-def _run_sphere(order: int):
+def _run_sphere():
     m = metric_field("sphere")
-    curv = geo.curvature(m, order=order)  # one curvature, reduced two ways
+    curv = geo.curvature(m)  # one curvature, reduced two ways
     return [
         CheckRow(
-            "constant_curvature_k1", gc.interior_max(curv.deviation(1.0), m.chart, order), 1e-5
+            "constant_curvature_k1", gc.interior_max(curv.deviation(1.0), m.chart), 1e-5
         ),
-        CheckRow("not_flat", gc.interior_max(curv.mixed.values, m.chart, order), 1e-2, "ge"),
+        CheckRow("not_flat", gc.interior_max(curv.mixed.values, m.chart), 1e-2, "ge"),
     ]
 
 
-def _run_diag_u(order: int):
+def _run_diag_u():
     m = metric_field("diag-u")
-    frame = ls.frame_from_metric(m, order=order)
+    frame = ls.frame_from_metric(m)
     return [
-        CheckRow("flatness", geo.flatness_residual(m, order), 1e-10),
-        CheckRow("lame", ls.lame_residuals(frame, order).max_residual, 1e-10),
+        CheckRow("flatness", geo.flatness_residual(m), 1e-10),
+        CheckRow("lame", ls.lame_residuals(frame).max_residual, 1e-10),
     ]
 
 
@@ -167,25 +169,25 @@ def s4_family(k: float = 0.25) -> tc.TwoComponentSpec:
     return tc.log_family_spec(s4_chart(), k=k)
 
 
-def _run_s4_log_pencil(order: int):
+def _run_s4_log_pencil():
     spec = s4_family()
     g = {n: tc.g_family(spec, n) for n in range(4)}
     rows = []
     for a, b in ((1, 0), (2, 1), (2, 0)):
-        pen = pc.PencilSpec(g[a], g[b], LAMS_S4)
-        rep = pc.check_compatible(pen, "flat", order=order)
-        rows.append(CheckRow(f"pair_g{a}_g{b}_flat", rep.max_residual, 1e-5))
+        # each report is reduced at once, so no two hold their connections together
+        flat = pc.check_compatible(pc.PencilSpec(g[a], g[b], LAMS_S4), "flat").max_residual
+        rows.append(CheckRow(f"pair_g{a}_g{b}_flat", flat, 1e-5))
     rows.append(
-        CheckRow("g3_not_flat", geo.flatness_residual(g[3], order), 1e-2, "ge")
+        CheckRow("g3_not_flat", geo.flatness_residual(g[3]), 1e-2, "ge")
     )
     return rows
 
 
-def _run_s4_constant_curvature(order: int):
+def _run_s4_constant_curvature():
     spec = s4_family(k=0.25)
     g3, g2 = tc.g_family(spec, 3), tc.g_family(spec, 2)
     pen = pc.PencilSpec(g3, g2, LAMS_S4)
-    rep = pc.check_compatible(pen, "constant_curvature", k1=0.25, k2=0.0, order=order)
+    rep = pc.check_compatible(pen, "constant_curvature", k1=0.25, k2=0.0)
     # the pencil check already measured g3 (its g1) against k1
     return [
         CheckRow(
@@ -253,12 +255,12 @@ def two_component_case(name: str):
 
 
 def _tc_runner(name: str):
-    def run(order: int):
+    def run():
         spec, lams, positive = two_component_case(name)
-        lequa = tc.lequa_residual(spec, order)
-        system = tc.system_residual(spec, order)
+        lequa = tc.lequa_residual(spec)
+        system = tc.system_residual(spec)
         pen = tc.build_pair(spec, lams)
-        flat = pc.check_compatible(pen, "flat", order=order).max_residual
+        flat = pc.check_compatible(pen, "flat").max_residual
         if positive:
             return [
                 CheckRow("lequa", lequa, 1e-10),
@@ -293,10 +295,8 @@ def _unit_eta() -> geo.MetricField:
     return geo.build_metric(lambda u: np.eye(2), GridChart((1.0, 1.0), (2.0, 2.0), (65, 65)))
 
 
-def _run_dubrovin_quadratic(order: int):
-    rep = pc.dubrovin_construct(
-        _unit_eta(), _quadratic_covector, c=0.0, order=order, lambda_samples=LAMS_UNIT
-    )
+def _run_dubrovin_quadratic():
+    rep = pc.dubrovin_construct(_unit_eta(), _quadratic_covector, c=0.0, lambda_samples=LAMS_UNIT)
     return [
         CheckRow("quadratic_relation", rep.quadratic_residual, 1e-10),
         CheckRow("bracket", rep.bracket_residual, 1e-10),
@@ -305,12 +305,12 @@ def _run_dubrovin_quadratic(order: int):
     ]
 
 
-def _run_potentials_quadratic(order: int):
+def _run_potentials_quadratic():
     """Dubrovin's candidate at c = 0 over a constant metric, one potential per
     coordinate; the pencil check measures the candidate's flatness as g1."""
     eta = _unit_eta()
-    g1 = pc.partner_metric(eta, _quadratic_covector, order=order)[0]
-    rep = pc.check_compatible(pc.PencilSpec(g1, eta, LAMS_UNIT), "flat", order=order)
+    g1 = pc.partner_metric(eta, _quadratic_covector)[0]
+    rep = pc.check_compatible(pc.PencilSpec(g1, eta, LAMS_UNIT), "flat")
     return [
         CheckRow("candidate_flat", rep.endpoint_residuals["g1_flatness"], 1e-10),
         CheckRow("compatibility", rep.max_residual, 1e-6),
@@ -325,7 +325,7 @@ def dressing_gaussian_set() -> zd.PotentialSet:
     return zd.gaussian_set(3, amplitude=0.4, include_diagonal=True)
 
 
-def _run_dressing_gaussian(_order: int):
+def _run_dressing_gaussian():
     pots = dressing_gaussian_set()
     prob = zd.DressingProblem(pots, (0.1, -0.2, 0.25))
     sol = zd.solve_marchenko(prob)
@@ -351,7 +351,7 @@ def rank1_case():
     return raw, exact
 
 
-def _run_dressing_separable(_order: int):
+def _run_dressing_separable():
     raw, exact = rank1_case()
     dummy = zd.PotentialSet(1, {}, {}, envelope=6.0)
     prob = zd.DressingProblem(
@@ -383,13 +383,13 @@ def reduced_pipeline():
     return pots, profile, zd.extract_beta(pots, chart, profile=profile)
 
 
-def _run_dressing_reduced(order: int):
+def _run_dressing_reduced():
     pots, profile, field = reduced_pipeline()
     frame = field.frame()
-    lame = ls.lame_residuals(frame, order)
-    red = ls.reduction_residual(frame, profile, order)
-    pen = ls.metric_pair_from_frame(frame, profile, order, tol=1e-4)
-    flat = pc.check_compatible(pen, "flat", order=order)
+    lame = ls.lame_residuals(frame)
+    red = ls.reduction_residual(frame, profile)
+    pen = ls.metric_pair_from_frame(frame, profile, tol=1e-4)
+    flat = pc.check_compatible(pen, "flat")
     # an unequal, t-dependent profile: under equal constants the scaled
     # kernel is the base kernel and these rows compare a solve with itself
     linear = ls.ReductionProfile((lambda t: 2.0 + 0.2 * t, lambda t: 3.0 - 0.1 * t))
@@ -513,5 +513,5 @@ def get(name: str) -> CatalogEntry:
     return entry
 
 
-def run_entry(name: str, order: int = DEFAULT_ORDER) -> list:
-    return get(name).run(order)
+def run_entry(name: str) -> list:
+    return get(name).run()

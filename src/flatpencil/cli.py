@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -141,7 +142,7 @@ def _numbers(value, field: str, convert=float, length: int | None = None) -> tup
     return out
 
 
-def _chart_from_spec(spec) -> GridChart:
+def _chart_from_spec(spec, order: int) -> GridChart:
     if not isinstance(spec, dict):
         raise SchemaError("chart must be an object with lower/upper/points")
     for key in ("lower", "upper", "points"):
@@ -149,7 +150,8 @@ def _chart_from_spec(spec) -> GridChart:
             raise SchemaError(f"chart is missing {key!r}")
     lower = _numbers(spec["lower"], "chart lower")
     upper = _numbers(spec["upper"], "chart upper", length=len(lower))
-    return GridChart(lower, upper, _numbers(spec["points"], "chart points", int, len(lower)))
+    points = _numbers(spec["points"], "chart points", int, len(lower))
+    return GridChart(lower, upper, points, order)
 
 
 def _coordinate_names(n: int) -> tuple[str, ...]:
@@ -165,8 +167,9 @@ def _compile_cell(cell, variables) -> Callable:
     raise SchemaError(f"expected a number or expression string, got {cell!r}")
 
 
-def _metric_from_spec(spec, chart: GridChart | None, kind: str):
-    """Returns (metric, chart); a catalog reference supplies its own chart."""
+def _metric_from_spec(spec, chart: GridChart | None, kind: str, order: int):
+    """Returns (metric, chart); a catalog reference supplies its own chart,
+    rebuilt at the stencil ``order`` (its sampled values do not change)."""
     if not isinstance(spec, dict):
         raise SchemaError("metric must be an object")
     if "catalog" in spec:
@@ -177,6 +180,8 @@ def _metric_from_spec(spec, chart: GridChart | None, kind: str):
                 f"(choose from {', '.join(cat.metric_names())})"
             )
         metric = cat.metric_field(name)
+        if metric.chart.order != order:
+            metric = geo.build_metric(metric.contra.values, replace(metric.chart, order=order))
         return metric, metric.chart
     if chart is None:
         raise SchemaError(f"scenario kind {kind!r} needs a chart for inline metrics")
@@ -259,11 +264,9 @@ def _potential_set_from_spec(spec) -> zd.PotentialSet:
 
 
 def _run_check_flat(scenario, settings):
-    chart = scenario.get("chart")
-    chart = _chart_from_spec(chart) if chart is not None else None
-    metric, chart = _metric_from_spec(_need(scenario, "metric", "check-flat"), chart, "check-flat")
-    curv = geo.curvature(metric, order=settings["order"])
-    residual = interior_max(curv.mixed.values, chart, order=settings["order"])
+    metric, chart = _optional_chart_metric(scenario, "check-flat", settings["order"])
+    curv = geo.curvature(metric)
+    residual = interior_max(curv.mixed.values, chart)
     return (
         [CheckRow("flatness", residual, settings["tolerance"])],
         {"chart": _chart_meta(chart)},
@@ -271,10 +274,17 @@ def _run_check_flat(scenario, settings):
     )
 
 
-def _pencil_from_scenario(scenario, kind, fallback_lams=pc.DEFAULT_LAMBDA_SAMPLES):
-    chart = _chart_from_spec(_need(scenario, "chart", kind))
-    g1, _ = _metric_from_spec(_need(scenario, "metric", kind), chart, kind)
-    g2, _ = _metric_from_spec(_need(scenario, "metric2", kind), chart, kind)
+def _optional_chart_metric(scenario, kind, order):
+    """(metric, chart) of a scenario whose chart may come from a catalog metric."""
+    chart = scenario.get("chart")
+    chart = _chart_from_spec(chart, order) if chart is not None else None
+    return _metric_from_spec(_need(scenario, "metric", kind), chart, kind, order)
+
+
+def _pencil_from_scenario(scenario, kind, order, fallback_lams=pc.DEFAULT_LAMBDA_SAMPLES):
+    chart = _chart_from_spec(_need(scenario, "chart", kind), order)
+    g1, _ = _metric_from_spec(_need(scenario, "metric", kind), chart, kind, order)
+    g2, _ = _metric_from_spec(_need(scenario, "metric2", kind), chart, kind, order)
     lams = _lambda_samples(scenario, fallback_lams)
     return pc.PencilSpec(g1, g2, lams), chart
 
@@ -283,13 +293,12 @@ def _run_check_pencil(scenario, settings):
     mode = scenario.get("mode", "flat")
     if mode not in ("flat", "constant_curvature", "general"):
         raise SchemaError(f"unknown pencil mode {mode!r}")
-    pencil, chart = _pencil_from_scenario(scenario, "check-pencil")
+    pencil, chart = _pencil_from_scenario(scenario, "check-pencil", settings["order"])
     rep = pc.check_compatible(
         pencil,
         mode,
         k1=_number(scenario.get("k1", 0.0), "k1"),
         k2=_number(scenario.get("k2", 0.0), "k2"),
-        order=settings["order"],
     )
     tol = settings["tolerance"]
     rows = [
@@ -307,10 +316,10 @@ def _run_check_pencil(scenario, settings):
 
 def _run_nijenhuis(scenario, settings):
     safe = ((1.0, 0.0), (0.0, 1.0))
-    pencil, chart = _pencil_from_scenario(scenario, "nijenhuis", safe)
+    pencil, chart = _pencil_from_scenario(scenario, "nijenhuis", settings["order"], safe)
     aff = pc.affinor(pencil)
     spectrum = pc.nonsingularity(pencil)
-    residual = pc.nijenhuis(aff, settings["order"])
+    residual = pc.nijenhuis(aff)
     rows = [
         CheckRow("nijenhuis", residual, settings["tolerance"]),
         CheckRow("spectrum_gap", spectrum.min_gap, spectrum.threshold, "ge"),
@@ -327,8 +336,8 @@ def _run_nijenhuis(scenario, settings):
 
 def _run_diagonal_form(scenario, settings):
     safe = ((1.0, 0.0), (0.0, 1.0))
-    pencil, chart = _pencil_from_scenario(scenario, "diagonal-form", safe)
-    rep = pc.check_diagonal_form(pencil, settings["order"])
+    pencil, chart = _pencil_from_scenario(scenario, "diagonal-form", settings["order"], safe)
+    rep = pc.check_diagonal_form(pencil)
     rows = [
         CheckRow("ratio_cross_derivative", rep.residual, settings["tolerance"]),
     ]
@@ -345,12 +354,13 @@ def _covector_from_spec(exprs, field: str, chart: GridChart) -> Callable:
 
 
 def _run_dubrovin(scenario, settings):
-    chart = _chart_from_spec(_need(scenario, "chart", "dubrovin"))
-    g2, _ = _metric_from_spec(_need(scenario, "metric", "dubrovin"), chart, "dubrovin")
+    order = settings["order"]
+    chart = _chart_from_spec(_need(scenario, "chart", "dubrovin"), order)
+    g2, _ = _metric_from_spec(_need(scenario, "metric", "dubrovin"), chart, "dubrovin", order)
     f = _covector_from_spec(_need(scenario, "covector", "dubrovin"), "covector", chart)
     lams = _lambda_samples(scenario, pc.DEFAULT_LAMBDA_SAMPLES)
     c = _number(scenario.get("c", 0.0), "c")
-    rep = pc.dubrovin_construct(g2, f, c, settings["order"], lams)
+    rep = pc.dubrovin_construct(g2, f, c, lams)
     tol = settings["tolerance"]
     rows = [
         CheckRow("quadratic_relation", rep.quadratic_residual, tol),
@@ -365,7 +375,7 @@ def _run_potentials(scenario, settings):
     """Dubrovin's candidate at ``c = 0`` over the constant metric ``eta``; a
     degenerate candidate is reported, not raised (the route is a search
     device), and the pair is checked only for a candidate flat to ``tol``."""
-    chart = _chart_from_spec(_need(scenario, "chart", "potentials"))
+    chart = _chart_from_spec(_need(scenario, "chart", "potentials"), settings["order"])
     raw = _need(scenario, "eta", "potentials")
     if not isinstance(raw, list) or len(raw) != chart.dim:
         raise SchemaError(f"eta needs {chart.dim} rows of {chart.dim} numbers")
@@ -373,33 +383,30 @@ def _run_potentials(scenario, settings):
     eta = geo.build_metric(lambda u: eta_rows, chart)
     h = _covector_from_spec(_need(scenario, "potentials", "potentials"), "potentials", chart)
     lams = _lambda_samples(scenario, pc.DEFAULT_LAMBDA_SAMPLES)
-    order, tol = settings["order"], settings["tolerance"]
+    tol = settings["tolerance"]
     try:
-        g1 = pc.partner_metric(eta, h, order=order)[0]
+        g1 = pc.partner_metric(eta, h)[0]
     except DegenerateMetric:
         g1 = None
-    flat = float("inf") if g1 is None else geo.flatness_residual(g1, order)
+    flat = float("inf") if g1 is None else geo.flatness_residual(g1)
     rows = [CheckRow("candidate_flat", flat, tol)]
     if rows[0].passed:
-        rep = pc.check_compatible(pc.PencilSpec(g1, eta, lams), "flat", order=order)
+        rep = pc.check_compatible(pc.PencilSpec(g1, eta, lams), "flat")
         rows.append(CheckRow("compatibility", rep.max_residual, tol))
     return rows, {"chart": _chart_meta(chart), "degenerate": g1 is None}, {}
 
 
 def _frame_from_scenario(scenario, kind, settings):
-    chart = scenario.get("chart")
-    chart = _chart_from_spec(chart) if chart is not None else None
-    metric, chart = _metric_from_spec(_need(scenario, "metric", kind), chart, kind)
+    metric, chart = _optional_chart_metric(scenario, kind, settings["order"])
     eps = scenario.get("eps")
     if eps is not None:
         eps = _numbers(eps, "eps", int)
-    frame = ls.frame_from_metric(metric, eps=eps, order=settings["order"])
-    return metric, frame, chart
+    return metric, ls.frame_from_metric(metric, eps=eps), chart
 
 
 def _run_lame(scenario, settings):
     metric, frame, chart = _frame_from_scenario(scenario, "lame", settings)
-    rep = ls.lame_residuals(frame, settings["order"])
+    rep = ls.lame_residuals(frame)
     rows = [
         CheckRow("off_diagonal_system", rep.r_offdiag, settings["tolerance"]),
         CheckRow("diagonal_system", rep.r_diag, settings["tolerance"]),
@@ -411,10 +418,10 @@ def _run_lame(scenario, settings):
 def _run_reduce(scenario, settings):
     metric, frame, chart = _frame_from_scenario(scenario, "reduce", settings)
     profile = _profile_from_spec(_need(scenario, "profile", "reduce"), chart.dim)
-    lame = ls.lame_residuals(frame, settings["order"])
-    red = ls.reduction_residual(frame, profile, settings["order"])
+    lame = ls.lame_residuals(frame)
+    red = ls.reduction_residual(frame, profile)
     tilde = ls.tilde_frame(frame, profile)
-    tilde_lame = ls.lame_residuals(tilde, settings["order"])
+    tilde_lame = ls.lame_residuals(tilde)
     tol = settings["tolerance"]
     rows = [
         CheckRow("lame", lame.max_residual, tol),
@@ -467,7 +474,7 @@ def _run_dress(scenario, settings):
 
 
 def _run_two_component(scenario, settings):
-    chart = _chart_from_spec(_need(scenario, "chart", "two-component"))
+    chart = _chart_from_spec(_need(scenario, "chart", "two-component"), settings["order"])
     if chart.dim != 2:
         raise SchemaError("two-component scenarios need a 2-D chart")
     potential = _potential_from_spec(_need(scenario, "potential", "two-component"))
@@ -477,14 +484,14 @@ def _run_two_component(scenario, settings):
     spec = tc.TwoComponentSpec(chart=chart, potential=potential, eps=eps, f=profile)
 
     tol = settings["tolerance"]
-    rows = [CheckRow("lequa", tc.lequa_residual(spec, settings["order"]), tol)]
+    rows = [CheckRow("lequa", tc.lequa_residual(spec), tol)]
     meta = {"chart": _chart_meta(chart), "eps": list(eps)}
 
     if "integrate" in scenario:
         integ = scenario["integrate"]
         b1_edge = _compile_cell(_need(integ, "b1_edge", "two-component"), ("u1",))
         b2_edge = _compile_cell(_need(integ, "b2_edge", "two-component"), ("u2",))
-        result = tc.integrate_b(spec, b1_edge, b2_edge, settings["order"])
+        result = tc.integrate_b(spec, b1_edge, b2_edge)
         spec = spec.with_b(result.b1, result.b2)
         rows.append(CheckRow("integration_consistency", result.max_consistency, tol))
         meta["b_source"] = "integrated"
@@ -493,7 +500,7 @@ def _run_two_component(scenario, settings):
             _field_from_expr(scenario["b1"], chart),
             _field_from_expr(scenario["b2"], chart),
         )
-        rows.append(CheckRow("system", tc.system_residual(spec, settings["order"]), tol))
+        rows.append(CheckRow("system", tc.system_residual(spec), tol))
         meta["b_source"] = "expressions"
     else:
         raise SchemaError(
@@ -503,7 +510,7 @@ def _run_two_component(scenario, settings):
 
     lams = _lambda_samples(scenario, pc.DEFAULT_LAMBDA_SAMPLES)
     pen = tc.build_pair(spec, lams)
-    rep = pc.check_compatible(pen, "flat", order=settings["order"])
+    rep = pc.check_compatible(pen, "flat")
     rows.append(CheckRow("pair_flat", rep.max_residual, tol))
     return rows, meta, {}
 
@@ -511,7 +518,11 @@ def _run_two_component(scenario, settings):
 def _run_catalog(scenario, settings):
     name = _need(scenario, "name", "catalog")
     entry = cat.get(name)
-    rows = entry.run(settings["order"])
+    if settings["order"] != DEFAULT_ORDER:  # the entries' bounds hold at this order only
+        raise SchemaError(
+            f"catalog entries run at order {DEFAULT_ORDER} only, got order {settings['order']}"
+        )
+    rows = entry.run()
     meta = {"catalog_entry": entry.name, "kind": entry.kind, "summary": entry.summary}
     return rows, meta, {}
 

@@ -47,14 +47,12 @@ class ChartTooCoarse(FlatpencilError):
 
 
 class DegenerateMetric(FlatpencilError):
-    """Metric determinant fell below the nondegeneracy floor."""
+    """A metric is singular at a node: its determinant fell below the
+    nondegeneracy floor, or its pointwise inverse missed the identity;
+    ``reason`` says which, with the measured value and its limit."""
 
-    def __init__(self, node, det, floor, coords=None):
-        self.det = det
-        self.floor = floor
-        super().__init__(
-            f"|det g| = {abs(det):.3e} < floor {floor:.3e} at node {self._at(node, coords)}"
-        )
+    def __init__(self, node, reason, coords=None):
+        super().__init__(f"{reason} at node {self._at(node, coords)}")
 
 
 class DegenerateCombination(FlatpencilError):

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import grid_calculus as gc
 from .errors import DegenerateMetric
-from .grid_calculus import DEFAULT_ORDER, GridChart, TensorField
+from .grid_calculus import GridChart, TensorField
 
 #: nondegeneracy floor: pointwise, |det g| is at least this multiple of
 #: max_ij |g^{ij}|^n, so the gate does not change under g -> c g
@@ -121,7 +121,7 @@ def build_metric(
         contra = gc.sample(source, chart, "uu", symmetries=sym)
     else:
         vals = gc.symmetrized(np.asarray(source, dtype=float), chart, sym)
-        contra = TensorField(chart, "uu", vals, sym)
+        contra = TensorField(chart, "uu", vals)
 
     mats = contra.values
     det = np.abs(np.linalg.det(mats))
@@ -129,50 +129,45 @@ def build_metric(
     ok = (det >= floor) & (det > 0.0)  # a node where g vanishes has det = floor = 0
     if not ok.all():
         bad = np.unravel_index(int(np.argmin(ok)), chart.shape)
-        raise DegenerateMetric(bad, float(det[bad]), float(floor[bad]), chart.node(bad))
+        reason = f"|det g| = {det[bad]:.3e} < floor {floor[bad]:.3e}"
+        raise DegenerateMetric(bad, reason, chart.node(bad))
 
     inv = np.linalg.inv(mats)
     inv = 0.5 * (inv + np.swapaxes(inv, -1, -2))
-    resid = mats @ inv - np.eye(chart.dim)
-    worst = float(np.max(np.abs(resid)))
-    if worst > INVERSE_TOL:  # g g^-1 - I is dimensionless
-        bad = np.unravel_index(
-            int(np.argmax(np.max(np.abs(resid), axis=(-1, -2)))), chart.shape
-        )
-        raise DegenerateMetric(bad, float(det[bad]), float(floor[bad]), chart.node(bad))
+    resid = np.max(np.abs(mats @ inv - np.eye(chart.dim)), axis=(-1, -2))
+    if np.max(resid) > INVERSE_TOL:  # g g^-1 - I is dimensionless
+        bad = np.unravel_index(int(np.argmax(resid)), chart.shape)
+        reason = f"|g g^-1 - I| = {resid[bad]:.3e} > INVERSE_TOL {INVERSE_TOL:.3e}"
+        raise DegenerateMetric(bad, reason, chart.node(bad))
 
-    cov = TensorField(chart, "dd", inv, ((0, 1),))
+    cov = TensorField(chart, "dd", inv)
     return MetricField(contra, cov)
 
 
-def connection(metric: MetricField, order: int = DEFAULT_ORDER) -> ConnectionField:
+def connection(metric: MetricField) -> ConnectionField:
     """Levi-Civita connection of a metric via finite differences."""
     g, chart, n = metric.contra.values, metric.chart, metric.dim
-    dg = gc.stacked_partials(metric.cov, order)  # [..., a, j, k] = d_a g_{jk}
+    dg = gc.stacked_partials(metric.cov)  # [..., a, j, k] = d_a g_{jk}
     # t[s, j, k] = d_j g_{sk} + d_k g_{js} - d_s g_{jk}, exactly symmetric in (j, k)
     t = np.swapaxes(dg, -3, -2) + np.swapaxes(dg, -3, -1) - dg
     mixed = 0.5 * (g @ t.reshape(chart.shape + (n, n * n))).reshape(t.shape)
     contra = g[..., None, :, :] @ mixed  # [..., j, i, k] = g^{is} Gamma^j_{sk}
     return ConnectionField(
-        TensorField(chart, "udd", mixed, ((1, 2),)),
+        TensorField(chart, "udd", mixed),
         TensorField(chart, "uud", np.swapaxes(contra, -3, -2)),
     )
 
 
-def curvature(
-    metric: MetricField,
-    conn: ConnectionField | None = None,
-    order: int = DEFAULT_ORDER,
-) -> CurvatureField:
+def curvature(metric: MetricField, conn: ConnectionField | None = None) -> CurvatureField:
     """Riemann curvature of a metric (connection recomputed unless given)."""
     if conn is None:
-        conn = connection(metric, order)
+        conn = connection(metric)
     gamma, chart, n = conn.mixed.values, metric.chart, metric.dim
     # [..., i, k, j, l] = Gamma^i_{kp} Gamma^p_{jl}, and Gamma^i_{kp} = Gamma^i_{pk}
     s = gamma.reshape(chart.shape + (n * n, n)) @ gamma.reshape(chart.shape + (n, n * n))
     s = np.swapaxes(s.reshape(chart.shape + (n,) * 4), -3, -2)
     # [..., a, i, j, l] = d_a Gamma^i_{jl}, added as [..., i, j, a, l]
-    s += np.moveaxis(gc.stacked_partials(conn.mixed, order), -4, -2)
+    s += np.moveaxis(gc.stacked_partials(conn.mixed), -4, -2)
     r = np.swapaxes(s, -1, -2) - s
     del s
     # [..., j, i, kl] = g^{is} R^j_{s kl}, raised without copying a transposed view
@@ -183,15 +178,11 @@ def curvature(
     return CurvatureField(mixed, TensorField(chart, "uudd", contra))
 
 
-def flatness_residual(metric: MetricField, order: int = DEFAULT_ORDER) -> float:
+def flatness_residual(metric: MetricField) -> float:
     """Max |R^i_{jkl}| over the interior sub-box; zero for a flat metric."""
-    curv = curvature(metric, order=order)
-    return gc.interior_max(curv.mixed.values, metric.chart, order)
+    return gc.interior_max(curvature(metric).mixed.values, metric.chart)
 
 
-def constant_curvature_residual(
-    metric: MetricField, k_value: float, order: int = DEFAULT_ORDER
-) -> float:
+def constant_curvature_residual(metric: MetricField, k_value: float) -> float:
     """Max deviation of R^{ij}_{kl} from K (d^i_k d^j_l - d^i_l d^j_k)."""
-    dev = curvature(metric, order=order).deviation(k_value)
-    return gc.interior_max(dev, metric.chart, order)
+    return gc.interior_max(curvature(metric).deviation(k_value), metric.chart)

@@ -2,11 +2,15 @@
 
 All grid derivatives taken anywhere in the package go through
 :func:`differentiate_array` (one axis) or :func:`stacked_partials` (every
-axis), which apply centred stencils of the requested order in the interior and
-one-sided stencils of the *same* order at the boundary, so the formal accuracy
-is uniform across the box.  Boundary stencils have larger error constants,
-which is why every residual is reduced by :func:`interior_max`, over the
-interior sub-box left after ``order`` nodes per side.
+axis), which apply centred stencils in the interior and one-sided stencils of
+the *same* order at the boundary, so the formal accuracy is uniform across the
+box.  Boundary stencils have larger error constants, which is why every
+residual is reduced by :func:`interior_max`, over the interior sub-box left
+after ``order`` nodes per side.
+
+The stencil order, 2 or 4, is a property of the chart (``GridChart.order``),
+and this module is the only one that reads it: every metric, frame and field
+carries its chart, so the order follows the data.
 
 First-derivative stencils (spacing h):
 
@@ -25,7 +29,7 @@ with one tensor axis of length N per slot of the variance signature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,12 +52,14 @@ class GridChart:
 
     ``lower[i] < upper[i]`` and ``points[i] >= 2``; differentiation requires
     at least :data:`MIN_AXIS_POINTS` nodes on the axis being differentiated
-    and raises :class:`ChartTooCoarse` otherwise.
+    and raises :class:`ChartTooCoarse` otherwise.  ``order`` (2 or 4) is the
+    stencil order of every derivative taken on the chart.
     """
 
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     points: tuple[int, ...]
+    order: int = DEFAULT_ORDER
 
     def __post_init__(self):
         object.__setattr__(self, "lower", tuple(float(x) for x in self.lower))
@@ -68,6 +74,8 @@ class GridChart:
                 raise ValueError(f"axis {d}: upper must exceed lower")
             if n < 2:
                 raise ValueError(f"axis {d}: need at least 2 points, got {n}")
+        if self.order not in _STENCILS:
+            raise ValueError(f"unsupported stencil order {self.order!r}; choose 2 or 4")
 
     @property
     def dim(self) -> int:
@@ -97,13 +105,10 @@ class GridChart:
             [self.axis_coordinates(d)[i] for d, i in enumerate(index)], dtype=float
         )
 
-    def interior(self, margin: int) -> tuple[slice, ...]:
-        """Index slices excluding ``margin`` nodes per side, never empty."""
-        out = []
-        for n in self.points:
-            m = min(int(margin), (n - 1) // 2)
-            out.append(slice(m, n - m))
-        return tuple(out)
+    def interior(self) -> tuple[slice, ...]:
+        """Index slices excluding ``order`` nodes per side, never empty."""
+        margins = (min(self.order, (n - 1) // 2) for n in self.points)
+        return tuple(slice(m, n - m) for m, n in zip(margins, self.points))
 
 
 @dataclass(frozen=True)
@@ -112,15 +117,12 @@ class TensorField:
 
     ``variance`` is one character per tensor slot: ``'u'`` for a contravariant
     (upper) index, ``'d'`` for a covariant (lower) one, e.g. ``"uu"`` for a
-    contravariant metric and ``"udd"`` for a connection.  ``symmetries`` lists
-    pairs of slot positions whose exchange leaves the stored values exactly
-    invariant.
+    contravariant metric and ``"udd"`` for a connection.
     """
 
     chart: GridChart
     variance: str
     values: np.ndarray
-    symmetries: tuple[tuple[int, int], ...] = field(default=())
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -131,7 +133,6 @@ class TensorField:
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "symmetries", tuple(tuple(p) for p in self.symmetries))
 
 
 # ---------------------------------------------------------------------------
@@ -165,18 +166,15 @@ def _diff_axis0_order4(a: np.ndarray, h: float) -> np.ndarray:
 _STENCILS = {2: _diff_axis0_order2, 4: _diff_axis0_order4}
 
 
-def differentiate_array(
-    values: np.ndarray, chart: GridChart, axis: int, order: int = DEFAULT_ORDER
-) -> np.ndarray:
-    """First derivative of raw grid values along one chart axis."""
-    if order not in _STENCILS:
-        raise ValueError(f"unsupported stencil order {order}; choose 2 or 4")
+def differentiate_array(values: np.ndarray, chart: GridChart, axis: int) -> np.ndarray:
+    """First derivative of raw grid values along one chart axis, at the
+    chart's stencil order."""
     if not 0 <= axis < chart.dim:
         raise ValueError(f"axis {axis} out of range for a {chart.dim}-D chart")
     if chart.points[axis] < MIN_AXIS_POINTS:
         raise ChartTooCoarse(axis, chart.points[axis], MIN_AXIS_POINTS)
     moved = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
-    out = _STENCILS[order](moved, chart.spacing[axis])
+    out = _STENCILS[chart.order](moved, chart.spacing[axis])
     return np.moveaxis(out, 0, axis)
 
 
@@ -261,13 +259,11 @@ def sample(
         except (TypeError, ValueError) as exc:
             raise ValueError(f"component {index} of a {variance!r} field: {exc}") from None
     vals = symmetrized(vals, chart, symmetries)
-    return TensorField(chart, variance, vals, tuple(tuple(p) for p in symmetries))
+    return TensorField(chart, variance, vals)
 
 
 def stacked_partials(
-    field: TensorField | np.ndarray,
-    order: int = DEFAULT_ORDER,
-    chart: GridChart | None = None,
+    field: TensorField | np.ndarray, chart: GridChart | None = None
 ) -> np.ndarray:
     """All axis derivatives, stacked on a new leading tensor axis.
 
@@ -278,7 +274,7 @@ def stacked_partials(
     """
     if isinstance(field, TensorField):
         field, chart = field.values, field.chart
-    stack = [differentiate_array(field, chart, a, order) for a in range(chart.dim)]
+    stack = [differentiate_array(field, chart, a) for a in range(chart.dim)]
     return np.stack(stack, axis=len(chart.shape))
 
 
@@ -306,15 +302,15 @@ def central_difference(
     return out if out.shape == shape else np.broadcast_to(out, shape).copy()
 
 
-def interior_max(values: np.ndarray, chart: GridChart, order: int = DEFAULT_ORDER) -> float:
+def interior_max(values: np.ndarray, chart: GridChart) -> float:
     """Max absolute value over the interior sub-box.
 
-    The margin is ``order`` nodes per side, where ``order`` is the stencil
-    order the residual was computed with: one-sided boundary rows pollute
+    The margin is ``chart.order`` nodes per side, the stencil order the
+    residual was computed with: one-sided boundary rows pollute
     ``order // 2`` nodes per differentiation, and curvature-type residuals
     chain two derivatives.
     """
-    return float(np.max(np.abs(values[chart.interior(order)])))
+    return float(np.max(np.abs(values[chart.interior()])))
 
 
 def worst(values) -> float:

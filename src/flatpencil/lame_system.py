@@ -38,7 +38,7 @@ from .errors import (
     SignMismatch,
 )
 from .geometry_core import MetricField, build_metric
-from .grid_calculus import DEFAULT_ORDER, GridChart
+from .grid_calculus import GridChart
 
 PROFILE_FLOOR = 1e-10
 #: off-diagonal content a diagonal metric may carry, relative to its scale
@@ -148,11 +148,7 @@ def identity_profile(n: int) -> ReductionProfile:
 # ---------------------------------------------------------------------------
 
 
-def frame_from_metric(
-    metric: MetricField,
-    eps: Sequence[int] | None = None,
-    order: int = DEFAULT_ORDER,
-) -> LameFrame:
+def frame_from_metric(metric: MetricField, eps: Sequence[int] | None = None) -> LameFrame:
     """Extract the frame of a diagonal metric.
 
     ``eps`` defaults to the sign of each diagonal entry at the first node;
@@ -179,7 +175,7 @@ def frame_from_metric(
         raise SignMismatch(node[:-1], node[-1], float(diag[node]), chart.node(node[:-1]))
 
     h = signed ** -0.5
-    dh = gc.stacked_partials(h, order, chart)  # [..., i, k] = d_i H_k
+    dh = gc.stacked_partials(h, chart)  # [..., i, k] = d_i H_k
     beta = dh / h[..., None, :].swapaxes(-1, -2)  # divide by H_i along axis i
     beta[..., idx, idx] = 0.0
     return LameFrame(chart, h, beta, eps)
@@ -203,14 +199,14 @@ class LameResidualReport:
         return gc.worst((self.r_offdiag, self.r_diag))
 
 
-def lame_residuals(frame: LameFrame, order: int = DEFAULT_ORDER) -> LameResidualReport:
+def lame_residuals(frame: LameFrame) -> LameResidualReport:
     """Residuals of both equation families, per index tuple and overall."""
     chart = frame.chart
     n = frame.dim
     if n < 2:
         raise ValueError("need at least two coordinates")
     beta = frame.beta
-    dbeta = gc.stacked_partials(beta, order, chart)  # [..., a, i, j] = d_a beta_{ij}
+    dbeta = gc.stacked_partials(beta, chart)  # [..., a, i, j] = d_a beta_{ij}
 
     off_diagonal: dict[tuple[int, int, int], float] = {}
     for i in range(n):
@@ -219,10 +215,10 @@ def lame_residuals(frame: LameFrame, order: int = DEFAULT_ORDER) -> LameResidual
                 if len({i, j, k}) < 3:
                     continue
                 dev = dbeta[..., k, i, j] - beta[..., i, k] * beta[..., k, j]
-                off_diagonal[(i, j, k)] = gc.interior_max(dev, chart, order)
+                off_diagonal[(i, j, k)] = gc.interior_max(dev, chart)
 
     unit = np.ones(n)
-    diagonal = _diagonal_family(frame, dbeta, (1,) * n, unit, unit, order)
+    diagonal = _diagonal_family(frame, dbeta, (1,) * n, unit, unit)
     return LameResidualReport(off_diagonal, diagonal)
 
 
@@ -235,11 +231,7 @@ class ReductionReport:
         return gc.worst(self.pairs.values())
 
 
-def reduction_residual(
-    frame: LameFrame,
-    profile: ReductionProfile,
-    order: int = DEFAULT_ORDER,
-) -> ReductionReport:
+def reduction_residual(frame: LameFrame, profile: ReductionProfile) -> ReductionReport:
     """Residual of the profile-weighted diagonal family.
 
     Per ordered pair ``i != j``::
@@ -258,11 +250,11 @@ def reduction_residual(
     fvals = profile.values_on(chart)  # [..., s]
     gamma = np.sqrt(np.abs(fvals))  # [..., i]
     weighted = gamma[..., :, None] * frame.beta  # [..., i, j] = sqrt|f^i| beta_{ij}
-    dweighted = gc.stacked_partials(weighted, order, chart)  # [..., a, i, j]
-    return ReductionReport(_diagonal_family(frame, dweighted, signs, gamma, fvals, order))
+    dweighted = gc.stacked_partials(weighted, chart)  # [..., a, i, j]
+    return ReductionReport(_diagonal_family(frame, dweighted, signs, gamma, fvals))
 
 
-def _diagonal_family(frame, dweighted, signs, gamma, fvals, order) -> dict:
+def _diagonal_family(frame, dweighted, signs, gamma, fvals) -> dict:
     """Interior maxima of the weighted diagonal family per ordered pair, from
     ``dweighted[..., a, i, j] = d_a (gamma_i beta_{ij})``; ``gamma[..., i]``
     and ``fvals[..., s]`` broadcast against the grid (unit weights give the
@@ -282,7 +274,7 @@ def _diagonal_family(frame, dweighted, signs, gamma, fvals, order) -> dict:
                 if s in (i, j):
                     continue
                 dev = dev + eps[s] * fvals[..., s] * beta[..., s, i] * beta[..., s, j]
-            pairs[(i, j)] = gc.interior_max(dev, chart, order)
+            pairs[(i, j)] = gc.interior_max(dev, chart)
     return pairs
 
 
@@ -313,7 +305,6 @@ def frame_metric(frame: LameFrame) -> MetricField:
 def metric_pair_from_frame(
     frame: LameFrame,
     profile: ReductionProfile,
-    order: int = DEFAULT_ORDER,
     tol: float = 1e-6,
     lambda_samples: Sequence[tuple[float, float]] | None = None,
 ):
@@ -327,8 +318,8 @@ def metric_pair_from_frame(
     """
     from .pencil_checker import DEFAULT_LAMBDA_SAMPLES, PencilSpec
 
-    lame = lame_residuals(frame, order)
-    red = reduction_residual(frame, profile, order)
+    lame = lame_residuals(frame)
+    red = reduction_residual(frame, profile)
     worst = gc.worst((lame.max_residual, red.residual))
     if not worst <= tol:
         raise ResidualsTooLarge(worst, tol)

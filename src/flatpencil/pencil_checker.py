@@ -37,8 +37,8 @@ from .errors import (
     NotDiagonal,
     NotFlatCoordinates,
 )
-from .geometry_core import MetricField, build_metric, connection, curvature
-from .grid_calculus import DEFAULT_ORDER, GridChart, TensorField
+from .geometry_core import ConnectionField, MetricField, build_metric, connection, curvature
+from .grid_calculus import GridChart, TensorField
 
 DEFAULT_LAMBDA_SAMPLES: tuple[tuple[float, float], ...] = (
     (1.0, 0.0),
@@ -120,6 +120,8 @@ class CompatibilityReport:
     endpoint_residuals: dict[str, float]
     #: pointwise max |R^i_{jkl}| of g1 and g2, kept for per-node dumps
     endpoint_curvature: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    #: the connections of g1 and g2, for callers that need them again
+    endpoint_connection: dict[str, ConnectionField] = field(default_factory=dict, repr=False)
 
     @property
     def max_connection(self) -> float:
@@ -155,18 +157,19 @@ class DiagonalFormReport:
 # operations
 
 
-def _one_pass(pencil, mode, k1, k2, order):
+def _one_pass(pencil, mode, k1, k2):
     """Residuals of g1, g2 and the members, each visited once.
 
     Each metric gets one connection and, unless ``mode`` is ``None``, one
-    curvature, reduced at once and dropped: only the raised connections of
-    g1 and g2, and in general mode their raised curvatures, outlive their
-    turn.  Returns connection and curvature residuals by sample, endpoint
-    residuals and the pointwise curvature maxima of g1 and g2.
+    curvature, reduced at once and dropped: only the connections of g1 and
+    g2, and in general mode their raised curvatures, outlive their turn.
+    Returns connection and curvature residuals by sample, endpoint
+    residuals, the pointwise curvature maxima and the connections of g1 and
+    g2.
     """
 
     def reduce(values):
-        return gc.interior_max(values, pencil.chart, order)
+        return gc.interior_max(values, pencil.chart)
 
     def curvature_residual(curv, l1, l2):
         if mode == "flat":
@@ -175,16 +178,15 @@ def _one_pass(pencil, mode, k1, k2, order):
             return reduce(curv.deviation(l1 * k1 + l2 * k2))
         return reduce(curv.contra.values - l1 * r[0] - l2 * r[1])
 
-    c, r, endpoint, fields, conn_by, curv_by = [], [], {}, {}, {}, {}
+    r, endpoint, fields, conns, conn_by, curv_by = [], {}, {}, {}, {}, {}
     # an endpoint sample's residuals, known from the endpoint pass: its
     # connection and general-mode curvature differ from themselves by 0
     own = {}
     for name, metric, lam in (("g1", pencil.g1, (1.0, 0.0)), ("g2", pencil.g2, (0.0, 1.0))):
-        conn = connection(metric, order)
-        c.append(conn.contra.values)
+        conns[name] = conn = connection(metric)
         own[lam] = 0.0
         if mode is not None:
-            curv = curvature(metric, conn, order)
+            curv = curvature(metric, conn)
             fields[name] = curv.pointwise_max()
             if mode == "general":
                 r.append(curv.contra.values)
@@ -192,26 +194,24 @@ def _one_pass(pencil, mode, k1, k2, order):
                 key = f"{name}_{'flatness' if mode == 'flat' else mode}"
                 endpoint[key] = own[lam] = curvature_residual(curv, *lam)
             del curv
-        del conn
+    c = [conns[name].contra.values for name in ("g1", "g2")]
     for (l1, l2), member in zip(pencil.lambda_samples, pencil.members):
         if (l1, l2) in own:
             conn_by[(l1, l2)] = 0.0
             if mode is not None:
                 curv_by[(l1, l2)] = own[(l1, l2)]
             continue
-        conn = connection(member, order)
+        conn = connection(member)
         conn_by[(l1, l2)] = reduce(conn.contra.values - l1 * c[0] - l2 * c[1])
         if mode is not None:
-            curv_by[(l1, l2)] = curvature_residual(curvature(member, conn, order), l1, l2)
+            curv_by[(l1, l2)] = curvature_residual(curvature(member, conn), l1, l2)
         del conn
-    return conn_by, curv_by, endpoint, fields
+    return conn_by, curv_by, endpoint, fields, conns
 
 
-def check_almost_compatible(
-    pencil: PencilSpec, order: int = DEFAULT_ORDER
-) -> CompatibilityReport:
+def check_almost_compatible(pencil: PencilSpec) -> CompatibilityReport:
     """Connection-linearity residual for every sampled combination."""
-    return CompatibilityReport(None, *_one_pass(pencil, None, 0.0, 0.0, order))
+    return CompatibilityReport(None, *_one_pass(pencil, None, 0.0, 0.0))
 
 
 def check_compatible(
@@ -219,7 +219,6 @@ def check_compatible(
     mode: str = "flat",
     k1: float = 0.0,
     k2: float = 0.0,
-    order: int = DEFAULT_ORDER,
 ) -> CompatibilityReport:
     """Full compatibility check in one of three modes.
 
@@ -237,7 +236,7 @@ def check_compatible(
     """
     if mode not in ("flat", "constant_curvature", "general"):
         raise ValueError(f"unknown mode {mode!r}")
-    return CompatibilityReport(mode, *_one_pass(pencil, mode, k1, k2, order))
+    return CompatibilityReport(mode, *_one_pass(pencil, mode, k1, k2))
 
 
 @dataclass(frozen=True)
@@ -280,25 +279,23 @@ def nonsingularity(pencil: PencilSpec) -> SpectrumReport:
     return SpectrumReport(gap, _GAP_REL_TOL * scale, has_complex, scale)
 
 
-def nijenhuis(aff: AffinorField, order: int = DEFAULT_ORDER) -> float:
+def nijenhuis(aff: AffinorField) -> float:
     """Max interior component of the Nijenhuis tensor of the affinor.
 
     ``N^k_{ij} = v^s_i d_s v^k_j - v^s_j d_s v^k_i
     + v^k_s d_j v^s_i - v^k_s d_i v^s_j``
     """
     v = aff.field.values
-    dv = gc.stacked_partials(aff.field, order)  # [..., a, k, j] = d_a v^k_j
+    dv = gc.stacked_partials(aff.field)  # [..., a, k, j] = d_a v^k_j
     t1 = np.einsum("...si,...skj->...kij", v, dv)
     t2 = np.einsum("...sj,...ski->...kij", v, dv)
     t3 = np.einsum("...ks,...jsi->...kij", v, dv)
     t4 = np.einsum("...ks,...isj->...kij", v, dv)
     nt = t1 - t2 + t3 - t4
-    return gc.interior_max(nt, aff.chart, order)
+    return gc.interior_max(nt, aff.chart)
 
 
-def check_diagonal_form(
-    pencil: PencilSpec, order: int = DEFAULT_ORDER
-) -> DiagonalFormReport:
+def check_diagonal_form(pencil: PencilSpec) -> DiagonalFormReport:
     """Verify the diagonal normal form ``g1^{ii} = f^i(u^i) g2^{ii}``.
 
     Both metrics must be diagonal (:class:`NotDiagonal` otherwise, measured
@@ -323,7 +320,7 @@ def check_diagonal_form(
         / pencil.g2.contra.values[..., idx, idx]
     )
     residual = gc.worst(
-        gc.interior_max(gc.differentiate_array(f[..., i], chart, j, order), chart, order)
+        gc.interior_max(gc.differentiate_array(f[..., i], chart, j), chart)
         for i in range(n) for j in range(n) if j != i
     )
     return DiagonalFormReport(f, residual, off)
@@ -347,7 +344,6 @@ def partner_metric(
     g2: MetricField,
     f: Callable[[list[np.ndarray]], object],
     c: float = 0.0,
-    order: int = DEFAULT_ORDER,
 ) -> tuple[MetricField, np.ndarray, np.ndarray]:
     """Dubrovin's candidate partner of ``g2`` from a covector potential ``f``::
 
@@ -359,7 +355,7 @@ def partner_metric(
     candidate raises :class:`DegenerateMetric`).  Returns ``g1`` with the
     ``d_s f^k`` (``[..., s, k]``) and ``grad^i f^j`` it was built from.
     """
-    df = gc.stacked_partials(gc.sample(f, g2.chart, "u"), order)  # [..., s, k] = d_s f^k
+    df = gc.stacked_partials(gc.sample(f, g2.chart, "u"))  # [..., s, k] = d_s f^k
     g2c = g2.contra.values
     grad = np.einsum("...is,...sj->...ij", g2c, df)  # grad^i f^j
     return build_metric(grad + np.swapaxes(grad, -1, -2) + c * g2c, g2.chart), df, grad
@@ -369,7 +365,6 @@ def dubrovin_construct(
     g2: MetricField,
     f: Callable[[list[np.ndarray]], object],
     c: float = 0.0,
-    order: int = DEFAULT_ORDER,
     lambda_samples: Sequence[tuple[float, float]] = DEFAULT_LAMBDA_SAMPLES,
 ) -> DubrovinReport:
     """Build the partner metric of a flat pencil from a covector potential.
@@ -390,43 +385,42 @@ def dubrovin_construct(
     """
     chart = g2.chart
 
-    gamma2 = connection(g2, order)
+    gamma2 = connection(g2)
     conn_res, flat_tol = float(np.max(np.abs(gamma2.contra.values))), _FLAT_TOL * g2.scale()
     if not conn_res <= flat_tol:  # NaN fails too
         raise NotFlatCoordinates(conn_res, flat_tol)
 
-    g1, df, grad = partner_metric(g2, f, c, order)
-    ddf = gc.stacked_partials(df, order, chart)  # [..., a, s, k] = d_a d_s f^k
+    g1, df, grad = partner_metric(g2, f, c)
+    ddf = gc.stacked_partials(df, chart)  # [..., a, s, k] = d_a d_s f^k
     ddf = 0.5 * (ddf + np.swapaxes(ddf, -3, -2))
     g2c = g2.contra.values
 
     # D^{ijk} = grad^i grad^j f^k (indices raised with g2) and D^{ij}_k =
     # d_k grad^i f^j agree once the first index of D^{ijk} is lowered with g2
     delta_up = np.einsum("...is,...jp,...spk->...ijk", g2c, g2c, ddf)
-    dgrad = gc.stacked_partials(grad, order, chart)  # [..., k, i, j] = d_k grad^i f^j
+    dgrad = gc.stacked_partials(grad, chart)  # [..., k, i, j] = d_k grad^i f^j
     delta_mixed = np.einsum("...kij->...ijk", dgrad)
     lowered = np.einsum("...ks,...sij->...ijk", g2.cov.values, delta_up)
     lowering_defect = float(np.max(np.abs(lowered - delta_mixed)))
 
     term1 = np.einsum("...ijs,...skl->...ijkl", delta_mixed, delta_mixed)
     term2 = np.einsum("...iks,...sjl->...ijkl", delta_mixed, delta_mixed)
-    quad = gc.interior_max(term1 - term2, chart, order)
+    quad = gc.interior_max(term1 - term2, chart)
 
     g1c = g1.contra.values
     bracket = np.einsum("...is,...jp,...spk->...ijk", g1c, g2c, ddf) - np.einsum(
         "...is,...jp,...spk->...ijk", g2c, g1c, ddf
     )
-    bracket_res = gc.interior_max(bracket, chart, order)
+    bracket_res = gc.interior_max(bracket, chart)
 
-    gamma1 = connection(g1, order)
+    # the cross-check builds the connection of g1, which D^{ijk} needs too
+    compat = check_compatible(PencilSpec(g1, g2, tuple(lambda_samples)), "flat")
+    gamma1 = compat.endpoint_connection["g1"]
     delta_conn = np.einsum(
         "...is,...jp,...kps->...ijk",
         g1c,
         g2c,
         gamma2.mixed.values - gamma1.mixed.values,
     )
-    delta_consistency = gc.interior_max(delta_conn - delta_up, chart, order)
-
-    pencil = PencilSpec(g1, g2, tuple(lambda_samples))
-    compat = check_compatible(pencil, "flat", order=order)
+    delta_consistency = gc.interior_max(delta_conn - delta_up, chart)
     return DubrovinReport(g1, quad, bracket_res, delta_consistency, lowering_defect, compat)

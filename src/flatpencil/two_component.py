@@ -36,7 +36,7 @@ import numpy as np
 from . import grid_calculus as gc
 from .errors import VanishingB
 from .geometry_core import MetricField, build_metric
-from .grid_calculus import DEFAULT_ORDER, GridChart
+from .grid_calculus import GridChart
 from .lame_system import ReductionProfile, identity_profile
 
 B_FLOOR_SCALE = 1e-8
@@ -156,7 +156,7 @@ def _check_nonvanishing(b: np.ndarray, name: str, chart: GridChart):
         raise VanishingB(name, node, value, floor, chart.node(node))
 
 
-def lequa_residual(spec: TwoComponentSpec, order: int = DEFAULT_ORDER) -> float:
+def lequa_residual(spec: TwoComponentSpec) -> float:
     """Max interior residual of the compatibility equation (**) for ``F``.
 
     Potential partials are analytic when supplied; the profile derivatives
@@ -165,13 +165,13 @@ def lequa_residual(spec: TwoComponentSpec, order: int = DEFAULT_ORDER) -> float:
     chart = spec.chart
     u1, u2 = chart.meshgrid()
     f1, f2 = np.moveaxis(spec.f.values_on(chart), -1, 0)
-    fp1 = gc.differentiate_array(f1, chart, 0, order)
-    fp2 = gc.differentiate_array(f2, chart, 1, order)
+    fp1 = gc.differentiate_array(f1, chart, 0)
+    fp2 = gc.differentiate_array(f2, chart, 1)
     f_u1 = np.asarray(spec.potential.dx(u1, u2), dtype=float)
     f_u2 = np.asarray(spec.potential.dy(u1, u2), dtype=float)
     f_mixed = np.asarray(spec.potential.dxy(u1, u2), dtype=float)
     res = 2.0 * f_mixed * (f1 - f2) + f_u2 * fp1 - f_u1 * fp2
-    return gc.interior_max(res, chart, order)
+    return gc.interior_max(res, chart)
 
 
 @dataclass
@@ -189,7 +189,6 @@ def integrate_b(
     spec: TwoComponentSpec,
     b1_edge: Callable[[np.ndarray], np.ndarray],
     b2_edge: Callable[[float], float],
-    order: int = DEFAULT_ORDER,
 ) -> IntegrationResult:
     """Integrate the linear system (*) from two-edge data.
 
@@ -238,29 +237,29 @@ def integrate_b(
 
     _check_nonvanishing(b1_grid, "b1", chart)
     _check_nonvanishing(b2_grid, "b2", chart)
-    return IntegrationResult(b1_grid, b2_grid, _system_rows(spec, b1_grid, b2_grid, order))
+    return IntegrationResult(b1_grid, b2_grid, _system_rows(spec, b1_grid, b2_grid))
 
 
-def _system_rows(spec: TwoComponentSpec, b1, b2, order: int) -> dict[str, float]:
+def _system_rows(spec: TwoComponentSpec, b1, b2) -> dict[str, float]:
     """Max interior residual of each equation of (*) for the fields ``b1, b2``."""
     chart = spec.chart
     u1, u2 = chart.meshgrid()
     eps1, eps2 = spec.eps
     f_u1 = np.asarray(spec.potential.dx(u1, u2), dtype=float)
     f_u2 = np.asarray(spec.potential.dy(u1, u2), dtype=float)
-    r_b2 = gc.differentiate_array(b2, chart, 0, order) - eps1 * f_u2 * b1
-    r_b1 = gc.differentiate_array(b1, chart, 1, order) + eps2 * f_u1 * b2
+    r_b2 = gc.differentiate_array(b2, chart, 0) - eps1 * f_u2 * b1
+    r_b1 = gc.differentiate_array(b1, chart, 1) + eps2 * f_u1 * b2
     return {
-        "b2_equation": gc.interior_max(r_b2, chart, order),
-        "b1_equation": gc.interior_max(r_b1, chart, order),
+        "b2_equation": gc.interior_max(r_b2, chart),
+        "b1_equation": gc.interior_max(r_b1, chart),
     }
 
 
-def system_residual(spec: TwoComponentSpec, order: int = DEFAULT_ORDER) -> float:
+def system_residual(spec: TwoComponentSpec) -> float:
     """Max interior residual of (*) for *given* ``b`` fields."""
     if spec.b1 is None or spec.b2 is None:
         raise ValueError("system_residual needs b fields set on the TwoComponentSpec")
-    return gc.worst(_system_rows(spec, spec.b1, spec.b2, order).values())
+    return gc.worst(_system_rows(spec, spec.b1, spec.b2).values())
 
 
 def build_pair(

@@ -257,7 +257,7 @@ def test_dressed_windows_reduce_over_more_than_one_node():
     """A defect off the centre node of a dressed window must reach its rows."""
     _, _, field = catalog.reduced_pipeline()
     for chart in (CRITERION_07_CHART, field.chart):
-        assert all(s.stop - s.start > 1 for s in chart.interior(catalog.DEFAULT_ORDER))
+        assert all(s.stop - s.start > 1 for s in chart.interior())
 
 
 def test_criterion_08_reduction_pdes():

@@ -79,3 +79,13 @@ def test_entry_computes_each_curvature_once(name, expected, monkeypatch):
     assert all(row.passed for row in catalog.run_entry(name))
     assert calls["curvature"] == expected
     assert calls["connection"] == expected
+
+
+def test_dubrovin_construction_builds_each_connection_once(monkeypatch):
+    """The flat-coordinates gate builds the connection of g2; the pencil check
+    builds those of g1, g2 and the 3 other samples, and the construction takes
+    g1's from its report: 6 connections and 5 curvatures for 5 metrics."""
+    calls = Counter()
+    count_calls(monkeypatch, calls, ("curvature", "connection"), geo, pc)
+    assert all(row.passed for row in catalog.run_entry("dubrovin-quadratic"))
+    assert calls == {"connection": 6, "curvature": 5}

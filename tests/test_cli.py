@@ -4,11 +4,12 @@ import filecmp
 import hashlib
 import json
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from flatpencil import cli
+from flatpencil import catalog, cli
 from flatpencil import geometry_core as geo
 from flatpencil import pencil_checker as pc
 from flatpencil import zakharov_dressing as zd
@@ -134,6 +135,11 @@ def test_order_env_switches_stencils(tmp_path, capsys, monkeypatch):
     code, report, _ = run(tmp_path, FLAT_POLAR, capsys=capsys)
     assert report["settings"]["order"] == 2
     assert report["checks"][0]["residual"] > 1e-5  # second-order truncation
+    # the catalog metric is rebuilt on its chart at order 2
+    polar = catalog.metric_field("polar")
+    chart2 = replace(polar.chart, order=2)
+    assert report["checks"][0]["residual"] == geo.flatness_residual(
+        geo.build_metric(polar.contra.values, chart2))
 
 
 def test_invalid_order_flag_rejected_by_parser(tmp_path, capsys):
@@ -249,6 +255,14 @@ def test_catalog_scenario_and_metadata(tmp_path, capsys):
                           capsys=capsys)
     assert code == 0
     assert report["metadata"]["catalog_entry"] == "polar"
+
+
+def test_catalog_kind_runs_at_order_four_only(tmp_path, capsys):
+    """Catalog bounds were calibrated at order 4; order 2 is refused, not run."""
+    code, report, err = run(tmp_path, {"kind": "catalog", "name": "polar"}, "--order", "2",
+                            capsys=capsys)
+    assert code == 1 and report is None
+    assert err.startswith("error: ") and err.count("error:") == 1 and "order" in err
 
 
 def test_unknown_catalog_entry_is_schema_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Connection / curvature residuals against closed-form geometry."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -33,8 +34,10 @@ def test_polar_plane_is_flat(polar_metric):
 
 
 def test_second_order_stencils_are_less_accurate(polar_metric):
-    res2 = geo.flatness_residual(polar_metric, order=2)
-    res4 = geo.flatness_residual(polar_metric, order=4)
+    chart2 = replace(polar_metric.chart, order=2)
+    res2 = geo.flatness_residual(geo.build_metric(polar_metric.contra.values, chart2))
+    res4 = geo.flatness_residual(polar_metric)
+    assert polar_metric.chart.order == 4
     assert res2 > 1e-5
     assert res2 > 100 * res4
 
@@ -147,16 +150,16 @@ def test_connection_shapes(polar_metric):
 # batched-matmul contractions against the einsum formulas they replaced
 
 
-def _einsum_connection(metric, order):
+def _einsum_connection(metric):
     g = metric.contra.values
-    dg = gc.stacked_partials(metric.cov, order)
+    dg = gc.stacked_partials(metric.cov)
     t = np.einsum("...jsk->...sjk", dg) + np.einsum("...kjs->...sjk", dg) - dg
     mixed = 0.5 * np.einsum("...is,...sjk->...ijk", g, t)
     return mixed, np.einsum("...is,...jsk->...ijk", g, mixed)
 
 
-def _einsum_curvature(metric, gamma, order):
-    dgamma = gc.stacked_partials(gamma, order, metric.chart)
+def _einsum_curvature(metric, gamma):
+    dgamma = gc.stacked_partials(gamma, metric.chart)
     r = (
         -np.einsum("...kijl->...ijkl", dgamma)
         + np.einsum("...lijk->...ijkl", dgamma)
@@ -166,10 +169,10 @@ def _einsum_curvature(metric, gamma, order):
     return r, np.einsum("...is,...jskl->...ijkl", metric.contra.values, r)
 
 
-def _smooth_metric(data, dim, points):
+def _smooth_metric(data, dim, points, order):
     """A random positive-definite metric: constant diagonal plus smooth
     symmetric wiggles of at most 0.3 per entry."""
-    chart = GridChart((0.5,) * dim, (1.5,) * dim, (points,) * dim)
+    chart = GridChart((0.5,) * dim, (1.5,) * dim, (points,) * dim, order)
     coef = st.floats(-1.0, 1.0)
     diag = [data.draw(st.floats(1.0, 3.0)) for _ in range(dim)]
     waves = {
@@ -196,13 +199,13 @@ def test_contractions_match_the_einsum_formulas(data):
     dim = data.draw(st.sampled_from((2, 3)), label="dim")
     points = data.draw(st.integers(5, 9 if dim == 3 else 17), label="points")
     order = data.draw(st.sampled_from((2, 4)), label="order")
-    metric = _smooth_metric(data, dim, points)
-    conn = geo.connection(metric, order)
-    ref_mixed, ref_contra = _einsum_connection(metric, order)
+    metric = _smooth_metric(data, dim, points, order)
+    conn = geo.connection(metric)
+    ref_mixed, ref_contra = _einsum_connection(metric)
     _close(conn.mixed.values, ref_mixed)
     _close(conn.contra.values, ref_contra)
-    curv = geo.curvature(metric, conn, order)
-    ref_r, ref_rc = _einsum_curvature(metric, ref_mixed, order)
+    curv = geo.curvature(metric, conn)
+    ref_r, ref_rc = _einsum_curvature(metric, ref_mixed)
     _close(curv.mixed.values, ref_r)
     _close(curv.contra.values, ref_rc)
 
@@ -241,6 +244,21 @@ def test_inverse_gate_does_not_depend_on_scale(scale):
     with pytest.raises(DegenerateMetric):
         geo.build_metric(lambda u: scale * near, chart)
     geo.build_metric(lambda u: scale * np.array([[2.0, 1.0], [1.0, 2.0]]), chart)
+
+
+def test_inverse_gate_names_the_inverse_residual():
+    """The matrix passes the determinant floor (2e-7 > 1e-8) and fails the
+    inverse gate, so the message quotes |g g^-1 - I| and INVERSE_TOL."""
+    chart = GridChart((0.0, 0.0), (1.0, 1.0), (5, 5))
+    near = np.array([[1.0, 1.0 - 1e-7], [1.0 - 1e-7, 1.0]])
+    with pytest.raises(DegenerateMetric) as err:
+        geo.build_metric(lambda u: near, chart)
+    message = str(err.value)
+    assert message.startswith("|g g^-1 - I| = ")
+    assert f"> INVERSE_TOL {geo.INVERSE_TOL:.3e} at node (0, 0) (u = (0, 0))" in message
+    assert "det" not in message
+    residual = float(message.split()[5])
+    assert geo.INVERSE_TOL < residual < 1.0
 
 
 @settings(max_examples=40, deadline=None)

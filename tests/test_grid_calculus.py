@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -25,6 +27,8 @@ def test_chart_validation():
         GridChart((0.0,), (1.0,), (1,))
     with pytest.raises(ValueError):
         GridChart((), (), ())
+    with pytest.raises(ValueError, match="stencil order 3"):
+        GridChart((0.0,), (1.0,), (9,), order=3)
 
 
 def test_chart_geometry():
@@ -49,8 +53,8 @@ def test_meshgrid_orientation():
 
 
 def test_interior_margin_clamps_to_nonempty():
-    chart = GridChart((0.0,), (1.0,), (7,))
-    sl = chart.interior(50)
+    chart = GridChart((0.0,), (1.0,), (7,), order=4)
+    sl = chart.interior()
     picked = np.arange(7)[sl[0]]
     assert picked.size >= 1  # never empties the axis
 
@@ -58,35 +62,35 @@ def test_interior_margin_clamps_to_nonempty():
 def test_fourth_order_stencil_exact_on_quartic():
     """Interior and one-sided boundary stencils both reproduce degree-4
     polynomials to rounding."""
-    chart = GridChart((0.0,), (1.0,), (21,))
+    chart = GridChart((0.0,), (1.0,), (21,), order=4)
     x = chart.axis_coordinates(0)
     vals = x**4 - 2 * x**3 + x
-    d = differentiate_array(vals, chart, axis=0, order=4)
+    d = differentiate_array(vals, chart, axis=0)
     npt.assert_allclose(d, 4 * x**3 - 6 * x**2 + 1, atol=1e-12)
 
 
 def test_second_order_stencil_exact_on_quadratic():
-    chart = GridChart((0.0,), (1.0,), (21,))
+    chart = replace(GridChart((0.0,), (1.0,), (21,)), order=2)
     x = chart.axis_coordinates(0)
-    d = differentiate_array(3 * x**2 + x, chart, axis=0, order=2)
+    d = differentiate_array(3 * x**2 + x, chart, axis=0)
     npt.assert_allclose(d, 6 * x + 1, atol=1e-13)
 
 
 def test_differentiation_converges_at_fourth_order():
     errs = {}
     for n in (41, 81):
-        chart = GridChart((0.0,), (2.0,), (n,))
+        chart = GridChart((0.0,), (2.0,), (n,), order=4)
         x = chart.axis_coordinates(0)
-        d = differentiate_array(np.sin(3 * x), chart, axis=0, order=4)
+        d = differentiate_array(np.sin(3 * x), chart, axis=0)
         errs[n] = np.max(np.abs(d - 3 * np.cos(3 * x)))
     rate = np.log2(errs[41] / errs[81])
     assert 3.7 <= rate <= 4.3
 
 
 def test_chart_too_coarse():
-    chart = GridChart((0.0,), (1.0,), (4,))
+    chart = GridChart((0.0,), (1.0,), (4,), order=4)
     with pytest.raises(ChartTooCoarse):
-        differentiate_array(np.zeros(4), chart, axis=0, order=4)
+        differentiate_array(np.zeros(4), chart, axis=0)
 
 
 def test_cumulative_integral_exact_on_cubic():
@@ -133,25 +137,25 @@ def test_stacked_partials_layout():
 
 
 def test_interior_max_excludes_boundary():
-    chart = GridChart((0.0,), (1.0,), (21,))
+    chart = GridChart((0.0,), (1.0,), (21,), order=4)
     vals = np.zeros(21)
     vals[0] = 100.0
-    assert interior_max(vals, chart, order=4) == 0.0
+    assert interior_max(vals, chart) == 0.0
     vals[10] = 3.0
-    assert interior_max(vals, chart, order=4) == 3.0
+    assert interior_max(vals, chart) == 3.0
 
 
 @pytest.mark.parametrize("order", [2, 4])
 def test_interior_max_margin_is_order(order):
-    """The margin is ``order`` nodes per side, on every axis."""
-    chart = GridChart((0.0, 0.0), (1.0, 1.0), (21, 21))
+    """The margin is the chart's ``order`` nodes per side, on every axis."""
+    chart = GridChart((0.0, 0.0), (1.0, 1.0), (21, 21), order=order)
     vals = np.zeros(chart.shape)
     for edge in (order - 1, 20 - (order - 1)):
         vals[edge, 10] = vals[10, edge] = 100.0
-    assert interior_max(vals, chart, order) == 0.0
+    assert interior_max(vals, chart) == 0.0
     vals[order, 10] = 3.0
     vals[10, 20 - order] = 2.0
-    assert interior_max(vals, chart, order) == 3.0
+    assert interior_max(vals, chart) == 3.0
 
 
 # ---------------------------------------------------------------------------

@@ -133,3 +133,39 @@ def test_every_exported_name_is_defined(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     missing = [name for name in _exported(tree) if name not in _defined(tree)]
     assert not missing, f"{path.name}: exported but not defined: {missing}"
+
+
+#: the modules that may know the stencil order: the one that applies it, and
+#: the command line, which sets it on every chart a scenario builds
+ORDER_MODULES = {"grid_calculus.py", "cli.py"}
+
+
+def _order_uses(tree: ast.Module) -> list[str]:
+    """``function(order)`` for every parameter named ``order``, and
+    ``line N: .order`` for every use of an attribute of that name."""
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            name = getattr(node, "name", "lambda")
+            uses += [f"{name}(order)" for p in params if p is not None and p.arg == "order"]
+        elif isinstance(node, ast.Attribute) and node.attr == "order":
+            uses.append(f"line {node.lineno}: .order")
+    return uses
+
+
+def test_the_order_lint_covers_the_package():
+    linted = {path.name for path in MODULES} - ORDER_MODULES
+    assert {"geometry_core.py", "pencil_checker.py", "catalog.py"} <= linted
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in ORDER_MODULES],
+                         ids=lambda path: path.name)
+def test_the_stencil_order_stays_on_the_chart(path):
+    """The stencil order is a property of the chart: only ``grid_calculus``
+    reads it and only the command line chooses it, so no other module takes
+    an ``order`` parameter or reads ``.order``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    uses = _order_uses(tree)
+    assert not uses, f"{path.name}: knows the stencil order: {uses}"

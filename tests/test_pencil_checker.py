@@ -53,8 +53,21 @@ def test_degenerate_combination_is_rejected_at_construction():
         pc.PencilSpec(g1, _identity(chart))
 
 
+def test_charts_differing_only_in_order_are_rejected():
+    chart = GridChart((0.5, 2.0), (1.5, 3.0), (17, 17))
+    chart2 = GridChart(chart.lower, chart.upper, chart.points, order=2)
+    g1 = geo.build_metric(lambda u: [[u[0], 0.0], [0.0, u[1]]], chart)
+    with pytest.raises(ValueError, match="share one chart"):
+        pc.PencilSpec(g1, _identity(chart2), lambda_samples=SAFE_LAMS)
+
+
 def test_diagonal_pencil_is_flat_compatible():
-    rep = pc.check_compatible(_diag_pencil(), "flat")
+    pen = _diag_pencil()
+    rep = pc.check_compatible(pen, "flat")
+    for name in ("g1", "g2"):
+        own = geo.connection(getattr(pen, name))
+        npt.assert_array_equal(rep.endpoint_connection[name].mixed.values, own.mixed.values)
+        npt.assert_array_equal(rep.endpoint_connection[name].contra.values, own.contra.values)
     assert rep.max_residual <= 1e-5
     assert set(rep.endpoint_residuals) == {"g1_flatness", "g2_flatness"}
     assert set(rep.connection_by_sample) == set(SAFE_LAMS)

@@ -266,12 +266,12 @@ def test_partly_nan_profile_is_rejected_with_its_coordinate():
 
 
 def test_extracted_frame_satisfies_lame_system():
-    chart = GridChart((-0.2, -0.2), (0.2, 0.2), (5, 5))
+    chart = dataclasses.replace(GridChart((-0.2, -0.2), (0.2, 0.2), (5, 5)), order=2)
     field = zd.extract_beta(zd.gaussian_set(2, amplitude=0.3), chart,
                             profile=ls.constant_profile((2.0, 2.0)))
     frame = field.frame()
     assert frame.chart is chart
-    rep = ls.lame_residuals(frame, order=2)
+    rep = ls.lame_residuals(frame)
     assert max(rep.diagonal.values()) <= 1e-5
 
 
