@@ -99,27 +99,27 @@ class CatalogEntry:
 # plain metrics
 
 
+#: the plain metrics: name -> (chart, contravariant components)
+_METRICS = {
+    "euclidean": (GridChart((0.5, 0.5), (1.5, 1.5), (33, 33)), lambda u: np.eye(2)),
+    "polar": (GridChart((1.0, 0.5), (2.0, 1.5), (101, 101)),
+              lambda u: [[1.0, 0.0], [0.0, 1.0 / u[0] ** 2]]),
+    "sphere": (GridChart((0.6, 0.4), (1.2, 1.2), (65, 65)),
+               lambda u: [[1.0, 0.0], [0.0, 1.0 / np.sin(u[0]) ** 2]]),
+    "diag-u": (GridChart((0.5, 0.5), (1.5, 1.5), (65, 65)), lambda u: [[u[0], 0.0], [0.0, u[1]]]),
+}
+
+
 def metric_field(name: str) -> geo.MetricField:
     """The metric behind one of the plain-metric entries."""
-    if name == "euclidean":
-        chart = GridChart((0.5, 0.5), (1.5, 1.5), (33, 33))
-        return geo.build_metric(lambda u: np.eye(2), chart)
-    if name == "polar":
-        chart = GridChart((1.0, 0.5), (2.0, 1.5), (101, 101))
-        return geo.build_metric(lambda u: [[1.0, 0.0], [0.0, 1.0 / u[0] ** 2]], chart)
-    if name == "sphere":
-        chart = GridChart((0.6, 0.4), (1.2, 1.2), (65, 65))
-        return geo.build_metric(
-            lambda u: [[1.0, 0.0], [0.0, 1.0 / np.sin(u[0]) ** 2]], chart
-        )
-    if name == "diag-u":
-        chart = GridChart((0.5, 0.5), (1.5, 1.5), (65, 65))
-        return geo.build_metric(lambda u: [[u[0], 0.0], [0.0, u[1]]], chart)
-    raise SchemaError(f"no plain metric named {name!r}")
+    if name not in _METRICS:
+        raise SchemaError(f"no plain metric named {name!r}")
+    chart, contra = _METRICS[name]
+    return geo.build_metric(contra, chart)
 
 
 def metric_names() -> tuple[str, ...]:
-    return ("euclidean", "polar", "sphere", "diag-u")
+    return tuple(_METRICS)
 
 
 def _run_euclidean():
@@ -164,9 +164,10 @@ def s4_chart() -> GridChart:
     return GridChart((2.0, 0.5), (3.0, 1.0), (97, 65))
 
 
-def s4_family(k: float = 0.25) -> tc.TwoComponentSpec:
-    """The closed-form two-component data generating the metric ladder."""
-    return tc.log_family_spec(s4_chart(), k=k)
+def s4_family() -> tc.TwoComponentSpec:
+    """The closed-form two-component data generating the metric ladder, with
+    ``g3`` at constant curvature 1/4."""
+    return tc.log_family_spec(s4_chart())
 
 
 def _run_s4_log_pencil():
@@ -184,7 +185,7 @@ def _run_s4_log_pencil():
 
 
 def _run_s4_constant_curvature():
-    spec = s4_family(k=0.25)
+    spec = s4_family()
     g3, g2 = tc.g_family(spec, 3), tc.g_family(spec, 2)
     pen = pc.PencilSpec(g3, g2, LAMS_S4)
     rep = pc.check_compatible(pen, "constant_curvature", k1=0.25, k2=0.0)

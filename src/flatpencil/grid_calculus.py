@@ -129,7 +129,7 @@ class TensorField:
         expected = self.chart.shape + (self.chart.dim,) * len(self.variance)
         if vals.shape != expected:
             raise ValueError(f"values shape {vals.shape} != expected {expected}")
-        _check_finite(vals, self.chart)
+        check_finite(vals, self.chart)
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -182,7 +182,7 @@ def differentiate_array(values: np.ndarray, chart: GridChart, axis: int) -> np.n
 # public operations
 
 
-def _check_finite(vals: np.ndarray, chart: GridChart) -> None:
+def check_finite(vals: np.ndarray, chart: GridChart) -> None:
     """The first node in C order with a non-finite component raises
     :class:`NonFiniteSample` with its coordinates."""
     finite = np.isfinite(vals)
@@ -212,7 +212,7 @@ def symmetrized(
     pre-average asymmetry must not exceed 1e-8 relative to the largest
     entry, else ``ValueError``.
     """
-    _check_finite(vals, chart)
+    check_finite(vals, chart)
     grid_ndim = len(chart.shape)
     for a, b in symmetries:
         swapped = np.swapaxes(vals, grid_ndim + a, grid_ndim + b)

@@ -39,6 +39,7 @@ from .errors import (
 )
 from .geometry_core import MetricField, build_metric
 from .grid_calculus import GridChart
+from .pencil_checker import DEFAULT_LAMBDA_SAMPLES, PencilSpec
 
 PROFILE_FLOOR = 1e-10
 #: off-diagonal content a diagonal metric may carry, relative to its scale
@@ -306,8 +307,8 @@ def metric_pair_from_frame(
     frame: LameFrame,
     profile: ReductionProfile,
     tol: float = 1e-6,
-    lambda_samples: Sequence[tuple[float, float]] | None = None,
-):
+    lambda_samples: Sequence[tuple[float, float]] = DEFAULT_LAMBDA_SAMPLES,
+) -> PencilSpec:
     """Assemble the pair ``(diag(eps f / H^2), diag(eps / H^2))``.
 
     The three residual families are evaluated first; any of them above
@@ -316,8 +317,6 @@ def metric_pair_from_frame(
     Returns a ``pencil_checker.PencilSpec`` ready for the full geometric
     cross-check.
     """
-    from .pencil_checker import DEFAULT_LAMBDA_SAMPLES, PencilSpec
-
     lame = lame_residuals(frame)
     red = reduction_residual(frame, profile)
     worst = gc.worst((lame.max_residual, red.residual))
@@ -326,6 +325,4 @@ def metric_pair_from_frame(
 
     g2 = frame_metric(frame)
     g1 = frame_metric(tilde_frame(frame, profile))
-    if lambda_samples is None:
-        lambda_samples = DEFAULT_LAMBDA_SAMPLES
     return PencilSpec(g1, g2, tuple(lambda_samples))

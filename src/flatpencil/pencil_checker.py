@@ -60,20 +60,13 @@ _FLAT_TOL = 1e-8
 class PencilSpec:
     """Two metrics on one chart plus the combination samples to check.
 
-    Construction validates that the charts coincide and that every sampled
-    combination passes the nondegeneracy floor (:class:`DegenerateCombination`
-    otherwise).  Pick boxes that stay away from the singular loci of the
-    combinations you sample.
+    Construction checks only that the charts coincide.  Only the
+    compatibility checks form the sampled combinations, each in its turn.
     """
 
     g1: MetricField
     g2: MetricField
-    lambda_samples: tuple[tuple[float, float], ...] = field(
-        default=DEFAULT_LAMBDA_SAMPLES
-    )
-    #: the combination of each sample, built once here and checked later;
-    #: the samples (1, 0) and (0, 1) are g1 and g2 themselves
-    members: tuple[MetricField, ...] = field(init=False, repr=False, compare=False)
+    lambda_samples: tuple[tuple[float, float], ...] = DEFAULT_LAMBDA_SAMPLES
 
     def __post_init__(self):
         if self.g1.chart != self.g2.chart:
@@ -82,13 +75,6 @@ class PencilSpec:
             self,
             "lambda_samples",
             tuple((float(l1), float(l2)) for l1, l2 in self.lambda_samples),
-        )
-        ends = {(1.0, 0.0): self.g1, (0.0, 1.0): self.g2}
-        object.__setattr__(
-            self,
-            "members",
-            tuple(ends[lam] if lam in ends else combine(self, *lam)
-                  for lam in self.lambda_samples),
         )
 
     @property
@@ -158,7 +144,7 @@ class DiagonalFormReport:
 
 
 def _one_pass(pencil, mode, k1, k2):
-    """Residuals of g1, g2 and the members, each visited once.
+    """Residuals of g1, g2 and each combination, built in its turn.
 
     Each metric gets one connection and, unless ``mode`` is ``None``, one
     curvature, reduced at once and dropped: only the connections of g1 and
@@ -195,17 +181,18 @@ def _one_pass(pencil, mode, k1, k2):
                 endpoint[key] = own[lam] = curvature_residual(curv, *lam)
             del curv
     c = [conns[name].contra.values for name in ("g1", "g2")]
-    for (l1, l2), member in zip(pencil.lambda_samples, pencil.members):
+    for l1, l2 in pencil.lambda_samples:
         if (l1, l2) in own:
             conn_by[(l1, l2)] = 0.0
             if mode is not None:
                 curv_by[(l1, l2)] = own[(l1, l2)]
             continue
+        member = combine(pencil, l1, l2)
         conn = connection(member)
         conn_by[(l1, l2)] = reduce(conn.contra.values - l1 * c[0] - l2 * c[1])
         if mode is not None:
             curv_by[(l1, l2)] = curvature_residual(curvature(member, conn), l1, l2)
-        del conn
+        del member, conn
     return conn_by, curv_by, endpoint, fields, conns
 
 
@@ -232,7 +219,8 @@ def check_compatible(
         ``R(comb) - l1 R(g1) - l2 R(g2)`` in the raised placement.
 
     Connection linearity is always included.  Every metric of the pencil
-    gets one connection and one curvature, whatever the mode.
+    gets one connection and one curvature, whatever the mode.  The first
+    degenerate combination raises :class:`DegenerateCombination`.
     """
     if mode not in ("flat", "constant_curvature", "general"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -38,6 +38,7 @@ from .errors import VanishingB
 from .geometry_core import MetricField, build_metric
 from .grid_calculus import GridChart
 from .lame_system import ReductionProfile, identity_profile
+from .pencil_checker import DEFAULT_LAMBDA_SAMPLES, PencilSpec
 
 B_FLOOR_SCALE = 1e-8
 
@@ -146,12 +147,13 @@ class TwoComponentSpec:
 
 
 def _check_nonvanishing(b: np.ndarray, name: str, chart: GridChart):
-    """:class:`VanishingB` naming the field ``name`` and the node, with its
-    coordinates, where ``|b|`` falls under the floor."""
+    """:class:`NonFiniteSample` where ``b`` is not finite, then :class:`VanishingB`
+    naming ``name`` and the node, with its coordinates, where ``|b|`` is under the floor."""
+    gc.check_finite(b, chart)
     floor = B_FLOOR_SCALE * max(1.0, float(np.max(np.abs(b))))
     worst = int(np.argmin(np.abs(b)))
     value = float(b.flat[worst])
-    if not abs(value) >= floor:  # a NaN (argmin's first pick) fails too
+    if not abs(value) >= floor:
         node = np.unravel_index(worst, b.shape)
         raise VanishingB(name, node, value, floor, chart.node(node))
 
@@ -264,11 +266,9 @@ def system_residual(spec: TwoComponentSpec) -> float:
 
 def build_pair(
     spec: TwoComponentSpec,
-    lambda_samples: Sequence[tuple[float, float]] | None = None,
-):
+    lambda_samples: Sequence[tuple[float, float]] = DEFAULT_LAMBDA_SAMPLES,
+) -> PencilSpec:
     """The pair ``(g1, g2)`` of the normal form as a ``PencilSpec``."""
-    from .pencil_checker import DEFAULT_LAMBDA_SAMPLES, PencilSpec
-
     if spec.b1 is None or spec.b2 is None:
         raise ValueError("build_pair needs b fields set on the TwoComponentSpec")
     _check_nonvanishing(spec.b1, "b1", spec.chart)
@@ -279,8 +279,6 @@ def build_pair(
     b1, b2 = spec.b1, spec.b2
     g1 = build_metric(lambda u: [[eps1 * f1 / b1**2, 0.0], [0.0, eps2 * f2 / b2**2]], chart)
     g2 = build_metric(lambda u: [[eps1 / b1**2, 0.0], [0.0, eps2 / b2**2]], chart)
-    if lambda_samples is None:
-        lambda_samples = DEFAULT_LAMBDA_SAMPLES
     return PencilSpec(g1, g2, tuple(lambda_samples))
 
 
@@ -297,7 +295,7 @@ def g_family(spec: TwoComponentSpec, n: int) -> MetricField:
     )
 
 
-def log_family_spec(chart: GridChart, k: float | None = 0.25) -> TwoComponentSpec:
+def log_family_spec(chart: GridChart, k: float = 0.25) -> TwoComponentSpec:
     """The closed-form spec behind the ladder: ``eps = (-1, 1)``,
     ``f = (u1, u2)``, potential ``(1/2) ln(u1 - u2)``, and
     ``b1^2 = b2^2 = (1/4K)(u1-u2)`` (``K = 1/4`` gives ``b = sqrt(u1-u2)``).
@@ -306,8 +304,7 @@ def log_family_spec(chart: GridChart, k: float | None = 0.25) -> TwoComponentSpe
     w = u1 - u2
     if np.min(w) <= 0:
         raise ValueError("chart must satisfy u1 > u2 for the log family")
-    scale = 1.0 if k is None else 1.0 / (4.0 * k)
-    b = np.sqrt(scale * w)
+    b = np.sqrt(w * (1.0 / (4.0 * k)))
     return TwoComponentSpec(
         chart=chart,
         potential=log_potential(0.5),

@@ -197,6 +197,34 @@ def test_nijenhuis_counter_case_fails(tmp_path, capsys):
     assert gap["comparison"] == "ge"
 
 
+def test_nijenhuis_kind_forms_no_combination(tmp_path, capsys):
+    """g1 - g2 = diag(u1 - 1, 1) is singular at u1 = 1, yet the pencil of
+    diag(u1, 2) and the identity is nonsingular and torsion-free."""
+    scenario = {
+        "kind": "nijenhuis",
+        "chart": {"lower": [0.5, 0.5], "upper": [1.5, 1.5], "points": [17, 17]},
+        "metric": {"contravariant": [["u1", "0"], ["0", "2"]]},
+        "metric2": {"contravariant": [["1", "0"], ["0", "1"]]},
+        "lambda_samples": [[1, -1]],
+    }
+    code, report, _ = run(tmp_path, scenario, capsys=capsys)
+    assert code == 0
+    rows = {c["check"]: c["residual"] for c in report["checks"]}
+    assert rows["nijenhuis"] <= 1e-10 and rows["spectrum_gap"] == 0.5
+
+
+@pytest.mark.parametrize("b1, node", [
+    ("sqrt(u2 - 0.75)", "(0, 0) (u = (2, 0.5))"),
+    ("1/(u2 - 0.75)", "(0, 32) (u = (2, 0.75))"),
+], ids=["nan", "inf"])
+def test_non_finite_b_is_named(tmp_path, capsys, b1, node):
+    base = {k: v for k, v in TWO_COMPONENT_INTEGRATE.items() if k != "integrate"}
+    code, report, err = run(tmp_path, {**base, "b1": b1, "b2": "sqrt(u1 - u2)"},
+                            capsys=capsys)
+    assert code == 1 and report is None
+    assert err.splitlines() == [f"error: non-finite sample at grid node {node}"]
+
+
 def test_two_component_integration_scenario(tmp_path, capsys):
     code, report, _ = run(tmp_path, TWO_COMPONENT_INTEGRATE, capsys=capsys)
     assert code == 0
@@ -402,7 +430,7 @@ def test_seventeen_digit_floats(tmp_path, capsys):
     raw = json.dumps(report)  # round-trip sanity only
     _, captured, _ = run(tmp_path, dict(FLAT_POLAR, tolerance=1e-6),
                          capsys=capsys)
-    # the serializer prints %.17g: 1e-6 re-reads exactly
+    # the serializer prints the shortest round-trip form: 1e-6 re-reads exactly
     assert captured["settings"]["tolerance"] == 1e-6
     assert captured["checks"][0]["residual"] == report["checks"][0]["residual"]
 

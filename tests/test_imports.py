@@ -169,3 +169,29 @@ def test_the_stencil_order_stays_on_the_chart(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     uses = _order_uses(tree)
     assert not uses, f"{path.name}: knows the stencil order: {uses}"
+
+
+def _combine_callers(tree: ast.Module) -> list[str]:
+    """The innermost enclosing ``def`` (or ``<module>``) of every call of a
+    name or attribute ``combine``."""
+    callers = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", getattr(func, "attr", None)) == "combine":
+                    callers.append(owner)
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else owner)
+
+    visit(tree, "<module>")
+    return callers
+
+
+def test_combinations_are_built_only_by_the_check():
+    """A pencil is its two metrics: the one place that forms a combination
+    ``l1 g1 + l2 g2`` is the compatibility pass, which reduces and drops each
+    one, so nothing builds or holds the combinations ahead of a check."""
+    callers = {path.name: _combine_callers(ast.parse(path.read_text())) for path in MODULES}
+    assert {name: c for name, c in callers.items() if c} == {"pencil_checker.py": ["_one_pass"]}

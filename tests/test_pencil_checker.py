@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -45,12 +46,33 @@ def test_combine_is_exactly_bilinear():
     npt.assert_array_equal(comb.contra.values, manual)
 
 
-def test_degenerate_combination_is_rejected_at_construction():
+def _nonsingular_pencil():
+    """g1 = diag(u1, 2), g2 = id with the default samples: the eigenvalues
+    u1 and 2 stay 0.5 apart, yet g1 - g2 = diag(u1 - 1, 1) is singular at
+    u1 = 1."""
     chart = GridChart((0.5, 0.5), (1.5, 1.5), (17, 17))
-    g1 = geo.build_metric(lambda u: [[u[0], 0.0], [0.0, u[1]]], chart)
-    # default samples include (1, -1); u - 1 crosses zero on this chart
-    with pytest.raises(DegenerateCombination):
-        pc.PencilSpec(g1, _identity(chart))
+    g1 = geo.build_metric(lambda u: [[u[0], 0.0], [0.0, 2.0]], chart)
+    return pc.PencilSpec(g1, _identity(chart))
+
+
+def test_degenerate_combination_is_rejected_by_the_check():
+    pen = _nonsingular_pencil()
+    spectrum = pc.nonsingularity(pen)
+    assert spectrum.min_gap == 0.5 and spectrum.min_gap >= spectrum.threshold
+    assert pc.nijenhuis(pc.affinor(pen)) <= 1e-10
+    assert pc.check_diagonal_form(pen).residual <= 1e-10
+    for check in (pc.check_compatible, pc.check_almost_compatible):
+        with pytest.raises(DegenerateCombination, match=r"combination \(1\.0, -1\.0\)") as exc:
+            check(pen)
+        assert exc.value.lam == (1.0, -1.0)
+
+
+def test_a_pencil_is_built_without_its_combinations(monkeypatch):
+    calls = Counter()
+    count_calls(monkeypatch, calls, ("build_metric",), pc)
+    pen = _nonsingular_pencil()  # builds g1 and g2 through geometry_core, uncounted
+    assert [f.name for f in dataclasses.fields(pen)] == ["g1", "g2", "lambda_samples"]
+    assert calls["build_metric"] == 0
 
 
 def test_charts_differing_only_in_order_are_rejected():

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from flatpencil.errors import DegenerateCombination, VanishingB
+from flatpencil.errors import DegenerateCombination, NonFiniteSample, VanishingB
 from flatpencil.grid_calculus import GridChart
 from flatpencil import geometry_core as geo
 from flatpencil import pencil_checker as pc
@@ -84,9 +84,9 @@ def test_log_family_requires_ordered_chart():
 
 
 def test_build_pair_default_samples_can_degenerate():
-    spec = tc.log_family_spec(CHART)
+    pen = tc.build_pair(tc.log_family_spec(CHART))
     with pytest.raises(DegenerateCombination):
-        tc.build_pair(spec)  # default samples include (1, -1); f - 1 = 0 here
+        pc.check_compatible(pen)  # default samples include (1, -1); f - 1 = 0 here
 
 
 def test_build_pair_is_flat_compatible():
@@ -151,8 +151,8 @@ def test_vanishing_b_names_plain_nodes_and_rejects_nan():
     assert err.value.name == "b1" and str(err.value).startswith("|b1| = ")
     assert err.value.coords == (2.03125, 0.53125)  # CHART.node((3, 4))
     assert "(3, 4) (u = (2.03125, 0.53125))" in str(err.value)
-    b[3, 4] = np.nan
-    with pytest.raises(VanishingB) as err:
+    b[3, 4] = np.nan  # NaN is not finite, so it never reaches the floor
+    with pytest.raises(NonFiniteSample) as err:
         tc.TwoComponentSpec(CHART, tc.log_potential(0.5), b1=np.ones(CHART.shape), b2=b)
-    assert err.value.name == "b2" and str(err.value).startswith("|b2| = nan")
+    assert str(err.value) == "non-finite sample at grid node (3, 4) (u = (2.03125, 0.53125))"
     assert err.value.node == (3, 4) and err.value.coords == (2.03125, 0.53125)
