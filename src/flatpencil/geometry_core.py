@@ -3,7 +3,8 @@
 Conventions (every index contraction is a batched matmul over the grid):
 
 * the contravariant metric ``g^{ij}`` is the primary object; the covariant
-  ``g_{ij}`` is its pointwise dense inverse,
+  ``g_{ij}`` is its pointwise inverse, the transposed cofactors over the
+  determinant,
 * Christoffel symbols of the second kind::
 
       Gamma^i_{jk} = 1/2 g^{is} (d_j g_{sk} + d_k g_{js} - d_s g_{jk})
@@ -22,10 +23,15 @@ A metric has constant curvature K when ``R^{ij}_{kl} = K (delta^i_k delta^j_l
 - delta^i_l delta^j_k)``; flat means K = 0.  Residual reducers quote maxima
 over an interior sub-box because one-sided boundary stencils carry larger
 error constants.
+
+The raised placements ``Gamma^{ij}_k`` and ``R^{ij}_{kl}`` are formed from the
+mixed ones and the metric on first read, so a flatness check, which reads
+only ``R^i_{jkl}``, forms neither.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -64,26 +70,43 @@ class MetricField:
 
 @dataclass(frozen=True)
 class ConnectionField:
-    """Levi-Civita connection in mixed and raised index placement."""
+    """Levi-Civita connection of ``metric``; the raised placement is formed
+    on first read."""
 
     mixed: TensorField  # Gamma^i_{jk}, symmetric in (j, k)
-    contra: TensorField  # Gamma^{ij}_k
+    metric: MetricField
 
     @property
     def chart(self) -> GridChart:
         return self.mixed.chart
+
+    @functools.cached_property
+    def contra(self) -> TensorField:
+        """``Gamma^{ij}_k = g^{is} Gamma^j_{sk}``."""
+        # [..., j, i, k] = g^{is} Gamma^j_{sk}
+        raised = self.metric.contra.values[..., None, :, :] @ self.mixed.values
+        return TensorField(self.chart, "uud", np.swapaxes(raised, -3, -2))
 
 
 @dataclass(frozen=True)
 class CurvatureField:
-    """Riemann curvature in mixed and raised index placement."""
+    """Riemann curvature of ``metric``; the raised placement is formed on
+    first read."""
 
     mixed: TensorField  # R^i_{jkl}
-    contra: TensorField  # R^{ij}_{kl}
+    metric: MetricField
 
     @property
     def chart(self) -> GridChart:
         return self.mixed.chart
+
+    @functools.cached_property
+    def contra(self) -> TensorField:
+        """``R^{ij}_{kl} = g^{is} R^j_{skl}``."""
+        g, r, n = self.metric.contra.values, self.mixed.values, self.chart.dim
+        # [..., j, i, kl] = g^{is} R^j_{s kl}, raised without copying a transposed view
+        raised = g[..., None, :, :] @ r.reshape(self.chart.shape + (n, n, n * n))
+        return TensorField(self.chart, "uudd", np.swapaxes(raised.reshape(r.shape), -4, -3))
 
     def deviation(self, k_value: float) -> np.ndarray:
         """``R^{ij}_{kl} - K (d^i_k d^j_l - d^i_l d^j_k)`` at every node."""
@@ -109,12 +132,16 @@ def build_metric(
     a relative asymmetry above ``1e-8`` raises ``ValueError``, and the
     symmetric part is kept.
 
-    The determinant is checked pointwise against ``DET_FLOOR_SCALE * max_ij
-    |g^{ij}|^n``, a floor of its own degree, so rescaling ``g`` by a constant
-    does not change the verdict; below it, :class:`DegenerateMetric` names the first node in
-    C order, as does a node where ``g`` vanishes.  The covariant metric is
-    the dense pointwise inverse (LAPACK LU) and is verified to invert the
-    contravariant one to within ``INVERSE_TOL`` at every scale.
+    The determinant is the first row dotted with its cofactors, one Laplace
+    expansion for every n and no per-node LAPACK call, taken with each row
+    of ``g`` divided by its largest entry.  It is checked pointwise against
+    ``DET_FLOOR_SCALE * max_ij |g^{ij}|^n``, a floor of its own degree, so
+    rescaling ``g`` by a constant does not change the verdict; below it,
+    :class:`DegenerateMetric` names the first node in C order, as does a
+    node where ``g`` vanishes.  Only past the floor is the covariant metric
+    formed, as the transposed cofactors over the determinant with the row
+    scales undone, and verified to invert the contravariant one to within
+    ``INVERSE_TOL`` at every scale.
     """
     sym = ((0, 1),)
     if callable(source):
@@ -123,18 +150,24 @@ def build_metric(
         vals = gc.symmetrized(np.asarray(source, dtype=float), chart, sym)
         contra = TensorField(chart, "uu", vals)
 
+    # cofactors of g with each row divided by its largest entry: a diagonal
+    # g^{ij} then inverts to 1/g^{ii} correctly rounded, with no rounding of
+    # the other entries in it for the derivatives of g_{ij} to pick up; a
+    # zero row keeps the scale 1, and its zero determinant fails the floor
     mats = contra.values
-    det = np.abs(np.linalg.det(mats))
-    floor = DET_FLOOR_SCALE * np.max(np.abs(mats), axis=(-1, -2)) ** chart.dim
+    rows = _last_axis_max(mats)
+    det_rows, cof = _cofactors(mats / np.where(rows > 0.0, rows, 1.0)[..., None])
+    det = np.abs(det_rows * np.prod(rows, axis=-1))
+    floor = DET_FLOOR_SCALE * _last_axis_max(rows) ** chart.dim
     ok = (det >= floor) & (det > 0.0)  # a node where g vanishes has det = floor = 0
     if not ok.all():
         bad = np.unravel_index(int(np.argmin(ok)), chart.shape)
         reason = f"|det g| = {det[bad]:.3e} < floor {floor[bad]:.3e}"
         raise DegenerateMetric(bad, reason, chart.node(bad))
 
-    inv = np.linalg.inv(mats)
+    inv = np.swapaxes(cof, -1, -2) / det_rows[..., None, None] / rows[..., None, :]
     inv = 0.5 * (inv + np.swapaxes(inv, -1, -2))
-    resid = np.max(np.abs(mats @ inv - np.eye(chart.dim)), axis=(-1, -2))
+    resid = _last_axis_max(_last_axis_max(mats @ inv - np.eye(chart.dim)))
     if np.max(resid) > INVERSE_TOL:  # g g^-1 - I is dimensionless
         bad = np.unravel_index(int(np.argmax(resid)), chart.shape)
         reason = f"|g g^-1 - I| = {resid[bad]:.3e} > INVERSE_TOL {INVERSE_TOL:.3e}"
@@ -144,6 +177,36 @@ def build_metric(
     return MetricField(contra, cov)
 
 
+def _last_axis_max(values: np.ndarray) -> np.ndarray:
+    """``max_j |values[..., j]|``, taken slice by slice: a numpy reduction
+    over a last axis of a few entries costs tens of times more."""
+    return functools.reduce(np.maximum, np.abs(np.moveaxis(values, -1, 0)))
+
+
+def _minor(mats: np.ndarray, rows: tuple[int, ...], cols: tuple[int, ...]) -> np.ndarray:
+    """Determinant of ``mats[..., rows, cols]``, expanded along its first row."""
+    if len(rows) <= 1:
+        return mats[..., rows[0], cols[0]] if rows else np.ones(mats.shape[:-2])
+    total = 0.0
+    for k, c in enumerate(cols):
+        term = mats[..., rows[0], c] * _minor(mats, rows[1:], cols[:k] + cols[k + 1:])
+        total = total - term if k % 2 else total + term
+    return total
+
+
+def _cofactors(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(det, cof)`` of a stack of square matrices: ``cof[..., i, j]`` is the
+    signed minor of entry ``(i, j)`` and ``det`` is the first row dotted with
+    its cofactors, so ``mats^-1 = cof^T / det`` wherever ``det`` is not 0."""
+    idx = tuple(range(mats.shape[-1]))
+    cof = np.empty_like(mats)
+    for i in idx:
+        for j in idx:
+            minor = _minor(mats, idx[:i] + idx[i + 1:], idx[:j] + idx[j + 1:])
+            cof[..., i, j] = -minor if (i + j) % 2 else minor
+    return sum(mats[..., 0, j] * cof[..., 0, j] for j in idx), cof
+
+
 def connection(metric: MetricField) -> ConnectionField:
     """Levi-Civita connection of a metric via finite differences."""
     g, chart, n = metric.contra.values, metric.chart, metric.dim
@@ -151,11 +214,7 @@ def connection(metric: MetricField) -> ConnectionField:
     # t[s, j, k] = d_j g_{sk} + d_k g_{js} - d_s g_{jk}, exactly symmetric in (j, k)
     t = np.swapaxes(dg, -3, -2) + np.swapaxes(dg, -3, -1) - dg
     mixed = 0.5 * (g @ t.reshape(chart.shape + (n, n * n))).reshape(t.shape)
-    contra = g[..., None, :, :] @ mixed  # [..., j, i, k] = g^{is} Gamma^j_{sk}
-    return ConnectionField(
-        TensorField(chart, "udd", mixed),
-        TensorField(chart, "uud", np.swapaxes(contra, -3, -2)),
-    )
+    return ConnectionField(TensorField(chart, "udd", mixed), metric)
 
 
 def curvature(metric: MetricField, conn: ConnectionField | None = None) -> CurvatureField:
@@ -166,16 +225,13 @@ def curvature(metric: MetricField, conn: ConnectionField | None = None) -> Curva
     # [..., i, k, j, l] = Gamma^i_{kp} Gamma^p_{jl}, and Gamma^i_{kp} = Gamma^i_{pk}
     s = gamma.reshape(chart.shape + (n * n, n)) @ gamma.reshape(chart.shape + (n, n * n))
     s = np.swapaxes(s.reshape(chart.shape + (n,) * 4), -3, -2)
-    # [..., a, i, j, l] = d_a Gamma^i_{jl}, added as [..., i, j, a, l]
-    s += np.moveaxis(gc.stacked_partials(conn.mixed), -4, -2)
+    # [..., i, j, a, l] += d_a Gamma^i_{jl}, one axis at a time so that no
+    # stack of all the derivatives is held beside s
+    for a in range(n):
+        s[..., a, :] += gc.differentiate_array(gamma, chart, a)
     r = np.swapaxes(s, -1, -2) - s
-    del s
-    # [..., j, i, kl] = g^{is} R^j_{s kl}, raised without copying a transposed view
-    contra = metric.contra.values[..., None, :, :] @ r.reshape(chart.shape + (n, n, n * n))
-    mixed = TensorField(chart, "uddd", r)
-    del r
-    contra = np.swapaxes(contra.reshape(mixed.values.shape), -4, -3)
-    return CurvatureField(mixed, TensorField(chart, "uudd", contra))
+    del s  # before TensorField copies r
+    return CurvatureField(TensorField(chart, "uddd", r), metric)
 
 
 def flatness_residual(metric: MetricField) -> float:

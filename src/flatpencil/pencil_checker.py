@@ -385,7 +385,7 @@ def dubrovin_construct(
 
     # D^{ijk} = grad^i grad^j f^k (indices raised with g2) and D^{ij}_k =
     # d_k grad^i f^j agree once the first index of D^{ijk} is lowered with g2
-    delta_up = np.einsum("...is,...jp,...spk->...ijk", g2c, g2c, ddf)
+    delta_up = np.einsum("...is,...jp,...spk->...ijk", g2c, g2c, ddf, optimize=True)
     dgrad = gc.stacked_partials(grad, chart)  # [..., k, i, j] = d_k grad^i f^j
     delta_mixed = np.einsum("...kij->...ijk", dgrad)
     lowered = np.einsum("...ks,...sij->...ijk", g2.cov.values, delta_up)
@@ -396,8 +396,9 @@ def dubrovin_construct(
     quad = gc.interior_max(term1 - term2, chart)
 
     g1c = g1.contra.values
-    bracket = np.einsum("...is,...jp,...spk->...ijk", g1c, g2c, ddf) - np.einsum(
-        "...is,...jp,...spk->...ijk", g2c, g1c, ddf
+    bracket = (
+        np.einsum("...is,...jp,...spk->...ijk", g1c, g2c, ddf, optimize=True)
+        - np.einsum("...is,...jp,...spk->...ijk", g2c, g1c, ddf, optimize=True)
     )
     bracket_res = gc.interior_max(bracket, chart)
 
@@ -409,6 +410,7 @@ def dubrovin_construct(
         g1c,
         g2c,
         gamma2.mixed.values - gamma1.mixed.values,
+        optimize=True,
     )
     delta_consistency = gc.interior_max(delta_conn - delta_up, chart)
     return DubrovinReport(g1, quad, bracket_res, delta_consistency, lowering_defect, compat)

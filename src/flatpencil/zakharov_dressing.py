@@ -48,6 +48,7 @@ change it showed; no converged pair raises :class:`QuadratureUnresolved`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -444,8 +445,17 @@ class DressingProblem:
         )
 
 
+@functools.cache
+def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-point Gauss-Legendre rule on [-1, 1], computed once per m."""
+    rule = np.polynomial.legendre.leggauss(m)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
+
+
 def _panel_quadrature(s: float, length: float, panels: int, m: int):
-    xg, wg = np.polynomial.legendre.leggauss(m)
+    xg, wg = _gauss_legendre(m)
     edges = np.linspace(s, s + length, panels + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     halves = 0.5 * np.diff(edges)

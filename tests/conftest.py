@@ -24,6 +24,20 @@ def count_calls(monkeypatch, calls, names, *modules):
             monkeypatch.setattr(module, name, counted)
 
 
+def record_results(monkeypatch, made, names, *modules):
+    """Append to ``made`` the result of every call of the functions ``names``
+    that goes through the module-level bindings of ``modules``."""
+    for module in modules:
+        for name in names:
+            original = getattr(module, name)
+
+            def recorded(*args, _original=original, **kwargs):
+                made.append(_original(*args, **kwargs))
+                return made[-1]
+
+            monkeypatch.setattr(module, name, recorded)
+
+
 @pytest.fixture(scope="session")
 def polar_metric():
     """Flat plane in polar coordinates on r in [1,2], theta in [0.5,1.5]."""

@@ -13,6 +13,8 @@ from flatpencil.grid_calculus import GridChart
 from flatpencil import geometry_core as geo
 from flatpencil import grid_calculus as gc
 
+from conftest import record_results
+
 
 def _sphere_metric(points=65):
     chart = GridChart((0.6, 0.4), (1.2, 1.2), (points, points))
@@ -259,6 +261,129 @@ def test_inverse_gate_names_the_inverse_residual():
     assert "det" not in message
     residual = float(message.split()[5])
     assert geo.INVERSE_TOL < residual < 1.0
+
+
+# ---------------------------------------------------------------------------
+# the cofactor inverse, against LAPACK as the oracle
+
+
+def _symmetric_stack(seed, n, nodes, log_spread):
+    """``nodes`` random symmetric matrices ``Q diag(lam) Q^T``: random
+    orthogonal ``Q``, eigenvalue magnitudes in ``10^[-log_spread, 0]`` with
+    random signs."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((nodes, n, n)))
+    lam = rng.choice([-1.0, 1.0], (nodes, n)) * 10.0 ** rng.uniform(-log_spread, 0.0, (nodes, n))
+    mats = (q * lam[:, None, :]) @ np.swapaxes(q, -1, -2)
+    return 0.5 * (mats + np.swapaxes(mats, -1, -2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), log_spread=st.floats(0.0, 6.0))
+def test_cofactors_agree_with_lapack(n, seed, log_spread):
+    mats = _symmetric_stack(seed, n, 16, log_spread)
+    det, cof = geo._cofactors(mats)
+    scale = np.max(np.abs(mats), axis=(-1, -2))
+    assert np.all(np.abs(det - np.linalg.det(mats)) <= 1e-13 * scale**n)
+    inv, oracle = np.swapaxes(cof, -1, -2) / det[..., None, None], np.linalg.inv(mats)
+    # LU loses up to cond * eps; from n = 3 on the cofactor expansion loses up
+    # to cond^2 * eps, and what build_metric keeps is bounded by INVERSE_TOL
+    cond = np.linalg.cond(mats)
+    growth = cond if n <= 2 else cond**2
+    error = np.max(np.abs(inv - oracle), axis=(-1, -2))
+    assert np.all(error <= 1e-14 * growth * np.max(np.abs(oracle), axis=(-1, -2)))
+
+
+#: charts of 16 nodes, one per dimension
+_SIXTEEN_NODES = {1: (16,), 2: (4, 4), 3: (2, 2, 4), 4: (2, 2, 2, 2)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       bad=st.lists(st.booleans(), min_size=16, max_size=16),
+       log10_c=st.floats(-6.0, 6.0))
+def test_floor_and_inverse_gates_do_not_change_under_rescaling(n, seed, bad, log10_c):
+    """Nodes are well conditioned (eigenvalue spread 10) or far below the
+    floor (one eigenvalue replaced by 1e-14..1e-10); both gates give the same
+    verdict for ``g`` and ``c g``: the first bad node in C order fails the
+    floor, and no good node fails the inverse gate."""
+    shape = _SIXTEEN_NODES[n]
+    chart = GridChart((0.0,) * n, (1.0,) * n, shape)
+    mats = _symmetric_stack(seed, n, 16, 1.0)
+    if n > 1:
+        rng = np.random.default_rng(seed + 1)
+        w, v = np.linalg.eigh(mats)
+        w[..., 0] = np.where(bad, 10.0 ** rng.uniform(-14.0, -10.0, 16), w[..., 0])
+        mats = (v * w[:, None, :]) @ np.swapaxes(v, -1, -2)
+        mats = 0.5 * (mats + np.swapaxes(mats, -1, -2))
+    ratio = np.abs(np.linalg.det(mats)) / np.max(np.abs(mats), axis=(-1, -2)) ** n
+    assume(not np.any((0.25 * geo.DET_FLOOR_SCALE < ratio) & (ratio < 4.0 * geo.DET_FLOOR_SCALE)))
+    assume(np.all((ratio < geo.DET_FLOOR_SCALE) | (np.linalg.cond(mats) < 1e3)))
+
+    def verdict(values):
+        try:
+            geo.build_metric(values.reshape(shape + (n, n)), chart)
+        except DegenerateMetric as err:
+            return str(err).split(" = ")[0], err.node
+        return None
+
+    failing = np.flatnonzero(ratio < geo.DET_FLOOR_SCALE)
+    expected = None
+    if failing.size:
+        expected = ("|det g|", tuple(int(i) for i in np.unravel_index(failing[0], shape)))
+    assert verdict(mats) == verdict(10.0**log10_c * mats) == expected
+
+
+def test_cofactor_inverse_in_four_dimensions():
+    """Every chart in use has n <= 3; n = 4 goes through the same expansion."""
+    chart = GridChart((0.5,) * 4, (1.5,) * 4, (5, 5, 5, 5))
+    u = chart.meshgrid()
+    vals = np.zeros(chart.shape + (4, 4))
+    for i in range(4):
+        vals[..., i, i] = 2.0 + u[i]
+        vals[..., i, (i + 1) % 4] = vals[..., (i + 1) % 4, i] = 0.3 * u[(i + 2) % 4]
+    m = geo.build_metric(vals, chart)
+    npt.assert_allclose(m.cov.values, np.linalg.inv(vals), rtol=0, atol=1e-14)
+    # the product of two polar planes is flat, a sphere times a plane is not
+    chart = GridChart((1.0, 0.5, 1.0, 0.5), (2.0, 1.5, 2.0, 1.5), (9, 9, 9, 9))
+    planes = geo.build_metric(lambda u: [[1.0, 0.0, 0.0, 0.0], [0.0, u[0] ** -2, 0.0, 0.0],
+                                         [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, u[2] ** -2]], chart)
+    sphere = geo.build_metric(lambda u: [[1.0, 0.0, 0.0, 0.0], [0.0, np.sin(u[0]) ** -2, 0.0, 0.0],
+                                         [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]], chart)
+    assert geo.flatness_residual(planes) <= 1e-3
+    assert geo.flatness_residual(sphere) >= 0.5
+
+
+# ---------------------------------------------------------------------------
+# raised placements are formed on first read
+
+
+def test_lazy_raised_fields_equal_the_eager_formulas(polar_metric):
+    """The raised placements as :func:`connection` and :func:`curvature`
+    formed them before they became lazy, bit for bit."""
+    chart3 = GridChart((0.5,) * 3, (1.5,) * 3, (9, 9, 9))
+    sphere3 = geo.build_metric(lambda u: [[1.0, 0.0, 0.0], [0.0, np.sin(u[0]) ** -2, 0.0],
+                                          [0.0, 0.0, (np.sin(u[0]) * np.sin(u[1])) ** -2]], chart3)
+    for metric in (polar_metric, sphere3):
+        g, n = metric.contra.values, metric.dim
+        conn = geo.connection(metric)
+        curv = geo.curvature(metric, conn)
+        assert "contra" not in vars(conn) and "contra" not in vars(curv)
+        eager_conn = np.swapaxes(g[..., None, :, :] @ conn.mixed.values, -3, -2)
+        r = curv.mixed.values
+        raised = g[..., None, :, :] @ r.reshape(metric.chart.shape + (n, n, n * n))
+        eager_curv = np.swapaxes(raised.reshape(r.shape), -4, -3)
+        npt.assert_array_equal(conn.contra.values, eager_conn)
+        npt.assert_array_equal(curv.contra.values, eager_curv)
+        assert curv.contra is curv.contra  # formed once
+
+
+def test_flatness_forms_no_raised_tensor(monkeypatch, polar_metric):
+    made = []
+    record_results(monkeypatch, made, ("connection", "curvature"), geo)
+    geo.flatness_residual(polar_metric)
+    assert [type(x) for x in made] == [geo.ConnectionField, geo.CurvatureField]
+    assert not any("contra" in vars(x) for x in made)
 
 
 @settings(max_examples=40, deadline=None)

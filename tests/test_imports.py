@@ -195,3 +195,21 @@ def test_combinations_are_built_only_by_the_check():
     one, so nothing builds or holds the combinations ahead of a check."""
     callers = {path.name: _combine_callers(ast.parse(path.read_text())) for path in MODULES}
     assert {name: c for name, c in callers.items() if c} == {"pencil_checker.py": ["_one_pass"]}
+
+
+def _lapack_inverse_calls(tree: ast.Module) -> list[str]:
+    """``line N: linalg.inv`` (or ``.det``) for every such call."""
+    return [
+        f"line {node.lineno}: linalg.{node.func.attr}" for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("inv", "det")
+        and isinstance(node.func.value, ast.Attribute) and node.func.value.attr == "linalg"
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_pointwise_lapack_inverse(path):
+    """``build_metric`` inverts by cofactors: ``np.linalg.inv`` and
+    ``np.linalg.det`` make one LAPACK call per node of a grid stack."""
+    calls = _lapack_inverse_calls(ast.parse(path.read_text()))
+    assert not calls, f"{path.name}: pointwise LAPACK inverse: {calls}"

@@ -14,9 +14,10 @@ from flatpencil.errors import (
 from flatpencil.grid_calculus import GridChart
 from flatpencil import cli
 from flatpencil import geometry_core as geo
+from flatpencil import grid_calculus as gc
 from flatpencil import pencil_checker as pc
 
-from conftest import SAFE_LAMS, count_calls
+from conftest import SAFE_LAMS, count_calls, record_results
 
 LAMS_UNIT = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (3.0, -1.0), (1.0, 2.0))
 
@@ -98,6 +99,35 @@ def test_diagonal_pencil_is_flat_compatible():
     assert rep.connection_by_sample[(1.0, 0.0)] == 0.0
     assert rep.connection_by_sample[(0.0, 1.0)] == 0.0
     assert rep.max_curvature <= 1e-10
+
+
+@pytest.mark.parametrize("mode", ["flat", "constant_curvature", "general"])
+def test_raised_curvature_is_formed_only_when_read(monkeypatch, mode):
+    """Flat mode reads R^i_{jkl} only; the other two modes read R^{ij}_{kl},
+    and their residuals are those of the eager raised formula."""
+    made, k1, k2 = [], 0.5, 0.25
+    record_results(monkeypatch, made, ("curvature",), pc)
+    pen = _diag_pencil(17)
+    rep = pc.check_compatible(pen, mode, k1, k2)
+    assert len(made) == len(SAFE_LAMS)
+    assert ["contra" in vars(curv) for curv in made] == [mode != "flat"] * len(made)
+    if mode == "flat":
+        return
+    # made follows the samples: SAFE_LAMS starts with g1 = (1, 0) and g2 = (0, 1)
+    raised = {}
+    for lam, curv in zip(SAFE_LAMS, made):
+        g, r, n = curv.metric.contra.values, curv.mixed.values, pen.chart.dim
+        eager = g[..., None, :, :] @ r.reshape(pen.chart.shape + (n, n, n * n))
+        raised[lam] = np.swapaxes(eager.reshape(r.shape), -4, -3)
+    eye = np.eye(2)
+    unit = np.einsum("ik,jl->ijkl", eye, eye)
+    unit = unit - np.swapaxes(unit, -1, -2)
+    for (l1, l2), residual in rep.curvature_by_sample.items():
+        if mode == "general":
+            expected = raised[(l1, l2)] - l1 * raised[(1.0, 0.0)] - l2 * raised[(0.0, 1.0)]
+        else:
+            expected = raised[(l1, l2)] - (l1 * k1 + l2 * k2) * unit
+        assert residual == gc.interior_max(expected, pen.chart)
 
 
 @pytest.mark.parametrize("mode", ["flat", "constant_curvature", "general", None])
