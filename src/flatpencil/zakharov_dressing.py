@@ -33,23 +33,22 @@ truncated at the decay length ``L``), and the same quadrature identity
 evaluates ``K`` off the nodes — in particular on the diagonal ``s' = s``
 where ``beta`` lives.  Potentials given as separable terms (every built-in
 decaying one) make the kernel degenerate, so it is solved through an r×r
-Woodbury core (Kress, *Linear Integral Equations*, ch. 11); a dense LU serves
-other kernels and, checking the factored solution, every ``cond`` estimate.
+Woodbury core (Kress, *Linear Integral Equations*, ch. 11), tabulated once
+per coordinate value across a window, with ``cond`` from a 2r×2r block; a
+dense LU serves other kernels and checks the factored solution at a window's
+corners and centre.
 
-A single solve uses :data:`DEFAULT_PANELS` panels unless told otherwise.  A
-window over a chart sizes its own rule: at its corners and centre it solves
-on each rung of :data:`PANEL_LADDER` and stops at the first pair of
-neighbouring rungs whose ``beta`` and seed functions agree to
-:data:`QUADRATURE_TOL`, since Gauss–Legendre Nyström converges exponentially
-for analytic kernels (Bornemann, Math. Comp. 79, 2010).  The coarser rung
-of that pair serves the whole window, and the field reports it with the
-change it showed; no converged pair raises :class:`QuadratureUnresolved`.
+A single solve uses :data:`DEFAULT_PANELS` panels unless told otherwise; a
+window sizes its own rule on :data:`PANEL_LADDER` (:func:`extract_beta`),
+since Gauss–Legendre Nyström converges exponentially for analytic kernels
+(Bornemann, Math. Comp. 79, 2010).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -82,7 +81,7 @@ SKEW_PROBE_TOL = 1e-9
 #: step, of :func:`reduction_identity_residual`
 IDENTITY_PROBES = 12
 IDENTITY_STEP = 1e-4
-#: collocation-matrix (or factor) bytes per window batch; more raises peak memory, not speed
+#: bytes of per-node arrays per window batch; more raises peak memory, not speed
 BATCH_BYTES = 3 * 2**19
 #: the (t, t') pairs, as ``s + length * TAIL_PAIRS``, where the kernel must have decayed
 _TAIL = (1.05, 1.15, 1.3, 1.6, 2.0)
@@ -505,14 +504,14 @@ def _dressed_seeds(k_nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def _gate(points: np.ndarray, finite: np.ndarray, mass: np.ndarray, box: np.ndarray, length):
     """:class:`NonFiniteSample` at the first point not ``finite``;
     :class:`TruncationInsufficient` where the kernel's ``mass`` at the tail
-    pairs exceeds ``TAIL_REL_TOL (1 + box)``, ``box`` its max on the nodes."""
+    pairs exceeds ``TAIL_REL_TOL box``, ``box`` its max on the nodes."""
     if not finite.all():
         at = tuple(float(v) for v in points[np.argmin(finite)])
         raise NonFiniteSample(at, "in the dressing kernel")
-    tol_abs = TAIL_REL_TOL * (1.0 + box)
-    if np.any(mass > tol_abs):
-        b = int(np.argmax(mass > tol_abs))
-        raise TruncationInsufficient(float(mass[b]), float(tol_abs[b]), length)
+    tol = TAIL_REL_TOL * box
+    if np.any(mass > tol):
+        b = int(np.argmax(mass > tol))
+        raise TruncationInsufficient(float(mass[b]), float(tol[b]), length)
 
 
 def _dense_batch(kernel, points, s, length, nodes, weights, estimate_cond: bool):
@@ -559,65 +558,122 @@ def _dense_batch(kernel, points, s, length, nodes, weights, estimate_cond: bool)
     return k_nodes, k_ss, residual, cond
 
 
-def _solve_batch(kernel, points, s, length, nodes, weights, estimate_cond: bool):
-    """Nyström solves at a batch of points that share one quadrature rule (a
-    kernel without a batch axis is a batch of one, one without a ``rank``
-    goes to :func:`_dense_batch`), by Woodbury for ``x = b + U V^T x``:
-    ``U[(l, m), k] = R_k(q_m)`` for terms ``k`` in column block ``l`` and
-    ``V[(l, m), k] = w_m L_k(q_m)`` for those in row block ``l``; as ``b = U
-    P``, ``P[k, i] = L_k(s)`` in row block ``i``, ``x = U y`` with ``(I_r -
-    V^T U) y = P`` and ``K_{ij}(s, s) = sum_k R_k(s) y[k, i]`` over column
-    block ``j``.  Every point passes :func:`_gate`.  With ``estimate_cond``
-    the dense system, gated by ``COND_CAP``, is solved too, and a factored
-    ``K`` more than :data:`QUADRATURE_TOL` off it raises :class:`FactorMismatch`.
+_Tables = namedtuple("_Tables", "rows cols core left_s right_s right_sum v_rows u_rows finite gate")
 
-    Returns ``k_nodes[b, i, l, m] = K_{il}(s, q_m)``, ``k_ss[b, i, j] =
-    K_{ij}(s, s)``, and per point the residual, the condition number and
-    that difference (NaN without ``estimate_cond``, or factors)."""
-    unset = np.full(len(points), np.nan)
-    if getattr(kernel, "rank", None) is None:
-        return (*_dense_batch(kernel, points, s, length, nodes, weights, estimate_cond), unset)
-    dense = _dense_batch(kernel, points, s, length, nodes, weights, True) if estimate_cond else None
-    n, q, batch = kernel.n, len(nodes), len(points)
-    tail_a, tail_b = s + length * TAIL_PAIRS
+
+def _tabulate(kernel: PotentialKernel, s: float, length: float, nodes, weights) -> _Tables:
+    """A factored kernel on one rule per coordinate value, from one
+    :meth:`PotentialKernel.factors` call at points whose ``p``-th holds the
+    ``p``-th value of each coordinate.  ``L_k`` reads only ``u^{rows[k]}`` and
+    ``R_k`` only ``u^{cols[k]}``; row ``p`` holds ``core = sum_m w_m L_k(q_m)
+    R_k'(q_m)`` where ``rows[k] == cols[k']`` (else 0), ``L_k(s)``, ``R_k(s)``,
+    ``sum_m w_m R_k(q_m)``, ``w_m L_k(q_m)``, ``R_k(q_m)``, whether all factors
+    read at the ``p``-th ``u^l`` are ``finite``, and ``gate[i, j]``, the tail
+    mass and box of ``F_ij`` over ``[p]`` (``i == j``) or ``[p, p']``."""
+    q, tail_a, tail_b = len(nodes), *(s + length * TAIL_PAIRS)
     rows, cols, left, right = kernel.factors(np.concatenate(([s], nodes, tail_a, tail_b)))
-    rank, blocks = len(rows), rows * n + cols
-    l_q, r_q = left[..., 1:q + 1], right[..., 1:q + 1]
-    # the kernel at the tail pairs, term by term, then summed into its blocks
-    tail = left[..., q + 1:q + 1 + len(tail_a)] * right[..., q + 1 + len(tail_a):]
-    members = (blocks[:, None] == np.arange(n * n)).astype(float)
-    box = np.zeros(batch)
-    for block in np.unique(blocks):
-        k = np.flatnonzero(blocks == block)
-        if len(k) == 1:  # a rank-one block's largest entry is the product of its factors'
-            top = np.abs(l_q[:, k[0]]).max(axis=-1) * np.abs(r_q[:, k[0]]).max(axis=-1)
+    l_q, l_tail = left[..., 1:q + 1], left[..., q + 1:q + 1 + len(tail_a)]
+    r_q, r_tail = right[..., 1:q + 1], right[..., q + 1 + len(tail_a):]
+    finite = [np.isfinite(left[:, rows == l]).all(axis=(1, 2))
+              & np.isfinite(right[:, cols == l]).all(axis=(1, 2)) for l in range(kernel.n)]
+    gate, values = {}, range(len(left))
+    for i, j in sorted(set(zip(rows.tolist(), cols.tolist()))):
+        k = np.flatnonzero((rows == i) & (cols == j))
+        mass = np.einsum("pka,pka->pa" if i == j else "pka,Pka->pPa", l_tail[:, k], r_tail[:, k])
+        if i == j:
+            box = np.array([np.abs(l_q[p, k].T @ r_q[p, k]).max() for p in values])
+        elif len(k) == 1:  # a rank-one block's largest entry is the product of its factors'
+            box = np.multiply.outer(np.abs(l_q[:, k[0]]).max(-1), np.abs(r_q[:, k[0]]).max(-1))
         else:
-            top = np.swapaxes(l_q[:, k], 1, 2) @ r_q[:, k]
-            top = np.abs(top, out=top).max(axis=(1, 2))
-        box = np.maximum(box, top)
-    finite = np.isfinite(left).all(axis=(1, 2)) & np.isfinite(right).all(axis=(1, 2))
-    _gate(points, finite, np.abs(np.swapaxes(tail, 1, 2) @ members).max(axis=(1, 2)), box, length)
+            box = np.array([np.abs(l_q[p, k].T @ r_q[:, k]).max(axis=(1, 2)) for p in values])
+        gate[i, j] = np.abs(mass).max(axis=-1), box
+    v_rows = l_q * weights
+    core = np.where(rows[:, None] == cols, v_rows @ np.swapaxes(r_q, 1, 2), 0.0)
+    return _Tables(rows, cols, core, left[..., 0], right[..., 0], r_q @ weights, v_rows, r_q,
+                   np.stack(finite, axis=1), gate)
 
-    def spread(factor, term_blocks):  # [b, (l, m), k] = factor[b, k, m] for k in block l
-        in_block = term_blocks == np.arange(n)[:, None]
-        return (np.swapaxes(factor, 1, 2)[:, None] * in_block[:, None]).reshape(batch, n * q, rank)
 
-    u_mat = spread(r_q, cols)
-    v_t = np.swapaxes(spread(l_q * weights, rows), 1, 2)
-    p = left[..., 0, None] * (rows[:, None] == np.arange(n))
-    y = np.linalg.solve(np.eye(rank) - v_t @ u_mat, p)
-    x = u_mat @ y
-    residual = np.abs(x - u_mat @ (v_t @ x) - u_mat @ p).max(axis=(1, 2))
-    k_nodes = x.reshape(batch, n, q, n).transpose(0, 3, 1, 2)
-    k_ss = np.swapaxes(y, 1, 2) @ (right[..., 0, None] * (cols[:, None] == np.arange(n)))
-    if dense is None:
+def _woodbury(tables: _Tables, idx: np.ndarray, points: np.ndarray, length: float):
+    """Nyström solves in r-space at points whose ``u^l`` is row ``idx[b, l]``
+    of ``tables``, each gated by :func:`_gate`.  ``x = U P + U V^T x`` with
+    ``U[(l, m), k] = R_k(q_m)`` in column block ``l``, ``V[(l, m), k] = w_m
+    L_k(q_m)`` in row block ``l`` and ``P[k, i] = L_k(s)`` in row block ``i``
+    is ``x = U y`` for ``(I_r - V^T U) y = P``: ``K_{ij}(s, s) = sum_k R_k(s)
+    y[k, i]`` over column block ``j``, ``psi_i = 1 + sum_k y[k, i] sum_m w_m
+    R_k(q_m)``, and the residual is ``U`` times the core's, from the rows of
+    ``U`` the points at one ``u^l`` share.  Returns ``y``, ``k_ss[b, i, j] =
+    K_{ij}(s, s)``, ``psi`` and the residual."""
+    n, terms = idx.shape[1], np.arange(len(tables.rows))
+    at_rows, at_cols = idx[:, tables.rows], idx[:, tables.cols]
+    mass, box = np.zeros(len(idx)), np.zeros(len(idx))
+    for (i, j), (block_mass, block_box) in tables.gate.items():
+        at = (idx[:, i],) if i == j else (idx[:, i], idx[:, j])
+        mass, box = np.maximum(mass, block_mass[at]), np.maximum(box, block_box[at])
+    _gate(points, tables.finite[idx, np.arange(n)].all(axis=1), mass, box, length)
+
+    core = tables.core[at_rows, terms]
+    p = tables.left_s[at_rows, terms][..., None] * (tables.rows[:, None] == np.arange(n))
+    y = np.linalg.solve(np.eye(len(terms)) - core, p)
+    error, residual = y - core @ y - p, np.zeros(len(idx))
+    for l in range(n):
+        k = np.flatnonzero(tables.cols == l)
+        for v in np.unique(idx[:, l]):
+            at = np.flatnonzero(idx[:, l] == v)
+            u_error = tables.u_rows[v, k].T @ error[at][:, k].transpose(1, 0, 2).reshape(
+                len(k), len(at) * n)
+            top = np.abs(u_error).max(axis=0).reshape(len(at), n).max(axis=1)
+            residual[at] = np.maximum(residual[at], top)
+    r_s = tables.right_s[at_cols, terms][..., None] * (tables.cols[:, None] == np.arange(n))
+    psi = 1.0 + np.einsum("bk,bki->bi", tables.right_sum[at_cols, terms], y)
+    return y, np.swapaxes(y, 1, 2) @ r_s, psi, residual
+
+
+def _solve_batch(kernel, tables, idx, points, s, length, nodes, weights, estimate_cond: bool):
+    """Nyström solves at points sharing one rule: by :func:`_dense_batch`
+    without ``tables``, else by :func:`_woodbury` at their rows ``idx`` and
+    ``x = U y``.  With ``estimate_cond``, ``cond`` of ``I - U V^T``, whose
+    singular values are 1 but those of ``I - (Q^T U)(V^T Q)`` for ``Q =
+    orth[U V]``, is gated by ``COND_CAP``, and a ``K`` more than
+    :data:`QUADRATURE_TOL` off the dense LU's raises :class:`FactorMismatch`.
+    Returns ``k_nodes[b, i, l, m] = K_{il}(s, q_m)``, ``k_ss`` and per point
+    the residual, ``cond`` and that difference (NaN without
+    ``estimate_cond``, or without ``tables``)."""
+    unset = np.full(len(points), np.nan)
+    if tables is None:
+        return (*_dense_batch(kernel, points, s, length, nodes, weights, estimate_cond), unset)
+    y, k_ss, _, residual = _woodbury(tables, idx, points, length)
+    (batch, n), q, terms = idx.shape, len(nodes), np.arange(len(tables.rows))
+    u_mat, v_mat = (  # [b, (l, m), k] = table[idx[b, l], k, m] for k in block l
+        np.einsum("bkm,kl->blmk", table[idx[:, blocks], terms], blocks[:, None] == np.arange(n))
+        .reshape(batch, n * q, -1)
+        for table, blocks in ((tables.u_rows, tables.cols), (tables.v_rows, tables.rows)))
+    k_nodes = (u_mat @ y).reshape(batch, n, q, n).transpose(0, 3, 1, 2)
+    if not estimate_cond:
         return k_nodes, k_ss, residual, unset, unset
-    dense_nodes, dense_ss, _, cond = dense
+    basis = np.linalg.qr(np.concatenate((u_mat, v_mat), axis=2))[0]
+    block = (np.swapaxes(basis, 1, 2) @ u_mat) @ (np.swapaxes(v_mat, 1, 2) @ basis)
+    sigma = np.linalg.svd(np.eye(basis.shape[2]) - block, compute_uv=False)
+    sigma = np.concatenate((sigma, np.ones((batch, int(basis.shape[2] < basis.shape[1])))), 1)
+    cond = sigma.max(axis=1) / sigma.min(axis=1)
+    if not np.max(cond) <= COND_CAP:
+        raise IllConditioned(float(np.max(cond)), COND_CAP)
+    dense_nodes, dense_ss, _, _ = _dense_batch(kernel, points, s, length, nodes, weights, False)
     deviation = np.maximum(np.abs(dense_nodes - k_nodes).max(axis=(1, 2, 3)),
                            np.abs(dense_ss - k_ss).max(axis=(1, 2)))
     if not np.max(deviation) <= QUADRATURE_TOL:
         raise FactorMismatch(float(np.max(deviation)), QUADRATURE_TOL)
     return k_nodes, k_ss, residual, cond, deviation
+
+
+def _batch_size(n: int, q: int, rank: int | None, cond: bool) -> int:
+    """Points per window batch for :data:`BATCH_BYTES` of per-point arrays."""
+    if rank is None:  # kernel blocks, collocation matrix and, for cond, the SVD's copy
+        per_point = (2 + cond) * (n * q) ** 2
+    elif cond:  # the same for the dense check, and U, V, [U V] and Q
+        per_point = 2 * (n * q) ** 2 + 6 * n * q * rank
+    else:  # the core and its system matrix, five r x n arrays, the q x n residual twice
+        per_point = 2 * rank * rank + 5 * rank * n + 2 * q * n
+    return max(1, BATCH_BYTES // (8 * per_point))
 
 
 def solve_marchenko(
@@ -630,15 +686,19 @@ def solve_marchenko(
     The batch-of-one case of the window solver (:func:`_solve_batch`): the
     declared truncation length is validated by probing the kernel beyond it
     (:class:`TruncationInsufficient`), non-finite kernel values raise
-    :class:`NonFiniteSample`, and ``estimate_cond`` gates the dense
-    ``cond`` (:class:`IllConditioned`) and the factors (:class:`FactorMismatch`).
+    :class:`NonFiniteSample`, and ``estimate_cond`` gates ``cond``
+    (:class:`IllConditioned`) and the factors (:class:`FactorMismatch`).
     """
     if kernel is None:
         kernel = problem.base_kernel()
     s, length = problem.s, problem.length
     nodes, weights = _panel_quadrature(s, length, problem.panels, problem.nodes_per_panel)
+    # the point is the one value of each coordinate in its own tables
+    tables = None if getattr(kernel, "rank", None) is None else _tabulate(
+        kernel, s, length, nodes, weights)
     k_nodes, k_ss, residual, cond, _ = _solve_batch(
-        kernel, np.array([problem.u]), s, length, nodes, weights, estimate_cond
+        kernel, tables, np.zeros((1, kernel.n), dtype=int), np.array([problem.u]), s, length,
+        nodes, weights, estimate_cond,
     )
     return DressingSolution(
         kernel, s, nodes, weights, k_nodes[0], k_ss[0], float(residual[0]),
@@ -685,22 +745,21 @@ def extract_beta(
     chart, with panels of :data:`DEFAULT_NODES_PER_PANEL` nodes.
 
     ``profile`` scales the kernel only with ``use_tilde``.  The truncation
-    length is fixed once from the chart bounds so every node shares one
-    quadrature rule and tail probe; nodes are solved in batches
-    of about :data:`BATCH_BYTES` of collocation matrices or factors.  Every
-    node passes the non-finite, truncation and sign gates and reports its
-    collocation residual; conditioning and the factored solve are checked
-    against the dense one at the chart's corners and centre, and
-    ``cond_probe`` and ``dense_deviation`` are the worst of them.
+    length is fixed from the chart bounds, so every node shares one rule and
+    tail probe.  A set with separable terms is tabulated once per rung on the
+    chart's axes and each node solved in r-space (:func:`_woodbury`), other
+    sets by dense LU, in batches of about :data:`BATCH_BYTES`.  Every node
+    passes the non-finite, truncation and sign gates and reports its
+    collocation residual; at the corners and centre the factored solve is
+    checked against the dense one and ``cond`` is measured, and
+    ``cond_probe`` and ``dense_deviation`` are the worst there.
 
-    Without ``panels``, the panel count comes from the window's own
-    convergence: ``beta`` and ``psi`` are solved at the corners and centre
-    on each rung of :data:`PANEL_LADDER` and compared with the next finer
-    rung; the window takes the coarser rung of the first pair whose largest
-    change is within :data:`QUADRATURE_TOL`, and reports that rung and that
-    change as ``panels`` and ``quadrature_error``.  No converged pair up to
-    the finest rung raises :class:`QuadratureUnresolved`.  An explicit
-    ``panels`` is used as given, without a search.
+    Without ``panels``, ``beta`` and ``psi`` at the corners and centre are
+    solved on each rung of :data:`PANEL_LADDER`; the window takes the coarser
+    rung of the first neighbouring pair that agrees to :data:`QUADRATURE_TOL`
+    and reports it and that change as ``panels`` and ``quadrature_error``
+    (:class:`QuadratureUnresolved` if none does).  An explicit ``panels`` is
+    used as given, without a search.
     """
     n = potentials.n
     if chart.dim != n:
@@ -712,35 +771,51 @@ def extract_beta(
         potentials, (*chart.lower, *chart.upper), s, panels, DEFAULT_NODES_PER_PANEL
     )
     points = np.stack(chart.meshgrid(), axis=-1).reshape(-1, n)
+    index = np.indices(chart.shape).reshape(n, -1).T  # [node, l] = its place on axis l
     probe = np.zeros(chart.shape, dtype=bool)
     probe[np.ix_(*[[0, m - 1] for m in chart.shape])] = True
     probe[tuple(m // 2 for m in chart.shape)] = True
-    probe = probe.ravel()
+    probe = np.flatnonzero(probe)
 
-    rank, ratio = kernel_rank(potentials), profile if use_tilde else None
+    rank, ratio, t_range = kernel_rank(potentials), profile if use_tilde else None, (s, s + length)
+    # row p holds the p-th value of every coordinate, the last one again on shorter axes
+    values = np.stack([chart.axis_coordinates(l)[np.minimum(np.arange(max(chart.shape)), m - 1)]
+                       for l, m in enumerate(chart.shape)], axis=-1)
+    axes = PotentialKernel(potentials, values, ratio, t_range)
 
-    def solve(u: np.ndarray, rung: int, cond: bool = False):
-        """beta, psi and the per-point figures of :func:`_solve_batch` at the
-        points ``u``, in batches of :data:`BATCH_BYTES`."""
+    @functools.lru_cache(maxsize=2)  # the ladder settles on its last rung but one
+    def tabulated(rung: int) -> _Tables:
         nodes, weights = _panel_quadrature(s, length, rung, DEFAULT_NODES_PER_PANEL)
-        q = len(nodes)
-        # the dense matrix (twice for cond's SVD copy), or U, V and one q x q block
-        per_node = (n * q) ** 2 * (1 + cond) if rank is None or cond else 2 * n * q * rank + q * q
-        size = max(1, BATCH_BYTES // (8 * per_node))
-        parts = []
-        for start in range(0, len(u), size):
-            batch = u[start:start + size]
-            kernel = PotentialKernel(potentials, batch, ratio, (s, s + length))
-            k_nodes, k_ss, *figures = _solve_batch(kernel, batch, s, length, nodes, weights, cond)
+        return _tabulate(axes, s, length, nodes, weights)
+
+    def solve(at: np.ndarray, rung: int, cond: bool = False):
+        """beta, psi and the per-point figures of :func:`_solve_batch` at the
+        nodes ``at``, in batches of :func:`_batch_size`."""
+        nodes, weights = _panel_quadrature(s, length, rung, DEFAULT_NODES_PER_PANEL)
+        size, parts = _batch_size(n, len(nodes), rank, cond), []
+        for start in range(0, len(at), size):
+            batch = at[start:start + size]
+            unset = np.full(len(batch), np.nan)
+            if rank is None or cond:
+                kernel = PotentialKernel(potentials, points[batch], ratio, t_range)
+                k_nodes, k_ss, *figures = _solve_batch(
+                    kernel, None if rank is None else tabulated(rung), index[batch], points[batch],
+                    s, length, nodes, weights, cond,
+                )
+                psi = _dressed_seeds(k_nodes, weights)
+            else:
+                _, k_ss, psi, residual = _woodbury(tabulated(rung), index[batch], points[batch],
+                                                   length)
+                figures = residual, unset, unset
             # beta_{ij} = K_{ji}(s, s)
-            parts.append((k_ss.swapaxes(1, 2), _dressed_seeds(k_nodes, weights), *figures))
+            parts.append((k_ss.swapaxes(1, 2), psi, *figures))
         return [np.concatenate(p) for p in zip(*parts)]
 
     estimate = None
     if panels is None:
-        panels, estimate = _converged_rung(solve, points[probe])
-    beta, psi, residual, _, _ = solve(points, panels)
-    _, _, _, cond, deviation = solve(points[probe], panels, cond=True)
+        panels, estimate = _converged_rung(solve, probe)
+    beta, psi, residual, _, _ = solve(np.arange(len(points)), panels)
+    _, _, _, cond, deviation = solve(probe, panels, cond=True)
     return DressedField(
         chart, beta.reshape(chart.shape + (n, n)), psi.reshape(chart.shape + (n,)),
         float(np.max(cond)), None if rank is None else float(np.max(deviation)),

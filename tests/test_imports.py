@@ -171,16 +171,16 @@ def test_the_stencil_order_stays_on_the_chart(path):
     assert not uses, f"{path.name}: knows the stencil order: {uses}"
 
 
-def _combine_callers(tree: ast.Module) -> list[str]:
+def _callers(tree: ast.Module, name: str) -> list[str]:
     """The innermost enclosing ``def`` (or ``<module>``) of every call of a
-    name or attribute ``combine``."""
+    name or attribute ``name``."""
     callers = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call):
                 func = child.func
-                if getattr(func, "id", getattr(func, "attr", None)) == "combine":
+                if getattr(func, "id", getattr(func, "attr", None)) == name:
                     callers.append(owner)
             is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if is_def else owner)
@@ -189,12 +189,23 @@ def _combine_callers(tree: ast.Module) -> list[str]:
     return callers
 
 
+def _package_callers(name: str) -> dict[str, list[str]]:
+    callers = {path.name: _callers(ast.parse(path.read_text()), name) for path in MODULES}
+    return {module: c for module, c in callers.items() if c}
+
+
 def test_combinations_are_built_only_by_the_check():
     """A pencil is its two metrics: the one place that forms a combination
     ``l1 g1 + l2 g2`` is the compatibility pass, which reduces and drops each
     one, so nothing builds or holds the combinations ahead of a check."""
-    callers = {path.name: _combine_callers(ast.parse(path.read_text())) for path in MODULES}
-    assert {name: c for name, c in callers.items() if c} == {"pencil_checker.py": ["_one_pass"]}
+    assert _package_callers("combine") == {"pencil_checker.py": ["_one_pass"]}
+
+
+def test_condition_numbers_are_measured_only_on_dense_matrices():
+    """A factored dressing kernel's ``cond`` comes from its 2r x 2r Woodbury
+    block, so the (nq)^2 SVD behind ``np.linalg.cond`` runs only in the dense
+    path, on kernels without separable terms."""
+    assert _package_callers("cond") == {"zakharov_dressing.py": ["_dense_batch"]}
 
 
 def _lapack_inverse_calls(tree: ast.Module) -> list[str]:

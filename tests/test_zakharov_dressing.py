@@ -6,6 +6,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flatpencil.errors import (FactorMismatch, IllConditioned, NonFiniteProfile,
                                NonFiniteSample, QuadratureUnresolved, SignChange,
@@ -311,13 +312,16 @@ def _gaussian2():
 
 WINDOWS = {
     "2c-7x4": (_gaussian2, GridChart((-0.3, -0.2), (0.3, 0.2), (7, 4)), {}),
-    # 45 nodes: more than one 2-component batch, and not a multiple of it
+    # 45 nodes: not a multiple of the 7-node batches of the test below
     "2c-9x5": (_gaussian2, GridChart((-0.3, -0.2), (0.3, 0.2), (9, 5)), {}),
     "2c-2x7": (_gaussian2, GridChart((-0.1, -0.3), (0.1, 0.3), (2, 7)), {}),
     "3c-3x3x3": (lambda: zd.gaussian_set(3, amplitude=0.4, include_diagonal=True),
                  GridChart((-0.2,) * 3, (0.2,) * 3, (3, 3, 3)), {}),
     "1c-5": (lambda: zd.gaussian_set(1, amplitude=0.4, include_diagonal=True),
              GridChart((-0.2,), (0.2,), (5,)), {}),
+    # the third component has no terms, so no column block reads u^3
+    "3c-uncoupled": (lambda: zd.PotentialSet(3, {(0, 1): zd.gaussian_pair(0.4, 1.0)}, {}, 8.5),
+                     GridChart((-0.2,) * 3, (0.2,) * 3, (3, 3, 3)), {}),
     "2c-tilde": (_gaussian2, GridChart((-0.3, -0.2), (0.3, 0.2), (5, 3)),
                  {"profile": ls.constant_profile((2.0, 2.5)), "use_tilde": True}),
 }
@@ -335,15 +339,56 @@ def test_window_matches_pointwise_solves(name):
     assert field.max_residual <= 1e-10
 
 
-def test_window_size_is_not_a_batch_multiple():
+def test_window_size_is_not_a_batch_multiple(monkeypatch):
+    """The default batch holds this whole window; batches of 7 nodes split it
+    into six and a remainder of 3, and give the same field."""
     make, chart, _ = WINDOWS["2c-9x5"]
     pots = make()
-    field = zd.extract_beta(pots, chart)
-    # the factors U and V and one q x q block per node
-    q = field.panels * zd.DEFAULT_NODES_PER_PANEL
-    rank = zd.kernel_rank(pots)
-    batch = zd.BATCH_BYTES // (8 * (2 * 2 * q * rank + q * q))
-    assert 1 < batch < np.prod(chart.shape) and np.prod(chart.shape) % batch != 0
+    whole = zd.extract_beta(pots, chart)
+    size = (2, whole.panels * zd.DEFAULT_NODES_PER_PANEL, zd.kernel_rank(pots), False)
+    monkeypatch.setattr(zd, "BATCH_BYTES", 7 * zd.BATCH_BYTES // zd._batch_size(*size))
+    assert zd._batch_size(*size) == 7 and np.prod(chart.shape) % 7 != 0
+    split = zd.extract_beta(pots, chart)
+    assert np.max(np.abs(split.beta_values - whole.beta_values)) <= 1e-15
+    assert np.max(np.abs(split.psi_values - whole.psi_values)) <= 1e-15
+    assert split.max_residual <= 1e-10 and split.panels == whole.panels
+
+
+def _counting(f, calls):
+    def counted(t):
+        calls.append(f)
+        return f(t)
+
+    return counted
+
+
+def test_factor_closures_are_called_per_rung_not_per_node():
+    """A window evaluates each term on the chart's axes, once per rung, so at
+    a fixed rule a 9^2 and a 17^2 window call the term closures equally often."""
+    calls, counts = [], []
+    for points in (9, 17):
+        pots = _remade(_gaussian2(), lambda *factors: tuple(_counting(f, calls) for f in factors))
+        before = len(calls)
+        zd.extract_beta(pots, GridChart((-0.2, -0.2), (0.2, 0.2), (points, points)), panels=8)
+        counts.append(len(calls) - before)
+    assert counts[0] == counts[1] > 0
+
+
+#: unequal and t-dependent, and of one sign over every range the windows below reach
+PROFILE_FUNCS = (lambda t: 2.0 + 0.1 * t, lambda t: 3.0 - 0.1 * t, lambda t: 2.5 + 0.05 * t)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([2, 3]), amplitude=st.floats(0.01, 0.8), diagonal=st.booleans(),
+       tilde=st.booleans(), u=st.lists(st.floats(-0.3, 0.3), min_size=3, max_size=3))
+def test_woodbury_cond_is_the_dense_matrix_cond(n, amplitude, diagonal, tilde, u):
+    """``cond`` of ``I - U V^T`` from its 2r x 2r block equals the condition
+    number of the dense collocation matrix."""
+    prob = zd.DressingProblem(zd.gaussian_set(n, amplitude, include_diagonal=diagonal), u=u[:n],
+                              profile=ls.ReductionProfile(PROFILE_FUNCS[:n]), panels=4)
+    kernel = prob.tilde_kernel() if tilde else prob.base_kernel()
+    dense = zd.solve_marchenko(prob, kernel=_Dense(kernel)).cond
+    assert zd.solve_marchenko(prob, kernel=kernel).cond == pytest.approx(dense, rel=1e-12)
 
 
 def test_window_conditioning_is_worst_of_corners_and_centre():
@@ -360,8 +405,8 @@ def test_window_conditioning_is_worst_of_corners_and_centre():
     assert len(set(conds.values())) > 1
 
 
-# beta and psi of the 2x2 window below with the fixed 16 x 6 rule, as the
-# factored solve gives them (the dense LU agrees to 1.2e-16)
+# beta and psi of the 2x2 window below with the fixed 16 x 6 rule, to rounding:
+# the factored solve and the dense LU each agree with them to about 1e-16
 FIXED_RULE_BETA = [
     [[[-0.18943431607678515, 0.015192528822021371], [-0.11722388689714412, -0.09507183238278381]],
      [[-0.18759228712436676, -0.09221242682414012], [-0.11078170015205019, -0.07859626643956774]]],
@@ -377,8 +422,8 @@ FIXED_RULE_PSI = [
 def test_explicit_panels_are_used_without_a_search():
     chart = GridChart((-0.3, -0.2), (0.3, 0.2), (2, 2))
     field = zd.extract_beta(_gaussian2(), chart, panels=16)
-    assert field.beta_values.tolist() == FIXED_RULE_BETA
-    assert field.psi_values.tolist() == FIXED_RULE_PSI
+    npt.assert_allclose(field.beta_values, FIXED_RULE_BETA, rtol=0, atol=2.5e-16)
+    npt.assert_allclose(field.psi_values, FIXED_RULE_PSI, rtol=0, atol=2.5e-16)
     assert field.panels is None and field.quadrature_error is None
 
 
@@ -490,21 +535,89 @@ def test_nan_term_is_caught_by_the_factored_gate(monkeypatch):
     assert "(0.1, -0.1)" in str(err.value)
 
 
+def _remade(pots, term):
+    """``pots`` with every separable term ``(A, A', B, B')`` replaced by
+    ``term(A, A', B, B')``."""
+    def remake(pot):
+        return tc.Potential(terms=tuple(term(*factors) for factors in pot.terms))
+
+    return zd.PotentialSet(pots.n, {key: remake(pot) for key, pot in pots.off_diagonal.items()},
+                           {key: remake(pot) for key, pot in pots.diagonal.items()}, pots.envelope)
+
+
+def _scaled(pots, k):
+    """The set with every potential times ``k``."""
+    return _remade(pots, lambda a, da, b, db: (lambda t: k * a(t), lambda t: k * da(t), b, db))
+
+
+class _Dense:
+    """A kernel without its factors, solved by the dense LU."""
+
+    def __init__(self, kernel):
+        self.n, self.eval = kernel.n, kernel.eval
+
+
+#: (potential set, declared length or None, verdict at scale 1): decaying,
+#: decaying but truncated too early, and a pair that does not decay in s'
+GATE_CASES = {
+    "decaying": (_gaussian2, None, True),
+    "short": (_gaussian2, 2.0, False),
+    "flat": (lambda: zd.PotentialSet(2, {(0, 1): zd.separable_sum_pair(0.3, 0.3, 1.0)}, {},
+                                     envelope=8.0), None, False),
+}
+
+
+def _gate_passes(pots, length, dense):
+    prob = zd.DressingProblem(pots, u=U2, length=length, panels=4)
+    kernel = prob.base_kernel()
+    try:
+        zd.solve_marchenko(prob, kernel=_Dense(kernel) if dense else kernel, estimate_cond=False)
+    except TruncationInsufficient:
+        return False
+    return True
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(sorted(GATE_CASES)), log10_k=st.floats(-9.0, 3.0), dense=st.booleans())
+def test_truncation_gate_does_not_depend_on_scale(case, log10_k, dense):
+    """The tail mass is measured against the kernel's own size, so scaling
+    every potential keeps the verdict; a pair that does not decay in s' fails
+    however small it is."""
+    make, length, verdict = GATE_CASES[case]
+    assert _gate_passes(make(), length, dense) is verdict
+    assert _gate_passes(_scaled(make(), 10.0 ** log10_k), length, dense) is verdict
+
+
 def test_factored_truncation_gate_matches_the_dense_one():
     prob = zd.DressingProblem(zd.gaussian_set(2, amplitude=0.4), u=U2, length=2.0)
     kernel = prob.base_kernel()
-
-    class Dense:  # the same kernel without its factors
-        n, eval = kernel.n, kernel.eval
-
     errors = []
-    for k in (kernel, Dense()):
+    for k in (kernel, _Dense(kernel)):
         with pytest.raises(TruncationInsufficient) as err:
             zd.solve_marchenko(prob, kernel=k, estimate_cond=False)
         errors.append(err.value)
     factored, dense = errors
     assert factored.mass == pytest.approx(dense.mass, rel=1e-12)
     assert factored.tol == pytest.approx(dense.tol, rel=1e-12)
+
+
+def test_window_gate_reads_the_dense_gate_at_every_node(monkeypatch):
+    """On an uneven chart, with only a two-term pair between the axes, the
+    tail mass and box a window reads from its tables are the dense kernel's."""
+    p1, p2 = zd.gaussian_pair(0.3, 1.0, 0.1, -0.2), zd.gaussian_pair(-0.2, 0.8, -0.3, 0.1)
+    pots = zd.PotentialSet(2, {(0, 1): tc.Potential(terms=p1.terms + p2.terms)}, {}, envelope=8.0)
+    chart = GridChart((-0.3, -0.1), (0.3, 0.2), (7, 3))
+    seen = []
+    monkeypatch.setattr(zd, "_gate", lambda points, finite, mass, box, length: seen.append(
+        np.stack([mass, box])))
+    zd.extract_beta(pots, chart, panels=8)
+    window = seen[0]  # the whole window is one batch
+    assert window.shape == (2, 21)
+    seen.clear()
+    for idx in np.ndindex(chart.shape):
+        prob = zd.DressingProblem(pots, chart.node(idx), length=pots.envelope + 1.3, panels=8)
+        zd.solve_marchenko(prob, kernel=_Dense(prob.base_kernel()), estimate_cond=False)
+    npt.assert_allclose(window, np.concatenate(seen, axis=1), rtol=1e-12, atol=0)
 
 
 def test_corrupted_factor_trips_the_dense_comparison(monkeypatch):
