@@ -593,7 +593,8 @@ def _tabulate(kernel: PotentialKernel, s: float, length: float, nodes, weights) 
                    np.stack(finite, axis=1), gate)
 
 
-def _woodbury(tables: _Tables, idx: np.ndarray, points: np.ndarray, length: float):
+def _woodbury(tables: _Tables, idx: np.ndarray, points: np.ndarray, length: float,
+              with_residual: bool = True):
     """Nyström solves in r-space at points whose ``u^l`` is row ``idx[b, l]``
     of ``tables``, each gated by :func:`_gate`.  ``x = U P + U V^T x`` with
     ``U[(l, m), k] = R_k(q_m)`` in column block ``l``, ``V[(l, m), k] = w_m
@@ -602,7 +603,7 @@ def _woodbury(tables: _Tables, idx: np.ndarray, points: np.ndarray, length: floa
     y[k, i]`` over column block ``j``, ``psi_i = 1 + sum_k y[k, i] sum_m w_m
     R_k(q_m)``, and the residual is ``U`` times the core's, from the rows of
     ``U`` the points at one ``u^l`` share.  Returns ``y``, ``k_ss[b, i, j] =
-    K_{ij}(s, s)``, ``psi`` and the residual."""
+    K_{ij}(s, s)``, ``psi`` and the residual (NaN unless ``with_residual``)."""
     n, terms = idx.shape[1], np.arange(len(tables.rows))
     at_rows, at_cols = idx[:, tables.rows], idx[:, tables.cols]
     mass, box = np.zeros(len(idx)), np.zeros(len(idx))
@@ -614,8 +615,8 @@ def _woodbury(tables: _Tables, idx: np.ndarray, points: np.ndarray, length: floa
     core = tables.core[at_rows, terms]
     p = tables.left_s[at_rows, terms][..., None] * (tables.rows[:, None] == np.arange(n))
     y = np.linalg.solve(np.eye(len(terms)) - core, p)
-    error, residual = y - core @ y - p, np.zeros(len(idx))
-    for l in range(n):
+    error, residual = y - core @ y - p, np.full(len(idx), 0.0 if with_residual else np.nan)
+    for l in range(n) if with_residual else ():
         k = np.flatnonzero(tables.cols == l)
         for v in np.unique(idx[:, l]):
             at = np.flatnonzero(idx[:, l] == v)
@@ -746,13 +747,14 @@ def extract_beta(
 
     ``profile`` scales the kernel only with ``use_tilde``.  The truncation
     length is fixed from the chart bounds, so every node shares one rule and
-    tail probe.  A set with separable terms is tabulated once per rung on the
-    chart's axes and each node solved in r-space (:func:`_woodbury`), other
-    sets by dense LU, in batches of about :data:`BATCH_BYTES`.  Every node
-    passes the non-finite, truncation and sign gates and reports its
-    collocation residual; at the corners and centre the factored solve is
-    checked against the dense one and ``cond`` is measured, and
-    ``cond_probe`` and ``dense_deviation`` are the worst there.
+    tail probe.  A set with separable terms is tabulated on the chart's axes
+    (on the probes' places only while the ladder below climbs) and each node
+    solved in r-space (:func:`_woodbury`), other sets by dense LU, in batches
+    of about :data:`BATCH_BYTES`.  Every node passes the non-finite,
+    truncation and sign gates and reports its collocation residual; at the
+    corners and centre the factored solve is checked against the dense one
+    and ``cond`` is measured, and ``cond_probe`` and ``dense_deviation`` are
+    the worst there.
 
     Without ``panels``, ``beta`` and ``psi`` at the corners and centre are
     solved on each rung of :data:`PANEL_LADDER`; the window takes the coarser
@@ -778,34 +780,44 @@ def extract_beta(
     probe = np.flatnonzero(probe)
 
     rank, ratio, t_range = kernel_rank(potentials), profile if use_tilde else None, (s, s + length)
-    # row p holds the p-th value of every coordinate, the last one again on shorter axes
-    values = np.stack([chart.axis_coordinates(l)[np.minimum(np.arange(max(chart.shape)), m - 1)]
-                       for l, m in enumerate(chart.shape)], axis=-1)
-    axes = PotentialKernel(potentials, values, ratio, t_range)
+    # the ladder reads only the probes' places on each axis: rows ``probe_index`` of its tables
+    ends = [np.unique([0, m // 2, m - 1]) for m in chart.shape]
+    probe_index = np.stack([np.searchsorted(e, index[:, l]) for l, e in enumerate(ends)], 1)
 
-    @functools.lru_cache(maxsize=2)  # the ladder settles on its last rung but one
-    def tabulated(rung: int) -> _Tables:
+    def axis_kernel(places) -> PotentialKernel:
+        """At points whose ``p``-th holds the ``places[l][p]``-th value of
+        each coordinate ``l``, the last one again on shorter lists."""
+        rows = np.arange(max(map(len, places)))
+        return PotentialKernel(potentials, np.stack(
+            [chart.axis_coordinates(l)[p[np.minimum(rows, len(p) - 1)]]
+             for l, p in enumerate(places)], axis=-1), ratio, t_range)
+
+    axes = axis_kernel([np.arange(m) for m in chart.shape]), axis_kernel(ends)
+
+    @functools.lru_cache(maxsize=2)  # the full solve and the cond probe share the chosen rung
+    def tabulated(rung: int, on_probes: bool) -> _Tables:
         nodes, weights = _panel_quadrature(s, length, rung, DEFAULT_NODES_PER_PANEL)
-        return _tabulate(axes, s, length, nodes, weights)
+        return _tabulate(axes[on_probes], s, length, nodes, weights)
 
-    def solve(at: np.ndarray, rung: int, cond: bool = False):
+    def solve(at: np.ndarray, rung: int, cond: bool = False, on_probes: bool = False):
         """beta, psi and the per-point figures of :func:`_solve_batch` at the
         nodes ``at``, in batches of :func:`_batch_size`."""
         nodes, weights = _panel_quadrature(s, length, rung, DEFAULT_NODES_PER_PANEL)
         size, parts = _batch_size(n, len(nodes), rank, cond), []
+        rows = probe_index if on_probes else index
         for start in range(0, len(at), size):
             batch = at[start:start + size]
             unset = np.full(len(batch), np.nan)
             if rank is None or cond:
                 kernel = PotentialKernel(potentials, points[batch], ratio, t_range)
                 k_nodes, k_ss, *figures = _solve_batch(
-                    kernel, None if rank is None else tabulated(rung), index[batch], points[batch],
-                    s, length, nodes, weights, cond,
+                    kernel, None if rank is None else tabulated(rung, on_probes), rows[batch],
+                    points[batch], s, length, nodes, weights, cond,
                 )
                 psi = _dressed_seeds(k_nodes, weights)
             else:
-                _, k_ss, psi, residual = _woodbury(tabulated(rung), index[batch], points[batch],
-                                                   length)
+                _, k_ss, psi, residual = _woodbury(  # the ladder reads beta and psi only
+                    tabulated(rung, on_probes), rows[batch], points[batch], length, not on_probes)
                 figures = residual, unset, unset
             # beta_{ij} = K_{ji}(s, s)
             parts.append((k_ss.swapaxes(1, 2), psi, *figures))
@@ -813,7 +825,7 @@ def extract_beta(
 
     estimate = None
     if panels is None:
-        panels, estimate = _converged_rung(solve, probe)
+        panels, estimate = _converged_rung(functools.partial(solve, on_probes=True), probe)
     beta, psi, residual, _, _ = solve(np.arange(len(points)), panels)
     _, _, _, cond, deviation = solve(probe, panels, cond=True)
     return DressedField(

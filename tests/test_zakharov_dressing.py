@@ -374,6 +374,30 @@ def test_factor_closures_are_called_per_rung_not_per_node():
     assert counts[0] == counts[1] > 0
 
 
+def test_ladder_tabulates_only_the_probes_places(monkeypatch):
+    """While the ladder climbs, each rung is tabulated at the three places per
+    axis the corner and centre probes read; only the chosen rung is tabulated
+    on the whole axes, and the field is the one that rung gives when fixed."""
+    factors, rows = zd.PotentialKernel.factors, []
+
+    def recorded(self, t):
+        out = factors(self, t)
+        rows.append(out[2].shape[0])
+        return out
+
+    monkeypatch.setattr(zd.PotentialKernel, "factors", recorded)
+    chart = GridChart((-0.2, -0.1), (0.2, 0.1), (9, 5))
+    searched = zd.extract_beta(_gaussian2(), chart)
+    assert len(rows) > 2 and rows == [3] * (len(rows) - 1) + [9]
+    rows.clear()
+    fixed = zd.extract_beta(_gaussian2(), chart, panels=searched.panels)
+    assert rows == [9]
+    npt.assert_array_equal(searched.beta_values, fixed.beta_values)
+    npt.assert_array_equal(searched.psi_values, fixed.psi_values)
+    assert searched.max_residual == fixed.max_residual
+    assert searched.cond_probe == fixed.cond_probe
+
+
 #: unequal and t-dependent, and of one sign over every range the windows below reach
 PROFILE_FUNCS = (lambda t: 2.0 + 0.1 * t, lambda t: 3.0 - 0.1 * t, lambda t: 2.5 + 0.05 * t)
 
