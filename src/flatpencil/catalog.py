@@ -127,13 +127,17 @@ def _run_euclidean():
     return [CheckRow("flatness", geo.flatness_residual(m), 1e-12)]
 
 
-def _run_polar():
-    m = metric_field("polar")
-    frame = ls.frame_from_metric(m)
-    return [
-        CheckRow("flatness", geo.flatness_residual(m), 1e-6),
-        CheckRow("lame", ls.lame_residuals(frame).max_residual, 1e-6),
-    ]
+def _flat_frame_runner(name: str, bound: float):
+    """A flat diagonal metric: its flatness and its frame's Lamé residuals."""
+
+    def run():
+        m = metric_field(name)
+        return [
+            CheckRow("flatness", geo.flatness_residual(m), bound),
+            CheckRow("lame", ls.lame_residuals(ls.frame_from_metric(m)).max_residual, bound),
+        ]
+
+    return run
 
 
 def _run_sphere():
@@ -144,15 +148,6 @@ def _run_sphere():
             "constant_curvature_k1", gc.interior_max(curv.deviation(1.0), m.chart), 1e-5
         ),
         CheckRow("not_flat", gc.interior_max(curv.mixed.values, m.chart), 1e-2, "ge"),
-    ]
-
-
-def _run_diag_u():
-    m = metric_field("diag-u")
-    frame = ls.frame_from_metric(m)
-    return [
-        CheckRow("flatness", geo.flatness_residual(m), 1e-10),
-        CheckRow("lame", ls.lame_residuals(frame).max_residual, 1e-10),
     ]
 
 
@@ -201,85 +196,89 @@ def _run_s4_constant_curvature():
 # ---------------------------------------------------------------------------
 # two-component verification cases
 
-TWO_COMPONENT_POSITIVE = ("tc-log-unit", "tc-separable", "tc-linear-exp")
-TWO_COMPONENT_NEGATIVE = ("tc-product-bad", "tc-log-wrong-b")
+
+@dataclass(frozen=True)
+class _TwoComponentCase:
+    """One case on a 65 x 65 chart: what differs between cases, and its rows
+    as (row name, residual it reads, bound, comparison)."""
+
+    summary: str
+    corners: tuple[tuple[float, float], tuple[float, float]]
+    potential: tc.Potential
+    eps: tuple[int, int]
+    profile: ls.ReductionProfile
+    b: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]  # (u1, u2) -> (b1, b2)
+    lams: tuple[tuple[float, float], ...]
+    rows: tuple[tuple[str, str, float, str], ...]
+
+
+_POSITIVE_ROWS = (("lequa", "lequa", 1e-10, "le"), ("system", "system", 1e-8, "le"),
+                  ("pair_flat", "pair_flat", 1e-5, "le"))
+
+_TWO_COMPONENT = {
+    "tc-log-unit": _TwoComponentCase(
+        "Log potential with unit coefficient and b = u1 - u2; compatible pair.",
+        ((2.0, 0.5), (3.0, 1.0)), tc.log_potential(1.0), (-1, 1), ls.identity_profile(2),
+        lambda u1, u2: (u1 - u2,) * 2, LAMS_S4, _POSITIVE_ROWS,
+    ),
+    "tc-separable": _TwoComponentCase(
+        "Constant potential with axis-separable b; compatible by construction.",
+        ((0.5, 0.5), (1.5, 1.5)), tc.linear_potential(0.0, 0.0), (1, 1),
+        ls.ReductionProfile((lambda t: 2.0 + t ** 2, lambda t: 3.0 + t)),
+        lambda u1, u2: (np.exp(u1), 1.0 + 0.5 * u2 ** 2), LAMS_S4, _POSITIVE_ROWS,
+    ),
+    "tc-linear-exp": _TwoComponentCase(
+        "Linear potential with exponential b; closed-form compatible pair.",
+        ((0.75, 0.75), (1.75, 1.75)), tc.linear_potential(0.3, 0.3), (-1, 1),
+        ls.identity_profile(2), lambda u1, u2: (np.exp(-0.3 * (u1 + u2)),) * 2,
+        LAMS_SHIFTED, _POSITIVE_ROWS,
+    ),
+    # b genuinely solves the first-order system; the mixed equation and the
+    # geometry are what fail
+    "tc-product-bad": _TwoComponentCase(
+        "Product potential whose b solves the first-order system yet fails "
+        "the mixed equation; the pair must fail geometrically.",
+        ((0.75, 0.75), (1.75, 1.75)), tc.product_potential(), (-1, 1),
+        ls.identity_profile(2), lambda u1, u2: (np.exp(-(u1 ** 2 + u2 ** 2) / 2.0),) * 2,
+        LAMS_SHIFTED,
+        (("system", "system", 1e-6, "le"), ("lequa_fails", "lequa", 1e-1, "ge"),
+         ("pair_not_flat", "pair_flat", 1e-2, "ge")),
+    ),
+    "tc-log-wrong-b": _TwoComponentCase(
+        "Log potential with a wrong b field; first-order system and pair both fail.",
+        ((2.0, 0.5), (3.0, 1.0)), tc.log_potential(1.0), (-1, 1), ls.identity_profile(2),
+        lambda u1, u2: (np.exp(u1 * u2),) * 2, LAMS_S4,
+        (("system_fails", "system", 1e-2, "ge"), ("pair_not_flat", "pair_flat", 1e-2, "ge")),
+    ),
+}
+
+#: a negative control is a case that expects some residual to be large
+_NEGATIVE = [any(row[3] == "ge" for row in case.rows) for case in _TWO_COMPONENT.values()]
+TWO_COMPONENT_POSITIVE = tuple(name for name, neg in zip(_TWO_COMPONENT, _NEGATIVE) if not neg)
+TWO_COMPONENT_NEGATIVE = tuple(name for name, neg in zip(_TWO_COMPONENT, _NEGATIVE) if neg)
 
 
 def two_component_case(name: str):
     """Spec, combination samples, and expected verdict for a named case."""
-    if name == "tc-log-unit":
-        chart = GridChart((2.0, 0.5), (3.0, 1.0), (65, 65))
-        u1, u2 = chart.meshgrid()
-        w = u1 - u2
-        spec = tc.TwoComponentSpec(
-            chart=chart, potential=tc.log_potential(1.0), eps=(-1, 1),
-            b1=w, b2=w.copy(),
-        )
-        return spec, LAMS_S4, True
-    if name == "tc-separable":
-        chart = GridChart((0.5, 0.5), (1.5, 1.5), (65, 65))
-        u1, u2 = chart.meshgrid()
-        spec = tc.TwoComponentSpec(
-            chart=chart, potential=tc.linear_potential(0.0, 0.0), eps=(1, 1),
-            f=ls.ReductionProfile((lambda t: 2.0 + t ** 2, lambda t: 3.0 + t)),
-            b1=np.exp(u1), b2=1.0 + 0.5 * u2 ** 2,
-        )
-        return spec, LAMS_S4, True
-    if name == "tc-linear-exp":
-        chart = GridChart((0.75, 0.75), (1.75, 1.75), (65, 65))
-        u1, u2 = chart.meshgrid()
-        b = np.exp(-0.3 * (u1 + u2))
-        spec = tc.TwoComponentSpec(
-            chart=chart, potential=tc.linear_potential(0.3, 0.3), eps=(-1, 1),
-            b1=b, b2=b.copy(),
-        )
-        return spec, LAMS_SHIFTED, True
-    if name == "tc-product-bad":
-        chart = GridChart((0.75, 0.75), (1.75, 1.75), (65, 65))
-        u1, u2 = chart.meshgrid()
-        b = np.exp(-(u1 ** 2 + u2 ** 2) / 2.0)
-        spec = tc.TwoComponentSpec(
-            chart=chart, potential=tc.product_potential(), eps=(-1, 1),
-            b1=b, b2=b.copy(),
-        )
-        return spec, LAMS_SHIFTED, False
-    if name == "tc-log-wrong-b":
-        chart = GridChart((2.0, 0.5), (3.0, 1.0), (65, 65))
-        u1, u2 = chart.meshgrid()
-        b = np.exp(u1 * u2)
-        spec = tc.TwoComponentSpec(
-            chart=chart, potential=tc.log_potential(1.0), eps=(-1, 1),
-            b1=b, b2=b.copy(),
-        )
-        return spec, LAMS_S4, False
-    raise SchemaError(f"no two-component case named {name!r}")
+    case = _TWO_COMPONENT.get(name)
+    if case is None:
+        raise SchemaError(f"no two-component case named {name!r}")
+    chart = GridChart(*case.corners, (65, 65))
+    spec = tc.TwoComponentSpec(chart, case.potential, case.eps, case.profile,
+                               *case.b(*chart.meshgrid()))
+    return spec, case.lams, name in TWO_COMPONENT_POSITIVE
 
 
 def _tc_runner(name: str):
     def run():
-        spec, lams, positive = two_component_case(name)
-        lequa = tc.lequa_residual(spec)
-        system = tc.system_residual(spec)
-        pen = tc.build_pair(spec, lams)
-        flat = pc.check_compatible(pen, "flat").max_residual
-        if positive:
-            return [
-                CheckRow("lequa", lequa, 1e-10),
-                CheckRow("system", system, 1e-8),
-                CheckRow("pair_flat", flat, 1e-5),
-            ]
-        if name == "tc-product-bad":
-            # b genuinely solves the first-order system; the mixed equation
-            # and the geometry are what fail
-            return [
-                CheckRow("system", system, 1e-6),
-                CheckRow("lequa_fails", lequa, 1e-1, "ge"),
-                CheckRow("pair_not_flat", flat, 1e-2, "ge"),
-            ]
-        return [
-            CheckRow("system_fails", system, 1e-2, "ge"),
-            CheckRow("pair_not_flat", flat, 1e-2, "ge"),
-        ]
+        spec, lams, _ = two_component_case(name)
+        residual = {
+            "lequa": tc.lequa_residual(spec),
+            "system": tc.system_residual(spec),
+            "pair_flat": pc.check_compatible(tc.build_pair(spec, lams), "flat").max_residual,
+        }
+        return [CheckRow(row, residual[key], bound, comparison)
+                for row, key, bound, comparison in _TWO_COMPONENT[name].rows]
 
     return run
 
@@ -332,8 +331,8 @@ def _run_dressing_gaussian():
     sol = zd.solve_marchenko(prob)
     ident = zd.reduction_identity_residual(prob.base_kernel())
     return [
-        CheckRow("collocation_residual", sol.residual, 1e-10),
-        CheckRow("translation_identity", ident, 1e-8),
+        CheckRow("collocation_residual", sol.residual, zd.COLLOCATION_BOUND),
+        CheckRow("translation_identity", ident, zd.IDENTITY_BOUND),
         CheckRow("conditioning", sol.cond, 1e3),
     ]
 
@@ -401,8 +400,8 @@ def _run_dressing_reduced():
         CheckRow("lame", lame.max_residual, 1e-5),
         CheckRow("reduction", red.residual, 1e-5),
         CheckRow("pair_flat", flat.max_residual, 1e-4),
-        CheckRow("tilde_kernel", tilde.kernel_deviation, 1e-8),
-        CheckRow("tilde_beta", tilde.beta_deviation, 1e-8),
+        CheckRow("tilde_kernel", tilde.kernel_deviation, zd.IDENTITY_BOUND),
+        CheckRow("tilde_beta", tilde.beta_deviation, zd.IDENTITY_BOUND),
     ]
 
 
@@ -418,7 +417,7 @@ ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         "polar", "metric",
         "Flat plane metric written in polar coordinates (r, theta).",
-        _run_polar,
+        _flat_frame_runner("polar", 1e-6),
     ),
     CatalogEntry(
         "sphere", "metric",
@@ -428,7 +427,7 @@ ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         "diag-u", "metric",
         "Diagonal metric g^{ii} = u^i; flat despite coordinate-dependent entries.",
-        _run_diag_u,
+        _flat_frame_runner("diag-u", 1e-10),
     ),
     CatalogEntry(
         "s4-log-pencil", "pencil",
@@ -442,32 +441,8 @@ ENTRIES: tuple[CatalogEntry, ...] = (
         "curvature 1/4, compatible with its flat neighbour.",
         _run_s4_constant_curvature,
     ),
-    CatalogEntry(
-        "tc-log-unit", "two-component",
-        "Log potential with unit coefficient and b = u1 - u2; compatible pair.",
-        _tc_runner("tc-log-unit"),
-    ),
-    CatalogEntry(
-        "tc-separable", "two-component",
-        "Constant potential with axis-separable b; compatible by construction.",
-        _tc_runner("tc-separable"),
-    ),
-    CatalogEntry(
-        "tc-linear-exp", "two-component",
-        "Linear potential with exponential b; closed-form compatible pair.",
-        _tc_runner("tc-linear-exp"),
-    ),
-    CatalogEntry(
-        "tc-product-bad", "two-component",
-        "Product potential whose b solves the first-order system yet fails "
-        "the mixed equation; the pair must fail geometrically.",
-        _tc_runner("tc-product-bad"),
-    ),
-    CatalogEntry(
-        "tc-log-wrong-b", "two-component",
-        "Log potential with a wrong b field; first-order system and pair both fail.",
-        _tc_runner("tc-log-wrong-b"),
-    ),
+    *(CatalogEntry(name, "two-component", case.summary, _tc_runner(name))
+      for name, case in _TWO_COMPONENT.items()),
     CatalogEntry(
         "dubrovin-quadratic", "construction",
         "Flat partner metric from a quadratic covector potential over the identity.",

@@ -41,9 +41,6 @@ from .errors import DegenerateMetric, FlatpencilError, SchemaError
 from .expressions import compile_expression
 from .grid_calculus import DEFAULT_ORDER, GridChart, interior_max, sample
 
-_SOLVER_BOUND = 1e-10  # linear-algebra exactness of the collocation solve
-_IDENTITY_BOUND = 1e-8  # kernel translation / tilde consistency checks
-
 
 # ---------------------------------------------------------------------------
 # deterministic JSON
@@ -424,13 +421,13 @@ def _run_dress(scenario, settings):
     sol = zd.solve_marchenko(problem)
     ident = zd.reduction_identity_residual(problem.base_kernel(), seed=settings["seed"])
     rows = [
-        CheckRow("collocation_residual", sol.residual, _SOLVER_BOUND),
-        CheckRow("translation_identity", ident, _IDENTITY_BOUND),
+        CheckRow("collocation_residual", sol.residual, zd.COLLOCATION_BOUND),
+        CheckRow("translation_identity", ident, zd.IDENTITY_BOUND),
     ]
     if profile is not None:
         tilde = zd.verify_tilde_consistency(problem, sol)
-        rows.append(CheckRow("tilde_kernel", tilde.kernel_deviation, _IDENTITY_BOUND))
-        rows.append(CheckRow("tilde_beta", tilde.beta_deviation, _IDENTITY_BOUND))
+        rows.append(CheckRow("tilde_kernel", tilde.kernel_deviation, zd.IDENTITY_BOUND))
+        rows.append(CheckRow("tilde_beta", tilde.beta_deviation, zd.IDENTITY_BOUND))
     meta = {
         "components": pots.n,
         "point": list(point),

@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from . import grid_calculus as gc
-from .errors import DegenerateMetric
+from .errors import DegenerateMetric, NotDiagonal
 from .grid_calculus import GridChart, TensorField
 
 #: nondegeneracy floor: pointwise, |det g| is at least this multiple of
@@ -47,6 +47,9 @@ DET_FLOOR_SCALE = 1e-8
 
 #: |g^{is} g_{sj} - delta^i_j| allowed after pointwise inversion
 INVERSE_TOL = 1e-10
+
+#: off-diagonal content a diagonal metric may carry, relative to its scale
+DIAG_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -175,6 +178,17 @@ def build_metric(
 
     cov = TensorField(chart, "dd", inv)
     return MetricField(contra, cov)
+
+
+def require_diagonal(*metrics: MetricField) -> float:
+    """The largest off-diagonal ``|g^{ij}|`` of ``metrics``; above
+    :data:`DIAG_TOL` times the largest of their scales, :class:`NotDiagonal`."""
+    mask = ~np.eye(metrics[0].dim, dtype=bool)
+    off = max(float(np.max(np.abs(m.contra.values[..., mask]), initial=0.0)) for m in metrics)
+    tol = DIAG_TOL * max(m.scale() for m in metrics)
+    if not off <= tol:
+        raise NotDiagonal(off, tol)
+    return off
 
 
 def _last_axis_max(values: np.ndarray) -> np.ndarray:

@@ -19,7 +19,9 @@ A *reduction profile* is a tuple of nonvanishing single-variable functions
 ``beta_{ij}`` replaced by ``sqrt(f^i) beta_{ij}`` inside the derivative and
 ``eps^s`` by ``eps^s f^s`` in the sum.  Passing it together with the Lamé
 residuals certifies that ``diag(eps f / H^2)`` and ``diag(eps / H^2)`` form a
-compatible flat pair.
+compatible flat pair.  :func:`diagonal_metric` is the package's one builder
+of ``diag(eps w / h^2)``; a metric read as diagonal passes
+:func:`geometry_core.require_diagonal`.
 """
 
 from __future__ import annotations
@@ -30,20 +32,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import grid_calculus as gc
-from .errors import (
-    NonFiniteProfile,
-    NotDiagonal,
-    ResidualsTooLarge,
-    SignChange,
-    SignMismatch,
-)
-from .geometry_core import MetricField, build_metric
+from .errors import NonFiniteProfile, ResidualsTooLarge, SignChange, SignMismatch
+from .geometry_core import MetricField, build_metric, require_diagonal
 from .grid_calculus import GridChart
 from .pencil_checker import DEFAULT_LAMBDA_SAMPLES, PencilSpec
 
 PROFILE_FLOOR = 1e-10
-#: off-diagonal content a diagonal metric may carry, relative to its scale
-_DIAG_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -63,8 +57,8 @@ class LameFrame:
             raise ValueError("h must have shape grid + (N,)")
         if beta.shape != self.chart.shape + (n, n):
             raise ValueError("beta must have shape grid + (N, N)")
-        if not np.all(np.isfinite(h)) or not np.all(np.isfinite(beta)):
-            raise ValueError("frame values must be finite")
+        gc.check_finite(h, self.chart)
+        gc.check_finite(beta, self.chart)
         if np.min(h) <= 0:
             raise ValueError("Lame coefficients must be strictly positive")
         if len(self.eps) != n or any(e not in (-1, 1) for e in self.eps):
@@ -154,18 +148,14 @@ def frame_from_metric(metric: MetricField, eps: Sequence[int] | None = None) -> 
 
     ``eps`` defaults to the sign of each diagonal entry at the first node;
     a sign violation anywhere (``eps^i g^{ii} <= 0``) raises
-    :class:`SignMismatch`, off-diagonal content raises :class:`NotDiagonal`.
+    :class:`SignMismatch`, off-diagonal content raises :class:`NotDiagonal`
+    (:func:`geometry_core.require_diagonal`).
     """
+    require_diagonal(metric)
     chart = metric.chart
     n = chart.dim
-    vals = metric.contra.values
-    mask = ~np.eye(n, dtype=bool)
-    off = float(np.max(np.abs(vals[..., mask]))) if n > 1 else 0.0
-    if off > _DIAG_TOL * metric.scale():
-        raise NotDiagonal(off, _DIAG_TOL * metric.scale())
-
     idx = np.arange(n)
-    diag = vals[..., idx, idx]
+    diag = metric.contra.values[..., idx, idx]
     if eps is None:
         eps = tuple(1 if diag[(0,) * n + (i,)] > 0 else -1 for i in range(n))
     eps = tuple(int(e) for e in eps)
@@ -294,13 +284,19 @@ def tilde_frame(frame: LameFrame, profile: ReductionProfile) -> LameFrame:
     return LameFrame(chart, h_t, beta_t, eps_t)
 
 
+def diagonal_metric(chart: GridChart, eps: Sequence[int], weights, h: np.ndarray) -> MetricField:
+    """The diagonal metric ``g^{ii} = eps^i w^i / h_i^2``: ``weights`` and
+    ``h`` are grid arrays ``[..., i]`` (``weights`` may be a scalar)."""
+    n = chart.dim
+    vals = np.zeros(chart.shape + (n, n))
+    idx = np.arange(n)
+    vals[..., idx, idx] = np.asarray(eps, dtype=float) * weights / h**2
+    return build_metric(vals, chart)
+
+
 def frame_metric(frame: LameFrame) -> MetricField:
     """The diagonal metric ``g^{ii} = eps^i / H_i^2`` of a frame."""
-    n = frame.dim
-    vals = np.zeros(frame.chart.shape + (n, n))
-    idx = np.arange(n)
-    vals[..., idx, idx] = np.asarray(frame.eps, dtype=float) / frame.h**2
-    return build_metric(vals, frame.chart)
+    return diagonal_metric(frame.chart, frame.eps, 1.0, frame.h)
 
 
 def metric_pair_from_frame(

@@ -34,10 +34,11 @@ from .errors import (
     DegenerateCombination,
     DegenerateMetric,
     EigensolveFailure,
-    NotDiagonal,
     NotFlatCoordinates,
 )
-from .geometry_core import ConnectionField, MetricField, build_metric, connection, curvature
+from .geometry_core import (
+    ConnectionField, MetricField, build_metric, connection, curvature, require_diagonal,
+)
 from .grid_calculus import GridChart, TensorField
 
 DEFAULT_LAMBDA_SAMPLES: tuple[tuple[float, float], ...] = (
@@ -48,11 +49,9 @@ DEFAULT_LAMBDA_SAMPLES: tuple[tuple[float, float], ...] = (
     (2.0, 3.0),
 )
 
-#: relative gates: eigenvalue gap (to the spectrum scale), off-diagonal
-#: content and flat coordinates (to the metric scale, which the raised
-#: connection scales with)
+#: relative gates: eigenvalue gap (to the spectrum scale) and flat
+#: coordinates (to the metric scale, which the raised connection scales with)
 _GAP_REL_TOL = 1e-6
-_DIAG_TOL = 1e-8
 _FLAT_TOL = 1e-8
 
 
@@ -286,22 +285,14 @@ def nijenhuis(aff: AffinorField) -> float:
 def check_diagonal_form(pencil: PencilSpec) -> DiagonalFormReport:
     """Verify the diagonal normal form ``g1^{ii} = f^i(u^i) g2^{ii}``.
 
-    Both metrics must be diagonal (:class:`NotDiagonal` otherwise, measured
-    against 1e-8 times the metric scale).  The ratio of diagonal
+    Both metrics must pass :func:`geometry_core.require_diagonal`, which
+    raises :class:`NotDiagonal` otherwise.  The ratio of diagonal
     entries is formed pointwise and the residual is the largest cross
     derivative ``|d f^i / d u^j|`` for ``j != i`` over the interior.
     """
     chart = pencil.chart
     n = chart.dim
-    off = 0.0
-    for m in (pencil.g1, pencil.g2):
-        vals = m.contra.values
-        mask = ~np.eye(n, dtype=bool)
-        off = max(off, float(np.max(np.abs(vals[..., mask]))))
-    scale = max(pencil.g1.scale(), pencil.g2.scale())
-    if off > _DIAG_TOL * scale:
-        raise NotDiagonal(off, _DIAG_TOL * scale)
-
+    off = require_diagonal(pencil.g1, pencil.g2)
     idx = np.arange(n)
     f = (
         pencil.g1.contra.values[..., idx, idx]

@@ -23,7 +23,8 @@ are pairwise flat-compatible, and member 3 has constant curvature
 ``K = eps2/(4 b^2/(u1-u2))`` when ``b^2`` is scaled to ``(eps2/4K)(u1-u2)``.
 
 This module verifies (**), integrates (*) from two-edge data, and builds the
-pair and the ladder.
+pair (``h = b``, ``w = f`` or 1) and the ladder (``w = u^n``) with
+:func:`lame_system.diagonal_metric`.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ import numpy as np
 
 from . import grid_calculus as gc
 from .errors import VanishingB
-from .geometry_core import MetricField, build_metric
+from .geometry_core import MetricField
 from .grid_calculus import GridChart
-from .lame_system import ReductionProfile, identity_profile
+from .lame_system import ReductionProfile, diagonal_metric, identity_profile
 from .pencil_checker import DEFAULT_LAMBDA_SAMPLES, PencilSpec
 
 B_FLOOR_SCALE = 1e-8
@@ -273,12 +274,9 @@ def build_pair(
         raise ValueError("build_pair needs b fields set on the TwoComponentSpec")
     _check_nonvanishing(spec.b1, "b1", spec.chart)
     _check_nonvanishing(spec.b2, "b2", spec.chart)
-    chart = spec.chart
-    eps1, eps2 = spec.eps
-    f1, f2 = np.moveaxis(spec.f.values_on(chart), -1, 0)
-    b1, b2 = spec.b1, spec.b2
-    g1 = build_metric(lambda u: [[eps1 * f1 / b1**2, 0.0], [0.0, eps2 * f2 / b2**2]], chart)
-    g2 = build_metric(lambda u: [[eps1 / b1**2, 0.0], [0.0, eps2 / b2**2]], chart)
+    chart, b = spec.chart, np.stack((spec.b1, spec.b2), axis=-1)
+    g1 = diagonal_metric(chart, spec.eps, spec.f.values_on(chart), b)
+    g2 = diagonal_metric(chart, spec.eps, 1.0, b)
     return PencilSpec(g1, g2, tuple(lambda_samples))
 
 
@@ -288,11 +286,8 @@ def g_family(spec: TwoComponentSpec, n: int) -> MetricField:
         raise ValueError("family index must be 0..3")
     if spec.b1 is None or spec.b2 is None:
         raise ValueError("g_family needs b fields set on the TwoComponentSpec")
-    eps1, eps2 = spec.eps
-    b1, b2 = spec.b1, spec.b2
-    return build_metric(
-        lambda u: [[eps1 * u[0]**n / b1**2, 0.0], [0.0, eps2 * u[1]**n / b2**2]], spec.chart
-    )
+    u = np.stack(spec.chart.meshgrid(), axis=-1)
+    return diagonal_metric(spec.chart, spec.eps, u**n, np.stack((spec.b1, spec.b2), axis=-1))
 
 
 def log_family_spec(chart: GridChart, k: float = 0.25) -> TwoComponentSpec:

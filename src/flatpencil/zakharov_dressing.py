@@ -76,6 +76,10 @@ PANEL_LADDER = (4, 5, 6, 8, 10, 12, 16, 20, 24, 32)
 #: published bound on the change of ``beta`` and ``psi`` from a ladder rung
 #: to the next finer one
 QUADRATURE_TOL = 1e-10
+#: published bounds of the fixed dressing checks: the collocation residual of
+#: a solve, and the translation identity and tilde consistency of a kernel
+COLLOCATION_BOUND = 1e-10
+IDENTITY_BOUND = 1e-8
 SKEW_PROBE_TOL = 1e-9
 #: seeded (s, s') probes drawn from [-1.5, 1.5]^2, and the central-difference
 #: step, of :func:`reduction_identity_residual`
@@ -129,20 +133,6 @@ def skew_gaussian_pair(amplitude: float, width: float) -> Potential:
     h = lambda t: a * t * e(t)
     dh = lambda t: a * (1.0 - t**2 / w2) * e(t)
     return Potential(terms=((e, de, h, dh), (lambda t: -h(t), lambda t: -dh(t), e, de)))
-
-
-def log_pair(c: float) -> Potential:
-    """``Phi = c ln(y - x)`` for ``y > x`` — the closed-form solution of the
-    reduction PDE for the identity profile.  It does not decay, so it is
-    only admissible in pointwise PDE checks, never in the integral solver
-    (the truncation gate rejects it)."""
-    c = float(c)
-    return Potential(
-        value=lambda x, y: c * np.log(y - x),
-        dx=lambda x, y: -c / (y - x),
-        dy=lambda x, y: c / (y - x),
-        dxy=lambda x, y: c / (y - x) ** 2,
-    )
 
 
 @dataclass(frozen=True)

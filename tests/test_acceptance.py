@@ -266,16 +266,16 @@ def test_criterion_08_reduction_pdes():
     c4 = lambda t: np.full_like(np.asarray(t, dtype=float), 4.0)
     c1 = lambda t: np.full_like(np.asarray(t, dtype=float), 1.0)
     sep = zd.separable_sum_pair(0.3, 0.2, 1.0)
-    log = zd.log_pair(0.7)
+    log = tc.log_potential(0.7)  # c ln(x - y), read at the mirrored probes (x > y)
     prod = tc.product_potential()
     # a diagonal potential's equation is the pair equation with f^j = f^i
     _emit(8, "kernel families solve or violate the reduction equations", [
         ("offdiag_separable_constants",
          zd.pair_pde_residual(sep, c4, c1, probes), "<=", 1e-10),
         ("offdiag_log_identity",
-         zd.pair_pde_residual(log, ident, ident, probes), "<=", 1e-10),
+         zd.pair_pde_residual(log, ident, ident, probes[:, ::-1]), "<=", 1e-10),
         ("diag_log_identity",
-         zd.pair_pde_residual(log, ident, ident, probes), "<=", 1e-10),
+         zd.pair_pde_residual(log, ident, ident, probes[:, ::-1]), "<=", 1e-10),
         ("offdiag_product_violates",
          zd.pair_pde_residual(prod, c4, c1, probes), ">=", 1e-2),
         ("diag_product_violates",

@@ -62,6 +62,82 @@ def test_two_component_case_partition():
         assert not positive
 
 
+#: every entry as (name, kind, summary, rows), each row as (name, bound,
+#: comparison), in catalog order: the published bounds, pinned
+PINNED_ROWS = [
+    ("euclidean", "metric",
+     "Identity metric on a square box; the flatness baseline.",
+     [("flatness", 1e-12, "le")]),
+    ("polar", "metric",
+     "Flat plane metric written in polar coordinates (r, theta).",
+     [("flatness", 1e-06, "le"), ("lame", 1e-06, "le")]),
+    ("sphere", "metric",
+     "Round unit-sphere metric; curvature is constantly one.",
+     [("constant_curvature_k1", 1e-05, "le"), ("not_flat", 0.01, "ge")]),
+    ("diag-u", "metric",
+     "Diagonal metric g^{ii} = u^i; flat despite coordinate-dependent entries.",
+     [("flatness", 1e-10, "le"), ("lame", 1e-10, "le")]),
+    ("s4-log-pencil", "pencil",
+     "Ladder of diagonal metrics from the logarithmic closed form; "
+     "consecutive members form flat pairs.",
+     [("pair_g1_g0_flat", 1e-05, "le"), ("pair_g2_g1_flat", 1e-05, "le"),
+      ("pair_g2_g0_flat", 1e-05, "le"), ("g3_not_flat", 0.01, "ge")]),
+    ("s4-constant-curvature", "pencil",
+     "Curvature-normalized top of the logarithmic ladder: constant "
+     "curvature 1/4, compatible with its flat neighbour.",
+     [("g3_constant_curvature", 1e-05, "le"), ("pencil_constant_curvature", 1e-05, "le")]),
+    ("tc-log-unit", "two-component",
+     "Log potential with unit coefficient and b = u1 - u2; compatible pair.",
+     [("lequa", 1e-10, "le"), ("system", 1e-08, "le"), ("pair_flat", 1e-05, "le")]),
+    ("tc-separable", "two-component",
+     "Constant potential with axis-separable b; compatible by construction.",
+     [("lequa", 1e-10, "le"), ("system", 1e-08, "le"), ("pair_flat", 1e-05, "le")]),
+    ("tc-linear-exp", "two-component",
+     "Linear potential with exponential b; closed-form compatible pair.",
+     [("lequa", 1e-10, "le"), ("system", 1e-08, "le"), ("pair_flat", 1e-05, "le")]),
+    ("tc-product-bad", "two-component",
+     "Product potential whose b solves the first-order system yet fails "
+     "the mixed equation; the pair must fail geometrically.",
+     [("system", 1e-06, "le"), ("lequa_fails", 0.1, "ge"), ("pair_not_flat", 0.01, "ge")]),
+    ("tc-log-wrong-b", "two-component",
+     "Log potential with a wrong b field; first-order system and pair both fail.",
+     [("system_fails", 0.01, "ge"), ("pair_not_flat", 0.01, "ge")]),
+    ("dubrovin-quadratic", "construction",
+     "Flat partner metric from a quadratic covector potential over the identity.",
+     [("quadratic_relation", 1e-10, "le"), ("bracket", 1e-10, "le"),
+      ("delta_consistency", 1e-06, "le"), ("cross_check_flat", 1e-06, "le")]),
+    ("potentials-quadratic", "construction",
+     "Candidate pair generated from per-coordinate quadratic potentials.",
+     [("candidate_flat", 1e-10, "le"), ("compatibility", 1e-06, "le")]),
+    ("dressing-gaussian", "dressing",
+     "Three-component Gaussian scattering data: integral-equation solve "
+     "plus kernel translation identities.",
+     [("collocation_residual", 1e-10, "le"), ("translation_identity", 1e-08, "le"),
+      ("conditioning", 1000.0, "le")]),
+    ("dressing-separable", "dressing",
+     "Rank-one separable kernel against its closed-form resolvent, with "
+     "separable-potential reduction identities.",
+     [("rank1_resolvent", 1e-09, "le"), ("separable_reduction_pde", 1e-10, "le"),
+      ("product_reduction_pde", 0.1, "ge")]),
+    ("dressing-reduced", "dressing",
+     "Windowed two-component data with a constant reduction profile, "
+     "carried through to a compatible flat pair.",
+     [("quadrature_error", 1e-10, "le"), ("lame", 1e-05, "le"), ("reduction", 1e-05, "le"),
+      ("pair_flat", 0.0001, "le"), ("tilde_kernel", 1e-08, "le"), ("tilde_beta", 1e-08, "le")]),
+]
+
+
+def test_every_row_keeps_its_published_bound():
+    """Order, kinds and summaries of the entries, and the name, bound and
+    comparison of each row: 16 entries, 45 rows."""
+    got = [
+        (e.name, e.kind, e.summary, [(r.name, r.bound, r.comparison) for r in e.run()])
+        for e in catalog.ENTRIES
+    ]
+    assert got == PINNED_ROWS
+    assert len(got) == 16 and sum(len(rows) for *_, rows in got) == 45
+
+
 def test_metric_names_cover_diagonal_catalog():
     assert set(catalog.metric_names()) == {"euclidean", "polar", "sphere",
                                            "diag-u"}

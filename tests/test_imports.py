@@ -224,3 +224,25 @@ def test_no_pointwise_lapack_inverse(path):
     ``np.linalg.det`` make one LAPACK call per node of a grid stack."""
     calls = _lapack_inverse_calls(ast.parse(path.read_text()))
     assert not calls, f"{path.name}: pointwise LAPACK inverse: {calls}"
+
+
+def test_diagonality_has_one_gate():
+    """Every diagonal metric passes one gate with one tolerance:
+    ``require_diagonal`` alone raises ``NotDiagonal``, and only its module
+    binds a diagonality tolerance."""
+    assert _package_callers("NotDiagonal") == {"geometry_core.py": ["require_diagonal"]}
+    tolerances = {
+        path.name for path in MODULES for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and "DIAG" in target.id and "TOL" in target.id
+    }
+    assert tolerances == {"geometry_core.py"}
+
+
+def test_diagonal_metrics_have_one_builder():
+    """The diagonal pair ``diag(eps w / h^2)`` of a frame, of the
+    two-component normal form and of its ladder is assembled in one place."""
+    builders = _package_callers("build_metric")
+    assert builders["lame_system.py"] == ["diagonal_metric"]
+    assert "two_component.py" not in builders

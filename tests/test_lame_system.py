@@ -6,6 +6,7 @@ import pytest
 
 from flatpencil.errors import (
     NonFiniteProfile,
+    NonFiniteSample,
     NotDiagonal,
     ResidualsTooLarge,
     SignChange,
@@ -70,6 +71,16 @@ def test_frame_requires_diagonal_metric():
     m = geo.build_metric(lambda u: np.array([[2.0, 0.3], [0.3, 1.0]]), chart)
     with pytest.raises(NotDiagonal):
         ls.frame_from_metric(m)
+
+
+@pytest.mark.parametrize("field", ["h", "beta"])
+def test_frame_names_its_non_finite_node(field):
+    """A NaN in a frame raises the package's own error, naming the node."""
+    chart = GridChart((0.5, 0.5), (1.5, 1.5), (5, 5))
+    values = {"h": np.ones((5, 5, 2)), "beta": np.zeros((5, 5, 2, 2))}
+    values[field][(2, 3, 0, 1)[: values[field].ndim]] = np.nan
+    with pytest.raises(NonFiniteSample, match=r"\(2, 3\) \(u = \(1, 1.25\)\)"):
+        ls.LameFrame(chart, values["h"], values["beta"], (1, 1))
 
 
 def test_flat_frames_satisfy_the_system(polar_metric):

@@ -159,8 +159,9 @@ def test_offdiagonal_pde_closed_forms():
     sep = zd.separable_sum_pair(0.3, 0.2, 1.0)
     assert zd.pair_pde_residual(sep, _const_f(4.0), _const_f(1.0),
                                 PROBES) == 0.0
-    log = zd.log_pair(0.7)
-    assert zd.pair_pde_residual(log, _identity_f, _identity_f, PROBES) <= 1e-10
+    # c ln(x - y), at the mirrored probes, which keep x > y
+    log = tc.log_potential(0.7)
+    assert zd.pair_pde_residual(log, _identity_f, _identity_f, PROBES[:, ::-1]) <= 1e-10
     # product kernel with distinct constants: residual is 2 c (f1 - f2) = 6
     assert zd.pair_pde_residual(tc.product_potential(), _const_f(4.0),
                                 _const_f(1.0), PROBES) == pytest.approx(6.0)
@@ -168,8 +169,8 @@ def test_offdiagonal_pde_closed_forms():
 
 def test_diagonal_pde_closed_forms():
     """The diagonal equation is the pair equation with one profile twice."""
-    log = zd.log_pair(0.7)
-    assert zd.pair_pde_residual(log, _identity_f, _identity_f, PROBES) <= 1e-10
+    log = tc.log_potential(0.7)
+    assert zd.pair_pde_residual(log, _identity_f, _identity_f, PROBES[:, ::-1]) <= 1e-10
     # product kernel with the identity profile: residual is 3 (y - x)
     val = zd.pair_pde_residual(tc.product_potential(), _identity_f, _identity_f, PROBES)
     assert val == pytest.approx(4.5, rel=1e-10)
