@@ -3,9 +3,11 @@
 Every entry freezes one fully specified configuration -- chart, coefficients,
 combination samples, tolerances -- so that scenario runs and the test suite
 exercise identical numbers.  Entries are listed in a stable order and each
-one knows how to run its own battery of checks and report residual rows.
-Every chart keeps the default stencil order 4, at which the bounds were
-calibrated.
+reports residual rows.  An entry is either a scenario of a command-line
+kind, which that kind's runner computes and the entry's rows bound
+(:class:`ScenarioRunner`), or a Python runner of its own, for checks no
+kind reports as they stand.  Every chart keeps the default stencil order 4,
+at which the bounds were calibrated.
 
 A note on the per-entry combination samples: a pencil check evaluates
 ``l1 g1 + l2 g2`` for several weight pairs, and a weight pair whose ratio
@@ -35,6 +37,7 @@ from .grid_calculus import GridChart
 __all__ = [
     "CheckRow",
     "CatalogEntry",
+    "ScenarioRunner",
     "ENTRIES",
     "names",
     "get",
@@ -95,6 +98,29 @@ class CatalogEntry:
         return self.runner()
 
 
+#: what a scenario entry runs under: the command line's defaults; the
+#: entry's rows carry their own bounds, so this tolerance reaches no verdict
+_SETTINGS = {"tolerance": 1e-6, "order": gc.DEFAULT_ORDER, "seed": 0}
+
+
+@dataclass(frozen=True)
+class ScenarioRunner:
+    """An entry that is a scenario of a command-line kind: the kind's runner
+    computes it, and ``rows`` bound the residuals it reports, each row as
+    (row name, the kind's row it reads, bound, comparison)."""
+
+    scenario: dict
+    rows: tuple[tuple[str, str, float, str], ...]
+
+    def __call__(self) -> list:
+        from . import cli  # cli imports this module when it loads
+
+        report, _ = cli.run_scenario(self.scenario, _SETTINGS)
+        residual = {check["check"]: check["residual"] for check in report["checks"]}
+        return [CheckRow(row, residual[key], bound, comparison)
+                for row, key, bound, comparison in self.rows]
+
+
 # ---------------------------------------------------------------------------
 # plain metrics
 
@@ -120,11 +146,6 @@ def metric_field(name: str) -> geo.MetricField:
 
 def metric_names() -> tuple[str, ...]:
     return tuple(_METRICS)
-
-
-def _run_euclidean():
-    m = metric_field("euclidean")
-    return [CheckRow("flatness", geo.flatness_residual(m), 1e-12)]
 
 
 def _flat_frame_runner(name: str, bound: float):
@@ -194,122 +215,83 @@ def _run_s4_constant_curvature():
 
 
 # ---------------------------------------------------------------------------
-# two-component verification cases
+# two-component verification cases: scenarios of the ``two-component`` kind
 
 
-@dataclass(frozen=True)
-class _TwoComponentCase:
-    """One case on a 65 x 65 chart: what differs between cases, and its rows
-    as (row name, residual it reads, bound, comparison)."""
-
-    summary: str
-    corners: tuple[tuple[float, float], tuple[float, float]]
-    potential: tc.Potential
-    eps: tuple[int, int]
-    profile: ls.ReductionProfile
-    b: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]  # (u1, u2) -> (b1, b2)
-    lams: tuple[tuple[float, float], ...]
-    rows: tuple[tuple[str, str, float, str], ...]
+def _two_component(lower, upper, potential, eps, b, lams) -> dict:
+    """A ``two-component`` scenario on a 65 x 65 chart, with ``b = (b1, b2)``."""
+    return {"kind": "two-component", "chart": {"lower": lower, "upper": upper, "points": [65, 65]},
+            "potential": potential, "eps": eps, "b1": b[0], "b2": b[1], "lambda_samples": lams}
 
 
 _POSITIVE_ROWS = (("lequa", "lequa", 1e-10, "le"), ("system", "system", 1e-8, "le"),
                   ("pair_flat", "pair_flat", 1e-5, "le"))
 
+#: name -> (summary, runner)
 _TWO_COMPONENT = {
-    "tc-log-unit": _TwoComponentCase(
+    "tc-log-unit": (
         "Log potential with unit coefficient and b = u1 - u2; compatible pair.",
-        ((2.0, 0.5), (3.0, 1.0)), tc.log_potential(1.0), (-1, 1), ls.identity_profile(2),
-        lambda u1, u2: (u1 - u2,) * 2, LAMS_S4, _POSITIVE_ROWS,
+        ScenarioRunner(_two_component([2.0, 0.5], [3.0, 1.0], {"kind": "log", "c": 1.0},
+                                      [-1, 1], ("u1 - u2",) * 2, LAMS_S4), _POSITIVE_ROWS),
     ),
-    "tc-separable": _TwoComponentCase(
+    "tc-separable": (
         "Constant potential with axis-separable b; compatible by construction.",
-        ((0.5, 0.5), (1.5, 1.5)), tc.linear_potential(0.0, 0.0), (1, 1),
-        ls.ReductionProfile((lambda t: 2.0 + t ** 2, lambda t: 3.0 + t)),
-        lambda u1, u2: (np.exp(u1), 1.0 + 0.5 * u2 ** 2), LAMS_S4, _POSITIVE_ROWS,
+        ScenarioRunner({**_two_component([0.5, 0.5], [1.5, 1.5], {"kind": "linear"}, [1, 1],
+                                         ("exp(u1)", "1.0 + 0.5 * u2 ** 2"), LAMS_S4),
+                        "f": ["2.0 + t ** 2", "3.0 + t"]}, _POSITIVE_ROWS),
     ),
-    "tc-linear-exp": _TwoComponentCase(
+    "tc-linear-exp": (
         "Linear potential with exponential b; closed-form compatible pair.",
-        ((0.75, 0.75), (1.75, 1.75)), tc.linear_potential(0.3, 0.3), (-1, 1),
-        ls.identity_profile(2), lambda u1, u2: (np.exp(-0.3 * (u1 + u2)),) * 2,
-        LAMS_SHIFTED, _POSITIVE_ROWS,
+        ScenarioRunner(_two_component([0.75, 0.75], [1.75, 1.75],
+                                      {"kind": "linear", "a": 0.3, "b": 0.3}, [-1, 1],
+                                      ("exp(-0.3 * (u1 + u2))",) * 2, LAMS_SHIFTED),
+                       _POSITIVE_ROWS),
     ),
     # b genuinely solves the first-order system; the mixed equation and the
     # geometry are what fail
-    "tc-product-bad": _TwoComponentCase(
+    "tc-product-bad": (
         "Product potential whose b solves the first-order system yet fails "
         "the mixed equation; the pair must fail geometrically.",
-        ((0.75, 0.75), (1.75, 1.75)), tc.product_potential(), (-1, 1),
-        ls.identity_profile(2), lambda u1, u2: (np.exp(-(u1 ** 2 + u2 ** 2) / 2.0),) * 2,
-        LAMS_SHIFTED,
-        (("system", "system", 1e-6, "le"), ("lequa_fails", "lequa", 1e-1, "ge"),
-         ("pair_not_flat", "pair_flat", 1e-2, "ge")),
+        ScenarioRunner(_two_component([0.75, 0.75], [1.75, 1.75], {"kind": "product"}, [-1, 1],
+                                      ("exp(-(u1 ** 2 + u2 ** 2) / 2.0)",) * 2, LAMS_SHIFTED),
+                       (("system", "system", 1e-6, "le"), ("lequa_fails", "lequa", 1e-1, "ge"),
+                        ("pair_not_flat", "pair_flat", 1e-2, "ge"))),
     ),
-    "tc-log-wrong-b": _TwoComponentCase(
+    "tc-log-wrong-b": (
         "Log potential with a wrong b field; first-order system and pair both fail.",
-        ((2.0, 0.5), (3.0, 1.0)), tc.log_potential(1.0), (-1, 1), ls.identity_profile(2),
-        lambda u1, u2: (np.exp(u1 * u2),) * 2, LAMS_S4,
-        (("system_fails", "system", 1e-2, "ge"), ("pair_not_flat", "pair_flat", 1e-2, "ge")),
+        ScenarioRunner(_two_component([2.0, 0.5], [3.0, 1.0], {"kind": "log", "c": 1.0},
+                                      [-1, 1], ("exp(u1 * u2)",) * 2, LAMS_S4),
+                       (("system_fails", "system", 1e-2, "ge"),
+                        ("pair_not_flat", "pair_flat", 1e-2, "ge"))),
     ),
 }
 
 #: a negative control is a case that expects some residual to be large
-_NEGATIVE = [any(row[3] == "ge" for row in case.rows) for case in _TWO_COMPONENT.values()]
+_NEGATIVE = [any(row[3] == "ge" for row in runner.rows) for _, runner in _TWO_COMPONENT.values()]
 TWO_COMPONENT_POSITIVE = tuple(name for name, neg in zip(_TWO_COMPONENT, _NEGATIVE) if not neg)
 TWO_COMPONENT_NEGATIVE = tuple(name for name, neg in zip(_TWO_COMPONENT, _NEGATIVE) if neg)
 
 
 def two_component_case(name: str):
     """Spec, combination samples, and expected verdict for a named case."""
-    case = _TWO_COMPONENT.get(name)
-    if case is None:
+    from . import cli  # cli imports this module when it loads
+
+    if name not in _TWO_COMPONENT:
         raise SchemaError(f"no two-component case named {name!r}")
-    chart = GridChart(*case.corners, (65, 65))
-    spec = tc.TwoComponentSpec(chart, case.potential, case.eps, case.profile,
-                               *case.b(*chart.meshgrid()))
-    return spec, case.lams, name in TWO_COMPONENT_POSITIVE
-
-
-def _tc_runner(name: str):
-    def run():
-        spec, lams, _ = two_component_case(name)
-        residual = {
-            "lequa": tc.lequa_residual(spec),
-            "system": tc.system_residual(spec),
-            "pair_flat": pc.check_compatible(tc.build_pair(spec, lams), "flat").max_residual,
-        }
-        return [CheckRow(row, residual[key], bound, comparison)
-                for row, key, bound, comparison in _TWO_COMPONENT[name].rows]
-
-    return run
+    scenario = _TWO_COMPONENT[name][1].scenario
+    return (cli.two_component_spec(scenario, gc.DEFAULT_ORDER), scenario["lambda_samples"],
+            name in TWO_COMPONENT_POSITIVE)
 
 
 # ---------------------------------------------------------------------------
 # constructions from potentials
 
 
-def _quadratic_covector(u: list[np.ndarray]) -> list[np.ndarray]:
-    return [0.5 * u[0] ** 2, 0.5 * u[1] ** 2]
-
-
-def _unit_eta() -> geo.MetricField:
-    return geo.build_metric(lambda u: np.eye(2), GridChart((1.0, 1.0), (2.0, 2.0), (65, 65)))
-
-
-def _run_dubrovin_quadratic():
-    rep = pc.dubrovin_construct(_unit_eta(), _quadratic_covector, c=0.0, lambda_samples=LAMS_UNIT)
-    return [
-        CheckRow("quadratic_relation", rep.quadratic_residual, 1e-10),
-        CheckRow("bracket", rep.bracket_residual, 1e-10),
-        CheckRow("delta_consistency", rep.delta_consistency, 1e-6),
-        CheckRow("cross_check_flat", rep.compatibility.max_residual, 1e-6),
-    ]
-
-
 def _run_potentials_quadratic():
     """Dubrovin's candidate at c = 0 over a constant metric, one potential per
     coordinate; the pencil check measures the candidate's flatness as g1."""
-    eta = _unit_eta()
-    g1 = pc.partner_metric(eta, _quadratic_covector)[0]
+    eta = geo.build_metric(lambda u: np.eye(2), GridChart((1.0, 1.0), (2.0, 2.0), (65, 65)))
+    g1 = pc.partner_metric(eta, lambda u: [0.5 * u[0] ** 2, 0.5 * u[1] ** 2])[0]
     rep = pc.check_compatible(pc.PencilSpec(g1, eta, LAMS_UNIT), "flat")
     return [
         CheckRow("candidate_flat", rep.endpoint_residuals["g1_flatness"], 1e-10),
@@ -412,7 +394,8 @@ ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         "euclidean", "metric",
         "Identity metric on a square box; the flatness baseline.",
-        _run_euclidean,
+        ScenarioRunner({"kind": "check-flat", "metric": {"catalog": "euclidean"}},
+                       (("flatness", "flatness", 1e-12, "le"),)),
     ),
     CatalogEntry(
         "polar", "metric",
@@ -441,12 +424,21 @@ ENTRIES: tuple[CatalogEntry, ...] = (
         "curvature 1/4, compatible with its flat neighbour.",
         _run_s4_constant_curvature,
     ),
-    *(CatalogEntry(name, "two-component", case.summary, _tc_runner(name))
-      for name, case in _TWO_COMPONENT.items()),
+    *(CatalogEntry(name, "two-component", summary, runner)
+      for name, (summary, runner) in _TWO_COMPONENT.items()),
     CatalogEntry(
         "dubrovin-quadratic", "construction",
         "Flat partner metric from a quadratic covector potential over the identity.",
-        _run_dubrovin_quadratic,
+        ScenarioRunner({
+            "kind": "dubrovin",
+            "chart": {"lower": [1.0, 1.0], "upper": [2.0, 2.0], "points": [65, 65]},
+            "metric": {"contravariant": [[1.0, 0.0], [0.0, 1.0]]},
+            "covector": ["0.5 * u1 ** 2", "0.5 * u2 ** 2"], "c": 0.0,
+            "lambda_samples": LAMS_UNIT,
+        }, (("quadratic_relation", "quadratic_relation", 1e-10, "le"),
+            ("bracket", "bracket", 1e-10, "le"),
+            ("delta_consistency", "delta_consistency", 1e-6, "le"),
+            ("cross_check_flat", "cross_check_flat", 1e-6, "le"))),
     ),
     CatalogEntry(
         "potentials-quadratic", "construction",

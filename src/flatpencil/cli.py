@@ -440,8 +440,11 @@ def _run_dress(scenario, settings):
     return rows, meta, {}
 
 
-def _run_two_component(scenario, settings):
-    chart = _chart_from_spec(_need(scenario, "chart", "two-component"), settings["order"])
+def two_component_spec(scenario, order) -> tc.TwoComponentSpec:
+    """The pair a ``two-component`` scenario describes, on a chart of stencil
+    ``order``; its ``b`` fields are sampled from ``b1``/``b2`` expressions,
+    or left unset for an ``integrate`` block to supply."""
+    chart = _chart_from_spec(_need(scenario, "chart", "two-component"), order)
     if chart.dim != 2:
         raise SchemaError("two-component scenarios need a 2-D chart")
     potential = _potential_from_spec(_need(scenario, "potential", "two-component"))
@@ -449,10 +452,20 @@ def _run_two_component(scenario, settings):
     f = scenario.get("f")
     profile = ls.identity_profile(2) if f is None else _profile_from_spec({"expressions": f}, 2)
     spec = tc.TwoComponentSpec(chart=chart, potential=potential, eps=eps, f=profile)
+    if "integrate" in scenario:
+        return spec
+    if "b1" in scenario and "b2" in scenario:
+        return spec.with_b(_field_from_expr(scenario["b1"], chart),
+                           _field_from_expr(scenario["b2"], chart))
+    raise SchemaError("two-component scenarios need either b1/b2 expressions or an "
+                      "'integrate' block with edge data")
 
+
+def _run_two_component(scenario, settings):
+    spec = two_component_spec(scenario, settings["order"])
     tol = settings["tolerance"]
     rows = [CheckRow("lequa", tc.lequa_residual(spec), tol)]
-    meta = {"chart": _chart_meta(chart), "eps": list(eps)}
+    meta = {"chart": _chart_meta(spec.chart), "eps": list(spec.eps)}
 
     if "integrate" in scenario:
         integ = scenario["integrate"]
@@ -462,23 +475,12 @@ def _run_two_component(scenario, settings):
         spec = spec.with_b(result.b1, result.b2)
         rows.append(CheckRow("integration_consistency", result.max_consistency, tol))
         meta["b_source"] = "integrated"
-    elif "b1" in scenario and "b2" in scenario:
-        spec = spec.with_b(
-            _field_from_expr(scenario["b1"], chart),
-            _field_from_expr(scenario["b2"], chart),
-        )
+    else:
         rows.append(CheckRow("system", tc.system_residual(spec), tol))
         meta["b_source"] = "expressions"
-    else:
-        raise SchemaError(
-            "two-component scenarios need either b1/b2 expressions or an "
-            "'integrate' block with edge data"
-        )
 
-    lams = _lambda_samples(scenario)
-    pen = tc.build_pair(spec, lams)
-    rep = pc.check_compatible(pen, "flat")
-    rows.append(CheckRow("pair_flat", rep.max_residual, tol))
+    pen = tc.build_pair(spec, _lambda_samples(scenario))
+    rows.append(CheckRow("pair_flat", pc.check_compatible(pen, "flat").max_residual, tol))
     return rows, meta, {}
 
 
@@ -571,9 +573,14 @@ def _resolve_settings(args, scenario: dict) -> dict:
             except ValueError:
                 noun = "an integer" if convert is int else "a number"
                 raise SchemaError(f"{env} must be {noun}, got {env_val!r}") from None
-        if key in scenario:
-            return str(scenario[key]) if convert is str else _number(scenario[key], key, convert)
-        return default
+        if key not in scenario:
+            return default
+        value = scenario[key]
+        if convert is not str:
+            return _number(value, key, convert)
+        if not isinstance(value, str):
+            raise SchemaError(f"{key} must be a string, got {value!r}")
+        return value
 
     tol = pick(args.tol, "FLATPENCIL_TOL", "tolerance", 1e-6, float)
     order = pick(args.order, "FLATPENCIL_ORDER", "order", DEFAULT_ORDER, int)

@@ -181,14 +181,14 @@ def build_metric(
 
 
 def require_diagonal(*metrics: MetricField) -> float:
-    """The largest off-diagonal ``|g^{ij}|`` of ``metrics``; above
-    :data:`DIAG_TOL` times the largest of their scales, :class:`NotDiagonal`."""
+    """The largest off-diagonal ``|g^{ij}|`` of ``metrics``; :class:`NotDiagonal`
+    if that of any one exceeds :data:`DIAG_TOL` times its own scale."""
     mask = ~np.eye(metrics[0].dim, dtype=bool)
-    off = max(float(np.max(np.abs(m.contra.values[..., mask]), initial=0.0)) for m in metrics)
-    tol = DIAG_TOL * max(m.scale() for m in metrics)
-    if not off <= tol:
-        raise NotDiagonal(off, tol)
-    return off
+    offs = [float(np.max(np.abs(m.contra.values[..., mask]), initial=0.0)) for m in metrics]
+    for off, tol in zip(offs, (DIAG_TOL * m.scale() for m in metrics)):
+        if not off <= tol:
+            raise NotDiagonal(off, tol)
+    return max(offs)
 
 
 def _last_axis_max(values: np.ndarray) -> np.ndarray:

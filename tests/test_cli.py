@@ -385,6 +385,52 @@ def test_potentials_eta_passes_the_metric_gates(tmp_path, capsys):
     assert code == 1 and err.splitlines() == ["error: eta needs 2 rows of 2 numbers"]
 
 
+def test_diagonal_form_judges_each_metric_at_its_own_scale(tmp_path, capsys):
+    """g2's off-diagonal entry is half its diagonal, though 1e9 times below
+    g1's scale."""
+    scenario = {
+        "kind": "diagonal-form",
+        "chart": {"lower": [1.0, 1.0], "upper": [2.0, 2.0], "points": [17, 17]},
+        "metric": {"contravariant": [["1e6*u1", 0], [0, 1e6]]},
+        "metric2": {"contravariant": [[1e-3, 5e-4], [5e-4, 1e-3]]},
+    }
+    code, report, err = run(tmp_path, scenario, capsys=capsys)
+    assert code == 1 and report is None
+    assert err.splitlines() == ["error: off-diagonal magnitude 5.000e-04 exceeds 1.000e-11"]
+
+
+@pytest.mark.parametrize("key, value", [("out", 5), ("dump_csv", True)])
+def test_path_settings_must_be_strings(tmp_path, capsys, monkeypatch, key, value):
+    """str() would write the report to a file named 5, or the CSV files into a
+    directory named True."""
+    monkeypatch.chdir(tmp_path)
+    code, report, err = run(tmp_path, dict(FLAT_EUCLID, **{key: value}), capsys=capsys)
+    assert code == 1 and report is None
+    assert err.splitlines() == [f"error: {key} must be a string, got {value!r}"]
+    assert [path.name for path in tmp_path.iterdir()] == ["scenario.json"]
+
+
+SCENARIO_ENTRIES = [e for e in catalog.ENTRIES if isinstance(e.runner, catalog.ScenarioRunner)]
+
+
+def test_seven_catalog_entries_are_scenarios():
+    """The entries the file test below runs."""
+    assert [e.name for e in SCENARIO_ENTRIES] == [
+        "euclidean", "tc-log-unit", "tc-separable", "tc-linear-exp", "tc-product-bad",
+        "tc-log-wrong-b", "dubrovin-quadratic"]
+
+
+@pytest.mark.parametrize("entry", SCENARIO_ENTRIES, ids=lambda e: e.name)
+def test_catalog_scenarios_run_as_files(tmp_path, capsys, entry):
+    """The scenario entries are worked examples of the schema: each one runs
+    from a JSON file to the residuals its catalog rows read."""
+    code, report, _ = run(tmp_path, entry.runner.scenario, capsys=capsys)
+    assert code in (0, 2)  # a negative control's report fails at the default tolerance
+    residual = {check["check"]: check["residual"] for check in report["checks"]}
+    rows = entry.run()
+    assert [residual[key] for _, key, _, _ in entry.runner.rows] == [r.residual for r in rows]
+
+
 def test_missing_file(tmp_path, capsys):
     code = cli.main(["run", str(tmp_path / "absent.json")])
     _, err = capsys.readouterr()

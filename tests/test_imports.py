@@ -246,3 +246,12 @@ def test_diagonal_metrics_have_one_builder():
     builders = _package_callers("build_metric")
     assert builders["lame_system.py"] == ["diagonal_metric"]
     assert "two_component.py" not in builders
+
+
+def test_each_kind_computation_has_one_caller():
+    """A catalog entry that is a scenario runs through its command-line kind,
+    so the computations behind the ``two-component`` and ``dubrovin`` kinds
+    are called by their runners alone."""
+    for name in ("lequa_residual", "system_residual", "build_pair"):
+        assert _package_callers(name) == {"cli.py": ["_run_two_component"]}, name
+    assert _package_callers("dubrovin_construct") == {"cli.py": ["_run_dubrovin"]}

@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flatpencil.errors import (
     DegenerateCombination,
@@ -209,6 +210,39 @@ def test_diagonal_form_requires_diagonal_affinor():
     with pytest.raises(NotDiagonal):
         pc.check_diagonal_form(pc.PencilSpec(g1, _identity(chart),
                                              lambda_samples=SAFE_LAMS))
+
+
+def _mixed_scale_pencil(k1=0, k2=0, off=0.5):
+    """g1 = diag(1e6 u1, 1e6) and g2 = 1e-3 [[1, off], [off, 1]] on [1, 2]^2
+    at 17^2, scaled by 10^k1 and 10^k2."""
+    chart = GridChart((1.0, 1.0), (2.0, 2.0), (17, 17))
+    s1, s2 = 1e6 * 10.0 ** k1, 1e-3 * 10.0 ** k2
+    g1 = geo.build_metric(lambda u: [[s1 * u[0], 0.0], [0.0, s1]], chart)
+    g2 = geo.build_metric(lambda u: s2 * np.array([[1.0, off], [off, 1.0]]), chart)
+    return pc.PencilSpec(g1, g2)
+
+
+def test_each_metric_is_judged_diagonal_at_its_own_scale():
+    """g2's off-diagonal entry is half its diagonal: measured against g1's
+    scale, 1e9 times its own, it would read as rounding."""
+    with pytest.raises(NotDiagonal) as info:
+        pc.check_diagonal_form(_mixed_scale_pencil())
+    assert info.value.offdiag == 5e-4 and info.value.tol == pytest.approx(1e-11)
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(-9, 9), off=st.sampled_from([0.0, 0.5]),
+       rescaled=st.sampled_from(["g1", "g2"]))
+def test_rescaling_one_metric_keeps_the_diagonality_verdict(k, off, rescaled):
+    def diagonal(k1, k2):
+        try:
+            pc.check_diagonal_form(_mixed_scale_pencil(k1, k2, off))
+        except NotDiagonal:
+            return False
+        return True
+
+    assert diagonal(0, 0) == (off == 0.0)
+    assert diagonal(*((k, 0) if rescaled == "g1" else (0, k))) == (off == 0.0)
 
 
 # --- quadratic construction from a covector potential ------------------------
