@@ -320,10 +320,10 @@ def _run_dressing_gaussian():
 
 
 def rank1_case():
-    """A separable one-component kernel and its closed-form resolvent."""
+    """The one-component kernel of one term ``a(s) b(s')`` and its closed-form resolvent."""
     a = lambda t: 0.6 * np.exp(-0.5 * np.asarray(t, dtype=float) ** 2)
     b = lambda t: 0.5 * np.exp(-0.5 * (np.asarray(t, dtype=float) - 0.3) ** 2)
-    raw = zd.RawKernel(1, lambda i, j, s, sp: a(s) * b(sp))
+    raw = zd.RawKernel(1, [(0, 0, a, b)])
 
     def exact(s: float, sp) -> np.ndarray:
         # int_s^inf a b = 0.3 e^{-0.0225} int_s^inf e^{-(t - 0.15)^2} dt

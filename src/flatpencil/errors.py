@@ -147,11 +147,15 @@ class IllConditioned(FlatpencilError):
 
 
 class FactorMismatch(FlatpencilError):
-    """The dressing solve through the kernel's factors disagrees with the dense one."""
+    """A dressing kernel's separable terms differ from its values in ``block``
+    (i, j), relative to the block's largest value, at the point ``u``."""
 
-    def __init__(self, deviation, tol):
-        self.deviation, self.tol = deviation, tol
-        super().__init__(f"factored and dense solves differ by {deviation:.3e} > {tol:.3e}")
+    def __init__(self, deviation, tol, block, point):
+        self.deviation, self.tol, self.block = deviation, tol, block
+        super().__init__(
+            f"terms of kernel block {block} differ from its values by {deviation:.3e} of the "
+            f"block's largest value > {tol:.3e} at u = {self._at(point)}"
+        )
 
 
 class TruncationInsufficient(FlatpencilError):

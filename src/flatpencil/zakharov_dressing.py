@@ -31,12 +31,12 @@ The integral equation is discretized by a Nyström scheme: composite
 Gauss–Legendre panels on ``[s, s + L]`` (the semi-infinite integral is
 truncated at the decay length ``L``), and the same quadrature identity
 evaluates ``K`` off the nodes — in particular on the diagonal ``s' = s``
-where ``beta`` lives.  Potentials given as separable terms (every built-in
-decaying one) make the kernel degenerate, so it is solved through an r×r
-Woodbury core (Kress, *Linear Integral Equations*, ch. 11), tabulated once
-per coordinate value across a window, with ``cond`` from a 2r×2r block; a
-dense LU serves other kernels and checks the factored solution at a window's
-corners and centre.
+where ``beta`` lives.  Dressing takes potentials given as separable terms,
+which make the kernel degenerate, so it is solved through an r×r Woodbury
+core (Kress, *Linear Integral Equations*, ch. 11), tabulated once per
+coordinate value across a window, with ``cond`` from a 2r×2r block; at a
+window's corners and centre the terms are checked against the kernel's
+values.
 
 A single solve uses :data:`DEFAULT_PANELS` panels unless told otherwise; a
 window sizes its own rule on :data:`PANEL_LADDER` (:func:`extract_beta`),
@@ -202,24 +202,38 @@ def gaussian_set(
 
 
 class RawKernel:
-    """Directly supplied kernel matrix function (used by solver oracles)."""
+    """A kernel given by its separable terms ``(row, column, left, right)``:
+    term ``k`` adds ``left(t) right(t')`` to ``F_{row column}(t, t')``."""
 
-    def __init__(self, n: int, fn: Callable[[int, int, np.ndarray, np.ndarray], np.ndarray]):
-        self.n = n
-        self._fn = fn
+    def __init__(self, n: int, terms: Sequence[tuple[int, int, Callable, Callable]]):
+        self.n, self.terms, self.rank = n, tuple(terms), len(terms)
 
     def eval(self, i: int, j: int, s, sp) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        sp = np.asarray(sp, dtype=float)
-        out = np.asarray(self._fn(i, j, s, sp), dtype=float)
-        return np.broadcast_to(out, np.broadcast(s, sp).shape).copy()
+        s, sp = np.asarray(s, dtype=float), np.asarray(sp, dtype=float)
+        block = [left(s) * right(sp) for r, c, left, right in self.terms if (r, c) == (i, j)]
+        return sum(block, np.zeros(np.broadcast_shapes(s.shape, sp.shape)))
+
+    def factors(self, t) -> tuple[np.ndarray, ...]:
+        """As :meth:`PotentialKernel.factors`, with a batch axis of one."""
+        t = np.asarray(t, dtype=float)
+        rows, cols = (np.array([term[at] for term in self.terms], dtype=int) for at in (0, 1))
+        left, right = (np.array([[term[at](t) for term in self.terms]]) for at in (2, 3))
+        return rows, cols, left, right
 
 
-def kernel_rank(potentials: PotentialSet) -> int | None:
+def _pairs(pots: PotentialSet) -> list:
+    """``((i, j), potential)``, off-diagonal pairs first, then ``(i, i)``."""
+    return [*pots.off_diagonal.items(), *(((i, i), pot) for i, pot in pots.diagonal.items())]
+
+
+def kernel_rank(potentials: PotentialSet) -> int:
     """The number of separable terms of the kernel, which bounds its rank (an
-    off-diagonal potential serves two blocks); None if a potential has none."""
-    pots = [*potentials.off_diagonal.values()] * 2 + [*potentials.diagonal.values()]
-    return None if any(p.terms is None for p in pots) else sum(len(p.terms) for p in pots)
+    off-diagonal potential serves two blocks); a potential without terms is
+    refused with a :class:`ValueError` naming its pair."""
+    for pair, pot in _pairs(potentials):
+        if pot.terms is None:
+            raise ValueError(f"the potential of pair {pair} has no separable terms to dress")
+    return sum(len(pot.terms) * (1 + (i != j)) for (i, j), pot in _pairs(potentials))
 
 
 class PotentialKernel:
@@ -230,8 +244,8 @@ class PotentialKernel:
     ``ratio_profile`` set, evaluates the profile-scaled variant; each
     ``f^l`` must keep one sign over ``u^l - t`` for ``t`` in ``t_range``, at
     each point on its own (:meth:`ReductionProfile.signs`, one range per
-    point).  ``rank`` is :func:`kernel_rank` of the set; when it is not None,
-    :meth:`factors` gives the kernel's separable terms.
+    point).  ``rank`` is :func:`kernel_rank` of the set, and :meth:`factors`
+    gives the kernel's separable terms.
     """
 
     def __init__(
@@ -284,10 +298,8 @@ class PotentialKernel:
         right[b, k, c]`` to ``F_{rows[k] cols[k]}(t_a, t_c)`` at point ``b``
         (a batch axis even for one point), the profile ratio folded in."""
         x = np.asarray(t, dtype=float) - self._u.reshape(-1, self.n, 1)  # [b, l, a] = t_a - u^l
-        pots = self.potentials
-        pairs = [*pots.off_diagonal.items(), *(((i, i), pot) for i, pot in pots.diagonal.items())]
         terms = []  # (row block, column block, left factor, right factor)
-        for (i, j), pot in pairs:
+        for (i, j), pot in _pairs(self.potentials):
             for a, da, b, db in pot.terms:
                 # F_ij(t, t') = Phi_x(t - u^i, t' - u^j) for i <= j ...
                 terms.append((i, j, da, b))
@@ -483,12 +495,7 @@ class DressingSolution:
         """Dressed unit seeds ``Psi_i = 1 + sum_l int K_il``: the canonical
         positive solution of ``d Psi_k / d u^i = beta_{ik} Psi_i`` — i.e.
         ready-made Lamé coefficients for the metric generated by ``beta``."""
-        return _dressed_seeds(self.k_nodes[None], self.weights)[0]
-
-
-def _dressed_seeds(k_nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``Psi_i = 1 + sum_l int K_il`` at a batch of points."""
-    return 1.0 + np.einsum("bilm,m->bi", k_nodes, weights)
+        return 1.0 + np.einsum("ilm,m->i", self.k_nodes, self.weights)
 
 
 def _gate(points: np.ndarray, finite: np.ndarray, mass: np.ndarray, box: np.ndarray, length):
@@ -496,70 +503,25 @@ def _gate(points: np.ndarray, finite: np.ndarray, mass: np.ndarray, box: np.ndar
     :class:`TruncationInsufficient` where the kernel's ``mass`` at the tail
     pairs exceeds ``TAIL_REL_TOL box``, ``box`` its max on the nodes."""
     if not finite.all():
-        at = tuple(float(v) for v in points[np.argmin(finite)])
-        raise NonFiniteSample(at, "in the dressing kernel")
+        raise NonFiniteSample(points[np.argmin(finite)], "in the dressing kernel")
     tol = TAIL_REL_TOL * box
     if np.any(mass > tol):
         b = int(np.argmax(mass > tol))
         raise TruncationInsufficient(float(mass[b]), float(tol[b]), length)
 
 
-def _dense_batch(kernel, points, s, length, nodes, weights, estimate_cond: bool):
-    """The collocation system from ``kernel.eval`` by LU; each point's matrix
-    over unknowns ``K_{il}(s, q_m)`` serves all row indices ``i``.  With
-    ``estimate_cond``, a condition number above ``COND_CAP`` raises
-    :class:`IllConditioned`."""
-    n, q, batch = kernel.n, len(nodes), len(points)
-
-    def blocks(a, b):  # [batch, l, j, ...] = F_{lj}(a, b)
-        out = np.empty((batch, n, n) + np.broadcast_shapes(a.shape, b.shape))
-        for l in range(n):
-            for j in range(n):
-                out[:, l, j] = kernel.eval(l, j, a, b)
-        return out
-
-    # the mesh of (s, q_1, ..., q_Q) holds the kernel on the nodes, the
-    # right-hand sides F(s, q) and the read-off values F(q, s), F(s, s)
-    t = np.concatenate(([s], nodes))
-    f = blocks(t[:, None], t[None, :])
-    probe = blocks(*(s + length * TAIL_PAIRS))
-    f_q = f[..., 1:, 1:]
-    finite = np.isfinite(f).all(axis=(1, 2, 3, 4)) & np.isfinite(probe).all(axis=(1, 2, 3))
-    box = np.maximum(f_q.max(axis=(1, 2, 3, 4)), -f_q.min(axis=(1, 2, 3, 4)))
-    _gate(points, finite, np.abs(probe).max(axis=(1, 2, 3)), box, length)
-
-    # block rows (j, nn), columns (l, m): delta - w_m F_{lj}(q_m, q_nn)
-    nq = n * q
-    m_mat = np.empty((batch, nq, nq))
-    np.multiply(f_q.transpose(0, 2, 4, 1, 3), -weights, out=m_mat.reshape(batch, n, q, n, q))
-    m_mat.reshape(batch, -1)[:, :: nq + 1] += 1.0
-    rhs = f[:, :, :, 0, 1:].transpose(0, 2, 3, 1).reshape(batch, nq, n)
-
-    cond = np.full(batch, np.nan)
-    if estimate_cond:
-        cond = np.linalg.cond(m_mat)
-        if not np.max(cond) <= COND_CAP:
-            raise IllConditioned(float(np.max(cond)), COND_CAP)
-
-    x = np.linalg.solve(m_mat, rhs)
-    residual = np.abs(m_mat @ x - rhs).max(axis=(1, 2))
-    k_nodes = x.reshape(batch, n, q, n).transpose(0, 3, 1, 2)
-    k_ss = f[:, :, :, 0, 0] + np.einsum("bilm,m,bljm->bij", k_nodes, weights, f[:, :, :, 1:, 0])
-    return k_nodes, k_ss, residual, cond
+_Tables = namedtuple("_Tables", "rows cols core left right right_sum finite gate")
 
 
-_Tables = namedtuple("_Tables", "rows cols core left_s right_s right_sum v_rows u_rows finite gate")
-
-
-def _tabulate(kernel: PotentialKernel, s: float, length: float, nodes, weights) -> _Tables:
+def _tabulate(kernel, s: float, length: float, nodes, weights) -> _Tables:
     """A factored kernel on one rule per coordinate value, from one
     :meth:`PotentialKernel.factors` call at points whose ``p``-th holds the
     ``p``-th value of each coordinate.  ``L_k`` reads only ``u^{rows[k]}`` and
     ``R_k`` only ``u^{cols[k]}``; row ``p`` holds ``core = sum_m w_m L_k(q_m)
-    R_k'(q_m)`` where ``rows[k] == cols[k']`` (else 0), ``L_k(s)``, ``R_k(s)``,
-    ``sum_m w_m R_k(q_m)``, ``w_m L_k(q_m)``, ``R_k(q_m)``, whether all factors
-    read at the ``p``-th ``u^l`` are ``finite``, and ``gate[i, j]``, the tail
-    mass and box of ``F_ij`` over ``[p]`` (``i == j``) or ``[p, p']``."""
+    R_k'(q_m)`` where ``rows[k] == cols[k']`` (else 0), ``L_k`` and ``R_k`` at
+    ``(s, q_1, ..., q_Q)``, ``sum_m w_m R_k(q_m)``, whether all factors read at
+    the ``p``-th ``u^l`` are ``finite``, and ``gate[i, j]``, the tail mass and
+    box of ``F_ij`` over ``[p]`` (``i == j``) or ``[p, p']``."""
     q, tail_a, tail_b = len(nodes), *(s + length * TAIL_PAIRS)
     rows, cols, left, right = kernel.factors(np.concatenate(([s], nodes, tail_a, tail_b)))
     l_q, l_tail = left[..., 1:q + 1], left[..., q + 1:q + 1 + len(tail_a)]
@@ -577,9 +539,8 @@ def _tabulate(kernel: PotentialKernel, s: float, length: float, nodes, weights) 
         else:
             box = np.array([np.abs(l_q[p, k].T @ r_q[:, k]).max(axis=(1, 2)) for p in values])
         gate[i, j] = np.abs(mass).max(axis=-1), box
-    v_rows = l_q * weights
-    core = np.where(rows[:, None] == cols, v_rows @ np.swapaxes(r_q, 1, 2), 0.0)
-    return _Tables(rows, cols, core, left[..., 0], right[..., 0], r_q @ weights, v_rows, r_q,
+    core = np.where(rows[:, None] == cols, (l_q * weights) @ np.swapaxes(r_q, 1, 2), 0.0)
+    return _Tables(rows, cols, core, left[..., :q + 1], right[..., :q + 1], r_q @ weights,
                    np.stack(finite, axis=1), gate)
 
 
@@ -603,44 +564,62 @@ def _woodbury(tables: _Tables, idx: np.ndarray, points: np.ndarray, length: floa
     _gate(points, tables.finite[idx, np.arange(n)].all(axis=1), mass, box, length)
 
     core = tables.core[at_rows, terms]
-    p = tables.left_s[at_rows, terms][..., None] * (tables.rows[:, None] == np.arange(n))
+    p = tables.left[at_rows, terms, 0][..., None] * (tables.rows[:, None] == np.arange(n))
     y = np.linalg.solve(np.eye(len(terms)) - core, p)
     error, residual = y - core @ y - p, np.full(len(idx), 0.0 if with_residual else np.nan)
     for l in range(n) if with_residual else ():
         k = np.flatnonzero(tables.cols == l)
         for v in np.unique(idx[:, l]):
             at = np.flatnonzero(idx[:, l] == v)
-            u_error = tables.u_rows[v, k].T @ error[at][:, k].transpose(1, 0, 2).reshape(
+            u_error = tables.right[v, k, 1:].T @ error[at][:, k].transpose(1, 0, 2).reshape(
                 len(k), len(at) * n)
             top = np.abs(u_error).max(axis=0).reshape(len(at), n).max(axis=1)
             residual[at] = np.maximum(residual[at], top)
-    r_s = tables.right_s[at_cols, terms][..., None] * (tables.cols[:, None] == np.arange(n))
+    r_s = tables.right[at_cols, terms, 0][..., None] * (tables.cols[:, None] == np.arange(n))
     psi = 1.0 + np.einsum("bk,bki->bi", tables.right_sum[at_cols, terms], y)
     return y, np.swapaxes(y, 1, 2) @ r_s, psi, residual
 
 
+def _factor_deviation(kernel, tables: _Tables, idx: np.ndarray, points: np.ndarray, t):
+    """Per point, the largest difference of ``sum_k L_k(t_a) R_k(t_c)`` from
+    ``F_ij(t_a, t_c)`` by ``kernel.eval`` on the mesh of ``t = (s, q_1, ...)``,
+    relative to the block's largest ``|F_ij|`` there: 0 where both are zero,
+    inf for a difference on a zero block.  :class:`FactorMismatch` names the
+    block and point of one above :data:`QUADRATURE_TOL`."""
+    deviation = np.empty((len(idx), kernel.n, kernel.n))
+    for i, j in np.ndindex(deviation.shape[1:]):
+        k = np.flatnonzero((tables.rows == i) & (tables.cols == j))
+        f = kernel.eval(i, j, t[:, None], t)
+        left, right = tables.left[idx[:, i, None], k], tables.right[idx[:, j, None], k]
+        gap = np.abs(f - np.swapaxes(left, 1, 2) @ right).max(axis=(1, 2))
+        with np.errstate(divide="ignore"):
+            deviation[:, i, j] = np.divide(gap, np.abs(f).max(axis=(-2, -1)),
+                                           out=np.zeros_like(gap), where=gap != 0)
+    b, i, j = np.unravel_index(np.argmax(deviation), deviation.shape)
+    if not deviation[b, i, j] <= QUADRATURE_TOL:
+        raise FactorMismatch(float(deviation[b, i, j]), QUADRATURE_TOL, (int(i), int(j)), points[b])
+    return deviation.max(axis=(1, 2))
+
+
 def _solve_batch(kernel, tables, idx, points, s, length, nodes, weights, estimate_cond: bool):
-    """Nyström solves at points sharing one rule: by :func:`_dense_batch`
-    without ``tables``, else by :func:`_woodbury` at their rows ``idx`` and
-    ``x = U y``.  With ``estimate_cond``, ``cond`` of ``I - U V^T``, whose
-    singular values are 1 but those of ``I - (Q^T U)(V^T Q)`` for ``Q =
-    orth[U V]``, is gated by ``COND_CAP``, and a ``K`` more than
-    :data:`QUADRATURE_TOL` off the dense LU's raises :class:`FactorMismatch`.
-    Returns ``k_nodes[b, i, l, m] = K_{il}(s, q_m)``, ``k_ss`` and per point
-    the residual, ``cond`` and that difference (NaN without
-    ``estimate_cond``, or without ``tables``)."""
-    unset = np.full(len(points), np.nan)
-    if tables is None:
-        return (*_dense_batch(kernel, points, s, length, nodes, weights, estimate_cond), unset)
+    """Nyström solves at points sharing one rule by :func:`_woodbury` at
+    their rows ``idx`` of ``tables``, and ``x = U y``.  With
+    ``estimate_cond``, the factors are checked against ``kernel``
+    (:func:`_factor_deviation`), and ``cond`` of ``I - U V^T``, whose singular
+    values are 1 but those of ``I - (Q^T U)(V^T Q)`` for ``Q = orth[U V]``, is
+    gated by ``COND_CAP``.  Returns ``k_nodes[b, i, l, m] = K_{il}(s, q_m)``,
+    ``k_ss`` and per point the residual, ``cond`` and the factor deviation
+    (NaN without ``estimate_cond``)."""
     y, k_ss, _, residual = _woodbury(tables, idx, points, length)
     (batch, n), q, terms = idx.shape, len(nodes), np.arange(len(tables.rows))
-    u_mat, v_mat = (  # [b, (l, m), k] = table[idx[b, l], k, m] for k in block l
-        np.einsum("bkm,kl->blmk", table[idx[:, blocks], terms], blocks[:, None] == np.arange(n))
-        .reshape(batch, n * q, -1)
-        for table, blocks in ((tables.u_rows, tables.cols), (tables.v_rows, tables.rows)))
+    u_mat, v_mat = (  # [b, (l, m), k] = R_k(q_m) or w_m L_k(q_m) at row idx[b, l], k in block l
+        np.einsum("bkm,kl->blmk", table, blocks[:, None] == np.arange(n)).reshape(batch, n * q, -1)
+        for table, blocks in ((tables.right[idx[:, tables.cols], terms, 1:], tables.cols),
+                              (tables.left[idx[:, tables.rows], terms, 1:] * weights, tables.rows)))
     k_nodes = (u_mat @ y).reshape(batch, n, q, n).transpose(0, 3, 1, 2)
     if not estimate_cond:
-        return k_nodes, k_ss, residual, unset, unset
+        return k_nodes, k_ss, residual, *[np.full(batch, np.nan)] * 2
+    deviation = _factor_deviation(kernel, tables, idx, points, np.concatenate(([s], nodes)))
     basis = np.linalg.qr(np.concatenate((u_mat, v_mat), axis=2))[0]
     block = (np.swapaxes(basis, 1, 2) @ u_mat) @ (np.swapaxes(v_mat, 1, 2) @ basis)
     sigma = np.linalg.svd(np.eye(basis.shape[2]) - block, compute_uv=False)
@@ -648,53 +627,36 @@ def _solve_batch(kernel, tables, idx, points, s, length, nodes, weights, estimat
     cond = sigma.max(axis=1) / sigma.min(axis=1)
     if not np.max(cond) <= COND_CAP:
         raise IllConditioned(float(np.max(cond)), COND_CAP)
-    dense_nodes, dense_ss, _, _ = _dense_batch(kernel, points, s, length, nodes, weights, False)
-    deviation = np.maximum(np.abs(dense_nodes - k_nodes).max(axis=(1, 2, 3)),
-                           np.abs(dense_ss - k_ss).max(axis=(1, 2)))
-    if not np.max(deviation) <= QUADRATURE_TOL:
-        raise FactorMismatch(float(np.max(deviation)), QUADRATURE_TOL)
     return k_nodes, k_ss, residual, cond, deviation
 
 
-def _batch_size(n: int, q: int, rank: int | None, cond: bool) -> int:
-    """Points per window batch for :data:`BATCH_BYTES` of per-point arrays."""
-    if rank is None:  # kernel blocks, collocation matrix and, for cond, the SVD's copy
-        per_point = (2 + cond) * (n * q) ** 2
-    elif cond:  # the same for the dense check, and U, V, [U V] and Q
-        per_point = 2 * (n * q) ** 2 + 6 * n * q * rank
-    else:  # the core and its system matrix, five r x n arrays, the q x n residual twice
-        per_point = 2 * rank * rank + 5 * rank * n + 2 * q * n
-    return max(1, BATCH_BYTES // (8 * per_point))
+def _batch_size(n: int, q: int, rank: int) -> int:
+    """Points per window batch for :data:`BATCH_BYTES` of per-point arrays:
+    the core and its system matrix, five r x n arrays, the q x n residual twice."""
+    return max(1, BATCH_BYTES // (8 * (2 * rank * rank + 5 * rank * n + 2 * q * n)))
 
 
-def solve_marchenko(
-    problem: DressingProblem,
-    kernel: object | None = None,
-    estimate_cond: bool = True,
-) -> DressingSolution:
+def solve_marchenko(problem: DressingProblem, kernel: object | None = None,
+                    estimate_cond: bool = True) -> DressingSolution:
     """Nyström solve of the dressing integral equation at one point ``u``.
 
-    The batch-of-one case of the window solver (:func:`_solve_batch`): the
+    The batch-of-one case of the window solver (:func:`_solve_batch`) on
+    the factors of ``kernel``, the problem's base kernel by default: the
     declared truncation length is validated by probing the kernel beyond it
     (:class:`TruncationInsufficient`), non-finite kernel values raise
-    :class:`NonFiniteSample`, and ``estimate_cond`` gates ``cond``
-    (:class:`IllConditioned`) and the factors (:class:`FactorMismatch`).
+    :class:`NonFiniteSample`, and ``estimate_cond`` gates the factors
+    (:class:`FactorMismatch`) and ``cond`` (:class:`IllConditioned`).
     """
-    if kernel is None:
-        kernel = problem.base_kernel()
+    kernel = problem.base_kernel() if kernel is None else kernel
     s, length = problem.s, problem.length
     nodes, weights = _panel_quadrature(s, length, problem.panels, problem.nodes_per_panel)
     # the point is the one value of each coordinate in its own tables
-    tables = None if getattr(kernel, "rank", None) is None else _tabulate(
-        kernel, s, length, nodes, weights)
     k_nodes, k_ss, residual, cond, _ = _solve_batch(
-        kernel, tables, np.zeros((1, kernel.n), dtype=int), np.array([problem.u]), s, length,
-        nodes, weights, estimate_cond,
+        kernel, _tabulate(kernel, s, length, nodes, weights), np.zeros((1, kernel.n), dtype=int),
+        np.array([problem.u]), s, length, nodes, weights, estimate_cond,
     )
-    return DressingSolution(
-        kernel, s, nodes, weights, k_nodes[0], k_ss[0], float(residual[0]),
-        float(cond[0]) if estimate_cond else None,
-    )
+    return DressingSolution(kernel, s, nodes, weights, k_nodes[0], k_ss[0], float(residual[0]),
+                            float(cond[0]) if estimate_cond else None)
 
 
 # ---------------------------------------------------------------------------
@@ -708,14 +670,15 @@ class DressedField:
     ``panels`` is the rung the quadrature search chose and
     ``quadrature_error`` its estimate, the largest change of ``beta`` and
     ``psi`` at the probe nodes against the next finer rung; both are None
-    when the caller fixed the panel count.  ``dense_deviation`` is the largest
-    factored-against-dense difference at the probes (None without factors)."""
+    when the caller fixed the panel count.  ``cond_probe`` and
+    ``factor_deviation`` are the worst ``cond`` and relative difference of the
+    kernel's terms from its values (:func:`_factor_deviation`) at the probes."""
 
     chart: GridChart
     beta_values: np.ndarray  # grid + (N, N)
     psi_values: np.ndarray  # grid + (N,)
-    cond_probe: float | None
-    dense_deviation: float | None
+    cond_probe: float
+    factor_deviation: float
     max_residual: float
     panels: int | None
     quadrature_error: float | None
@@ -737,14 +700,14 @@ def extract_beta(
 
     ``profile`` scales the kernel only with ``use_tilde``.  The truncation
     length is fixed from the chart bounds, so every node shares one rule and
-    tail probe.  A set with separable terms is tabulated on the chart's axes
+    tail probe.  The set's separable terms are tabulated on the chart's axes
     (on the probes' places only while the ladder below climbs) and each node
-    solved in r-space (:func:`_woodbury`), other sets by dense LU, in batches
-    of about :data:`BATCH_BYTES`.  Every node passes the non-finite,
-    truncation and sign gates and reports its collocation residual; at the
-    corners and centre the factored solve is checked against the dense one
-    and ``cond`` is measured, and ``cond_probe`` and ``dense_deviation`` are
-    the worst there.
+    is solved in r-space (:func:`_woodbury`), in batches of about
+    :data:`BATCH_BYTES`.  Every node passes the non-finite, truncation and
+    sign gates and reports its collocation residual; at the corners and
+    centre the terms are checked against the kernel's values and ``cond`` is
+    measured, and ``cond_probe`` and ``factor_deviation`` are the worst
+    there.
 
     Without ``panels``, ``beta`` and ``psi`` at the corners and centre are
     solved on each rung of :data:`PANEL_LADDER`; the window takes the coarser
@@ -789,39 +752,31 @@ def extract_beta(
         nodes, weights = _panel_quadrature(s, length, rung, DEFAULT_NODES_PER_PANEL)
         return _tabulate(axes[on_probes], s, length, nodes, weights)
 
-    def solve(at: np.ndarray, rung: int, cond: bool = False, on_probes: bool = False):
-        """beta, psi and the per-point figures of :func:`_solve_batch` at the
-        nodes ``at``, in batches of :func:`_batch_size`."""
-        nodes, weights = _panel_quadrature(s, length, rung, DEFAULT_NODES_PER_PANEL)
-        size, parts = _batch_size(n, len(nodes), rank, cond), []
-        rows = probe_index if on_probes else index
+    def solve(at: np.ndarray, rung: int, on_probes: bool = False):
+        """beta, psi and the residual at the nodes ``at``, in batches of
+        :func:`_batch_size`; the ladder reads beta and psi only."""
+        size, parts = _batch_size(n, rung * DEFAULT_NODES_PER_PANEL, rank), []
+        rows, tables = probe_index if on_probes else index, tabulated(rung, on_probes)
         for start in range(0, len(at), size):
             batch = at[start:start + size]
-            unset = np.full(len(batch), np.nan)
-            if rank is None or cond:
-                kernel = PotentialKernel(potentials, points[batch], ratio, t_range)
-                k_nodes, k_ss, *figures = _solve_batch(
-                    kernel, None if rank is None else tabulated(rung, on_probes), rows[batch],
-                    points[batch], s, length, nodes, weights, cond,
-                )
-                psi = _dressed_seeds(k_nodes, weights)
-            else:
-                _, k_ss, psi, residual = _woodbury(  # the ladder reads beta and psi only
-                    tabulated(rung, on_probes), rows[batch], points[batch], length, not on_probes)
-                figures = residual, unset, unset
-            # beta_{ij} = K_{ji}(s, s)
-            parts.append((k_ss.swapaxes(1, 2), psi, *figures))
+            _, k_ss, psi, residual = _woodbury(
+                tables, rows[batch], points[batch], length, not on_probes)
+            parts.append((k_ss.swapaxes(1, 2), psi, residual))  # beta_{ij} = K_{ji}(s, s)
         return [np.concatenate(p) for p in zip(*parts)]
 
     estimate = None
     if panels is None:
         panels, estimate = _converged_rung(functools.partial(solve, on_probes=True), probe)
-    beta, psi, residual, _, _ = solve(np.arange(len(points)), panels)
-    _, _, _, cond, deviation = solve(probe, panels, cond=True)
+    beta, psi, residual = solve(np.arange(len(points)), panels)
+    # the few probes are checked at once, with the kernel's values at their points
+    nodes, weights = _panel_quadrature(s, length, panels, DEFAULT_NODES_PER_PANEL)
+    *_, cond, deviation = _solve_batch(
+        PotentialKernel(potentials, points[probe], ratio, t_range), tabulated(panels, False),
+        index[probe], points[probe], s, length, nodes, weights, True)
     return DressedField(
         chart, beta.reshape(chart.shape + (n, n)), psi.reshape(chart.shape + (n,)),
-        float(np.max(cond)), None if rank is None else float(np.max(deviation)),
-        float(np.max(residual)), None if estimate is None else panels, estimate,
+        float(np.max(cond)), float(np.max(deviation)), float(np.max(residual)),
+        None if estimate is None else panels, estimate,
     )
 
 

@@ -171,16 +171,18 @@ def test_the_stencil_order_stays_on_the_chart(path):
     assert not uses, f"{path.name}: knows the stencil order: {uses}"
 
 
-def _callers(tree: ast.Module, name: str) -> list[str]:
+def _callers(tree: ast.Module, name: str, module: str | None = None) -> list[str]:
     """The innermost enclosing ``def`` (or ``<module>``) of every call of a
-    name or attribute ``name``."""
+    name or attribute ``name``; with ``module``, only of ``module.name``."""
     callers = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call):
                 func = child.func
-                if getattr(func, "id", getattr(func, "attr", None)) == name:
+                value = getattr(func, "value", None)
+                if getattr(func, "id", getattr(func, "attr", None)) == name and module in (
+                        None, getattr(value, "id", getattr(value, "attr", None))):
                     callers.append(owner)
             is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if is_def else owner)
@@ -189,8 +191,8 @@ def _callers(tree: ast.Module, name: str) -> list[str]:
     return callers
 
 
-def _package_callers(name: str) -> dict[str, list[str]]:
-    callers = {path.name: _callers(ast.parse(path.read_text()), name) for path in MODULES}
+def _package_callers(name: str, module: str | None = None) -> dict[str, list[str]]:
+    callers = {path.name: _callers(ast.parse(path.read_text()), name, module) for path in MODULES}
     return {module: c for module, c in callers.items() if c}
 
 
@@ -201,11 +203,16 @@ def test_combinations_are_built_only_by_the_check():
     assert _package_callers("combine") == {"pencil_checker.py": ["_one_pass"]}
 
 
-def test_condition_numbers_are_measured_only_on_dense_matrices():
-    """A factored dressing kernel's ``cond`` comes from its 2r x 2r Woodbury
-    block, so the (nq)^2 SVD behind ``np.linalg.cond`` runs only in the dense
-    path, on kernels without separable terms."""
-    assert _package_callers("cond") == {"zakharov_dressing.py": ["_dense_batch"]}
+def test_no_condition_number_of_a_dense_matrix():
+    """A dressing kernel's ``cond`` comes from its 2r x 2r Woodbury block, so
+    the (nq)^2 SVD behind ``np.linalg.cond`` runs nowhere in the package."""
+    assert _package_callers("cond") == {}
+
+
+def test_one_nystrom_solve():
+    """Every dressing kernel is solved through its separable terms: the
+    package's one ``linalg.solve`` is the r x r core's, in ``_woodbury``."""
+    assert _package_callers("solve", "linalg") == {"zakharov_dressing.py": ["_woodbury"]}
 
 
 def _lapack_inverse_calls(tree: ast.Module) -> list[str]:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from collections import namedtuple
 
 import numpy as np
 import numpy.testing as npt
@@ -202,6 +203,11 @@ class _SwappedRatioKernel:
     def eval(self, i, j, s, sp):
         return self.base.eval(i, j, s, sp) * self._root(i, sp) / self._root(j, s)
 
+    def factors(self, t):
+        rows, cols, left, right = self.base.factors(t)
+        roots = np.array([np.broadcast_to(self._root(l, t), np.shape(t)) for l in range(self.n)])
+        return rows, cols, left / roots[cols], right * roots[rows]
+
 
 def test_tilde_rows_catch_a_swapped_ratio(monkeypatch):
     """Equal constants make every ratio 1, so a wrongly scaled kernel shows
@@ -346,7 +352,7 @@ def test_window_size_is_not_a_batch_multiple(monkeypatch):
     make, chart, _ = WINDOWS["2c-9x5"]
     pots = make()
     whole = zd.extract_beta(pots, chart)
-    size = (2, whole.panels * zd.DEFAULT_NODES_PER_PANEL, zd.kernel_rank(pots), False)
+    size = (2, whole.panels * zd.DEFAULT_NODES_PER_PANEL, zd.kernel_rank(pots))
     monkeypatch.setattr(zd, "BATCH_BYTES", 7 * zd.BATCH_BYTES // zd._batch_size(*size))
     assert zd._batch_size(*size) == 7 and np.prod(chart.shape) % 7 != 0
     split = zd.extract_beta(pots, chart)
@@ -412,7 +418,7 @@ def test_woodbury_cond_is_the_dense_matrix_cond(n, amplitude, diagonal, tilde, u
     prob = zd.DressingProblem(zd.gaussian_set(n, amplitude, include_diagonal=diagonal), u=u[:n],
                               profile=ls.ReductionProfile(PROFILE_FUNCS[:n]), panels=4)
     kernel = prob.tilde_kernel() if tilde else prob.base_kernel()
-    dense = zd.solve_marchenko(prob, kernel=_Dense(kernel)).cond
+    dense = _dense(kernel, prob).cond
     assert zd.solve_marchenko(prob, kernel=kernel).cond == pytest.approx(dense, rel=1e-12)
 
 
@@ -431,7 +437,7 @@ def test_window_conditioning_is_worst_of_corners_and_centre():
 
 
 # beta and psi of the 2x2 window below with the fixed 16 x 6 rule, to rounding:
-# the factored solve and the dense LU each agree with them to about 1e-16
+# the factored solve and the dense LU of the tests each agree with them to about 1e-16
 FIXED_RULE_BETA = [
     [[[-0.18943431607678515, 0.015192528822021371], [-0.11722388689714412, -0.09507183238278381]],
      [[-0.18759228712436676, -0.09221242682414012], [-0.11078170015205019, -0.07859626643956774]]],
@@ -502,20 +508,17 @@ def test_raw_kernel_solve_matches_closed_forms():
 # non-finite kernels
 
 
-def _with_nan_dx(where):
-    """The 2-component Gaussian set with ``dx`` of its pair NaN where
-    ``where(x)`` holds."""
+def _with_nan_term(where):
+    """The 2-component Gaussian set with ``A'`` of its pair's one term NaN
+    where ``where(x)`` holds."""
     pots = zd.gaussian_set(2)
-    pair = pots.off_diagonal[(0, 1)]
-    bad = tc.Potential(
-        pair.value, lambda x, y: np.where(where(x), np.nan, pair.dx(x, y)),
-        pair.dy, pair.dxy,
-    )
+    (a, da, b, db), = pots.off_diagonal[(0, 1)].terms
+    bad = tc.Potential(terms=((a, lambda x: np.where(where(x), np.nan, da(x)), b, db),))
     return zd.PotentialSet(2, {(0, 1): bad}, pots.diagonal, pots.envelope)
 
 
 def test_partly_nan_kernel_is_not_a_pass():
-    pots = _with_nan_dx(lambda x: x < -0.09)
+    pots = _with_nan_term(lambda x: x < -0.09)
     chart = GridChart((-0.1, -0.1), (0.1, 0.1), (5, 5))
     with pytest.raises(NonFiniteSample) as err:
         zd.extract_beta(pots, chart)
@@ -524,7 +527,7 @@ def test_partly_nan_kernel_is_not_a_pass():
 
 
 def test_nan_kernel_raises_before_the_conditioning_probe():
-    pots = _with_nan_dx(lambda x: np.ones(np.shape(x), dtype=bool))
+    pots = _with_nan_term(lambda x: np.ones(np.shape(x), dtype=bool))
     with pytest.raises(NonFiniteSample):
         zd.extract_beta(pots, GridChart((-0.1, -0.1), (0.1, 0.1), (3, 3)))
     with pytest.raises(NonFiniteSample):
@@ -532,7 +535,7 @@ def test_nan_kernel_raises_before_the_conditioning_probe():
 
 
 def test_translation_identity_propagates_nan():
-    kernel = zd.RawKernel(2, lambda i, j, s, sp: (np.nan if (i, j) == (1, 1) else 0.0) * s)
+    kernel = zd.RawKernel(2, [(1, 1, lambda t: np.full(np.shape(t), np.nan), np.ones_like)])
     assert np.isnan(zd.reduction_identity_residual(kernel))
 
 
@@ -540,20 +543,10 @@ def test_translation_identity_propagates_nan():
 # the factored solve
 
 
-def _with_nan_term(where):
-    """The 2-component Gaussian set with ``A'`` of its pair's one term NaN
-    where ``where(x)`` holds; unlike :func:`_with_nan_dx` it keeps its terms,
-    so it is solved through its factors."""
-    pots = zd.gaussian_set(2)
-    (a, da, b, db), = pots.off_diagonal[(0, 1)].terms
-    bad = tc.Potential(terms=((a, lambda x: np.where(where(x), np.nan, da(x)), b, db),))
-    return zd.PotentialSet(2, {(0, 1): bad}, pots.diagonal, pots.envelope)
-
-
-def test_nan_term_is_caught_by_the_factored_gate(monkeypatch):
+def test_nan_term_is_caught_by_the_factored_gate():
+    """As above, with a fixed rule: the window's tables, not the ladder's."""
     pots = _with_nan_term(lambda x: x < -0.09)
     assert zd.kernel_rank(pots) == 2
-    monkeypatch.setattr(zd, "_dense_batch", None)  # the dense path must not be reached
     with pytest.raises(NonFiniteSample) as err:
         zd.extract_beta(pots, GridChart((-0.1, -0.1), (0.1, 0.1), (5, 5)), panels=4)
     assert err.value.node == (0.1, -0.1)
@@ -575,11 +568,31 @@ def _scaled(pots, k):
     return _remade(pots, lambda a, da, b, db: (lambda t: k * a(t), lambda t: k * da(t), b, db))
 
 
-class _Dense:
-    """A kernel without its factors, solved by the dense LU."""
+Dense = namedtuple("Dense", "k_nodes k_ss cond mass box")
 
-    def __init__(self, kernel):
-        self.n, self.eval = kernel.n, kernel.eval
+
+def _dense(kernel, prob) -> Dense:
+    """The reference for the factored solve: the Nyström system of
+    ``kernel.eval`` at one point, assembled in full and solved by LU, with no
+    gates.  ``k_nodes[i, l, m] = K_il(s, q_m)``, ``k_ss = K(s, s)``, the
+    collocation matrix's condition number, and the largest ``|F|`` at the
+    tail pairs (``mass``) and on the nodes (``box``), which the truncation
+    gate compares."""
+    n, s, length = kernel.n, prob.s, prob.length
+    nodes, weights = zd._panel_quadrature(s, length, prob.panels, prob.nodes_per_panel)
+    q, t = len(nodes), np.concatenate(([s], nodes))
+
+    def blocks(a, b):  # [l, j, ...] = F_lj(a, b)
+        return np.array([[kernel.eval(l, j, a, b) for j in range(n)] for l in range(n)])
+
+    f, tail = blocks(t[:, None], t[None, :]), blocks(*(s + length * zd.TAIL_PAIRS))
+    f_q = f[:, :, 1:, 1:]
+    # rows (j, m'), columns (l, m): delta - w_m F_lj(q_m, q_m'); right-hand sides F_ij(s, q_m')
+    matrix = np.eye(n * q) - (f_q * weights[:, None]).transpose(1, 3, 0, 2).reshape(n * q, n * q)
+    rhs = f[:, :, 0, 1:].transpose(1, 2, 0).reshape(n * q, n)
+    k_nodes = np.linalg.solve(matrix, rhs).reshape(n, q, n).transpose(2, 0, 1)
+    k_ss = f[:, :, 0, 0] + np.einsum("ilm,m,ljm->ij", k_nodes, weights, f[:, :, 1:, 0])
+    return Dense(k_nodes, k_ss, np.linalg.cond(matrix), np.abs(tail).max(), np.abs(f_q).max())
 
 
 #: (potential set, declared length or None, verdict at scale 1): decaying,
@@ -592,38 +605,33 @@ GATE_CASES = {
 }
 
 
-def _gate_passes(pots, length, dense):
+def _gate_passes(pots, length):
     prob = zd.DressingProblem(pots, u=U2, length=length, panels=4)
-    kernel = prob.base_kernel()
     try:
-        zd.solve_marchenko(prob, kernel=_Dense(kernel) if dense else kernel, estimate_cond=False)
+        zd.solve_marchenko(prob, estimate_cond=False)
     except TruncationInsufficient:
         return False
     return True
 
 
 @settings(max_examples=40, deadline=None)
-@given(case=st.sampled_from(sorted(GATE_CASES)), log10_k=st.floats(-9.0, 3.0), dense=st.booleans())
-def test_truncation_gate_does_not_depend_on_scale(case, log10_k, dense):
+@given(case=st.sampled_from(sorted(GATE_CASES)), log10_k=st.floats(-9.0, 3.0))
+def test_truncation_gate_does_not_depend_on_scale(case, log10_k):
     """The tail mass is measured against the kernel's own size, so scaling
     every potential keeps the verdict; a pair that does not decay in s' fails
     however small it is."""
     make, length, verdict = GATE_CASES[case]
-    assert _gate_passes(make(), length, dense) is verdict
-    assert _gate_passes(_scaled(make(), 10.0 ** log10_k), length, dense) is verdict
+    assert _gate_passes(make(), length) is verdict
+    assert _gate_passes(_scaled(make(), 10.0 ** log10_k), length) is verdict
 
 
 def test_factored_truncation_gate_matches_the_dense_one():
     prob = zd.DressingProblem(zd.gaussian_set(2, amplitude=0.4), u=U2, length=2.0)
-    kernel = prob.base_kernel()
-    errors = []
-    for k in (kernel, _Dense(kernel)):
-        with pytest.raises(TruncationInsufficient) as err:
-            zd.solve_marchenko(prob, kernel=k, estimate_cond=False)
-        errors.append(err.value)
-    factored, dense = errors
-    assert factored.mass == pytest.approx(dense.mass, rel=1e-12)
-    assert factored.tol == pytest.approx(dense.tol, rel=1e-12)
+    with pytest.raises(TruncationInsufficient) as err:
+        zd.solve_marchenko(prob, estimate_cond=False)
+    dense = _dense(prob.base_kernel(), prob)
+    assert err.value.mass == pytest.approx(dense.mass, rel=1e-12)
+    assert err.value.tol == pytest.approx(zd.TAIL_REL_TOL * dense.box, rel=1e-12)
 
 
 def test_window_gate_reads_the_dense_gate_at_every_node(monkeypatch):
@@ -638,52 +646,114 @@ def test_window_gate_reads_the_dense_gate_at_every_node(monkeypatch):
     zd.extract_beta(pots, chart, panels=8)
     window = seen[0]  # the whole window is one batch
     assert window.shape == (2, 21)
-    seen.clear()
+    dense = []
     for idx in np.ndindex(chart.shape):
         prob = zd.DressingProblem(pots, chart.node(idx), length=pots.envelope + 1.3, panels=8)
-        zd.solve_marchenko(prob, kernel=_Dense(prob.base_kernel()), estimate_cond=False)
-    npt.assert_allclose(window, np.concatenate(seen, axis=1), rtol=1e-12, atol=0)
+        dense.append(_dense(prob.base_kernel(), prob))
+    npt.assert_allclose(window, [[d.mass for d in dense], [d.box for d in dense]],
+                        rtol=1e-12, atol=0)
 
 
-def test_corrupted_factor_trips_the_dense_comparison(monkeypatch):
-    factors = zd.PotentialKernel.factors
-
+def _corrupted(factors):
+    """``PotentialKernel.factors`` with every left factor scaled by 1 + 1e-6."""
     def corrupted(self, t):
         rows, cols, left, right = factors(self, t)
         return rows, cols, left * (1.0 + 1e-6), right
 
-    monkeypatch.setattr(zd.PotentialKernel, "factors", corrupted)
+    return corrupted
+
+
+def test_corrupted_factor_trips_the_factor_check(monkeypatch):
+    """Each block's terms then differ from its values by 1e-6 of its largest
+    value; the error names the block, the point and that deviation."""
+    monkeypatch.setattr(zd.PotentialKernel, "factors", _corrupted(zd.PotentialKernel.factors))
     prob = zd.DressingProblem(_gaussian2(), u=U2)
-    # without the dense comparison nothing notices
+    # without the factor check nothing notices
     assert zd.solve_marchenko(prob, estimate_cond=False).residual <= 1e-10
     with pytest.raises(FactorMismatch) as err:
         zd.solve_marchenko(prob)
-    assert err.value.deviation > 1e-8 and err.value.tol == zd.QUADRATURE_TOL
-    with pytest.raises(FactorMismatch):
+    assert err.value.deviation == pytest.approx(1e-6, rel=1e-6)
+    assert err.value.tol == zd.QUADRATURE_TOL and err.value.node == U2
+    assert str(err.value) == (
+        f"terms of kernel block {err.value.block} differ from its values by 1.000e-06 of the "
+        "block's largest value > 1.000e-10 at u = (0.1, -0.2)")
+    with pytest.raises(FactorMismatch) as err:
         zd.extract_beta(_gaussian2(), GridChart((-0.1, -0.1), (0.1, 0.1), (3, 3)))
+    assert err.value.node in {(-0.1, -0.1), (-0.1, 0.1), (0.1, -0.1), (0.1, 0.1), (0.0, 0.0)}
+    assert err.value.block in {(i, j) for i in range(2) for j in range(2)}
 
 
-def test_kernels_without_factors_are_solved_dense(monkeypatch):
-    """``RawKernel`` and a set holding a closure-only potential take the
-    dense LU; a set of separable potentials takes the factors."""
-    chart = GridChart((-0.2, -0.2), (0.2, 0.2), (4, 4))
+@settings(max_examples=20, deadline=None)
+@given(log10_k=st.floats(-9.0, 3.0))
+def test_factor_check_does_not_depend_on_scale(log10_k):
+    """Each block is measured against its own largest value, so with every
+    potential scaled by ``k`` the intact set passes and a 1e-6 corruption of
+    the left factors raises, in a single solve and in a window alike."""
+    pots = _scaled(_gaussian2(), 10.0 ** log10_k)
+    prob, chart = zd.DressingProblem(pots, u=U2), GridChart((-0.1, -0.1), (0.1, 0.1), (3, 3))
+    assert zd.solve_marchenko(prob).cond < zd.COND_CAP
+    assert zd.extract_beta(pots, chart).factor_deviation <= 1e-14
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zd.PotentialKernel, "factors", _corrupted(zd.PotentialKernel.factors))
+        for solve in (lambda: zd.solve_marchenko(prob), lambda: zd.extract_beta(pots, chart)):
+            with pytest.raises(FactorMismatch) as err:
+                solve()
+            assert err.value.deviation == pytest.approx(1e-6, rel=1e-6)
+
+
+def _terms_on_the_diagonal(monkeypatch):
+    factors = zd.PotentialKernel.factors
+    monkeypatch.setattr(zd.PotentialKernel, "factors", lambda self, t: (
+        lambda rows, cols, left, right: (rows, rows, left, right))(*factors(self, t)))
+
+
+def _nan_values_in_block_10(monkeypatch):
+    values = zd.PotentialKernel.eval
+    monkeypatch.setattr(zd.PotentialKernel, "eval", lambda self, i, j, s, sp: values(
+        self, i, j, s, sp) * (np.nan if (i, j) == (1, 0) else 1.0))
+
+
+@pytest.mark.parametrize("corrupt, deviation, blocks", [
+    (_terms_on_the_diagonal, math.inf, {(0, 0), (1, 1)}),
+    (_nan_values_in_block_10, math.nan, {(1, 0)}),
+], ids=["zero-block", "nan"])
+def test_factor_check_reads_zero_blocks_and_nan(monkeypatch, corrupt, deviation, blocks):
+    """Terms filed under a block whose values are zero (no diagonal
+    potentials here) differ from them infinitely; NaN values never pass."""
+    corrupt(monkeypatch)
+    with pytest.raises(FactorMismatch) as err:
+        zd.solve_marchenko(zd.DressingProblem(zd.gaussian_set(2, amplitude=0.4), u=U2))
+    npt.assert_equal(err.value.deviation, deviation)
+    assert err.value.block in blocks
+
+
+def test_potentials_without_terms_are_refused():
+    """Dressing reads a potential's separable terms, so a set holding a
+    closure-only potential is refused with its pair named; the reduction PDE
+    still takes it."""
     pots = _gaussian2()
-    factored = zd.extract_beta(pots, chart, panels=8)
-    assert factored.dense_deviation <= 1e-14
     mixed = zd.PotentialSet(
-        2, pots.off_diagonal,
-        {**pots.diagonal, 0: dataclasses.replace(pots.diagonal[0], terms=None)},
+        2, {(0, 1): dataclasses.replace(pots.off_diagonal[(0, 1)], terms=None)}, pots.diagonal,
         pots.envelope,
     )
-    assert zd.kernel_rank(mixed) is None
-    monkeypatch.setattr(zd.PotentialKernel, "factors", None)
-    dense = zd.extract_beta(mixed, chart, panels=8)
-    assert dense.dense_deviation is None and dense.cond_probe == factored.cond_probe
-    assert np.max(np.abs(dense.beta_values - factored.beta_values)) <= 1e-14
+    with pytest.raises(ValueError, match=r"the potential of pair \(0, 1\) has no separable terms"):
+        zd.PotentialKernel(mixed, U2)
+    with pytest.raises(ValueError, match=r"pair \(0, 1\)"):
+        zd.extract_beta(mixed, GridChart((-0.2, -0.2), (0.2, 0.2), (4, 4)), panels=8)
+    assert zd.reduction_pde_residual(mixed, ls.constant_profile((2.0, 2.0))).max_residual <= 1e-10
+
+
+def test_rank1_case_is_solved_through_its_factor():
+    """``rank1_case``'s kernel is its one term ``a(s) b(s')``: the solve reads
+    that factor, agrees with the dense LU, and meets the closed form."""
     from flatpencil.catalog import rank1_case
     kernel, exact = rank1_case()
+    calls, factors = [], kernel.factors
+    kernel.factors = lambda t: calls.append(t) or factors(t)
     prob = zd.DressingProblem(zd.PotentialSet(1, {}, {}, envelope=6.0), u=(0.0,), length=10.0)
     sol = zd.solve_marchenko(prob, kernel=kernel)
+    assert kernel.rank == 1 and len(calls) == 1
+    npt.assert_allclose(sol.k_nodes, _dense(kernel, prob).k_nodes, rtol=0, atol=1e-15)
     assert abs(sol.beta()[0, 0] - exact(0.0, 0.0)) <= 1e-12
 
 
@@ -778,7 +848,7 @@ def test_window_agrees_with_the_closed_form(points):
     field = zd.extract_beta(pots, chart, profile=ls.constant_profile((2.0,) * 3))
     assert field.quadrature_error <= zd.QUADRATURE_TOL
     assert field.max_residual <= 1e-10
-    assert field.dense_deviation <= 1e-14
+    assert field.factor_deviation <= 1e-14
     length = pots.envelope + 0.25 + 1.0
     scale = (points - 1) // 10
     for node in ORACLE_NODES:
