@@ -1,6 +1,6 @@
 """Metrics, Levi-Civita connections and curvature on gridded charts.
 
-Conventions (every index contraction is a batched matmul over the grid):
+Conventions:
 
 * the contravariant metric ``g^{ij}`` is the primary object; the covariant
   ``g_{ij}`` is its pointwise inverse, the transposed cofactors over the
@@ -17,7 +17,14 @@ Conventions (every index contraction is a batched matmul over the grid):
 
   with the raised form ``R^{ij}_{kl} = g^{is} R^j_{skl}``.  It is computed as
   the antisymmetrisation ``R^i_{jkl} = S^i_{jlk} - S^i_{jkl}`` of the single
-  tensor ``S^i_{jkl} = d_k Gamma^i_{jl} + Gamma^i_{pk} Gamma^p_{jl}``.
+  tensor ``S^i_{jkl} = d_k Gamma^i_{jl} + Gamma^i_{pk} Gamma^p_{jl}``, for
+  ``k < l`` only: ``R^i_{jlk}`` is its exact negation and ``R^i_{jkk} = 0``.
+
+The kernels compute component-major, tensor indices leading and the grid
+trailing, so every numpy call runs over whole contiguous grid arrays; each
+contraction is one ``einsum`` that sums in the order of the summed index.
+The fields hand out ``values[grid ..., tensor ...]`` as a transposed view
+and own their arrays without a copy or a finiteness scan.
 
 A metric has constant curvature K when ``R^{ij}_{kl} = K (delta^i_k delta^j_l
 - delta^i_l delta^j_k)``; flat means K = 0.  Residual reducers quote maxima
@@ -32,6 +39,7 @@ only ``R^i_{jkl}``, forms neither.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -70,6 +78,13 @@ class MetricField:
     def scale(self) -> float:
         return float(np.max(np.abs(self.contra.values)))
 
+    @functools.cached_property
+    def upper(self) -> np.ndarray:
+        """``g^{ij}`` as a contiguous component-major stack ``[i, j, grid ...]``."""
+        upper = np.ascontiguousarray(_leading(self.contra.values, 2))
+        upper.setflags(write=False)
+        return upper
+
 
 @dataclass(frozen=True)
 class ConnectionField:
@@ -86,9 +101,9 @@ class ConnectionField:
     @functools.cached_property
     def contra(self) -> TensorField:
         """``Gamma^{ij}_k = g^{is} Gamma^j_{sk}``."""
-        # [..., j, i, k] = g^{is} Gamma^j_{sk}
-        raised = self.metric.contra.values[..., None, :, :] @ self.mixed.values
-        return TensorField(self.chart, "uud", np.swapaxes(raised, -3, -2))
+        gamma = _leading(self.mixed.values, 3)
+        raised = np.einsum("is...,jsk...->ijk...", self.metric.upper, gamma)
+        return TensorField.owning(self.chart, "uud", _trailing(raised, 3))
 
 
 @dataclass(frozen=True)
@@ -106,20 +121,24 @@ class CurvatureField:
     @functools.cached_property
     def contra(self) -> TensorField:
         """``R^{ij}_{kl} = g^{is} R^j_{skl}``."""
-        g, r, n = self.metric.contra.values, self.mixed.values, self.chart.dim
-        # [..., j, i, kl] = g^{is} R^j_{s kl}, raised without copying a transposed view
-        raised = g[..., None, :, :] @ r.reshape(self.chart.shape + (n, n, n * n))
-        return TensorField(self.chart, "uudd", np.swapaxes(raised.reshape(r.shape), -4, -3))
+        r = _leading(self.mixed.values, 4)
+        raised = np.einsum("is...,jskl...->ijkl...", self.metric.upper, r)
+        return TensorField.owning(self.chart, "uudd", _trailing(raised, 4))
 
     def deviation(self, k_value: float) -> np.ndarray:
         """``R^{ij}_{kl} - K (d^i_k d^j_l - d^i_l d^j_k)`` at every node."""
         eye = np.eye(self.chart.dim)
         unit = np.einsum("ik,jl->ijkl", eye, eye)
-        return self.contra.values - k_value * (unit - np.swapaxes(unit, -1, -2))
+        unit = (unit - np.swapaxes(unit, -1, -2)).reshape(unit.shape + (1,) * self.chart.dim)
+        return _trailing(_leading(self.contra.values, 4) - k_value * unit, 4)
 
     def pointwise_max(self) -> np.ndarray:
-        """``max_{ijkl} |R^i_{jkl}|`` at every node."""
-        return np.max(np.abs(self.mixed.values), axis=(-4, -3, -2, -1))
+        """``max_{ijkl} |R^i_{jkl}|`` at every node, read off the ``k < l``
+        components slice by slice: the others are their negations or 0."""
+        r = _leading(self.mixed.values, 4)
+        pairs = itertools.combinations(range(self.chart.dim), 2)
+        maxima = (np.abs(r[:, :, k, l]).max(axis=(0, 1)) for k, l in pairs)
+        return functools.reduce(np.maximum, maxima, np.zeros(self.chart.shape))
 
 
 def build_metric(
@@ -150,8 +169,9 @@ def build_metric(
     if callable(source):
         contra = gc.sample(source, chart, "uu", symmetries=sym)
     else:
+        # symmetrized scans the input once and averages it into a fresh array
         vals = gc.symmetrized(np.asarray(source, dtype=float), chart, sym)
-        contra = TensorField(chart, "uu", vals)
+        contra = TensorField.owning(chart, "uu", vals)
 
     # cofactors of g with each row divided by its largest entry: a diagonal
     # g^{ij} then inverts to 1/g^{ii} correctly rounded, with no rounding of
@@ -171,13 +191,12 @@ def build_metric(
     inv = np.swapaxes(cof, -1, -2) / det_rows[..., None, None] / rows[..., None, :]
     inv = 0.5 * (inv + np.swapaxes(inv, -1, -2))
     resid = _last_axis_max(_last_axis_max(mats @ inv - np.eye(chart.dim)))
-    if np.max(resid) > INVERSE_TOL:  # g g^-1 - I is dimensionless
+    if not np.max(resid) <= INVERSE_TOL:  # g g^-1 - I is dimensionless; NaN fails
         bad = np.unravel_index(int(np.argmax(resid)), chart.shape)
         reason = f"|g g^-1 - I| = {resid[bad]:.3e} > INVERSE_TOL {INVERSE_TOL:.3e}"
         raise DegenerateMetric(bad, reason, chart.node(bad))
 
-    cov = TensorField(chart, "dd", inv)
-    return MetricField(contra, cov)
+    return MetricField(contra, TensorField.owning(chart, "dd", inv))
 
 
 def require_diagonal(*metrics: MetricField) -> float:
@@ -221,31 +240,50 @@ def _cofactors(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sum(mats[..., 0, j] * cof[..., 0, j] for j in idx), cof
 
 
+def _leading(values: np.ndarray, rank: int) -> np.ndarray:
+    """The component-major view ``[tensor ..., grid ...]`` of grid-first values."""
+    grid = values.ndim - rank
+    return values.transpose((*range(grid, values.ndim), *range(grid)))
+
+
+def _trailing(stack: np.ndarray, rank: int) -> np.ndarray:
+    """The grid-first view ``[grid ..., tensor ...]`` of a component-major stack."""
+    return stack.transpose((*range(rank, stack.ndim), *range(rank)))
+
+
 def connection(metric: MetricField) -> ConnectionField:
     """Levi-Civita connection of a metric via finite differences."""
-    g, chart, n = metric.contra.values, metric.chart, metric.dim
-    dg = gc.stacked_partials(metric.cov)  # [..., a, j, k] = d_a g_{jk}
+    chart = metric.chart
+    # dg[a, j, k, ...] = d_a g_{jk}
+    dg = gc.stacked_partials(_leading(metric.cov.values, 2), chart, grid_last=True)
     # t[s, j, k] = d_j g_{sk} + d_k g_{js} - d_s g_{jk}, exactly symmetric in (j, k)
-    t = np.swapaxes(dg, -3, -2) + np.swapaxes(dg, -3, -1) - dg
-    mixed = 0.5 * (g @ t.reshape(chart.shape + (n, n * n))).reshape(t.shape)
-    return ConnectionField(TensorField(chart, "udd", mixed), metric)
+    t = np.swapaxes(dg, 0, 1) + np.swapaxes(dg, 0, 2)
+    t -= dg
+    mixed = np.einsum("is...,sjk...->ijk...", metric.upper, t)
+    mixed *= 0.5
+    return ConnectionField(TensorField.owning(chart, "udd", _trailing(mixed, 3)), metric)
 
 
 def curvature(metric: MetricField, conn: ConnectionField | None = None) -> CurvatureField:
     """Riemann curvature of a metric (connection recomputed unless given)."""
     if conn is None:
         conn = connection(metric)
-    gamma, chart, n = conn.mixed.values, metric.chart, metric.dim
-    # [..., i, k, j, l] = Gamma^i_{kp} Gamma^p_{jl}, and Gamma^i_{kp} = Gamma^i_{pk}
-    s = gamma.reshape(chart.shape + (n * n, n)) @ gamma.reshape(chart.shape + (n, n * n))
-    s = np.swapaxes(s.reshape(chart.shape + (n,) * 4), -3, -2)
-    # [..., i, j, a, l] += d_a Gamma^i_{jl}, one axis at a time so that no
-    # stack of all the derivatives is held beside s
-    for a in range(n):
-        s[..., a, :] += gc.differentiate_array(gamma, chart, a)
-    r = np.swapaxes(s, -1, -2) - s
-    del s  # before TensorField copies r
-    return CurvatureField(TensorField(chart, "uddd", r), metric)
+    chart, n = metric.chart, metric.dim
+    gamma = _leading(conn.mixed.values, 3)
+    # s[i, j, k, l] = Gamma^i_{kp} Gamma^p_{jl} + d_k Gamma^i_{jl}, added in
+    # that order, one axis k at a time so that no stack of all the
+    # derivatives is held beside s
+    s = np.einsum("ikp...,pjl...->ijkl...", gamma, gamma)
+    d_gamma = np.empty(gamma.shape)
+    for k in range(n):
+        s[:, :, k] += gc.differentiate_array(gamma, chart, k, grid_last=True, out=d_gamma)
+    # R^i_{jkl} = S^i_{jlk} - S^i_{jkl} in place, for k < l
+    for k, l in itertools.combinations(range(n), 2):
+        np.subtract(s[:, :, l, k], s[:, :, k, l], out=s[:, :, k, l])
+        np.negative(s[:, :, k, l], out=s[:, :, l, k])
+    for k in range(n):
+        s[:, :, k, k] = 0.0
+    return CurvatureField(TensorField.owning(chart, "uddd", _trailing(s, 4)), metric)
 
 
 def flatness_residual(metric: MetricField) -> float:

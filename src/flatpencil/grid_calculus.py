@@ -23,12 +23,16 @@ order 4
     node 0     (-25 f0 + 48 f1 - 36 f2 + 16 f3 - 3 f4) / (12h)
     node 1     (-3 f0 - 10 f1 + 18 f2 - 6 f3 + f4) / (12h)   and mirrored
 
-Tensor fields are stored densely as ``values[grid index ..., tensor index ...]``
-with one tensor axis of length N per slot of the variance signature.
+Tensor fields are indexed grid first, ``values[grid index ..., tensor index ...]``,
+with one tensor axis of length N per slot of the variance signature.  Memory
+order is the kernels' business: a kernel may compute component-major,
+``[tensor index ..., grid index ...]`` (``grid_last`` below), and hand out a
+transposed view.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -124,58 +128,107 @@ class TensorField:
     variance: str
     values: np.ndarray
 
-    def __post_init__(self):
+    def __post_init__(self):  # the scanning gate, for values from outside
         vals = np.asarray(self.values, dtype=float)
-        expected = self.chart.shape + (self.chart.dim,) * len(self.variance)
-        if vals.shape != expected:
-            raise ValueError(f"values shape {vals.shape} != expected {expected}")
+        self._check_shape(vals)
         check_finite(vals, self.chart)
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def owning(cls, chart: GridChart, variance: str, values: np.ndarray) -> TensorField:
+        """A field that keeps ``values``, read-only, with no copy and no scan:
+        for an array just computed from gated inputs and referenced nowhere else."""
+        field = object.__new__(cls)
+        for name, value in (("chart", chart), ("variance", variance), ("values", values)):
+            object.__setattr__(field, name, value)
+        field._check_shape(values)
+        values.setflags(write=False)
+        return field
+
+    def _check_shape(self, vals: np.ndarray) -> None:
+        expected = self.chart.shape + (self.chart.dim,) * len(self.variance)
+        if vals.shape != expected:
+            raise ValueError(f"values shape {vals.shape} != expected {expected}")
 
 
 # ---------------------------------------------------------------------------
 # stencils
 
 
-def _diff_axis0_order2(a: np.ndarray, h: float) -> np.ndarray:
-    out = np.empty_like(a)
-    out[1:-1] = (a[2:] - a[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * a[0] + 4.0 * a[1] - a[2]) / (2.0 * h)
-    out[-1] = (3.0 * a[-1] - 4.0 * a[-2] + a[-3]) / (2.0 * h)
-    return out
+def _interior_order2(a: np.ndarray, step: int, h: float, out: np.ndarray) -> None:
+    o = out[step:-step]
+    np.subtract(a[2 * step:], a[:-2 * step], out=o)
+    o /= 2.0 * h
 
 
-def _diff_axis0_order4(a: np.ndarray, h: float) -> np.ndarray:
-    out = np.empty_like(a)
-    out[2:-2] = (a[:-4] - 8.0 * a[1:-3] + 8.0 * a[3:-1] - a[4:]) / (12.0 * h)
-    out[0] = (-25.0 * a[0] + 48.0 * a[1] - 36.0 * a[2] + 16.0 * a[3] - 3.0 * a[4]) / (
-        12.0 * h
-    )
-    out[1] = (-3.0 * a[0] - 10.0 * a[1] + 18.0 * a[2] - 6.0 * a[3] + a[4]) / (12.0 * h)
-    out[-2] = (
-        3.0 * a[-1] + 10.0 * a[-2] - 18.0 * a[-3] + 6.0 * a[-4] - a[-5]
-    ) / (12.0 * h)
-    out[-1] = (
-        25.0 * a[-1] - 48.0 * a[-2] + 36.0 * a[-3] - 16.0 * a[-4] + 3.0 * a[-5]
-    ) / (12.0 * h)
-    return out
+def _interior_order4(a: np.ndarray, step: int, h: float, out: np.ndarray) -> None:
+    # (a[i-2] - 8 a[i-1] + 8 a[i+1] - a[i+2]) / (12 h), in that order
+    o, a8 = out[2 * step:-2 * step], 8.0 * a[step:-step]
+    np.subtract(a[:-4 * step], a8[:-2 * step], out=o)
+    o += a8[2 * step:]
+    o -= a[4 * step:]
+    o /= 12.0 * h
 
 
-_STENCILS = {2: _diff_axis0_order2, 4: _diff_axis0_order4}
+#: order -> (interior rows, one-sided rows at the low end as coefficients on
+#: nodes 0, 1, ..., denominator); the high end mirrors them with signs flipped
+_STENCILS = {
+    2: (_interior_order2, np.array([[-3.0, 4.0, -1.0]]), 2.0),
+    4: (_interior_order4, np.array([[-25.0, 48.0, -36.0, 16.0, -3.0],
+                                    [-3.0, -10.0, 18.0, -6.0, 1.0]]), 12.0),
+}
 
 
-def differentiate_array(values: np.ndarray, chart: GridChart, axis: int) -> np.ndarray:
+def _edges(a: np.ndarray, h: float, out: np.ndarray, rows: np.ndarray, denom: float) -> None:
+    """The one-sided rows of both ends of axis 1 at once, summed term by term
+    from the boundary inwards: adding an exactly negated term rounds as
+    subtracting it does, so each row rounds as its formula above."""
+    count, width = rows.shape
+    last = a.shape[1] - 1
+    nodes = [*range(count), *range(last, last - count, -1)]
+    taps = a[:, [[m] * count + [last - m] * count for m in range(width)]]
+    coef = np.concatenate([rows, -rows]).T[..., None]
+    acc = coef[0] * taps[:, 0]
+    for m in range(1, width):
+        acc += coef[m] * taps[:, m]
+    acc /= denom * h
+    out[:, nodes] = acc
+
+
+def differentiate_array(
+    values: np.ndarray,
+    chart: GridChart,
+    axis: int,
+    grid_last: bool = False,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """First derivative of raw grid values along one chart axis, at the
-    chart's stencil order."""
+    chart's stencil order.
+
+    The grid axes lead ``values`` or, with ``grid_last``, trail them.  The
+    result is C-contiguous, shaped as ``values``, and written into ``out``
+    when given.  The interior rows run over the flattened array, one
+    contiguous run per numpy call whatever the axis; where a run wraps into
+    the next line it writes edge nodes, which the one-sided rows overwrite.
+    """
     if not 0 <= axis < chart.dim:
         raise ValueError(f"axis {axis} out of range for a {chart.dim}-D chart")
     if chart.points[axis] < MIN_AXIS_POINTS:
         raise ChartTooCoarse(axis, chart.points[axis], MIN_AXIS_POINTS)
-    moved = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
-    out = _STENCILS[chart.order](moved, chart.spacing[axis])
-    return np.moveaxis(out, 0, axis)
+    values = np.ascontiguousarray(values, dtype=float)
+    if out is None:
+        out = np.empty_like(values)
+    elif out.shape != values.shape or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous array of the shape of values")
+    pos = values.ndim - chart.dim + axis if grid_last else axis
+    lines = (-1, values.shape[pos], math.prod(values.shape[pos + 1:]))
+    interior, rows, denom = _STENCILS[chart.order]
+    h = chart.spacing[axis]
+    interior(values.reshape(-1), lines[2], h, out.reshape(-1))
+    _edges(values.reshape(lines), h, out.reshape(lines), rows, denom)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +263,8 @@ def symmetrized(
 
     Non-finite values raise :class:`NonFiniteSample` first; then the
     pre-average asymmetry must not exceed 1e-8 relative to the largest
-    entry, else ``ValueError``.
+    entry, else ``ValueError``.  With a symmetry to enforce the result is a
+    fresh array; without one it is ``vals``.
     """
     check_finite(vals, chart)
     grid_ndim = len(chart.shape)
@@ -258,24 +312,28 @@ def sample(
             vals[(Ellipsis,) + index] = as_grid(leaf, chart.shape)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"component {index} of a {variance!r} field: {exc}") from None
-    vals = symmetrized(vals, chart, symmetries)
-    return TensorField(chart, variance, vals)
+    # the fresh array is scanned once, in symmetrized, and kept without a copy
+    return TensorField.owning(chart, variance, symmetrized(vals, chart, symmetries))
 
 
 def stacked_partials(
-    field: TensorField | np.ndarray, chart: GridChart | None = None
+    field: TensorField | np.ndarray, chart: GridChart | None = None, grid_last: bool = False
 ) -> np.ndarray:
     """All axis derivatives, stacked on a new leading tensor axis.
 
     ``field`` is a :class:`TensorField` or raw grid values on ``chart``.
     Returns an array of shape ``chart.shape + (dim,) + tensor_shape`` whose
     entry ``[..., a, I]`` is the derivative of component ``I`` along axis
-    ``a``.
+    ``a``; with ``grid_last``, ``field`` is a component-major stack and the
+    result ``[a, I, ...]`` one too.
     """
     if isinstance(field, TensorField):
         field, chart = field.values, field.chart
-    stack = [differentiate_array(field, chart, a) for a in range(chart.dim)]
-    return np.stack(stack, axis=len(chart.shape))
+    values = np.ascontiguousarray(field, dtype=float)
+    out = np.empty((chart.dim,) + values.shape)
+    for a in range(chart.dim):
+        differentiate_array(values, chart, a, grid_last, out[a])
+    return out if grid_last else np.ascontiguousarray(np.moveaxis(out, 0, len(chart.shape)))
 
 
 def central_difference(

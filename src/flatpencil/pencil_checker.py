@@ -246,7 +246,7 @@ def affinor(pencil: PencilSpec) -> AffinorField:
         raise EigensolveFailure(str(exc)) from exc
     order = np.argsort(eig.real + 1e-9 * eig.imag, axis=-1)
     eig = np.take_along_axis(eig, order, axis=-1)
-    return AffinorField(TensorField(pencil.chart, "ud", vals), eig)
+    return AffinorField(TensorField.owning(pencil.chart, "ud", vals), eig)
 
 
 def nonsingularity(pencil: PencilSpec) -> SpectrumReport:

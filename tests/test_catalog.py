@@ -2,14 +2,17 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from flatpencil import catalog
+from flatpencil import catalog, cli
 from flatpencil import geometry_core as geo
+from flatpencil import grid_calculus as gc
 from flatpencil import pencil_checker as pc
 from flatpencil.errors import SchemaError
+from flatpencil.grid_calculus import GridChart
 
-from conftest import count_calls
+from conftest import SAFE_LAMS, count_calls
 
 REQUIRED = {
     "euclidean", "polar", "sphere", "diag-u",
@@ -51,6 +54,44 @@ def test_nan_residual_fails_the_row(comparison):
     row = catalog.CheckRow("probe", float("nan"), 1e-6, comparison)
     assert not row.passed
     assert row.as_dict()["verdict"] == "fail"
+
+
+def _poison_the_centre(monkeypatch):
+    """Every grid derivative comes back with a NaN at the chart's centre
+    node, so each connection and curvature derived from it carries one."""
+    original = gc.differentiate_array
+
+    def poisoned(values, chart, axis, grid_last=False, out=None):
+        d = original(values, chart, axis, grid_last, out)
+        centre = tuple(n // 2 for n in chart.shape)
+        d[(Ellipsis, *centre) if grid_last else centre] = np.nan
+        return d
+
+    monkeypatch.setattr(gc, "differentiate_array", poisoned)
+
+
+def test_a_nan_in_a_derived_field_cannot_pass(monkeypatch):
+    """Derived fields are not scanned for NaN: the reductions carry it into
+    the residual, and the residual fails its row under either comparison."""
+    _poison_the_centre(monkeypatch)
+    settings = {"tolerance": 1e-6, "order": 4, "seed": 0}
+    report, _ = cli.run_scenario({"kind": "check-flat", "metric": {"catalog": "polar"}}, settings)
+    [flat] = report["checks"]
+    assert np.isnan(flat["residual"]) and flat["verdict"] == report["verdict"] == "fail"
+
+    chart = GridChart((0.5, 2.0), (1.5, 3.0), (17, 17))
+    g1 = geo.build_metric(lambda u: [[u[0], 0.0], [0.0, u[1]]], chart)
+    g2 = geo.build_metric(lambda u: np.eye(2), chart)
+    pencil = pc.check_compatible(pc.PencilSpec(g1, g2, SAFE_LAMS), "flat").max_curvature
+    assert np.isnan(pencil)
+    for residual in (flat["residual"], pencil):
+        for comparison in ("le", "ge"):
+            assert not catalog.CheckRow("probe", residual, 1e-6, comparison).passed
+
+    # the sphere's rows compare both ways on one curvature
+    rows = catalog.run_entry("sphere")
+    assert sorted(row.comparison for row in rows) == ["ge", "le"]
+    assert all(np.isnan(row.residual) and not row.passed for row in rows)
 
 
 def test_two_component_case_partition():

@@ -1,6 +1,7 @@
 """Connection / curvature residuals against closed-form geometry."""
 
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from flatpencil.grid_calculus import GridChart
 from flatpencil import geometry_core as geo
 from flatpencil import grid_calculus as gc
 
-from conftest import record_results
+from conftest import count_calls, record_results
 
 
 def _sphere_metric(points=65):
@@ -149,7 +150,7 @@ def test_connection_shapes(polar_metric):
 
 
 # ---------------------------------------------------------------------------
-# batched-matmul contractions against the einsum formulas they replaced
+# component-major kernels against the grid-first einsum formulas
 
 
 def _einsum_connection(metric):
@@ -195,11 +196,16 @@ def _close(new, ref):
     assert np.max(np.abs(new - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
 
 
+#: largest points per axis drawn for each dimension; index errors between
+#: disjoint pairs (k, l) first show at n = 4
+_ORACLE_POINTS = {2: 17, 3: 9, 4: 6}
+
+
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_contractions_match_the_einsum_formulas(data):
-    dim = data.draw(st.sampled_from((2, 3)), label="dim")
-    points = data.draw(st.integers(5, 9 if dim == 3 else 17), label="points")
+    dim = data.draw(st.sampled_from((2, 3, 4)), label="dim")
+    points = data.draw(st.integers(5, _ORACLE_POINTS[dim]), label="points")
     order = data.draw(st.sampled_from((2, 4)), label="order")
     metric = _smooth_metric(data, dim, points, order)
     conn = geo.connection(metric)
@@ -210,6 +216,15 @@ def test_contractions_match_the_einsum_formulas(data):
     ref_r, ref_rc = _einsum_curvature(metric, ref_mixed)
     _close(curv.mixed.values, ref_r)
     _close(curv.contra.values, ref_rc)
+    # only k < l is formed: the rest is its exact negation, or exactly 0
+    r = curv.mixed.values
+    for k in range(dim):
+        assert np.all(r[..., k, k] == 0.0)
+        for l in range(k + 1, dim):
+            npt.assert_array_equal(r[..., l, k], -r[..., k, l])
+    derived = (metric.cov, conn.mixed, conn.contra, curv.mixed, curv.contra)
+    assert not any(field.values.flags.writeable for field in derived)
+    assert not metric.upper.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +276,47 @@ def test_inverse_gate_names_the_inverse_residual():
     assert "det" not in message
     residual = float(message.split()[5])
     assert geo.INVERSE_TOL < residual < 1.0
+
+
+def test_a_nan_inverse_residual_fails_the_gate(monkeypatch):
+    """A NaN cofactor passes the determinant floor, which reads only the
+    determinant; the inverse gate must refuse it and name its node."""
+    chart = GridChart((0.0, 0.0), (1.0, 1.0), (5, 6))
+    original = geo._cofactors
+
+    def poisoned(mats):
+        det, cof = original(mats)
+        cof[2, 3, 0, 1] = np.nan
+        return det, cof
+
+    monkeypatch.setattr(geo, "_cofactors", poisoned)
+    with pytest.raises(DegenerateMetric) as err:
+        geo.build_metric(lambda u: np.array([[2.0, 1.0], [1.0, 2.0]]), chart)
+    assert err.value.node == (2, 3)
+    assert str(err.value).startswith("|g g^-1 - I| = nan > INVERSE_TOL")
+
+
+# ---------------------------------------------------------------------------
+# each input is scanned once where it enters
+
+
+@pytest.mark.parametrize("source", ["array", "closure"])
+def test_a_metric_scans_its_input_once(monkeypatch, source):
+    """The entry gate scans the contravariant values once; the covariant
+    metric and every derived field own their arrays without a scan."""
+    chart = GridChart((1.0, 0.5), (2.0, 1.5), (9, 9))
+    u = chart.meshgrid()
+    vals = np.zeros(chart.shape + (2, 2))
+    vals[..., 0, 0], vals[..., 1, 1] = 1.0, 1.0 / u[0] ** 2
+    scans = Counter()
+    count_calls(monkeypatch, scans, ("check_finite",), gc)
+    metric = geo.build_metric(
+        vals if source == "array" else (lambda u: [[1.0, 0.0], [0.0, 1.0 / u[0] ** 2]]), chart)
+    geo.curvature(metric).contra
+    assert scans["check_finite"] == 1
+    npt.assert_array_equal(metric.contra.values, vals)
+    vals[...] = 0.0  # an array source is copied: the metric holds no view of it
+    assert metric.contra.values[0, 0, 0, 0] == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,29 @@ def test_tensorfield_rejects_nonfinite():
         TensorField(chart, "", vals)
 
 
+def test_an_owned_field_keeps_its_array_read_only():
+    chart = GridChart((0.0, 0.0), (1.0, 1.0), (5, 6))
+    vals = np.full((2, 2, 5, 6), np.nan)  # component-major; an owner does not scan
+    fld = TensorField.owning(chart, "ud", np.moveaxis(vals, (0, 1), (2, 3)))
+    assert fld.values.shape == (5, 6, 2, 2) and np.shares_memory(fld.values, vals)
+    assert not fld.values.flags.writeable
+    with pytest.raises(ValueError, match="shape"):
+        TensorField.owning(chart, "u", vals)
+
+
+def test_component_major_derivatives_equal_grid_first_ones():
+    chart = GridChart((0.0, 0.5, 1.0), (1.0, 1.5, 2.0), (5, 7, 6), order=2)
+    vals = np.random.default_rng(3).standard_normal(chart.shape + (3, 2))
+    stack = np.ascontiguousarray(np.moveaxis(vals, (-2, -1), (0, 1)))
+    for axis in range(3):
+        npt.assert_array_equal(
+            np.moveaxis(differentiate_array(stack, chart, axis, grid_last=True), (0, 1), (-2, -1)),
+            differentiate_array(vals, chart, axis))
+    npt.assert_array_equal(
+        np.moveaxis(stacked_partials(stack, chart, grid_last=True), (0, 1, 2), (-3, -2, -1)),
+        stacked_partials(vals, chart))
+
+
 def test_sample_enforces_declared_symmetry():
     chart = GridChart((0.0, 0.0), (1.0, 1.0), (9, 9))
     with pytest.raises(ValueError, match="symmetry"):

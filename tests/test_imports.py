@@ -262,3 +262,13 @@ def test_each_kind_computation_has_one_caller():
     for name in ("lequa_residual", "system_residual", "build_pair"):
         assert _package_callers(name) == {"cli.py": ["_run_two_component"]}, name
     assert _package_callers("dubrovin_construct") == {"cli.py": ["_run_dubrovin"]}
+
+
+def test_only_derived_tensors_skip_the_finiteness_scan():
+    """``TensorField.owning`` keeps an array with no copy and no scan: the
+    kernels that derive tensors from gated metrics call it, and so does
+    ``sample`` for the fresh array its gate has just scanned.  Every other
+    construction goes through the scanning constructor."""
+    callers = _package_callers("owning")
+    assert callers.pop("grid_calculus.py") == ["sample"]
+    assert set(callers) == {"geometry_core.py", "pencil_checker.py"}
