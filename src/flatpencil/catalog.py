@@ -3,11 +3,12 @@
 Every entry freezes one fully specified configuration -- chart, coefficients,
 combination samples, tolerances -- so that scenario runs and the test suite
 exercise identical numbers.  Entries are listed in a stable order and each
-reports residual rows.  An entry is either a scenario of a command-line
-kind, which that kind's runner computes and the entry's rows bound
+reports residual rows.  An entry is either scenarios of command-line
+kinds, which the kinds' runners compute and the entry's rows bound
 (:class:`ScenarioRunner`), or a Python runner of its own, for checks no
-kind reports as they stand.  Every chart keeps the default stencil order 4,
-at which the bounds were calibrated.
+kind reports as they stand: eleven entries are scenarios, and ``sphere``,
+``potentials-quadratic`` and the three dressing entries are runners.  Every
+chart keeps the default stencil order 4, at which the bounds were calibrated.
 
 A note on the per-entry combination samples: a pencil check evaluates
 ``l1 g1 + l2 g2`` for several weight pairs, and a weight pair whose ratio
@@ -44,7 +45,6 @@ __all__ = [
     "run_entry",
     "metric_field",
     "metric_names",
-    "s4_family",
     "two_component_case",
     "TWO_COMPONENT_POSITIVE",
     "TWO_COMPONENT_NEGATIVE",
@@ -105,20 +105,23 @@ _SETTINGS = {"tolerance": 1e-6, "order": gc.DEFAULT_ORDER, "seed": 0}
 
 @dataclass(frozen=True)
 class ScenarioRunner:
-    """An entry that is a scenario of a command-line kind: the kind's runner
-    computes it, and ``rows`` bound the residuals it reports, each row as
-    (row name, the kind's row it reads, bound, comparison)."""
+    """An entry made of scenarios of command-line kinds, which their runners
+    compute in order; ``rows`` bound the residuals they report, each row as
+    (row name, the index of the scenario it reads, the kind's rows it reads,
+    bound, comparison), and a row reading several takes the worst of them."""
 
-    scenario: dict
-    rows: tuple[tuple[str, str, float, str], ...]
+    scenarios: tuple[dict, ...]
+    rows: tuple[tuple[str, int, tuple[str, ...], float, str], ...]
 
     def __call__(self) -> list:
         from . import cli  # cli imports this module when it loads
 
-        report, _ = cli.run_scenario(self.scenario, _SETTINGS)
-        residual = {check["check"]: check["residual"] for check in report["checks"]}
-        return [CheckRow(row, residual[key], bound, comparison)
-                for row, key, bound, comparison in self.rows]
+        residuals = []
+        for scenario in self.scenarios:
+            report, _ = cli.run_scenario(scenario, _SETTINGS)
+            residuals.append({check["check"]: check["residual"] for check in report["checks"]})
+        return [CheckRow(row, gc.worst(residuals[at][key] for key in keys), bound, comparison)
+                for row, at, keys, bound, comparison in self.rows]
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +151,13 @@ def metric_names() -> tuple[str, ...]:
     return tuple(_METRICS)
 
 
-def _flat_frame_runner(name: str, bound: float):
+def _flat_frame(name: str, bound: float) -> ScenarioRunner:
     """A flat diagonal metric: its flatness and its frame's Lamé residuals."""
-
-    def run():
-        m = metric_field(name)
-        return [
-            CheckRow("flatness", geo.flatness_residual(m), bound),
-            CheckRow("lame", ls.lame_residuals(ls.frame_from_metric(m)).max_residual, bound),
-        ]
-
-    return run
+    scenarios = tuple({"kind": kind, "metric": {"catalog": name}}
+                      for kind in ("check-flat", "lame"))
+    return ScenarioRunner(scenarios, (("flatness", 0, ("flatness",), bound, "le"),
+                                      ("lame", 1, ("off_diagonal_system", "diagonal_system"),
+                                       bound, "le")))
 
 
 def _run_sphere():
@@ -176,98 +175,82 @@ def _run_sphere():
 # the logarithmic ladder
 
 
+#: the ladder's chart, on which u1 > u2
+_S4_CHART = {"lower": [2.0, 0.5], "upper": [3.0, 1.0], "points": [97, 65]}
+
+
 def s4_chart() -> GridChart:
-    return GridChart((2.0, 0.5), (3.0, 1.0), (97, 65))
+    return GridChart(*(tuple(_S4_CHART[key]) for key in ("lower", "upper", "points")))
 
 
-def s4_family() -> tc.TwoComponentSpec:
-    """The closed-form two-component data generating the metric ladder, with
-    ``g3`` at constant curvature 1/4."""
-    return tc.log_family_spec(s4_chart())
+def _ladder(n: int) -> dict:
+    """``G_n = diag(-(u1)^n / b^2, (u2)^n / b^2)``, ``b = sqrt(u1 - u2)``, in the
+    arithmetic of ``lame_system.diagonal_metric``, ``eps w / h**2``: its samples
+    are those of ``two_component.g_family`` bit for bit."""
+    return {"contravariant": [[f"-1 * u1 ** {n} / sqrt(u1 - u2) ** 2", 0],
+                              [0, f"1 * u2 ** {n} / sqrt(u1 - u2) ** 2"]]}
 
 
-def _run_s4_log_pencil():
-    spec = s4_family()
-    g = {n: tc.g_family(spec, n) for n in range(4)}
-    rows = []
-    for a, b in ((1, 0), (2, 1), (2, 0)):
-        # each report is reduced at once, so no two hold their connections together
-        flat = pc.check_compatible(pc.PencilSpec(g[a], g[b], LAMS_S4), "flat").max_residual
-        rows.append(CheckRow(f"pair_g{a}_g{b}_flat", flat, 1e-5))
-    rows.append(
-        CheckRow("g3_not_flat", geo.flatness_residual(g[3]), 1e-2, "ge")
-    )
-    return rows
-
-
-def _run_s4_constant_curvature():
-    spec = s4_family()
-    g3, g2 = tc.g_family(spec, 3), tc.g_family(spec, 2)
-    pen = pc.PencilSpec(g3, g2, LAMS_S4)
-    rep = pc.check_compatible(pen, "constant_curvature", k1=0.25, k2=0.0)
-    # the pencil check already measured g3 (its g1) against k1
-    return [
-        CheckRow(
-            "g3_constant_curvature", rep.endpoint_residuals["g1_constant_curvature"], 1e-5
-        ),
-        CheckRow("pencil_constant_curvature", rep.max_residual, 1e-5),
-    ]
+def _ladder_pencil(top: int, bottom: int, **mode) -> dict:
+    return {"kind": "check-pencil", "chart": _S4_CHART, "metric": _ladder(top),
+            "metric2": _ladder(bottom), **mode, "lambda_samples": LAMS_S4}
 
 
 # ---------------------------------------------------------------------------
 # two-component verification cases: scenarios of the ``two-component`` kind
 
 
-def _two_component(lower, upper, potential, eps, b, lams) -> dict:
+def _two_component(lower, upper, potential, eps, b, lams, rows, **extra) -> ScenarioRunner:
     """A ``two-component`` scenario on a 65 x 65 chart, with ``b = (b1, b2)``."""
-    return {"kind": "two-component", "chart": {"lower": lower, "upper": upper, "points": [65, 65]},
-            "potential": potential, "eps": eps, "b1": b[0], "b2": b[1], "lambda_samples": lams}
+    return ScenarioRunner(({"kind": "two-component",
+                            "chart": {"lower": lower, "upper": upper, "points": [65, 65]},
+                            "potential": potential, "eps": eps, "b1": b[0], "b2": b[1],
+                            "lambda_samples": lams, **extra},), rows)
 
 
-_POSITIVE_ROWS = (("lequa", "lequa", 1e-10, "le"), ("system", "system", 1e-8, "le"),
-                  ("pair_flat", "pair_flat", 1e-5, "le"))
+_POSITIVE_ROWS = (("lequa", 0, ("lequa",), 1e-10, "le"), ("system", 0, ("system",), 1e-8, "le"),
+                  ("pair_flat", 0, ("pair_flat",), 1e-5, "le"))
 
 #: name -> (summary, runner)
 _TWO_COMPONENT = {
     "tc-log-unit": (
         "Log potential with unit coefficient and b = u1 - u2; compatible pair.",
-        ScenarioRunner(_two_component([2.0, 0.5], [3.0, 1.0], {"kind": "log", "c": 1.0},
-                                      [-1, 1], ("u1 - u2",) * 2, LAMS_S4), _POSITIVE_ROWS),
+        _two_component([2.0, 0.5], [3.0, 1.0], {"kind": "log", "c": 1.0}, [-1, 1],
+                       ("u1 - u2",) * 2, LAMS_S4, _POSITIVE_ROWS),
     ),
     "tc-separable": (
         "Constant potential with axis-separable b; compatible by construction.",
-        ScenarioRunner({**_two_component([0.5, 0.5], [1.5, 1.5], {"kind": "linear"}, [1, 1],
-                                         ("exp(u1)", "1.0 + 0.5 * u2 ** 2"), LAMS_S4),
-                        "f": ["2.0 + t ** 2", "3.0 + t"]}, _POSITIVE_ROWS),
+        _two_component([0.5, 0.5], [1.5, 1.5], {"kind": "linear"}, [1, 1],
+                       ("exp(u1)", "1.0 + 0.5 * u2 ** 2"), LAMS_S4, _POSITIVE_ROWS,
+                       f=["2.0 + t ** 2", "3.0 + t"]),
     ),
     "tc-linear-exp": (
         "Linear potential with exponential b; closed-form compatible pair.",
-        ScenarioRunner(_two_component([0.75, 0.75], [1.75, 1.75],
-                                      {"kind": "linear", "a": 0.3, "b": 0.3}, [-1, 1],
-                                      ("exp(-0.3 * (u1 + u2))",) * 2, LAMS_SHIFTED),
-                       _POSITIVE_ROWS),
+        _two_component([0.75, 0.75], [1.75, 1.75], {"kind": "linear", "a": 0.3, "b": 0.3},
+                       [-1, 1], ("exp(-0.3 * (u1 + u2))",) * 2, LAMS_SHIFTED, _POSITIVE_ROWS),
     ),
     # b genuinely solves the first-order system; the mixed equation and the
     # geometry are what fail
     "tc-product-bad": (
         "Product potential whose b solves the first-order system yet fails "
         "the mixed equation; the pair must fail geometrically.",
-        ScenarioRunner(_two_component([0.75, 0.75], [1.75, 1.75], {"kind": "product"}, [-1, 1],
-                                      ("exp(-(u1 ** 2 + u2 ** 2) / 2.0)",) * 2, LAMS_SHIFTED),
-                       (("system", "system", 1e-6, "le"), ("lequa_fails", "lequa", 1e-1, "ge"),
-                        ("pair_not_flat", "pair_flat", 1e-2, "ge"))),
+        _two_component([0.75, 0.75], [1.75, 1.75], {"kind": "product"}, [-1, 1],
+                       ("exp(-(u1 ** 2 + u2 ** 2) / 2.0)",) * 2, LAMS_SHIFTED,
+                       (("system", 0, ("system",), 1e-6, "le"),
+                        ("lequa_fails", 0, ("lequa",), 1e-1, "ge"),
+                        ("pair_not_flat", 0, ("pair_flat",), 1e-2, "ge"))),
     ),
     "tc-log-wrong-b": (
         "Log potential with a wrong b field; first-order system and pair both fail.",
-        ScenarioRunner(_two_component([2.0, 0.5], [3.0, 1.0], {"kind": "log", "c": 1.0},
-                                      [-1, 1], ("exp(u1 * u2)",) * 2, LAMS_S4),
-                       (("system_fails", "system", 1e-2, "ge"),
-                        ("pair_not_flat", "pair_flat", 1e-2, "ge"))),
+        _two_component([2.0, 0.5], [3.0, 1.0], {"kind": "log", "c": 1.0}, [-1, 1],
+                       ("exp(u1 * u2)",) * 2, LAMS_S4,
+                       (("system_fails", 0, ("system",), 1e-2, "ge"),
+                        ("pair_not_flat", 0, ("pair_flat",), 1e-2, "ge"))),
     ),
 }
 
 #: a negative control is a case that expects some residual to be large
-_NEGATIVE = [any(row[3] == "ge" for row in runner.rows) for _, runner in _TWO_COMPONENT.values()]
+_NEGATIVE = [any(row[4] == "ge" for row in runner.rows) for _, runner in _TWO_COMPONENT.values()]
 TWO_COMPONENT_POSITIVE = tuple(name for name, neg in zip(_TWO_COMPONENT, _NEGATIVE) if not neg)
 TWO_COMPONENT_NEGATIVE = tuple(name for name, neg in zip(_TWO_COMPONENT, _NEGATIVE) if neg)
 
@@ -278,7 +261,7 @@ def two_component_case(name: str):
 
     if name not in _TWO_COMPONENT:
         raise SchemaError(f"no two-component case named {name!r}")
-    scenario = _TWO_COMPONENT[name][1].scenario
+    [scenario] = _TWO_COMPONENT[name][1].scenarios
     return (cli.two_component_spec(scenario, gc.DEFAULT_ORDER), scenario["lambda_samples"],
             name in TWO_COMPONENT_POSITIVE)
 
@@ -394,13 +377,13 @@ ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         "euclidean", "metric",
         "Identity metric on a square box; the flatness baseline.",
-        ScenarioRunner({"kind": "check-flat", "metric": {"catalog": "euclidean"}},
-                       (("flatness", "flatness", 1e-12, "le"),)),
+        ScenarioRunner(({"kind": "check-flat", "metric": {"catalog": "euclidean"}},),
+                       (("flatness", 0, ("flatness",), 1e-12, "le"),)),
     ),
     CatalogEntry(
         "polar", "metric",
         "Flat plane metric written in polar coordinates (r, theta).",
-        _flat_frame_runner("polar", 1e-6),
+        _flat_frame("polar", 1e-6),
     ),
     CatalogEntry(
         "sphere", "metric",
@@ -410,35 +393,44 @@ ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         "diag-u", "metric",
         "Diagonal metric g^{ii} = u^i; flat despite coordinate-dependent entries.",
-        _flat_frame_runner("diag-u", 1e-10),
+        _flat_frame("diag-u", 1e-10),
     ),
     CatalogEntry(
         "s4-log-pencil", "pencil",
         "Ladder of diagonal metrics from the logarithmic closed form; "
         "consecutive members form flat pairs.",
-        _run_s4_log_pencil,
+        ScenarioRunner(  # g3, at constant curvature 1/4, is not flat
+            (_ladder_pencil(1, 0), _ladder_pencil(2, 1), _ladder_pencil(2, 0),
+             {"kind": "check-flat", "chart": _S4_CHART, "metric": _ladder(3)}),
+            (*((f"pair_g{a}_g{b}_flat", at, ("connection_linearity", "curvature_flat"), 1e-5,
+                "le") for at, (a, b) in enumerate(((1, 0), (2, 1), (2, 0)))),
+             ("g3_not_flat", 3, ("flatness",), 1e-2, "ge"))),
     ),
     CatalogEntry(
         "s4-constant-curvature", "pencil",
         "Curvature-normalized top of the logarithmic ladder: constant "
         "curvature 1/4, compatible with its flat neighbour.",
-        _run_s4_constant_curvature,
+        ScenarioRunner(  # the pencil check measures g3, its g1, against k1
+            (_ladder_pencil(3, 2, mode="constant_curvature", k1=0.25, k2=0.0),),
+            (("g3_constant_curvature", 0, ("g1_constant_curvature",), 1e-5, "le"),
+             ("pencil_constant_curvature", 0,
+              ("connection_linearity", "curvature_constant_curvature"), 1e-5, "le"))),
     ),
     *(CatalogEntry(name, "two-component", summary, runner)
       for name, (summary, runner) in _TWO_COMPONENT.items()),
     CatalogEntry(
         "dubrovin-quadratic", "construction",
         "Flat partner metric from a quadratic covector potential over the identity.",
-        ScenarioRunner({
+        ScenarioRunner(({
             "kind": "dubrovin",
             "chart": {"lower": [1.0, 1.0], "upper": [2.0, 2.0], "points": [65, 65]},
             "metric": {"contravariant": [[1.0, 0.0], [0.0, 1.0]]},
             "covector": ["0.5 * u1 ** 2", "0.5 * u2 ** 2"], "c": 0.0,
             "lambda_samples": LAMS_UNIT,
-        }, (("quadratic_relation", "quadratic_relation", 1e-10, "le"),
-            ("bracket", "bracket", 1e-10, "le"),
-            ("delta_consistency", "delta_consistency", 1e-6, "le"),
-            ("cross_check_flat", "cross_check_flat", 1e-6, "le"))),
+        },), (("quadratic_relation", 0, ("quadratic_relation",), 1e-10, "le"),
+              ("bracket", 0, ("bracket",), 1e-10, "le"),
+              ("delta_consistency", 0, ("delta_consistency",), 1e-6, "le"),
+              ("cross_check_flat", 0, ("cross_check_flat",), 1e-6, "le"))),
     ),
     CatalogEntry(
         "potentials-quadratic", "construction",

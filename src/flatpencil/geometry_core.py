@@ -288,7 +288,7 @@ def curvature(metric: MetricField, conn: ConnectionField | None = None) -> Curva
 
 def flatness_residual(metric: MetricField) -> float:
     """Max |R^i_{jkl}| over the interior sub-box; zero for a flat metric."""
-    return gc.interior_max(curvature(metric).mixed.values, metric.chart)
+    return gc.interior_max(curvature(metric).pointwise_max(), metric.chart)
 
 
 def constant_curvature_residual(metric: MetricField, k_value: float) -> float:

@@ -149,8 +149,8 @@ def _one_pass(pencil, mode, k1, k2):
     curvature, reduced at once and dropped: only the connections of g1 and
     g2, and in general mode their raised curvatures, outlive their turn.
     Returns connection and curvature residuals by sample, endpoint
-    residuals, the pointwise curvature maxima and the connections of g1 and
-    g2.
+    residuals, the pointwise curvature maxima (in flat mode an endpoint's
+    residual reduces its own) and the connections of g1 and g2.
     """
 
     def reduce(values):
@@ -158,7 +158,7 @@ def _one_pass(pencil, mode, k1, k2):
 
     def curvature_residual(curv, l1, l2):
         if mode == "flat":
-            return reduce(curv.mixed.values)
+            return reduce(curv.pointwise_max())
         if mode == "constant_curvature":
             return reduce(curv.deviation(l1 * k1 + l2 * k2))
         return reduce(curv.contra.values - l1 * r[0] - l2 * r[1])
@@ -177,7 +177,8 @@ def _one_pass(pencil, mode, k1, k2):
                 r.append(curv.contra.values)
             else:
                 key = f"{name}_{'flatness' if mode == 'flat' else mode}"
-                endpoint[key] = own[lam] = curvature_residual(curv, *lam)
+                endpoint[key] = own[lam] = (reduce(fields[name]) if mode == "flat"
+                                            else curvature_residual(curv, *lam))
             del curv
     c = [conns[name].contra.values for name in ("g1", "g2")]
     for l1, l2 in pencil.lambda_samples:
@@ -249,10 +250,9 @@ def affinor(pencil: PencilSpec) -> AffinorField:
     return AffinorField(TensorField.owning(pencil.chart, "ud", vals), eig)
 
 
-def nonsingularity(pencil: PencilSpec) -> SpectrumReport:
-    """Minimum pairwise eigenvalue gap of the pencil over the box, with the
-    threshold ``1e-6`` times the spectrum scale it must exceed."""
-    aff = affinor(pencil)
+def nonsingularity(aff: AffinorField) -> SpectrumReport:
+    """Minimum pairwise eigenvalue gap of the pencil's affinor over the box,
+    with the threshold ``1e-6`` times the spectrum scale it must exceed."""
     eig = aff.eigenvalues
     n = eig.shape[-1]
     scale = float(np.max(np.abs(eig))) or 1.0

@@ -81,6 +81,12 @@ QUADRATURE_TOL = 1e-10
 COLLOCATION_BOUND = 1e-10
 IDENTITY_BOUND = 1e-8
 SKEW_PROBE_TOL = 1e-9
+#: how far a derivative factor may miss the central difference of its factor
+#: at the skew probes' coordinates: relative to its own largest value there,
+#: plus the difference's rounding relative to the factor's largest value (a
+#: constant factor's difference is about 1e-13 of it, not 0)
+DERIVATIVE_PROBE_TOL = 1e-3
+DIFFERENCE_ROUNDING = 1e-10
 #: seeded (s, s') probes drawn from [-1.5, 1.5]^2, and the central-difference
 #: step, of :func:`reduction_identity_residual`
 IDENTITY_PROBES = 12
@@ -167,6 +173,21 @@ class PotentialSet:
                 raise NonFiniteSample(at, f"in the skew probe of diagonal potential {i}")
             if np.max(np.abs(xy + yx)) > SKEW_PROBE_TOL * (1.0 + np.max(np.abs(xy))):
                 raise ValueError(f"diagonal potential {i} is not skew-symmetric")
+        # the kernel reads a term's derivative factors as given, so each is
+        # probed against a difference of its factor; a non-finite value is
+        # left to the kernel's own gate
+        t = pts.ravel()
+        for pair, pot in _pairs(self):
+            for k, (a, da, b, db) in enumerate(pot.terms or ()):
+                for name, f, df in (("A'", a, da), ("B'", b, db)):
+                    value, slope = (np.broadcast_to(g(t), t.shape) for g in (f, df))
+                    error = np.abs(gc.central_difference(f, (t,)) - slope)
+                    finite = np.isfinite(error) & np.isfinite(value)
+                    bound = (DERIVATIVE_PROBE_TOL * np.max(np.abs(slope[finite]), initial=0.0)
+                             + DIFFERENCE_ROUNDING * np.max(np.abs(value[finite]), initial=0.0))
+                    if np.max(error[finite], initial=0.0) > bound:
+                        raise ValueError(f"term {k} of the potential of pair {pair}: {name} "
+                                         "is not the derivative of its factor")
         object.__setattr__(self, "off_diagonal", dict(self.off_diagonal))
         object.__setattr__(self, "diagonal", dict(self.diagonal))
 

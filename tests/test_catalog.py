@@ -9,6 +9,7 @@ from flatpencil import catalog, cli
 from flatpencil import geometry_core as geo
 from flatpencil import grid_calculus as gc
 from flatpencil import pencil_checker as pc
+from flatpencil import two_component as tc
 from flatpencil.errors import SchemaError
 from flatpencil.grid_calculus import GridChart
 
@@ -57,14 +58,18 @@ def test_nan_residual_fails_the_row(comparison):
 
 
 def _poison_the_centre(monkeypatch):
-    """Every grid derivative comes back with a NaN at the chart's centre
-    node, so each connection and curvature derived from it carries one."""
+    """Every grid derivative of a tensor of rank two or more comes back with
+    a NaN at the chart's centre node, so each connection and curvature
+    derived from it carries one, and so do the derivatives of a frame's
+    rotation coefficients, though not the coefficients themselves (the
+    derivatives of ``H_i``), which the frame scans."""
     original = gc.differentiate_array
 
     def poisoned(values, chart, axis, grid_last=False, out=None):
         d = original(values, chart, axis, grid_last, out)
-        centre = tuple(n // 2 for n in chart.shape)
-        d[(Ellipsis, *centre) if grid_last else centre] = np.nan
+        if np.ndim(values) - chart.dim >= 2:
+            centre = tuple(n // 2 for n in chart.shape)
+            d[(Ellipsis, *centre) if grid_last else centre] = np.nan
         return d
 
     monkeypatch.setattr(gc, "differentiate_array", poisoned)
@@ -91,6 +96,12 @@ def test_a_nan_in_a_derived_field_cannot_pass(monkeypatch):
     # the sphere's rows compare both ways on one curvature
     rows = catalog.run_entry("sphere")
     assert sorted(row.comparison for row in rows) == ["ge", "le"]
+    assert all(np.isnan(row.residual) and not row.passed for row in rows)
+
+    # polar's lame row is the worst of the kind's 0.0 (no off-diagonal
+    # family in 2-D) and a NaN, where Python's max would return the 0.0
+    rows = catalog.run_entry("polar")
+    assert [row.name for row in rows] == ["flatness", "lame"]
     assert all(np.isnan(row.residual) and not row.passed for row in rows)
 
 
@@ -177,6 +188,16 @@ def test_every_row_keeps_its_published_bound():
     ]
     assert got == PINNED_ROWS
     assert len(got) == 16 and sum(len(rows) for *_, rows in got) == 45
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_ladder_scenarios_sample_the_closed_form(n):
+    """The ladder's scenario metrics are ``two_component.g_family`` bit for bit."""
+    chart = catalog.s4_chart()
+    metric, _ = cli._metric_from_spec(catalog._ladder(n), chart, "check-pencil", 4)
+    family = tc.g_family(tc.log_family_spec(chart), n)
+    assert np.array_equal(metric.contra.values, family.contra.values)
+    assert np.array_equal(metric.cov.values, family.cov.values)
 
 
 def test_metric_names_cover_diagonal_catalog():

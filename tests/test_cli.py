@@ -11,6 +11,7 @@ import pytest
 
 from flatpencil import catalog, cli
 from flatpencil import geometry_core as geo
+from flatpencil import grid_calculus as gc
 from flatpencil import pencil_checker as pc
 from flatpencil import zakharov_dressing as zd
 from flatpencil.grid_calculus import GridChart
@@ -413,22 +414,27 @@ def test_path_settings_must_be_strings(tmp_path, capsys, monkeypatch, key, value
 SCENARIO_ENTRIES = [e for e in catalog.ENTRIES if isinstance(e.runner, catalog.ScenarioRunner)]
 
 
-def test_seven_catalog_entries_are_scenarios():
+def test_eleven_catalog_entries_are_scenarios():
     """The entries the file test below runs."""
     assert [e.name for e in SCENARIO_ENTRIES] == [
-        "euclidean", "tc-log-unit", "tc-separable", "tc-linear-exp", "tc-product-bad",
-        "tc-log-wrong-b", "dubrovin-quadratic"]
+        "euclidean", "polar", "diag-u", "s4-log-pencil", "s4-constant-curvature",
+        "tc-log-unit", "tc-separable", "tc-linear-exp", "tc-product-bad", "tc-log-wrong-b",
+        "dubrovin-quadratic"]
 
 
 @pytest.mark.parametrize("entry", SCENARIO_ENTRIES, ids=lambda e: e.name)
 def test_catalog_scenarios_run_as_files(tmp_path, capsys, entry):
-    """The scenario entries are worked examples of the schema: each one runs
-    from a JSON file to the residuals its catalog rows read."""
-    code, report, _ = run(tmp_path, entry.runner.scenario, capsys=capsys)
-    assert code in (0, 2)  # a negative control's report fails at the default tolerance
-    residual = {check["check"]: check["residual"] for check in report["checks"]}
-    rows = entry.run()
-    assert [residual[key] for _, key, _, _ in entry.runner.rows] == [r.residual for r in rows]
+    """The scenario entries are worked examples of the schema: each of an
+    entry's scenarios runs from a JSON file, and each row is the worst of the
+    residuals it reads there."""
+    residuals = []
+    for scenario in entry.runner.scenarios:
+        code, report, _ = run(tmp_path, scenario, capsys=capsys)
+        assert code in (0, 2)  # a negative control's report fails at the default tolerance
+        residuals.append({check["check"]: check["residual"] for check in report["checks"]})
+    expected = [gc.worst(residuals[at][key] for key in keys)
+                for _, at, keys, _, _ in entry.runner.rows]
+    assert expected == [row.residual for row in entry.run()]
 
 
 def test_missing_file(tmp_path, capsys):
@@ -517,6 +523,40 @@ def test_check_flat_computes_one_curvature(tmp_path, capsys, monkeypatch):
     assert code == 0 and report["verdict"] == "pass"
     assert calls["curvature"] == 1
     assert (tmp_path / "csv" / "flatness.csv").is_file()
+
+
+#: a 3-D metric with every off-diagonal entry nonzero, flat to no order
+CURVED_3D = {
+    "chart": {"lower": [1.0, 1.0, 1.0], "upper": [2.0, 2.0, 2.0], "points": [13, 13, 13]},
+    "metric": {"contravariant": [["2 + u1 * u2", "0.3 * u3", "0.1 * u1"],
+                                 ["0.3 * u3", "2 + u2 * u3", "0.2 * u2"],
+                                 ["0.1 * u1", "0.2 * u2", "2 + u3 * u1"]]},
+}
+
+
+def test_flatness_reads_the_pointwise_maximum():
+    """``check-flat`` and a flat pencil's endpoints reduce the pointwise
+    maximum of ``|R^i_{jkl}|`` they keep for dumps: the residual is the
+    maximum over every component, bit for bit, on a non-diagonal metric."""
+    settings = {"tolerance": 1e-6, "order": 4, "seed": 0}
+    metric, chart = cli._optional_chart_metric(CURVED_3D, "check-flat", 4)
+    every = gc.interior_max(geo.curvature(metric).mixed.values, chart)
+    report, _ = cli.run_scenario({"kind": "check-flat", **CURVED_3D}, settings)
+    assert report["checks"][0]["residual"] == every > 1e-3
+    identity = {"contravariant": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+    report, _ = cli.run_scenario({"kind": "check-pencil", **CURVED_3D, "metric2": identity,
+                                  "lambda_samples": [[1, 0], [0, 1], [1, 1]]}, settings)
+    rows = {check["check"]: check["residual"] for check in report["checks"]}
+    assert rows["g1_flatness"] == every and rows["g2_flatness"] == 0.0
+
+
+def test_nijenhuis_kind_builds_one_affinor(monkeypatch):
+    """The torsion and the spectrum read one affinor and its eigenvalues."""
+    calls = Counter()
+    count_calls(monkeypatch, calls, ("affinor",), pc)
+    report, _ = cli.run_scenario(NIJ_COUNTER, {"tolerance": 1e-2, "order": 4, "seed": 0})
+    assert [check["check"] for check in report["checks"]] == ["nijenhuis", "spectrum_gap"]
+    assert calls == {"affinor": 1}
 
 
 def test_check_pencil_takes_csv_fields_from_the_check(tmp_path, capsys, monkeypatch):

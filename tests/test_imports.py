@@ -264,6 +264,17 @@ def test_each_kind_computation_has_one_caller():
     assert _package_callers("dubrovin_construct") == {"cli.py": ["_run_dubrovin"]}
 
 
+def test_the_catalog_runs_no_kind_computation_itself():
+    """An entry whose checks a kind reports is a scenario of that kind: the
+    catalog checks a pencil only where no kind covers the entry, and neither
+    measures flatness nor builds a frame or the ladder's metrics itself."""
+    catalog = ast.parse((PACKAGE / "catalog.py").read_text())
+    assert _callers(catalog, "check_compatible") == [
+        "_run_potentials_quadratic", "_run_dressing_reduced"]
+    for name in ("flatness_residual", "frame_from_metric", "g_family", "log_family_spec"):
+        assert _callers(catalog, name) == [], name
+
+
 def test_only_derived_tensors_skip_the_finiteness_scan():
     """``TensorField.owning`` keeps an array with no copy and no scan: the
     kernels that derive tensors from gated metrics call it, and so does

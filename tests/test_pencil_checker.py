@@ -59,9 +59,10 @@ def _nonsingular_pencil():
 
 def test_degenerate_combination_is_rejected_by_the_check():
     pen = _nonsingular_pencil()
-    spectrum = pc.nonsingularity(pen)
+    aff = pc.affinor(pen)
+    spectrum = pc.nonsingularity(aff)
     assert spectrum.min_gap == 0.5 and spectrum.min_gap >= spectrum.threshold
-    assert pc.nijenhuis(pc.affinor(pen)) <= 1e-10
+    assert pc.nijenhuis(aff) <= 1e-10
     assert pc.check_diagonal_form(pen).residual <= 1e-10
     for check in (pc.check_compatible, pc.check_almost_compatible):
         with pytest.raises(DegenerateCombination, match=r"combination \(1\.0, -1\.0\)") as exc:
@@ -177,7 +178,7 @@ def test_nijenhuis_detects_incompatible_pair():
 
 
 def test_nonsingularity_gap_and_scale():
-    rep = pc.nonsingularity(_diag_pencil())
+    rep = pc.nonsingularity(pc.affinor(_diag_pencil()))
     assert rep.min_gap == pytest.approx(0.5, abs=1e-12)
     assert not rep.has_complex_pairs
     assert rep.eigen_scale == pytest.approx(3.0)
@@ -189,7 +190,7 @@ def test_nonsingularity_flags_complex_spectrum():
     g1 = geo.build_metric(lambda u: np.array([[0.0, 1.0], [1.0, 0.0]]), chart)
     g2 = geo.build_metric(lambda u: np.diag([1.0, -1.0]), chart)
     lams = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (1.0, 2.0))
-    rep = pc.nonsingularity(pc.PencilSpec(g1, g2, lambda_samples=lams))
+    rep = pc.nonsingularity(pc.affinor(pc.PencilSpec(g1, g2, lambda_samples=lams)))
     assert rep.has_complex_pairs
     assert rep.min_gap == pytest.approx(2.0, abs=1e-12)
 

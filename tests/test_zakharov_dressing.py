@@ -701,6 +701,43 @@ def test_factor_check_does_not_depend_on_scale(log10_k):
             assert err.value.deviation == pytest.approx(1e-6, rel=1e-6)
 
 
+@pytest.mark.parametrize("name, at", [("A'", 1), ("B'", 3)])
+def test_a_wrong_derivative_factor_is_refused(name, at):
+    """The kernel and its factors both read a term's derivative factors, so
+    the factor check cannot see one that is wrong; the set's probe compares
+    each with a difference of its factor."""
+    pots = zd.gaussian_set(2)
+    term = list(pots.off_diagonal[(0, 1)].terms[0])
+    term[at] = lambda x, right=term[at]: 1.5 * right(x)
+    with pytest.raises(ValueError, match=rf"term 0 of the potential of pair \(0, 1\): {name} "):
+        zd.PotentialSet(2, {(0, 1): tc.Potential(terms=(tuple(term),))}, {}, pots.envelope)
+    first, second = _gaussian2().diagonal[1].terms
+    second = list(second)
+    second[at] = lambda x, right=second[at]: 1.5 * right(x)
+    with pytest.raises(ValueError, match=rf"term 1 of the potential of pair \(1, 1\): {name} "):
+        zd.PotentialSet(2, {}, {1: tc.Potential(terms=(first, tuple(second)))}, pots.envelope)
+
+
+#: the potential sets the package builds: the Gaussian presets, the catalog's
+#: three-component data, and the separable pair with constant factors
+SHIPPED_SETS = {
+    "gaussian-2": lambda: zd.gaussian_set(2),
+    "gaussian-2-diagonal": _gaussian2,
+    "gaussian-3-diagonal": lambda: zd.gaussian_set(3, amplitude=0.4, include_diagonal=True),
+    "separable": lambda: zd.PotentialSet(2, {(0, 1): zd.separable_sum_pair(0.3, 0.2, 1.0)}, {},
+                                         envelope=8.0),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(SHIPPED_SETS)), log10_k=st.floats(-9.0, 3.0))
+def test_derivative_probe_does_not_depend_on_scale(name, log10_k):
+    """Each derivative factor is measured against its own largest value, so
+    every shipped set passes however it is scaled."""
+    pots = _scaled(SHIPPED_SETS[name](), 10.0 ** log10_k)
+    assert zd.kernel_rank(pots) == zd.kernel_rank(SHIPPED_SETS[name]())
+
+
 def _terms_on_the_diagonal(monkeypatch):
     factors = zd.PotentialKernel.factors
     monkeypatch.setattr(zd.PotentialKernel, "factors", lambda self, t: (
