@@ -20,11 +20,13 @@ Conventions:
   tensor ``S^i_{jkl} = d_k Gamma^i_{jl} + Gamma^i_{pk} Gamma^p_{jl}``, for
   ``k < l`` only: ``R^i_{jlk}`` is its exact negation and ``R^i_{jkk} = 0``.
 
-The kernels compute component-major, tensor indices leading and the grid
-trailing, so every numpy call runs over whole contiguous grid arrays; each
-contraction is one ``einsum`` that sums in the order of the summed index.
-The fields hand out ``values[grid ..., tensor ...]`` as a transposed view
-and own their arrays without a copy or a finiteness scan.
+The metric is built and the kernels compute component-major, tensor indices
+leading and the grid trailing, so every numpy call runs over whole contiguous
+grid arrays; each contraction is one ``einsum`` that sums in the order of the
+summed index.  The connection differentiates the n(n+1)/2 independent
+``g_{jk}`` and forms ``Gamma^i_{jk}`` for ``j <= k``; ``S^i_{jkl}`` is formed
+for ``k != l`` only.  The fields hand out ``values[grid ..., tensor ...]`` as
+a transposed view and own their arrays without a copy or a finiteness scan.
 
 A metric has constant curvature K when ``R^{ij}_{kl} = K (delta^i_k delta^j_l
 - delta^i_l delta^j_k)``; flat means K = 0.  Residual reducers quote maxima
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -78,12 +81,10 @@ class MetricField:
     def scale(self) -> float:
         return float(np.max(np.abs(self.contra.values)))
 
-    @functools.cached_property
+    @property
     def upper(self) -> np.ndarray:
-        """``g^{ij}`` as a contiguous component-major stack ``[i, j, grid ...]``."""
-        upper = np.ascontiguousarray(_leading(self.contra.values, 2))
-        upper.setflags(write=False)
-        return upper
+        """``g^{ij}`` as :func:`build_metric` stores it, ``[i, j, grid ...]``."""
+        return _leading(self.contra.values, 2)
 
 
 @dataclass(frozen=True)
@@ -163,40 +164,46 @@ def build_metric(
     node where ``g`` vanishes.  Only past the floor is the covariant metric
     formed, as the transposed cofactors over the determinant with the row
     scales undone, and verified to invert the contravariant one to within
-    ``INVERSE_TOL`` at every scale.
+    ``INVERSE_TOL`` at every scale.  Both are stored ``[i, j, grid ...]``.
+    The product ``g g^-1`` stays an ``np.matmul`` over grid-first views: for
+    ``[[1, 1 - 1e-7], [1 - 1e-7, 1]]`` its rounding reads 1.66e-10, above the
+    bound, where ordered sums and ``einsum`` read 0.0, and the verdict with it.
     """
     sym = ((0, 1),)
     if callable(source):
         contra = gc.sample(source, chart, "uu", symmetries=sym)
     else:
-        # symmetrized scans the input once and averages it into a fresh array
-        vals = gc.symmetrized(np.asarray(source, dtype=float), chart, sym)
-        contra = TensorField.owning(chart, "uu", vals)
+        # copied component-major, as sample writes it; symmetrized scans the
+        # copy once and averages it into a fresh array of the same layout
+        vals = np.ascontiguousarray(_leading(np.asarray(source, dtype=float), 2))
+        contra = TensorField.owning(chart, "uu", gc.symmetrized(_trailing(vals, 2), chart, sym))
 
     # cofactors of g with each row divided by its largest entry: a diagonal
     # g^{ij} then inverts to 1/g^{ii} correctly rounded, with no rounding of
     # the other entries in it for the derivatives of g_{ij} to pick up; a
     # zero row keeps the scale 1, and its zero determinant fails the floor
-    mats = contra.values
-    rows = _last_axis_max(mats)
-    det_rows, cof = _cofactors(mats / np.where(rows > 0.0, rows, 1.0)[..., None])
-    det = np.abs(det_rows * np.prod(rows, axis=-1))
-    floor = DET_FLOOR_SCALE * _last_axis_max(rows) ** chart.dim
+    g = _leading(contra.values, 2)
+    rows = _max_abs(np.swapaxes(g, 0, 1))  # rows[i] = max_j |g^{ij}|
+    det_rows, cof = _cofactors(g / np.where(rows > 0.0, rows, 1.0)[:, None])
+    det = np.abs(det_rows * np.prod(rows, axis=0))
+    floor = DET_FLOOR_SCALE * _max_abs(rows) ** chart.dim
     ok = (det >= floor) & (det > 0.0)  # a node where g vanishes has det = floor = 0
     if not ok.all():
         bad = np.unravel_index(int(np.argmin(ok)), chart.shape)
         reason = f"|det g| = {det[bad]:.3e} < floor {floor[bad]:.3e}"
         raise DegenerateMetric(bad, reason, chart.node(bad))
 
-    inv = np.swapaxes(cof, -1, -2) / det_rows[..., None, None] / rows[..., None, :]
-    inv = 0.5 * (inv + np.swapaxes(inv, -1, -2))
-    resid = _last_axis_max(_last_axis_max(mats @ inv - np.eye(chart.dim)))
+    cov = np.swapaxes(cof, 0, 1) / det_rows / rows[None]
+    cov = np.add(cov, np.swapaxes(cov, 0, 1), out=cof)  # symmetrized into the spent cofactors
+    cov *= 0.5
+    prod = _trailing(g, 2) @ _trailing(cov, 2) - np.eye(chart.dim)  # np.matmul: see above
+    resid = _max_abs(_max_abs(_leading(prod, 2)))
     if not np.max(resid) <= INVERSE_TOL:  # g g^-1 - I is dimensionless; NaN fails
         bad = np.unravel_index(int(np.argmax(resid)), chart.shape)
         reason = f"|g g^-1 - I| = {resid[bad]:.3e} > INVERSE_TOL {INVERSE_TOL:.3e}"
         raise DegenerateMetric(bad, reason, chart.node(bad))
 
-    return MetricField(contra, TensorField.owning(chart, "dd", inv))
+    return MetricField(contra, TensorField.owning(chart, "dd", _trailing(cov, 2)))
 
 
 def require_diagonal(*metrics: MetricField) -> float:
@@ -210,34 +217,34 @@ def require_diagonal(*metrics: MetricField) -> float:
     return max(offs)
 
 
-def _last_axis_max(values: np.ndarray) -> np.ndarray:
-    """``max_j |values[..., j]|``, taken slice by slice: a numpy reduction
-    over a last axis of a few entries costs tens of times more."""
-    return functools.reduce(np.maximum, np.abs(np.moveaxis(values, -1, 0)))
+def _max_abs(stack: np.ndarray) -> np.ndarray:
+    """``max_a |stack[a]|`` over the leading axis, taken slice by slice: a
+    numpy reduction over an axis of a few entries costs tens of times more."""
+    return functools.reduce(np.maximum, np.abs(stack))
 
 
 def _minor(mats: np.ndarray, rows: tuple[int, ...], cols: tuple[int, ...]) -> np.ndarray:
-    """Determinant of ``mats[..., rows, cols]``, expanded along its first row."""
+    """Determinant of ``mats[rows, cols]``, expanded along its first row."""
     if len(rows) <= 1:
-        return mats[..., rows[0], cols[0]] if rows else np.ones(mats.shape[:-2])
+        return mats[rows[0], cols[0]] if rows else np.ones(mats.shape[2:])
     total = 0.0
     for k, c in enumerate(cols):
-        term = mats[..., rows[0], c] * _minor(mats, rows[1:], cols[:k] + cols[k + 1:])
+        term = mats[rows[0], c] * _minor(mats, rows[1:], cols[:k] + cols[k + 1:])
         total = total - term if k % 2 else total + term
     return total
 
 
 def _cofactors(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(det, cof)`` of a stack of square matrices: ``cof[..., i, j]`` is the
-    signed minor of entry ``(i, j)`` and ``det`` is the first row dotted with
-    its cofactors, so ``mats^-1 = cof^T / det`` wherever ``det`` is not 0."""
-    idx = tuple(range(mats.shape[-1]))
+    """``(det, cof)`` of a stack of square matrices ``mats[i, j, grid ...]``:
+    ``cof[i, j]`` is the signed minor of entry ``(i, j)`` and ``det`` is the
+    first row dotted with its cofactors, so ``mats^-1 = cof^T / det``."""
+    idx = tuple(range(mats.shape[0]))
     cof = np.empty_like(mats)
     for i in idx:
         for j in idx:
             minor = _minor(mats, idx[:i] + idx[i + 1:], idx[:j] + idx[j + 1:])
-            cof[..., i, j] = -minor if (i + j) % 2 else minor
-    return sum(mats[..., 0, j] * cof[..., 0, j] for j in idx), cof
+            cof[i, j] = -minor if (i + j) % 2 else minor
+    return sum(mats[0, j] * cof[0, j] for j in idx), cof
 
 
 def _leading(values: np.ndarray, rank: int) -> np.ndarray:
@@ -251,16 +258,31 @@ def _trailing(stack: np.ndarray, rank: int) -> np.ndarray:
     return stack.transpose((*range(rank, stack.ndim), *range(rank)))
 
 
+@functools.cache
+def _pairs(n: int) -> tuple:
+    """The pairs ``p = (j <= k)`` as arrays ``j``, ``k``, and the places ``(a, p)``
+    of ``d_j g_{sk}`` and ``d_k g_{js}`` in the stack ``d_a g_p`` at each ``[s, p]``."""
+    j, k = np.triu_indices(n)
+    pair = np.empty((n, n), dtype=int)
+    pair[j, k] = pair[k, j] = np.arange(len(j))
+    s = np.arange(n)[:, None]
+    return j, k, (j, pair[s, k]), (k, pair[j, s])
+
+
 def connection(metric: MetricField) -> ConnectionField:
     """Levi-Civita connection of a metric via finite differences."""
-    chart = metric.chart
-    # dg[a, j, k, ...] = d_a g_{jk}
-    dg = gc.stacked_partials(_leading(metric.cov.values, 2), chart, grid_last=True)
-    # t[s, j, k] = d_j g_{sk} + d_k g_{js} - d_s g_{jk}, exactly symmetric in (j, k)
-    t = np.swapaxes(dg, 0, 1) + np.swapaxes(dg, 0, 2)
+    chart, n = metric.chart, metric.dim
+    j, k, first, second = _pairs(n)
+    # dg[a, p] = d_a g_p, the n(n+1)/2 independent components only
+    dg = gc.stacked_partials(_leading(metric.cov.values, 2)[j, k], chart, grid_last=True)
+    # t[s, p] = d_j g_{sk} + d_k g_{js} - d_s g_{jk} and Gamma^i_p for p = (j, k)
+    t = dg[first]
+    t += dg[second]
     t -= dg
-    mixed = np.einsum("is...,sjk...->ijk...", metric.upper, t)
-    mixed *= 0.5
+    half = np.einsum("is...,sp...->ip...", metric.upper, t, out=dg)
+    half *= 0.5
+    mixed = np.empty((n,) * 3 + chart.shape)
+    mixed[:, j, k] = mixed[:, k, j] = half
     return ConnectionField(TensorField.owning(chart, "udd", _trailing(mixed, 3)), metric)
 
 
@@ -271,12 +293,18 @@ def curvature(metric: MetricField, conn: ConnectionField | None = None) -> Curva
     chart, n = metric.chart, metric.dim
     gamma = _leading(conn.mixed.values, 3)
     # s[i, j, k, l] = Gamma^i_{kp} Gamma^p_{jl} + d_k Gamma^i_{jl}, added in
-    # that order, one axis k at a time so that no stack of all the
-    # derivatives is held beside s
-    s = np.einsum("ikp...,pjl...->ijkl...", gamma, gamma)
-    d_gamma = np.empty(gamma.shape)
+    # that order, for l != k only: for each axis k the l below it, then above
+    s = np.empty((n,) * 4 + chart.shape)
+    # Gamma^i_{jl} copied and its derivative: an array each fits a freed hole
+    scratch = [np.empty(gamma.size - gamma.size // n) for _ in range(2)]
     for k in range(n):
-        s[:, :, k] += gc.differentiate_array(gamma, chart, k, grid_last=True, out=d_gamma)
+        for l in (slice(0, k), slice(k + 1, n)):
+            if l.start < l.stop:
+                shape = gamma[:, :, l].shape
+                gamma_l, d_kl = (buf[:math.prod(shape)].reshape(shape) for buf in scratch)
+                np.copyto(gamma_l, gamma[:, :, l])
+                s_kl = np.einsum("ip...,pjl...->ijl...", gamma[:, k], gamma_l, out=s[:, :, k, l])
+                s_kl += gc.differentiate_array(gamma_l, chart, k, grid_last=True, out=d_kl)
     # R^i_{jkl} = S^i_{jlk} - S^i_{jkl} in place, for k < l
     for k, l in itertools.combinations(range(n), 2):
         np.subtract(s[:, :, l, k], s[:, :, k, l], out=s[:, :, k, l])

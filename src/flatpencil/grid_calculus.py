@@ -27,7 +27,8 @@ Tensor fields are indexed grid first, ``values[grid index ..., tensor index ...]
 with one tensor axis of length N per slot of the variance signature.  Memory
 order is the kernels' business: a kernel may compute component-major,
 ``[tensor index ..., grid index ...]`` (``grid_last`` below), and hand out a
-transposed view.
+transposed view; :func:`sample` writes component-major too.  The interior
+stencil rows run in blocks small enough to stay in cache.
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ MIN_AXIS_POINTS = 5
 
 #: largest relative asymmetry :func:`symmetrized` averages away
 _SYMMETRY_TOL = 1e-8
+
+#: interior stencil rows per numpy call: 256 KiB of doubles, an L2 cache's worth
+_BLOCK = 32768
 
 
 @dataclass(frozen=True)
@@ -157,18 +161,20 @@ class TensorField:
 # stencils
 
 
-def _interior_order2(a: np.ndarray, step: int, h: float, out: np.ndarray) -> None:
-    o = out[step:-step]
-    np.subtract(a[2 * step:], a[:-2 * step], out=o)
+def _interior_order2(a: np.ndarray, lo: int, hi: int, step: int, h: float, out, _buf) -> None:
+    o = out[lo:hi]
+    np.subtract(a[lo + step:hi + step], a[lo - step:hi - step], out=o)
     o /= 2.0 * h
 
 
-def _interior_order4(a: np.ndarray, step: int, h: float, out: np.ndarray) -> None:
+def _interior_order4(a: np.ndarray, lo: int, hi: int, step: int, h: float, out, buf) -> None:
     # (a[i-2] - 8 a[i-1] + 8 a[i+1] - a[i+2]) / (12 h), in that order
-    o, a8 = out[2 * step:-2 * step], 8.0 * a[step:-step]
-    np.subtract(a[:-4 * step], a8[:-2 * step], out=o)
-    o += a8[2 * step:]
-    o -= a[4 * step:]
+    o, a8 = out[lo:hi], buf[:hi - lo]
+    np.multiply(a[lo - step:hi - step], 8.0, out=a8)
+    np.subtract(a[lo - 2 * step:hi - 2 * step], a8, out=o)
+    np.multiply(a[lo + step:hi + step], 8.0, out=a8)
+    o += a8
+    o -= a[lo + 2 * step:hi + 2 * step]
     o /= 12.0 * h
 
 
@@ -209,9 +215,10 @@ def differentiate_array(
 
     The grid axes lead ``values`` or, with ``grid_last``, trail them.  The
     result is C-contiguous, shaped as ``values``, and written into ``out``
-    when given.  The interior rows run over the flattened array, one
-    contiguous run per numpy call whatever the axis; where a run wraps into
-    the next line it writes edge nodes, which the one-sided rows overwrite.
+    when given.  The interior rows run over the flattened array in cache-sized
+    blocks, one contiguous run per numpy call whatever the axis; where a run
+    wraps into the next line it writes edge nodes, which the one-sided rows
+    overwrite.
     """
     if not 0 <= axis < chart.dim:
         raise ValueError(f"axis {axis} out of range for a {chart.dim}-D chart")
@@ -225,8 +232,10 @@ def differentiate_array(
     pos = values.ndim - chart.dim + axis if grid_last else axis
     lines = (-1, values.shape[pos], math.prod(values.shape[pos + 1:]))
     interior, rows, denom = _STENCILS[chart.order]
-    h = chart.spacing[axis]
-    interior(values.reshape(-1), lines[2], h, out.reshape(-1))
+    h, flat, step = chart.spacing[axis], values.reshape(-1), lines[2]
+    reach, buf = len(rows) * step, np.empty(min(_BLOCK, flat.size))
+    for lo in range(reach, flat.size - reach, _BLOCK):
+        interior(flat, lo, min(lo + _BLOCK, flat.size - reach), step, h, out.reshape(-1), buf)
     _edges(values.reshape(lines), h, out.reshape(lines), rows, denom)
     return out
 
@@ -264,7 +273,7 @@ def symmetrized(
     Non-finite values raise :class:`NonFiniteSample` first; then the
     pre-average asymmetry must not exceed 1e-8 relative to the largest
     entry, else ``ValueError``.  With a symmetry to enforce the result is a
-    fresh array; without one it is ``vals``.
+    fresh array in the memory order of ``vals``; without one it is ``vals``.
     """
     check_finite(vals, chart)
     grid_ndim = len(chart.shape)
@@ -277,7 +286,8 @@ def symmetrized(
                 f"values violate declared symmetry in slots ({a}, {b}): "
                 f"relative asymmetry {asym:.3e} > {_SYMMETRY_TOL:.3e}"
             )
-        vals = 0.5 * (vals + swapped)
+        vals = np.add(vals, swapped, out=np.empty_like(vals))
+        vals *= 0.5
     return vals
 
 
@@ -296,12 +306,13 @@ def sample(
     is broadcast over the grid, or an array of shape ``chart.shape``; any
     other leaf raises ``ValueError``.  The first node in C order with a
     non-finite component raises :class:`NonFiniteSample`, and declared
-    symmetries are gated and enforced by :func:`symmetrized`.
+    symmetries are gated and enforced by :func:`symmetrized`.  The values are
+    written component-major and handed out as a transposed view.
     """
     dim = chart.dim
     tshape = (dim,) * len(variance)
     out = fn(chart.meshgrid())
-    vals = np.empty(chart.shape + tshape)
+    stack = np.empty(tshape + chart.shape)
     for index in np.ndindex(tshape):
         leaf = out
         try:
@@ -309,10 +320,11 @@ def sample(
                 if len(leaf) != dim:
                     raise ValueError(f"a tensor slot has {len(leaf)} entries, expected {dim}")
                 leaf = leaf[i]
-            vals[(Ellipsis,) + index] = as_grid(leaf, chart.shape)
+            stack[index] = as_grid(leaf, chart.shape)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"component {index} of a {variance!r} field: {exc}") from None
     # the fresh array is scanned once, in symmetrized, and kept without a copy
+    vals = np.moveaxis(stack, range(len(tshape)), range(-len(tshape), 0))
     return TensorField.owning(chart, variance, symmetrized(vals, chart, symmetries))
 
 

@@ -1,5 +1,7 @@
 """Connection / curvature residuals against closed-form geometry."""
 
+import functools
+import math
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -13,6 +15,7 @@ from flatpencil.errors import DegenerateMetric
 from flatpencil.grid_calculus import GridChart
 from flatpencil import geometry_core as geo
 from flatpencil import grid_calculus as gc
+from flatpencil import pencil_checker as pc
 
 from conftest import count_calls, record_results
 
@@ -228,6 +231,154 @@ def test_contractions_match_the_einsum_formulas(data):
 
 
 # ---------------------------------------------------------------------------
+# the component-major build, the packed connection and the k != l curvature
+# against the grid-first, full-formula kernels they replaced, bit for bit
+
+
+def _grid_first_minor(mats, rows, cols):
+    if len(rows) <= 1:
+        return mats[..., rows[0], cols[0]] if rows else np.ones(mats.shape[:-2])
+    total = 0.0
+    for k, c in enumerate(cols):
+        term = mats[..., rows[0], c] * _grid_first_minor(mats, rows[1:], cols[:k] + cols[k + 1:])
+        total = total - term if k % 2 else total + term
+    return total
+
+
+def _grid_first_inverse(mats):
+    """The row-scaled cofactor inverse of grid-first ``mats[..., i, j]``."""
+    idx = tuple(range(mats.shape[-1]))
+    rows = functools.reduce(np.maximum, np.abs(np.moveaxis(mats, -1, 0)))
+    scaled = mats / np.where(rows > 0.0, rows, 1.0)[..., None]
+    cof = np.empty_like(scaled)
+    for i in idx:
+        for j in idx:
+            minor = _grid_first_minor(scaled, idx[:i] + idx[i + 1:], idx[:j] + idx[j + 1:])
+            cof[..., i, j] = -minor if (i + j) % 2 else minor
+    det_rows = sum(scaled[..., 0, j] * cof[..., 0, j] for j in idx)
+    inv = np.swapaxes(cof, -1, -2) / det_rows[..., None, None] / rows[..., None, :]
+    return 0.5 * (inv + np.swapaxes(inv, -1, -2))
+
+
+def _full_formula_geometry(metric):
+    """Grid-first ``g_{ij}``, ``Gamma^i_{jk}`` and ``R^i_{jkl}`` with every
+    component differentiated and contracted: all n^3 ``d_a g_{jk}`` and all
+    n^4 ``S^i_{jkl}``."""
+    chart, n = metric.chart, metric.dim
+    cov = _grid_first_inverse(np.ascontiguousarray(metric.contra.values))
+    upper = np.ascontiguousarray(geo._leading(metric.contra.values, 2))
+    dg = gc.stacked_partials(np.ascontiguousarray(geo._leading(cov, 2)), chart, grid_last=True)
+    t = np.swapaxes(dg, 0, 1) + np.swapaxes(dg, 0, 2)
+    t -= dg
+    gamma = np.einsum("is...,sjk...->ijk...", upper, t)
+    gamma *= 0.5
+    s = np.einsum("ikp...,pjl...->ijkl...", gamma, gamma)
+    d_gamma = np.empty(gamma.shape)
+    for k in range(n):
+        s[:, :, k] += gc.differentiate_array(gamma, chart, k, grid_last=True, out=d_gamma)
+    r = np.swapaxes(s, 2, 3) - s  # R^i_{jkl} = S^i_{jlk} - S^i_{jkl}
+    return cov, geo._trailing(gamma, 3), geo._trailing(r, 4)
+
+
+def _assert_full_formulas(metric):
+    cov, gamma, r = _full_formula_geometry(metric)
+    conn = geo.connection(metric)
+    curv = geo.curvature(metric, conn)
+    npt.assert_array_equal(metric.cov.values, cov)
+    npt.assert_array_equal(conn.mixed.values, gamma)
+    npt.assert_array_equal(curv.mixed.values, r)
+    npt.assert_array_equal(curv.pointwise_max(), np.max(np.abs(r), axis=(-4, -3, -2, -1)))
+
+
+def _a3_intersection_form(order=4, points=17):
+    """The intersection form of the A_3 Frobenius manifold in flat
+    coordinates, on a box where its affinor has real eigenvalues: exactly
+    flat, 3-D and not diagonal."""
+    chart = GridChart((0.6, -0.8, 2.0), (1.1, -0.3, 2.5), (points,) * 3, order)
+    return geo.build_metric(lambda t: [
+        [0.75 * t[1] ** 2 + 0.5 * t[2] ** 3, 1.25 * t[1] * t[2], t[0]],
+        [1.25 * t[1] * t[2], t[0] + 0.5 * t[2] ** 2, 0.75 * t[1]],
+        [t[0], 0.75 * t[1], 0.5 * t[2]]], chart)
+
+
+def _pencil_member(order):
+    """``g1 + 3 g2`` of two non-diagonal 2-D metrics, through ``pc.combine``."""
+    chart = GridChart((0.5, 0.5), (1.5, 1.5), (33, 33), order)
+    g1 = geo.build_metric(
+        lambda u: [[1.0 + u[0] ** 2, 0.3 * u[0] * u[1]], [0.3 * u[0] * u[1], 2.0 + u[1]]], chart)
+    g2 = geo.build_metric(
+        lambda u: [[2.0, 0.5 * np.sin(u[0])], [0.5 * np.sin(u[0]), 1.0 + u[0] * u[1]]], chart)
+    return pc.combine(pc.PencilSpec(g1, g2), 1.0, 3.0)
+
+
+_ORACLE_METRICS = {
+    "polar": lambda order: geo.build_metric(
+        lambda u: [[1.0, 0.0], [0.0, 1.0 / u[0] ** 2]],
+        GridChart((1.0, 0.5), (2.0, 1.5), (41, 41), order)),
+    "pencil-member": _pencil_member,
+    "diag3": lambda order: geo.build_metric(
+        lambda u: [[1.3 * u[0], 0.0, 0.0], [0.0, 0.7 * u[1], 0.0], [0.0, 0.0, 1.9 * u[2]]],
+        GridChart((0.5,) * 3, (1.5,) * 3, (13, 13, 13), order)),
+    "a3-intersection-form": _a3_intersection_form,
+}
+
+
+@pytest.mark.parametrize("order", (2, 4))
+@pytest.mark.parametrize("name", list(_ORACLE_METRICS))
+def test_kernels_equal_the_full_formulas(name, order):
+    _assert_full_formulas(_ORACLE_METRICS[name](order))
+
+
+def test_a3_intersection_form_is_flat_to_truncation():
+    assert geo.flatness_residual(_a3_intersection_form()) == pytest.approx(4.9e-5, rel=0.05)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(2, 4), order=st.sampled_from((2, 4)), seed=st.integers(0, 2**32 - 1),
+       log_spread=st.floats(0.0, 2.0), data=st.data())
+def test_kernels_equal_the_full_formulas_on_random_stacks(dim, order, seed, log_spread, data):
+    """Well-conditioned symmetric matrices drawn independently at every node."""
+    shape = tuple(data.draw(st.integers(5, 9 if dim < 4 else 5)) for _ in range(dim))
+    chart = GridChart((0.0,) * dim, (1.0,) * dim, shape, order)
+    mats = _symmetric_stack(seed, dim, math.prod(shape), log_spread)
+    _assert_full_formulas(geo.build_metric(mats.reshape(shape + (dim, dim)), chart))
+
+
+@pytest.mark.parametrize("dim, connection, curvature", [(2, 6, 8), (3, 18, 54)])
+def test_symmetry_fixes_the_components_differentiated(monkeypatch, dim, connection, curvature):
+    """Component-axis pairs differentiated: n(n+1)/2 components of ``g_{jk}``
+    along n axes (n^3 with every component), and ``Gamma^i_{jl}`` for
+    ``l != k`` along each axis k (n^4)."""
+    chart = GridChart((0.5,) * dim, (1.5,) * dim, (7,) * dim)
+    metric = geo.build_metric(
+        lambda u: [[1.0 + u[i] if i == j else 0.0 for j in range(dim)] for i in range(dim)], chart)
+    pairs = []
+    original = gc.differentiate_array
+
+    def counted(values, chart, *args, **kwargs):
+        pairs.append(np.size(values) // math.prod(chart.shape))
+        return original(values, chart, *args, **kwargs)
+
+    monkeypatch.setattr(gc, "differentiate_array", counted)
+    conn = geo.connection(metric)
+    assert sum(pairs) == connection
+    pairs.clear()
+    geo.curvature(metric, conn)
+    assert sum(pairs) == curvature
+
+
+def test_every_metric_is_stored_component_major():
+    chart = GridChart((1.0, 0.5), (2.0, 1.5), (9, 9))
+    closure = geo.build_metric(lambda u: [[1.0, 0.1 * u[1]], [0.1 * u[1], u[0]]], chart)
+    array = geo.build_metric(np.ascontiguousarray(closure.contra.values), chart)
+    member = pc.combine(pc.PencilSpec(closure, array), 2.0, 1.0)
+    for m in (closure, array, member):
+        assert geo._leading(m.contra.values, 2).flags.c_contiguous
+        assert geo._leading(m.cov.values, 2).flags.c_contiguous
+        assert np.shares_memory(m.upper, m.contra.values)
+
+
+# ---------------------------------------------------------------------------
 # the degeneracy floor has the degree of the determinant
 
 
@@ -285,8 +436,8 @@ def test_a_nan_inverse_residual_fails_the_gate(monkeypatch):
     original = geo._cofactors
 
     def poisoned(mats):
-        det, cof = original(mats)
-        cof[2, 3, 0, 1] = np.nan
+        det, cof = original(mats)  # component-major: cof[i, j, grid ...]
+        cof[0, 1, 2, 3] = np.nan
         return det, cof
 
     monkeypatch.setattr(geo, "_cofactors", poisoned)
@@ -338,7 +489,8 @@ def _symmetric_stack(seed, n, nodes, log_spread):
 @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), log_spread=st.floats(0.0, 6.0))
 def test_cofactors_agree_with_lapack(n, seed, log_spread):
     mats = _symmetric_stack(seed, n, 16, log_spread)
-    det, cof = geo._cofactors(mats)
+    det, cof = geo._cofactors(np.moveaxis(mats, 0, -1))  # component-major [i, j, node]
+    cof = np.moveaxis(cof, -1, 0)
     scale = np.max(np.abs(mats), axis=(-1, -2))
     assert np.all(np.abs(det - np.linalg.det(mats)) <= 1e-13 * scale**n)
     inv, oracle = np.swapaxes(cof, -1, -2) / det[..., None, None], np.linalg.inv(mats)

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +6,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flatpencil import grid_calculus as gc
 from flatpencil.errors import ChartTooCoarse, NonFiniteSample
 from flatpencil.expressions import compile_expression
 from flatpencil.grid_calculus import (
@@ -136,6 +138,51 @@ def test_component_major_derivatives_equal_grid_first_ones():
     npt.assert_array_equal(
         np.moveaxis(stacked_partials(stack, chart, grid_last=True), (0, 1, 2), (-3, -2, -1)),
         stacked_partials(vals, chart))
+
+
+def _one_pass(values, chart, axis, grid_last=False):
+    """The interior rows in one pass over the flattened array, with a
+    whole-array ``8 a``: the stencils before they ran in blocks."""
+    values = np.ascontiguousarray(values, dtype=float)
+    out = np.empty_like(values)
+    pos = values.ndim - chart.dim + axis if grid_last else axis
+    lines = (-1, values.shape[pos], math.prod(values.shape[pos + 1:]))
+    a, o, step, h = values.reshape(-1), out.reshape(-1), lines[2], chart.spacing[axis]
+    if chart.order == 2:
+        rows = o[step:-step]
+        np.subtract(a[2 * step:], a[:-2 * step], out=rows)
+        rows /= 2.0 * h
+    else:
+        rows, a8 = o[2 * step:-2 * step], 8.0 * a[step:-step]
+        np.subtract(a[:-4 * step], a8[:-2 * step], out=rows)
+        rows += a8[2 * step:]
+        rows -= a[4 * step:]
+        rows /= 12.0 * h
+    _, edge_rows, denom = gc._STENCILS[chart.order]
+    gc._edges(values.reshape(lines), h, out.reshape(lines), edge_rows, denom)
+    return out
+
+
+@pytest.mark.parametrize("order", (2, 4))
+@pytest.mark.parametrize("points, block", [
+    ((41, 41, 41), None),  # 68,921 entries: three blocks, the last one short
+    ((5, 200, 200), None),  # axis 0 steps 40,000 entries, more than a block
+    ((7, 6, 5), 1),  # blocks shorter than any step
+    ((7, 6, 5), 13),  # blocks that end inside a line
+])
+def test_blocked_stencils_equal_one_pass(monkeypatch, order, points, block):
+    if block is not None:
+        monkeypatch.setattr(gc, "_BLOCK", block)
+    chart = GridChart((0.0,) * 3, (1.0, 2.0, 3.0), points, order)
+    rng = np.random.default_rng(5)
+    vals = rng.standard_normal(chart.shape)
+    stack = rng.standard_normal((2,) + chart.shape)
+    assert vals.size > 2 * gc._BLOCK  # several blocks
+    for axis in range(3):
+        npt.assert_array_equal(differentiate_array(vals, chart, axis),
+                               _one_pass(vals, chart, axis))
+        npt.assert_array_equal(differentiate_array(stack, chart, axis, grid_last=True),
+                               _one_pass(stack, chart, axis, grid_last=True))
 
 
 def test_sample_enforces_declared_symmetry():
