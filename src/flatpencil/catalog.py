@@ -167,7 +167,7 @@ def _run_sphere():
         CheckRow(
             "constant_curvature_k1", gc.interior_max(curv.deviation(1.0), m.chart), 1e-5
         ),
-        CheckRow("not_flat", gc.interior_max(curv.mixed.values, m.chart), 1e-2, "ge"),
+        CheckRow("not_flat", gc.interior_max(curv.pointwise_max(), m.chart), 1e-2, "ge"),
     ]
 
 
@@ -465,7 +465,7 @@ def names() -> tuple[str, ...]:
 
 
 def get(name: str) -> CatalogEntry:
-    entry = _BY_NAME.get(name)
+    entry = _BY_NAME.get(name) if isinstance(name, str) else None
     if entry is None:
         raise SchemaError(
             f"unknown catalog entry {name!r}; known entries: {', '.join(names())}"

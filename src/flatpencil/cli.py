@@ -158,8 +158,9 @@ def _metric_from_spec(spec, chart: GridChart | None, kind: str, order: int):
     if rows is None:
         raise SchemaError("metric needs 'contravariant' rows or a 'catalog' name")
     n = chart.dim
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise SchemaError(f"metric must be a {n}x{n} matrix of entries")
+    if not isinstance(rows, (list, tuple)) or len(rows) != n or any(
+            not isinstance(r, (list, tuple)) or len(r) != n for r in rows):
+        raise SchemaError(f"metric must be a {n}x{n} matrix of entries, got {rows!r}")
     names = _coordinate_names(n)
     fns = [[_compile_cell(cell, names) for cell in row] for row in rows]
     metric = geo.build_metric(lambda u: [[fn(*u) for fn in row] for row in fns], chart)
@@ -366,7 +367,7 @@ def _frame_from_scenario(scenario, kind, settings):
     metric, chart = _optional_chart_metric(scenario, kind, settings["order"])
     eps = scenario.get("eps")
     if eps is not None:
-        eps = _numbers(eps, "eps", int)
+        eps = _numbers(eps, "eps", int, length=chart.dim)
     return metric, ls.frame_from_metric(metric, eps=eps), chart
 
 
@@ -468,6 +469,9 @@ def _run_two_component(scenario, settings):
 
     if "integrate" in scenario:
         integ = scenario["integrate"]
+        if not isinstance(integ, dict):
+            raise SchemaError(
+                f"integrate must be an object with b1_edge and b2_edge, got {integ!r}")
         b1_edge = _compile_cell(_need(integ, "b1_edge", "two-component"), ("u1",))
         b2_edge = _compile_cell(_need(integ, "b2_edge", "two-component"), ("u2",))
         result = tc.integrate_b(spec, b1_edge, b2_edge)
@@ -528,7 +532,7 @@ def _chart_meta(chart: GridChart | None) -> dict | None:
 
 def run_scenario(scenario: dict, settings: dict) -> tuple[dict, dict]:
     kind = scenario.get("kind")
-    if kind not in _RUNNERS:
+    if not isinstance(kind, str) or kind not in _RUNNERS:
         raise SchemaError(
             f"unknown scenario kind {kind!r}; expected one of {', '.join(KINDS)}"
         )

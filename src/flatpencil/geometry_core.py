@@ -20,13 +20,13 @@ Conventions:
   tensor ``S^i_{jkl} = d_k Gamma^i_{jl} + Gamma^i_{pk} Gamma^p_{jl}``, for
   ``k < l`` only: ``R^i_{jlk}`` is its exact negation and ``R^i_{jkk} = 0``.
 
-The metric is built and the kernels compute component-major, tensor indices
-leading and the grid trailing, so every numpy call runs over whole contiguous
+Every field is component-major, ``values[tensor ..., grid ...]``, the one
+layout of :mod:`grid_calculus`, so every numpy call runs over whole contiguous
 grid arrays; each contraction is one ``einsum`` that sums in the order of the
 summed index.  The connection differentiates the n(n+1)/2 independent
 ``g_{jk}`` and forms ``Gamma^i_{jk}`` for ``j <= k``; ``S^i_{jkl}`` is formed
-for ``k != l`` only.  The fields hand out ``values[grid ..., tensor ...]`` as
-a transposed view and own their arrays without a copy or a finiteness scan.
+for ``k != l`` only.  The fields own the arrays the kernels compute, without a
+copy or a finiteness scan.
 
 A metric has constant curvature K when ``R^{ij}_{kl} = K (delta^i_k delta^j_l
 - delta^i_l delta^j_k)``; flat means K = 0.  Residual reducers quote maxima
@@ -81,11 +81,6 @@ class MetricField:
     def scale(self) -> float:
         return float(np.max(np.abs(self.contra.values)))
 
-    @property
-    def upper(self) -> np.ndarray:
-        """``g^{ij}`` as :func:`build_metric` stores it, ``[i, j, grid ...]``."""
-        return _leading(self.contra.values, 2)
-
 
 @dataclass(frozen=True)
 class ConnectionField:
@@ -102,9 +97,8 @@ class ConnectionField:
     @functools.cached_property
     def contra(self) -> TensorField:
         """``Gamma^{ij}_k = g^{is} Gamma^j_{sk}``."""
-        gamma = _leading(self.mixed.values, 3)
-        raised = np.einsum("is...,jsk...->ijk...", self.metric.upper, gamma)
-        return TensorField.owning(self.chart, "uud", _trailing(raised, 3))
+        raised = np.einsum("is...,jsk...->ijk...", self.metric.contra.values, self.mixed.values)
+        return TensorField.owning(self.chart, "uud", raised)
 
 
 @dataclass(frozen=True)
@@ -122,21 +116,20 @@ class CurvatureField:
     @functools.cached_property
     def contra(self) -> TensorField:
         """``R^{ij}_{kl} = g^{is} R^j_{skl}``."""
-        r = _leading(self.mixed.values, 4)
-        raised = np.einsum("is...,jskl...->ijkl...", self.metric.upper, r)
-        return TensorField.owning(self.chart, "uudd", _trailing(raised, 4))
+        raised = np.einsum("is...,jskl...->ijkl...", self.metric.contra.values, self.mixed.values)
+        return TensorField.owning(self.chart, "uudd", raised)
 
     def deviation(self, k_value: float) -> np.ndarray:
         """``R^{ij}_{kl} - K (d^i_k d^j_l - d^i_l d^j_k)`` at every node."""
         eye = np.eye(self.chart.dim)
         unit = np.einsum("ik,jl->ijkl", eye, eye)
         unit = (unit - np.swapaxes(unit, -1, -2)).reshape(unit.shape + (1,) * self.chart.dim)
-        return _trailing(_leading(self.contra.values, 4) - k_value * unit, 4)
+        return self.contra.values - k_value * unit
 
     def pointwise_max(self) -> np.ndarray:
         """``max_{ijkl} |R^i_{jkl}|`` at every node, read off the ``k < l``
         components slice by slice: the others are their negations or 0."""
-        r = _leading(self.mixed.values, 4)
+        r = self.mixed.values
         pairs = itertools.combinations(range(self.chart.dim), 2)
         maxima = (np.abs(r[:, :, k, l]).max(axis=(0, 1)) for k, l in pairs)
         return functools.reduce(np.maximum, maxima, np.zeros(self.chart.shape))
@@ -150,7 +143,7 @@ def build_metric(
 
     A closure is evaluated once on the chart's coordinate arrays by
     :func:`grid_calculus.sample` (``lambda u: [[1.0, 0.0], [0.0, u[0]]]``);
-    an array has shape ``chart.shape + (dim, dim)``.  Either way the values
+    an array has shape ``(dim, dim) + chart.shape``.  Either way the values
     pass the same gates: non-finite entries raise :class:`NonFiniteSample`,
     a relative asymmetry above ``1e-8`` raises ``ValueError``, and the
     symmetric part is kept.
@@ -164,7 +157,7 @@ def build_metric(
     node where ``g`` vanishes.  Only past the floor is the covariant metric
     formed, as the transposed cofactors over the determinant with the row
     scales undone, and verified to invert the contravariant one to within
-    ``INVERSE_TOL`` at every scale.  Both are stored ``[i, j, grid ...]``.
+    ``INVERSE_TOL`` at every scale.
     The product ``g g^-1`` stays an ``np.matmul`` over grid-first views: for
     ``[[1, 1 - 1e-7], [1 - 1e-7, 1]]`` its rounding reads 1.66e-10, above the
     bound, where ordered sums and ``einsum`` read 0.0, and the verdict with it.
@@ -173,16 +166,15 @@ def build_metric(
     if callable(source):
         contra = gc.sample(source, chart, "uu", symmetries=sym)
     else:
-        # copied component-major, as sample writes it; symmetrized scans the
-        # copy once and averages it into a fresh array of the same layout
-        vals = np.ascontiguousarray(_leading(np.asarray(source, dtype=float), 2))
-        contra = TensorField.owning(chart, "uu", gc.symmetrized(_trailing(vals, 2), chart, sym))
+        # symmetrized scans the values once and averages them into a fresh array
+        vals = np.ascontiguousarray(source, dtype=float)
+        contra = TensorField.owning(chart, "uu", gc.symmetrized(vals, chart, sym))
 
     # cofactors of g with each row divided by its largest entry: a diagonal
     # g^{ij} then inverts to 1/g^{ii} correctly rounded, with no rounding of
     # the other entries in it for the derivatives of g_{ij} to pick up; a
     # zero row keeps the scale 1, and its zero determinant fails the floor
-    g = _leading(contra.values, 2)
+    g = contra.values
     rows = _max_abs(np.swapaxes(g, 0, 1))  # rows[i] = max_j |g^{ij}|
     det_rows, cof = _cofactors(g / np.where(rows > 0.0, rows, 1.0)[:, None])
     det = np.abs(det_rows * np.prod(rows, axis=0))
@@ -196,21 +188,22 @@ def build_metric(
     cov = np.swapaxes(cof, 0, 1) / det_rows / rows[None]
     cov = np.add(cov, np.swapaxes(cov, 0, 1), out=cof)  # symmetrized into the spent cofactors
     cov *= 0.5
-    prod = _trailing(g, 2) @ _trailing(cov, 2) - np.eye(chart.dim)  # np.matmul: see above
-    resid = _max_abs(_max_abs(_leading(prod, 2)))
+    g_view, cov_view = (np.moveaxis(a, (0, 1), (-2, -1)) for a in (g, cov))  # grid first
+    prod = g_view @ cov_view - np.eye(chart.dim)  # np.matmul: see above
+    resid = _max_abs(_max_abs(np.moveaxis(prod, (-2, -1), (0, 1))))
     if not np.max(resid) <= INVERSE_TOL:  # g g^-1 - I is dimensionless; NaN fails
         bad = np.unravel_index(int(np.argmax(resid)), chart.shape)
         reason = f"|g g^-1 - I| = {resid[bad]:.3e} > INVERSE_TOL {INVERSE_TOL:.3e}"
         raise DegenerateMetric(bad, reason, chart.node(bad))
 
-    return MetricField(contra, TensorField.owning(chart, "dd", _trailing(cov, 2)))
+    return MetricField(contra, TensorField.owning(chart, "dd", cov))
 
 
 def require_diagonal(*metrics: MetricField) -> float:
     """The largest off-diagonal ``|g^{ij}|`` of ``metrics``; :class:`NotDiagonal`
     if that of any one exceeds :data:`DIAG_TOL` times its own scale."""
     mask = ~np.eye(metrics[0].dim, dtype=bool)
-    offs = [float(np.max(np.abs(m.contra.values[..., mask]), initial=0.0)) for m in metrics]
+    offs = [float(np.max(np.abs(m.contra.values[mask]), initial=0.0)) for m in metrics]
     for off, tol in zip(offs, (DIAG_TOL * m.scale() for m in metrics)):
         if not off <= tol:
             raise NotDiagonal(off, tol)
@@ -247,17 +240,6 @@ def _cofactors(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sum(mats[0, j] * cof[0, j] for j in idx), cof
 
 
-def _leading(values: np.ndarray, rank: int) -> np.ndarray:
-    """The component-major view ``[tensor ..., grid ...]`` of grid-first values."""
-    grid = values.ndim - rank
-    return values.transpose((*range(grid, values.ndim), *range(grid)))
-
-
-def _trailing(stack: np.ndarray, rank: int) -> np.ndarray:
-    """The grid-first view ``[grid ..., tensor ...]`` of a component-major stack."""
-    return stack.transpose((*range(rank, stack.ndim), *range(rank)))
-
-
 @functools.cache
 def _pairs(n: int) -> tuple:
     """The pairs ``p = (j <= k)`` as arrays ``j``, ``k``, and the places ``(a, p)``
@@ -274,16 +256,16 @@ def connection(metric: MetricField) -> ConnectionField:
     chart, n = metric.chart, metric.dim
     j, k, first, second = _pairs(n)
     # dg[a, p] = d_a g_p, the n(n+1)/2 independent components only
-    dg = gc.stacked_partials(_leading(metric.cov.values, 2)[j, k], chart, grid_last=True)
+    dg = gc.stacked_partials(metric.cov.values[j, k], chart)
     # t[s, p] = d_j g_{sk} + d_k g_{js} - d_s g_{jk} and Gamma^i_p for p = (j, k)
     t = dg[first]
     t += dg[second]
     t -= dg
-    half = np.einsum("is...,sp...->ip...", metric.upper, t, out=dg)
+    half = np.einsum("is...,sp...->ip...", metric.contra.values, t, out=dg)
     half *= 0.5
     mixed = np.empty((n,) * 3 + chart.shape)
     mixed[:, j, k] = mixed[:, k, j] = half
-    return ConnectionField(TensorField.owning(chart, "udd", _trailing(mixed, 3)), metric)
+    return ConnectionField(TensorField.owning(chart, "udd", mixed), metric)
 
 
 def curvature(metric: MetricField, conn: ConnectionField | None = None) -> CurvatureField:
@@ -291,7 +273,7 @@ def curvature(metric: MetricField, conn: ConnectionField | None = None) -> Curva
     if conn is None:
         conn = connection(metric)
     chart, n = metric.chart, metric.dim
-    gamma = _leading(conn.mixed.values, 3)
+    gamma = conn.mixed.values
     # s[i, j, k, l] = Gamma^i_{kp} Gamma^p_{jl} + d_k Gamma^i_{jl}, added in
     # that order, for l != k only: for each axis k the l below it, then above
     s = np.empty((n,) * 4 + chart.shape)
@@ -304,14 +286,14 @@ def curvature(metric: MetricField, conn: ConnectionField | None = None) -> Curva
                 gamma_l, d_kl = (buf[:math.prod(shape)].reshape(shape) for buf in scratch)
                 np.copyto(gamma_l, gamma[:, :, l])
                 s_kl = np.einsum("ip...,pjl...->ijl...", gamma[:, k], gamma_l, out=s[:, :, k, l])
-                s_kl += gc.differentiate_array(gamma_l, chart, k, grid_last=True, out=d_kl)
+                s_kl += gc.differentiate_array(gamma_l, chart, k, out=d_kl)
     # R^i_{jkl} = S^i_{jlk} - S^i_{jkl} in place, for k < l
     for k, l in itertools.combinations(range(n), 2):
         np.subtract(s[:, :, l, k], s[:, :, k, l], out=s[:, :, k, l])
         np.negative(s[:, :, k, l], out=s[:, :, l, k])
     for k in range(n):
         s[:, :, k, k] = 0.0
-    return CurvatureField(TensorField.owning(chart, "uddd", _trailing(s, 4)), metric)
+    return CurvatureField(TensorField.owning(chart, "uddd", s), metric)
 
 
 def flatness_residual(metric: MetricField) -> float:

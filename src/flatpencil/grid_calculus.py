@@ -23,12 +23,11 @@ order 4
     node 0     (-25 f0 + 48 f1 - 36 f2 + 16 f3 - 3 f4) / (12h)
     node 1     (-3 f0 - 10 f1 + 18 f2 - 6 f3 + f4) / (12h)   and mirrored
 
-Tensor fields are indexed grid first, ``values[grid index ..., tensor index ...]``,
-with one tensor axis of length N per slot of the variance signature.  Memory
-order is the kernels' business: a kernel may compute component-major,
-``[tensor index ..., grid index ...]`` (``grid_last`` below), and hand out a
-transposed view; :func:`sample` writes component-major too.  The interior
-stencil rows run in blocks small enough to stay in cache.
+Every grid tensor in the package is component-major, ``values[tensor index
+..., grid index ...]``, with one leading tensor axis of length N per slot of
+the variance signature and the grid axes trailing, so a component is one
+contiguous grid array and every numpy call runs over whole grid arrays.  The
+interior stencil rows run in blocks small enough to stay in cache.
 """
 
 from __future__ import annotations
@@ -152,7 +151,7 @@ class TensorField:
         return field
 
     def _check_shape(self, vals: np.ndarray) -> None:
-        expected = self.chart.shape + (self.chart.dim,) * len(self.variance)
+        expected = (self.chart.dim,) * len(self.variance) + self.chart.shape
         if vals.shape != expected:
             raise ValueError(f"values shape {vals.shape} != expected {expected}")
 
@@ -204,21 +203,16 @@ def _edges(a: np.ndarray, h: float, out: np.ndarray, rows: np.ndarray, denom: fl
 
 
 def differentiate_array(
-    values: np.ndarray,
-    chart: GridChart,
-    axis: int,
-    grid_last: bool = False,
-    out: np.ndarray | None = None,
+    values: np.ndarray, chart: GridChart, axis: int, out: np.ndarray | None = None
 ) -> np.ndarray:
     """First derivative of raw grid values along one chart axis, at the
     chart's stencil order.
 
-    The grid axes lead ``values`` or, with ``grid_last``, trail them.  The
-    result is C-contiguous, shaped as ``values``, and written into ``out``
-    when given.  The interior rows run over the flattened array in cache-sized
-    blocks, one contiguous run per numpy call whatever the axis; where a run
-    wraps into the next line it writes edge nodes, which the one-sided rows
-    overwrite.
+    The grid axes trail ``values``, after any tensor axes.  The result is
+    C-contiguous, shaped as ``values``, and written into ``out`` when given.
+    The interior rows run over the flattened array in cache-sized blocks, one
+    contiguous run per numpy call whatever the axis; where a run wraps into
+    the next line it writes edge nodes, which the one-sided rows overwrite.
     """
     if not 0 <= axis < chart.dim:
         raise ValueError(f"axis {axis} out of range for a {chart.dim}-D chart")
@@ -229,7 +223,7 @@ def differentiate_array(
         out = np.empty_like(values)
     elif out.shape != values.shape or not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous array of the shape of values")
-    pos = values.ndim - chart.dim + axis if grid_last else axis
+    pos = values.ndim - chart.dim + axis
     lines = (-1, values.shape[pos], math.prod(values.shape[pos + 1:]))
     interior, rows, denom = _STENCILS[chart.order]
     h, flat, step = chart.spacing[axis], values.reshape(-1), lines[2]
@@ -246,10 +240,12 @@ def differentiate_array(
 
 def check_finite(vals: np.ndarray, chart: GridChart) -> None:
     """The first node in C order with a non-finite component raises
-    :class:`NonFiniteSample` with its coordinates."""
+    :class:`NonFiniteSample` with its coordinates, read off the trailing
+    grid axes of ``vals``."""
     finite = np.isfinite(vals)
     if not finite.all():
-        node = tuple(np.argwhere(~finite)[0][: len(chart.shape)])
+        bad = ~finite.reshape((-1,) + chart.shape).all(axis=0)
+        node = np.unravel_index(int(np.argmax(bad)), chart.shape)
         raise NonFiniteSample(node, coords=chart.node(node))
 
 
@@ -276,9 +272,8 @@ def symmetrized(
     fresh array in the memory order of ``vals``; without one it is ``vals``.
     """
     check_finite(vals, chart)
-    grid_ndim = len(chart.shape)
     for a, b in symmetries:
-        swapped = np.swapaxes(vals, grid_ndim + a, grid_ndim + b)
+        swapped = np.swapaxes(vals, a, b)
         scale = float(np.max(np.abs(vals))) or 1.0
         asym = float(np.max(np.abs(vals - swapped))) / scale
         if asym > _SYMMETRY_TOL:
@@ -306,8 +301,7 @@ def sample(
     is broadcast over the grid, or an array of shape ``chart.shape``; any
     other leaf raises ``ValueError``.  The first node in C order with a
     non-finite component raises :class:`NonFiniteSample`, and declared
-    symmetries are gated and enforced by :func:`symmetrized`.  The values are
-    written component-major and handed out as a transposed view.
+    symmetries are gated and enforced by :func:`symmetrized`.
     """
     dim = chart.dim
     tshape = (dim,) * len(variance)
@@ -324,28 +318,23 @@ def sample(
         except (TypeError, ValueError) as exc:
             raise ValueError(f"component {index} of a {variance!r} field: {exc}") from None
     # the fresh array is scanned once, in symmetrized, and kept without a copy
-    vals = np.moveaxis(stack, range(len(tshape)), range(-len(tshape), 0))
-    return TensorField.owning(chart, variance, symmetrized(vals, chart, symmetries))
+    return TensorField.owning(chart, variance, symmetrized(stack, chart, symmetries))
 
 
-def stacked_partials(
-    field: TensorField | np.ndarray, chart: GridChart | None = None, grid_last: bool = False
-) -> np.ndarray:
+def stacked_partials(field: TensorField | np.ndarray, chart: GridChart | None = None) -> np.ndarray:
     """All axis derivatives, stacked on a new leading tensor axis.
 
     ``field`` is a :class:`TensorField` or raw grid values on ``chart``.
-    Returns an array of shape ``chart.shape + (dim,) + tensor_shape`` whose
-    entry ``[..., a, I]`` is the derivative of component ``I`` along axis
-    ``a``; with ``grid_last``, ``field`` is a component-major stack and the
-    result ``[a, I, ...]`` one too.
+    Returns an array of shape ``(dim,) + values.shape`` whose entry
+    ``[a, I, ...]`` is the derivative of component ``I`` along axis ``a``.
     """
     if isinstance(field, TensorField):
         field, chart = field.values, field.chart
     values = np.ascontiguousarray(field, dtype=float)
     out = np.empty((chart.dim,) + values.shape)
     for a in range(chart.dim):
-        differentiate_array(values, chart, a, grid_last, out[a])
-    return out if grid_last else np.ascontiguousarray(np.moveaxis(out, 0, len(chart.shape)))
+        differentiate_array(values, chart, a, out[a])
+    return out
 
 
 def central_difference(
@@ -356,20 +345,18 @@ def central_difference(
     The 4th-order central difference
     ``(f(t - 2h) - 8 f(t - h) + 8 f(t + h) - f(t + 2h)) / (12 h)`` with
     ``t = points[axis]`` and ``h = step``; the result is broadcast against
-    the other arguments.  Unlike :func:`differentiate_array` it needs a
-    callable, not grid values.
+    the other arguments.  ``fn`` is called once, with the four shifted
+    ``t`` stacked on a new leading axis, so it must broadcast its arguments
+    elementwise (a scalar result, for a constant, broadcasts too).  Unlike
+    :func:`differentiate_array` it needs a callable, not grid values.
     """
     points = [np.asarray(p, dtype=float) for p in points]
-
-    def shifted(k):
-        args = list(points)
-        args[axis] = points[axis] + k * step
-        return np.asarray(fn(*args), dtype=float)
-
-    m2, m1, p1, p2 = (shifted(k) for k in (-2, -1, 1, 2))
-    out = (m2 - 8 * m1 + 8 * p1 - p2) / (12 * step)
-    shape = np.broadcast_shapes(out.shape, *(p.shape for p in points))
-    return out if out.shape == shape else np.broadcast_to(out, shape).copy()
+    shape = np.broadcast_shapes(*(p.shape for p in points))
+    shifts = np.array([-2.0, -1.0, 1.0, 2.0]).reshape((4,) + (1,) * len(shape))
+    points[axis] = points[axis] + shifts * step
+    values = np.asarray(fn(*points), dtype=float)
+    m2, m1, p1, p2 = np.broadcast_to(values, np.broadcast_shapes(values.shape, (4,) + shape))
+    return (m2 - 8 * m1 + 8 * p1 - p2) / (12 * step)
 
 
 def interior_max(values: np.ndarray, chart: GridChart) -> float:
@@ -378,9 +365,10 @@ def interior_max(values: np.ndarray, chart: GridChart) -> float:
     The margin is ``chart.order`` nodes per side, the stencil order the
     residual was computed with: one-sided boundary rows pollute
     ``order // 2`` nodes per differentiation, and curvature-type residuals
-    chain two derivatives.
+    chain two derivatives.  The grid axes trail ``values``; every component
+    is reduced.
     """
-    return float(np.max(np.abs(values[chart.interior()])))
+    return float(np.max(np.abs(values[(..., *chart.interior())])))
 
 
 def worst(values) -> float:

@@ -45,18 +45,18 @@ class LameFrame:
     """Coefficients ``H_i``, rotation coefficients ``beta_{ik}``, signs."""
 
     chart: GridChart
-    h: np.ndarray  # grid + (N,), strictly positive
-    beta: np.ndarray  # grid + (N, N), zero diagonal
+    h: np.ndarray  # (N,) + grid, strictly positive
+    beta: np.ndarray  # (N, N) + grid, zero diagonal
     eps: tuple[int, ...]
 
     def __post_init__(self):
         n = self.chart.dim
         h = np.asarray(self.h, dtype=float)
         beta = np.asarray(self.beta, dtype=float)
-        if h.shape != self.chart.shape + (n,):
-            raise ValueError("h must have shape grid + (N,)")
-        if beta.shape != self.chart.shape + (n, n):
-            raise ValueError("beta must have shape grid + (N, N)")
+        if h.shape != (n,) + self.chart.shape:
+            raise ValueError("h must have shape (N,) + grid")
+        if beta.shape != (n, n) + self.chart.shape:
+            raise ValueError("beta must have shape (N, N) + grid")
         gc.check_finite(h, self.chart)
         gc.check_finite(beta, self.chart)
         if np.min(h) <= 0:
@@ -65,7 +65,7 @@ class LameFrame:
             raise ValueError("eps must be a tuple of +1/-1 per axis")
         idx = np.arange(n)
         beta = beta.copy()
-        beta[..., idx, idx] = 0.0
+        beta[idx, idx] = 0.0
         beta.setflags(write=False)
         h = h.copy()
         h.setflags(write=False)
@@ -127,9 +127,9 @@ class ReductionProfile:
         return tuple(int(s) for s in self.signs(axes))
 
     def values_on(self, chart: GridChart) -> np.ndarray:
-        """Grid array ``[..., i] = f^i(u^i)`` (broadcast along other axes)."""
+        """Grid array ``[i, ...] = f^i(u^i)`` (broadcast along other axes)."""
         axes = (self.at(i, chart.axis_coordinates(i)) for i in range(chart.dim))
-        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        return np.stack(np.meshgrid(*axes, indexing="ij"))
 
 
 def constant_profile(values: Sequence[float]) -> ReductionProfile:
@@ -147,28 +147,30 @@ def frame_from_metric(metric: MetricField, eps: Sequence[int] | None = None) -> 
     """Extract the frame of a diagonal metric.
 
     ``eps`` defaults to the sign of each diagonal entry at the first node;
-    a sign violation anywhere (``eps^i g^{ii} <= 0``) raises
-    :class:`SignMismatch`, off-diagonal content raises :class:`NotDiagonal`
+    one not of N entries, each +1 or -1, raises ``ValueError``.  A sign
+    violation anywhere (``eps^i g^{ii} <= 0``) raises :class:`SignMismatch`,
+    off-diagonal content raises :class:`NotDiagonal`
     (:func:`geometry_core.require_diagonal`).
     """
     require_diagonal(metric)
     chart = metric.chart
     n = chart.dim
     idx = np.arange(n)
-    diag = metric.contra.values[..., idx, idx]
+    diag = metric.contra.values[idx, idx]
     if eps is None:
-        eps = tuple(1 if diag[(0,) * n + (i,)] > 0 else -1 for i in range(n))
+        eps = tuple(1 if diag[(i,) + (0,) * n] > 0 else -1 for i in range(n))
+    if len(eps) != n or any(e not in (-1, 1) for e in eps):
+        raise ValueError(f"eps must be {n} signs, each +1 or -1, got {tuple(eps)!r}")
     eps = tuple(int(e) for e in eps)
-    signed = diag * np.asarray(eps, dtype=float)
+    signed = diag * np.asarray(eps, dtype=float).reshape((n,) + (1,) * n)
     if np.min(signed) <= 0:
-        flat_idx = int(np.argmin(signed))
-        node = np.unravel_index(flat_idx, signed.shape)
-        raise SignMismatch(node[:-1], node[-1], float(diag[node]), chart.node(node[:-1]))
+        axis, *node = np.unravel_index(int(np.argmin(signed)), signed.shape)
+        raise SignMismatch(tuple(node), axis, float(diag[(axis, *node)]), chart.node(node))
 
     h = signed ** -0.5
-    dh = gc.stacked_partials(h, chart)  # [..., i, k] = d_i H_k
-    beta = dh / h[..., None, :].swapaxes(-1, -2)  # divide by H_i along axis i
-    beta[..., idx, idx] = 0.0
+    dh = gc.stacked_partials(h, chart)  # [i, k, ...] = d_i H_k
+    beta = dh / h[:, None]  # divide by H_i along axis i
+    beta[idx, idx] = 0.0
     return LameFrame(chart, h, beta, eps)
 
 
@@ -197,7 +199,7 @@ def lame_residuals(frame: LameFrame) -> LameResidualReport:
     if n < 2:
         raise ValueError("need at least two coordinates")
     beta = frame.beta
-    dbeta = gc.stacked_partials(beta, chart)  # [..., a, i, j] = d_a beta_{ij}
+    dbeta = gc.stacked_partials(beta, chart)  # [a, i, j, ...] = d_a beta_{ij}
 
     off_diagonal: dict[tuple[int, int, int], float] = {}
     for i in range(n):
@@ -205,7 +207,7 @@ def lame_residuals(frame: LameFrame) -> LameResidualReport:
             for k in range(n):
                 if len({i, j, k}) < 3:
                     continue
-                dev = dbeta[..., k, i, j] - beta[..., i, k] * beta[..., k, j]
+                dev = dbeta[k, i, j] - beta[i, k] * beta[k, j]
                 off_diagonal[(i, j, k)] = gc.interior_max(dev, chart)
 
     unit = np.ones(n)
@@ -238,18 +240,18 @@ def reduction_residual(frame: LameFrame, profile: ReductionProfile) -> Reduction
     """
     chart = frame.chart
     signs = profile.signs_on(chart)
-    fvals = profile.values_on(chart)  # [..., s]
-    gamma = np.sqrt(np.abs(fvals))  # [..., i]
-    weighted = gamma[..., :, None] * frame.beta  # [..., i, j] = sqrt|f^i| beta_{ij}
-    dweighted = gc.stacked_partials(weighted, chart)  # [..., a, i, j]
+    fvals = profile.values_on(chart)  # [s, ...]
+    gamma = np.sqrt(np.abs(fvals))  # [i, ...]
+    weighted = gamma[:, None] * frame.beta  # [i, j, ...] = sqrt|f^i| beta_{ij}
+    dweighted = gc.stacked_partials(weighted, chart)  # [a, i, j, ...]
     return ReductionReport(_diagonal_family(frame, dweighted, signs, gamma, fvals))
 
 
 def _diagonal_family(frame, dweighted, signs, gamma, fvals) -> dict:
     """Interior maxima of the weighted diagonal family per ordered pair, from
-    ``dweighted[..., a, i, j] = d_a (gamma_i beta_{ij})``; ``gamma[..., i]``
-    and ``fvals[..., s]`` broadcast against the grid (unit weights give the
-    plain family)."""
+    ``dweighted[a, i, j] = d_a (gamma_i beta_{ij})``; ``gamma[i]`` and
+    ``fvals[s]`` broadcast against the grid (unit weights give the plain
+    family)."""
     chart, n, beta = frame.chart, frame.dim, frame.beta
     eps = np.asarray(frame.eps, dtype=float)
     pairs: dict[tuple[int, int], float] = {}
@@ -258,13 +260,13 @@ def _diagonal_family(frame, dweighted, signs, gamma, fvals) -> dict:
             if i == j:
                 continue
             dev = (
-                eps[i] * signs[i] * gamma[..., i] * dweighted[..., i, i, j]
-                + eps[j] * signs[j] * gamma[..., j] * dweighted[..., j, j, i]
+                eps[i] * signs[i] * gamma[i] * dweighted[i, i, j]
+                + eps[j] * signs[j] * gamma[j] * dweighted[j, j, i]
             )
             for s in range(n):
                 if s in (i, j):
                     continue
-                dev = dev + eps[s] * fvals[..., s] * beta[..., s, i] * beta[..., s, j]
+                dev = dev + eps[s] * fvals[s] * beta[s, i] * beta[s, j]
             pairs[(i, j)] = gc.interior_max(dev, chart)
     return pairs
 
@@ -279,18 +281,18 @@ def tilde_frame(frame: LameFrame, profile: ReductionProfile) -> LameFrame:
     signs = profile.signs_on(chart)
     gamma = np.sqrt(np.abs(profile.values_on(chart)))
     h_t = frame.h / gamma
-    beta_t = (gamma[..., :, None] / gamma[..., None, :]) * frame.beta
+    beta_t = (gamma[:, None] / gamma[None, :]) * frame.beta
     eps_t = tuple(int(frame.eps[i] * signs[i]) for i in range(frame.dim))
     return LameFrame(chart, h_t, beta_t, eps_t)
 
 
 def diagonal_metric(chart: GridChart, eps: Sequence[int], weights, h: np.ndarray) -> MetricField:
     """The diagonal metric ``g^{ii} = eps^i w^i / h_i^2``: ``weights`` and
-    ``h`` are grid arrays ``[..., i]`` (``weights`` may be a scalar)."""
+    ``h`` are grid arrays ``[i, ...]`` (``weights`` may be a scalar)."""
     n = chart.dim
-    vals = np.zeros(chart.shape + (n, n))
+    vals = np.zeros((n, n) + chart.shape)
     idx = np.arange(n)
-    vals[..., idx, idx] = np.asarray(eps, dtype=float) * weights / h**2
+    vals[idx, idx] = np.asarray(eps, dtype=float).reshape((n,) + (1,) * n) * weights / h**2
     return build_metric(vals, chart)
 
 

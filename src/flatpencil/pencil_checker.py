@@ -133,7 +133,7 @@ class SpectrumReport:
 
 @dataclass
 class DiagonalFormReport:
-    f_values: np.ndarray  # [..., i] pointwise ratio g1^{ii}/g2^{ii}
+    f_values: np.ndarray  # [i, ...] pointwise ratio g1^{ii}/g2^{ii}
     residual: float  # max |d f^i / d u^j|, j != i
     off_diagonal_max: float
 
@@ -232,7 +232,7 @@ class AffinorField:
     """The recursion affinor ``v^i_j = g1^{is} g_{2,sj}`` with its spectrum."""
 
     field: TensorField  # variance "ud"
-    eigenvalues: np.ndarray  # [..., i], complex
+    eigenvalues: np.ndarray  # [i, ...], complex
 
     @property
     def chart(self) -> GridChart:
@@ -240,26 +240,32 @@ class AffinorField:
 
 
 def affinor(pencil: PencilSpec) -> AffinorField:
-    vals = pencil.g1.contra.values @ pencil.g2.cov.values
+    """The affinor and its eigenvalues at every node, in ascending order of
+    the real part; both are formed by ``np.matmul`` and ``eigvals`` over
+    grid-first views, the layout those stacked-matrix routines take."""
+    g1, g2 = (np.moveaxis(v, (0, 1), (-2, -1)) for v in (pencil.g1.contra.values,
+                                                        pencil.g2.cov.values))
+    vals = g1 @ g2
     try:
         eig = np.linalg.eigvals(vals)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise EigensolveFailure(str(exc)) from exc
     order = np.argsort(eig.real + 1e-9 * eig.imag, axis=-1)
-    eig = np.take_along_axis(eig, order, axis=-1)
-    return AffinorField(TensorField.owning(pencil.chart, "ud", vals), eig)
+    eig = np.moveaxis(np.take_along_axis(eig, order, axis=-1), -1, 0)
+    field = TensorField.owning(pencil.chart, "ud", np.moveaxis(vals, (-2, -1), (0, 1)))
+    return AffinorField(field, eig)
 
 
 def nonsingularity(aff: AffinorField) -> SpectrumReport:
     """Minimum pairwise eigenvalue gap of the pencil's affinor over the box,
     with the threshold ``1e-6`` times the spectrum scale it must exceed."""
     eig = aff.eigenvalues
-    n = eig.shape[-1]
+    n = eig.shape[0]
     scale = float(np.max(np.abs(eig))) or 1.0
     gap = np.inf
     for a in range(n):
         for b in range(a + 1, n):
-            gap = min(gap, float(np.min(np.abs(eig[..., a] - eig[..., b]))))
+            gap = min(gap, float(np.min(np.abs(eig[a] - eig[b]))))
     if n == 1:
         gap = np.inf
     has_complex = bool(np.max(np.abs(eig.imag)) > 1e-9 * scale)
@@ -273,11 +279,11 @@ def nijenhuis(aff: AffinorField) -> float:
     + v^k_s d_j v^s_i - v^k_s d_i v^s_j``
     """
     v = aff.field.values
-    dv = gc.stacked_partials(aff.field)  # [..., a, k, j] = d_a v^k_j
-    t1 = np.einsum("...si,...skj->...kij", v, dv)
-    t2 = np.einsum("...sj,...ski->...kij", v, dv)
-    t3 = np.einsum("...ks,...jsi->...kij", v, dv)
-    t4 = np.einsum("...ks,...isj->...kij", v, dv)
+    dv = gc.stacked_partials(aff.field)  # [a, k, j, ...] = d_a v^k_j
+    t1 = np.einsum("si...,skj...->kij...", v, dv)
+    t2 = np.einsum("sj...,ski...->kij...", v, dv)
+    t3 = np.einsum("ks...,jsi...->kij...", v, dv)
+    t4 = np.einsum("ks...,isj...->kij...", v, dv)
     nt = t1 - t2 + t3 - t4
     return gc.interior_max(nt, aff.chart)
 
@@ -294,12 +300,9 @@ def check_diagonal_form(pencil: PencilSpec) -> DiagonalFormReport:
     n = chart.dim
     off = require_diagonal(pencil.g1, pencil.g2)
     idx = np.arange(n)
-    f = (
-        pencil.g1.contra.values[..., idx, idx]
-        / pencil.g2.contra.values[..., idx, idx]
-    )
+    f = pencil.g1.contra.values[idx, idx] / pencil.g2.contra.values[idx, idx]
     residual = gc.worst(
-        gc.interior_max(gc.differentiate_array(f[..., i], chart, j), chart)
+        gc.interior_max(gc.differentiate_array(f[i], chart, j), chart)
         for i in range(n) for j in range(n) if j != i
     )
     return DiagonalFormReport(f, residual, off)
@@ -332,12 +335,12 @@ def partner_metric(
     per coordinate.  ``f`` is sampled by :func:`grid_calculus.sample` and
     ``g1`` built by :func:`geometry_core.build_metric` (a degenerate
     candidate raises :class:`DegenerateMetric`).  Returns ``g1`` with the
-    ``d_s f^k`` (``[..., s, k]``) and ``grad^i f^j`` it was built from.
+    ``d_s f^k`` (``[s, k, ...]``) and ``grad^i f^j`` it was built from.
     """
-    df = gc.stacked_partials(gc.sample(f, g2.chart, "u"))  # [..., s, k] = d_s f^k
+    df = gc.stacked_partials(gc.sample(f, g2.chart, "u"))  # [s, k, ...] = d_s f^k
     g2c = g2.contra.values
-    grad = np.einsum("...is,...sj->...ij", g2c, df)  # grad^i f^j
-    return build_metric(grad + np.swapaxes(grad, -1, -2) + c * g2c, g2.chart), df, grad
+    grad = np.einsum("is...,sj...->ij...", g2c, df)  # grad^i f^j
+    return build_metric(grad + np.swapaxes(grad, 0, 1) + c * g2c, g2.chart), df, grad
 
 
 def dubrovin_construct(
@@ -370,26 +373,26 @@ def dubrovin_construct(
         raise NotFlatCoordinates(conn_res, flat_tol)
 
     g1, df, grad = partner_metric(g2, f, c)
-    ddf = gc.stacked_partials(df, chart)  # [..., a, s, k] = d_a d_s f^k
-    ddf = 0.5 * (ddf + np.swapaxes(ddf, -3, -2))
+    ddf = gc.stacked_partials(df, chart)  # [a, s, k, ...] = d_a d_s f^k
+    ddf = 0.5 * (ddf + np.swapaxes(ddf, 0, 1))
     g2c = g2.contra.values
 
     # D^{ijk} = grad^i grad^j f^k (indices raised with g2) and D^{ij}_k =
     # d_k grad^i f^j agree once the first index of D^{ijk} is lowered with g2
-    delta_up = np.einsum("...is,...jp,...spk->...ijk", g2c, g2c, ddf, optimize=True)
-    dgrad = gc.stacked_partials(grad, chart)  # [..., k, i, j] = d_k grad^i f^j
-    delta_mixed = np.einsum("...kij->...ijk", dgrad)
-    lowered = np.einsum("...ks,...sij->...ijk", g2.cov.values, delta_up)
+    delta_up = np.einsum("is...,jp...,spk...->ijk...", g2c, g2c, ddf, optimize=True)
+    dgrad = gc.stacked_partials(grad, chart)  # [k, i, j, ...] = d_k grad^i f^j
+    delta_mixed = np.einsum("kij...->ijk...", dgrad)
+    lowered = np.einsum("ks...,sij...->ijk...", g2.cov.values, delta_up)
     lowering_defect = float(np.max(np.abs(lowered - delta_mixed)))
 
-    term1 = np.einsum("...ijs,...skl->...ijkl", delta_mixed, delta_mixed)
-    term2 = np.einsum("...iks,...sjl->...ijkl", delta_mixed, delta_mixed)
+    term1 = np.einsum("ijs...,skl...->ijkl...", delta_mixed, delta_mixed)
+    term2 = np.einsum("iks...,sjl...->ijkl...", delta_mixed, delta_mixed)
     quad = gc.interior_max(term1 - term2, chart)
 
     g1c = g1.contra.values
     bracket = (
-        np.einsum("...is,...jp,...spk->...ijk", g1c, g2c, ddf, optimize=True)
-        - np.einsum("...is,...jp,...spk->...ijk", g2c, g1c, ddf, optimize=True)
+        np.einsum("is...,jp...,spk...->ijk...", g1c, g2c, ddf, optimize=True)
+        - np.einsum("is...,jp...,spk...->ijk...", g2c, g1c, ddf, optimize=True)
     )
     bracket_res = gc.interior_max(bracket, chart)
 
@@ -397,7 +400,7 @@ def dubrovin_construct(
     compat = check_compatible(PencilSpec(g1, g2, tuple(lambda_samples)), "flat")
     gamma1 = compat.endpoint_connection["g1"]
     delta_conn = np.einsum(
-        "...is,...jp,...kps->...ijk",
+        "is...,jp...,kps...->ijk...",
         g1c,
         g2c,
         gamma2.mixed.values - gamma1.mixed.values,

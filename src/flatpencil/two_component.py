@@ -167,7 +167,7 @@ def lequa_residual(spec: TwoComponentSpec) -> float:
     """
     chart = spec.chart
     u1, u2 = chart.meshgrid()
-    f1, f2 = np.moveaxis(spec.f.values_on(chart), -1, 0)
+    f1, f2 = spec.f.values_on(chart)
     fp1 = gc.differentiate_array(f1, chart, 0)
     fp2 = gc.differentiate_array(f2, chart, 1)
     f_u1 = np.asarray(spec.potential.dx(u1, u2), dtype=float)
@@ -274,7 +274,7 @@ def build_pair(
         raise ValueError("build_pair needs b fields set on the TwoComponentSpec")
     _check_nonvanishing(spec.b1, "b1", spec.chart)
     _check_nonvanishing(spec.b2, "b2", spec.chart)
-    chart, b = spec.chart, np.stack((spec.b1, spec.b2), axis=-1)
+    chart, b = spec.chart, np.stack((spec.b1, spec.b2))
     g1 = diagonal_metric(chart, spec.eps, spec.f.values_on(chart), b)
     g2 = diagonal_metric(chart, spec.eps, 1.0, b)
     return PencilSpec(g1, g2, tuple(lambda_samples))
@@ -286,8 +286,8 @@ def g_family(spec: TwoComponentSpec, n: int) -> MetricField:
         raise ValueError("family index must be 0..3")
     if spec.b1 is None or spec.b2 is None:
         raise ValueError("g_family needs b fields set on the TwoComponentSpec")
-    u = np.stack(spec.chart.meshgrid(), axis=-1)
-    return diagonal_metric(spec.chart, spec.eps, u**n, np.stack((spec.b1, spec.b2), axis=-1))
+    u = np.stack(spec.chart.meshgrid())
+    return diagonal_metric(spec.chart, spec.eps, u**n, np.stack((spec.b1, spec.b2)))
 
 
 def log_family_spec(chart: GridChart, k: float = 0.25) -> TwoComponentSpec:

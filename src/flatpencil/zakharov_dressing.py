@@ -696,8 +696,8 @@ class DressedField:
     kernel's terms from its values (:func:`_factor_deviation`) at the probes."""
 
     chart: GridChart
-    beta_values: np.ndarray  # grid + (N, N)
-    psi_values: np.ndarray  # grid + (N,)
+    beta_values: np.ndarray  # (N, N) + grid
+    psi_values: np.ndarray  # (N,) + grid
     cond_probe: float
     factor_deviation: float
     max_residual: float
@@ -794,8 +794,10 @@ def extract_beta(
     *_, cond, deviation = _solve_batch(
         PotentialKernel(potentials, points[probe], ratio, t_range), tabulated(panels, False),
         index[probe], points[probe], s, length, nodes, weights, True)
+    # the node-major batches, [node, i, ...], read as [i, ..., grid ...]
     return DressedField(
-        chart, beta.reshape(chart.shape + (n, n)), psi.reshape(chart.shape + (n,)),
+        chart, beta.transpose(1, 2, 0).reshape((n, n) + chart.shape),
+        psi.T.reshape((n,) + chart.shape),
         float(np.max(cond)), float(np.max(deviation)), float(np.max(residual)),
         None if estimate is None else panels, estimate,
     )

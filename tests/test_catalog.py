@@ -65,11 +65,11 @@ def _poison_the_centre(monkeypatch):
     derivatives of ``H_i``), which the frame scans."""
     original = gc.differentiate_array
 
-    def poisoned(values, chart, axis, grid_last=False, out=None):
-        d = original(values, chart, axis, grid_last, out)
+    def poisoned(values, chart, axis, out=None):
+        d = original(values, chart, axis, out)
         if np.ndim(values) - chart.dim >= 2:
             centre = tuple(n // 2 for n in chart.shape)
-            d[(Ellipsis, *centre) if grid_last else centre] = np.nan
+            d[(Ellipsis, *centre)] = np.nan
         return d
 
     monkeypatch.setattr(gc, "differentiate_array", poisoned)

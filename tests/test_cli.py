@@ -341,8 +341,21 @@ def test_malformed_json(tmp_path, capsys):
      "width must be a number, got [1]"),
     (dict(DRESS, potentials={**DRESS["potentials"], "components": [2]}),
      "components must be an integer, got [2]"),
+    ({"kind": ["check-flat"]},
+     f"unknown scenario kind ['check-flat']; expected one of {', '.join(cli.KINDS)}"),
+    ({"kind": "catalog", "name": ["polar"]},
+     f"unknown catalog entry ['polar']; known entries: {', '.join(catalog.names())}"),
+    (dict(PENCIL, metric={"contravariant": 5}), "metric must be a 2x2 matrix of entries, got 5"),
+    (dict(TWO_COMPONENT_INTEGRATE, integrate="b1_edge b2_edge"),
+     "integrate must be an object with b1_edge and b2_edge, got 'b1_edge b2_edge'"),
+    ({"kind": "lame", "metric": {"catalog": "polar"}, "eps": [1, 1, 1]},
+     "eps needs 2 numbers, got 3"),
+    ({"kind": "reduce", "metric": {"catalog": "diag-u"}, "eps": [1],
+      "profile": {"constant": [1, 2]}}, "eps needs 2 numbers, got 1"),
 ], ids=["lambda_samples", "chart", "eps", "k1", "k2", "c", "log_c", "a", "b", "s",
-        "length", "panels", "nodes_per_panel", "amplitude", "width", "components"])
+        "length", "panels", "nodes_per_panel", "amplitude", "width", "components",
+        "kind", "catalog_name", "contravariant", "integrate", "lame_eps_length",
+        "reduce_eps_length"])
 def test_wrong_typed_fields_are_schema_errors(tmp_path, capsys, scenario, message):
     code, report, err = run(tmp_path, scenario, capsys=capsys)
     assert code == 1 and report is None

@@ -79,9 +79,9 @@ def test_array_source_matches_callable_source():
 
 
 def test_cov_is_pointwise_inverse(polar_metric):
-    prod = np.einsum("...is,...sj->...ij",
+    prod = np.einsum("is...,sj...->ij...",
                      polar_metric.contra.values, polar_metric.cov.values)
-    eye = np.broadcast_to(np.eye(2), prod.shape)
+    eye = np.broadcast_to(np.eye(2)[..., None, None], prod.shape)
     npt.assert_allclose(prod, eye, atol=1e-13)
 
 
@@ -105,28 +105,28 @@ def test_degenerate_metric_names_node_and_coordinates():
 def test_array_source_passes_the_symmetry_gate():
     chart = GridChart((1.0, 0.5), (2.0, 1.5), (9, 9))
     U1, _ = chart.meshgrid()
-    vals = np.zeros(chart.shape + (2, 2))
-    vals[..., 0, 0] = vals[..., 1, 1] = 2.0
-    vals[..., 0, 1] = 0.1 * U1
-    vals[..., 1, 0] = 0.1 * U1 * (1.0 + 1e-12)  # rounding-level asymmetry
+    vals = np.zeros((2, 2) + chart.shape)
+    vals[0, 0] = vals[1, 1] = 2.0
+    vals[0, 1] = 0.1 * U1
+    vals[1, 0] = 0.1 * U1 * (1.0 + 1e-12)  # rounding-level asymmetry
     m = geo.build_metric(vals, chart)
-    npt.assert_array_equal(m.contra.values, np.swapaxes(m.contra.values, -1, -2))
-    vals[..., 1, 0] = 0.0  # a real asymmetry is not repaired silently
+    npt.assert_array_equal(m.contra.values, np.swapaxes(m.contra.values, 0, 1))
+    vals[1, 0] = 0.0  # a real asymmetry is not repaired silently
     with pytest.raises(ValueError, match="symmetry"):
         geo.build_metric(vals, chart)
 
 
 def test_curvature_antisymmetric_in_last_index_pair(polar_metric):
     R = geo.curvature(polar_metric).mixed.values
-    assert np.max(np.abs(R + np.swapaxes(R, -2, -1))) <= 1e-20
+    assert np.max(np.abs(R + np.swapaxes(R, 2, 3))) <= 1e-20
 
 
 def test_first_curvature_identity(polar_metric):
     """Cyclic sum over the three lower slots vanishes identically."""
     R = geo.curvature(polar_metric).mixed.values
     cyc = (R
-           + np.transpose(R, (0, 1, 2, 4, 5, 3))
-           + np.transpose(R, (0, 1, 2, 5, 3, 4)))
+           + np.transpose(R, (0, 2, 3, 1, 4, 5))
+           + np.transpose(R, (0, 3, 1, 2, 4, 5)))
     assert np.max(np.abs(cyc)) <= 1e-20
 
 
@@ -138,41 +138,41 @@ def test_raised_curvature_antisymmetry_is_truncation_limited():
         chart = GridChart((1.0, 0.5), (2.0, 1.5), (n, n))
         m = geo.build_metric(lambda u: [[1.0, 0.0], [0.0, 1.0 / u[0] ** 2]], chart)
         Rc = geo.curvature(m).contra.values
-        defects[n] = np.max(np.abs(Rc + np.swapaxes(Rc, -4, -3)))
+        defects[n] = np.max(np.abs(Rc + np.swapaxes(Rc, 0, 1)))
     assert defects[41] <= 1e-4
     assert defects[41] / defects[81] > 8.0
 
 
 def test_connection_shapes(polar_metric):
     conn = geo.connection(polar_metric)
-    assert conn.mixed.values.shape == (101, 101, 2, 2, 2)
-    assert conn.contra.values.shape == (101, 101, 2, 2, 2)
-    # mixed symmetric in the last two (lower) slots
+    assert conn.mixed.values.shape == (2, 2, 2, 101, 101)
+    assert conn.contra.values.shape == (2, 2, 2, 101, 101)
+    # mixed symmetric in the two lower slots
     g = conn.mixed.values
-    npt.assert_allclose(g, np.swapaxes(g, -2, -1), atol=1e-20)
+    npt.assert_allclose(g, np.swapaxes(g, 1, 2), atol=1e-20)
 
 
 # ---------------------------------------------------------------------------
-# component-major kernels against the grid-first einsum formulas
+# the packed and k != l kernels against the full einsum formulas
 
 
 def _einsum_connection(metric):
     g = metric.contra.values
     dg = gc.stacked_partials(metric.cov)
-    t = np.einsum("...jsk->...sjk", dg) + np.einsum("...kjs->...sjk", dg) - dg
-    mixed = 0.5 * np.einsum("...is,...sjk->...ijk", g, t)
-    return mixed, np.einsum("...is,...jsk->...ijk", g, mixed)
+    t = np.einsum("jsk...->sjk...", dg) + np.einsum("kjs...->sjk...", dg) - dg
+    mixed = 0.5 * np.einsum("is...,sjk...->ijk...", g, t)
+    return mixed, np.einsum("is...,jsk...->ijk...", g, mixed)
 
 
 def _einsum_curvature(metric, gamma):
     dgamma = gc.stacked_partials(gamma, metric.chart)
     r = (
-        -np.einsum("...kijl->...ijkl", dgamma)
-        + np.einsum("...lijk->...ijkl", dgamma)
-        - np.einsum("...ipk,...pjl->...ijkl", gamma, gamma)
-        + np.einsum("...ipl,...pjk->...ijkl", gamma, gamma)
+        -np.einsum("kijl...->ijkl...", dgamma)
+        + np.einsum("lijk...->ijkl...", dgamma)
+        - np.einsum("ipk...,pjl...->ijkl...", gamma, gamma)
+        + np.einsum("ipl...,pjk...->ijkl...", gamma, gamma)
     )
-    return r, np.einsum("...is,...jskl->...ijkl", metric.contra.values, r)
+    return r, np.einsum("is...,jskl...->ijkl...", metric.contra.values, r)
 
 
 def _smooth_metric(data, dim, points, order):
@@ -222,12 +222,11 @@ def test_contractions_match_the_einsum_formulas(data):
     # only k < l is formed: the rest is its exact negation, or exactly 0
     r = curv.mixed.values
     for k in range(dim):
-        assert np.all(r[..., k, k] == 0.0)
+        assert np.all(r[:, :, k, k] == 0.0)
         for l in range(k + 1, dim):
-            npt.assert_array_equal(r[..., l, k], -r[..., k, l])
-    derived = (metric.cov, conn.mixed, conn.contra, curv.mixed, curv.contra)
+            npt.assert_array_equal(r[:, :, l, k], -r[:, :, k, l])
+    derived = (metric.contra, metric.cov, conn.mixed, conn.contra, curv.mixed, curv.contra)
     assert not any(field.values.flags.writeable for field in derived)
-    assert not metric.upper.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +260,13 @@ def _grid_first_inverse(mats):
 
 
 def _full_formula_geometry(metric):
-    """Grid-first ``g_{ij}``, ``Gamma^i_{jk}`` and ``R^i_{jkl}`` with every
-    component differentiated and contracted: all n^3 ``d_a g_{jk}`` and all
-    n^4 ``S^i_{jkl}``."""
+    """``g_{ij}`` inverted grid first, and ``Gamma^i_{jk}`` and ``R^i_{jkl}``
+    with every component differentiated and contracted: all n^3
+    ``d_a g_{jk}`` and all n^4 ``S^i_{jkl}``."""
     chart, n = metric.chart, metric.dim
-    cov = _grid_first_inverse(np.ascontiguousarray(metric.contra.values))
-    upper = np.ascontiguousarray(geo._leading(metric.contra.values, 2))
-    dg = gc.stacked_partials(np.ascontiguousarray(geo._leading(cov, 2)), chart, grid_last=True)
+    upper = metric.contra.values
+    cov = np.moveaxis(_grid_first_inverse(np.moveaxis(upper, (0, 1), (-2, -1))), (-2, -1), (0, 1))
+    dg = gc.stacked_partials(cov, chart)
     t = np.swapaxes(dg, 0, 1) + np.swapaxes(dg, 0, 2)
     t -= dg
     gamma = np.einsum("is...,sjk...->ijk...", upper, t)
@@ -275,9 +274,9 @@ def _full_formula_geometry(metric):
     s = np.einsum("ikp...,pjl...->ijkl...", gamma, gamma)
     d_gamma = np.empty(gamma.shape)
     for k in range(n):
-        s[:, :, k] += gc.differentiate_array(gamma, chart, k, grid_last=True, out=d_gamma)
+        s[:, :, k] += gc.differentiate_array(gamma, chart, k, out=d_gamma)
     r = np.swapaxes(s, 2, 3) - s  # R^i_{jkl} = S^i_{jlk} - S^i_{jkl}
-    return cov, geo._trailing(gamma, 3), geo._trailing(r, 4)
+    return cov, gamma, r
 
 
 def _assert_full_formulas(metric):
@@ -287,7 +286,7 @@ def _assert_full_formulas(metric):
     npt.assert_array_equal(metric.cov.values, cov)
     npt.assert_array_equal(conn.mixed.values, gamma)
     npt.assert_array_equal(curv.mixed.values, r)
-    npt.assert_array_equal(curv.pointwise_max(), np.max(np.abs(r), axis=(-4, -3, -2, -1)))
+    npt.assert_array_equal(curv.pointwise_max(), np.max(np.abs(r), axis=(0, 1, 2, 3)))
 
 
 def _a3_intersection_form(order=4, points=17):
@@ -341,7 +340,8 @@ def test_kernels_equal_the_full_formulas_on_random_stacks(dim, order, seed, log_
     shape = tuple(data.draw(st.integers(5, 9 if dim < 4 else 5)) for _ in range(dim))
     chart = GridChart((0.0,) * dim, (1.0,) * dim, shape, order)
     mats = _symmetric_stack(seed, dim, math.prod(shape), log_spread)
-    _assert_full_formulas(geo.build_metric(mats.reshape(shape + (dim, dim)), chart))
+    stack = np.moveaxis(mats.reshape(shape + (dim, dim)), (-2, -1), (0, 1))
+    _assert_full_formulas(geo.build_metric(stack, chart))
 
 
 @pytest.mark.parametrize("dim, connection, curvature", [(2, 6, 8), (3, 18, 54)])
@@ -373,9 +373,9 @@ def test_every_metric_is_stored_component_major():
     array = geo.build_metric(np.ascontiguousarray(closure.contra.values), chart)
     member = pc.combine(pc.PencilSpec(closure, array), 2.0, 1.0)
     for m in (closure, array, member):
-        assert geo._leading(m.contra.values, 2).flags.c_contiguous
-        assert geo._leading(m.cov.values, 2).flags.c_contiguous
-        assert np.shares_memory(m.upper, m.contra.values)
+        assert m.contra.values.shape == m.cov.values.shape == (2, 2) + chart.shape
+        assert m.contra.values.flags.c_contiguous
+        assert m.cov.values.flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +457,8 @@ def test_a_metric_scans_its_input_once(monkeypatch, source):
     metric and every derived field own their arrays without a scan."""
     chart = GridChart((1.0, 0.5), (2.0, 1.5), (9, 9))
     u = chart.meshgrid()
-    vals = np.zeros(chart.shape + (2, 2))
-    vals[..., 0, 0], vals[..., 1, 1] = 1.0, 1.0 / u[0] ** 2
+    vals = np.zeros((2, 2) + chart.shape)
+    vals[0, 0], vals[1, 1] = 1.0, 1.0 / u[0] ** 2
     scans = Counter()
     count_calls(monkeypatch, scans, ("check_finite",), gc)
     metric = geo.build_metric(
@@ -530,7 +530,7 @@ def test_floor_and_inverse_gates_do_not_change_under_rescaling(n, seed, bad, log
 
     def verdict(values):
         try:
-            geo.build_metric(values.reshape(shape + (n, n)), chart)
+            geo.build_metric(np.moveaxis(values.reshape(shape + (n, n)), (-2, -1), (0, 1)), chart)
         except DegenerateMetric as err:
             return str(err).split(" = ")[0], err.node
         return None
@@ -546,12 +546,13 @@ def test_cofactor_inverse_in_four_dimensions():
     """Every chart in use has n <= 3; n = 4 goes through the same expansion."""
     chart = GridChart((0.5,) * 4, (1.5,) * 4, (5, 5, 5, 5))
     u = chart.meshgrid()
-    vals = np.zeros(chart.shape + (4, 4))
+    vals = np.zeros((4, 4) + chart.shape)
     for i in range(4):
-        vals[..., i, i] = 2.0 + u[i]
-        vals[..., i, (i + 1) % 4] = vals[..., (i + 1) % 4, i] = 0.3 * u[(i + 2) % 4]
+        vals[i, i] = 2.0 + u[i]
+        vals[i, (i + 1) % 4] = vals[(i + 1) % 4, i] = 0.3 * u[(i + 2) % 4]
     m = geo.build_metric(vals, chart)
-    npt.assert_allclose(m.cov.values, np.linalg.inv(vals), rtol=0, atol=1e-14)
+    inverse = np.linalg.inv(np.moveaxis(vals, (0, 1), (-2, -1)))
+    npt.assert_allclose(m.cov.values, np.moveaxis(inverse, (-2, -1), (0, 1)), rtol=0, atol=1e-14)
     # the product of two polar planes is flat, a sphere times a plane is not
     chart = GridChart((1.0, 0.5, 1.0, 0.5), (2.0, 1.5, 2.0, 1.5), (9, 9, 9, 9))
     planes = geo.build_metric(lambda u: [[1.0, 0.0, 0.0, 0.0], [0.0, u[0] ** -2, 0.0, 0.0],
@@ -573,16 +574,22 @@ def test_lazy_raised_fields_equal_the_eager_formulas(polar_metric):
     sphere3 = geo.build_metric(lambda u: [[1.0, 0.0, 0.0], [0.0, np.sin(u[0]) ** -2, 0.0],
                                           [0.0, 0.0, (np.sin(u[0]) * np.sin(u[1])) ** -2]], chart3)
     for metric in (polar_metric, sphere3):
-        g, n = metric.contra.values, metric.dim
+        n = metric.dim
+
+        def grid_first(values):
+            rank = values.ndim - n
+            return np.moveaxis(values, range(rank), range(-rank, 0))
+
+        g = grid_first(metric.contra.values)
         conn = geo.connection(metric)
         curv = geo.curvature(metric, conn)
         assert "contra" not in vars(conn) and "contra" not in vars(curv)
-        eager_conn = np.swapaxes(g[..., None, :, :] @ conn.mixed.values, -3, -2)
-        r = curv.mixed.values
+        eager_conn = np.swapaxes(g[..., None, :, :] @ grid_first(conn.mixed.values), -3, -2)
+        r = np.ascontiguousarray(grid_first(curv.mixed.values))
         raised = g[..., None, :, :] @ r.reshape(metric.chart.shape + (n, n, n * n))
         eager_curv = np.swapaxes(raised.reshape(r.shape), -4, -3)
-        npt.assert_array_equal(conn.contra.values, eager_conn)
-        npt.assert_array_equal(curv.contra.values, eager_curv)
+        npt.assert_array_equal(grid_first(conn.contra.values), eager_conn)
+        npt.assert_array_equal(grid_first(curv.contra.values), eager_curv)
         assert curv.contra is curv.contra  # formed once
 
 
@@ -605,10 +612,11 @@ def test_acceptance_and_flatness_do_not_change_under_rescaling(data):
     exps = [data.draw(st.floats(-6.0, 6.0)) for _ in range(dim)]
     slopes = [data.draw(st.floats(-0.4, 0.4)) for _ in range(dim)]
     c = 10.0 ** data.draw(st.floats(-6.0, 6.0), label="log10 c")
-    vals = np.zeros(chart.shape + (dim, dim))
+    vals = np.zeros((dim, dim) + chart.shape)
     for i, (e, a) in enumerate(zip(exps, slopes)):
-        vals[..., i, i] = 10.0**e * (1.0 + a * u[(i + 1) % dim])
-    ratio = np.abs(np.linalg.det(vals)) / np.max(np.abs(vals), axis=(-1, -2)) ** dim
+        vals[i, i] = 10.0**e * (1.0 + a * u[(i + 1) % dim])
+    mats = np.moveaxis(vals, (0, 1), (-2, -1))
+    ratio = np.abs(np.linalg.det(mats)) / np.max(np.abs(mats), axis=(-1, -2)) ** dim
     assume(not 0.5 * geo.DET_FLOOR_SCALE < ratio.min() < 2.0 * geo.DET_FLOOR_SCALE)
 
     def built(values):
@@ -623,7 +631,7 @@ def test_acceptance_and_flatness_do_not_change_under_rescaling(data):
     if plain is not None:
         # rounding in g_{jj} reaches Gamma^i_{jj} through g^{ii}: the noise
         # floor is about eps times the anisotropy max g^{ii} / min g^{jj}
-        diag = np.abs(vals[..., range(dim), range(dim)])
+        diag = np.abs(vals[range(dim), range(dim)])
         noise = 1e-13 * float(np.max(diag) / np.min(diag))
         assert geo.flatness_residual(scaled) == pytest.approx(
             geo.flatness_residual(plain), rel=1e-9, abs=noise)

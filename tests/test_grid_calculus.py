@@ -119,33 +119,38 @@ def test_tensorfield_rejects_nonfinite():
 
 def test_an_owned_field_keeps_its_array_read_only():
     chart = GridChart((0.0, 0.0), (1.0, 1.0), (5, 6))
-    vals = np.full((2, 2, 5, 6), np.nan)  # component-major; an owner does not scan
-    fld = TensorField.owning(chart, "ud", np.moveaxis(vals, (0, 1), (2, 3)))
-    assert fld.values.shape == (5, 6, 2, 2) and np.shares_memory(fld.values, vals)
+    vals = np.full((2, 2, 5, 6), np.nan)  # an owner does not scan
+    fld = TensorField.owning(chart, "ud", vals)
+    assert fld.values.shape == (2, 2, 5, 6) and np.shares_memory(fld.values, vals)
     assert not fld.values.flags.writeable
     with pytest.raises(ValueError, match="shape"):
         TensorField.owning(chart, "u", vals)
 
 
 def test_component_major_derivatives_equal_grid_first_ones():
+    """The derivatives of a component-major stack, moved grid first, equal
+    those of its components, assembled grid first."""
     chart = GridChart((0.0, 0.5, 1.0), (1.0, 1.5, 2.0), (5, 7, 6), order=2)
     vals = np.random.default_rng(3).standard_normal(chart.shape + (3, 2))
     stack = np.ascontiguousarray(np.moveaxis(vals, (-2, -1), (0, 1)))
     for axis in range(3):
+        grid_first = np.empty_like(vals)
+        for i, j in np.ndindex(3, 2):
+            grid_first[..., i, j] = differentiate_array(vals[..., i, j], chart, axis)
         npt.assert_array_equal(
-            np.moveaxis(differentiate_array(stack, chart, axis, grid_last=True), (0, 1), (-2, -1)),
-            differentiate_array(vals, chart, axis))
-    npt.assert_array_equal(
-        np.moveaxis(stacked_partials(stack, chart, grid_last=True), (0, 1, 2), (-3, -2, -1)),
-        stacked_partials(vals, chart))
+            np.moveaxis(differentiate_array(stack, chart, axis), (0, 1), (-2, -1)), grid_first)
+    partials = np.moveaxis(stacked_partials(stack, chart), (0, 1, 2), (-3, -2, -1))
+    for a in range(3):
+        npt.assert_array_equal(partials[..., a, :, :],
+                               np.moveaxis(differentiate_array(stack, chart, a), (0, 1), (-2, -1)))
 
 
-def _one_pass(values, chart, axis, grid_last=False):
+def _one_pass(values, chart, axis):
     """The interior rows in one pass over the flattened array, with a
     whole-array ``8 a``: the stencils before they ran in blocks."""
     values = np.ascontiguousarray(values, dtype=float)
     out = np.empty_like(values)
-    pos = values.ndim - chart.dim + axis if grid_last else axis
+    pos = values.ndim - chart.dim + axis
     lines = (-1, values.shape[pos], math.prod(values.shape[pos + 1:]))
     a, o, step, h = values.reshape(-1), out.reshape(-1), lines[2], chart.spacing[axis]
     if chart.order == 2:
@@ -181,8 +186,8 @@ def test_blocked_stencils_equal_one_pass(monkeypatch, order, points, block):
     for axis in range(3):
         npt.assert_array_equal(differentiate_array(vals, chart, axis),
                                _one_pass(vals, chart, axis))
-        npt.assert_array_equal(differentiate_array(stack, chart, axis, grid_last=True),
-                               _one_pass(stack, chart, axis, grid_last=True))
+        npt.assert_array_equal(differentiate_array(stack, chart, axis),
+                               _one_pass(stack, chart, axis))
 
 
 def test_sample_enforces_declared_symmetry():
@@ -192,18 +197,61 @@ def test_sample_enforces_declared_symmetry():
                symmetries=((0, 1),))
     fld = sample(lambda u: [[1.0, u[0]], [u[0], 1.0]], chart, "uu",
                  symmetries=((0, 1),))
-    assert fld.values.shape == (9, 9, 2, 2)
+    assert fld.values.shape == (2, 2, 9, 9)
 
 
 def test_stacked_partials_layout():
-    """stacked_partials appends the derivative axis after the grid axes and
-    before the original tensor slots."""
+    """stacked_partials puts the derivative axis first, before the original
+    tensor slots and the grid axes."""
     chart = GridChart((0.0, 0.0), (1.0, 1.0), (9, 9))
     fld = sample(lambda u: np.array([u[0], u[1]]), chart, "u")
     st = stacked_partials(fld)
-    assert st.shape == (9, 9, 2, 2)
+    assert st.shape == (2, 2, 9, 9)
     # d_s u^j = delta_s^j for the identity covector field
-    npt.assert_allclose(st[4, 4], np.eye(2), atol=1e-12)
+    npt.assert_allclose(st[:, :, 4, 4], np.eye(2), atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 3), rank=st.integers(0, 3), order=st.sampled_from((2, 4)),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_one_layout_over_ranks_and_charts(dim, rank, order, seed, data):
+    """A rank-``rank`` field is ``values[tensor ..., grid ...]``: its partials
+    are those of its components, a NaN is named by its grid node, and the
+    interior maximum reads every component."""
+    points = tuple(data.draw(st.integers(5, 7)) for _ in range(dim))
+    chart = GridChart((0.0,) * dim, (1.0,) * dim, points, order)
+    tshape = (dim,) * rank
+    values = np.random.default_rng(seed).standard_normal(tshape + chart.shape)
+    partials = stacked_partials(values, chart)
+    assert partials.shape == (dim,) + values.shape
+    for a in range(dim):
+        for comp in np.ndindex(tshape):
+            npt.assert_array_equal(partials[(a, *comp)],
+                                   differentiate_array(values[comp], chart, a))
+    assert interior_max(values, chart) == max(
+        np.max(np.abs(values[comp][chart.interior()])) for comp in np.ndindex(tshape))
+    node = tuple(data.draw(st.integers(0, n - 1), label="node") for n in points)
+    comp = tuple(data.draw(st.integers(0, dim - 1), label="component") for _ in range(rank))
+    values[(*comp, *node)] = np.nan
+    with pytest.raises(NonFiniteSample) as err:
+        TensorField(chart, "u" * rank, values)
+    assert err.value.node == node
+    assert err.value.coords == tuple(chart.node(node))
+
+
+def test_central_difference_calls_its_function_once():
+    calls = []
+
+    def fn(x, y):
+        calls.append(np.shape(x))
+        return np.sin(x) * y
+
+    x = np.linspace(0.0, 1.0, 7)
+    d = gc.central_difference(fn, (x, 2.0), 0)
+    assert calls == [(4, 7)]  # the four shifted arguments on one leading axis
+    npt.assert_allclose(d, 2.0 * np.cos(x), atol=1e-10)
+    constant = gc.central_difference(lambda t: 3.0, (x,))
+    assert constant.shape == (7,) and np.all(constant == 0.0)
 
 
 def test_interior_max_excludes_boundary():
@@ -243,15 +291,15 @@ def test_sample_calls_the_closure_once():
     fld = sample(fn, chart, "uu", symmetries=((0, 1),))
     assert calls == [[(17, 9), (17, 9)]]
     U1, U2 = chart.meshgrid()
-    npt.assert_array_equal(fld.values[..., 0, 1], U1)
-    npt.assert_array_equal(fld.values[..., 1, 1], U2 ** 2)
+    npt.assert_array_equal(fld.values[0, 1], U1)
+    npt.assert_array_equal(fld.values[1, 1], U2 ** 2)
 
 
 def test_sample_broadcasts_scalar_leaves():
     chart = GridChart((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (3, 4, 5))
     fld = sample(lambda u: [2.0, u[1], 0], chart, "u")
-    npt.assert_array_equal(fld.values[..., 0], np.full((3, 4, 5), 2.0))
-    npt.assert_array_equal(fld.values[..., 2], 0.0)
+    npt.assert_array_equal(fld.values[0], np.full((3, 4, 5), 2.0))
+    npt.assert_array_equal(fld.values[2], 0.0)
     scalar = sample(lambda u: np.float64(-1.5), chart)
     npt.assert_array_equal(scalar.values, np.full((3, 4, 5), -1.5))
 
@@ -334,8 +382,8 @@ def test_sampled_expressions_match_node_by_node_evaluation(data):
         for _ in range(dim)
     ]
     fld = sample(lambda u: [fn(*u) for fn in cells], chart, "u")
-    reference = np.empty(chart.shape + (dim,))
+    reference = np.empty((dim,) + chart.shape)
     for idx in np.ndindex(chart.shape):
         u = chart.node(idx)
-        reference[idx] = [float(fn(*u)) for fn in cells]
+        reference[(slice(None), *idx)] = [float(fn(*u)) for fn in cells]
     npt.assert_array_max_ulp(fld.values, reference, maxulp=1)

@@ -283,3 +283,37 @@ def test_only_derived_tensors_skip_the_finiteness_scan():
     callers = _package_callers("owning")
     assert callers.pop("grid_calculus.py") == ["sample"]
     assert set(callers) == {"geometry_core.py", "pencil_checker.py"}
+
+
+def _identifiers(tree: ast.Module) -> set[str]:
+    """Every name, attribute, parameter and definition in a module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def test_one_tensor_layout():
+    """Every grid tensor is component-major, ``[tensor ..., grid ...]``.  Axes
+    move only where a stacked-matrix routine takes grid-first views, in
+    ``build_metric``'s ``np.matmul`` inverse gate and ``affinor``'s product
+    and ``eigvals``, and in ``cumulative_integral`` for its own ``axis``; no
+    layout switch, conversion helper or second view of a metric is left."""
+    callers = {module: set(c) for module, c in _package_callers("moveaxis", "np").items()}
+    assert callers == {"geometry_core.py": {"build_metric"},
+                       "pencil_checker.py": {"affinor"},
+                       "grid_calculus.py": {"cumulative_integral"}}
+    for path in MODULES:
+        gone = _identifiers(ast.parse(path.read_text())) & {"grid_last", "_leading", "_trailing"}
+        assert not gone, f"{path.name}: {sorted(gone)}"
+    geometry = ast.parse((PACKAGE / "geometry_core.py").read_text())
+    [metric] = [node for node in geometry.body
+                if isinstance(node, ast.ClassDef) and node.name == "MetricField"]
+    assert "upper" not in _identifiers(metric)

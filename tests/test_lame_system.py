@@ -38,9 +38,9 @@ def test_polar_frame_coefficients(polar_metric):
     i = chart.points[0] // 2
     r = chart.axis_coordinates(0)[i]
     # H = (1, r) and the only nonzero rotation coefficient is d_r H_theta = 1
-    npt.assert_allclose(fr.h[i, i], [1.0, r], atol=1e-12)
-    assert fr.beta[i, i, 0, 1] == pytest.approx(1.0, abs=1e-10)
-    assert fr.beta[i, i, 1, 0] == pytest.approx(0.0, abs=1e-10)
+    npt.assert_allclose(fr.h[:, i, i], [1.0, r], atol=1e-12)
+    assert fr.beta[0, 1, i, i] == pytest.approx(1.0, abs=1e-10)
+    assert fr.beta[1, 0, i, i] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_frame_metric_roundtrip(polar_metric):
@@ -66,6 +66,14 @@ def test_wrong_eps_declaration_raises(polar_metric):
     assert "(0, 0) (u = (1, 0.5))" in str(err.value)
 
 
+@pytest.mark.parametrize("eps", [(1, 1, 1), (1,), (1, 2), (0, 1), (1.5, 1)])
+def test_frame_refuses_eps_of_the_wrong_length_or_sign(monkeypatch, polar_metric, eps):
+    """eps is checked before any arithmetic, so no derivative is taken."""
+    monkeypatch.setattr(ls.gc, "stacked_partials", None)
+    with pytest.raises(ValueError, match="eps must be 2 signs, each"):
+        ls.frame_from_metric(polar_metric, eps=eps)
+
+
 def test_frame_requires_diagonal_metric():
     chart = GridChart((0.5, 0.5), (1.5, 1.5), (17, 17))
     m = geo.build_metric(lambda u: np.array([[2.0, 0.3], [0.3, 1.0]]), chart)
@@ -77,8 +85,8 @@ def test_frame_requires_diagonal_metric():
 def test_frame_names_its_non_finite_node(field):
     """A NaN in a frame raises the package's own error, naming the node."""
     chart = GridChart((0.5, 0.5), (1.5, 1.5), (5, 5))
-    values = {"h": np.ones((5, 5, 2)), "beta": np.zeros((5, 5, 2, 2))}
-    values[field][(2, 3, 0, 1)[: values[field].ndim]] = np.nan
+    values = {"h": np.ones((2, 5, 5)), "beta": np.zeros((2, 2, 5, 5))}
+    values[field][(0, 1, 2, 3)[-values[field].ndim:]] = np.nan
     with pytest.raises(NonFiniteSample, match=r"\(2, 3\) \(u = \(1, 1.25\)\)"):
         ls.LameFrame(chart, values["h"], values["beta"], (1, 1))
 
@@ -137,8 +145,8 @@ def test_metric_pair_from_frame_recovers_compatible_pair():
                                     lambda_samples=SAFE_LAMS)
     # identity profile turns diag(u) into diag(u^2)
     U1, U2 = fr.chart.meshgrid()
-    npt.assert_allclose(pen.g1.contra.values[..., 0, 0], U1**2, atol=1e-10)
-    npt.assert_allclose(pen.g2.contra.values[..., 1, 1], U2, atol=1e-12)
+    npt.assert_allclose(pen.g1.contra.values[0, 0], U1**2, atol=1e-10)
+    npt.assert_allclose(pen.g2.contra.values[1, 1], U2, atol=1e-12)
     assert pc.check_compatible(pen, "flat").max_residual <= 1e-5
 
 
@@ -171,8 +179,8 @@ def test_profile_functions_may_return_scalars():
     prof = ls.ReductionProfile((lambda t: -2.0, lambda t: t))
     assert prof.signs_on(chart) == (-1, 1)
     vals = prof.values_on(chart)
-    npt.assert_array_equal(vals[..., 0], -2.0)
-    npt.assert_array_equal(vals[..., 1], chart.meshgrid()[1])
+    npt.assert_array_equal(vals[0], -2.0)
+    npt.assert_array_equal(vals[1], chart.meshgrid()[1])
 
 
 def test_report_maxima_keep_a_nan_in_any_position():

@@ -118,12 +118,17 @@ def test_raised_curvature_is_formed_only_when_read(monkeypatch, mode):
     # made follows the samples: SAFE_LAMS starts with g1 = (1, 0) and g2 = (0, 1)
     raised = {}
     for lam, curv in zip(SAFE_LAMS, made):
-        g, r, n = curv.metric.contra.values, curv.mixed.values, pen.chart.dim
-        eager = g[..., None, :, :] @ r.reshape(pen.chart.shape + (n, n, n * n))
-        raised[lam] = np.swapaxes(eager.reshape(r.shape), -4, -3)
+        # the eager formula is a matmul over grid-first copies
+        g = np.moveaxis(curv.metric.contra.values, (0, 1), (-2, -1))
+        r = np.moveaxis(curv.mixed.values, (0, 1, 2, 3), (-4, -3, -2, -1))
+        n = pen.chart.dim
+        eager = g[..., None, :, :] @ np.ascontiguousarray(r).reshape(
+            pen.chart.shape + (n, n, n * n))
+        raised[lam] = np.moveaxis(np.swapaxes(eager.reshape(r.shape), -4, -3),
+                                  (-4, -3, -2, -1), (0, 1, 2, 3))
     eye = np.eye(2)
     unit = np.einsum("ik,jl->ijkl", eye, eye)
-    unit = unit - np.swapaxes(unit, -1, -2)
+    unit = (unit - np.swapaxes(unit, -1, -2))[..., None, None]
     for (l1, l2), residual in rep.curvature_by_sample.items():
         if mode == "general":
             expected = raised[(l1, l2)] - l1 * raised[(1.0, 0.0)] - l2 * raised[(0.0, 1.0)]
@@ -157,7 +162,7 @@ def test_endpoint_curvature_is_the_pointwise_maximum():
     for name, metric in (("g1", pen.g1), ("g2", pen.g2)):
         mixed = geo.curvature(metric).mixed.values
         npt.assert_array_equal(
-            rep.endpoint_curvature[name], np.max(np.abs(mixed), axis=(-4, -3, -2, -1)))
+            rep.endpoint_curvature[name], np.max(np.abs(mixed), axis=(0, 1, 2, 3)))
 
 
 def test_almost_compatible_pass_and_fail():
@@ -199,8 +204,8 @@ def test_diagonal_form_recovers_eigen_fields():
     pen = _diag_pencil()
     rep = pc.check_diagonal_form(pen)
     U1, U2 = pen.chart.meshgrid()
-    npt.assert_allclose(rep.f_values[..., 0], U1, atol=1e-12)
-    npt.assert_allclose(rep.f_values[..., 1], U2, atol=1e-12)
+    npt.assert_allclose(rep.f_values[0], U1, atol=1e-12)
+    npt.assert_allclose(rep.f_values[1], U2, atol=1e-12)
     assert rep.residual <= 1e-10
     assert rep.off_diagonal_max <= 1e-12
 
@@ -270,7 +275,7 @@ def test_quadratic_construction_offset_term():
     rep = pc.dubrovin_construct(eta, f, c=1.0, lambda_samples=LAMS_UNIT)
     # g1 = diag(2 u^i) + 1
     U1, _ = chart.meshgrid()
-    npt.assert_allclose(rep.g1.contra.values[..., 0, 0], 2 * U1 + 1.0, atol=1e-10)
+    npt.assert_allclose(rep.g1.contra.values[0, 0], 2 * U1 + 1.0, atol=1e-10)
     assert max(rep.quadratic_residual, rep.bracket_residual,
                rep.compatibility.max_residual) <= 1e-6
 
@@ -329,8 +334,8 @@ def test_potentials_route_is_dubrovins_candidate_at_zero_offset():
     chart, eta = _unit_eta()
     g1 = pc.partner_metric(eta, lambda u: [0.5 * u[0] ** 2, 0.5 * u[1] ** 2])[0]
     U1, U2 = chart.meshgrid()
-    npt.assert_allclose(g1.contra.values[..., 0, 0], 2 * U1, atol=1e-10)
-    npt.assert_allclose(g1.contra.values[..., 1, 1], 2 * U2, atol=1e-10)
+    npt.assert_allclose(g1.contra.values[0, 0], 2 * U1, atol=1e-10)
+    npt.assert_allclose(g1.contra.values[1, 1], 2 * U2, atol=1e-10)
 
 
 def test_potentials_route_gates_eta_relative_to_its_scale():

@@ -300,15 +300,15 @@ def _pointwise(pots, chart, panels, profile=None, use_tilde=False):
     panel count."""
     reach = max(max(abs(lo), abs(hi)) for lo, hi in zip(chart.lower, chart.upper))
     length = pots.envelope + reach + 1.0
-    beta = np.empty(chart.shape + (pots.n, pots.n))
-    psi = np.empty(chart.shape + (pots.n,))
+    beta = np.empty((pots.n, pots.n) + chart.shape)
+    psi = np.empty((pots.n,) + chart.shape)
     residuals = []
     for idx in np.ndindex(chart.shape):
         u = chart.node(idx)
         prob = zd.DressingProblem(pots, u, profile=profile, length=length, panels=panels)
         kernel = prob.tilde_kernel() if use_tilde else prob.base_kernel()
         sol = zd.solve_marchenko(prob, kernel=kernel, estimate_cond=False)
-        beta[idx], psi[idx] = sol.beta(), sol.psi()
+        beta[(..., *idx)], psi[(..., *idx)] = sol.beta(), sol.psi()
         residuals.append(sol.residual)
     return beta, psi, max(residuals)
 
@@ -437,7 +437,8 @@ def test_window_conditioning_is_worst_of_corners_and_centre():
 
 
 # beta and psi of the 2x2 window below with the fixed 16 x 6 rule, to rounding:
-# the factored solve and the dense LU of the tests each agree with them to about 1e-16
+# the factored solve and the dense LU of the tests each agree with them to about 1e-16;
+# written node by node, [node ..., i, j]
 FIXED_RULE_BETA = [
     [[[-0.18943431607678515, 0.015192528822021371], [-0.11722388689714412, -0.09507183238278381]],
      [[-0.18759228712436676, -0.09221242682414012], [-0.11078170015205019, -0.07859626643956774]]],
@@ -453,8 +454,10 @@ FIXED_RULE_PSI = [
 def test_explicit_panels_are_used_without_a_search():
     chart = GridChart((-0.3, -0.2), (0.3, 0.2), (2, 2))
     field = zd.extract_beta(_gaussian2(), chart, panels=16)
-    npt.assert_allclose(field.beta_values, FIXED_RULE_BETA, rtol=0, atol=2.5e-16)
-    npt.assert_allclose(field.psi_values, FIXED_RULE_PSI, rtol=0, atol=2.5e-16)
+    npt.assert_allclose(field.beta_values, np.transpose(FIXED_RULE_BETA, (2, 3, 0, 1)),
+                        rtol=0, atol=2.5e-16)
+    npt.assert_allclose(field.psi_values, np.transpose(FIXED_RULE_PSI, (2, 0, 1)),
+                        rtol=0, atol=2.5e-16)
     assert field.panels is None and field.quadrature_error is None
 
 
@@ -894,4 +897,4 @@ def test_window_agrees_with_the_closed_form(points):
         exact = _closed_form_beta(u, 0.4, 0.0, math.inf)
         truncated = _closed_form_beta(u, 0.4, 0.0, length)
         tail = np.max(np.abs(exact - truncated))
-        assert np.max(np.abs(field.beta_values[idx] - exact)) <= zd.QUADRATURE_TOL + tail
+        assert np.max(np.abs(field.beta_values[(..., *idx)] - exact)) <= zd.QUADRATURE_TOL + tail
