@@ -47,9 +47,9 @@ class ChartTooCoarse(FlatpencilError):
 
 
 class DegenerateMetric(FlatpencilError):
-    """A metric is singular at a node: its determinant fell below the
-    nondegeneracy floor, or its pointwise inverse missed the identity;
-    ``reason`` says which, with the measured value and its limit."""
+    """A metric is singular at a node: its determinant fell below the floor,
+    or its row-scaled condition number exceeds ``KAPPA_CAP`` of its dimension
+    (lower from n = 3); ``reason`` says which, with the value and its limit."""
 
     def __init__(self, node, reason, coords=None):
         super().__init__(f"{reason} at node {self._at(node, coords)}")

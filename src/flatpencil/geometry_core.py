@@ -56,8 +56,12 @@ from .grid_calculus import GridChart, TensorField
 #: max_ij |g^{ij}|^n, so the gate does not change under g -> c g
 DET_FLOOR_SCALE = 1e-8
 
-#: |g^{is} g_{sj} - delta^i_j| allowed after pointwise inversion
+#: |g^{is} g_{sj} - delta^i_j| that every inverse within KAPPA_CAP keeps
 INVERSE_TOL = 1e-10
+
+#: cap on ||a||_inf ||a^-1||_inf of the row-scaled metric a, by n (n > 3 reads
+#: 3): from n = 3 the cofactor inverse loses cond^2 eps, not cond eps
+KAPPA_CAP = {1: 1e5, 2: 1e5, 3: 1e3}
 
 #: off-diagonal content a diagonal metric may carry, relative to its scale
 DIAG_TOL = 1e-8
@@ -156,11 +160,9 @@ def build_metric(
     :class:`DegenerateMetric` names the first node in C order, as does a
     node where ``g`` vanishes.  Only past the floor is the covariant metric
     formed, as the transposed cofactors over the determinant with the row
-    scales undone, and verified to invert the contravariant one to within
-    ``INVERSE_TOL`` at every scale.
-    The product ``g g^-1`` stays an ``np.matmul`` over grid-first views: for
-    ``[[1, 1 - 1e-7], [1 - 1e-7, 1]]`` its rounding reads 1.66e-10, above the
-    bound, where ordered sums and ``einsum`` read 0.0, and the verdict with it.
+    scales undone, and kept where ``kappa = ||a||_inf ||a^-1||_inf`` of the
+    row-scaled ``a = g / rows`` (1 if ``g`` is diagonal) is at most ``KAPPA_CAP[n]``;
+    within the cap ``|g g^-1 - I| <= INVERSE_TOL`` under any summation order.
     """
     sym = ((0, 1),)
     if callable(source):
@@ -174,26 +176,30 @@ def build_metric(
     # g^{ij} then inverts to 1/g^{ii} correctly rounded, with no rounding of
     # the other entries in it for the derivatives of g_{ij} to pick up; a
     # zero row keeps the scale 1, and its zero determinant fails the floor
-    g = contra.values
-    rows = _max_abs(np.swapaxes(g, 0, 1))  # rows[i] = max_j |g^{ij}|
-    det_rows, cof = _cofactors(g / np.where(rows > 0.0, rows, 1.0)[:, None])
+    g, n = contra.values, chart.dim
+    mags = np.abs(np.swapaxes(g, 0, 1))  # mags[j, i] = |g^{ij}|; its buffer then holds a
+    rows = np.maximum.reduce(mags)  # rows[i] = max_j |g^{ij}|, not a view of mags at n = 1
+    scale = np.where(rows > 0.0, rows, 1.0)
+    norm = functools.reduce(np.maximum, map(np.divide, np.add.reduce(mags), scale))  # ||a||_inf
+    det_rows, cof = _cofactors(np.divide(g, scale[:, None], out=np.swapaxes(mags, 0, 1)))
     det = np.abs(det_rows * np.prod(rows, axis=0))
-    floor = DET_FLOOR_SCALE * _max_abs(rows) ** chart.dim
+    floor = DET_FLOOR_SCALE * np.maximum.reduce(rows) ** n
     ok = (det >= floor) & (det > 0.0)  # a node where g vanishes has det = floor = 0
     if not ok.all():
         bad = np.unravel_index(int(np.argmin(ok)), chart.shape)
         reason = f"|det g| = {det[bad]:.3e} < floor {floor[bad]:.3e}"
         raise DegenerateMetric(bad, reason, chart.node(bad))
 
-    cov = np.swapaxes(cof, 0, 1) / det_rows / rows[None]
+    cov = np.divide(np.swapaxes(cof, 0, 1), det_rows, out=np.swapaxes(mags, 0, 1))
+    cov /= rows[None]
     cov = np.add(cov, np.swapaxes(cov, 0, 1), out=cof)  # symmetrized into the spent cofactors
     cov *= 0.5
-    g_view, cov_view = (np.moveaxis(a, (0, 1), (-2, -1)) for a in (g, cov))  # grid first
-    prod = g_view @ cov_view - np.eye(chart.dim)  # np.matmul: see above
-    resid = _max_abs(_max_abs(np.moveaxis(prod, (-2, -1), (0, 1))))
-    if not np.max(resid) <= INVERSE_TOL:  # g g^-1 - I is dimensionless; NaN fails
-        bad = np.unravel_index(int(np.argmax(resid)), chart.shape)
-        reason = f"|g g^-1 - I| = {resid[bad]:.3e} > INVERSE_TOL {INVERSE_TOL:.3e}"
+    # ||a^-1||_inf = max_i sum_j |g_{ij}| rows[j], one row of |g_{ij}| at a time
+    kappa = norm * functools.reduce(
+        np.maximum, (np.einsum("j...,j...->...", np.abs(row), rows) for row in cov))
+    if not np.max(kappa) <= (cap := KAPPA_CAP[min(n, 3)]):  # NaN fails
+        bad = np.unravel_index(int(np.argmax(kappa)), chart.shape)
+        reason = f"kappa = {kappa[bad]:.3e} > KAPPA_CAP {cap:.3e}"
         raise DegenerateMetric(bad, reason, chart.node(bad))
 
     return MetricField(contra, TensorField.owning(chart, "dd", cov))
@@ -208,12 +214,6 @@ def require_diagonal(*metrics: MetricField) -> float:
         if not off <= tol:
             raise NotDiagonal(off, tol)
     return max(offs)
-
-
-def _max_abs(stack: np.ndarray) -> np.ndarray:
-    """``max_a |stack[a]|`` over the leading axis, taken slice by slice: a
-    numpy reduction over an axis of a few entries costs tens of times more."""
-    return functools.reduce(np.maximum, np.abs(stack))
 
 
 def _minor(mats: np.ndarray, rows: tuple[int, ...], cols: tuple[int, ...]) -> np.ndarray:

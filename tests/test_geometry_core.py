@@ -414,22 +414,23 @@ def test_inverse_gate_does_not_depend_on_scale(scale):
     geo.build_metric(lambda u: scale * np.array([[2.0, 1.0], [1.0, 2.0]]), chart)
 
 
-def test_inverse_gate_names_the_inverse_residual():
+def test_inverse_gate_names_the_condition_number():
     """The matrix passes the determinant floor (2e-7 > 1e-8) and fails the
-    inverse gate, so the message quotes |g g^-1 - I| and INVERSE_TOL."""
+    inverse gate, so the message quotes its condition number, about 2e7,
+    and KAPPA_CAP."""
     chart = GridChart((0.0, 0.0), (1.0, 1.0), (5, 5))
     near = np.array([[1.0, 1.0 - 1e-7], [1.0 - 1e-7, 1.0]])
     with pytest.raises(DegenerateMetric) as err:
         geo.build_metric(lambda u: near, chart)
     message = str(err.value)
-    assert message.startswith("|g g^-1 - I| = ")
-    assert f"> INVERSE_TOL {geo.INVERSE_TOL:.3e} at node (0, 0) (u = (0, 0))" in message
+    assert message.startswith("kappa = ")
+    assert f"> KAPPA_CAP {geo.KAPPA_CAP[2]:.3e} at node (0, 0) (u = (0, 0))" in message
     assert "det" not in message
-    residual = float(message.split()[5])
-    assert geo.INVERSE_TOL < residual < 1.0
+    kappa = float(message.split()[2])
+    assert 1.9e7 < kappa < 2.1e7
 
 
-def test_a_nan_inverse_residual_fails_the_gate(monkeypatch):
+def test_a_nan_condition_number_fails_the_gate(monkeypatch):
     """A NaN cofactor passes the determinant floor, which reads only the
     determinant; the inverse gate must refuse it and name its node."""
     chart = GridChart((0.0, 0.0), (1.0, 1.0), (5, 6))
@@ -444,7 +445,7 @@ def test_a_nan_inverse_residual_fails_the_gate(monkeypatch):
     with pytest.raises(DegenerateMetric) as err:
         geo.build_metric(lambda u: np.array([[2.0, 1.0], [1.0, 2.0]]), chart)
     assert err.value.node == (2, 3)
-    assert str(err.value).startswith("|g g^-1 - I| = nan > INVERSE_TOL")
+    assert str(err.value).startswith("kappa = nan > KAPPA_CAP")
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +496,8 @@ def test_cofactors_agree_with_lapack(n, seed, log_spread):
     assert np.all(np.abs(det - np.linalg.det(mats)) <= 1e-13 * scale**n)
     inv, oracle = np.swapaxes(cof, -1, -2) / det[..., None, None], np.linalg.inv(mats)
     # LU loses up to cond * eps; from n = 3 on the cofactor expansion loses up
-    # to cond^2 * eps, and what build_metric keeps is bounded by INVERSE_TOL
+    # to cond^2 * eps, which is why build_metric caps the row-scaled
+    # condition number at 1e3 from n = 3 and at 1e5 below (KAPPA_CAP)
     cond = np.linalg.cond(mats)
     growth = cond if n <= 2 else cond**2
     error = np.max(np.abs(inv - oracle), axis=(-1, -2))
@@ -540,6 +542,65 @@ def test_floor_and_inverse_gates_do_not_change_under_rescaling(n, seed, bad, log
     if failing.size:
         expected = ("|det g|", tuple(int(i) for i in np.unravel_index(failing[0], shape)))
     assert verdict(mats) == verdict(10.0**log10_c * mats) == expected
+
+
+def _inverse_residuals(g, cov):
+    """``max_ij |g g^-1 - I|`` at every node of grid-first stacks, with the
+    product as ``np.matmul``, as ``einsum`` and as ordered Python sums."""
+    n = g.shape[-1]
+    ordered = sum(g[..., :, s, None] * cov[..., None, s, :] for s in range(n))
+    products = (g @ cov, np.einsum("...is,...sj->...ij", g, cov), ordered)
+    return [np.max(np.abs(p - np.eye(n)), axis=(-2, -1)) for p in products]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), log_spread=st.floats(0.0, 8.0),
+       log_congruence=st.floats(0.0, 3.0))
+def test_accepted_inverses_stay_within_inverse_tol(n, seed, log_spread, log_congruence):
+    """The residual ``|g g^-1 - I|`` is the oracle of the condition-number
+    gate: every node past the floor and ``KAPPA_CAP`` inverts to within
+    ``INVERSE_TOL`` whatever the summation order, and a node is refused
+    exactly where LAPACK's condition number of the row-scaled matrix, or
+    the determinant, says so, wherever neither sits near its limit.  Random
+    nodes ``D Q diag(lam) Q^T D``, with eigenvalue magnitudes spanning
+    exactly ``10^[-s, 0]`` (s up to 8) and ``D`` diagonal in ``10^[-c, c]``,
+    sit among identities: 16 of them, or 4 at n = 6, where each refusal
+    costs a build of 64 nodes."""
+    shape = _SIXTEEN_NODES.get(n, (2,) * n)
+    chart = GridChart((0.0,) * n, (1.0,) * n, shape)
+    count = 4 if n == 6 else 16
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((count, n, n)))
+    lam = 10.0 ** rng.uniform(-log_spread, 0.0, (count, n))
+    lam[:, 0], lam[:, -1] = 1.0, 10.0**-log_spread
+    lam *= rng.choice([-1.0, 1.0], (count, n))
+    d = 10.0 ** rng.uniform(-log_congruence, log_congruence, (count, n))
+    live = (q * lam[:, None, :]) @ np.swapaxes(q, -1, -2) * d[:, :, None] * d[:, None, :]
+    live = 0.5 * (live + np.swapaxes(live, -1, -2))
+    mats = np.broadcast_to(np.eye(n), (math.prod(shape), n, n)).copy()
+    mats[:count] = live
+    values = np.moveaxis(mats, 0, -1).reshape((n, n) + shape)
+    refused = set()
+    while True:  # each refusal names one node: set it to the identity and retry
+        try:
+            metric = geo.build_metric(values, chart)
+            break
+        except DegenerateMetric as err:
+            refused.add(err.node)
+            values[(..., *err.node)] = np.eye(n)
+
+    g, cov = (np.moveaxis(f.values, (0, 1), (-2, -1)) for f in (metric.contra, metric.cov))
+    assert max(np.max(r) for r in _inverse_residuals(g, cov)) <= geo.INVERSE_TOL
+
+    a = live / np.max(np.abs(live), axis=-1, keepdims=True)
+    kappa = (np.linalg.norm(a, np.inf, axis=(-2, -1))
+             * np.linalg.norm(np.linalg.inv(a), np.inf, axis=(-2, -1)))
+    ratio = np.abs(np.linalg.det(live)) / np.max(np.abs(live), axis=(-2, -1)) ** n
+    cap, floor = geo.KAPPA_CAP[min(n, 3)], geo.DET_FLOOR_SCALE
+    for k in range(count):
+        if not (0.25 * floor < ratio[k] < 4.0 * floor or 0.5 * cap < kappa[k] < 2.0 * cap):
+            node = tuple(int(i) for i in np.unravel_index(k, shape))
+            assert (node in refused) == (ratio[k] < floor or kappa[k] > cap), (k, kappa[k])
 
 
 def test_cofactor_inverse_in_four_dimensions():

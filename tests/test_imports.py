@@ -303,17 +303,18 @@ def _identifiers(tree: ast.Module) -> set[str]:
 def test_one_tensor_layout():
     """Every grid tensor is component-major, ``[tensor ..., grid ...]``.  Axes
     move only where a stacked-matrix routine takes grid-first views, in
-    ``build_metric``'s ``np.matmul`` inverse gate and ``affinor``'s product
-    and ``eigvals``, and in ``cumulative_integral`` for its own ``axis``; no
-    layout switch, conversion helper or second view of a metric is left."""
+    ``affinor``'s product and ``eigvals``, and in ``cumulative_integral`` for
+    its own ``axis``; no layout switch, conversion helper or second view of a
+    metric is left, and the geometry kernels multiply no stacked matrices."""
     callers = {module: set(c) for module, c in _package_callers("moveaxis", "np").items()}
-    assert callers == {"geometry_core.py": {"build_metric"},
-                       "pencil_checker.py": {"affinor"},
+    assert callers == {"pencil_checker.py": {"affinor"},
                        "grid_calculus.py": {"cumulative_integral"}}
     for path in MODULES:
         gone = _identifiers(ast.parse(path.read_text())) & {"grid_last", "_leading", "_trailing"}
         assert not gone, f"{path.name}: {sorted(gone)}"
     geometry = ast.parse((PACKAGE / "geometry_core.py").read_text())
+    assert not any(isinstance(node, ast.MatMult) for node in ast.walk(geometry))  # @ and @=
+    assert "matmul" not in _identifiers(geometry)
     [metric] = [node for node in geometry.body
                 if isinstance(node, ast.ClassDef) and node.name == "MetricField"]
     assert "upper" not in _identifiers(metric)
