@@ -13,19 +13,24 @@ through environment variables with the prefix ``FLATPENCIL_``
 ``FLATPENCIL_OUT``, ``FLATPENCIL_DUMP_CSV``); an explicit flag wins over the
 environment, and both win over the scenario file.
 
-Only the kinds that check compatibility form combinations of two metrics,
-so only they read ``lambda_samples``.
+Each kind declares its fields once, beside its runner; :func:`_read` checks
+a scenario against them before anything is sampled, and an unknown, missing,
+wrong-typed, non-finite or conflicting field exits 1.  Only the kinds that
+form combinations of two metrics declare ``lambda_samples``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import replace
-from typing import Callable, Sequence
+from functools import partial
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,19 +74,49 @@ def dumps(obj) -> str:
 
 
 # ---------------------------------------------------------------------------
-# scenario parsing helpers
+# declared fields, and the one reader of them
 
 
-def _need(scenario: dict, field: str, kind: str):
-    if field not in scenario:
-        raise SchemaError(f"scenario kind {kind!r} requires field {field!r}")
-    return scenario[field]
+_REQUIRED = object()  # the default of a field that must be given
 
 
-def _number(value, field: str, convert=float):
-    """``value`` as one ``convert``-ed number; :class:`SchemaError` naming
-    ``field`` if it is not a JSON number (a boolean is not), or not integral
-    where ``convert`` is ``int``."""
+class Field(NamedTuple):
+    """``read(value, name, where)`` types a field's JSON value; ``default`` fills it in."""
+    read: Callable
+    default: object = _REQUIRED
+
+
+class Table(NamedTuple):
+    """An object's fields, and ``one_of``: groups of them, exactly one given in full."""
+    fields: dict
+    one_of: tuple = ()
+
+
+def _read(obj: dict, table: Table, where: str, prefix: str = "") -> SimpleNamespace:
+    """``obj``'s fields typed by ``table``'s readers, as ``prefix + key``, or its
+    defaults; one :class:`SchemaError`, naming the field and ``where``, for an
+    unknown, missing, wrong-typed or conflicting field."""
+    fields = table.fields
+    for key in obj:
+        if key not in fields:
+            takes = f"; it takes {', '.join(fields)}" if fields else ""
+            raise SchemaError(f"{where} has no field {key!r}{takes}")
+    given = [group for group in table.one_of if any(key in obj for key in group)]
+    if len(given) > 1:
+        first, second = (next(key for key in group if key in obj) for group in given[:2])
+        raise SchemaError(f"{where} takes {first!r} or {second!r}, not both")
+    if table.one_of and not given:
+        options = " or ".join(" and ".join(map(repr, group)) for group in table.one_of)
+        raise SchemaError(f"{where} needs {options}")
+    for key, field in fields.items():
+        if key not in obj and (field.default is _REQUIRED or any(key in g for g in given)):
+            raise SchemaError(f"{where} requires field {key!r}")
+    return SimpleNamespace(**{key: field.read(obj[key], prefix + key, where) if key in obj
+                              else field.default for key, field in fields.items()})
+
+
+def _real(value, name: str, _where=None, convert=float):
+    """A JSON number (a boolean is not), ``convert``-ed; an integer must be integral."""
     try:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise TypeError
@@ -90,266 +125,293 @@ def _number(value, field: str, convert=float):
             raise ValueError
     except (TypeError, ValueError, OverflowError):
         noun = "an integer" if convert is int else "a number"
-        raise SchemaError(f"{field} must be {noun}, got {value!r}") from None
+        raise SchemaError(f"{name} must be {noun}, got {value!r}") from None
     return out
 
 
-def _numbers(value, field: str, convert=float, length: int | None = None) -> tuple:
-    """``value`` as a tuple of numbers read by :func:`_number`;
-    :class:`SchemaError` naming ``field`` if it is not such a list or not
-    ``length`` long."""
-    noun = "integers" if convert is int else "numbers"
-    bad = SchemaError(f"{field} must be a list of {noun}, got {value!r}")
-    if not isinstance(value, (list, tuple)):
-        raise bad
-    try:
-        out = tuple(_number(v, field, convert) for v in value)
-    except SchemaError:
-        raise bad from None
-    if length is not None and len(out) != length:
-        raise SchemaError(f"{field} needs {length} numbers, got {len(out)}")
+def _number(value, name: str, _where=None) -> float:
+    """A finite number: JSON's ``NaN`` and ``Infinity`` are refused."""
+    if not math.isfinite(out := _real(value, name)):
+        raise SchemaError(f"{name} must be a finite number, got {value!r}")
     return out
 
 
-def _chart_from_spec(spec, order: int) -> GridChart:
-    if not isinstance(spec, dict):
-        raise SchemaError("chart must be an object with lower/upper/points")
-    for key in ("lower", "upper", "points"):
-        if key not in spec:
-            raise SchemaError(f"chart is missing {key!r}")
-    lower = _numbers(spec["lower"], "chart lower")
-    upper = _numbers(spec["upper"], "chart upper", length=len(lower))
-    points = _numbers(spec["points"], "chart points", int, len(lower))
-    return GridChart(lower, upper, points, order)
+def _expression(value, name: str, _where=None):
+    """A finite number or an expression string, as written."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{name} must be a number or an expression, got {value!r}")
+    return _number(value, name)
+
+
+def _check(test, noun: str, value, name: str, _where=None):
+    """A value that passes ``test``, as it is."""
+    if not test(value):
+        raise SchemaError(f"{name} must be {noun}, got {value!r}")
+    return value
+
+
+def _choice(*options: str):
+    return partial(_check, lambda value: isinstance(value, str) and value in options,
+                   f"one of {', '.join(options)}")
+
+
+_integer = partial(_real, convert=int)
+_boolean = partial(_check, lambda value: isinstance(value, bool), "true or false")
+_string = partial(_check, lambda value: isinstance(value, str), "a string")
+#: an inline metric's rows, which :func:`_metric_source` checks once the chart
+#: fixes their dimension, before anything is sampled
+_rows = partial(_check, lambda value: True, "")
+
+
+def _sized(values, n: int, name: str, noun: str = "numbers"):
+    if len(values) != n:
+        raise SchemaError(f"{name} needs {n} {noun}, got {len(values)}")
+    return values
+
+
+def _list(item, noun: str, value, name: str, _where=None, length: int | None = None):
+    """A list of what ``item`` reads, ``length`` long if given; a bad entry is
+    reported as a bad list."""
+    finite = ""
+    if isinstance(value, (list, tuple)):
+        try:
+            out = tuple(item(entry, name) for entry in value)
+        except SchemaError:
+            if any(isinstance(v, float) and not math.isfinite(v) for v in value):
+                finite = "finite "
+        else:  # the count of a list of integers is in "numbers" too
+            count = "numbers" if item is _integer else noun
+            return out if length is None else _sized(out, length, name, count)
+    raise SchemaError(f"{name} must be a list of {finite}{noun}, got {value!r}")
+
+
+def _each(item, label: str, noun: str, value, name: str, _where=None):
+    """A non-empty list, each entry read by ``item`` under the name ``label``."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise SchemaError(f"{name} must be a non-empty list of {noun}, got {value!r}")
+    return tuple(item(entry, label) for entry in value)
+
+
+def _object(table: Table, value, name: str, where: str, prefix: bool = True):
+    """An object read against ``table``, whose fields' messages name it first
+    (``chart lower``) where ``prefix``."""
+    if not isinstance(value, dict):
+        required = [key for key, field in table.fields.items() if field.default is _REQUIRED]
+        with_ = f" with {' and '.join(required)}" if required else ""
+        raise SchemaError(f"{name} must be an object{with_}, got {value!r}")
+    return _read(value, table, f"{name} in {where}", f"{name} " if prefix else "")
+
+
+def _tagged(kinds: dict, noun: str, value, name: str, where=None):
+    """An object whose ``kind`` picks its table, ``kinds[kind][0]``: ``(kind, fields)``."""
+    if not isinstance(value, dict):
+        raise SchemaError(f"{name} must be an object, got {value!r}")
+    kind = value.get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise SchemaError(f"unknown {noun} kind {kind!r}; expected one of {', '.join(kinds)}")
+    here = f"{noun} kind {kind!r}" + (f" in {where}" if where else "")
+    return kind, _read({k: v for k, v in value.items() if k != "kind"}, kinds[kind][0], here)
+
+
+_NUMBERS = partial(_list, _number, "numbers")
+_EXPRESSIONS = partial(_list, _expression, "expressions")
+_CHART = partial(_object, Table({"lower": Field(_NUMBERS), "upper": Field(_NUMBERS),
+                                 "points": Field(partial(_list, _integer, "integers"))}))
+_OPTIONAL_CHART = Field(_CHART, None)
+_METRIC = Field(partial(_object, Table({"catalog": Field(_choice(*cat.metric_names()), None),
+                                        "contravariant": Field(_rows, None)},
+                                       (("catalog",), ("contravariant",)))))
+_INLINE_METRIC = Field(partial(_object, Table({"contravariant": Field(_rows)})))
+_PROFILE = partial(_object, Table({"constant": Field(_NUMBERS, None),
+                                   "expressions": Field(_EXPRESSIONS, None)},
+                                  (("constant",), ("expressions",))))
+_LAMBDA_SAMPLES = Field(partial(_each, partial(_list, _number, "numbers", length=2),
+                                "each lambda sample", "[l1, l2] pairs"),
+                        pc.DEFAULT_LAMBDA_SAMPLES)
+#: potential kind -> (its table, its builder)
+_POTENTIALS = {
+    "log": (Table({"c": Field(_number, 1.0)}), lambda v: tc.log_potential(v.c)),
+    "linear": (Table({"a": Field(_number, 0.0), "b": Field(_number, 0.0)}),
+               lambda v: tc.linear_potential(v.a, v.b)),
+    "product": (Table({}), lambda v: tc.product_potential()),
+    "expression": (Table({"value": Field(_expression)}),
+                   lambda v: tc.Potential(value=_compile(v.value, ("u1", "u2")))),
+}
+_GAUSSIAN_SET = partial(_object, Table({
+    "preset": Field(_choice("gaussian"), "gaussian"), "components": Field(_integer, 2),
+    "amplitude": Field(_number, 0.2), "width": Field(_number, 1.0),
+    "include_diagonal": Field(_boolean, False)}), prefix=False)
+#: the settings every kind takes; a flag or the environment overrides each, and
+#: the tolerance that results must be positive and finite
+_SETTINGS = {"tolerance": Field(_real, 1e-6), "order": Field(_integer, DEFAULT_ORDER),
+             "seed": Field(_integer, 0), "out": Field(_string, None),
+             "dump_csv": Field(_string, None)}
+#: scenario kind -> (its table, its runner)
+_KINDS: dict[str, tuple[Table, Callable]] = {}
+
+
+def _kind(name: str, /, *one_of, **fields):
+    """Declares kind ``name``: its fields and ``one_of`` beside the settings, and
+    its runner, (fields, settings) -> (rows, metadata, csv fields)."""
+    def declare(runner):
+        _KINDS[name] = (Table({**fields, **_SETTINGS}, one_of), runner)
+        return runner
+    return declare
+
+
+def _chart(spec, order: int) -> GridChart:
+    n = len(spec.lower)
+    return GridChart(spec.lower, _sized(spec.upper, n, "chart upper"),
+                     _sized(spec.points, n, "chart points"), order)
+
+
+def _chart_meta(chart: GridChart) -> dict:
+    return {key: list(getattr(chart, key)) for key in ("lower", "upper", "points", "spacing")}
 
 
 def _coordinate_names(n: int) -> tuple[str, ...]:
     return tuple(f"u{i + 1}" for i in range(n))
 
 
-def _compile_cell(cell, variables) -> Callable:
-    if isinstance(cell, (int, float)) and not isinstance(cell, bool):
-        value = float(cell)
-        return lambda *args, value=value: value
+def _compile(cell, variables) -> Callable:
     if isinstance(cell, str):
         return compile_expression(cell, variables)
-    raise SchemaError(f"expected a number or expression string, got {cell!r}")
+    return lambda *args, value=cell: value
 
 
-def _metric_from_spec(spec, chart: GridChart | None, kind: str, order: int):
-    """Returns (metric, chart); a catalog reference supplies its own chart,
-    rebuilt at the stencil ``order`` (its sampled values do not change)."""
-    if not isinstance(spec, dict):
-        raise SchemaError("metric must be an object")
-    if "catalog" in spec:
-        name = spec["catalog"]
-        if name not in cat.metric_names():
-            raise SchemaError(
-                f"{name!r} is not a plain-metric catalog entry "
-                f"(choose from {', '.join(cat.metric_names())})"
-            )
-        metric = cat.metric_field(name)
-        if metric.chart.order != order:
-            metric = geo.build_metric(metric.contra.values, replace(metric.chart, order=order))
-        return metric, metric.chart
-    if chart is None:
-        raise SchemaError(f"scenario kind {kind!r} needs a chart for inline metrics")
-    rows = spec.get("contravariant")
-    if rows is None:
-        raise SchemaError("metric needs 'contravariant' rows or a 'catalog' name")
-    n = chart.dim
+def _closure(cells, n: int) -> Callable:
+    """Expressions in ``u1 … un``, or lists of them, as one function of the
+    coordinates ``u`` that returns the same nesting."""
+    if isinstance(cells, (list, tuple)):
+        parts = [_closure(cell, n) for cell in cells]
+        return lambda u: [part(u) for part in parts]
+    fn = _compile(cells, _coordinate_names(n))
+    return lambda u: fn(*u)
+
+
+def _metric_source(rows, name: str, n: int) -> Callable:
+    """An inline metric's ``n x n`` rows, checked, as one function of ``u``."""
     if not isinstance(rows, (list, tuple)) or len(rows) != n or any(
-            not isinstance(r, (list, tuple)) or len(r) != n for r in rows):
-        raise SchemaError(f"metric must be a {n}x{n} matrix of entries, got {rows!r}")
-    names = _coordinate_names(n)
-    fns = [[_compile_cell(cell, names) for cell in row] for row in rows]
-    metric = geo.build_metric(lambda u: [[fn(*u) for fn in row] for row in fns], chart)
-    return metric, chart
+            not isinstance(row, (list, tuple)) or len(row) != n for row in rows):
+        raise SchemaError(f"{name} must be a {n}x{n} matrix of entries, got {rows!r}")
+    return _closure([[_expression(cell, f"each {name} entry") for cell in row]
+                     for row in rows], n)
 
 
-def _profile_from_spec(spec, n: int) -> ls.ReductionProfile:
-    if not isinstance(spec, dict):
-        raise SchemaError("profile must be an object")
-    if "constant" in spec:
-        return ls.constant_profile(_numbers(spec["constant"], "profile constant", length=n))
-    if "expressions" in spec:
-        exprs = spec["expressions"]
-        if not isinstance(exprs, list) or len(exprs) != n:
-            raise SchemaError(f"profile needs a list of {n} expressions in t")
-        return ls.ReductionProfile(_compile_cell(e, ("t",)) for e in exprs)
-    raise SchemaError("profile needs 'constant' values or 'expressions' in t")
+def _optional_chart_metric(v, kind: str, order: int):
+    """(metric, chart) of a scenario whose chart may come from a catalog
+    metric, rebuilt at the stencil ``order`` (its sampled values do not change)."""
+    if v.metric.catalog is None:
+        if v.chart is None:
+            raise SchemaError(f"scenario kind {kind!r} needs a chart for inline metrics")
+        chart = _chart(v.chart, order)
+        source = _metric_source(v.metric.contravariant, "metric", chart.dim)
+        return geo.build_metric(source, chart), chart
+    if v.chart is not None:
+        raise SchemaError(f"scenario kind {kind!r} takes 'chart' or a 'catalog' metric, not both")
+    metric = cat.metric_field(v.metric.catalog)
+    if metric.chart.order != order:
+        metric = geo.build_metric(metric.contra.values, replace(metric.chart, order=order))
+    return metric, metric.chart
 
 
-def _lambda_samples(scenario: dict) -> tuple:
-    raw = scenario.get("lambda_samples")
-    if raw is None:
-        return pc.DEFAULT_LAMBDA_SAMPLES
-    if not isinstance(raw, (list, tuple)) or not raw:
-        raise SchemaError("lambda_samples must be a non-empty list of [l1, l2] pairs")
-    return tuple(_numbers(pair, "each lambda sample", length=2) for pair in raw)
-
-
-def _potential_from_spec(spec) -> tc.Potential:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise SchemaError("potential must be an object with a 'kind'")
-    pkind = spec["kind"]
-    if pkind == "log":
-        return tc.log_potential(_number(spec.get("c", 1.0), "c"))
-    if pkind == "linear":
-        return tc.linear_potential(_number(spec.get("a", 0.0), "a"),
-                                   _number(spec.get("b", 0.0), "b"))
-    if pkind == "product":
-        return tc.product_potential()
-    if pkind == "expression":
-        if "value" not in spec:
-            raise SchemaError("expression potential needs 'value'")
-        return tc.Potential(value=_compile_cell(spec["value"], ("u1", "u2")))
-    raise SchemaError(f"unknown potential kind {pkind!r}")
-
-
-def _field_from_expr(expr, chart: GridChart) -> np.ndarray:
-    fn = _compile_cell(expr, _coordinate_names(chart.dim))
-    return sample(lambda u: fn(*u), chart).values
-
-
-def _potential_set_from_spec(spec) -> zd.PotentialSet:
-    if not isinstance(spec, dict):
-        raise SchemaError("potentials must be an object")
-    preset = spec.get("preset", "gaussian")
-    if preset != "gaussian":
-        raise SchemaError(f"unknown potential preset {preset!r}")
-    diagonal = spec.get("include_diagonal", False)
-    if not isinstance(diagonal, bool):
-        raise SchemaError(f"include_diagonal must be true or false, got {diagonal!r}")
-    return zd.gaussian_set(
-        _number(spec.get("components", 2), "components", int),
-        amplitude=_number(spec.get("amplitude", 0.2), "amplitude"),
-        width=_number(spec.get("width", 1.0), "width"),
-        include_diagonal=diagonal,
-    )
+def _profile(spec, n: int) -> ls.ReductionProfile:
+    if spec.constant is not None:
+        return ls.constant_profile(_sized(spec.constant, n, "profile constant"))
+    exprs = _sized(spec.expressions, n, "profile expressions", "expressions")
+    return ls.ReductionProfile(_compile(e, ("t",)) for e in exprs)
 
 
 # ---------------------------------------------------------------------------
-# per-kind pipelines; each returns (rows, metadata, csv fields)
+# the kinds, each declared beside its runner
 
 
-def _run_check_flat(scenario, settings):
-    metric, chart = _optional_chart_metric(scenario, "check-flat", settings["order"])
+@_kind("check-flat", chart=_OPTIONAL_CHART, metric=_METRIC)
+def _run_check_flat(v, settings):
+    metric, chart = _optional_chart_metric(v, "check-flat", settings["order"])
     field = geo.curvature(metric).pointwise_max()  # max |R^i_{jkl}| at each node
-    return (
-        [CheckRow("flatness", interior_max(field, chart), settings["tolerance"])],
-        {"chart": _chart_meta(chart)},
-        {"flatness": (chart, field)},
-    )
+    return ([CheckRow("flatness", interior_max(field, chart), settings["tolerance"])],
+            {"chart": _chart_meta(chart)}, {"flatness": (chart, field)})
 
 
-def _optional_chart_metric(scenario, kind, order):
-    """(metric, chart) of a scenario whose chart may come from a catalog metric."""
-    chart = scenario.get("chart")
-    chart = _chart_from_spec(chart, order) if chart is not None else None
-    return _metric_from_spec(_need(scenario, "metric", kind), chart, kind, order)
+_PENCIL = {"chart": Field(_CHART), "metric": _INLINE_METRIC, "metric2": _INLINE_METRIC}
 
 
-def _pencil_from_scenario(scenario, kind, order):
-    chart = _chart_from_spec(_need(scenario, "chart", kind), order)
-    g1, _ = _metric_from_spec(_need(scenario, "metric", kind), chart, kind, order)
-    g2, _ = _metric_from_spec(_need(scenario, "metric2", kind), chart, kind, order)
-    return pc.PencilSpec(g1, g2), chart
+def _pencil_from_scenario(v, order):
+    """Both metrics' entries are checked before either is sampled."""
+    chart = _chart(v.chart, order)
+    sources = [_metric_source(v.metric.contravariant, "metric", chart.dim),
+               _metric_source(v.metric2.contravariant, "metric2", chart.dim)]
+    return pc.PencilSpec(*(geo.build_metric(source, chart) for source in sources)), chart
 
 
-def _run_check_pencil(scenario, settings):
-    mode = scenario.get("mode", "flat")
-    if mode not in ("flat", "constant_curvature", "general"):
-        raise SchemaError(f"unknown pencil mode {mode!r}")
-    pencil, chart = _pencil_from_scenario(scenario, "check-pencil", settings["order"])
-    pencil = replace(pencil, lambda_samples=_lambda_samples(scenario))
-    rep = pc.check_compatible(
-        pencil,
-        mode,
-        k1=_number(scenario.get("k1", 0.0), "k1"),
-        k2=_number(scenario.get("k2", 0.0), "k2"),
-    )
+@_kind("check-pencil", **_PENCIL,
+       mode=Field(_choice("flat", "constant_curvature", "general"), "flat"),
+       k1=Field(_number, 0.0), k2=Field(_number, 0.0), lambda_samples=_LAMBDA_SAMPLES)
+def _run_check_pencil(v, settings):
+    pencil, chart = _pencil_from_scenario(v, settings["order"])
+    pencil = replace(pencil, lambda_samples=v.lambda_samples)
+    rep = pc.check_compatible(pencil, v.mode, k1=v.k1, k2=v.k2)
     tol = settings["tolerance"]
-    rows = [
-        CheckRow("connection_linearity", rep.max_connection, tol),
-        CheckRow(f"curvature_{mode}", rep.max_curvature, tol),
-    ]
-    for name, value in rep.endpoint_residuals.items():
-        rows.append(CheckRow(name, value, tol))
+    rows = [CheckRow("connection_linearity", rep.max_connection, tol),
+            CheckRow(f"curvature_{v.mode}", rep.max_curvature, tol),
+            *(CheckRow(name, value, tol) for name, value in rep.endpoint_residuals.items())]
     fields = {f"{name}-curvature": (chart, values)
               for name, values in rep.endpoint_curvature.items()}
-    meta = {"chart": _chart_meta(chart), "mode": mode,
+    meta = {"chart": _chart_meta(chart), "mode": v.mode,
             "lambda_samples": [list(p) for p in pencil.lambda_samples]}
     return rows, meta, fields
 
 
-def _run_nijenhuis(scenario, settings):
-    pencil, chart = _pencil_from_scenario(scenario, "nijenhuis", settings["order"])
+@_kind("nijenhuis", **_PENCIL)
+def _run_nijenhuis(v, settings):
+    pencil, chart = _pencil_from_scenario(v, settings["order"])
     aff = pc.affinor(pencil)
     spectrum = pc.nonsingularity(aff)
-    residual = pc.nijenhuis(aff)
-    rows = [
-        CheckRow("nijenhuis", residual, settings["tolerance"]),
-        CheckRow("spectrum_gap", spectrum.min_gap, spectrum.threshold, "ge"),
-    ]
-    meta = {
-        "chart": _chart_meta(chart),
-        "spectrum": {
-            "complex": spectrum.has_complex_pairs,
-            "scale": spectrum.eigen_scale,
-        },
-    }
-    return rows, meta, {}
+    rows = [CheckRow("nijenhuis", pc.nijenhuis(aff), settings["tolerance"]),
+            CheckRow("spectrum_gap", spectrum.min_gap, spectrum.threshold, "ge")]
+    meta = {"complex": spectrum.has_complex_pairs, "scale": spectrum.eigen_scale}
+    return rows, {"chart": _chart_meta(chart), "spectrum": meta}, {}
 
 
-def _run_diagonal_form(scenario, settings):
-    pencil, chart = _pencil_from_scenario(scenario, "diagonal-form", settings["order"])
+@_kind("diagonal-form", **_PENCIL)
+def _run_diagonal_form(v, settings):
+    pencil, chart = _pencil_from_scenario(v, settings["order"])
     rep = pc.check_diagonal_form(pencil)
-    rows = [
-        CheckRow("ratio_cross_derivative", rep.residual, settings["tolerance"]),
-    ]
-    meta = {"chart": _chart_meta(chart), "off_diagonal_max": rep.off_diagonal_max}
-    return rows, meta, {}
+    rows = [CheckRow("ratio_cross_derivative", rep.residual, settings["tolerance"])]
+    return rows, {"chart": _chart_meta(chart), "off_diagonal_max": rep.off_diagonal_max}, {}
 
 
-def _covector_from_spec(exprs, field: str, chart: GridChart) -> Callable:
-    """``N`` expressions in the coordinates as one covector closure."""
-    if not isinstance(exprs, list) or len(exprs) != chart.dim:
-        raise SchemaError(f"{field} needs {chart.dim} components")
-    fns = [_compile_cell(e, _coordinate_names(chart.dim)) for e in exprs]
-    return lambda u: [fn(*u) for fn in fns]
-
-
-def _run_dubrovin(scenario, settings):
-    order = settings["order"]
-    chart = _chart_from_spec(_need(scenario, "chart", "dubrovin"), order)
-    g2, _ = _metric_from_spec(_need(scenario, "metric", "dubrovin"), chart, "dubrovin", order)
-    f = _covector_from_spec(_need(scenario, "covector", "dubrovin"), "covector", chart)
-    lams = _lambda_samples(scenario)
-    c = _number(scenario.get("c", 0.0), "c")
-    rep = pc.dubrovin_construct(g2, f, c, lams)
+@_kind("dubrovin", chart=Field(_CHART), metric=_INLINE_METRIC, covector=Field(_EXPRESSIONS),
+       c=Field(_number, 0.0), lambda_samples=_LAMBDA_SAMPLES)
+def _run_dubrovin(v, settings):
+    chart = _chart(v.chart, settings["order"])
+    source = _metric_source(v.metric.contravariant, "metric", chart.dim)
+    f = _closure(_sized(v.covector, chart.dim, "covector", "components"), chart.dim)
+    rep = pc.dubrovin_construct(geo.build_metric(source, chart), f, v.c, v.lambda_samples)
     tol = settings["tolerance"]
-    rows = [
-        CheckRow("quadratic_relation", rep.quadratic_residual, tol),
-        CheckRow("bracket", rep.bracket_residual, tol),
-        CheckRow("delta_consistency", rep.delta_consistency, tol),
-        CheckRow("cross_check_flat", rep.compatibility.max_residual, tol),
-    ]
+    rows = [CheckRow("quadratic_relation", rep.quadratic_residual, tol),
+            CheckRow("bracket", rep.bracket_residual, tol),
+            CheckRow("delta_consistency", rep.delta_consistency, tol),
+            CheckRow("cross_check_flat", rep.compatibility.max_residual, tol)]
     return rows, {"chart": _chart_meta(chart)}, {}
 
 
-def _run_potentials(scenario, settings):
+@_kind("potentials", chart=Field(_CHART),
+       eta=Field(partial(_each, _NUMBERS, "each eta row", "rows of numbers")),
+       potentials=Field(_EXPRESSIONS), lambda_samples=_LAMBDA_SAMPLES)
+def _run_potentials(v, settings):
     """Dubrovin's candidate at ``c = 0`` over the constant metric ``eta``; a
     degenerate candidate is reported, not raised (the route is a search
     device), and the pair is checked only for a candidate flat to ``tol``."""
-    chart = _chart_from_spec(_need(scenario, "chart", "potentials"), settings["order"])
-    raw = _need(scenario, "eta", "potentials")
-    if not isinstance(raw, list) or len(raw) != chart.dim:
+    chart = _chart(v.chart, settings["order"])
+    if len(v.eta) != chart.dim:
         raise SchemaError(f"eta needs {chart.dim} rows of {chart.dim} numbers")
-    eta_rows = [_numbers(row, "each eta row", length=chart.dim) for row in raw]
+    eta_rows = [_sized(row, chart.dim, "each eta row") for row in v.eta]
+    h = _closure(_sized(v.potentials, chart.dim, "potentials", "components"), chart.dim)
     eta = geo.build_metric(lambda u: eta_rows, chart)
-    h = _covector_from_spec(_need(scenario, "potentials", "potentials"), "potentials", chart)
-    lams = _lambda_samples(scenario)
     tol = settings["tolerance"]
     try:
         g1 = pc.partner_metric(eta, h)[0]
@@ -358,199 +420,147 @@ def _run_potentials(scenario, settings):
     flat = float("inf") if g1 is None else geo.flatness_residual(g1)
     rows = [CheckRow("candidate_flat", flat, tol)]
     if rows[0].passed:
-        rep = pc.check_compatible(pc.PencilSpec(g1, eta, lams), "flat")
+        rep = pc.check_compatible(pc.PencilSpec(g1, eta, v.lambda_samples), "flat")
         rows.append(CheckRow("compatibility", rep.max_residual, tol))
     return rows, {"chart": _chart_meta(chart), "degenerate": g1 is None}, {}
 
 
-def _frame_from_scenario(scenario, kind, settings):
-    metric, chart = _optional_chart_metric(scenario, kind, settings["order"])
-    eps = scenario.get("eps")
-    if eps is not None:
-        eps = _numbers(eps, "eps", int, length=chart.dim)
-    return metric, ls.frame_from_metric(metric, eps=eps), chart
+_LAME = {"chart": _OPTIONAL_CHART, "metric": _METRIC,
+         "eps": Field(partial(_list, _integer, "integers"), None)}
 
 
-def _run_lame(scenario, settings):
-    metric, frame, chart = _frame_from_scenario(scenario, "lame", settings)
+def _frame_from_scenario(v, kind, settings):
+    metric, chart = _optional_chart_metric(v, kind, settings["order"])
+    eps = None if v.eps is None else _sized(v.eps, chart.dim, "eps")
+    return ls.frame_from_metric(metric, eps=eps), chart
+
+
+@_kind("lame", **_LAME)
+def _run_lame(v, settings):
+    frame, chart = _frame_from_scenario(v, "lame", settings)
     rep = ls.lame_residuals(frame)
-    rows = [
-        CheckRow("off_diagonal_system", rep.r_offdiag, settings["tolerance"]),
-        CheckRow("diagonal_system", rep.r_diag, settings["tolerance"]),
-    ]
-    meta = {"chart": _chart_meta(chart), "eps": list(frame.eps)}
-    return rows, meta, {}
+    rows = [CheckRow("off_diagonal_system", rep.r_offdiag, settings["tolerance"]),
+            CheckRow("diagonal_system", rep.r_diag, settings["tolerance"])]
+    return rows, {"chart": _chart_meta(chart), "eps": list(frame.eps)}, {}
 
 
-def _run_reduce(scenario, settings):
-    metric, frame, chart = _frame_from_scenario(scenario, "reduce", settings)
-    profile = _profile_from_spec(_need(scenario, "profile", "reduce"), chart.dim)
-    lame = ls.lame_residuals(frame)
-    red = ls.reduction_residual(frame, profile)
+@_kind("reduce", **_LAME, profile=Field(_PROFILE))
+def _run_reduce(v, settings):
+    frame, chart = _frame_from_scenario(v, "reduce", settings)
+    profile = _profile(v.profile, chart.dim)
     tilde = ls.tilde_frame(frame, profile)
-    tilde_lame = ls.lame_residuals(tilde)
     tol = settings["tolerance"]
-    rows = [
-        CheckRow("lame", lame.max_residual, tol),
-        CheckRow("reduction", red.residual, tol),
-        CheckRow("tilde_lame", tilde_lame.max_residual, tol),
-    ]
+    rows = [CheckRow("lame", ls.lame_residuals(frame).max_residual, tol),
+            CheckRow("reduction", ls.reduction_residual(frame, profile).residual, tol),
+            CheckRow("tilde_lame", ls.lame_residuals(tilde).max_residual, tol)]
     meta = {"chart": _chart_meta(chart), "eps": list(frame.eps),
             "tilde_eps": list(tilde.eps)}
     return rows, meta, {}
 
 
-def _run_dress(scenario, settings):
-    pots = _potential_set_from_spec(_need(scenario, "potentials", "dress"))
-    point = _numbers(_need(scenario, "point", "dress"), "point")
-    profile_spec = scenario.get("profile")
-    profile = (
-        _profile_from_spec(profile_spec, pots.n) if profile_spec is not None else None
-    )
-    length = scenario.get("length")
-    problem = zd.DressingProblem(
-        pots,
-        point,
-        profile=profile,
-        s=_number(scenario.get("s", 0.0), "s"),
-        length=None if length is None else _number(length, "length"),
-        panels=_number(scenario.get("panels", zd.DEFAULT_PANELS), "panels", int),
-        nodes_per_panel=_number(scenario.get("nodes_per_panel", zd.DEFAULT_NODES_PER_PANEL),
-                                "nodes_per_panel", int),
-    )
+@_kind("dress", potentials=Field(_GAUSSIAN_SET), point=Field(_NUMBERS),
+       profile=Field(_PROFILE, None), s=Field(_number, 0.0), length=Field(_number, None),
+       panels=Field(_integer, zd.DEFAULT_PANELS),
+       nodes_per_panel=Field(_integer, zd.DEFAULT_NODES_PER_PANEL))
+def _run_dress(v, settings):
+    g = v.potentials
+    point = _sized(v.point, g.components, "point")
+    profile = None if v.profile is None else _profile(v.profile, g.components)
+    pots = zd.gaussian_set(g.components, g.amplitude, g.width, g.include_diagonal)
+    problem = zd.DressingProblem(pots, point, profile=profile, s=v.s, length=v.length,
+                                 panels=v.panels, nodes_per_panel=v.nodes_per_panel)
     sol = zd.solve_marchenko(problem)
     ident = zd.reduction_identity_residual(problem.base_kernel(), seed=settings["seed"])
-    rows = [
-        CheckRow("collocation_residual", sol.residual, zd.COLLOCATION_BOUND),
-        CheckRow("translation_identity", ident, zd.IDENTITY_BOUND),
-    ]
+    rows = [CheckRow("collocation_residual", sol.residual, zd.COLLOCATION_BOUND),
+            CheckRow("translation_identity", ident, zd.IDENTITY_BOUND)]
     if profile is not None:
         tilde = zd.verify_tilde_consistency(problem, sol)
         rows.append(CheckRow("tilde_kernel", tilde.kernel_deviation, zd.IDENTITY_BOUND))
         rows.append(CheckRow("tilde_beta", tilde.beta_deviation, zd.IDENTITY_BOUND))
-    meta = {
-        "components": pots.n,
-        "point": list(point),
-        "truncation_length": problem.length,
-        "panels": problem.panels,
-        "nodes_per_panel": problem.nodes_per_panel,
-        "conditioning": sol.cond,
-        "quadrature_error": zd.quadrature_change(problem, sol),
-    }
+    meta = {"components": pots.n, "point": list(point), "truncation_length": problem.length,
+            "panels": problem.panels, "nodes_per_panel": problem.nodes_per_panel,
+            "conditioning": sol.cond, "quadrature_error": zd.quadrature_change(problem, sol)}
     return rows, meta, {}
+
+
+def _pair_spec(v, order) -> tc.TwoComponentSpec:
+    chart = _chart(v.chart, order)
+    if chart.dim != 2:
+        raise SchemaError("two-component scenarios need a 2-D chart")
+    kind, potential = v.potential
+    profile = (ls.identity_profile(2) if v.f is None
+               else ls.ReductionProfile(_compile(e, ("t",)) for e in v.f))
+    spec = tc.TwoComponentSpec(chart=chart, potential=_POTENTIALS[kind][1](potential),
+                               eps=v.eps, f=profile)
+    if v.integrate is not None:
+        return spec
+    return spec.with_b(*(sample(_closure(b, 2), chart).values for b in (v.b1, v.b2)))
 
 
 def two_component_spec(scenario, order) -> tc.TwoComponentSpec:
     """The pair a ``two-component`` scenario describes, on a chart of stencil
     ``order``; its ``b`` fields are sampled from ``b1``/``b2`` expressions,
     or left unset for an ``integrate`` block to supply."""
-    chart = _chart_from_spec(_need(scenario, "chart", "two-component"), order)
-    if chart.dim != 2:
-        raise SchemaError("two-component scenarios need a 2-D chart")
-    potential = _potential_from_spec(_need(scenario, "potential", "two-component"))
-    eps = _numbers(scenario.get("eps", (-1, 1)), "eps", int, length=2)
-    f = scenario.get("f")
-    profile = ls.identity_profile(2) if f is None else _profile_from_spec({"expressions": f}, 2)
-    spec = tc.TwoComponentSpec(chart=chart, potential=potential, eps=eps, f=profile)
-    if "integrate" in scenario:
-        return spec
-    if "b1" in scenario and "b2" in scenario:
-        return spec.with_b(_field_from_expr(scenario["b1"], chart),
-                           _field_from_expr(scenario["b2"], chart))
-    raise SchemaError("two-component scenarios need either b1/b2 expressions or an "
-                      "'integrate' block with edge data")
+    return _pair_spec(_read_scenario(scenario)[1], order)
 
 
-def _run_two_component(scenario, settings):
-    spec = two_component_spec(scenario, settings["order"])
+@_kind("two-component", ("b1", "b2"), ("integrate",), chart=Field(_CHART),
+       potential=Field(partial(_tagged, _POTENTIALS, "potential")),
+       eps=Field(partial(_list, _integer, "integers", length=2), (-1, 1)),
+       f=Field(partial(_list, _expression, "expressions", length=2), None),
+       b1=Field(_expression, None), b2=Field(_expression, None),
+       integrate=Field(partial(_object, Table({"b1_edge": Field(_expression),
+                                               "b2_edge": Field(_expression)})), None),
+       lambda_samples=_LAMBDA_SAMPLES)
+def _run_two_component(v, settings):
+    spec = _pair_spec(v, settings["order"])
     tol = settings["tolerance"]
     rows = [CheckRow("lequa", tc.lequa_residual(spec), tol)]
     meta = {"chart": _chart_meta(spec.chart), "eps": list(spec.eps)}
-
-    if "integrate" in scenario:
-        integ = scenario["integrate"]
-        if not isinstance(integ, dict):
-            raise SchemaError(
-                f"integrate must be an object with b1_edge and b2_edge, got {integ!r}")
-        b1_edge = _compile_cell(_need(integ, "b1_edge", "two-component"), ("u1",))
-        b2_edge = _compile_cell(_need(integ, "b2_edge", "two-component"), ("u2",))
-        result = tc.integrate_b(spec, b1_edge, b2_edge)
+    if v.integrate is not None:
+        result = tc.integrate_b(spec, _compile(v.integrate.b1_edge, ("u1",)),
+                                _compile(v.integrate.b2_edge, ("u2",)))
         spec = spec.with_b(result.b1, result.b2)
         rows.append(CheckRow("integration_consistency", result.max_consistency, tol))
         meta["b_source"] = "integrated"
     else:
         rows.append(CheckRow("system", tc.system_residual(spec), tol))
         meta["b_source"] = "expressions"
-
-    pen = tc.build_pair(spec, _lambda_samples(scenario))
+    pen = tc.build_pair(spec, v.lambda_samples)
     rows.append(CheckRow("pair_flat", pc.check_compatible(pen, "flat").max_residual, tol))
     return rows, meta, {}
 
 
-def _run_catalog(scenario, settings):
-    name = _need(scenario, "name", "catalog")
-    entry = cat.get(name)
+@_kind("catalog", name=Field(lambda value, _name, _where=None: cat.get(value)))
+def _run_catalog(v, settings):
     if settings["order"] != DEFAULT_ORDER:  # the entries' bounds hold at this order only
-        raise SchemaError(
-            f"catalog entries run at order {DEFAULT_ORDER} only, got order {settings['order']}"
-        )
-    rows = entry.run()
+        raise SchemaError(f"catalog entries run at order {DEFAULT_ORDER} only, "
+                          f"got order {settings['order']}")
+    entry = v.name
     meta = {"catalog_entry": entry.name, "kind": entry.kind, "summary": entry.summary}
-    return rows, meta, {}
+    return entry.run(), meta, {}
 
 
-_RUNNERS = {
-    "check-flat": _run_check_flat,
-    "check-pencil": _run_check_pencil,
-    "nijenhuis": _run_nijenhuis,
-    "diagonal-form": _run_diagonal_form,
-    "dubrovin": _run_dubrovin,
-    "potentials": _run_potentials,
-    "lame": _run_lame,
-    "reduce": _run_reduce,
-    "dress": _run_dress,
-    "two-component": _run_two_component,
-    "catalog": _run_catalog,
-}
-KINDS = tuple(_RUNNERS)
+KINDS = tuple(_KINDS)
 
 
-def _chart_meta(chart: GridChart | None) -> dict | None:
-    if chart is None:
-        return None
-    return {
-        "lower": list(chart.lower),
-        "upper": list(chart.upper),
-        "points": list(chart.points),
-        "spacing": list(chart.spacing),
-    }
-
-
-# ---------------------------------------------------------------------------
-# report assembly
+def _read_scenario(scenario) -> tuple[str, SimpleNamespace]:
+    """A scenario's kind, and its fields read against the kind's table."""
+    return _tagged(_KINDS, "scenario", scenario, "scenario")
 
 
 def run_scenario(scenario: dict, settings: dict) -> tuple[dict, dict]:
-    kind = scenario.get("kind")
-    if not isinstance(kind, str) or kind not in _RUNNERS:
-        raise SchemaError(
-            f"unknown scenario kind {kind!r}; expected one of {', '.join(KINDS)}"
-        )
-    rows, meta, fields = _RUNNERS[kind](scenario, settings)
-    verdict = all(row.passed for row in rows)
+    kind, fields = _read_scenario(scenario)
+    rows, meta, csv_fields = _KINDS[kind][1](fields, settings)
     report = {
         "flatpencil_version": __version__,
         "scenario": scenario,
-        "settings": {
-            "tolerance": settings["tolerance"],
-            "order": settings["order"],
-            "seed": settings["seed"],
-        },
+        "settings": {key: settings[key] for key in ("tolerance", "order", "seed")},
         "checks": [row.as_dict() for row in rows],
         "metadata": {**meta, "timing": "stderr"},
-        "verdict": "pass" if verdict else "fail",
+        "verdict": "pass" if all(row.passed for row in rows) else "fail",
     }
-    return report, fields
+    return report, csv_fields
 
 
 def _write_csv_fields(fields: dict, directory: str):
@@ -566,36 +576,25 @@ def _write_csv_fields(fields: dict, directory: str):
 
 
 def _resolve_settings(args, scenario: dict) -> dict:
-    def pick(flag, env, key, default, convert):
-        if flag is not None:
-            return convert(flag)
-        env_val = os.environ.get(env)
-        if env_val is not None:
+    """Each setting from its flag, else its environment variable, else the
+    scenario, whose table gives its default."""
+    fields, settings = _read_scenario(scenario)[1], {}
+    for key, flag, convert in (("tolerance", "tol", float), ("order", "order", int),
+                               ("seed", "seed", int), ("out", "out", str),
+                               ("dump_csv", "dump_csv", str)):
+        value, env = getattr(args, flag), f"FLATPENCIL_{flag.upper()}"
+        if value is None and env in os.environ:
             try:
-                return convert(env_val)
+                value = convert(os.environ[env])
             except ValueError:
                 noun = "an integer" if convert is int else "a number"
-                raise SchemaError(f"{env} must be {noun}, got {env_val!r}") from None
-        if key not in scenario:
-            return default
-        value = scenario[key]
-        if convert is not str:
-            return _number(value, key, convert)
-        if not isinstance(value, str):
-            raise SchemaError(f"{key} must be a string, got {value!r}")
-        return value
-
-    tol = pick(args.tol, "FLATPENCIL_TOL", "tolerance", 1e-6, float)
-    order = pick(args.order, "FLATPENCIL_ORDER", "order", DEFAULT_ORDER, int)
-    seed = pick(args.seed, "FLATPENCIL_SEED", "seed", 0, int)
-    out = pick(args.out, "FLATPENCIL_OUT", "out", None, str)
-    dump = pick(args.dump_csv, "FLATPENCIL_DUMP_CSV", "dump_csv", None, str)
-    if order not in (2, 4):
-        raise SchemaError(f"order must be 2 or 4, got {order}")
-    if not 0 < tol < float("inf"):  # NaN fails too
-        raise SchemaError(f"tolerance must be positive and finite, got {tol}")
-    return {"tolerance": tol, "order": order, "seed": seed, "out": out,
-            "dump_csv": dump}
+                raise SchemaError(f"{env} must be {noun}, got {os.environ[env]!r}") from None
+        settings[key] = getattr(fields, key) if value is None else convert(value)
+    if settings["order"] not in (2, 4):
+        raise SchemaError(f"order must be 2 or 4, got {settings['order']}")
+    if not 0 < settings["tolerance"] < float("inf"):  # NaN fails too
+        raise SchemaError(f"tolerance must be positive and finite, got {settings['tolerance']}")
+    return settings
 
 
 def _cmd_run(args) -> int:
@@ -607,9 +606,6 @@ def _cmd_run(args) -> int:
         return 1
     except json.JSONDecodeError as exc:
         print(f"error: scenario is not valid JSON: {exc}", file=sys.stderr)
-        return 1
-    if not isinstance(scenario, dict):
-        print("error: scenario must be a JSON object", file=sys.stderr)
         return 1
 
     started = time.perf_counter()

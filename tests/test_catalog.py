@@ -194,7 +194,8 @@ def test_every_row_keeps_its_published_bound():
 def test_ladder_scenarios_sample_the_closed_form(n):
     """The ladder's scenario metrics are ``two_component.g_family`` bit for bit."""
     chart = catalog.s4_chart()
-    metric, _ = cli._metric_from_spec(catalog._ladder(n), chart, "check-pencil", 4)
+    source = cli._metric_source(catalog._ladder(n)["contravariant"], "metric", chart.dim)
+    metric = geo.build_metric(source, chart)
     family = tc.g_family(tc.log_family_spec(chart), n)
     assert np.array_equal(metric.contra.values, family.contra.values)
     assert np.array_equal(metric.cov.values, family.cov.values)

@@ -1,8 +1,10 @@
 """End-to-end coverage of the scenario runner and its report contract."""
 
+import copy
 import filecmp
 import hashlib
 import json
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -73,6 +75,27 @@ TWO_COMPONENT_INTEGRATE = {
     "integrate": {"b1_edge": "sqrt(u1 - 0.5)", "b2_edge": "sqrt(2.0 - u2)"},
     "lambda_samples": [[1, 0], [0, 1], [1, 1], [2, 3], [2, -3]],
     "tolerance": 1e-5,
+}
+
+DIAGONAL_FORM = {
+    "kind": "diagonal-form",
+    "chart": {"lower": [1.0, 1.0], "upper": [2.0, 2.0], "points": [17, 17]},
+    "metric": {"contravariant": [["u1", "0"], ["0", "2 + u2"]]},
+    "metric2": {"contravariant": [[1, 0], [0, 1]]},
+}
+
+LAME = {"kind": "lame", "metric": {"catalog": "polar"}, "eps": [1, 1]}
+
+REDUCE = {"kind": "reduce", "metric": {"catalog": "diag-u"}, "profile": {"constant": [2.0, 3.0]}}
+
+CATALOG = {"kind": "catalog", "name": "euclidean"}
+
+#: the module's scenarios, at least one of each kind
+FIXTURES = {
+    "FLAT_EUCLID": FLAT_EUCLID, "FLAT_SPHERE": FLAT_SPHERE, "FLAT_POLAR": FLAT_POLAR,
+    "PENCIL": PENCIL, "NIJ_COUNTER": NIJ_COUNTER, "DIAGONAL_FORM": DIAGONAL_FORM,
+    "DUBROVIN": DUBROVIN, "POTENTIALS": POTENTIALS, "LAME": LAME, "REDUCE": REDUCE,
+    "DRESS": DRESS, "TWO_COMPONENT_INTEGRATE": TWO_COMPONENT_INTEGRATE, "CATALOG": CATALOG,
 }
 
 
@@ -206,8 +229,8 @@ def test_nijenhuis_kind_forms_no_combination(tmp_path, capsys):
         "chart": {"lower": [0.5, 0.5], "upper": [1.5, 1.5], "points": [17, 17]},
         "metric": {"contravariant": [["u1", "0"], ["0", "2"]]},
         "metric2": {"contravariant": [["1", "0"], ["0", "1"]]},
-        "lambda_samples": [[1, -1]],
     }
+    assert (1.0, -1.0) in pc.DEFAULT_LAMBDA_SAMPLES  # a combination it does not form
     code, report, _ = run(tmp_path, scenario, capsys=capsys)
     assert code == 0
     rows = {c["check"]: c["residual"] for c in report["checks"]}
@@ -382,6 +405,133 @@ def test_integer_and_boolean_fields_are_not_repaired(tmp_path, capsys, scenario,
     assert err.splitlines() == [f"error: {message}"]
 
 
+def test_every_kind_has_a_fixture_that_runs(tmp_path, capsys):
+    assert {scenario["kind"] for scenario in FIXTURES.values()} == set(cli.KINDS)
+    for scenario in FIXTURES.values():
+        code, report, err = run(tmp_path, scenario, capsys=capsys)
+        assert code in (0, 2) and report["scenario"] == scenario, err
+
+
+@pytest.fixture
+def no_sampling(monkeypatch):
+    """Fails a test that reaches a grid: schema errors come before sampling."""
+    def sampled(*args, **kwargs):
+        raise AssertionError("a grid was sampled before the schema was checked")
+
+    monkeypatch.setattr(geo, "build_metric", sampled)
+    monkeypatch.setattr(cli, "sample", sampled)
+    monkeypatch.setattr(catalog, "metric_field", sampled)
+
+
+def test_misspelt_fields_are_refused_before_sampling(tmp_path, capsys, no_sampling):
+    """Ignored, the misspelt keys would run this pencil in flat mode at
+    tolerance 1e-6, pass it, and echo the typos in the report."""
+    scenario = {"kind": "check-pencil", "mdoe": "constant_curvature", "k_1": 0.25,
+                "tolerence": 1e-30, **{key: PENCIL[key] for key in ("chart", "metric", "metric2")}}
+    code, report, err = run(tmp_path, scenario, capsys=capsys)
+    assert code == 1 and report is None
+    assert err.splitlines() == [
+        "error: scenario kind 'check-pencil' has no field 'mdoe'; it takes chart, metric, "
+        "metric2, mode, k1, k2, lambda_samples, tolerance, order, seed, out, dump_csv"]
+
+
+OTHER_CHART = {"lower": [0.5, 0.5], "upper": [1.5, 1.5], "points": [9, 9]}
+
+
+@pytest.mark.parametrize("scenario, message", [
+    (dict(FLAT_EUCLID, metric={"catalog": "euclidean", "contravariant": [[1, 0], [0, 1]]}),
+     "metric in scenario kind 'check-flat' takes 'catalog' or 'contravariant', not both"),
+    (dict(REDUCE, profile={"constant": [2.0, 3.0], "expressions": ["t", "t"]}),
+     "profile in scenario kind 'reduce' takes 'constant' or 'expressions', not both"),
+    (dict(TWO_COMPONENT_INTEGRATE, b1="u1 - u2", b2="u1 - u2"),
+     "scenario kind 'two-component' takes 'b1' or 'integrate', not both"),
+    (dict(TWO_COMPONENT_INTEGRATE, potential={"kind": "product", "c": 7}),
+     "potential kind 'product' in scenario kind 'two-component' has no field 'c'"),
+    (dict(FLAT_POLAR, chart=OTHER_CHART),
+     "scenario kind 'check-flat' takes 'chart' or a 'catalog' metric, not both"),
+    (dict(LAME, chart=OTHER_CHART),
+     "scenario kind 'lame' takes 'chart' or a 'catalog' metric, not both"),
+    (dict(REDUCE, chart=OTHER_CHART),
+     "scenario kind 'reduce' takes 'chart' or a 'catalog' metric, not both"),
+    (dict(CATALOG, chart=OTHER_CHART),
+     "scenario kind 'catalog' has no field 'chart'; it takes name, tolerance, order, seed, "
+     "out, dump_csv"),
+    (dict(PENCIL, metric={"catalog": "euclidean"}),
+     "metric in scenario kind 'check-pencil' has no field 'catalog'; it takes contravariant"),
+    ({k: v for k, v in TWO_COMPONENT_INTEGRATE.items() if k != "integrate"},
+     "scenario kind 'two-component' needs 'b1' and 'b2' or 'integrate'"),
+    (dict({k: v for k, v in TWO_COMPONENT_INTEGRATE.items() if k != "integrate"}, b1="u1"),
+     "scenario kind 'two-component' requires field 'b2'"),
+    (dict(NIJ_COUNTER, lambda_samples=[[1, -1]]),
+     "scenario kind 'nijenhuis' has no field 'lambda_samples'; it takes chart, metric, "
+     "metric2, tolerance, order, seed, out, dump_csv"),
+    (dict(DIAGONAL_FORM, lambda_samples=[[1, -1]]),
+     "scenario kind 'diagonal-form' has no field 'lambda_samples'; it takes chart, metric, "
+     "metric2, tolerance, order, seed, out, dump_csv"),
+], ids=["metric", "profile", "b_and_integrate", "potential", "check_flat_chart", "lame_chart",
+        "reduce_chart", "catalog_chart", "pencil_catalog_metric", "no_b", "b1_alone",
+        "nijenhuis_lambda_samples", "diagonal_form_lambda_samples"])
+def test_conflicting_and_undeclared_fields_are_schema_errors(tmp_path, capsys, no_sampling,
+                                                             scenario, message):
+    """Of two fields that exclude each other neither silently wins, and a
+    field the kind does not read is not silently ignored."""
+    code, report, err = run(tmp_path, scenario, capsys=capsys)
+    assert code == 1 and report is None
+    assert err.splitlines() == [f"error: {message}"]
+
+
+def _numeric_leaves(value, path=()):
+    """The path of every number in a scenario."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _numeric_leaves(item, (*path, key))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _numeric_leaves(item, (*path, index))
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield path
+
+
+#: fields that messages name otherwise: a list's entries and a metric's rows
+#: by the list and the metric, a catalog entry's name as the entry
+SAID = {"lambda_samples": "lambda sample", "name": "catalog entry"}
+
+
+def names_field(message: str, path) -> bool:
+    """Whether ``message`` names the field at ``path``, or for an entry of a
+    list the list, as a word."""
+    keys = [key for key in path if isinstance(key, str)]
+    field = keys[-2] if keys[-1] == "contravariant" else keys[-1]
+    return any(re.search(rf"(?<![\w-]){re.escape(word)}(?![\w-])", message)
+               for word in (field, SAID.get(field, field)))
+
+
+NON_FINITE = [(name, path, literal) for name, scenario in FIXTURES.items()
+              for path in _numeric_leaves(scenario) for literal in ("NaN", "Infinity")]
+
+
+@pytest.mark.parametrize("name, path, literal", NON_FINITE,
+                         ids=[f"{n}-{'.'.join(map(str, p))}-{lit}" for n, p, lit in NON_FINITE])
+def test_non_finite_numbers_are_schema_errors(tmp_path, capsys, no_sampling, name, path, literal):
+    """Python's json reads NaN and Infinity: unchecked, a non-finite amplitude
+    ends in an OverflowError traceback and a non-finite length in a
+    misleading kernel error."""
+    scenario = copy.deepcopy(FIXTURES[name])
+    *parents, last = path
+    holder = scenario
+    for key in parents:
+        holder = holder[key]
+    holder[last] = float(literal.lower())
+    path_ = tmp_path / "scenario.json"
+    path_.write_text(json.dumps(scenario))
+    assert literal in path_.read_text()
+    code = cli.main(["run", str(path_)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and names_field(line, path), line
+
+
 def test_integral_floats_are_integers(tmp_path, capsys):
     scenario = dict(FLAT_EUCLID, metric={"contravariant": [["1", "0"], ["0", "1"]]},
                     chart={"lower": [0.5, 0.5], "upper": [1.5, 1.5], "points": [9.0, 9]})
@@ -552,7 +702,8 @@ def test_flatness_reads_the_pointwise_maximum():
     maximum of ``|R^i_{jkl}|`` they keep for dumps: the residual is the
     maximum over every component, bit for bit, on a non-diagonal metric."""
     settings = {"tolerance": 1e-6, "order": 4, "seed": 0}
-    metric, chart = cli._optional_chart_metric(CURVED_3D, "check-flat", 4)
+    _, fields = cli._read_scenario({"kind": "check-flat", **CURVED_3D})
+    metric, chart = cli._optional_chart_metric(fields, "check-flat", 4)
     every = gc.interior_max(geo.curvature(metric).mixed.values, chart)
     report, _ = cli.run_scenario({"kind": "check-flat", **CURVED_3D}, settings)
     assert report["checks"][0]["residual"] == every > 1e-3
