@@ -15,7 +15,7 @@ The package is organized bottom-up:
 __version__ = "0.1.0"
 
 from .errors import FlatpencilError
-from .grid_calculus import DEFAULT_ORDER, GridChart, TensorField
+from .grid_calculus import GridChart, TensorField
 from .geometry_core import (
     MetricField,
     build_metric,
@@ -47,7 +47,6 @@ from .lame_system import (
 __all__ = [
     "__version__",
     "FlatpencilError",
-    "DEFAULT_ORDER",
     "GridChart",
     "TensorField",
     "MetricField",

@@ -7,8 +7,7 @@ reports residual rows.  An entry is either scenarios of command-line
 kinds, which the kinds' runners compute and the entry's rows bound
 (:class:`ScenarioRunner`), or a Python runner of its own, for checks no
 kind reports as they stand: eleven entries are scenarios, and ``sphere``,
-``potentials-quadratic`` and the three dressing entries are runners.  Every
-chart keeps the default stencil order 4, at which the bounds were calibrated.
+``potentials-quadratic`` and the three dressing entries are runners.
 
 A note on the per-entry combination samples: a pencil check evaluates
 ``l1 g1 + l2 g2`` for several weight pairs, and a weight pair whose ratio
@@ -44,6 +43,7 @@ __all__ = [
     "get",
     "run_entry",
     "metric_field",
+    "metric_source",
     "metric_names",
     "two_component_case",
     "TWO_COMPONENT_POSITIVE",
@@ -100,7 +100,7 @@ class CatalogEntry:
 
 #: what a scenario entry runs under: the command line's defaults; the
 #: entry's rows carry their own bounds, so this tolerance reaches no verdict
-_SETTINGS = {"tolerance": 1e-6, "order": gc.DEFAULT_ORDER, "seed": 0}
+_SETTINGS = {"tolerance": 1e-6, "seed": 0}
 
 
 @dataclass(frozen=True)
@@ -139,11 +139,17 @@ _METRICS = {
 }
 
 
-def metric_field(name: str) -> geo.MetricField:
-    """The metric behind one of the plain-metric entries."""
+def metric_source(name: str) -> tuple[GridChart, Callable]:
+    """The chart and the contravariant components, unsampled, of one of the
+    plain-metric entries."""
     if name not in _METRICS:
         raise SchemaError(f"no plain metric named {name!r}")
-    chart, contra = _METRICS[name]
+    return _METRICS[name]
+
+
+def metric_field(name: str) -> geo.MetricField:
+    """The metric behind one of the plain-metric entries."""
+    chart, contra = metric_source(name)
     return geo.build_metric(contra, chart)
 
 
@@ -262,7 +268,7 @@ def two_component_case(name: str):
     if name not in _TWO_COMPONENT:
         raise SchemaError(f"no two-component case named {name!r}")
     [scenario] = _TWO_COMPONENT[name][1].scenarios
-    return (cli.two_component_spec(scenario, gc.DEFAULT_ORDER), scenario["lambda_samples"],
+    return (cli.two_component_spec(scenario), scenario["lambda_samples"],
             name in TWO_COMPONENT_POSITIVE)
 
 

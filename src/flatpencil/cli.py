@@ -9,14 +9,14 @@ Reports are byte-stable: floats are serialized in their shortest
 round-trip form, row order is fixed by construction, and wall-clock timing
 goes to stderr instead of the report body.  Flags may also be supplied
 through environment variables with the prefix ``FLATPENCIL_``
-(``FLATPENCIL_TOL``, ``FLATPENCIL_ORDER``, ``FLATPENCIL_SEED``,
-``FLATPENCIL_OUT``, ``FLATPENCIL_DUMP_CSV``); an explicit flag wins over the
-environment, and both win over the scenario file.
+(``FLATPENCIL_TOL``, ``FLATPENCIL_SEED``, ``FLATPENCIL_OUT``,
+``FLATPENCIL_DUMP_CSV``); an explicit flag wins over the environment, and
+both win over the scenario file.
 
 Each kind declares its fields once, beside its runner; :func:`_read` checks
 a scenario against them before anything is sampled, and an unknown, missing,
-wrong-typed, non-finite or conflicting field exits 1.  Only the kinds that
-form combinations of two metrics declare ``lambda_samples``.
+wrong-typed, non-finite, out-of-range or conflicting field exits 1.  Only the
+kinds that form combinations of two metrics declare ``lambda_samples``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from . import zakharov_dressing as zd
 from .catalog import CheckRow
 from .errors import DegenerateMetric, FlatpencilError, SchemaError
 from .expressions import compile_expression
-from .grid_calculus import DEFAULT_ORDER, GridChart, interior_max, sample
+from .grid_calculus import GridChart, interior_max, sample
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +133,20 @@ def _number(value, name: str, _where=None) -> float:
     """A finite number: JSON's ``NaN`` and ``Infinity`` are refused."""
     if not math.isfinite(out := _real(value, name)):
         raise SchemaError(f"{name} must be a finite number, got {value!r}")
+    return out
+
+
+def _positive(value, name: str, _where=None) -> float:
+    """A finite number above zero."""
+    if (out := _number(value, name)) <= 0:
+        raise SchemaError(f"{name} must be positive, got {value!r}")
+    return out
+
+
+def _at_least(low: int, value, name: str, _where=None) -> int:
+    """An integer no less than ``low``."""
+    if (out := _integer(value, name)) < low:
+        raise SchemaError(f"{name} must be at least {low}, got {value!r}")
     return out
 
 
@@ -240,14 +254,12 @@ _POTENTIALS = {
                    lambda v: tc.Potential(value=_compile(v.value, ("u1", "u2")))),
 }
 _GAUSSIAN_SET = partial(_object, Table({
-    "preset": Field(_choice("gaussian"), "gaussian"), "components": Field(_integer, 2),
-    "amplitude": Field(_number, 0.2), "width": Field(_number, 1.0),
-    "include_diagonal": Field(_boolean, False)}), prefix=False)
+    "components": Field(partial(_at_least, 1), 2), "amplitude": Field(_number, 0.2),
+    "width": Field(_positive, 1.0), "include_diagonal": Field(_boolean, False)}), prefix=False)
 #: the settings every kind takes; a flag or the environment overrides each, and
 #: the tolerance that results must be positive and finite
-_SETTINGS = {"tolerance": Field(_real, 1e-6), "order": Field(_integer, DEFAULT_ORDER),
-             "seed": Field(_integer, 0), "out": Field(_string, None),
-             "dump_csv": Field(_string, None)}
+_SETTINGS = {"tolerance": Field(_real, 1e-6), "seed": Field(partial(_at_least, 0), 0),
+             "out": Field(_string, None), "dump_csv": Field(_string, None)}
 #: scenario kind -> (its table, its runner)
 _KINDS: dict[str, tuple[Table, Callable]] = {}
 
@@ -261,10 +273,10 @@ def _kind(name: str, /, *one_of, **fields):
     return declare
 
 
-def _chart(spec, order: int) -> GridChart:
+def _chart(spec) -> GridChart:
     n = len(spec.lower)
     return GridChart(spec.lower, _sized(spec.upper, n, "chart upper"),
-                     _sized(spec.points, n, "chart points"), order)
+                     _sized(spec.points, n, "chart points"))
 
 
 def _chart_meta(chart: GridChart) -> dict:
@@ -300,21 +312,17 @@ def _metric_source(rows, name: str, n: int) -> Callable:
                      for row in rows], n)
 
 
-def _optional_chart_metric(v, kind: str, order: int):
-    """(metric, chart) of a scenario whose chart may come from a catalog
-    metric, rebuilt at the stencil ``order`` (its sampled values do not change)."""
+def _chart_and_source(v, kind: str) -> tuple[GridChart, Callable]:
+    """(chart, contravariant source) of a scenario whose chart may come from a
+    catalog metric; nothing is sampled, so N-tied fields can be checked first."""
     if v.metric.catalog is None:
         if v.chart is None:
             raise SchemaError(f"scenario kind {kind!r} needs a chart for inline metrics")
-        chart = _chart(v.chart, order)
-        source = _metric_source(v.metric.contravariant, "metric", chart.dim)
-        return geo.build_metric(source, chart), chart
+        chart = _chart(v.chart)
+        return chart, _metric_source(v.metric.contravariant, "metric", chart.dim)
     if v.chart is not None:
         raise SchemaError(f"scenario kind {kind!r} takes 'chart' or a 'catalog' metric, not both")
-    metric = cat.metric_field(v.metric.catalog)
-    if metric.chart.order != order:
-        metric = geo.build_metric(metric.contra.values, replace(metric.chart, order=order))
-    return metric, metric.chart
+    return cat.metric_source(v.metric.catalog)
 
 
 def _profile(spec, n: int) -> ls.ReductionProfile:
@@ -330,7 +338,8 @@ def _profile(spec, n: int) -> ls.ReductionProfile:
 
 @_kind("check-flat", chart=_OPTIONAL_CHART, metric=_METRIC)
 def _run_check_flat(v, settings):
-    metric, chart = _optional_chart_metric(v, "check-flat", settings["order"])
+    chart, source = _chart_and_source(v, "check-flat")
+    metric = geo.build_metric(source, chart)
     field = geo.curvature(metric).pointwise_max()  # max |R^i_{jkl}| at each node
     return ([CheckRow("flatness", interior_max(field, chart), settings["tolerance"])],
             {"chart": _chart_meta(chart)}, {"flatness": (chart, field)})
@@ -339,9 +348,9 @@ def _run_check_flat(v, settings):
 _PENCIL = {"chart": Field(_CHART), "metric": _INLINE_METRIC, "metric2": _INLINE_METRIC}
 
 
-def _pencil_from_scenario(v, order):
+def _pencil_from_scenario(v):
     """Both metrics' entries are checked before either is sampled."""
-    chart = _chart(v.chart, order)
+    chart = _chart(v.chart)
     sources = [_metric_source(v.metric.contravariant, "metric", chart.dim),
                _metric_source(v.metric2.contravariant, "metric2", chart.dim)]
     return pc.PencilSpec(*(geo.build_metric(source, chart) for source in sources)), chart
@@ -351,7 +360,7 @@ def _pencil_from_scenario(v, order):
        mode=Field(_choice("flat", "constant_curvature", "general"), "flat"),
        k1=Field(_number, 0.0), k2=Field(_number, 0.0), lambda_samples=_LAMBDA_SAMPLES)
 def _run_check_pencil(v, settings):
-    pencil, chart = _pencil_from_scenario(v, settings["order"])
+    pencil, chart = _pencil_from_scenario(v)
     pencil = replace(pencil, lambda_samples=v.lambda_samples)
     rep = pc.check_compatible(pencil, v.mode, k1=v.k1, k2=v.k2)
     tol = settings["tolerance"]
@@ -367,7 +376,7 @@ def _run_check_pencil(v, settings):
 
 @_kind("nijenhuis", **_PENCIL)
 def _run_nijenhuis(v, settings):
-    pencil, chart = _pencil_from_scenario(v, settings["order"])
+    pencil, chart = _pencil_from_scenario(v)
     aff = pc.affinor(pencil)
     spectrum = pc.nonsingularity(aff)
     rows = [CheckRow("nijenhuis", pc.nijenhuis(aff), settings["tolerance"]),
@@ -378,7 +387,7 @@ def _run_nijenhuis(v, settings):
 
 @_kind("diagonal-form", **_PENCIL)
 def _run_diagonal_form(v, settings):
-    pencil, chart = _pencil_from_scenario(v, settings["order"])
+    pencil, chart = _pencil_from_scenario(v)
     rep = pc.check_diagonal_form(pencil)
     rows = [CheckRow("ratio_cross_derivative", rep.residual, settings["tolerance"])]
     return rows, {"chart": _chart_meta(chart), "off_diagonal_max": rep.off_diagonal_max}, {}
@@ -387,7 +396,7 @@ def _run_diagonal_form(v, settings):
 @_kind("dubrovin", chart=Field(_CHART), metric=_INLINE_METRIC, covector=Field(_EXPRESSIONS),
        c=Field(_number, 0.0), lambda_samples=_LAMBDA_SAMPLES)
 def _run_dubrovin(v, settings):
-    chart = _chart(v.chart, settings["order"])
+    chart = _chart(v.chart)
     source = _metric_source(v.metric.contravariant, "metric", chart.dim)
     f = _closure(_sized(v.covector, chart.dim, "covector", "components"), chart.dim)
     rep = pc.dubrovin_construct(geo.build_metric(source, chart), f, v.c, v.lambda_samples)
@@ -406,7 +415,7 @@ def _run_potentials(v, settings):
     """Dubrovin's candidate at ``c = 0`` over the constant metric ``eta``; a
     degenerate candidate is reported, not raised (the route is a search
     device), and the pair is checked only for a candidate flat to ``tol``."""
-    chart = _chart(v.chart, settings["order"])
+    chart = _chart(v.chart)
     if len(v.eta) != chart.dim:
         raise SchemaError(f"eta needs {chart.dim} rows of {chart.dim} numbers")
     eta_rows = [_sized(row, chart.dim, "each eta row") for row in v.eta]
@@ -429,15 +438,18 @@ _LAME = {"chart": _OPTIONAL_CHART, "metric": _METRIC,
          "eps": Field(partial(_list, _integer, "integers"), None)}
 
 
-def _frame_from_scenario(v, kind, settings):
-    metric, chart = _optional_chart_metric(v, kind, settings["order"])
+def _frame_from_scenario(v, kind: str, profile=None):
+    """(frame, chart, profile) of a ``lame`` or ``reduce`` scenario: ``eps`` and
+    ``profile`` are checked against N before the metric is sampled."""
+    chart, source = _chart_and_source(v, kind)
     eps = None if v.eps is None else _sized(v.eps, chart.dim, "eps")
-    return ls.frame_from_metric(metric, eps=eps), chart
+    profile = None if profile is None else _profile(profile, chart.dim)
+    return ls.frame_from_metric(geo.build_metric(source, chart), eps=eps), chart, profile
 
 
 @_kind("lame", **_LAME)
 def _run_lame(v, settings):
-    frame, chart = _frame_from_scenario(v, "lame", settings)
+    frame, chart, _ = _frame_from_scenario(v, "lame")
     rep = ls.lame_residuals(frame)
     rows = [CheckRow("off_diagonal_system", rep.r_offdiag, settings["tolerance"]),
             CheckRow("diagonal_system", rep.r_diag, settings["tolerance"])]
@@ -446,8 +458,7 @@ def _run_lame(v, settings):
 
 @_kind("reduce", **_LAME, profile=Field(_PROFILE))
 def _run_reduce(v, settings):
-    frame, chart = _frame_from_scenario(v, "reduce", settings)
-    profile = _profile(v.profile, chart.dim)
+    frame, chart, profile = _frame_from_scenario(v, "reduce", v.profile)
     tilde = ls.tilde_frame(frame, profile)
     tol = settings["tolerance"]
     rows = [CheckRow("lame", ls.lame_residuals(frame).max_residual, tol),
@@ -459,9 +470,9 @@ def _run_reduce(v, settings):
 
 
 @_kind("dress", potentials=Field(_GAUSSIAN_SET), point=Field(_NUMBERS),
-       profile=Field(_PROFILE, None), s=Field(_number, 0.0), length=Field(_number, None),
-       panels=Field(_integer, zd.DEFAULT_PANELS),
-       nodes_per_panel=Field(_integer, zd.DEFAULT_NODES_PER_PANEL))
+       profile=Field(_PROFILE, None), s=Field(_number, 0.0), length=Field(_positive, None),
+       panels=Field(partial(_at_least, 1), zd.DEFAULT_PANELS),
+       nodes_per_panel=Field(partial(_at_least, 2), zd.DEFAULT_NODES_PER_PANEL))
 def _run_dress(v, settings):
     g = v.potentials
     point = _sized(v.point, g.components, "point")
@@ -483,8 +494,8 @@ def _run_dress(v, settings):
     return rows, meta, {}
 
 
-def _pair_spec(v, order) -> tc.TwoComponentSpec:
-    chart = _chart(v.chart, order)
+def _pair_spec(v) -> tc.TwoComponentSpec:
+    chart = _chart(v.chart)
     if chart.dim != 2:
         raise SchemaError("two-component scenarios need a 2-D chart")
     kind, potential = v.potential
@@ -497,11 +508,11 @@ def _pair_spec(v, order) -> tc.TwoComponentSpec:
     return spec.with_b(*(sample(_closure(b, 2), chart).values for b in (v.b1, v.b2)))
 
 
-def two_component_spec(scenario, order) -> tc.TwoComponentSpec:
-    """The pair a ``two-component`` scenario describes, on a chart of stencil
-    ``order``; its ``b`` fields are sampled from ``b1``/``b2`` expressions,
-    or left unset for an ``integrate`` block to supply."""
-    return _pair_spec(_read_scenario(scenario)[1], order)
+def two_component_spec(scenario) -> tc.TwoComponentSpec:
+    """The pair a ``two-component`` scenario describes; its ``b`` fields are
+    sampled from ``b1``/``b2`` expressions, or left unset for an
+    ``integrate`` block to supply."""
+    return _pair_spec(_read_scenario(scenario)[1])
 
 
 @_kind("two-component", ("b1", "b2"), ("integrate",), chart=Field(_CHART),
@@ -513,7 +524,7 @@ def two_component_spec(scenario, order) -> tc.TwoComponentSpec:
                                                "b2_edge": Field(_expression)})), None),
        lambda_samples=_LAMBDA_SAMPLES)
 def _run_two_component(v, settings):
-    spec = _pair_spec(v, settings["order"])
+    spec = _pair_spec(v)
     tol = settings["tolerance"]
     rows = [CheckRow("lequa", tc.lequa_residual(spec), tol)]
     meta = {"chart": _chart_meta(spec.chart), "eps": list(spec.eps)}
@@ -532,10 +543,7 @@ def _run_two_component(v, settings):
 
 
 @_kind("catalog", name=Field(lambda value, _name, _where=None: cat.get(value)))
-def _run_catalog(v, settings):
-    if settings["order"] != DEFAULT_ORDER:  # the entries' bounds hold at this order only
-        raise SchemaError(f"catalog entries run at order {DEFAULT_ORDER} only, "
-                          f"got order {settings['order']}")
+def _run_catalog(v, _settings):
     entry = v.name
     meta = {"catalog_entry": entry.name, "kind": entry.kind, "summary": entry.summary}
     return entry.run(), meta, {}
@@ -555,7 +563,7 @@ def run_scenario(scenario: dict, settings: dict) -> tuple[dict, dict]:
     report = {
         "flatpencil_version": __version__,
         "scenario": scenario,
-        "settings": {key: settings[key] for key in ("tolerance", "order", "seed")},
+        "settings": {key: settings[key] for key in ("tolerance", "seed")},
         "checks": [row.as_dict() for row in rows],
         "metadata": {**meta, "timing": "stderr"},
         "verdict": "pass" if all(row.passed for row in rows) else "fail",
@@ -577,11 +585,11 @@ def _write_csv_fields(fields: dict, directory: str):
 
 def _resolve_settings(args, scenario: dict) -> dict:
     """Each setting from its flag, else its environment variable, else the
-    scenario, whose table gives its default."""
+    scenario, whose table gives its default; a flag's or the environment's
+    value is read by the setting's declared reader too."""
     fields, settings = _read_scenario(scenario)[1], {}
-    for key, flag, convert in (("tolerance", "tol", float), ("order", "order", int),
-                               ("seed", "seed", int), ("out", "out", str),
-                               ("dump_csv", "dump_csv", str)):
+    for key, flag, convert in (("tolerance", "tol", float), ("seed", "seed", int),
+                               ("out", "out", str), ("dump_csv", "dump_csv", str)):
         value, env = getattr(args, flag), f"FLATPENCIL_{flag.upper()}"
         if value is None and env in os.environ:
             try:
@@ -589,9 +597,8 @@ def _resolve_settings(args, scenario: dict) -> dict:
             except ValueError:
                 noun = "an integer" if convert is int else "a number"
                 raise SchemaError(f"{env} must be {noun}, got {os.environ[env]!r}") from None
-        settings[key] = getattr(fields, key) if value is None else convert(value)
-    if settings["order"] not in (2, 4):
-        raise SchemaError(f"order must be 2 or 4, got {settings['order']}")
+        settings[key] = (getattr(fields, key) if value is None
+                         else _SETTINGS[key].read(convert(value), key))
     if not 0 < settings["tolerance"] < float("inf"):  # NaN fails too
         raise SchemaError(f"tolerance must be positive and finite, got {settings['tolerance']}")
     return settings
@@ -653,8 +660,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--dump-csv", dest="dump_csv", metavar="DIR",
                        help="write residual-per-node CSV files where supported")
     run_p.add_argument("--tol", type=float, help="residual tolerance override")
-    run_p.add_argument("--order", type=int, choices=(2, 4),
-                       help="finite-difference order")
     run_p.add_argument("--seed", type=int, help="seed for probe-based checks")
     run_p.set_defaults(fn=_cmd_run)
 

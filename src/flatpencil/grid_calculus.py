@@ -2,23 +2,14 @@
 
 All grid derivatives taken anywhere in the package go through
 :func:`differentiate_array` (one axis) or :func:`stacked_partials` (every
-axis), which apply centred stencils in the interior and one-sided stencils of
-the *same* order at the boundary, so the formal accuracy is uniform across the
-box.  Boundary stencils have larger error constants, which is why every
-residual is reduced by :func:`interior_max`, over the interior sub-box left
-after ``order`` nodes per side.
-
-The stencil order, 2 or 4, is a property of the chart (``GridChart.order``),
-and this module is the only one that reads it: every metric, frame and field
-carries its chart, so the order follows the data.
+axis), which apply fourth-order centred stencils in the interior and
+one-sided stencils of the same order at the boundary, so the formal accuracy
+is uniform across the box.  Boundary stencils have larger error constants,
+which is why every residual is reduced by :func:`interior_max`, over the
+interior sub-box left after :data:`INTERIOR_MARGIN` nodes per side.
 
 First-derivative stencils (spacing h):
 
-order 2
-    interior   (f[i+1] - f[i-1]) / (2h)
-    edge       (-3 f0 + 4 f1 - f2) / (2h)          and mirrored
-
-order 4
     interior   (f[i-2] - 8 f[i-1] + 8 f[i+1] - f[i+2]) / (12h)
     node 0     (-25 f0 + 48 f1 - 36 f2 + 16 f3 - 3 f4) / (12h)
     node 1     (-3 f0 - 10 f1 + 18 f2 - 6 f3 + f4) / (12h)   and mirrored
@@ -40,11 +31,13 @@ import numpy as np
 
 from .errors import ChartTooCoarse, NonFiniteSample
 
-DEFAULT_ORDER = 4
-
 #: minimum number of nodes per axis for which every stencil in the package
 #: (including the five-point one-sided rows) is defined
 MIN_AXIS_POINTS = 5
+
+#: nodes per side that :meth:`GridChart.interior` leaves out: a one-sided row
+#: pollutes 2 nodes per differentiation, and curvature-type residuals chain two
+INTERIOR_MARGIN = 4
 
 #: largest relative asymmetry :func:`symmetrized` averages away
 _SYMMETRY_TOL = 1e-8
@@ -59,14 +52,12 @@ class GridChart:
 
     ``lower[i] < upper[i]`` and ``points[i] >= 2``; differentiation requires
     at least :data:`MIN_AXIS_POINTS` nodes on the axis being differentiated
-    and raises :class:`ChartTooCoarse` otherwise.  ``order`` (2 or 4) is the
-    stencil order of every derivative taken on the chart.
+    and raises :class:`ChartTooCoarse` otherwise.
     """
 
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     points: tuple[int, ...]
-    order: int = DEFAULT_ORDER
 
     def __post_init__(self):
         object.__setattr__(self, "lower", tuple(float(x) for x in self.lower))
@@ -81,8 +72,6 @@ class GridChart:
                 raise ValueError(f"axis {d}: upper must exceed lower")
             if n < 2:
                 raise ValueError(f"axis {d}: need at least 2 points, got {n}")
-        if self.order not in _STENCILS:
-            raise ValueError(f"unsupported stencil order {self.order!r}; choose 2 or 4")
 
     @property
     def dim(self) -> int:
@@ -113,8 +102,8 @@ class GridChart:
         )
 
     def interior(self) -> tuple[slice, ...]:
-        """Index slices excluding ``order`` nodes per side, never empty."""
-        margins = (min(self.order, (n - 1) // 2) for n in self.points)
+        """Index slices excluding :data:`INTERIOR_MARGIN` nodes per side, never empty."""
+        margins = (min(INTERIOR_MARGIN, (n - 1) // 2) for n in self.points)
         return tuple(slice(m, n - m) for m, n in zip(margins, self.points))
 
 
@@ -160,13 +149,7 @@ class TensorField:
 # stencils
 
 
-def _interior_order2(a: np.ndarray, lo: int, hi: int, step: int, h: float, out, _buf) -> None:
-    o = out[lo:hi]
-    np.subtract(a[lo + step:hi + step], a[lo - step:hi - step], out=o)
-    o /= 2.0 * h
-
-
-def _interior_order4(a: np.ndarray, lo: int, hi: int, step: int, h: float, out, buf) -> None:
+def _interior(a: np.ndarray, lo: int, hi: int, step: int, h: float, out, buf) -> None:
     # (a[i-2] - 8 a[i-1] + 8 a[i+1] - a[i+2]) / (12 h), in that order
     o, a8 = out[lo:hi], buf[:hi - lo]
     np.multiply(a[lo - step:hi - step], 8.0, out=a8)
@@ -177,36 +160,32 @@ def _interior_order4(a: np.ndarray, lo: int, hi: int, step: int, h: float, out, 
     o /= 12.0 * h
 
 
-#: order -> (interior rows, one-sided rows at the low end as coefficients on
-#: nodes 0, 1, ..., denominator); the high end mirrors them with signs flipped
-_STENCILS = {
-    2: (_interior_order2, np.array([[-3.0, 4.0, -1.0]]), 2.0),
-    4: (_interior_order4, np.array([[-25.0, 48.0, -36.0, 16.0, -3.0],
-                                    [-3.0, -10.0, 18.0, -6.0, 1.0]]), 12.0),
-}
+#: the one-sided rows at the low end, as coefficients on nodes 0, 1, ... over
+#: 12 h; the high end mirrors them with signs flipped
+_EDGE_ROWS = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0],
+                       [-3.0, -10.0, 18.0, -6.0, 1.0]])
 
 
-def _edges(a: np.ndarray, h: float, out: np.ndarray, rows: np.ndarray, denom: float) -> None:
+def _edges(a: np.ndarray, h: float, out: np.ndarray) -> None:
     """The one-sided rows of both ends of axis 1 at once, summed term by term
     from the boundary inwards: adding an exactly negated term rounds as
     subtracting it does, so each row rounds as its formula above."""
-    count, width = rows.shape
+    count, width = _EDGE_ROWS.shape
     last = a.shape[1] - 1
     nodes = [*range(count), *range(last, last - count, -1)]
     taps = a[:, [[m] * count + [last - m] * count for m in range(width)]]
-    coef = np.concatenate([rows, -rows]).T[..., None]
+    coef = np.concatenate([_EDGE_ROWS, -_EDGE_ROWS]).T[..., None]
     acc = coef[0] * taps[:, 0]
     for m in range(1, width):
         acc += coef[m] * taps[:, m]
-    acc /= denom * h
+    acc /= 12.0 * h
     out[:, nodes] = acc
 
 
 def differentiate_array(
     values: np.ndarray, chart: GridChart, axis: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """First derivative of raw grid values along one chart axis, at the
-    chart's stencil order.
+    """First derivative of raw grid values along one chart axis.
 
     The grid axes trail ``values``, after any tensor axes.  The result is
     C-contiguous, shaped as ``values``, and written into ``out`` when given.
@@ -225,12 +204,11 @@ def differentiate_array(
         raise ValueError("out must be a C-contiguous array of the shape of values")
     pos = values.ndim - chart.dim + axis
     lines = (-1, values.shape[pos], math.prod(values.shape[pos + 1:]))
-    interior, rows, denom = _STENCILS[chart.order]
     h, flat, step = chart.spacing[axis], values.reshape(-1), lines[2]
-    reach, buf = len(rows) * step, np.empty(min(_BLOCK, flat.size))
+    reach, buf = len(_EDGE_ROWS) * step, np.empty(min(_BLOCK, flat.size))
     for lo in range(reach, flat.size - reach, _BLOCK):
-        interior(flat, lo, min(lo + _BLOCK, flat.size - reach), step, h, out.reshape(-1), buf)
-    _edges(values.reshape(lines), h, out.reshape(lines), rows, denom)
+        _interior(flat, lo, min(lo + _BLOCK, flat.size - reach), step, h, out.reshape(-1), buf)
+    _edges(values.reshape(lines), h, out.reshape(lines))
     return out
 
 
@@ -362,11 +340,8 @@ def central_difference(
 def interior_max(values: np.ndarray, chart: GridChart) -> float:
     """Max absolute value over the interior sub-box.
 
-    The margin is ``chart.order`` nodes per side, the stencil order the
-    residual was computed with: one-sided boundary rows pollute
-    ``order // 2`` nodes per differentiation, and curvature-type residuals
-    chain two derivatives.  The grid axes trail ``values``; every component
-    is reduced.
+    The margin is :data:`INTERIOR_MARGIN` nodes per side.  The grid axes
+    trail ``values``; every component is reduced.
     """
     return float(np.max(np.abs(values[(..., *chart.interior())])))
 

@@ -161,8 +161,8 @@ class PotentialSet:
         for i in self.diagonal:
             if not 0 <= i < self.n:
                 raise ValueError(f"diagonal key {i} out of range")
-        if self.envelope <= 0:
-            raise ValueError("envelope must be positive")
+        if not 0 < self.envelope < math.inf:  # NaN fails too
+            raise ValueError(f"envelope must be a positive finite number, got {self.envelope}")
         rng = np.random.default_rng(1234)
         pts = rng.uniform(-self.envelope / 2, self.envelope / 2, size=(16, 2))
         for i, pot in self.diagonal.items():
@@ -215,6 +215,9 @@ def gaussian_set(
         for i in range(n):
             diag[i] = skew_gaussian_pair(0.5 * amplitude / (1.0 + i), width)
     margin = width * math.sqrt(2 * math.log(max(abs(amplitude), 1.0) / DECAY_THRESHOLD + 3.0))
+    if not math.isfinite(margin):
+        raise ValueError(
+            f"amplitude {amplitude!r} at width {width!r} has no finite decay envelope")
     return PotentialSet(n, off, diag, envelope=margin + 1.0)
 
 

@@ -318,8 +318,7 @@ def test_criterion_10_deterministic_reports(tmp_path):
     scenarios = {
         "dress.json": {
             "kind": "dress",
-            "potentials": {"preset": "gaussian", "components": 2,
-                           "amplitude": 0.4, "include_diagonal": True},
+            "potentials": {"components": 2, "amplitude": 0.4, "include_diagonal": True},
             "point": [0.1, -0.1],
             "profile": {"constant": [2.0, 2.0]},
         },

@@ -79,7 +79,7 @@ def test_a_nan_in_a_derived_field_cannot_pass(monkeypatch):
     """Derived fields are not scanned for NaN: the reductions carry it into
     the residual, and the residual fails its row under either comparison."""
     _poison_the_centre(monkeypatch)
-    settings = {"tolerance": 1e-6, "order": 4, "seed": 0}
+    settings = {"tolerance": 1e-6, "seed": 0}
     report, _ = cli.run_scenario({"kind": "check-flat", "metric": {"catalog": "polar"}}, settings)
     [flat] = report["checks"]
     assert np.isnan(flat["residual"]) and flat["verdict"] == report["verdict"] == "fail"

@@ -6,7 +6,6 @@ import hashlib
 import json
 import re
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,8 +44,7 @@ NIJ_COUNTER = {
 
 DRESS = {
     "kind": "dress",
-    "potentials": {"preset": "gaussian", "components": 2, "amplitude": 0.4,
-                   "include_diagonal": True},
+    "potentials": {"components": 2, "amplitude": 0.4, "include_diagonal": True},
     "point": [0.1, -0.1],
     # unequal and t-dependent: under equal constants the tilde rows compare
     # a solve with itself
@@ -101,8 +99,7 @@ FIXTURES = {
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    for var in ("FLATPENCIL_TOL", "FLATPENCIL_ORDER", "FLATPENCIL_SEED",
-                "FLATPENCIL_OUT", "FLATPENCIL_DUMP_CSV"):
+    for var in ("FLATPENCIL_TOL", "FLATPENCIL_SEED", "FLATPENCIL_OUT", "FLATPENCIL_DUMP_CSV"):
         monkeypatch.delenv(var, raising=False)
 
 
@@ -123,7 +120,7 @@ def test_passing_scenario(tmp_path, capsys):
     code, report, err = run(tmp_path, FLAT_EUCLID, capsys=capsys)
     assert code == 0
     assert report["verdict"] == "pass"
-    assert report["settings"]["tolerance"] == 1e-12
+    assert report["settings"] == {"tolerance": 1e-12, "seed": 0}
     assert report["checks"][0]["check"] == "flatness"
     assert report["checks"][0]["residual"] == 0.0
     assert report["metadata"]["timing"] == "stderr"
@@ -154,43 +151,25 @@ def test_flag_beats_environment(tmp_path, capsys, monkeypatch):
     assert report["settings"]["tolerance"] == 1e-6
 
 
-def test_order_env_switches_stencils(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("FLATPENCIL_ORDER", "2")
-    code, report, _ = run(tmp_path, FLAT_POLAR, capsys=capsys)
-    assert report["settings"]["order"] == 2
-    assert report["checks"][0]["residual"] > 1e-5  # second-order truncation
-    # the catalog metric is rebuilt on its chart at order 2
-    polar = catalog.metric_field("polar")
-    chart2 = replace(polar.chart, order=2)
-    assert report["checks"][0]["residual"] == geo.flatness_residual(
-        geo.build_metric(polar.contra.values, chart2))
-
-
 def test_invalid_order_flag_rejected_by_parser(tmp_path, capsys):
+    """The stencil order is not a setting: ``--order`` is refused at any value."""
     with pytest.raises(SystemExit) as exc:
-        cli.main(["run", write(tmp_path, FLAT_EUCLID), "--order", "3"])
+        cli.main(["run", write(tmp_path, FLAT_EUCLID), "--order", "4"])
     assert exc.value.code == 2
     capsys.readouterr()
 
 
-def test_invalid_order_env_rejected(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("FLATPENCIL_ORDER", "3")
-    code, _, err = run(tmp_path, FLAT_EUCLID, capsys=capsys)
-    assert code == 1
-    assert "order" in err.lower()
-
-
-@pytest.mark.parametrize("field, value", [("order", 4.7), ("seed", 7.9), ("seed", "7"),
-                                          ("tolerance", "1e-6"), ("order", True)])
+@pytest.mark.parametrize("field, value", [("seed", 7.9), ("seed", "7"), ("tolerance", "1e-6"),
+                                          ("seed", True)])
 def test_scenario_settings_are_not_truncated(tmp_path, capsys, field, value):
-    """``order`` 4.7 must not run at order 4, nor ``seed`` 7.9 at seed 7."""
+    """``seed`` 7.9 must not run at seed 7, nor ``true`` at seed 1."""
     code, report, err = run(tmp_path, dict(FLAT_EUCLID, **{field: value}), capsys=capsys)
     assert code == 1 and report is None
     assert err.count("error:") == 1 and field in err
 
 
-@pytest.mark.parametrize("var, value", [("FLATPENCIL_ORDER", "four"), ("FLATPENCIL_ORDER", "4.0"),
-                                        ("FLATPENCIL_SEED", "7.9"), ("FLATPENCIL_TOL", "tight")])
+@pytest.mark.parametrize("var, value", [("FLATPENCIL_SEED", "seven"), ("FLATPENCIL_SEED", "7.9"),
+                                        ("FLATPENCIL_TOL", "tight")])
 def test_non_numeric_environment_settings_are_schema_errors(tmp_path, capsys, monkeypatch,
                                                             var, value):
     monkeypatch.setenv(var, value)
@@ -200,8 +179,8 @@ def test_non_numeric_environment_settings_are_schema_errors(tmp_path, capsys, mo
 
 
 def test_integral_float_settings_are_read_as_integers(tmp_path, capsys):
-    code, report, _ = run(tmp_path, dict(FLAT_EUCLID, order=2.0, seed=7.0), capsys=capsys)
-    assert code == 0 and report["settings"]["order"] == 2 and report["settings"]["seed"] == 7
+    code, report, _ = run(tmp_path, dict(FLAT_EUCLID, seed=7.0), capsys=capsys)
+    assert code == 0 and report["settings"]["seed"] == 7
 
 
 def test_pencil_scenario(tmp_path, capsys):
@@ -307,14 +286,6 @@ def test_catalog_scenario_and_metadata(tmp_path, capsys):
                           capsys=capsys)
     assert code == 0
     assert report["metadata"]["catalog_entry"] == "polar"
-
-
-def test_catalog_kind_runs_at_order_four_only(tmp_path, capsys):
-    """Catalog bounds were calibrated at order 4; order 2 is refused, not run."""
-    code, report, err = run(tmp_path, {"kind": "catalog", "name": "polar"}, "--order", "2",
-                            capsys=capsys)
-    assert code == 1 and report is None
-    assert err.startswith("error: ") and err.count("error:") == 1 and "order" in err
 
 
 def test_unknown_catalog_entry_is_schema_error(tmp_path, capsys):
@@ -432,7 +403,7 @@ def test_misspelt_fields_are_refused_before_sampling(tmp_path, capsys, no_sampli
     assert code == 1 and report is None
     assert err.splitlines() == [
         "error: scenario kind 'check-pencil' has no field 'mdoe'; it takes chart, metric, "
-        "metric2, mode, k1, k2, lambda_samples, tolerance, order, seed, out, dump_csv"]
+        "metric2, mode, k1, k2, lambda_samples, tolerance, seed, out, dump_csv"]
 
 
 OTHER_CHART = {"lower": [0.5, 0.5], "upper": [1.5, 1.5], "points": [9, 9]}
@@ -454,8 +425,8 @@ OTHER_CHART = {"lower": [0.5, 0.5], "upper": [1.5, 1.5], "points": [9, 9]}
     (dict(REDUCE, chart=OTHER_CHART),
      "scenario kind 'reduce' takes 'chart' or a 'catalog' metric, not both"),
     (dict(CATALOG, chart=OTHER_CHART),
-     "scenario kind 'catalog' has no field 'chart'; it takes name, tolerance, order, seed, "
-     "out, dump_csv"),
+     "scenario kind 'catalog' has no field 'chart'; it takes name, tolerance, seed, out, "
+     "dump_csv"),
     (dict(PENCIL, metric={"catalog": "euclidean"}),
      "metric in scenario kind 'check-pencil' has no field 'catalog'; it takes contravariant"),
     ({k: v for k, v in TWO_COMPONENT_INTEGRATE.items() if k != "integrate"},
@@ -464,13 +435,16 @@ OTHER_CHART = {"lower": [0.5, 0.5], "upper": [1.5, 1.5], "points": [9, 9]}
      "scenario kind 'two-component' requires field 'b2'"),
     (dict(NIJ_COUNTER, lambda_samples=[[1, -1]]),
      "scenario kind 'nijenhuis' has no field 'lambda_samples'; it takes chart, metric, "
-     "metric2, tolerance, order, seed, out, dump_csv"),
+     "metric2, tolerance, seed, out, dump_csv"),
     (dict(DIAGONAL_FORM, lambda_samples=[[1, -1]]),
      "scenario kind 'diagonal-form' has no field 'lambda_samples'; it takes chart, metric, "
-     "metric2, tolerance, order, seed, out, dump_csv"),
+     "metric2, tolerance, seed, out, dump_csv"),
+    (dict(FLAT_EUCLID, order=4),
+     "scenario kind 'check-flat' has no field 'order'; it takes chart, metric, tolerance, seed, "
+     "out, dump_csv"),
 ], ids=["metric", "profile", "b_and_integrate", "potential", "check_flat_chart", "lame_chart",
         "reduce_chart", "catalog_chart", "pencil_catalog_metric", "no_b", "b1_alone",
-        "nijenhuis_lambda_samples", "diagonal_form_lambda_samples"])
+        "nijenhuis_lambda_samples", "diagonal_form_lambda_samples", "order"])
 def test_conflicting_and_undeclared_fields_are_schema_errors(tmp_path, capsys, no_sampling,
                                                              scenario, message):
     """Of two fields that exclude each other neither silently wins, and a
@@ -678,6 +652,62 @@ def test_csv_rows_match_the_node_by_node_writer(tmp_path):
     )
 
 
+def _gaussians(**fields):
+    return dict(DRESS, potentials={**DRESS["potentials"], **fields})
+
+
+@pytest.mark.parametrize("scenario, args, env, message", [
+    (_gaussians(components=-1), (), None, "components must be at least 1, got -1"),
+    (_gaussians(components=0), (), None, "components must be at least 1, got 0"),
+    (_gaussians(width=0), (), None, "width must be positive, got 0"),
+    (_gaussians(width=-1.5), (), None, "width must be positive, got -1.5"),
+    (dict(DRESS, seed=-5), (), None, "seed must be at least 0, got -5"),
+    (DRESS, ("--seed", "-5"), None, "seed must be at least 0, got -5"),
+    (DRESS, (), "-5", "seed must be at least 0, got -5"),
+    (dict(DRESS, panels=0), (), None, "panels must be at least 1, got 0"),
+    (dict(DRESS, nodes_per_panel=1), (), None, "nodes_per_panel must be at least 2, got 1"),
+    (dict(DRESS, length=0), (), None, "length must be positive, got 0"),
+    (dict(DRESS, length=-2.0), (), None, "length must be positive, got -2.0"),
+], ids=["components", "no_components", "width", "negative_width", "seed", "seed_flag",
+        "seed_env", "panels", "nodes_per_panel", "length", "negative_length"])
+def test_out_of_range_numbers_are_schema_errors(tmp_path, capsys, monkeypatch, scenario, args,
+                                                env, message):
+    """Each is refused as it is read, naming the field, not by a later
+    message about the point, the kernel or numpy's generator."""
+    if env is not None:
+        monkeypatch.setenv("FLATPENCIL_SEED", env)
+    monkeypatch.setattr(zd, "gaussian_set", None)  # refused before the set is built
+    code, report, err = run(tmp_path, scenario, *args, capsys=capsys)
+    assert code == 1 and report is None
+    assert err.splitlines() == [f"error: {message}"]
+
+
+def test_a_huge_amplitude_is_an_error_line(tmp_path, capsys):
+    """Its decay envelope overflows; it was handed to ``rng.uniform``, which
+    raised ``OverflowError``."""
+    scenario = {"kind": "dress", "potentials": {"amplitude": 1e300}, "point": [0.1, 0.1]}
+    code, report, err = run(tmp_path, scenario, capsys=capsys)
+    assert code == 1 and report is None
+    assert err.splitlines() == [
+        "error: amplitude 1e+300 at width 1.0 has no finite decay envelope"]
+
+
+@pytest.mark.parametrize("scenario, message", [
+    ({"kind": "reduce", "chart": {"lower": [0.5, 0.5], "upper": [1.5, 1.5], "points": [65, 65]},
+      "metric": {"contravariant": [["u1", 0], [0, "u2"]]}, "profile": {"constant": [1]}},
+     "profile constant needs 2 numbers, got 1"),
+    ({"kind": "lame", "metric": {"catalog": "polar"}, "eps": [1]}, "eps needs 2 numbers, got 1"),
+], ids=["reduce_profile", "lame_eps"])
+def test_lengths_are_checked_before_the_metric_is_sampled(tmp_path, capsys, monkeypatch,
+                                                          scenario, message):
+    calls = Counter()
+    count_calls(monkeypatch, calls, ("build_metric",), geo)
+    code, report, err = run(tmp_path, scenario, capsys=capsys)
+    assert code == 1 and report is None
+    assert err.splitlines() == [f"error: {message}"]
+    assert calls["build_metric"] == 0
+
+
 def test_check_flat_computes_one_curvature(tmp_path, capsys, monkeypatch):
     calls = Counter()
     count_calls(monkeypatch, calls, ("curvature",), geo, pc)
@@ -701,10 +731,10 @@ def test_flatness_reads_the_pointwise_maximum():
     """``check-flat`` and a flat pencil's endpoints reduce the pointwise
     maximum of ``|R^i_{jkl}|`` they keep for dumps: the residual is the
     maximum over every component, bit for bit, on a non-diagonal metric."""
-    settings = {"tolerance": 1e-6, "order": 4, "seed": 0}
+    settings = {"tolerance": 1e-6, "seed": 0}
     _, fields = cli._read_scenario({"kind": "check-flat", **CURVED_3D})
-    metric, chart = cli._optional_chart_metric(fields, "check-flat", 4)
-    every = gc.interior_max(geo.curvature(metric).mixed.values, chart)
+    chart, source = cli._chart_and_source(fields, "check-flat")
+    every = gc.interior_max(geo.curvature(geo.build_metric(source, chart)).mixed.values, chart)
     report, _ = cli.run_scenario({"kind": "check-flat", **CURVED_3D}, settings)
     assert report["checks"][0]["residual"] == every > 1e-3
     identity = {"contravariant": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
@@ -718,7 +748,7 @@ def test_nijenhuis_kind_builds_one_affinor(monkeypatch):
     """The torsion and the spectrum read one affinor and its eigenvalues."""
     calls = Counter()
     count_calls(monkeypatch, calls, ("affinor",), pc)
-    report, _ = cli.run_scenario(NIJ_COUNTER, {"tolerance": 1e-2, "order": 4, "seed": 0})
+    report, _ = cli.run_scenario(NIJ_COUNTER, {"tolerance": 1e-2, "seed": 0})
     assert [check["check"] for check in report["checks"]] == ["nijenhuis", "spectrum_gap"]
     assert calls == {"affinor": 1}
 
@@ -755,7 +785,7 @@ def test_dress_solves_its_base_problem_once(monkeypatch):
     problem: the tilde check reuses the base solution."""
     calls = Counter()
     count_calls(monkeypatch, calls, ("solve_marchenko",), zd)
-    report, _ = cli.run_scenario(DRESS, {"tolerance": 1e-6, "order": 4, "seed": 0})
+    report, _ = cli.run_scenario(DRESS, {"tolerance": 1e-6, "seed": 0})
     assert report["verdict"] == "pass"
     assert calls["solve_marchenko"] == 3
 

@@ -4,7 +4,6 @@ import functools
 import math
 import warnings
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -37,15 +36,6 @@ def test_polar_plane_is_flat(polar_metric):
     res = geo.flatness_residual(polar_metric)
     assert res <= 1e-6
     assert res > 1e-10  # truncation-limited, not an identically-zero fluke
-
-
-def test_second_order_stencils_are_less_accurate(polar_metric):
-    chart2 = replace(polar_metric.chart, order=2)
-    res2 = geo.flatness_residual(geo.build_metric(polar_metric.contra.values, chart2))
-    res4 = geo.flatness_residual(polar_metric)
-    assert polar_metric.chart.order == 4
-    assert res2 > 1e-5
-    assert res2 > 100 * res4
 
 
 def test_sphere_has_unit_curvature():
@@ -175,10 +165,10 @@ def _einsum_curvature(metric, gamma):
     return r, np.einsum("is...,jskl...->ijkl...", metric.contra.values, r)
 
 
-def _smooth_metric(data, dim, points, order):
+def _smooth_metric(data, dim, points):
     """A random positive-definite metric: constant diagonal plus smooth
     symmetric wiggles of at most 0.3 per entry."""
-    chart = GridChart((0.5,) * dim, (1.5,) * dim, (points,) * dim, order)
+    chart = GridChart((0.5,) * dim, (1.5,) * dim, (points,) * dim)
     coef = st.floats(-1.0, 1.0)
     diag = [data.draw(st.floats(1.0, 3.0)) for _ in range(dim)]
     waves = {
@@ -209,8 +199,7 @@ _ORACLE_POINTS = {2: 17, 3: 9, 4: 6}
 def test_contractions_match_the_einsum_formulas(data):
     dim = data.draw(st.sampled_from((2, 3, 4)), label="dim")
     points = data.draw(st.integers(5, _ORACLE_POINTS[dim]), label="points")
-    order = data.draw(st.sampled_from((2, 4)), label="order")
-    metric = _smooth_metric(data, dim, points, order)
+    metric = _smooth_metric(data, dim, points)
     conn = geo.connection(metric)
     ref_mixed, ref_contra = _einsum_connection(metric)
     _close(conn.mixed.values, ref_mixed)
@@ -289,20 +278,20 @@ def _assert_full_formulas(metric):
     npt.assert_array_equal(curv.pointwise_max(), np.max(np.abs(r), axis=(0, 1, 2, 3)))
 
 
-def _a3_intersection_form(order=4, points=17):
+def _a3_intersection_form(points=17):
     """The intersection form of the A_3 Frobenius manifold in flat
     coordinates, on a box where its affinor has real eigenvalues: exactly
     flat, 3-D and not diagonal."""
-    chart = GridChart((0.6, -0.8, 2.0), (1.1, -0.3, 2.5), (points,) * 3, order)
+    chart = GridChart((0.6, -0.8, 2.0), (1.1, -0.3, 2.5), (points,) * 3)
     return geo.build_metric(lambda t: [
         [0.75 * t[1] ** 2 + 0.5 * t[2] ** 3, 1.25 * t[1] * t[2], t[0]],
         [1.25 * t[1] * t[2], t[0] + 0.5 * t[2] ** 2, 0.75 * t[1]],
         [t[0], 0.75 * t[1], 0.5 * t[2]]], chart)
 
 
-def _pencil_member(order):
+def _pencil_member():
     """``g1 + 3 g2`` of two non-diagonal 2-D metrics, through ``pc.combine``."""
-    chart = GridChart((0.5, 0.5), (1.5, 1.5), (33, 33), order)
+    chart = GridChart((0.5, 0.5), (1.5, 1.5), (33, 33))
     g1 = geo.build_metric(
         lambda u: [[1.0 + u[0] ** 2, 0.3 * u[0] * u[1]], [0.3 * u[0] * u[1], 2.0 + u[1]]], chart)
     g2 = geo.build_metric(
@@ -311,21 +300,20 @@ def _pencil_member(order):
 
 
 _ORACLE_METRICS = {
-    "polar": lambda order: geo.build_metric(
+    "polar": lambda: geo.build_metric(
         lambda u: [[1.0, 0.0], [0.0, 1.0 / u[0] ** 2]],
-        GridChart((1.0, 0.5), (2.0, 1.5), (41, 41), order)),
+        GridChart((1.0, 0.5), (2.0, 1.5), (41, 41))),
     "pencil-member": _pencil_member,
-    "diag3": lambda order: geo.build_metric(
+    "diag3": lambda: geo.build_metric(
         lambda u: [[1.3 * u[0], 0.0, 0.0], [0.0, 0.7 * u[1], 0.0], [0.0, 0.0, 1.9 * u[2]]],
-        GridChart((0.5,) * 3, (1.5,) * 3, (13, 13, 13), order)),
+        GridChart((0.5,) * 3, (1.5,) * 3, (13, 13, 13))),
     "a3-intersection-form": _a3_intersection_form,
 }
 
 
-@pytest.mark.parametrize("order", (2, 4))
 @pytest.mark.parametrize("name", list(_ORACLE_METRICS))
-def test_kernels_equal_the_full_formulas(name, order):
-    _assert_full_formulas(_ORACLE_METRICS[name](order))
+def test_kernels_equal_the_full_formulas(name):
+    _assert_full_formulas(_ORACLE_METRICS[name]())
 
 
 def test_a3_intersection_form_is_flat_to_truncation():
@@ -333,12 +321,12 @@ def test_a3_intersection_form_is_flat_to_truncation():
 
 
 @settings(max_examples=40, deadline=None)
-@given(dim=st.integers(2, 4), order=st.sampled_from((2, 4)), seed=st.integers(0, 2**32 - 1),
-       log_spread=st.floats(0.0, 2.0), data=st.data())
-def test_kernels_equal_the_full_formulas_on_random_stacks(dim, order, seed, log_spread, data):
+@given(dim=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), log_spread=st.floats(0.0, 2.0),
+       data=st.data())
+def test_kernels_equal_the_full_formulas_on_random_stacks(dim, seed, log_spread, data):
     """Well-conditioned symmetric matrices drawn independently at every node."""
     shape = tuple(data.draw(st.integers(5, 9 if dim < 4 else 5)) for _ in range(dim))
-    chart = GridChart((0.0,) * dim, (1.0,) * dim, shape, order)
+    chart = GridChart((0.0,) * dim, (1.0,) * dim, shape)
     mats = _symmetric_stack(seed, dim, math.prod(shape), log_spread)
     stack = np.moveaxis(mats.reshape(shape + (dim, dim)), (-2, -1), (0, 1))
     _assert_full_formulas(geo.build_metric(stack, chart))

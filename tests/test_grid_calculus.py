@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -29,8 +28,8 @@ def test_chart_validation():
         GridChart((0.0,), (1.0,), (1,))
     with pytest.raises(ValueError):
         GridChart((), (), ())
-    with pytest.raises(ValueError, match="stencil order 3"):
-        GridChart((0.0,), (1.0,), (9,), order=3)
+    with pytest.raises(TypeError, match="order"):  # one stencil order, not a field
+        GridChart((0.0,), (1.0,), (9,), order=4)
 
 
 def test_chart_geometry():
@@ -55,7 +54,7 @@ def test_meshgrid_orientation():
 
 
 def test_interior_margin_clamps_to_nonempty():
-    chart = GridChart((0.0,), (1.0,), (7,), order=4)
+    chart = GridChart((0.0,), (1.0,), (7,))
     sl = chart.interior()
     picked = np.arange(7)[sl[0]]
     assert picked.size >= 1  # never empties the axis
@@ -64,24 +63,17 @@ def test_interior_margin_clamps_to_nonempty():
 def test_fourth_order_stencil_exact_on_quartic():
     """Interior and one-sided boundary stencils both reproduce degree-4
     polynomials to rounding."""
-    chart = GridChart((0.0,), (1.0,), (21,), order=4)
+    chart = GridChart((0.0,), (1.0,), (21,))
     x = chart.axis_coordinates(0)
     vals = x**4 - 2 * x**3 + x
     d = differentiate_array(vals, chart, axis=0)
     npt.assert_allclose(d, 4 * x**3 - 6 * x**2 + 1, atol=1e-12)
 
 
-def test_second_order_stencil_exact_on_quadratic():
-    chart = replace(GridChart((0.0,), (1.0,), (21,)), order=2)
-    x = chart.axis_coordinates(0)
-    d = differentiate_array(3 * x**2 + x, chart, axis=0)
-    npt.assert_allclose(d, 6 * x + 1, atol=1e-13)
-
-
 def test_differentiation_converges_at_fourth_order():
     errs = {}
     for n in (41, 81):
-        chart = GridChart((0.0,), (2.0,), (n,), order=4)
+        chart = GridChart((0.0,), (2.0,), (n,))
         x = chart.axis_coordinates(0)
         d = differentiate_array(np.sin(3 * x), chart, axis=0)
         errs[n] = np.max(np.abs(d - 3 * np.cos(3 * x)))
@@ -90,7 +82,7 @@ def test_differentiation_converges_at_fourth_order():
 
 
 def test_chart_too_coarse():
-    chart = GridChart((0.0,), (1.0,), (4,), order=4)
+    chart = GridChart((0.0,), (1.0,), (4,))
     with pytest.raises(ChartTooCoarse):
         differentiate_array(np.zeros(4), chart, axis=0)
 
@@ -130,7 +122,7 @@ def test_an_owned_field_keeps_its_array_read_only():
 def test_component_major_derivatives_equal_grid_first_ones():
     """The derivatives of a component-major stack, moved grid first, equal
     those of its components, assembled grid first."""
-    chart = GridChart((0.0, 0.5, 1.0), (1.0, 1.5, 2.0), (5, 7, 6), order=2)
+    chart = GridChart((0.0, 0.5, 1.0), (1.0, 1.5, 2.0), (5, 7, 6))
     vals = np.random.default_rng(3).standard_normal(chart.shape + (3, 2))
     stack = np.ascontiguousarray(np.moveaxis(vals, (-2, -1), (0, 1)))
     for axis in range(3):
@@ -153,32 +145,25 @@ def _one_pass(values, chart, axis):
     pos = values.ndim - chart.dim + axis
     lines = (-1, values.shape[pos], math.prod(values.shape[pos + 1:]))
     a, o, step, h = values.reshape(-1), out.reshape(-1), lines[2], chart.spacing[axis]
-    if chart.order == 2:
-        rows = o[step:-step]
-        np.subtract(a[2 * step:], a[:-2 * step], out=rows)
-        rows /= 2.0 * h
-    else:
-        rows, a8 = o[2 * step:-2 * step], 8.0 * a[step:-step]
-        np.subtract(a[:-4 * step], a8[:-2 * step], out=rows)
-        rows += a8[2 * step:]
-        rows -= a[4 * step:]
-        rows /= 12.0 * h
-    _, edge_rows, denom = gc._STENCILS[chart.order]
-    gc._edges(values.reshape(lines), h, out.reshape(lines), edge_rows, denom)
+    rows, a8 = o[2 * step:-2 * step], 8.0 * a[step:-step]
+    np.subtract(a[:-4 * step], a8[:-2 * step], out=rows)
+    rows += a8[2 * step:]
+    rows -= a[4 * step:]
+    rows /= 12.0 * h
+    gc._edges(values.reshape(lines), h, out.reshape(lines))
     return out
 
 
-@pytest.mark.parametrize("order", (2, 4))
 @pytest.mark.parametrize("points, block", [
     ((41, 41, 41), None),  # 68,921 entries: three blocks, the last one short
     ((5, 200, 200), None),  # axis 0 steps 40,000 entries, more than a block
     ((7, 6, 5), 1),  # blocks shorter than any step
     ((7, 6, 5), 13),  # blocks that end inside a line
 ])
-def test_blocked_stencils_equal_one_pass(monkeypatch, order, points, block):
+def test_blocked_stencils_equal_one_pass(monkeypatch, points, block):
     if block is not None:
         monkeypatch.setattr(gc, "_BLOCK", block)
-    chart = GridChart((0.0,) * 3, (1.0, 2.0, 3.0), points, order)
+    chart = GridChart((0.0,) * 3, (1.0, 2.0, 3.0), points)
     rng = np.random.default_rng(5)
     vals = rng.standard_normal(chart.shape)
     stack = rng.standard_normal((2,) + chart.shape)
@@ -212,14 +197,14 @@ def test_stacked_partials_layout():
 
 
 @settings(max_examples=40, deadline=None)
-@given(dim=st.integers(1, 3), rank=st.integers(0, 3), order=st.sampled_from((2, 4)),
-       seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_one_layout_over_ranks_and_charts(dim, rank, order, seed, data):
+@given(dim=st.integers(1, 3), rank=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_one_layout_over_ranks_and_charts(dim, rank, seed, data):
     """A rank-``rank`` field is ``values[tensor ..., grid ...]``: its partials
     are those of its components, a NaN is named by its grid node, and the
     interior maximum reads every component."""
     points = tuple(data.draw(st.integers(5, 7)) for _ in range(dim))
-    chart = GridChart((0.0,) * dim, (1.0,) * dim, points, order)
+    chart = GridChart((0.0,) * dim, (1.0,) * dim, points)
     tshape = (dim,) * rank
     values = np.random.default_rng(seed).standard_normal(tshape + chart.shape)
     partials = stacked_partials(values, chart)
@@ -255,7 +240,7 @@ def test_central_difference_calls_its_function_once():
 
 
 def test_interior_max_excludes_boundary():
-    chart = GridChart((0.0,), (1.0,), (21,), order=4)
+    chart = GridChart((0.0,), (1.0,), (21,))
     vals = np.zeros(21)
     vals[0] = 100.0
     assert interior_max(vals, chart) == 0.0
@@ -263,16 +248,15 @@ def test_interior_max_excludes_boundary():
     assert interior_max(vals, chart) == 3.0
 
 
-@pytest.mark.parametrize("order", [2, 4])
-def test_interior_max_margin_is_order(order):
-    """The margin is the chart's ``order`` nodes per side, on every axis."""
-    chart = GridChart((0.0, 0.0), (1.0, 1.0), (21, 21), order=order)
+def test_interior_max_margin_is_four_nodes():
+    """The margin is 4 nodes per side, on every axis."""
+    chart = GridChart((0.0, 0.0), (1.0, 1.0), (21, 21))
     vals = np.zeros(chart.shape)
-    for edge in (order - 1, 20 - (order - 1)):
+    for edge in (3, 17):
         vals[edge, 10] = vals[10, edge] = 100.0
     assert interior_max(vals, chart) == 0.0
-    vals[order, 10] = 3.0
-    vals[10, 20 - order] = 2.0
+    vals[4, 10] = 3.0
+    vals[10, 16] = 2.0
     assert interior_max(vals, chart) == 3.0
 
 

@@ -135,14 +135,14 @@ def test_every_exported_name_is_defined(path):
     assert not missing, f"{path.name}: exported but not defined: {missing}"
 
 
-#: the modules that may know the stencil order: the one that applies it, and
-#: the command line, which sets it on every chart a scenario builds
-ORDER_MODULES = {"grid_calculus.py", "cli.py"}
+#: the names of the second stencil order and of the order setting
+REMOVED_ORDER_NAMES = {"DEFAULT_ORDER", "_STENCILS", "_interior_order2"}
 
 
 def _order_uses(tree: ast.Module) -> list[str]:
-    """``function(order)`` for every parameter named ``order``, and
-    ``line N: .order`` for every use of an attribute of that name."""
+    """``function(order)`` for every parameter named ``order``, and ``line N:``
+    for every ``order`` field, ``.order`` attribute or ``'order'`` key and
+    every use or definition of a name in :data:`REMOVED_ORDER_NAMES`."""
     uses = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
@@ -150,25 +150,39 @@ def _order_uses(tree: ast.Module) -> list[str]:
             params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
             name = getattr(node, "name", "lambda")
             uses += [f"{name}(order)" for p in params if p is not None and p.arg == "order"]
-        elif isinstance(node, ast.Attribute) and node.attr == "order":
-            uses.append(f"line {node.lineno}: .order")
+            if name in REMOVED_ORDER_NAMES:
+                uses.append(f"line {node.lineno}: def {name}")
+        elif isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "order":
+            uses.append(f"line {node.lineno}: order field")
+        elif isinstance(node, ast.Attribute) and node.attr in {"order", *REMOVED_ORDER_NAMES}:
+            uses.append(f"line {node.lineno}: .{node.attr}")
+        elif isinstance(node, ast.Name) and node.id in REMOVED_ORDER_NAMES:
+            uses.append(f"line {node.lineno}: {node.id}")
+        elif isinstance(node, ast.alias) and node.name in REMOVED_ORDER_NAMES:
+            uses.append(f"import {node.name}")
+        elif isinstance(node, ast.Constant) and node.value == "order":
+            uses.append(f"line {node.lineno}: 'order'")
     return uses
 
 
-def test_the_order_lint_covers_the_package():
-    linted = {path.name for path in MODULES} - ORDER_MODULES
-    assert {"geometry_core.py", "pencil_checker.py", "catalog.py"} <= linted
+def test_the_order_lint_reads_every_kind_of_use():
+    tree = ast.parse("from .grid_calculus import DEFAULT_ORDER\n"
+                     "class C:\n    order: int = 4\n"
+                     "def f(order): return chart.order, gc._STENCILS, settings['order']\n"
+                     "def _interior_order2(): pass\n")
+    assert sorted(_order_uses(tree)) == [
+        "f(order)", "import DEFAULT_ORDER", "line 3: order field", "line 4: 'order'",
+        "line 4: ._STENCILS", "line 4: .order", "line 5: def _interior_order2"]
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in ORDER_MODULES],
-                         ids=lambda path: path.name)
-def test_the_stencil_order_stays_on_the_chart(path):
-    """The stencil order is a property of the chart: only ``grid_calculus``
-    reads it and only the command line chooses it, so no other module takes
-    an ``order`` parameter or reads ``.order``."""
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_knows_a_stencil_order(path):
+    """Order 4 is the one stencil order: no module has an ``order`` field,
+    parameter or setting or reads ``.order``, and ``DEFAULT_ORDER``,
+    ``_STENCILS`` and ``_interior_order2`` are gone."""
     tree = ast.parse(path.read_text(), filename=str(path))
     uses = _order_uses(tree)
-    assert not uses, f"{path.name}: knows the stencil order: {uses}"
+    assert not uses, f"{path.name}: knows a stencil order: {uses}"
 
 
 def _callers(tree: ast.Module, name: str, module: str | None = None) -> list[str]:

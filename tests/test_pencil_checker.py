@@ -78,9 +78,9 @@ def test_a_pencil_is_built_without_its_combinations(monkeypatch):
     assert calls["build_metric"] == 0
 
 
-def test_charts_differing_only_in_order_are_rejected():
+def test_charts_differing_only_in_extent_are_rejected():
     chart = GridChart((0.5, 2.0), (1.5, 3.0), (17, 17))
-    chart2 = GridChart(chart.lower, chart.upper, chart.points, order=2)
+    chart2 = GridChart(chart.lower, (1.5, 3.5), chart.points)
     g1 = geo.build_metric(lambda u: [[u[0], 0.0], [0.0, u[1]]], chart)
     with pytest.raises(ValueError, match="share one chart"):
         pc.PencilSpec(g1, _identity(chart2), lambda_samples=SAFE_LAMS)
@@ -318,7 +318,7 @@ def _potentials(h, lower=1.0, upper=2.0, points=65, eta=((1, 0), (0, 1))):
         "potentials": list(h),
         "lambda_samples": [list(lam) for lam in SAFE_LAMS],
     }
-    report, _ = cli.run_scenario(scenario, {"tolerance": 1e-6, "order": 4, "seed": 0})
+    report, _ = cli.run_scenario(scenario, {"tolerance": 1e-6, "seed": 0})
     checks = {row["check"]: row["residual"] for row in report["checks"]}
     return checks, report["metadata"]["degenerate"]
 

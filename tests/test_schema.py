@@ -91,7 +91,7 @@ def outcome(scenario: dict) -> str | None:
 
     args = cli.build_parser().parse_args(["run", "scenario.json"])
     with pytest.MonkeyPatch.context() as patch:
-        for var in ("TOL", "ORDER", "SEED", "OUT", "DUMP_CSV"):
+        for var in ("TOL", "SEED", "OUT", "DUMP_CSV"):
             patch.delenv(f"FLATPENCIL_{var}", raising=False)
         patch.setattr(GridChart, "meshgrid", sampled)
         patch.setattr(zd, "gaussian_set", sampled)
@@ -226,10 +226,11 @@ def test_the_settings_table_matches_the_declaration():
 
 
 def test_the_documented_messages_are_the_ones_printed():
-    """The error lines SCHEMA.md quotes for unknown fields and non-finite numbers."""
+    """The error lines SCHEMA.md quotes for unknown fields and non-finite and
+    out-of-range numbers."""
     cases = [(dict(FIXTURES["PENCIL"], mdoe="constant_curvature"),
               "scenario kind 'check-pencil' has no field 'mdoe'; it takes chart, metric, "
-              "metric2, mode, k1, k2, lambda_samples, tolerance, order, seed, out, dump_csv"),
+              "metric2, mode, k1, k2, lambda_samples, tolerance, seed, out, dump_csv"),
              ({"kind": "check-flat", "metric": {"contravariant": [[1, 0], [0, 1]]},
                "chart": {"lowr": [0, 0], "upper": [1, 1], "points": [9, 9]}},
               "chart in scenario kind 'check-flat' has no field 'lowr'; it takes lower, "
@@ -237,7 +238,12 @@ def test_the_documented_messages_are_the_ones_printed():
              (dict(FIXTURES["DRESS"], point=[float("nan"), -0.1]),
               "point must be a list of finite numbers, got [nan, -0.1]"),
              ({"kind": "dress", "potentials": {"amplitude": float("nan")}, "point": [0.1, -0.1]},
-              "amplitude must be a finite number, got nan")]
+              "amplitude must be a finite number, got nan"),
+             ({"kind": "dress", "potentials": {"components": -1}, "point": [0.1]},
+              "components must be at least 1, got -1"),
+             ({"kind": "dress", "potentials": {"width": 0}, "point": [0.1, -0.1]},
+              "width must be positive, got 0"),
+             (dict(FIXTURES["DRESS"], seed=-5), "seed must be at least 0, got -5")]
     flat = " ".join(SCHEMA.split())
     for scenario, message in cases:
         assert outcome(scenario) == message

@@ -102,6 +102,20 @@ def test_nonskew_diagonal_entry_is_rejected():
     zd.PotentialSet(2, {}, {0: zd.skew_gaussian_pair(0.3, 1.0)}, envelope=8.0)
 
 
+@pytest.mark.parametrize("envelope", [0.0, -1.0, math.inf, math.nan])
+def test_an_envelope_must_be_positive_and_finite(envelope):
+    """The probe points are drawn across the envelope, which must bound a range."""
+    with pytest.raises(ValueError, match="envelope must be a positive finite number"):
+        zd.PotentialSet(1, {}, {}, envelope=envelope)
+
+
+def test_an_amplitude_without_a_finite_envelope_is_refused():
+    """``max(|a|, 1) / DECAY_THRESHOLD`` overflows past about 1.8e296."""
+    with pytest.raises(ValueError, match=r"amplitude 1e\+300 at width 1.0"):
+        zd.gaussian_set(2, amplitude=1e300)
+    assert math.isfinite(zd.gaussian_set(2, amplitude=1e290).envelope)
+
+
 def test_nan_diagonal_entry_fails_the_skew_probe():
     pots = zd.gaussian_set(2, include_diagonal=True)
     skew = pots.diagonal[0]
@@ -274,7 +288,7 @@ def test_partly_nan_profile_is_rejected_with_its_coordinate():
 
 
 def test_extracted_frame_satisfies_lame_system():
-    chart = dataclasses.replace(GridChart((-0.2, -0.2), (0.2, 0.2), (5, 5)), order=2)
+    chart = GridChart((-0.2, -0.2), (0.2, 0.2), (5, 5))
     field = zd.extract_beta(zd.gaussian_set(2, amplitude=0.3), chart,
                             profile=ls.constant_profile((2.0, 2.0)))
     frame = field.frame()
