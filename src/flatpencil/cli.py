@@ -11,7 +11,8 @@ goes to stderr instead of the report body.  Flags may also be supplied
 through environment variables with the prefix ``FLATPENCIL_``
 (``FLATPENCIL_TOL``, ``FLATPENCIL_SEED``, ``FLATPENCIL_OUT``,
 ``FLATPENCIL_DUMP_CSV``); an explicit flag wins over the environment, and
-both win over the scenario file.
+both win over the scenario file.  Any other set ``FLATPENCIL_`` variable
+exits 1.
 
 Each kind declares its fields once, beside its runner; :func:`_read` checks
 a scenario against them before anything is sampled, and an unknown, missing,
@@ -587,10 +588,14 @@ def _resolve_settings(args, scenario: dict) -> dict:
     """Each setting from its flag, else its environment variable, else the
     scenario, whose table gives its default; a flag's or the environment's
     value is read by the setting's declared reader too."""
+    flags = (("tolerance", "tol", float), ("seed", "seed", int),
+             ("out", "out", str), ("dump_csv", "dump_csv", str))
+    names = [f"FLATPENCIL_{flag.upper()}" for _, flag, _ in flags]
+    if bad := sorted(v for v in os.environ if v.startswith("FLATPENCIL_") and v not in names):
+        raise SchemaError(f"not a setting: {', '.join(bad)} (the settings are {', '.join(names)})")
     fields, settings = _read_scenario(scenario)[1], {}
-    for key, flag, convert in (("tolerance", "tol", float), ("seed", "seed", int),
-                               ("out", "out", str), ("dump_csv", "dump_csv", str)):
-        value, env = getattr(args, flag), f"FLATPENCIL_{flag.upper()}"
+    for (key, flag, convert), env in zip(flags, names):
+        value = getattr(args, flag)
         if value is None and env in os.environ:
             try:
                 value = convert(os.environ[env])

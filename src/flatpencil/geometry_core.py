@@ -15,34 +15,35 @@ Conventions:
       R^i_{jkl} = -d_k Gamma^i_{jl} + d_l Gamma^i_{jk}
                   - Gamma^i_{pk} Gamma^p_{jl} + Gamma^i_{pl} Gamma^p_{jk}
 
-  with the raised form ``R^{ij}_{kl} = g^{is} R^j_{skl}``.  It is computed as
-  the antisymmetrisation ``R^i_{jkl} = S^i_{jlk} - S^i_{jkl}`` of the single
-  tensor ``S^i_{jkl} = d_k Gamma^i_{jl} + Gamma^i_{pk} Gamma^p_{jl}``, for
-  ``k < l`` only: ``R^i_{jlk}`` is its exact negation and ``R^i_{jkk} = 0``.
+  with the raised form ``R^{ij}_{kl} = g^{is} R^j_{skl}``.  It is stored by
+  its planes ``planes[i, j, p] = R^i_{jkl}``, ``p = (k, l)`` running over
+  ``itertools.combinations(range(n), 2)``, as ``R^i_{jlk} = -R^i_{jkl}`` and
+  ``R^i_{jkk} = 0``; each plane is the antisymmetrisation ``S^i_{jlk} -
+  S^i_{jkl}`` of ``S^i_{jkl} = d_k Gamma^i_{jl} + Gamma^i_{pk} Gamma^p_{jl}``.
+  The raised placement, the deviation from constant curvature and the
+  pointwise maximum are read off the planes alone.
 
 Every field is component-major, ``values[tensor ..., grid ...]``, the one
 layout of :mod:`grid_calculus`, so every numpy call runs over whole contiguous
 grid arrays; each contraction is one ``einsum`` that sums in the order of the
 summed index.  The connection differentiates the n(n+1)/2 independent
 ``g_{jk}`` and forms ``Gamma^i_{jk}`` for ``j <= k``; ``S^i_{jkl}`` is formed
-for ``k != l`` only.  The fields own the arrays the kernels compute, without a
-copy or a finiteness scan.
+for ``k != l`` only, one plane at a time.  The fields own the arrays the
+kernels compute, read-only, without a copy or a finiteness scan.
 
 A metric has constant curvature K when ``R^{ij}_{kl} = K (delta^i_k delta^j_l
 - delta^i_l delta^j_k)``; flat means K = 0.  Residual reducers quote maxima
 over an interior sub-box because one-sided boundary stencils carry larger
 error constants.
 
-The raised placements ``Gamma^{ij}_k`` and ``R^{ij}_{kl}`` are formed from the
-mixed ones and the metric on first read, so a flatness check, which reads
-only ``R^i_{jkl}``, forms neither.
+The raised placements ``Gamma^{ij}_k`` and the planes of ``R^{ij}_{kl}`` are
+formed from the mixed ones and the metric on first read, so a flatness check,
+which reads only ``R^i_{jkl}``, forms neither.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -107,36 +108,35 @@ class ConnectionField:
 
 @dataclass(frozen=True)
 class CurvatureField:
-    """Riemann curvature of ``metric``; the raised placement is formed on
-    first read."""
+    """Riemann curvature of ``metric`` by its planes; the raised planes are
+    formed on first read."""
 
-    mixed: TensorField  # R^i_{jkl}
+    planes: np.ndarray  # planes[i, j, p] = R^i_{jkl}, p = (k, l) with k < l
     metric: MetricField
 
     @property
     def chart(self) -> GridChart:
-        return self.mixed.chart
+        return self.metric.chart
 
     @functools.cached_property
-    def contra(self) -> TensorField:
-        """``R^{ij}_{kl} = g^{is} R^j_{skl}``."""
-        raised = np.einsum("is...,jskl...->ijkl...", self.metric.contra.values, self.mixed.values)
-        return TensorField.owning(self.chart, "uudd", raised)
+    def contra(self) -> np.ndarray:
+        """The planes of ``R^{ij}_{kl} = g^{is} R^j_{skl}``, read-only."""
+        raised = np.einsum("is...,jsp...->ijp...", self.metric.contra.values, self.planes)
+        raised.setflags(write=False)
+        return raised
 
     def deviation(self, k_value: float) -> np.ndarray:
-        """``R^{ij}_{kl} - K (d^i_k d^j_l - d^i_l d^j_k)`` at every node."""
-        eye = np.eye(self.chart.dim)
-        unit = np.einsum("ik,jl->ijkl", eye, eye)
-        unit = (unit - np.swapaxes(unit, -1, -2)).reshape(unit.shape + (1,) * self.chart.dim)
-        return self.contra.values - k_value * unit
+        """The planes of ``R^{ij}_{kl} - K (d^i_k d^j_l - d^i_l d^j_k)`` at every node."""
+        n = self.chart.dim
+        eye = np.eye(n)
+        dk, dl = (eye[:, axes] for axes in np.triu_indices(n, 1))
+        unit = dk[:, None] * dl[None] - dl[:, None] * dk[None]
+        return self.contra - k_value * unit.reshape(unit.shape + (1,) * n)
 
     def pointwise_max(self) -> np.ndarray:
-        """``max_{ijkl} |R^i_{jkl}|`` at every node, read off the ``k < l``
-        components slice by slice: the others are their negations or 0."""
-        r = self.mixed.values
-        pairs = itertools.combinations(range(self.chart.dim), 2)
-        maxima = (np.abs(r[:, :, k, l]).max(axis=(0, 1)) for k, l in pairs)
-        return functools.reduce(np.maximum, maxima, np.zeros(self.chart.shape))
+        """``max_{ijkl} |R^i_{jkl}|`` at every node, read off the planes: the
+        other components are their negations or 0."""
+        return np.abs(self.planes).max(axis=(0, 1, 2), initial=0.0)
 
 
 def build_metric(
@@ -274,26 +274,20 @@ def curvature(metric: MetricField, conn: ConnectionField | None = None) -> Curva
         conn = connection(metric)
     chart, n = metric.chart, metric.dim
     gamma = conn.mixed.values
-    # s[i, j, k, l] = Gamma^i_{kp} Gamma^p_{jl} + d_k Gamma^i_{jl}, added in
-    # that order, for l != k only: for each axis k the l below it, then above
-    s = np.empty((n,) * 4 + chart.shape)
-    # Gamma^i_{jl} copied and its derivative: an array each fits a freed hole
-    scratch = [np.empty(gamma.size - gamma.size // n) for _ in range(2)]
-    for k in range(n):
-        for l in (slice(0, k), slice(k + 1, n)):
-            if l.start < l.stop:
-                shape = gamma[:, :, l].shape
-                gamma_l, d_kl = (buf[:math.prod(shape)].reshape(shape) for buf in scratch)
-                np.copyto(gamma_l, gamma[:, :, l])
-                s_kl = np.einsum("ip...,pjl...->ijl...", gamma[:, k], gamma_l, out=s[:, :, k, l])
-                s_kl += gc.differentiate_array(gamma_l, chart, k, out=d_kl)
-    # R^i_{jkl} = S^i_{jlk} - S^i_{jkl} in place, for k < l
-    for k, l in itertools.combinations(range(n), 2):
-        np.subtract(s[:, :, l, k], s[:, :, k, l], out=s[:, :, k, l])
-        np.negative(s[:, :, k, l], out=s[:, :, l, k])
-    for k in range(n):
-        s[:, :, k, k] = 0.0
-    return CurvatureField(TensorField.owning(chart, "uddd", s), metric)
+    # plane p = (k, l) is S^i_{jlk} - S^i_{jkl}, each S^i_{jkl} = Gamma^i_{kp}
+    # Gamma^p_{jl} + d_k Gamma^i_{jl} added in that order; one scratch block,
+    # reused for every plane, holds Gamma^i_{jl} copied, its derivative and S
+    k_axes, l_axes = np.triu_indices(n, 1)
+    planes = np.empty((n, n, len(k_axes)) + chart.shape)
+    copy, deriv, s_kl = np.empty((3, n, n) + chart.shape)
+    for p, (k, l) in enumerate(zip(k_axes, l_axes)):
+        for a, b, s in ((l, k, planes[:, :, p]), (k, l, s_kl)):
+            np.copyto(copy, gamma[:, :, b])
+            np.einsum("ip...,pj...->ij...", gamma[:, a], copy, out=s)
+            s += gc.differentiate_array(copy, chart, a, out=deriv)
+        planes[:, :, p] -= s_kl
+    planes.setflags(write=False)
+    return CurvatureField(planes, metric)
 
 
 def flatness_residual(metric: MetricField) -> float:

@@ -341,9 +341,9 @@ def interior_max(values: np.ndarray, chart: GridChart) -> float:
     """Max absolute value over the interior sub-box.
 
     The margin is :data:`INTERIOR_MARGIN` nodes per side.  The grid axes
-    trail ``values``; every component is reduced.
+    trail ``values``; every component is reduced, and no component reads 0.
     """
-    return float(np.max(np.abs(values[(..., *chart.interior())])))
+    return float(np.max(np.abs(values[(..., *chart.interior())]), initial=0.0))
 
 
 def worst(values) -> float:

@@ -161,7 +161,7 @@ def _one_pass(pencil, mode, k1, k2):
             return reduce(curv.pointwise_max())
         if mode == "constant_curvature":
             return reduce(curv.deviation(l1 * k1 + l2 * k2))
-        return reduce(curv.contra.values - l1 * r[0] - l2 * r[1])
+        return reduce(curv.contra - l1 * r[0] - l2 * r[1])
 
     r, endpoint, fields, conns, conn_by, curv_by = [], {}, {}, {}, {}, {}
     # an endpoint sample's residuals, known from the endpoint pass: its
@@ -174,7 +174,7 @@ def _one_pass(pencil, mode, k1, k2):
             curv = curvature(metric, conn)
             fields[name] = curv.pointwise_max()
             if mode == "general":
-                r.append(curv.contra.values)
+                r.append(curv.contra)
             else:
                 key = f"{name}_{'flatness' if mode == 'flat' else mode}"
                 endpoint[key] = own[lam] = (reduce(fields[name]) if mode == "flat"
@@ -241,8 +241,8 @@ class AffinorField:
 
 def affinor(pencil: PencilSpec) -> AffinorField:
     """The affinor and its eigenvalues at every node, in ascending order of
-    the real part; both are formed by ``np.matmul`` and ``eigvals`` over
-    grid-first views, the layout those stacked-matrix routines take."""
+    the real part, formed by ``np.matmul`` and ``eigvals`` over grid-first
+    views; the field is kept as a component-major copy, for ``einsum``."""
     g1, g2 = (np.moveaxis(v, (0, 1), (-2, -1)) for v in (pencil.g1.contra.values,
                                                         pencil.g2.cov.values))
     vals = g1 @ g2
@@ -252,7 +252,7 @@ def affinor(pencil: PencilSpec) -> AffinorField:
         raise EigensolveFailure(str(exc)) from exc
     order = np.argsort(eig.real + 1e-9 * eig.imag, axis=-1)
     eig = np.moveaxis(np.take_along_axis(eig, order, axis=-1), -1, 0)
-    field = TensorField.owning(pencil.chart, "ud", np.moveaxis(vals, (-2, -1), (0, 1)))
+    field = TensorField.owning(pencil.chart, "ud", np.moveaxis(vals, (-2, -1), (0, 1)).copy())
     return AffinorField(field, eig)
 
 

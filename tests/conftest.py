@@ -38,6 +38,27 @@ def record_results(monkeypatch, made, names, *modules):
             monkeypatch.setattr(module, name, recorded)
 
 
+def planes_of(full):
+    """The planes ``full[:, :, k, l]``, ``k < l``, of an n^4 curvature tensor,
+    once its ``k > l`` slices are found to be their exact negations and its
+    ``k = l`` slices exactly 0: the planes then lose nothing."""
+    n = full.shape[0]
+    k, l = np.triu_indices(n, 1)
+    assert np.all(full[:, :, range(n), range(n)] == 0.0)
+    np.testing.assert_array_equal(full[:, :, l, k], -full[:, :, k, l])
+    return full[:, :, k, l]
+
+
+def full_curvature(planes):
+    """The n^4 tensor ``R^i_{jkl}`` the planes ``planes[i, j, p]`` stand for."""
+    n = planes.shape[0]
+    k, l = np.triu_indices(n, 1)
+    full = np.zeros((n,) * 4 + planes.shape[3:])
+    full[:, :, k, l] = planes
+    full[:, :, l, k] = -planes
+    return full
+
+
 @pytest.fixture(scope="session")
 def polar_metric():
     """Flat plane in polar coordinates on r in [1,2], theta in [0.5,1.5]."""

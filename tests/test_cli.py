@@ -17,7 +17,7 @@ from flatpencil import pencil_checker as pc
 from flatpencil import zakharov_dressing as zd
 from flatpencil.grid_calculus import GridChart
 
-from conftest import count_calls
+from conftest import count_calls, full_curvature
 
 
 FLAT_EUCLID = {"kind": "check-flat", "metric": {"catalog": "euclidean"},
@@ -176,6 +176,17 @@ def test_non_numeric_environment_settings_are_schema_errors(tmp_path, capsys, mo
     code, report, err = run(tmp_path, FLAT_EUCLID, capsys=capsys)
     assert code == 1 and report is None
     assert err == f"error: {var} must be {'a number' if var == 'FLATPENCIL_TOL' else 'an integer'}, got {value!r}\n"
+
+
+@pytest.mark.parametrize("var, value", [("FLATPENCIL_TOLERANCE", "1e-12"), ("FLATPENCIL_ORDER", "2")])
+def test_unknown_environment_variables_are_refused(tmp_path, capsys, monkeypatch, var, value):
+    """A misspelt or removed variable exits 1 naming it, not a run at a
+    setting nobody asked for."""
+    monkeypatch.setenv(var, value)
+    code, report, err = run(tmp_path, FLAT_EUCLID, capsys=capsys)
+    assert code == 1 and report is None
+    assert err == (f"error: not a setting: {var} (the settings are FLATPENCIL_TOL, "
+                   "FLATPENCIL_SEED, FLATPENCIL_OUT, FLATPENCIL_DUMP_CSV)\n")
 
 
 def test_integral_float_settings_are_read_as_integers(tmp_path, capsys):
@@ -734,7 +745,8 @@ def test_flatness_reads_the_pointwise_maximum():
     settings = {"tolerance": 1e-6, "seed": 0}
     _, fields = cli._read_scenario({"kind": "check-flat", **CURVED_3D})
     chart, source = cli._chart_and_source(fields, "check-flat")
-    every = gc.interior_max(geo.curvature(geo.build_metric(source, chart)).mixed.values, chart)
+    planes = geo.curvature(geo.build_metric(source, chart)).planes
+    every = gc.interior_max(full_curvature(planes), chart)
     report, _ = cli.run_scenario({"kind": "check-flat", **CURVED_3D}, settings)
     assert report["checks"][0]["residual"] == every > 1e-3
     identity = {"contravariant": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -16,7 +17,7 @@ from flatpencil import geometry_core as geo
 from flatpencil import grid_calculus as gc
 from flatpencil import pencil_checker as pc
 
-from conftest import count_calls, record_results
+from conftest import count_calls, full_curvature, planes_of, record_results
 
 
 def _sphere_metric(points=65):
@@ -107,13 +108,16 @@ def test_array_source_passes_the_symmetry_gate():
 
 
 def test_curvature_antisymmetric_in_last_index_pair(polar_metric):
-    R = geo.curvature(polar_metric).mixed.values
+    """The planes ``k < l`` carry all of R^i_{jkl}: the full formula's
+    ``k > l`` slices are their negations and its ``k = l`` slices 0."""
+    R = _full_formula_geometry(polar_metric)[2]
     assert np.max(np.abs(R + np.swapaxes(R, 2, 3))) <= 1e-20
+    npt.assert_array_equal(geo.curvature(polar_metric).planes, planes_of(R))
 
 
 def test_first_curvature_identity(polar_metric):
     """Cyclic sum over the three lower slots vanishes identically."""
-    R = geo.curvature(polar_metric).mixed.values
+    R = full_curvature(geo.curvature(polar_metric).planes)
     cyc = (R
            + np.transpose(R, (0, 2, 3, 1, 4, 5))
            + np.transpose(R, (0, 3, 1, 2, 4, 5)))
@@ -127,7 +131,7 @@ def test_raised_curvature_antisymmetry_is_truncation_limited():
     for n in (41, 81):
         chart = GridChart((1.0, 0.5), (2.0, 1.5), (n, n))
         m = geo.build_metric(lambda u: [[1.0, 0.0], [0.0, 1.0 / u[0] ** 2]], chart)
-        Rc = geo.curvature(m).contra.values
+        Rc = geo.curvature(m).contra
         defects[n] = np.max(np.abs(Rc + np.swapaxes(Rc, 0, 1)))
     assert defects[41] <= 1e-4
     assert defects[41] / defects[81] > 8.0
@@ -206,16 +210,17 @@ def test_contractions_match_the_einsum_formulas(data):
     _close(conn.contra.values, ref_contra)
     curv = geo.curvature(metric, conn)
     ref_r, ref_rc = _einsum_curvature(metric, ref_mixed)
-    _close(curv.mixed.values, ref_r)
-    _close(curv.contra.values, ref_rc)
-    # only k < l is formed: the rest is its exact negation, or exactly 0
-    r = curv.mixed.values
-    for k in range(dim):
-        assert np.all(r[:, :, k, k] == 0.0)
-        for l in range(k + 1, dim):
-            npt.assert_array_equal(r[:, :, l, k], -r[:, :, k, l])
-    derived = (metric.contra, metric.cov, conn.mixed, conn.contra, curv.mixed, curv.contra)
-    assert not any(field.values.flags.writeable for field in derived)
+    k, l = np.triu_indices(dim, 1)
+    _close(curv.planes, ref_r[:, :, k, l])
+    _close(curv.contra, ref_rc[:, :, k, l])
+    # only k < l is stored: the rest of the reference is its negation, to
+    # rounding as its terms are summed in another order, or exactly 0
+    for r in (ref_r, ref_rc):
+        assert np.all(r[:, :, range(dim), range(dim)] == 0.0)
+        _close(r[:, :, l, k], -r[:, :, k, l])
+    derived = (metric.contra, metric.cov, conn.mixed, conn.contra)
+    arrays = (*(field.values for field in derived), curv.planes, curv.contra)
+    assert not any(values.flags.writeable for values in arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +279,7 @@ def _assert_full_formulas(metric):
     curv = geo.curvature(metric, conn)
     npt.assert_array_equal(metric.cov.values, cov)
     npt.assert_array_equal(conn.mixed.values, gamma)
-    npt.assert_array_equal(curv.mixed.values, r)
+    npt.assert_array_equal(curv.planes, planes_of(r))
     npt.assert_array_equal(curv.pointwise_max(), np.max(np.abs(r), axis=(0, 1, 2, 3)))
 
 
@@ -314,6 +319,35 @@ _ORACLE_METRICS = {
 @pytest.mark.parametrize("name", list(_ORACLE_METRICS))
 def test_kernels_equal_the_full_formulas(name):
     _assert_full_formulas(_ORACLE_METRICS[name]())
+
+
+def test_a_line_has_no_planes():
+    """A 1-D metric has no plane ``k < l``: every curvature residual reads 0
+    without an empty reduction, in each mode of a pencil check too."""
+    chart = GridChart((0.5,), (1.5,), (17,))
+    metric = geo.build_metric(lambda u: [[1.0 + u[0] ** 2]], chart)
+    curv = geo.curvature(metric)
+    assert curv.planes.shape == curv.contra.shape == (1, 1, 0, 17)
+    npt.assert_array_equal(curv.pointwise_max(), np.zeros(17))
+    assert gc.interior_max(curv.deviation(0.5), chart) == 0.0
+    assert geo.flatness_residual(metric) == geo.constant_curvature_residual(metric, 0.5) == 0.0
+    other = geo.build_metric(lambda u: [[2.0 + u[0]]], chart)
+    for mode in ("flat", "constant_curvature", "general"):
+        assert pc.check_compatible(pc.PencilSpec(metric, other), mode, 0.5, 0.25).max_curvature == 0.0
+
+
+def test_curvature_peaks_below_the_full_tensor():
+    """The planes and the scratch of one plane at a time, on a 3-D non-diagonal
+    metric, stay below the n^4 components a full tensor would hold."""
+    metric = _a3_intersection_form(17)
+    conn = geo.connection(metric)
+    tracemalloc.start()
+    try:
+        geo.curvature(metric, conn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3**4 * 17**3 * 8
 
 
 def test_a3_intersection_form_is_flat_to_truncation():
@@ -634,11 +668,10 @@ def test_lazy_raised_fields_equal_the_eager_formulas(polar_metric):
         curv = geo.curvature(metric, conn)
         assert "contra" not in vars(conn) and "contra" not in vars(curv)
         eager_conn = np.swapaxes(g[..., None, :, :] @ grid_first(conn.mixed.values), -3, -2)
-        r = np.ascontiguousarray(grid_first(curv.mixed.values))
-        raised = g[..., None, :, :] @ r.reshape(metric.chart.shape + (n, n, n * n))
-        eager_curv = np.swapaxes(raised.reshape(r.shape), -4, -3)
+        r = np.ascontiguousarray(grid_first(curv.planes))  # [..., i, j, p]
+        eager_curv = np.swapaxes(g[..., None, :, :] @ r, -3, -2)
         npt.assert_array_equal(grid_first(conn.contra.values), eager_conn)
-        npt.assert_array_equal(grid_first(curv.contra.values), eager_curv)
+        npt.assert_array_equal(grid_first(curv.contra), eager_curv)
         assert curv.contra is curv.contra  # formed once
 
 

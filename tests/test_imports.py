@@ -185,6 +185,22 @@ def test_no_module_knows_a_stencil_order(path):
     assert not uses, f"{path.name}: knows a stencil order: {uses}"
 
 
+def _plane_reads(tree: ast.Module) -> list[int]:
+    """The lines that read an attribute ``planes``."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "planes"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "geometry_core.py"],
+                         ids=lambda path: path.name)
+def test_curvature_planes_stay_in_geometry_core(path):
+    """How curvature is stored is known only to :mod:`geometry_core`; the
+    others go through ``pointwise_max``, ``deviation`` and ``contra``."""
+    assert _plane_reads(ast.parse("curv.planes[0]\nr = x.contra\n")) == [1]
+    reads = _plane_reads(ast.parse(path.read_text(), filename=str(path)))
+    assert not reads, f"{path.name}: reads .planes on lines {reads}"
+
+
 def _callers(tree: ast.Module, name: str, module: str | None = None) -> list[str]:
     """The innermost enclosing ``def`` (or ``<module>``) of every call of a
     name or attribute ``name``; with ``module``, only of ``module.name``."""

@@ -12,13 +12,13 @@ from flatpencil.errors import (
     NotDiagonal,
     NotFlatCoordinates,
 )
-from flatpencil.grid_calculus import GridChart
+from flatpencil.grid_calculus import GridChart, TensorField
 from flatpencil import cli
 from flatpencil import geometry_core as geo
 from flatpencil import grid_calculus as gc
 from flatpencil import pencil_checker as pc
 
-from conftest import SAFE_LAMS, count_calls, record_results
+from conftest import SAFE_LAMS, count_calls, full_curvature, planes_of, record_results
 
 LAMS_UNIT = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (3.0, -1.0), (1.0, 2.0))
 
@@ -120,15 +120,12 @@ def test_raised_curvature_is_formed_only_when_read(monkeypatch, mode):
     for lam, curv in zip(SAFE_LAMS, made):
         # the eager formula is a matmul over grid-first copies
         g = np.moveaxis(curv.metric.contra.values, (0, 1), (-2, -1))
-        r = np.moveaxis(curv.mixed.values, (0, 1, 2, 3), (-4, -3, -2, -1))
-        n = pen.chart.dim
-        eager = g[..., None, :, :] @ np.ascontiguousarray(r).reshape(
-            pen.chart.shape + (n, n, n * n))
-        raised[lam] = np.moveaxis(np.swapaxes(eager.reshape(r.shape), -4, -3),
-                                  (-4, -3, -2, -1), (0, 1, 2, 3))
+        r = np.moveaxis(curv.planes, (0, 1, 2), (-3, -2, -1))
+        eager = g[..., None, :, :] @ np.ascontiguousarray(r)
+        raised[lam] = np.moveaxis(np.swapaxes(eager, -3, -2), (-3, -2, -1), (0, 1, 2))
     eye = np.eye(2)
     unit = np.einsum("ik,jl->ijkl", eye, eye)
-    unit = (unit - np.swapaxes(unit, -1, -2))[..., None, None]
+    unit = planes_of(unit - np.swapaxes(unit, -1, -2))[..., None, None]
     for (l1, l2), residual in rep.curvature_by_sample.items():
         if mode == "general":
             expected = raised[(l1, l2)] - l1 * raised[(1.0, 0.0)] - l2 * raised[(0.0, 1.0)]
@@ -160,9 +157,9 @@ def test_endpoint_curvature_is_the_pointwise_maximum():
     rep = pc.check_compatible(pen, "general")
     assert set(rep.endpoint_curvature) == {"g1", "g2"}
     for name, metric in (("g1", pen.g1), ("g2", pen.g2)):
-        mixed = geo.curvature(metric).mixed.values
+        full = full_curvature(geo.curvature(metric).planes)
         npt.assert_array_equal(
-            rep.endpoint_curvature[name], np.max(np.abs(mixed), axis=(0, 1, 2, 3)))
+            rep.endpoint_curvature[name], np.max(np.abs(full), axis=(0, 1, 2, 3)))
 
 
 def test_almost_compatible_pass_and_fail():
@@ -170,6 +167,20 @@ def test_almost_compatible_pass_and_fail():
     assert max(ok.connection_by_sample.values()) <= 1e-5
     bad = pc.check_almost_compatible(_counter_pencil())
     assert max(bad.connection_by_sample.values()) >= 1e-1
+
+
+def test_the_affinor_is_stored_component_major():
+    """The affinor's field is one C-contiguous component-major array, the
+    grid-first product's values, and ``nijenhuis`` reads on it what it reads
+    on that product's strided view."""
+    pen = _counter_pencil()
+    aff = pc.affinor(pen)
+    assert aff.field.values.flags.c_contiguous
+    g1, g2 = (np.moveaxis(v, (0, 1), (-2, -1)) for v in (pen.g1.contra.values, pen.g2.cov.values))
+    view = np.moveaxis(g1 @ g2, (-2, -1), (0, 1))
+    npt.assert_array_equal(aff.field.values, view)
+    strided = dataclasses.replace(aff, field=TensorField.owning(pen.chart, "ud", view))
+    assert pc.nijenhuis(aff) == pc.nijenhuis(strided) >= 1e-1
 
 
 def test_nijenhuis_vanishes_for_diagonal_affinor():
