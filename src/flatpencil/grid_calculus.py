@@ -23,6 +23,7 @@ interior stencil rows run in blocks small enough to stay in cache.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -164,22 +165,34 @@ def _interior(a: np.ndarray, lo: int, hi: int, step: int, h: float, out, buf) ->
 #: 12 h; the high end mirrors them with signs flipped
 _EDGE_ROWS = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0],
                        [-3.0, -10.0, 18.0, -6.0, 1.0]])
+#: ``[m, row, 1, end, 1]``: the coefficient of each end's m-th tap inwards in its rows
+_EDGE_COEF = np.stack([_EDGE_ROWS, -_EDGE_ROWS], axis=-1).transpose(1, 0, 2)[:, :, None, :, None]
+
+
+@functools.cache
+def _edge_places(points: int) -> np.ndarray:
+    """The taps of both ends of an axis of ``points`` nodes, each from the
+    boundary inwards: ``(0, 1, ..., 4, last, last - 1, ..., last - 4)``."""
+    width, last = _EDGE_ROWS.shape[1], points - 1
+    places = np.r_[0:width, last:last - width:-1]
+    places.setflags(write=False)
+    return places
 
 
 def _edges(a: np.ndarray, h: float, out: np.ndarray) -> None:
     """The one-sided rows of both ends of axis 1 at once, summed term by term
     from the boundary inwards: adding an exactly negated term rounds as
-    subtracting it does, so each row rounds as its formula above."""
+    subtracting it does, so each row rounds as its formula above.  The sums
+    are laid out ``[row, line, end, rest]``, so that line and end run as one
+    axis of numpy's loops even when the rest is a single value."""
     count, width = _EDGE_ROWS.shape
-    last = a.shape[1] - 1
-    nodes = [*range(count), *range(last, last - count, -1)]
-    taps = a[:, [[m] * count + [last - m] * count for m in range(width)]]
-    coef = np.concatenate([_EDGE_ROWS, -_EDGE_ROWS]).T[..., None]
-    acc = coef[0] * taps[:, 0]
+    taps = a[:, _edge_places(a.shape[1])].reshape(len(a), 2, width, -1)  # [line, end, m, rest]
+    acc = _EDGE_COEF[0] * taps[:, :, 0]
     for m in range(1, width):
-        acc += coef[m] * taps[:, m]
+        acc += _EDGE_COEF[m] * taps[:, :, m]
     acc /= 12.0 * h
-    out[:, nodes] = acc
+    for row in range(count):
+        out[:, row], out[:, -1 - row] = acc[row, :, 0], acc[row, :, 1]
 
 
 def differentiate_array(

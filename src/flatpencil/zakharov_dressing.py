@@ -34,14 +34,18 @@ evaluates ``K`` off the nodes — in particular on the diagonal ``s' = s``
 where ``beta`` lives.  Dressing takes potentials given as separable terms,
 which make the kernel degenerate, so it is solved through an r×r Woodbury
 core (Kress, *Linear Integral Equations*, ch. 11), tabulated once per
-coordinate value across a window, with ``cond`` from a 2r×2r block; at a
-window's corners and centre the terms are checked against the kernel's
-values.
+coordinate value across a window.
 
 A single solve uses :data:`DEFAULT_PANELS` panels unless told otherwise; a
 window sizes its own rule on :data:`PANEL_LADDER` (:func:`extract_beta`),
 since Gauss–Legendre Nyström converges exponentially for analytic kernels
-(Bornemann, Math. Comp. 79, 2010).
+(Bornemann, Math. Comp. 79, 2010).  The ladder is climbed on one factor
+table at the places its corner and centre probes read, which holds the
+nodes of every rung and the tail pairs; each rung is gated and solved there
+from its own columns, in climb order.  At the chosen rung's probes, and in a
+single solve, the terms are checked against the kernel's values and
+``cond`` is read from a 2r×2r block, without solving again
+(:func:`_cond_probe`).
 """
 
 from __future__ import annotations
@@ -534,38 +538,75 @@ def _gate(points: np.ndarray, finite: np.ndarray, mass: np.ndarray, box: np.ndar
         raise TruncationInsufficient(float(mass[b]), float(tol[b]), length)
 
 
+_Factors = namedtuple("_Factors", "rows cols left right starts blocks mass finite")
 _Tables = namedtuple("_Tables", "rows cols core left right right_sum finite gate")
 
 
-def _tabulate(kernel, s: float, length: float, nodes, weights) -> _Tables:
-    """A factored kernel on one rule per coordinate value, from one
+def _finite(rows: np.ndarray, cols: np.ndarray, left: np.ndarray, right: np.ndarray, n: int):
+    """``[p, l]``: whether every factor read at the ``p``-th ``u^l`` is finite
+    in these columns (``L_k`` reads ``u^{rows[k]}``, ``R_k`` reads ``u^{cols[k]}``)."""
+    left, right = np.isfinite(left).all(axis=2), np.isfinite(right).all(axis=2)
+    return np.stack([left[:, rows == l].all(axis=1) & right[:, cols == l].all(axis=1)
+                     for l in range(n)], axis=1)
+
+
+def _factor_table(kernel, s: float, length: float, rules: Sequence[np.ndarray]) -> _Factors:
+    """A factored kernel on several rules at once, from one
     :meth:`PotentialKernel.factors` call at points whose ``p``-th holds the
-    ``p``-th value of each coordinate.  ``L_k`` reads only ``u^{rows[k]}`` and
-    ``R_k`` only ``u^{cols[k]}``; row ``p`` holds ``core = sum_m w_m L_k(q_m)
-    R_k'(q_m)`` where ``rows[k] == cols[k']`` (else 0), ``L_k`` and ``R_k`` at
-    ``(s, q_1, ..., q_Q)``, ``sum_m w_m R_k(q_m)``, whether all factors read at
-    the ``p``-th ``u^l`` are ``finite``, and ``gate[i, j]``, the tail mass and
-    box of ``F_ij`` over ``[p]`` (``i == j``) or ``[p, p']``."""
-    q, tail_a, tail_b = len(nodes), *(s + length * TAIL_PAIRS)
-    rows, cols, left, right = kernel.factors(np.concatenate(([s], nodes, tail_a, tail_b)))
-    l_q, l_tail = left[..., 1:q + 1], left[..., q + 1:q + 1 + len(tail_a)]
-    r_q, r_tail = right[..., 1:q + 1], right[..., q + 1 + len(tail_a):]
-    finite = [np.isfinite(left[:, rows == l]).all(axis=(1, 2))
-              & np.isfinite(right[:, cols == l]).all(axis=(1, 2)) for l in range(kernel.n)]
-    gate, values = {}, range(len(left))
+    ``p``-th value of each coordinate.  The columns are ``(s, q_1, ..., q_Q)``
+    of each rule in turn, rule ``r`` from ``starts[r]``, then the tail pairs;
+    with them, what no rule changes: the terms ``blocks[i, j]`` of ``F_ij``,
+    its largest tail mass ``mass[i, j]`` over ``[p]`` (``i == j``) or ``[p,
+    p']``, and whether the factors read at the ``p``-th ``u^l`` are
+    ``finite`` at ``s`` and the tail pairs."""
+    tail_a, tail_b = s + length * TAIL_PAIRS
+    columns = [np.concatenate(([s], nodes)) for nodes in rules]
+    starts = np.cumsum([0] + [len(c) for c in columns])
+    rows, cols, left, right = kernel.factors(np.concatenate((*columns, tail_a, tail_b)))
+    tail = starts[-1]
+    l_tail, r_tail = left[..., tail:tail + len(tail_a)], right[..., tail + len(tail_a):]
+    blocks, mass = {}, {}
     for i, j in sorted(set(zip(rows.tolist(), cols.tolist()))):
-        k = np.flatnonzero((rows == i) & (cols == j))
-        mass = np.einsum("pka,pka->pa" if i == j else "pka,Pka->pPa", l_tail[:, k], r_tail[:, k])
+        k = blocks[i, j] = np.flatnonzero((rows == i) & (cols == j))
+        tail_mass = np.einsum("pka,pka->pa" if i == j else "pka,Pka->pPa",
+                              l_tail[:, k], r_tail[:, k])
+        mass[i, j] = np.abs(tail_mass).max(axis=-1)
+    fixed = np.r_[0, tail:left.shape[-1]]
+    finite = _finite(rows, cols, left[..., fixed], right[..., fixed], kernel.n)
+    return _Factors(rows, cols, left, right, starts, blocks, mass, finite)
+
+
+def _rule_tables(table: _Factors, rule: int, weights: np.ndarray) -> _Tables:
+    """The tables of rule ``rule`` of ``table``, from its columns: per row
+    ``p``, ``core = sum_m w_m L_k(q_m) R_k'(q_m)`` where ``rows[k] ==
+    cols[k']`` (else 0), ``L_k`` and ``R_k`` at ``(s, q_1, ..., q_Q)``, ``sum_m
+    w_m R_k(q_m)``, whether all factors read at the ``p``-th ``u^l`` are
+    ``finite``, and ``gate[i, j]``, the tail mass and box of ``F_ij``, its
+    largest value on the nodes, over ``[p]`` (``i == j``) or ``[p, p']``."""
+    rows, cols = table.rows, table.cols
+    lo, hi = table.starts[rule:rule + 2]
+    left, right = table.left[..., lo:hi], table.right[..., lo:hi]
+    l_q, r_q = left[..., 1:], right[..., 1:]
+    gate = {}
+    for (i, j), k in table.blocks.items():
         if i == j:
-            box = np.array([np.abs(l_q[p, k].T @ r_q[p, k]).max() for p in values])
+            product = np.swapaxes(l_q[:, k], 1, 2) @ r_q[:, k]
+            box = np.abs(product, out=product).max(axis=(1, 2))
         elif len(k) == 1:  # a rank-one block's largest entry is the product of its factors'
             box = np.multiply.outer(np.abs(l_q[:, k[0]]).max(-1), np.abs(r_q[:, k[0]]).max(-1))
-        else:
-            box = np.array([np.abs(l_q[p, k].T @ r_q[:, k]).max(axis=(1, 2)) for p in values])
-        gate[i, j] = np.abs(mass).max(axis=-1), box
+        else:  # one place at a time: all pairs at once would hold places² q² values
+            box = np.array([np.abs(l_q[p, k].T @ r_q[:, k]).max(axis=(1, 2))
+                            for p in range(len(l_q))])
+        gate[i, j] = table.mass[i, j], box
     core = np.where(rows[:, None] == cols, (l_q * weights) @ np.swapaxes(r_q, 1, 2), 0.0)
-    return _Tables(rows, cols, core, left[..., :q + 1], right[..., :q + 1], r_q @ weights,
-                   np.stack(finite, axis=1), gate)
+    finite = table.finite & _finite(rows, cols, l_q, r_q, table.finite.shape[1])
+    return _Tables(rows, cols, core, left, right, r_q @ weights, finite, gate)
+
+
+def _tabulate(kernel, s: float, length: float, nodes, weights) -> _Tables:
+    """The tables of one rule (:func:`_rule_tables`), ``L_k`` reading only
+    ``u^{rows[k]}`` and ``R_k`` only ``u^{cols[k]}``."""
+    return _rule_tables(_factor_table(kernel, s, length, [nodes]), 0, weights)
 
 
 def _woodbury(tables: _Tables, idx: np.ndarray, points: np.ndarray, length: float,
@@ -625,33 +666,34 @@ def _factor_deviation(kernel, tables: _Tables, idx: np.ndarray, points: np.ndarr
     return deviation.max(axis=(1, 2))
 
 
-def _solve_batch(kernel, tables, idx, points, s, length, nodes, weights, estimate_cond: bool):
-    """Nyström solves at points sharing one rule by :func:`_woodbury` at
-    their rows ``idx`` of ``tables``, and ``x = U y``.  With
-    ``estimate_cond``, the factors are checked against ``kernel``
-    (:func:`_factor_deviation`), and ``cond`` of ``I - U V^T``, whose singular
-    values are 1 but those of ``I - (Q^T U)(V^T Q)`` for ``Q = orth[U V]``, is
-    gated by ``COND_CAP``.  Returns ``k_nodes[b, i, l, m] = K_{il}(s, q_m)``,
-    ``k_ss`` and per point the residual, ``cond`` and the factor deviation
-    (NaN without ``estimate_cond``)."""
-    y, k_ss, _, residual = _woodbury(tables, idx, points, length)
-    (batch, n), q, terms = idx.shape, len(nodes), np.arange(len(tables.rows))
-    u_mat, v_mat = (  # [b, (l, m), k] = R_k(q_m) or w_m L_k(q_m) at row idx[b, l], k in block l
-        np.einsum("bkm,kl->blmk", table, blocks[:, None] == np.arange(n)).reshape(batch, n * q, -1)
+def _collocation_factors(tables: _Tables, idx: np.ndarray, weights: np.ndarray):
+    """``U[b, (l, m), k] = R_k(q_m)`` and ``V[b, (l, m), k] = w_m L_k(q_m)``
+    at rows ``idx[b, l]`` of ``tables``, ``k`` in column or row block ``l``:
+    the collocation matrix of point ``b`` is ``I - U V^T``."""
+    (batch, n), r = idx.shape, len(tables.rows)
+    terms = np.arange(r)
+    return tuple(
+        np.einsum("bkm,kl->blmk", table, blocks[:, None] == np.arange(n)).reshape(batch, -1, r)
         for table, blocks in ((tables.right[idx[:, tables.cols], terms, 1:], tables.cols),
                               (tables.left[idx[:, tables.rows], terms, 1:] * weights, tables.rows)))
-    k_nodes = (u_mat @ y).reshape(batch, n, q, n).transpose(0, 3, 1, 2)
-    if not estimate_cond:
-        return k_nodes, k_ss, residual, *[np.full(batch, np.nan)] * 2
-    deviation = _factor_deviation(kernel, tables, idx, points, np.concatenate(([s], nodes)))
+
+
+def _cond_probe(kernel, tables: _Tables, idx: np.ndarray, points: np.ndarray, t, weights):
+    """Per point at rows ``idx`` of ``tables`` (``t = (s, q_1, ...)``), the
+    factor deviation from ``kernel`` (:func:`_factor_deviation`) and then
+    ``cond`` of ``I - U V^T`` (:func:`_collocation_factors`), whose singular
+    values are 1 but those of ``I - (Q^T U)(V^T Q)`` for ``Q = orth[U V]``,
+    gated by ``COND_CAP``.  Returns ``cond`` and the deviation."""
+    deviation = _factor_deviation(kernel, tables, idx, points, t)
+    u_mat, v_mat = _collocation_factors(tables, idx, weights)
     basis = np.linalg.qr(np.concatenate((u_mat, v_mat), axis=2))[0]
     block = (np.swapaxes(basis, 1, 2) @ u_mat) @ (np.swapaxes(v_mat, 1, 2) @ basis)
     sigma = np.linalg.svd(np.eye(basis.shape[2]) - block, compute_uv=False)
-    sigma = np.concatenate((sigma, np.ones((batch, int(basis.shape[2] < basis.shape[1])))), 1)
+    sigma = np.concatenate((sigma, np.ones((len(idx), int(basis.shape[2] < basis.shape[1])))), 1)
     cond = sigma.max(axis=1) / sigma.min(axis=1)
     if not np.max(cond) <= COND_CAP:
         raise IllConditioned(float(np.max(cond)), COND_CAP)
-    return k_nodes, k_ss, residual, cond, deviation
+    return cond, deviation
 
 
 def _batch_size(n: int, q: int, rank: int) -> int:
@@ -664,23 +706,28 @@ def solve_marchenko(problem: DressingProblem, kernel: object | None = None,
                     estimate_cond: bool = True) -> DressingSolution:
     """Nyström solve of the dressing integral equation at one point ``u``.
 
-    The batch-of-one case of the window solver (:func:`_solve_batch`) on
-    the factors of ``kernel``, the problem's base kernel by default: the
-    declared truncation length is validated by probing the kernel beyond it
-    (:class:`TruncationInsufficient`), non-finite kernel values raise
-    :class:`NonFiniteSample`, and ``estimate_cond`` gates the factors
-    (:class:`FactorMismatch`) and ``cond`` (:class:`IllConditioned`).
+    The one-point case of the window solver (:func:`_woodbury`) on the
+    factors of ``kernel``, the problem's base kernel by default, and ``x = U
+    y``: the declared truncation length is validated by probing the kernel
+    beyond it (:class:`TruncationInsufficient`), non-finite kernel values
+    raise :class:`NonFiniteSample`, and ``estimate_cond`` gates the factors
+    (:class:`FactorMismatch`) and ``cond`` (:class:`IllConditioned`) as at a
+    window's probes (:func:`_cond_probe`).
     """
     kernel = problem.base_kernel() if kernel is None else kernel
     s, length = problem.s, problem.length
     nodes, weights = _panel_quadrature(s, length, problem.panels, problem.nodes_per_panel)
     # the point is the one value of each coordinate in its own tables
-    k_nodes, k_ss, residual, cond, _ = _solve_batch(
-        kernel, _tabulate(kernel, s, length, nodes, weights), np.zeros((1, kernel.n), dtype=int),
-        np.array([problem.u]), s, length, nodes, weights, estimate_cond,
-    )
-    return DressingSolution(kernel, s, nodes, weights, k_nodes[0], k_ss[0], float(residual[0]),
-                            float(cond[0]) if estimate_cond else None)
+    tables = _tabulate(kernel, s, length, nodes, weights)
+    idx, point = np.zeros((1, kernel.n), dtype=int), np.array([problem.u])
+    y, k_ss, _, residual = _woodbury(tables, idx, point, length)
+    u_mat, _ = _collocation_factors(tables, idx, weights)
+    k_nodes = (u_mat[0] @ y[0]).reshape(kernel.n, len(nodes), kernel.n).transpose(2, 0, 1)
+    cond = None
+    if estimate_cond:
+        cond = float(_cond_probe(kernel, tables, idx, point, np.concatenate(([s], nodes)),
+                                 weights)[0][0])
+    return DressingSolution(kernel, s, nodes, weights, k_nodes, k_ss[0], float(residual[0]), cond)
 
 
 # ---------------------------------------------------------------------------
@@ -725,19 +772,23 @@ def extract_beta(
     ``profile`` scales the kernel only with ``use_tilde``.  The truncation
     length is fixed from the chart bounds, so every node shares one rule and
     tail probe.  The set's separable terms are tabulated on the chart's axes
-    (on the probes' places only while the ladder below climbs) and each node
-    is solved in r-space (:func:`_woodbury`), in batches of about
-    :data:`BATCH_BYTES`.  Every node passes the non-finite, truncation and
-    sign gates and reports its collocation residual; at the corners and
-    centre the terms are checked against the kernel's values and ``cond`` is
-    measured, and ``cond_probe`` and ``factor_deviation`` are the worst
-    there.
+    and each node is solved in r-space (:func:`_woodbury`), in batches of
+    about :data:`BATCH_BYTES`.  Every node passes the non-finite, truncation
+    and sign gates and reports its collocation residual.  At the corners and
+    centre, from the same tables and without solving them again
+    (:func:`_cond_probe`), the terms are checked against the kernel's values
+    and ``cond`` is measured; ``cond_probe`` and ``factor_deviation`` are the
+    worst there.
 
     Without ``panels``, ``beta`` and ``psi`` at the corners and centre are
     solved on each rung of :data:`PANEL_LADDER`; the window takes the coarser
     rung of the first neighbouring pair that agrees to :data:`QUADRATURE_TOL`
     and reports it and that change as ``panels`` and ``quadrature_error``
-    (:class:`QuadratureUnresolved` if none does).  An explicit ``panels`` is
+    (:class:`QuadratureUnresolved` if none does).  The whole ladder is one
+    factor table at the probes' places (:func:`_factor_table`); rung by rung,
+    in climb order, each is gated and solved from its own columns
+    (:func:`_rule_tables`), so it raises what it would raise tabulated alone,
+    and no rung past the converged pair is gated.  An explicit ``panels`` is
     used as given, without a search.
     """
     n = potentials.n
@@ -769,34 +820,33 @@ def extract_beta(
             [chart.axis_coordinates(l)[p[np.minimum(rows, len(p) - 1)]]
              for l, p in enumerate(places)], axis=-1), ratio, t_range)
 
-    axes = axis_kernel([np.arange(m) for m in chart.shape]), axis_kernel(ends)
-
-    @functools.lru_cache(maxsize=2)  # the full solve and the cond probe share the chosen rung
-    def tabulated(rung: int, on_probes: bool) -> _Tables:
-        nodes, weights = _panel_quadrature(s, length, rung, DEFAULT_NODES_PER_PANEL)
-        return _tabulate(axes[on_probes], s, length, nodes, weights)
-
-    def solve(at: np.ndarray, rung: int, on_probes: bool = False):
-        """beta, psi and the residual at the nodes ``at``, in batches of
-        :func:`_batch_size`; the ladder reads beta and psi only."""
-        size, parts = _batch_size(n, rung * DEFAULT_NODES_PER_PANEL, rank), []
-        rows, tables = probe_index if on_probes else index, tabulated(rung, on_probes)
+    def solve(tables: _Tables, rows: np.ndarray, at: np.ndarray, with_residual: bool):
+        """beta, psi and the residual at the nodes ``at``, whose places are
+        ``rows[at]`` in ``tables``, in batches of :func:`_batch_size`."""
+        size, parts = _batch_size(n, tables.left.shape[-1] - 1, rank), []
         for start in range(0, len(at), size):
             batch = at[start:start + size]
             _, k_ss, psi, residual = _woodbury(
-                tables, rows[batch], points[batch], length, not on_probes)
+                tables, rows[batch], points[batch], length, with_residual)
             parts.append((k_ss.swapaxes(1, 2), psi, residual))  # beta_{ij} = K_{ji}(s, s)
         return [np.concatenate(p) for p in zip(*parts)]
 
     estimate = None
     if panels is None:
-        panels, estimate = _converged_rung(functools.partial(solve, on_probes=True), probe)
-    beta, psi, residual = solve(np.arange(len(points)), panels)
-    # the few probes are checked at once, with the kernel's values at their points
+        # one table holds every rung's nodes; each rung is gated and solved from its columns
+        rules = [_panel_quadrature(s, length, rung, DEFAULT_NODES_PER_PANEL)
+                 for rung in PANEL_LADDER]
+        ladder = _factor_table(axis_kernel(ends), s, length, [nodes for nodes, _ in rules])
+        panels, estimate = _converged_rung(lambda r: solve(
+            _rule_tables(ladder, r, rules[r][1]), probe_index, probe, False)[:2])
     nodes, weights = _panel_quadrature(s, length, panels, DEFAULT_NODES_PER_PANEL)
-    *_, cond, deviation = _solve_batch(
-        PotentialKernel(potentials, points[probe], ratio, t_range), tabulated(panels, False),
-        index[probe], points[probe], s, length, nodes, weights, True)
+    axes = axis_kernel([np.arange(m) for m in chart.shape])
+    tables = _tabulate(axes, s, length, nodes, weights)
+    beta, psi, residual = solve(tables, index, np.arange(len(points)), True)
+    # the few probes are checked at once, with the kernel's values at their points
+    cond, deviation = _cond_probe(
+        PotentialKernel(potentials, points[probe], ratio, t_range), tables, index[probe],
+        points[probe], np.concatenate(([s], nodes)), weights)
     # the node-major batches, [node, i, ...], read as [i, ..., grid ...]
     return DressedField(
         chart, beta.transpose(1, 2, 0).reshape((n, n) + chart.shape),
@@ -806,13 +856,13 @@ def extract_beta(
     )
 
 
-def _converged_rung(solve: Callable, probes: np.ndarray) -> tuple[int, float]:
+def _converged_rung(solve: Callable) -> tuple[int, float]:
     """The coarser rung of the first pair of neighbouring ladder rungs whose
-    ``beta`` and ``psi`` at ``probes`` differ by at most
-    :data:`QUADRATURE_TOL`, and that difference."""
+    ``beta`` and ``psi`` differ by at most :data:`QUADRATURE_TOL`, and that
+    difference; ``solve(r)`` gives them on rung ``PANEL_LADDER[r]``."""
     coarse = None
-    for rung in PANEL_LADDER:
-        beta, psi, *_ = solve(probes, rung)
+    for r, rung in enumerate(PANEL_LADDER):
+        beta, psi = solve(r)
         if coarse is not None:
             coarse_rung, coarse_beta, coarse_psi = coarse
             change = gc.worst((np.max(np.abs(beta - coarse_beta)), np.max(np.abs(psi - coarse_psi))))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -173,6 +174,26 @@ def test_blocked_stencils_equal_one_pass(monkeypatch, points, block):
                                _one_pass(vals, chart, axis))
         npt.assert_array_equal(differentiate_array(stack, chart, axis),
                                _one_pass(stack, chart, axis))
+
+
+def test_one_sided_rows_gather_each_tap_once():
+    """On a (3, 3) + 17^3 block, beyond its result and the interior rows'
+    block buffer, a derivative holds at most 24 columns of the block (one
+    node of the axis on every line): each end's five taps once, the 4-row sum
+    and one 4-row term, and numpy's ufunc buffers.  The taps gathered once
+    per row they enter would take 20 columns on their own."""
+    chart = GridChart((0.0,) * 3, (1.0, 2.0, 3.0), (17, 17, 17))
+    vals = np.random.default_rng(7).standard_normal((3, 3) + chart.shape)
+    column = vals.nbytes // 17
+    for axis in range(3):
+        differentiate_array(vals, chart, axis)  # the places of the taps are cached
+        tracemalloc.start()
+        try:
+            differentiate_array(vals, chart, axis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - vals.nbytes - 8 * gc._BLOCK < 24 * column
 
 
 def test_sample_enforces_declared_symmetry():

@@ -396,9 +396,10 @@ def test_factor_closures_are_called_per_rung_not_per_node():
 
 
 def test_ladder_tabulates_only_the_probes_places(monkeypatch):
-    """While the ladder climbs, each rung is tabulated at the three places per
-    axis the corner and centre probes read; only the chosen rung is tabulated
-    on the whole axes, and the field is the one that rung gives when fixed."""
+    """The ladder is tabulated once, on every rung's nodes, at the three places
+    per axis the corner and centre probes read; only the chosen rung is
+    tabulated on the whole axes, and the field is the one that rung gives
+    when fixed."""
     factors, rows = zd.PotentialKernel.factors, []
 
     def recorded(self, t):
@@ -409,7 +410,7 @@ def test_ladder_tabulates_only_the_probes_places(monkeypatch):
     monkeypatch.setattr(zd.PotentialKernel, "factors", recorded)
     chart = GridChart((-0.2, -0.1), (0.2, 0.1), (9, 5))
     searched = zd.extract_beta(_gaussian2(), chart)
-    assert len(rows) > 2 and rows == [3] * (len(rows) - 1) + [9]
+    assert rows == [3, 9]
     rows.clear()
     fixed = zd.extract_beta(_gaussian2(), chart, panels=searched.panels)
     assert rows == [9]
@@ -417,6 +418,116 @@ def test_ladder_tabulates_only_the_probes_places(monkeypatch):
     npt.assert_array_equal(searched.psi_values, fixed.psi_values)
     assert searched.max_residual == fixed.max_residual
     assert searched.cond_probe == fixed.cond_probe
+
+
+def _probe_nodes(chart) -> np.ndarray:
+    """The corner and centre nodes of ``chart``, in C order."""
+    probe = np.zeros(chart.shape, dtype=bool)
+    probe[np.ix_(*[[0, m - 1] for m in chart.shape])] = True
+    probe[tuple(m // 2 for m in chart.shape)] = True
+    return np.array([chart.node(idx) for idx in zip(*np.nonzero(probe))])
+
+
+def _climb(pots, chart, profile=None, use_tilde=False):
+    """The reference quadrature search, one rung at a time: each rung is
+    tabulated on its own (``_tabulate``) at the corner and centre nodes, row
+    ``b`` holding node ``b``, and solved there by ``_woodbury``.  Returns the
+    coarser rung of the first pair that agrees to ``QUADRATURE_TOL`` and that
+    change."""
+    points = _probe_nodes(chart)
+    reach = max(max(abs(lo), abs(hi)) for lo, hi in zip(chart.lower, chart.upper))
+    length = pots.envelope + reach + 1.0
+    kernel = zd.PotentialKernel(pots, points, profile if use_tilde else None, (0.0, length))
+    idx = np.repeat(np.arange(len(points))[:, None], pots.n, axis=1)
+    coarse = None
+    for rung in zd.PANEL_LADDER:
+        nodes, weights = zd._panel_quadrature(0.0, length, rung, zd.DEFAULT_NODES_PER_PANEL)
+        tables = zd._tabulate(kernel, 0.0, length, nodes, weights)
+        _, k_ss, psi, _ = zd._woodbury(tables, idx, points, length, with_residual=False)
+        beta = k_ss.swapaxes(1, 2)
+        if coarse is not None:
+            change = max(np.max(np.abs(beta - coarse[1])), np.max(np.abs(psi - coarse[2])))
+            if change <= zd.QUADRATURE_TOL:
+                return coarse[0], change
+        coarse = rung, beta, psi
+    raise AssertionError("the reference search found no converged pair")
+
+
+@pytest.mark.parametrize("name", ["2c-9x5", "3c-3x3x3", "2c-tilde"])
+def test_one_table_climb_equals_the_rung_by_rung_climb(name):
+    make, chart, options = WINDOWS[name]
+    pots = make()
+    field = zd.extract_beta(pots, chart, **options)
+    assert (field.panels, field.quadrature_error) == _climb(pots, chart, **options)
+
+
+#: the window of the NaN-node cases below; its search climbs 4, 5, 6, 8 and 10
+NAN_NODE_CHART = GridChart((-0.1, -0.1), (0.1, 0.1), (5, 5))
+
+
+def _nan_at_node(rung: int, m: int):
+    """:func:`_with_nan_term` NaN at exactly one Gauss node: node ``m`` of
+    rung ``rung`` of :data:`NAN_NODE_CHART`'s rule, read at its first value
+    of ``u^1``."""
+    pots = zd.gaussian_set(2)
+    length = pots.envelope + 0.1 + 1.0
+    node = zd._panel_quadrature(0.0, length, rung, zd.DEFAULT_NODES_PER_PANEL)[0][m]
+    return _with_nan_term(lambda x: x == node - NAN_NODE_CHART.axis_coordinates(0)[0])
+
+
+def _nan_counts(monkeypatch) -> list:
+    """The number of NaN factors of each later ``PotentialKernel.factors`` call."""
+    factors, counts = zd.PotentialKernel.factors, []
+
+    def recorded(self, t):
+        out = factors(self, t)
+        counts.append(int(np.isnan(out[2]).sum() + np.isnan(out[3]).sum()))
+        return out
+
+    monkeypatch.setattr(zd.PotentialKernel, "factors", recorded)
+    return counts
+
+
+def test_a_nan_past_the_converged_rung_is_never_gated(monkeypatch):
+    """The ladder's one table holds rung 16's nodes, NaN at one of them, but
+    the search converges on the pair (8, 10) and gates no rung past it: the
+    window is the clean set's, bit for bit, as when each rung was tabulated
+    on its own."""
+    clean = zd.extract_beta(zd.gaussian_set(2), NAN_NODE_CHART)
+    counts = _nan_counts(monkeypatch)
+    pots = _nan_at_node(16, 37)
+    field = zd.extract_beta(pots, NAN_NODE_CHART)
+    assert counts == [1, 0]
+    assert field.panels == clean.panels == 8
+    assert field.quadrature_error == clean.quadrature_error
+    npt.assert_array_equal(field.beta_values, clean.beta_values)
+    npt.assert_array_equal(field.psi_values, clean.psi_values)
+    assert (field.panels, field.quadrature_error) == _climb(pots, NAN_NODE_CHART)
+
+
+def test_a_nan_at_a_climbed_rung_is_gated_at_that_rung(monkeypatch):
+    """NaN at one node of rung 5: rung 4 passes, and rung 5 raises at the
+    first probe that reads it, as the rung-by-rung search does."""
+    counts = _nan_counts(monkeypatch)
+    pots = _nan_at_node(5, 7)
+    with pytest.raises(NonFiniteSample) as err:
+        zd.extract_beta(pots, NAN_NODE_CHART)
+    assert counts == [1]
+    assert str(err.value) == "non-finite sample at grid node (-0.1, -0.1) in the dressing kernel"
+    with pytest.raises(NonFiniteSample) as reference:
+        _climb(pots, NAN_NODE_CHART)
+    assert str(reference.value) == str(err.value)
+
+
+def test_the_probe_check_solves_nothing(monkeypatch):
+    """With a fixed rule the window is solved in one batch, and the corner
+    and centre check (``cond`` and the factor check) runs no further solve."""
+    woodbury, calls = zd._woodbury, []
+    monkeypatch.setattr(zd, "_woodbury",
+                        lambda *args: calls.append(len(args[1])) or woodbury(*args))
+    field = zd.extract_beta(_gaussian2(), GridChart((-0.2, -0.2), (0.2, 0.2), (5, 5)), panels=8)
+    assert calls == [25]
+    assert 1.0 < field.cond_probe < zd.COND_CAP and 0.0 <= field.factor_deviation <= 1e-14
 
 
 #: unequal and t-dependent, and of one sign over every range the windows below reach
