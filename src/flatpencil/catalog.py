@@ -297,14 +297,13 @@ def dressing_gaussian_set() -> zd.PotentialSet:
 
 
 def _run_dressing_gaussian():
-    pots = dressing_gaussian_set()
-    prob = zd.DressingProblem(pots, (0.1, -0.2, 0.25))
-    sol = zd.solve_marchenko(prob)
-    ident = zd.reduction_identity_residual(prob.base_kernel())
+    pots, point = dressing_gaussian_set(), (0.1, -0.2, 0.25)
+    field = zd.extract_beta(pots, np.array([point]))
+    ident = zd.reduction_identity_residual(zd.PotentialKernel(pots, point))
     return [
-        CheckRow("collocation_residual", sol.residual, zd.COLLOCATION_BOUND),
+        CheckRow("collocation_residual", field.max_residual, zd.COLLOCATION_BOUND),
         CheckRow("translation_identity", ident, zd.IDENTITY_BOUND),
-        CheckRow("conditioning", sol.cond, 1e3),
+        CheckRow("conditioning", field.cond_probe, 1e3),
     ]
 
 
@@ -312,7 +311,7 @@ def rank1_case():
     """The one-component kernel of one term ``a(s) b(s')`` and its closed-form resolvent."""
     a = lambda t: 0.6 * np.exp(-0.5 * np.asarray(t, dtype=float) ** 2)
     b = lambda t: 0.5 * np.exp(-0.5 * (np.asarray(t, dtype=float) - 0.3) ** 2)
-    raw = zd.RawKernel(1, [(0, 0, a, b)])
+    raw = zd.RawKernel(1, [(0, 0, a, b)], envelope=9.0)  # truncated at 10 from s = 0
 
     def exact(s: float, sp) -> np.ndarray:
         # int_s^inf a b = 0.3 e^{-0.0225} int_s^inf e^{-(t - 0.15)^2} dt
@@ -324,15 +323,9 @@ def rank1_case():
 
 def _run_dressing_separable():
     raw, exact = rank1_case()
-    dummy = zd.PotentialSet(1, {}, {}, envelope=6.0)
-    prob = zd.DressingProblem(
-        dummy, (0.0,), s=0.0, length=10.0, panels=16, nodes_per_panel=6
-    )
-    sol = zd.solve_marchenko(prob, kernel=raw)
-    probes = np.array([0.2, 0.9, 1.7, 2.6])
-    err = float(
-        np.max(np.abs(np.array([sol.k_at(t)[0, 0] for t in probes]) - exact(0.0, probes)))
-    )
+    field = zd.extract_beta(raw, np.zeros((1, 1)))
+    # K(0, q_m) at the rule's nodes
+    err = float(np.max(np.abs(field.k_nodes[0, 0, :, 0] - exact(0.0, field.rule[0]))))
 
     profile = ls.constant_profile((4.0, 1.0))
     good, bad = (
@@ -364,8 +357,8 @@ def _run_dressing_reduced():
     # an unequal, t-dependent profile: under equal constants the scaled
     # kernel is the base kernel and these rows compare a solve with itself
     linear = ls.ReductionProfile((lambda t: 2.0 + 0.2 * t, lambda t: 3.0 - 0.1 * t))
-    prob = zd.DressingProblem(pots, (0.1, -0.1), profile=linear)
-    tilde = zd.verify_tilde_consistency(prob, zd.solve_marchenko(prob, estimate_cond=False))
+    point = np.array([[0.1, -0.1]])
+    tilde = zd.verify_tilde_consistency(pots, linear, point, zd.extract_beta(pots, point))
     return [
         CheckRow("quadrature_error", field.quadrature_error, zd.QUADRATURE_TOL),
         CheckRow("lame", lame.max_residual, 1e-5),

@@ -471,27 +471,23 @@ def _run_reduce(v, settings):
 
 
 @_kind("dress", potentials=Field(_GAUSSIAN_SET), point=Field(_NUMBERS),
-       profile=Field(_PROFILE, None), s=Field(_number, 0.0), length=Field(_positive, None),
-       panels=Field(partial(_at_least, 1), zd.DEFAULT_PANELS),
-       nodes_per_panel=Field(partial(_at_least, 2), zd.DEFAULT_NODES_PER_PANEL))
+       profile=Field(_PROFILE, None))
 def _run_dress(v, settings):
     g = v.potentials
     point = _sized(v.point, g.components, "point")
     profile = None if v.profile is None else _profile(v.profile, g.components)
     pots = zd.gaussian_set(g.components, g.amplitude, g.width, g.include_diagonal)
-    problem = zd.DressingProblem(pots, point, profile=profile, s=v.s, length=v.length,
-                                 panels=v.panels, nodes_per_panel=v.nodes_per_panel)
-    sol = zd.solve_marchenko(problem)
-    ident = zd.reduction_identity_residual(problem.base_kernel(), seed=settings["seed"])
-    rows = [CheckRow("collocation_residual", sol.residual, zd.COLLOCATION_BOUND),
+    points = np.array([point])
+    field = zd.extract_beta(pots, points)
+    ident = zd.reduction_identity_residual(zd.PotentialKernel(pots, point), seed=settings["seed"])
+    rows = [CheckRow("collocation_residual", field.max_residual, zd.COLLOCATION_BOUND),
             CheckRow("translation_identity", ident, zd.IDENTITY_BOUND)]
     if profile is not None:
-        tilde = zd.verify_tilde_consistency(problem, sol)
+        tilde = zd.verify_tilde_consistency(pots, profile, points, field)
         rows.append(CheckRow("tilde_kernel", tilde.kernel_deviation, zd.IDENTITY_BOUND))
         rows.append(CheckRow("tilde_beta", tilde.beta_deviation, zd.IDENTITY_BOUND))
-    meta = {"components": pots.n, "point": list(point), "truncation_length": problem.length,
-            "panels": problem.panels, "nodes_per_panel": problem.nodes_per_panel,
-            "conditioning": sol.cond, "quadrature_error": zd.quadrature_change(problem, sol)}
+    meta = {"components": pots.n, "point": list(point), "panels": field.panels,
+            "conditioning": field.cond_probe, "quadrature_error": field.quadrature_error}
     return rows, meta, {}
 
 

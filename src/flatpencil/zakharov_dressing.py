@@ -36,14 +36,14 @@ which make the kernel degenerate, so it is solved through an r×r Woodbury
 core (Kress, *Linear Integral Equations*, ch. 11), tabulated once per
 coordinate value across a window.
 
-A single solve uses :data:`DEFAULT_PANELS` panels unless told otherwise; a
-window sizes its own rule on :data:`PANEL_LADDER` (:func:`extract_beta`),
-since Gauss–Legendre Nyström converges exponentially for analytic kernels
+:func:`extract_beta` is the one way to dress, at the nodes of a chart or at
+explicit points.  It sizes its rule on :data:`PANEL_LADDER`, since
+Gauss–Legendre Nyström converges exponentially for analytic kernels
 (Bornemann, Math. Comp. 79, 2010).  The ladder is climbed on one factor
-table at the places its corner and centre probes read, which holds the
-nodes of every rung and the tail pairs; each rung is gated and solved there
-from its own columns, in climb order.  At the chosen rung's probes, and in a
-single solve, the terms are checked against the kernel's values and
+table at the places its probes read (a chart's corners and centre, or every
+point), which holds the nodes of every rung and the tail pairs; each rung is
+gated and solved there from its own columns, in climb order.  At the chosen
+rung's probes the terms are checked against the kernel's values and
 ``cond`` is read from a 2r×2r block, without solving again
 (:func:`_cond_probe`).
 """
@@ -53,7 +53,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -73,7 +73,6 @@ from .two_component import Potential
 DECAY_THRESHOLD = 1e-12
 TAIL_REL_TOL = 1e-10
 COND_CAP = 1e12
-DEFAULT_PANELS = 16
 DEFAULT_NODES_PER_PANEL = 6
 #: panel counts the window's quadrature search climbs, coarsest first
 PANEL_LADDER = (4, 5, 6, 8, 10, 12, 16, 20, 24, 32)
@@ -231,10 +230,15 @@ def gaussian_set(
 
 class RawKernel:
     """A kernel given by its separable terms ``(row, column, left, right)``:
-    term ``k`` adds ``left(t) right(t')`` to ``F_{row column}(t, t')``."""
+    term ``k`` adds ``left(t) right(t')`` to ``F_{row column}(t, t')``.  It
+    does not depend on a point; ``envelope`` plays the part of a
+    :class:`PotentialSet`'s in :func:`extract_beta`."""
 
-    def __init__(self, n: int, terms: Sequence[tuple[int, int, Callable, Callable]]):
-        self.n, self.terms, self.rank = n, tuple(terms), len(terms)
+    def __init__(self, n: int, terms: Sequence[tuple[int, int, Callable, Callable]],
+                 envelope: float):
+        if not 0 < envelope < math.inf:  # NaN fails too
+            raise ValueError(f"envelope must be a positive finite number, got {envelope}")
+        self.n, self.terms, self.rank, self.envelope = n, tuple(terms), len(terms), envelope
 
     def eval(self, i: int, j: int, s, sp) -> np.ndarray:
         s, sp = np.asarray(s, dtype=float), np.asarray(sp, dtype=float)
@@ -345,6 +349,16 @@ class PotentialKernel:
         return rows, cols, left, right
 
 
+def _kernel(potentials, points: np.ndarray, ratio_profile, t_range):
+    """The kernel of ``potentials`` at ``points`` (:class:`PotentialKernel`);
+    a :class:`RawKernel`, which depends on no point, is its own at one point."""
+    if not isinstance(potentials, RawKernel):
+        return PotentialKernel(potentials, points, ratio_profile, t_range)
+    if ratio_profile is not None or len(points) != 1:
+        raise ValueError("a raw kernel is dressed at one point, unscaled")
+    return potentials
+
+
 def reduction_identity_residual(kernel, seed: int = 0) -> float:
     """Max probe residual of ``d F_ij(s,s')/ds' + d F_ji(s',s)/ds``.
 
@@ -429,51 +443,6 @@ def reduction_pde_residual(
 # the integral-equation solve
 
 
-def _truncation_length(
-    potentials: PotentialSet, coords, s: float, panels: int | None, nodes_per_panel: int
-) -> float:
-    """The length ``L`` of the quadrature range ``[s, s + L]`` for points with
-    coordinates among ``coords``: the decay envelope past the farthest
-    coordinate and ``|s|``, plus one.  Checks the panel rule on the way."""
-    if (panels is not None and panels < 1) or nodes_per_panel < 2:
-        raise ValueError("need at least one panel of at least two nodes")
-    reach = max((abs(v) for v in coords), default=0.0)
-    return potentials.envelope + reach + abs(s) + 1.0
-
-
-@dataclass(frozen=True)
-class DressingProblem:
-    """One point ``u`` of the dressing problem; ``length`` is the truncation
-    length, :func:`_truncation_length` of ``u`` when not given."""
-
-    potentials: PotentialSet
-    u: tuple[float, ...]
-    profile: ReductionProfile | None = None
-    s: float = 0.0
-    length: float | None = None
-    panels: int = DEFAULT_PANELS
-    nodes_per_panel: int = DEFAULT_NODES_PER_PANEL
-
-    def __post_init__(self):
-        object.__setattr__(self, "u", tuple(float(v) for v in self.u))
-        if len(self.u) != self.potentials.n:
-            raise ValueError("evaluation point length must match component count")
-        length = _truncation_length(
-            self.potentials, self.u, self.s, self.panels, self.nodes_per_panel
-        )
-        object.__setattr__(self, "length", length if self.length is None else float(self.length))
-
-    def base_kernel(self) -> PotentialKernel:
-        return PotentialKernel(self.potentials, self.u)
-
-    def tilde_kernel(self) -> PotentialKernel:
-        if self.profile is None:
-            raise ValueError("no reduction profile on this problem")
-        return PotentialKernel(
-            self.potentials, self.u, self.profile, (self.s, self.s + self.length)
-        )
-
-
 @functools.cache
 def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     """The m-point Gauss-Legendre rule on [-1, 1], computed once per m."""
@@ -491,39 +460,6 @@ def _panel_quadrature(s: float, length: float, panels: int, m: int):
     nodes = (mids[:, None] + halves[:, None] * xg[None, :]).ravel()
     weights = (halves[:, None] * wg[None, :]).ravel()
     return nodes, weights
-
-
-@dataclass
-class DressingSolution:
-    kernel: object
-    s: float
-    nodes: np.ndarray
-    weights: np.ndarray
-    k_nodes: np.ndarray  # [i, l, m] = K_{il}(s, q_m)
-    k_ss: np.ndarray  # [i, j] = K_{ij}(s, s)
-    residual: float
-    cond: float | None
-
-    @property
-    def n(self) -> int:
-        return self.k_nodes.shape[0]
-
-    def k_at(self, sp: float) -> np.ndarray:
-        """Nyström interpolation: the matrix ``K_{ij}(s, sp)``."""
-        n, pairs = self.n, [(a, b) for a in range(self.n) for b in range(self.n)]
-        f_s = np.reshape([self.kernel.eval(a, b, self.s, sp) for a, b in pairs], (n, n))
-        f_q = np.reshape([self.kernel.eval(a, b, self.nodes, sp) for a, b in pairs], (n, n, -1))
-        return f_s + np.einsum("ilm,m,ljm->ij", self.k_nodes, self.weights, f_q)
-
-    def beta(self) -> np.ndarray:
-        """``beta_{ij} = K_{ji}(s, s)``."""
-        return self.k_ss.T.copy()
-
-    def psi(self) -> np.ndarray:
-        """Dressed unit seeds ``Psi_i = 1 + sum_l int K_il``: the canonical
-        positive solution of ``d Psi_k / d u^i = beta_{ik} Psi_i`` — i.e.
-        ready-made Lamé coefficients for the metric generated by ``beta``."""
-        return 1.0 + np.einsum("ilm,m->i", self.k_nodes, self.weights)
 
 
 def _gate(points: np.ndarray, finite: np.ndarray, mass: np.ndarray, box: np.ndarray, length):
@@ -702,50 +638,25 @@ def _batch_size(n: int, q: int, rank: int) -> int:
     return max(1, BATCH_BYTES // (8 * (2 * rank * rank + 5 * rank * n + 2 * q * n)))
 
 
-def solve_marchenko(problem: DressingProblem, kernel: object | None = None,
-                    estimate_cond: bool = True) -> DressingSolution:
-    """Nyström solve of the dressing integral equation at one point ``u``.
-
-    The one-point case of the window solver (:func:`_woodbury`) on the
-    factors of ``kernel``, the problem's base kernel by default, and ``x = U
-    y``: the declared truncation length is validated by probing the kernel
-    beyond it (:class:`TruncationInsufficient`), non-finite kernel values
-    raise :class:`NonFiniteSample`, and ``estimate_cond`` gates the factors
-    (:class:`FactorMismatch`) and ``cond`` (:class:`IllConditioned`) as at a
-    window's probes (:func:`_cond_probe`).
-    """
-    kernel = problem.base_kernel() if kernel is None else kernel
-    s, length = problem.s, problem.length
-    nodes, weights = _panel_quadrature(s, length, problem.panels, problem.nodes_per_panel)
-    # the point is the one value of each coordinate in its own tables
-    tables = _tabulate(kernel, s, length, nodes, weights)
-    idx, point = np.zeros((1, kernel.n), dtype=int), np.array([problem.u])
-    y, k_ss, _, residual = _woodbury(tables, idx, point, length)
-    u_mat, _ = _collocation_factors(tables, idx, weights)
-    k_nodes = (u_mat[0] @ y[0]).reshape(kernel.n, len(nodes), kernel.n).transpose(2, 0, 1)
-    cond = None
-    if estimate_cond:
-        cond = float(_cond_probe(kernel, tables, idx, point, np.concatenate(([s], nodes)),
-                                 weights)[0][0])
-    return DressingSolution(kernel, s, nodes, weights, k_nodes, k_ss[0], float(residual[0]), cond)
-
-
 # ---------------------------------------------------------------------------
-# field extraction over a chart
+# dressing at the nodes of a chart or at points
 
 
 @dataclass
 class DressedField:
-    """``beta`` (and seed coefficients) solved at every chart node.
+    """``beta`` (and seed coefficients) solved at every node of a chart, or
+    at each of ``B`` points (``chart`` None, and the grid is ``(B,)``).
 
     ``panels`` is the rung the quadrature search chose and
     ``quadrature_error`` its estimate, the largest change of ``beta`` and
     ``psi`` at the probe nodes against the next finer rung; both are None
     when the caller fixed the panel count.  ``cond_probe`` and
     ``factor_deviation`` are the worst ``cond`` and relative difference of the
-    kernel's terms from its values (:func:`_factor_deviation`) at the probes."""
+    kernel's terms from its values (:func:`_factor_deviation`) at the probes.
+    A points call also keeps its ``rule`` ``(q, w)`` and ``k_nodes[i, l, m,
+    b] = K_il(s, q_m)`` at point ``b``."""
 
-    chart: GridChart
+    chart: GridChart | None
     beta_values: np.ndarray  # (N, N) + grid
     psi_values: np.ndarray  # (N,) + grid
     cond_probe: float
@@ -753,37 +664,45 @@ class DressedField:
     max_residual: float
     panels: int | None
     quadrature_error: float | None
+    rule: tuple[np.ndarray, np.ndarray] | None = None
+    k_nodes: np.ndarray | None = None
 
     def frame(self) -> LameFrame:
-        """The Riemannian frame ``H = psi`` of ``beta``."""
+        """The Riemannian frame ``H = psi`` of ``beta`` on its chart."""
+        if self.chart is None:
+            raise ValueError("a points call has no chart to frame; dress a chart")
         return LameFrame(self.chart, self.psi_values, self.beta_values, (1,) * self.chart.dim)
 
 
 def extract_beta(
-    potentials: PotentialSet,
-    chart: GridChart,
+    potentials: PotentialSet | RawKernel,
+    nodes: GridChart | np.ndarray,
     profile: ReductionProfile | None = None,
     panels: int | None = None,
     use_tilde: bool = False,
 ) -> DressedField:
     """Solve the dressing problem at ``s = 0`` at every node of a coordinate
-    chart, with panels of :data:`DEFAULT_NODES_PER_PANEL` nodes.
+    chart, or at each point of a ``(B, n)`` array, with panels of
+    :data:`DEFAULT_NODES_PER_PANEL` nodes.
 
-    ``profile`` scales the kernel only with ``use_tilde``.  The truncation
-    length is fixed from the chart bounds, so every node shares one rule and
-    tail probe.  The set's separable terms are tabulated on the chart's axes
-    and each node is solved in r-space (:func:`_woodbury`), in batches of
-    about :data:`BATCH_BYTES`.  Every node passes the non-finite, truncation
-    and sign gates and reports its collocation residual.  At the corners and
-    centre, from the same tables and without solving them again
+    ``profile`` scales the kernel only with ``use_tilde``; a
+    :class:`RawKernel` takes the place of the set at one point, unscaled.  The
+    truncation length is the decay envelope past the farthest coordinate of
+    the nodes, plus one, so every node shares one rule and tail probe.  The
+    kernel's separable terms are tabulated on the chart's axes, or with each
+    point its own row, and each node is solved in r-space
+    (:func:`_woodbury`), in batches of about :data:`BATCH_BYTES`.  Every node
+    passes the non-finite, truncation and sign gates and reports its
+    collocation residual.  At the probes, a chart's corners and centre or
+    every point, from the same tables and without solving them again
     (:func:`_cond_probe`), the terms are checked against the kernel's values
     and ``cond`` is measured; ``cond_probe`` and ``factor_deviation`` are the
-    worst there.
+    worst there.  A points call also returns ``k_nodes = U y``.
 
-    Without ``panels``, ``beta`` and ``psi`` at the corners and centre are
-    solved on each rung of :data:`PANEL_LADDER`; the window takes the coarser
-    rung of the first neighbouring pair that agrees to :data:`QUADRATURE_TOL`
-    and reports it and that change as ``panels`` and ``quadrature_error``
+    Without ``panels``, ``beta`` and ``psi`` at the probes are solved on each
+    rung of :data:`PANEL_LADDER`; the call takes the coarser rung of the
+    first neighbouring pair that agrees to :data:`QUADRATURE_TOL` and reports
+    it and that change as ``panels`` and ``quadrature_error``
     (:class:`QuadratureUnresolved` if none does).  The whole ladder is one
     factor table at the probes' places (:func:`_factor_table`); rung by rung,
     in climb order, each is gated and solved from its own columns
@@ -792,43 +711,54 @@ def extract_beta(
     used as given, without a search.
     """
     n = potentials.n
-    if chart.dim != n:
-        raise ValueError("chart dimension must equal the component count")
     if use_tilde and profile is None:
         raise ValueError("no reduction profile on this problem")
+    if panels is not None and panels < 1:
+        raise ValueError(f"need at least one panel, got {panels}")
+    if isinstance(nodes, GridChart):
+        chart = nodes
+        if chart.dim != n:
+            raise ValueError("chart dimension must equal the component count")
+        axes = [chart.axis_coordinates(l) for l in range(n)]
+        points = np.stack(chart.meshgrid(), axis=-1).reshape(-1, n)
+        index = np.indices(chart.shape).reshape(n, -1).T  # [node, l] = its place on axis l
+        probe = np.zeros(chart.shape, dtype=bool)
+        probe[np.ix_(*[[0, m - 1] for m in chart.shape])] = True
+        probe[tuple(m // 2 for m in chart.shape)] = True
+        probe = np.flatnonzero(probe)
+        # the ladder reads only the probes' places on each axis
+        ends = [np.unique([0, m // 2, m - 1]) for m in chart.shape]
+    else:
+        chart, points = None, np.asarray(nodes, dtype=float)
+        if points.ndim != 2 or points.shape[1] != n:
+            raise ValueError("points must be a (B, n) array for n components")
+        # each point is its own row of the tables, and a probe
+        axes, probe = list(points.T), np.arange(len(points))
+        index, ends = np.repeat(probe[:, None], n, axis=1), [probe] * n
     s = 0.0
-    length = _truncation_length(
-        potentials, (*chart.lower, *chart.upper), s, panels, DEFAULT_NODES_PER_PANEL
-    )
-    points = np.stack(chart.meshgrid(), axis=-1).reshape(-1, n)
-    index = np.indices(chart.shape).reshape(n, -1).T  # [node, l] = its place on axis l
-    probe = np.zeros(chart.shape, dtype=bool)
-    probe[np.ix_(*[[0, m - 1] for m in chart.shape])] = True
-    probe[tuple(m // 2 for m in chart.shape)] = True
-    probe = np.flatnonzero(probe)
-
-    rank, ratio, t_range = kernel_rank(potentials), profile if use_tilde else None, (s, s + length)
-    # the ladder reads only the probes' places on each axis: rows ``probe_index`` of its tables
-    ends = [np.unique([0, m // 2, m - 1]) for m in chart.shape]
+    length = float(potentials.envelope + max(np.max(np.abs(a)) for a in axes) + 1.0)
+    ratio, t_range = profile if use_tilde else None, (s, s + length)
     probe_index = np.stack([np.searchsorted(e, index[:, l]) for l, e in enumerate(ends)], 1)
 
-    def axis_kernel(places) -> PotentialKernel:
+    def axis_kernel(places):
         """At points whose ``p``-th holds the ``places[l][p]``-th value of
         each coordinate ``l``, the last one again on shorter lists."""
         rows = np.arange(max(map(len, places)))
-        return PotentialKernel(potentials, np.stack(
-            [chart.axis_coordinates(l)[p[np.minimum(rows, len(p) - 1)]]
-             for l, p in enumerate(places)], axis=-1), ratio, t_range)
+        return _kernel(potentials, np.stack(
+            [axes[l][p[np.minimum(rows, len(p) - 1)]] for l, p in enumerate(places)], axis=-1),
+            ratio, t_range)
 
     def solve(tables: _Tables, rows: np.ndarray, at: np.ndarray, with_residual: bool):
         """beta, psi and the residual at the nodes ``at``, whose places are
-        ``rows[at]`` in ``tables``, in batches of :func:`_batch_size`."""
-        size, parts = _batch_size(n, tables.left.shape[-1] - 1, rank), []
+        ``rows[at]`` in ``tables``, in batches of :func:`_batch_size`, and
+        ``y`` for points."""
+        size, parts = _batch_size(n, tables.left.shape[-1] - 1, len(tables.rows)), []
         for start in range(0, len(at), size):
             batch = at[start:start + size]
-            _, k_ss, psi, residual = _woodbury(
+            y, k_ss, psi, residual = _woodbury(
                 tables, rows[batch], points[batch], length, with_residual)
-            parts.append((k_ss.swapaxes(1, 2), psi, residual))  # beta_{ij} = K_{ji}(s, s)
+            # beta_{ij} = K_{ji}(s, s)
+            parts.append((k_ss.swapaxes(1, 2), psi, residual) + ((y,) if chart is None else ()))
         return [np.concatenate(p) for p in zip(*parts)]
 
     estimate = None
@@ -836,23 +766,25 @@ def extract_beta(
         # one table holds every rung's nodes; each rung is gated and solved from its columns
         rules = [_panel_quadrature(s, length, rung, DEFAULT_NODES_PER_PANEL)
                  for rung in PANEL_LADDER]
-        ladder = _factor_table(axis_kernel(ends), s, length, [nodes for nodes, _ in rules])
+        ladder = _factor_table(axis_kernel(ends), s, length, [q for q, _ in rules])
         panels, estimate = _converged_rung(lambda r: solve(
             _rule_tables(ladder, r, rules[r][1]), probe_index, probe, False)[:2])
-    nodes, weights = _panel_quadrature(s, length, panels, DEFAULT_NODES_PER_PANEL)
-    axes = axis_kernel([np.arange(m) for m in chart.shape])
-    tables = _tabulate(axes, s, length, nodes, weights)
-    beta, psi, residual = solve(tables, index, np.arange(len(points)), True)
+    q, w = _panel_quadrature(s, length, panels, DEFAULT_NODES_PER_PANEL)
+    tables = _tabulate(axis_kernel([np.arange(len(a)) for a in axes]), s, length, q, w)
+    beta, psi, residual, *y = solve(tables, index, np.arange(len(points)), True)
     # the few probes are checked at once, with the kernel's values at their points
     cond, deviation = _cond_probe(
-        PotentialKernel(potentials, points[probe], ratio, t_range), tables, index[probe],
-        points[probe], np.concatenate(([s], nodes)), weights)
+        _kernel(potentials, points[probe], ratio, t_range), tables, index[probe],
+        points[probe], np.concatenate(([s], q)), w)
+    grid, kept = (len(points),) if chart is None else chart.shape, ()
+    if chart is None:  # U y: [point, (l, m), i] read as [i, l, m, point]
+        u_y = _collocation_factors(tables, index, w)[0] @ y[0]
+        kept = (q, w), u_y.reshape(len(points), n, len(q), n).transpose(3, 1, 2, 0)
     # the node-major batches, [node, i, ...], read as [i, ..., grid ...]
     return DressedField(
-        chart, beta.transpose(1, 2, 0).reshape((n, n) + chart.shape),
-        psi.T.reshape((n,) + chart.shape),
+        chart, beta.transpose(1, 2, 0).reshape((n, n) + grid), psi.T.reshape((n,) + grid),
         float(np.max(cond)), float(np.max(deviation)), float(np.max(residual)),
-        None if estimate is None else panels, estimate,
+        None if estimate is None else panels, estimate, *kept,
     )
 
 
@@ -872,17 +804,6 @@ def _converged_rung(solve: Callable) -> tuple[int, float]:
     raise QuadratureUnresolved(change, QUADRATURE_TOL, PANEL_LADDER[-1])
 
 
-def quadrature_change(problem: DressingProblem, solution: DressingSolution) -> float:
-    """``max |beta_p - beta_p'|`` at the problem's point: ``p`` is
-    ``problem.panels`` and ``p'`` the next rung of :data:`PANEL_LADDER`
-    (``2p`` beyond the ladder) — the quadrature estimate of one solve."""
-    finer = next((rung for rung in PANEL_LADDER if rung > problem.panels), 2 * problem.panels)
-    reference = solve_marchenko(
-        replace(problem, panels=finer), kernel=solution.kernel, estimate_cond=False
-    )
-    return float(np.max(np.abs(reference.beta() - solution.beta())))
-
-
 # ---------------------------------------------------------------------------
 # tilde consistency
 
@@ -893,24 +814,33 @@ class TildeReport:
     beta_deviation: float
 
 
-def verify_tilde_consistency(problem: DressingProblem, base: DressingSolution) -> TildeReport:
-    """Solve the profile-scaled problem and confirm, against the solution
-    ``base`` of the base problem,
+def verify_tilde_consistency(
+    potentials: PotentialSet, profile: ReductionProfile, points: np.ndarray, base: DressedField
+) -> TildeReport:
+    """Dress the profile-scaled kernel at ``points`` on the rule of ``base``,
+    the points call of :func:`extract_beta` on the base kernel there (two
+    searches may settle on different rungs), and confirm
 
     * ``K~_{ij}(s, q) = (r_j(q)/r_i(s)) K_{ij}(s, q)`` at the nodes, and
     * ``beta~_{ij} = (r_i(s)/r_j(s)) beta_{ij}`` on the diagonal,
 
-    where ``r_l(t) = sqrt|f^l(u^l - t)|``.
+    where ``r_l(t) = sqrt|f^l(u^l - t)|``.  The scaled solve is gated, and
+    its factors and ``cond`` checked at every point, as any other dress.
     """
-    tilde = solve_marchenko(problem, kernel=problem.tilde_kernel(), estimate_cond=False)
+    if base.rule is None:
+        raise ValueError("the base must be a points call of extract_beta, not a chart's")
+    q, _ = base.rule
+    points = np.asarray(points, dtype=float)
+    tilde = extract_beta(potentials, points, profile,
+                         panels=len(q) // DEFAULT_NODES_PER_PANEL, use_tilde=True)
 
     def roots(t):
-        """``[l, ...] = r_l(t)``."""
-        return np.stack([problem.profile.root(l, u - t) for l, u in enumerate(problem.u)])
+        """``[l, ..., b] = r_l(t)`` at point ``b``."""
+        return np.stack([profile.root(l, u - t[..., None]) for l, u in enumerate(points.T)])
 
-    r_q, r_s = roots(base.nodes), roots(np.array(problem.s))
-    scaled = r_q[None, :, :] / r_s[:, None, None] * base.k_nodes
+    r_q, r_s = roots(q), roots(np.array(0.0))
+    scaled = r_q[None] / r_s[:, None, None] * base.k_nodes
     kernel_dev = float(np.max(np.abs(tilde.k_nodes - scaled)))
-    expected = (r_s[:, None] / r_s[None, :]) * base.beta()
-    beta_dev = float(np.max(np.abs(tilde.beta() - expected)))
+    expected = (r_s[:, None] / r_s[None, :]) * base.beta_values
+    beta_dev = float(np.max(np.abs(tilde.beta_values - expected)))
     return TildeReport(kernel_dev, beta_dev)

@@ -38,6 +38,16 @@ def record_results(monkeypatch, made, names, *modules):
             monkeypatch.setattr(module, name, recorded)
 
 
+def k_at(kernel, k_nodes, rule, sp) -> np.ndarray:
+    """The reference Nyström interpolation: ``K_{ij}(0, sp)`` from
+    ``k_nodes[i, l, m] = K_il(0, q_m)`` on the rule ``(q, w)``."""
+    n, (q, w) = kernel.n, rule
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    f_s = np.reshape([kernel.eval(i, j, 0.0, sp) for i, j in pairs], (n, n))
+    f_q = np.reshape([kernel.eval(i, j, q, sp) for i, j in pairs], (n, n, -1))
+    return f_s + np.einsum("ilm,m,ljm->ij", k_nodes, w, f_q)
+
+
 def planes_of(full):
     """The planes ``full[:, :, k, l]``, ``k < l``, of an n^4 curvature tensor,
     once its ``k > l`` slices are found to be their exact negations and its

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import flatpencil
+from conftest import k_at
 from flatpencil.grid_calculus import GridChart
 from flatpencil import catalog
 from flatpencil import geometry_core as geo
@@ -177,25 +178,21 @@ def test_criterion_05_torsion_test():
 
 
 def test_criterion_06_dressing_solver():
-    zero = zd.solve_marchenko(
-        zd.DressingProblem(zd.gaussian_set(2, amplitude=0.0),
-                           u=(0.1, -0.2)))
+    u2 = np.array([[0.1, -0.2]])
+    zero = zd.extract_beta(zd.gaussian_set(2, amplitude=0.0), u2)
     rows = [("zero_kernel_exact", float(np.max(np.abs(zero.k_nodes))),
              "<=", 0.0)]
 
+    # the envelope truncates at L = 10 from u = 0
     kernel, exact = catalog.rank1_case()
-    prob = zd.DressingProblem(zd.PotentialSet(1, {}, {}, envelope=6.0),
-                              u=(0.0,), length=10.0, panels=16,
-                              nodes_per_panel=6)
-    sol = zd.solve_marchenko(prob, kernel=kernel)
-    r1 = max(abs(sol.k_at(sp)[0, 0] - exact(0.0, sp))
+    sol = zd.extract_beta(kernel, np.zeros((1, 1)), panels=16)
+    r1 = max(abs(k_at(kernel, sol.k_nodes[..., 0], sol.rule, sp)[0, 0] - exact(0.0, sp))
              for sp in (0.2, 0.9, 1.7, 2.6))
     rows.append(("rank_one_resolvent", r1, "<=", 1e-9))
 
-    prob = zd.DressingProblem(zd.gaussian_set(2, amplitude=0.005),
-                              u=(0.1, -0.2), panels=24, nodes_per_panel=6)
-    soln = zd.solve_marchenko(prob)
-    F, s = soln.kernel, soln.s
+    pots = zd.gaussian_set(2, amplitude=0.005)
+    soln = zd.extract_beta(pots, u2, panels=24)
+    F, s = zd.PotentialKernel(pots, u2[0]), 0.0
     x, w = np.polynomial.legendre.leggauss(120)
     edges = np.linspace(s, s + 12.0, 13)
     qs = np.concatenate([0.5 * (b - a) * x + 0.5 * (a + b)
@@ -204,7 +201,7 @@ def test_criterion_06_dressing_solver():
                          for a, b in zip(edges[:-1], edges[1:])])
     neumann = 0.0
     for sp in (0.3, 1.0, 2.2):
-        K = soln.k_at(sp)
+        K = k_at(F, soln.k_nodes[..., 0], soln.rule, sp)
         for i in range(2):
             for j in range(2):
                 series = float(F.eval(i, j, s, sp)) + sum(
@@ -214,13 +211,20 @@ def test_criterion_06_dressing_solver():
                 neumann = max(neumann, abs(K[i, j] - series))
     rows.append(("two_term_series", neumann, "<=", 1e-8))
 
+    # 2-node panels, which converge slowly enough to show the h^4 rate
     pots = catalog.dressing_gaussian_set()
-    u3 = (0.1, -0.2, 0.25)
+    u3 = np.array([[0.1, -0.2, 0.25]])
+    kernel, length = zd.PotentialKernel(pots, u3[0]), pots.envelope + 0.25 + 1.0
     probs = {}
     for panels in (16, 32, 64):
-        p = zd.DressingProblem(pots, u=u3, panels=panels, nodes_per_panel=2)
-        s_ = zd.solve_marchenko(p, estimate_cond=False)
-        probs[panels] = np.stack([s_.k_at(sp) for sp in (0.4, 1.1, 2.3)])
+        nodes, weights = zd._panel_quadrature(0.0, length, panels, 2)
+        tables = zd._tabulate(kernel, 0.0, length, nodes, weights)
+        idx = np.zeros((1, 3), dtype=int)
+        y = zd._woodbury(tables, idx, u3, length)[0]
+        u_y = zd._collocation_factors(tables, idx, weights)[0][0] @ y[0]
+        k_nodes = u_y.reshape(3, len(nodes), 3).transpose(2, 0, 1)
+        probs[panels] = np.stack([k_at(kernel, k_nodes, (nodes, weights), sp)
+                                  for sp in (0.4, 1.1, 2.3)])
     d1 = np.max(np.abs(probs[16] - probs[32]))
     d2 = np.max(np.abs(probs[32] - probs[64]))
     ratio = d1 / d2

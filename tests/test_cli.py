@@ -51,6 +51,15 @@ DRESS = {
     "profile": {"expressions": ["2 + 0.2*t", "3 - 0.1*t"]},
 }
 
+
+
+def _no_dress_field(name: str) -> str:
+    """The refusal of a field the ``dress`` kind does not take: its rule is
+    sized by the quadrature ladder, at ``s = 0``."""
+    return (f"scenario kind 'dress' has no field {name!r}; it takes potentials, point, profile, "
+            "tolerance, seed, out, dump_csv")
+
+
 DUBROVIN = {
     "kind": "dubrovin",
     "chart": {"lower": [1.0, 1.0], "upper": [2.0, 2.0], "points": [17, 17]},
@@ -336,10 +345,10 @@ def test_malformed_json(tmp_path, capsys):
      "a must be a number, got [0.3]"),
     (dict(TWO_COMPONENT_INTEGRATE, potential={"kind": "linear", "b": True}),
      "b must be a number, got True"),
-    (dict(DRESS, s=[0]), "s must be a number, got [0]"),
-    (dict(DRESS, length=[3]), "length must be a number, got [3]"),
-    (dict(DRESS, panels=[16]), "panels must be an integer, got [16]"),
-    (dict(DRESS, nodes_per_panel="6"), "nodes_per_panel must be an integer, got '6'"),
+    (dict(DRESS, s=[0]), _no_dress_field("s")),
+    (dict(DRESS, length=[3]), _no_dress_field("length")),
+    (dict(DRESS, panels=[16]), _no_dress_field("panels")),
+    (dict(DRESS, nodes_per_panel="6"), _no_dress_field("nodes_per_panel")),
     (dict(DRESS, potentials={**DRESS["potentials"], "amplitude": [0.4]}),
      "amplitude must be a number, got [0.4]"),
     (dict(DRESS, potentials={**DRESS["potentials"], "width": [1]}),
@@ -375,8 +384,8 @@ def test_wrong_typed_fields_are_schema_errors(tmp_path, capsys, scenario, messag
      "eps must be a list of integers, got [1.7, 1]"),
     (dict(DRESS, potentials={**DRESS["potentials"], "components": 2.7}),
      "components must be an integer, got 2.7"),
-    (dict(DRESS, panels=16.5), "panels must be an integer, got 16.5"),
-    (dict(DRESS, nodes_per_panel=6.5), "nodes_per_panel must be an integer, got 6.5"),
+    (dict(DRESS, panels=16.5), _no_dress_field("panels")),
+    (dict(DRESS, nodes_per_panel=6.5), _no_dress_field("nodes_per_panel")),
     (dict(DRESS, potentials={**DRESS["potentials"], "include_diagonal": "false"}),
      "include_diagonal must be true or false, got 'false'"),
 ], ids=["points", "eps", "components", "panels", "nodes_per_panel", "include_diagonal"])
@@ -453,9 +462,13 @@ OTHER_CHART = {"lower": [0.5, 0.5], "upper": [1.5, 1.5], "points": [9, 9]}
     (dict(FLAT_EUCLID, order=4),
      "scenario kind 'check-flat' has no field 'order'; it takes chart, metric, tolerance, seed, "
      "out, dump_csv"),
+    # each passed on a rule that resolved nothing: one panel, or s where the kernel has decayed
+    (dict(DRESS, panels=1), _no_dress_field("panels")),
+    (dict(DRESS, s=50), _no_dress_field("s")),
 ], ids=["metric", "profile", "b_and_integrate", "potential", "check_flat_chart", "lame_chart",
         "reduce_chart", "catalog_chart", "pencil_catalog_metric", "no_b", "b1_alone",
-        "nijenhuis_lambda_samples", "diagonal_form_lambda_samples", "order"])
+        "nijenhuis_lambda_samples", "diagonal_form_lambda_samples", "order", "dress_panels",
+        "dress_s"])
 def test_conflicting_and_undeclared_fields_are_schema_errors(tmp_path, capsys, no_sampling,
                                                              scenario, message):
     """Of two fields that exclude each other neither silently wins, and a
@@ -610,18 +623,15 @@ def test_reports_are_byte_identical(tmp_path, capsys):
 
 
 def test_dress_reports_its_quadrature_error(tmp_path, capsys):
-    """The change of beta from 16 panels, the default, to the next rung, 20."""
+    """The ladder's: the rung it chose, and the change of beta and psi from
+    that rung to the next."""
     _, report, _ = run(tmp_path, DRESS, capsys=capsys)
     pots = zd.gaussian_set(2, amplitude=0.4, include_diagonal=True)
-    beta = {
-        panels: zd.solve_marchenko(zd.DressingProblem(pots, (0.1, -0.1), panels=panels)).beta()
-        for panels in (16, 20)
-    }
-    error = report["metadata"]["quadrature_error"]
-    assert error == float(np.max(np.abs(beta[20] - beta[16])))
-    assert error <= zd.QUADRATURE_TOL
-    _, coarse, _ = run(tmp_path, dict(DRESS, panels=4), capsys=capsys)
-    assert coarse["metadata"]["quadrature_error"] > zd.QUADRATURE_TOL
+    field = zd.extract_beta(pots, np.array([[0.1, -0.1]]))
+    meta = report["metadata"]
+    assert (meta["panels"], meta["quadrature_error"]) == (field.panels, field.quadrature_error)
+    assert meta["quadrature_error"] <= zd.QUADRATURE_TOL
+    assert meta["conditioning"] == field.cond_probe
 
 
 def test_seventeen_digit_floats(tmp_path, capsys):
@@ -675,10 +685,10 @@ def _gaussians(**fields):
     (dict(DRESS, seed=-5), (), None, "seed must be at least 0, got -5"),
     (DRESS, ("--seed", "-5"), None, "seed must be at least 0, got -5"),
     (DRESS, (), "-5", "seed must be at least 0, got -5"),
-    (dict(DRESS, panels=0), (), None, "panels must be at least 1, got 0"),
-    (dict(DRESS, nodes_per_panel=1), (), None, "nodes_per_panel must be at least 2, got 1"),
-    (dict(DRESS, length=0), (), None, "length must be positive, got 0"),
-    (dict(DRESS, length=-2.0), (), None, "length must be positive, got -2.0"),
+    (dict(DRESS, panels=0), (), None, _no_dress_field("panels")),
+    (dict(DRESS, nodes_per_panel=1), (), None, _no_dress_field("nodes_per_panel")),
+    (dict(DRESS, length=0), (), None, _no_dress_field("length")),
+    (dict(DRESS, length=-2.0), (), None, _no_dress_field("length")),
 ], ids=["components", "no_components", "width", "negative_width", "seed", "seed_flag",
         "seed_env", "panels", "nodes_per_panel", "length", "negative_length"])
 def test_out_of_range_numbers_are_schema_errors(tmp_path, capsys, monkeypatch, scenario, args,
@@ -793,13 +803,16 @@ def test_version(capsys):
 
 
 def test_dress_solves_its_base_problem_once(monkeypatch):
-    """The base problem, its finer rung for quadrature_error, and the scaled
-    problem: the tilde check reuses the base solution."""
-    calls = Counter()
-    count_calls(monkeypatch, calls, ("solve_marchenko",), zd)
-    report, _ = cli.run_scenario(DRESS, {"tolerance": 1e-6, "seed": 0})
-    assert report["verdict"] == "pass"
-    assert calls["solve_marchenko"] == 3
+    """One points call for the base kernel, and one for the scaled kernel
+    with a profile: the tilde check reuses the base solution."""
+    unscaled = {key: value for key, value in DRESS.items() if key != "profile"}
+    for scenario, solves in ((DRESS, 2), (unscaled, 1)):
+        calls = Counter()
+        with monkeypatch.context() as patch:
+            count_calls(patch, calls, ("extract_beta",), zd)
+            report, _ = cli.run_scenario(scenario, {"tolerance": 1e-6, "seed": 0})
+        assert report["verdict"] == "pass"
+        assert calls["extract_beta"] == solves
 
 
 def test_seed_is_echoed(tmp_path, capsys):

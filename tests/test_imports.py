@@ -245,6 +245,26 @@ def test_one_nystrom_solve():
     assert _package_callers("solve", "linalg") == {"zakharov_dressing.py": ["_woodbury"]}
 
 
+def _top_level_callers(name: str) -> dict[str, set[str]]:
+    """The top-level ``def`` (or class) around every call of ``name`` in the
+    package, nested functions counting as their outer one."""
+    callers = {}
+    for path in MODULES:
+        for node in ast.parse(path.read_text()).body:
+            if any(isinstance(call, ast.Call)
+                   and getattr(call.func, "id", getattr(call.func, "attr", None)) == name
+                   for call in ast.walk(node)):
+                callers.setdefault(path.name, set()).add(getattr(node, "name", "<module>"))
+    return callers
+
+
+@pytest.mark.parametrize("name", ["_woodbury", "_panel_quadrature", "_cond_probe"])
+def test_one_dressing_path(name):
+    """``extract_beta`` is the one way to dress: nothing else in the package
+    builds a rule, solves the r x r core or reads ``cond``."""
+    assert _top_level_callers(name) == {"zakharov_dressing.py": {"extract_beta"}}
+
+
 def _lapack_inverse_calls(tree: ast.Module) -> list[str]:
     """``line N: linalg.inv`` (or ``.det``) for every such call."""
     return [

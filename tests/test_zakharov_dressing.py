@@ -16,8 +16,11 @@ from flatpencil.grid_calculus import GridChart
 from flatpencil import lame_system as ls
 from flatpencil import two_component as tc
 from flatpencil import zakharov_dressing as zd
+from conftest import k_at
 
 U2 = (0.1, -0.2)
+#: U2 as the one point of a points call
+AT_U2 = np.array([U2])
 PROBES = np.array([[0.2, 0.9], [-0.4, 0.3], [0.1, 1.4], [0.5, 2.0]])
 
 
@@ -30,30 +33,38 @@ def _const_f(value):
 
 
 def test_zero_kernel_has_zero_solution():
-    prob = zd.DressingProblem(zd.gaussian_set(2, amplitude=0.0), u=U2)
-    sol = zd.solve_marchenko(prob)
+    sol = zd.extract_beta(zd.gaussian_set(2, amplitude=0.0), AT_U2)
     assert np.max(np.abs(sol.k_nodes)) == 0.0
-    assert np.max(np.abs(sol.beta())) == 0.0
+    assert np.max(np.abs(sol.beta_values)) == 0.0
+
+
+@pytest.mark.parametrize("points", [U2, [[0.1, -0.2, 0.3]]], ids=["one-axis", "three-coordinates"])
+def test_points_must_be_a_b_by_n_array(points):
+    with pytest.raises(ValueError, match=r"points must be a \(B, n\) array for n components"):
+        zd.extract_beta(zd.gaussian_set(2), np.array(points))
+
+
+@pytest.mark.parametrize("panels", [0, -1])
+def test_a_rule_needs_a_panel(panels):
+    with pytest.raises(ValueError, match=f"need at least one panel, got {panels}"):
+        zd.extract_beta(zd.gaussian_set(2), GridChart((-0.1, -0.1), (0.1, 0.1), (3, 3)),
+                        panels=panels)
 
 
 def test_rank_one_kernel_matches_resolvent():
     from flatpencil.catalog import rank1_case
     kernel, exact = rank1_case()
-    prob = zd.DressingProblem(zd.PotentialSet(1, {}, {}, envelope=6.0),
-                              u=(0.0,), length=10.0, panels=16,
-                              nodes_per_panel=6)
-    sol = zd.solve_marchenko(prob, kernel=kernel)
+    sol = zd.extract_beta(kernel, np.zeros((1, 1)), panels=16)
     for sp in (0.2, 0.9, 1.7, 2.6):
-        assert abs(sol.k_at(sp)[0, 0] - exact(0.0, sp)) <= 1e-12
+        assert abs(k_at(kernel, sol.k_nodes[..., 0], sol.rule, sp)[0, 0] - exact(0.0, sp)) <= 1e-12
 
 
 def test_small_kernel_matches_two_term_expansion():
     """For a small-norm kernel the solution agrees with the truncated series
     K = F + F*F up to a cubic remainder."""
-    prob = zd.DressingProblem(zd.gaussian_set(2, amplitude=0.005), u=U2,
-                              panels=24, nodes_per_panel=6)
-    sol = zd.solve_marchenko(prob)
-    F, s = sol.kernel, sol.s
+    pots = zd.gaussian_set(2, amplitude=0.005)
+    sol = zd.extract_beta(pots, AT_U2, panels=24)
+    F, s = zd.PotentialKernel(pots, U2), 0.0
     x, w = np.polynomial.legendre.leggauss(120)
     qs, ws = [], []
     edges = np.linspace(s, s + 12.0, 13)
@@ -63,7 +74,7 @@ def test_small_kernel_matches_two_term_expansion():
     qs, ws = np.concatenate(qs), np.concatenate(ws)
     worst = 0.0
     for sp in (0.3, 1.0, 2.2):
-        K = sol.k_at(sp)
+        K = k_at(F, sol.k_nodes[..., 0], sol.rule, sp)
         for i in range(2):
             for j in range(2):
                 series = float(F.eval(i, j, s, sp)) + sum(
@@ -75,23 +86,19 @@ def test_small_kernel_matches_two_term_expansion():
 
 
 def test_collocation_residual_and_conditioning():
-    prob = zd.DressingProblem(zd.gaussian_set(3, amplitude=0.4,
-                                              include_diagonal=True),
-                              u=(0.1, -0.2, 0.25))
-    sol = zd.solve_marchenko(prob)
-    assert sol.residual <= 1e-10
-    assert sol.cond is not None and sol.cond < 1e3
+    sol = zd.extract_beta(zd.gaussian_set(3, amplitude=0.4, include_diagonal=True),
+                          np.array([[0.1, -0.2, 0.25]]))
+    assert sol.max_residual <= 1e-10
+    assert 1.0 < sol.cond_probe < 1e3
 
 
 def test_solution_is_grid_independent():
     """Collocation on refined panels moves point values at the quadrature
     convergence rate, far below the kernel scale."""
-    vals = []
+    vals, pots = [], zd.gaussian_set(2, amplitude=0.4)
     for panels in (16, 32):
-        prob = zd.DressingProblem(zd.gaussian_set(2, amplitude=0.4), u=U2,
-                                  panels=panels, nodes_per_panel=6)
-        sol = zd.solve_marchenko(prob)
-        vals.append(sol.k_at(0.7))
+        sol = zd.extract_beta(pots, AT_U2, panels=panels)
+        vals.append(k_at(zd.PotentialKernel(pots, U2), sol.k_nodes[..., 0], sol.rule, 0.7))
     assert np.max(np.abs(vals[0] - vals[1])) <= 1e-10
 
 
@@ -104,9 +111,12 @@ def test_nonskew_diagonal_entry_is_rejected():
 
 @pytest.mark.parametrize("envelope", [0.0, -1.0, math.inf, math.nan])
 def test_an_envelope_must_be_positive_and_finite(envelope):
-    """The probe points are drawn across the envelope, which must bound a range."""
+    """The probe points are drawn across the envelope, which must bound a range,
+    as must a raw kernel's truncation length."""
     with pytest.raises(ValueError, match="envelope must be a positive finite number"):
         zd.PotentialSet(1, {}, {}, envelope=envelope)
+    with pytest.raises(ValueError, match="envelope must be a positive finite number"):
+        zd.RawKernel(1, [], envelope)
 
 
 def test_an_amplitude_without_a_finite_envelope_is_refused():
@@ -127,25 +137,29 @@ def test_nan_diagonal_entry_fails_the_skew_probe():
     assert x > 0 or y > 0
 
 
+def _enveloped(pots, envelope):
+    """``pots`` with its decay envelope declared as ``envelope``."""
+    return zd.PotentialSet(pots.n, pots.off_diagonal, pots.diagonal, envelope)
+
+
 def test_declared_truncation_is_probed():
-    prob = zd.DressingProblem(zd.gaussian_set(2, amplitude=0.4), u=U2,
-                              length=2.0)
-    with pytest.raises(TruncationInsufficient):
-        zd.solve_marchenko(prob)
+    """An envelope of 0.8 truncates at U2 at length 2, where the kernel has not decayed."""
+    with pytest.raises(TruncationInsufficient) as err:
+        zd.extract_beta(_enveloped(zd.gaussian_set(2, amplitude=0.4), 0.8), AT_U2)
+    assert "beyond length 2 " in str(err.value)
 
 
 def test_conditioning_cap_is_enforced(monkeypatch):
     """The cap is read at call time, so lowering it makes any solve fail."""
     monkeypatch.setattr(zd, "COND_CAP", 1.0)
-    prob = zd.DressingProblem(zd.gaussian_set(2, amplitude=0.4), u=U2)
     with pytest.raises(IllConditioned):
-        zd.solve_marchenko(prob)
+        zd.extract_beta(zd.gaussian_set(2, amplitude=0.4), AT_U2)
 
 
 def test_translation_identity_of_displaced_kernels():
     pots = zd.PotentialSet(2, {(0, 1): zd.gaussian_pair(0.25, 1.3)}, {},
                            envelope=8.0)
-    kernel = zd.DressingProblem(pots, u=(0.05, -0.3)).base_kernel()
+    kernel = zd.PotentialKernel(pots, (0.05, -0.3))
     val = zd.reduction_identity_residual(kernel, seed=3)
     assert val <= 1e-8
     # seeded probe points are reproducible
@@ -196,42 +210,49 @@ LINEAR_PROFILE = ls.ReductionProfile((lambda t: 2.0 + 0.2 * t, lambda t: 3.0 - 0
 
 
 def test_scaled_kernel_consistency_for_linear_profile():
-    prob = zd.DressingProblem(zd.gaussian_set(2, amplitude=0.4), u=U2,
-                              profile=LINEAR_PROFILE)
-    rep = zd.verify_tilde_consistency(prob, zd.solve_marchenko(prob))
-    assert rep.kernel_deviation <= 1e-12
-    assert rep.beta_deviation <= 1e-12
+    """The scaled kernel is solved on the base call's rule, whether the
+    ladder chose it or the caller fixed it: two searches may settle on
+    different rungs."""
+    pots = zd.gaussian_set(2, amplitude=0.4)
+    for panels in (None, 24):
+        base = zd.extract_beta(pots, AT_U2, panels=panels)
+        rep = zd.verify_tilde_consistency(pots, LINEAR_PROFILE, AT_U2, base)
+        assert rep.kernel_deviation <= 1e-12
+        assert rep.beta_deviation <= 1e-12
 
 
 class _SwappedRatioKernel:
-    """The scaled kernel with its ratio the wrong way round,
+    """The scaled kernel at ``points`` with its ratio the wrong way round,
     ``r_i(s') / r_j(s)`` for ``r_l(t) = sqrt|f^l(u^l - t)|``."""
 
-    def __init__(self, problem):
-        self.base, self.n = problem.base_kernel(), problem.potentials.n
-        self.u, self.funcs = problem.u, problem.profile.funcs
-
-    def _root(self, l, t):
-        return np.sqrt(np.abs(self.funcs[l](self.u[l] - np.asarray(t, dtype=float))))
+    def __init__(self, potentials, points, profile):
+        self.base, self.n = zd.PotentialKernel(potentials, points), potentials.n
+        self.u, self.profile = np.asarray(points, dtype=float), profile
 
     def eval(self, i, j, s, sp):
-        return self.base.eval(i, j, s, sp) * self._root(i, sp) / self._root(j, s)
+        s, sp = np.asarray(s, dtype=float), np.asarray(sp, dtype=float)
+        u = self.u.T.reshape((self.n, -1) + (1,) * max(s.ndim, sp.ndim))  # [l, point, ...]
+        return (self.base.eval(i, j, s, sp) * self.profile.root(i, u[i] - sp)
+                / self.profile.root(j, u[j] - s))
 
     def factors(self, t):
         rows, cols, left, right = self.base.factors(t)
-        roots = np.array([np.broadcast_to(self._root(l, t), np.shape(t)) for l in range(self.n)])
-        return rows, cols, left / roots[cols], right * roots[rows]
+        roots = np.stack([self.profile.root(l, self.u[:, l, None] - t) for l in range(self.n)], 1)
+        return rows, cols, left / roots[:, cols], right * roots[:, rows]
 
 
 def test_tilde_rows_catch_a_swapped_ratio(monkeypatch):
     """Equal constants make every ratio 1, so a wrongly scaled kernel shows
     only under an unequal profile, such as the catalog row's."""
     from flatpencil import catalog
-    monkeypatch.setattr(zd.DressingProblem, "tilde_kernel",
-                        lambda self: _SwappedRatioKernel(self))
-    prob = zd.DressingProblem(zd.gaussian_set(2, amplitude=0.4), u=(0.1, -0.1),
-                              profile=ls.constant_profile((2.0, 2.0)))
-    rep = zd.verify_tilde_consistency(prob, zd.solve_marchenko(prob))
+    kernel = zd._kernel
+    monkeypatch.setattr(zd, "_kernel", lambda pots, points, ratio, t_range: (
+        kernel(pots, points, ratio, t_range) if ratio is None
+        else _SwappedRatioKernel(pots, points, ratio)))
+    pots = zd.gaussian_set(2, amplitude=0.4)
+    point = np.array([[0.1, -0.1]])
+    rep = zd.verify_tilde_consistency(pots, ls.constant_profile((2.0, 2.0)), point,
+                                      zd.extract_beta(pots, point))
     assert max(rep.kernel_deviation, rep.beta_deviation) <= 1e-8
     rows = {row.name: row for row in catalog.run_entry("dressing-reduced")}
     assert rows["tilde_kernel"].residual > 1e-3 and not rows["tilde_kernel"].passed
@@ -240,10 +261,23 @@ def test_tilde_rows_catch_a_swapped_ratio(monkeypatch):
 
 def test_scaled_kernel_requires_signed_profile():
     crossing = zd.ReductionProfile((lambda t: t, lambda t: t))
-    prob = zd.DressingProblem(zd.gaussian_set(2, amplitude=0.3), u=U2,
-                              profile=crossing)
+    pots = zd.gaussian_set(2, amplitude=0.3)
     with pytest.raises(SignChange):
-        zd.verify_tilde_consistency(prob, zd.solve_marchenko(prob))
+        zd.verify_tilde_consistency(pots, crossing, AT_U2, zd.extract_beta(pots, AT_U2))
+
+
+def test_tilde_consistency_needs_a_points_base():
+    """A chart call keeps no rule or ``k_nodes`` to compare with."""
+    pots = zd.gaussian_set(2, amplitude=0.3)
+    chart = GridChart((0.0, -0.3), (0.2, -0.1), (3, 3))
+    with pytest.raises(ValueError, match="points call"):
+        zd.verify_tilde_consistency(pots, LINEAR_PROFILE, AT_U2, zd.extract_beta(pots, chart))
+
+
+def test_a_points_call_has_no_frame():
+    """Its grid is ``(B,)``, not a chart's, so there is nothing to frame."""
+    with pytest.raises(ValueError, match="no chart"):
+        zd.extract_beta(zd.gaussian_set(2, amplitude=0.3), AT_U2).frame()
 
 
 def test_dressing_gate_holds_each_point_to_its_own_range():
@@ -298,10 +332,8 @@ def test_extracted_frame_satisfies_lame_system():
 
 
 def test_dressed_seeds_are_positive():
-    prob = zd.DressingProblem(zd.gaussian_set(2, amplitude=0.4), u=U2)
-    sol = zd.solve_marchenko(prob)
-    psi = sol.psi()
-    assert psi.shape == (2,)
+    psi = zd.extract_beta(zd.gaussian_set(2, amplitude=0.4), AT_U2).psi_values
+    assert psi.shape == (2, 1)
     assert np.all(psi > 0)
 
 
@@ -310,21 +342,13 @@ def test_dressed_seeds_are_positive():
 
 
 def _pointwise(pots, chart, panels, profile=None, use_tilde=False):
-    """Per-node ``solve_marchenko`` with the window's truncation length and
-    panel count."""
-    reach = max(max(abs(lo), abs(hi)) for lo, hi in zip(chart.lower, chart.upper))
-    length = pots.envelope + reach + 1.0
-    beta = np.empty((pots.n, pots.n) + chart.shape)
-    psi = np.empty((pots.n,) + chart.shape)
-    residuals = []
-    for idx in np.ndindex(chart.shape):
-        u = chart.node(idx)
-        prob = zd.DressingProblem(pots, u, profile=profile, length=length, panels=panels)
-        kernel = prob.tilde_kernel() if use_tilde else prob.base_kernel()
-        sol = zd.solve_marchenko(prob, kernel=kernel, estimate_cond=False)
-        beta[(..., *idx)], psi[(..., *idx)] = sol.beta(), sol.psi()
-        residuals.append(sol.residual)
-    return beta, psi, max(residuals)
+    """A points call at every node of ``chart`` on the window's rule: each
+    node is its own row of the tables, and the nodes' coordinates give the
+    window's truncation length."""
+    nodes = np.stack(chart.meshgrid(), axis=-1).reshape(-1, chart.dim)
+    field = zd.extract_beta(pots, nodes, profile, panels, use_tilde)
+    return (field.beta_values.reshape((pots.n, pots.n) + chart.shape),
+            field.psi_values.reshape((pots.n,) + chart.shape), field.max_residual)
 
 
 def _gaussian2():
@@ -420,12 +444,17 @@ def test_ladder_tabulates_only_the_probes_places(monkeypatch):
     assert searched.cond_probe == fixed.cond_probe
 
 
-def _probe_nodes(chart) -> np.ndarray:
-    """The corner and centre nodes of ``chart``, in C order."""
+def _probe_indices(chart) -> list:
+    """The indices of the corner and centre nodes of ``chart``, in C order."""
     probe = np.zeros(chart.shape, dtype=bool)
     probe[np.ix_(*[[0, m - 1] for m in chart.shape])] = True
     probe[tuple(m // 2 for m in chart.shape)] = True
-    return np.array([chart.node(idx) for idx in zip(*np.nonzero(probe))])
+    return list(zip(*np.nonzero(probe)))
+
+
+def _probe_nodes(chart) -> np.ndarray:
+    """The corner and centre nodes of ``chart``, in C order."""
+    return np.array([chart.node(idx) for idx in _probe_indices(chart)])
 
 
 def _climb(pots, chart, profile=None, use_tilde=False):
@@ -540,25 +569,45 @@ PROFILE_FUNCS = (lambda t: 2.0 + 0.1 * t, lambda t: 3.0 - 0.1 * t, lambda t: 2.5
 def test_woodbury_cond_is_the_dense_matrix_cond(n, amplitude, diagonal, tilde, u):
     """``cond`` of ``I - U V^T`` from its 2r x 2r block equals the condition
     number of the dense collocation matrix."""
-    prob = zd.DressingProblem(zd.gaussian_set(n, amplitude, include_diagonal=diagonal), u=u[:n],
-                              profile=ls.ReductionProfile(PROFILE_FUNCS[:n]), panels=4)
-    kernel = prob.tilde_kernel() if tilde else prob.base_kernel()
-    dense = _dense(kernel, prob).cond
-    assert zd.solve_marchenko(prob, kernel=kernel).cond == pytest.approx(dense, rel=1e-12)
+    pots = zd.gaussian_set(n, amplitude, include_diagonal=diagonal)
+    profile = ls.ReductionProfile(PROFILE_FUNCS[:n])
+    field = zd.extract_beta(pots, np.array([u[:n]]), profile, panels=4, use_tilde=tilde)
+    length = pots.envelope + max(abs(v) for v in u[:n]) + 1.0
+    kernel = zd.PotentialKernel(pots, u[:n], profile if tilde else None, (0.0, length))
+    assert field.cond_probe == pytest.approx(_dense(kernel, length, 4).cond, rel=1e-12)
 
 
-def test_window_conditioning_is_worst_of_corners_and_centre():
-    pots, chart = _gaussian2(), GridChart((-0.3, -0.3), (0.3, 0.3), (5, 5))
-    field = zd.extract_beta(pots, chart)
-    length = pots.envelope + 0.3 + 1.0
-    conds = {
-        idx: zd.solve_marchenko(
-            zd.DressingProblem(pots, chart.node(idx), length=length, panels=field.panels)
-        ).cond
-        for idx in [(0, 0), (0, 4), (4, 0), (4, 4), (2, 2)]
-    }
-    assert field.cond_probe == max(conds.values())
-    assert len(set(conds.values())) > 1
+def _recorded_conds(monkeypatch) -> list:
+    """The per-probe ``cond`` of each later ``_cond_probe`` call."""
+    probe, conds = zd._cond_probe, []
+    monkeypatch.setattr(zd, "_cond_probe", lambda *args: (
+        lambda out: conds.append(out[0]) or out)(probe(*args)))
+    return conds
+
+
+def test_window_conditioning_is_worst_of_corners_and_centre(monkeypatch):
+    conds = _recorded_conds(monkeypatch)
+    field = zd.extract_beta(_gaussian2(), GridChart((-0.3, -0.3), (0.3, 0.3), (5, 5)))
+    [probes] = conds
+    assert len(probes) == 5 and field.cond_probe == max(probes)
+    assert len(set(probes)) > 1
+
+
+@pytest.mark.parametrize("name", ["2c-9x5", "3c-3x3x3", "2c-tilde"])
+def test_points_at_corners_and_centre_are_the_chart(monkeypatch, name):
+    """One path: a points call at a chart's corners and centre shares its
+    truncation length, climbs to the same rung and gives its beta, psi and
+    cond at those nodes, bit for bit."""
+    make, chart, options = WINDOWS[name]
+    pots, probes = make(), _probe_nodes(chart)
+    conds = _recorded_conds(monkeypatch)
+    window, points = (zd.extract_beta(pots, nodes, **options) for nodes in (chart, probes))
+    assert (points.panels, points.quadrature_error) == (window.panels, window.quadrature_error)
+    idx = tuple(np.array(_probe_indices(chart)).T)
+    npt.assert_array_equal(points.beta_values, window.beta_values[(..., *idx)])
+    npt.assert_array_equal(points.psi_values, window.psi_values[(..., *idx)])
+    npt.assert_array_equal(conds[1], conds[0])
+    assert points.cond_probe == window.cond_probe
 
 
 # beta and psi of the 2x2 window below with the fixed 16 x 6 rule, to rounding:
@@ -620,16 +669,20 @@ def test_raw_kernel_solve_matches_closed_forms():
     """A kernel without a batch axis is solved as a batch of one."""
     from flatpencil.catalog import rank1_case
     kernel, exact = rank1_case()
-    prob = zd.DressingProblem(zd.PotentialSet(1, {}, {}, envelope=6.0), u=(0.0,),
-                              length=10.0)
-    sol = zd.solve_marchenko(prob, kernel=kernel, estimate_cond=False)
-    assert sol.cond is None and sol.k_nodes.shape == (1, 1, len(sol.nodes))
-    assert sol.residual <= 1e-15
-    assert abs(sol.beta()[0, 0] - exact(0.0, 0.0)) <= 1e-12
+    sol = zd.extract_beta(kernel, np.zeros((1, 1)), panels=16)
+    assert sol.k_nodes.shape == (1, 1, len(sol.rule[0]), 1)
+    assert sol.max_residual <= 1e-15
+    assert abs(sol.beta_values[0, 0, 0] - exact(0.0, 0.0)) <= 1e-12
     # psi = 1 + a(0) / (1 - overlap) * int_0^inf b
     b_mass = 0.5 * np.sqrt(np.pi / 2) * (1.0 + math.erf(0.3 / np.sqrt(2)))
     expected = 1.0 + exact(0.0, 0.0) / kernel.eval(0, 0, 0.0, 0.0) * 0.6 * b_mass
-    assert abs(sol.psi()[0] - expected) <= 1e-12
+    assert abs(sol.psi_values[0, 0] - expected) <= 1e-12
+    # it depends on no point, and has no scaled variant
+    for nodes, options in ((np.zeros((2, 1)), {}),
+                           (np.zeros((1, 1)), {"profile": ls.constant_profile((2.0,)),
+                                               "use_tilde": True})):
+        with pytest.raises(ValueError, match="a raw kernel is dressed at one point, unscaled"):
+            zd.extract_beta(kernel, nodes, **options)
 
 
 # ---------------------------------------------------------------------------
@@ -659,11 +712,11 @@ def test_nan_kernel_raises_before_the_conditioning_probe():
     with pytest.raises(NonFiniteSample):
         zd.extract_beta(pots, GridChart((-0.1, -0.1), (0.1, 0.1), (3, 3)))
     with pytest.raises(NonFiniteSample):
-        zd.solve_marchenko(zd.DressingProblem(pots, u=U2))
+        zd.extract_beta(pots, AT_U2)
 
 
 def test_translation_identity_propagates_nan():
-    kernel = zd.RawKernel(2, [(1, 1, lambda t: np.full(np.shape(t), np.nan), np.ones_like)])
+    kernel = zd.RawKernel(2, [(1, 1, lambda t: np.full(np.shape(t), np.nan), np.ones_like)], 1.0)
     assert np.isnan(zd.reduction_identity_residual(kernel))
 
 
@@ -699,15 +752,15 @@ def _scaled(pots, k):
 Dense = namedtuple("Dense", "k_nodes k_ss cond mass box")
 
 
-def _dense(kernel, prob) -> Dense:
+def _dense(kernel, length, panels) -> Dense:
     """The reference for the factored solve: the Nyström system of
-    ``kernel.eval`` at one point, assembled in full and solved by LU, with no
-    gates.  ``k_nodes[i, l, m] = K_il(s, q_m)``, ``k_ss = K(s, s)``, the
-    collocation matrix's condition number, and the largest ``|F|`` at the
-    tail pairs (``mass``) and on the nodes (``box``), which the truncation
-    gate compares."""
-    n, s, length = kernel.n, prob.s, prob.length
-    nodes, weights = zd._panel_quadrature(s, length, prob.panels, prob.nodes_per_panel)
+    ``kernel.eval`` at one point on ``panels`` panels of ``[0, length]``,
+    assembled in full and solved by LU, with no gates.  ``k_nodes[i, l, m] =
+    K_il(s, q_m)``, ``k_ss = K(s, s)``, the collocation matrix's condition
+    number, and the largest ``|F|`` at the tail pairs (``mass``) and on the
+    nodes (``box``), which the truncation gate compares."""
+    n, s = kernel.n, 0.0
+    nodes, weights = zd._panel_quadrature(s, length, panels, zd.DEFAULT_NODES_PER_PANEL)
     q, t = len(nodes), np.concatenate(([s], nodes))
 
     def blocks(a, b):  # [l, j, ...] = F_lj(a, b)
@@ -723,20 +776,20 @@ def _dense(kernel, prob) -> Dense:
     return Dense(k_nodes, k_ss, np.linalg.cond(matrix), np.abs(tail).max(), np.abs(f_q).max())
 
 
-#: (potential set, declared length or None, verdict at scale 1): decaying,
-#: decaying but truncated too early, and a pair that does not decay in s'
+#: (potential set, its declared envelope or None, verdict at scale 1):
+#: decaying, decaying but truncated too early (at length 2), and a pair that
+#: does not decay in s'
 GATE_CASES = {
     "decaying": (_gaussian2, None, True),
-    "short": (_gaussian2, 2.0, False),
+    "short": (_gaussian2, 0.8, False),
     "flat": (lambda: zd.PotentialSet(2, {(0, 1): zd.separable_sum_pair(0.3, 0.3, 1.0)}, {},
                                      envelope=8.0), None, False),
 }
 
 
-def _gate_passes(pots, length):
-    prob = zd.DressingProblem(pots, u=U2, length=length, panels=4)
+def _gate_passes(pots, envelope):
     try:
-        zd.solve_marchenko(prob, estimate_cond=False)
+        zd.extract_beta(pots if envelope is None else _enveloped(pots, envelope), AT_U2, panels=4)
     except TruncationInsufficient:
         return False
     return True
@@ -748,16 +801,16 @@ def test_truncation_gate_does_not_depend_on_scale(case, log10_k):
     """The tail mass is measured against the kernel's own size, so scaling
     every potential keeps the verdict; a pair that does not decay in s' fails
     however small it is."""
-    make, length, verdict = GATE_CASES[case]
-    assert _gate_passes(make(), length) is verdict
-    assert _gate_passes(_scaled(make(), 10.0 ** log10_k), length) is verdict
+    make, envelope, verdict = GATE_CASES[case]
+    assert _gate_passes(make(), envelope) is verdict
+    assert _gate_passes(_scaled(make(), 10.0 ** log10_k), envelope) is verdict
 
 
 def test_factored_truncation_gate_matches_the_dense_one():
-    prob = zd.DressingProblem(zd.gaussian_set(2, amplitude=0.4), u=U2, length=2.0)
+    pots = _enveloped(zd.gaussian_set(2, amplitude=0.4), 0.8)
     with pytest.raises(TruncationInsufficient) as err:
-        zd.solve_marchenko(prob, estimate_cond=False)
-    dense = _dense(prob.base_kernel(), prob)
+        zd.extract_beta(pots, AT_U2, panels=16)
+    dense = _dense(zd.PotentialKernel(pots, U2), 2.0, 16)
     assert err.value.mass == pytest.approx(dense.mass, rel=1e-12)
     assert err.value.tol == pytest.approx(zd.TAIL_REL_TOL * dense.box, rel=1e-12)
 
@@ -776,8 +829,7 @@ def test_window_gate_reads_the_dense_gate_at_every_node(monkeypatch):
     assert window.shape == (2, 21)
     dense = []
     for idx in np.ndindex(chart.shape):
-        prob = zd.DressingProblem(pots, chart.node(idx), length=pots.envelope + 1.3, panels=8)
-        dense.append(_dense(prob.base_kernel(), prob))
+        dense.append(_dense(zd.PotentialKernel(pots, chart.node(idx)), pots.envelope + 1.3, 8))
     npt.assert_allclose(window, [[d.mass for d in dense], [d.box for d in dense]],
                         rtol=1e-12, atol=0)
 
@@ -795,11 +847,11 @@ def test_corrupted_factor_trips_the_factor_check(monkeypatch):
     """Each block's terms then differ from its values by 1e-6 of its largest
     value; the error names the block, the point and that deviation."""
     monkeypatch.setattr(zd.PotentialKernel, "factors", _corrupted(zd.PotentialKernel.factors))
-    prob = zd.DressingProblem(_gaussian2(), u=U2)
-    # without the factor check nothing notices
-    assert zd.solve_marchenko(prob, estimate_cond=False).residual <= 1e-10
+    with monkeypatch.context() as unchecked:  # without the factor check nothing notices
+        unchecked.setattr(zd, "_factor_deviation", lambda kernel, tables, idx, *_: np.zeros(len(idx)))
+        assert zd.extract_beta(_gaussian2(), AT_U2).max_residual <= 1e-10
     with pytest.raises(FactorMismatch) as err:
-        zd.solve_marchenko(prob)
+        zd.extract_beta(_gaussian2(), AT_U2)
     assert err.value.deviation == pytest.approx(1e-6, rel=1e-6)
     assert err.value.tol == zd.QUADRATURE_TOL and err.value.node == U2
     assert str(err.value) == (
@@ -818,14 +870,14 @@ def test_factor_check_does_not_depend_on_scale(log10_k):
     potential scaled by ``k`` the intact set passes and a 1e-6 corruption of
     the left factors raises, in a single solve and in a window alike."""
     pots = _scaled(_gaussian2(), 10.0 ** log10_k)
-    prob, chart = zd.DressingProblem(pots, u=U2), GridChart((-0.1, -0.1), (0.1, 0.1), (3, 3))
-    assert zd.solve_marchenko(prob).cond < zd.COND_CAP
+    chart = GridChart((-0.1, -0.1), (0.1, 0.1), (3, 3))
+    assert zd.extract_beta(pots, AT_U2).cond_probe < zd.COND_CAP
     assert zd.extract_beta(pots, chart).factor_deviation <= 1e-14
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(zd.PotentialKernel, "factors", _corrupted(zd.PotentialKernel.factors))
-        for solve in (lambda: zd.solve_marchenko(prob), lambda: zd.extract_beta(pots, chart)):
+        for nodes in (AT_U2, chart):
             with pytest.raises(FactorMismatch) as err:
-                solve()
+                zd.extract_beta(pots, nodes)
             assert err.value.deviation == pytest.approx(1e-6, rel=1e-6)
 
 
@@ -887,7 +939,7 @@ def test_factor_check_reads_zero_blocks_and_nan(monkeypatch, corrupt, deviation,
     potentials here) differ from them infinitely; NaN values never pass."""
     corrupt(monkeypatch)
     with pytest.raises(FactorMismatch) as err:
-        zd.solve_marchenko(zd.DressingProblem(zd.gaussian_set(2, amplitude=0.4), u=U2))
+        zd.extract_beta(zd.gaussian_set(2, amplitude=0.4), AT_U2)
     npt.assert_equal(err.value.deviation, deviation)
     assert err.value.block in blocks
 
@@ -915,11 +967,10 @@ def test_rank1_case_is_solved_through_its_factor():
     kernel, exact = rank1_case()
     calls, factors = [], kernel.factors
     kernel.factors = lambda t: calls.append(t) or factors(t)
-    prob = zd.DressingProblem(zd.PotentialSet(1, {}, {}, envelope=6.0), u=(0.0,), length=10.0)
-    sol = zd.solve_marchenko(prob, kernel=kernel)
+    sol = zd.extract_beta(kernel, np.zeros((1, 1)), panels=16)
     assert kernel.rank == 1 and len(calls) == 1
-    npt.assert_allclose(sol.k_nodes, _dense(kernel, prob).k_nodes, rtol=0, atol=1e-15)
-    assert abs(sol.beta()[0, 0] - exact(0.0, 0.0)) <= 1e-12
+    npt.assert_allclose(sol.k_nodes[..., 0], _dense(kernel, 10.0, 16).k_nodes, rtol=0, atol=1e-15)
+    assert abs(sol.beta_values[0, 0, 0] - exact(0.0, 0.0)) <= 1e-12
 
 
 def test_potential_terms_give_its_partials():
